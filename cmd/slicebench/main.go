@@ -8,25 +8,22 @@
 //	slicebench list
 //	slicebench list -family chaos
 //	slicebench run fig6-burst -scale 0.05
-//	slicebench sweep -family chaos -scale 0.1 -backend live -out BENCH_chaos.json
 //	slicebench run fig4-policies -format csv -every 5
 //	slicebench run live-convergence -backend live -scale 0.1
 //	slicebench run scale-100k -simworkers 8 -cpuprofile cpu.prof -memprofile mem.prof
 //	slicebench sweep -scenarios all -scale 0.02 -replicas 2 -workers 8
-//	slicebench sweep -scenarios scale-10k,scale-50k,scale-100k -out BENCH_scale.json
-//	slicebench sweep -backend live -scale 0.1 -workers 2 -out BENCH_live.json
+//	slicebench sweep -family chaos -scale 0.1 -backend live -out chaos.json
 //	slicebench sweep -scenarios fig4-concurrency,fig6-steady -format csv
-//	slicebench serve-bench -out BENCH_serving.json
-//	slicebench serve-bench -backend sim -specs ranking-1k -queries 50000
-//	slicebench compare BENCH_scale_old.json BENCH_scale.json -fail-above 20
-//	slicebench summarize BENCH_sweep.json BENCH_scale.json -out BENCH_summary.json
+//	slicebench trace livecluster -out trace.json
 //
 // run executes one scenario family and prints its SDM curves side by
 // side (table, csv or json). sweep expands a scenario grid — families ×
 // seed replicas — across a worker pool and emits one summary record per
-// run, including wall time and cycles/sec, so a sweep doubles as a
-// benchmark. Sweep output is deterministic: with -timing=false the same
-// grid and seed produce byte-identical JSON regardless of -workers.
+// run. Sweep output is deterministic: with -timing=false the same grid
+// and seed produce byte-identical JSON regardless of -workers. The wall
+// time a sweep reports covers a whole run, construction included; it
+// is a progress indicator, and the speed numbers this repo quotes come
+// from benchmark/ (bash benchmark/run.sh), not from here.
 //
 // Both run and sweep accept -backend sim|live (default sim): one spec,
 // two engines. The live backend materializes each spec as a cluster of
@@ -41,24 +38,9 @@
 // bit-identical at any value, so it is purely a throughput knob for big
 // single runs like scale-100k.
 //
-// serve-bench measures the query plane (internal/serving): it warms a
-// scenario cluster up on either backend, mounts the HTTP slice-query
-// server on loopback, drives concurrent /slice and /topk load against
-// it, and reports p50/p99 latency plus the staleness bounds the
-// answers carried — written to BENCH_serving.json with -out. The
-// artifact is kept separate from BENCH_summary.json so latency noise
-// never trips the perf regression gate.
-//
-// compare diffs the timing of two sweep artifacts run for run
-// (cycles/sec and wall-time deltas, with a -fail-above regression
-// gate on the MEDIAN drop across gated runs — a code regression slows
-// most runs, machine noise swings individual runs both ways;
-// -min-wall-ms additionally restricts the gate to runs long enough
-// that their timing is signal rather than scheduler noise, while
-// missing-run detection still covers every run), and summarize
-// consolidates sweep artifacts into the stable BENCH_summary.json
-// shape — together they turn the per-build BENCH_*.json files into a
-// perf trajectory across PRs.
+// trace captures a protocol trace — from a running node's /debug/trace
+// endpoint, or by running a live scenario under a fresh trace ring —
+// and writes the dump as JSON.
 package main
 
 import (
@@ -91,10 +73,7 @@ func usage(out io.Writer) {
   slicebench list                      list registered scenarios
   slicebench run <scenario> [flags]    run one scenario family
   slicebench sweep [flags]             run a scenario × seed grid
-  slicebench serve-bench [flags]       serve a warmed-up cluster, measure query latency
   slicebench trace <scenario>|[-url]   capture a protocol trace as JSON
-  slicebench compare <old> <new>       diff the timing of two result files
-  slicebench summarize <files...>      consolidate result files into one summary
 
 run 'slicebench <subcommand> -h' for flags`)
 }
@@ -129,14 +108,8 @@ func run(args []string, out, errOut io.Writer) error {
 		return runOne(args[1:], out, errOut)
 	case "sweep":
 		return runSweep(args[1:], out, errOut)
-	case "serve-bench":
-		return runServeBench(args[1:], out, errOut)
 	case "trace":
 		return runTrace(args[1:], out, errOut)
-	case "compare":
-		return runCompare(args[1:], out, errOut)
-	case "summarize":
-		return runSummarize(args[1:], out, errOut)
 	case "-h", "--help", "help":
 		usage(out)
 		return nil
@@ -433,177 +406,6 @@ func writeSeriesTable(out io.Writer, series []metrics.Series) error {
 	}
 	_, err := tab.WriteTo(out)
 	return err
-}
-
-// readSummaryFile loads one benchmark artifact — a raw sweep results
-// file or a consolidated summary — as summary records.
-func readSummaryFile(path string) ([]scenario.SummaryRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := scenario.ReadSummaryRecords(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return recs, nil
-}
-
-// runCompare diffs the timing of two result files run for run, so the
-// BENCH_*.json artifacts of successive builds become an actual perf
-// trajectory: cycles/sec and wall time per scenario, with deltas, and
-// an optional regression gate.
-func runCompare(args []string, out, errOut io.Writer) error {
-	fs := flag.NewFlagSet("slicebench compare", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	failAbove := fs.Float64("fail-above", 0,
-		"fail when the MEDIAN cycles/sec drop across gated runs exceeds this percentage, or when old runs are missing from the new artifact (0 = report only); the median is used because a code regression slows most runs while machine noise swings individual runs both ways")
-	minWallMS := fs.Float64("min-wall-ms", 0,
-		"only gate runs whose baseline wall time is at least this many ms; shorter runs are reported but their timing is scheduling noise, not signal (missing-run detection still covers them)")
-	// Accept the two file names before the flags (the natural word
-	// order) or after them.
-	var files []string
-	for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		files, args = append(files, args[0]), args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	files = append(files, fs.Args()...)
-	if len(files) != 2 {
-		return fmt.Errorf("compare needs exactly two result files (old.json new.json), got %d", len(files))
-	}
-	oldRecs, err := readSummaryFile(files[0])
-	if err != nil {
-		return err
-	}
-	newRecs, err := readSummaryFile(files[1])
-	if err != nil {
-		return err
-	}
-	oldByKey := make(map[string]scenario.SummaryRecord, len(oldRecs))
-	for _, r := range oldRecs {
-		oldByKey[r.Key()] = r
-	}
-	tab := metrics.NewTable("run", "n", "old c/s", "new c/s", "Δc/s%", "old ms", "new ms", "Δms%")
-	var worst float64
-	worstKey := ""
-	var gatedDrops []float64
-	matched, newOnly, untimed := 0, 0, 0
-	for _, nr := range newRecs {
-		or, ok := oldByKey[nr.Key()]
-		if !ok {
-			newOnly++
-			continue
-		}
-		matched++
-		delete(oldByKey, nr.Key())
-		if or.CyclesPerSec == 0 || nr.CyclesPerSec == 0 {
-			untimed++
-			continue
-		}
-		dCPS := 100 * (nr.CyclesPerSec - or.CyclesPerSec) / or.CyclesPerSec
-		dMS := 100 * (nr.WallMS - or.WallMS) / or.WallMS
-		tab.AddRow(nr.Key(), nr.N,
-			fmt.Sprintf("%.1f", or.CyclesPerSec), fmt.Sprintf("%.1f", nr.CyclesPerSec),
-			fmt.Sprintf("%+.1f", dCPS),
-			fmt.Sprintf("%.1f", or.WallMS), fmt.Sprintf("%.1f", nr.WallMS),
-			fmt.Sprintf("%+.1f", dMS))
-		if or.WallMS < *minWallMS {
-			continue // too short to time: scheduling noise dominates
-		}
-		gatedDrops = append(gatedDrops, -dCPS)
-		if drop := -dCPS; drop > worst {
-			worst, worstKey = drop, nr.Key()
-		}
-	}
-	if _, err := tab.WriteTo(out); err != nil {
-		return err
-	}
-	// Whatever is left in oldByKey vanished from the new artifact: lost
-	// coverage must be visible (and, under a gate, fatal — a regression
-	// hidden by dropping its run is still a regression).
-	lost := make([]string, 0, len(oldByKey))
-	for key := range oldByKey {
-		lost = append(lost, key)
-	}
-	sort.Strings(lost)
-	fmt.Fprintf(out, "matched %d runs (%d without timing, %d only in %s)\n",
-		matched, untimed, newOnly, files[1])
-	medianDrop := median(gatedDrops)
-	if *minWallMS > 0 {
-		fmt.Fprintf(out, "gating %d run(s) with baseline wall time >= %.0f ms", len(gatedDrops), *minWallMS)
-		if len(gatedDrops) > 0 {
-			fmt.Fprintf(out, " (median Δc/s %+.1f%%, worst drop %.1f%% at %s)", -medianDrop, worst, worstKey)
-		}
-		fmt.Fprintln(out)
-	}
-	if len(lost) > 0 {
-		fmt.Fprintf(out, "MISSING from %s (%d): %s\n", files[1], len(lost), strings.Join(lost, " "))
-	}
-	if *failAbove > 0 {
-		if len(lost) > 0 {
-			return fmt.Errorf("perf gate: %d run(s) present in %s are missing from %s: %s",
-				len(lost), files[0], files[1], strings.Join(lost, " "))
-		}
-		if len(gatedDrops) > 0 && medianDrop > *failAbove {
-			return fmt.Errorf("perf regression: median cycles/sec drop %.1f%% across %d gated run(s) exceeds threshold %.1f%% (worst: %s, %.1f%%)",
-				medianDrop, len(gatedDrops), *failAbove, worstKey, worst)
-		}
-	}
-	return nil
-}
-
-// median returns the middle value of vs (mean of the two middle values
-// for even lengths); 0 for an empty slice.
-func median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
-}
-
-// runSummarize consolidates one or more result files into the stable
-// cross-PR summary shape (see scenario.SummaryRecord).
-func runSummarize(args []string, out, errOut io.Writer) error {
-	fs := flag.NewFlagSet("slicebench summarize", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	outPath := fs.String("out", "", "write the summary to a file instead of stdout")
-	var files []string
-	for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		files, args = append(files, args[0]), args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	files = append(files, fs.Args()...)
-	if len(files) == 0 {
-		return fmt.Errorf("summarize needs at least one result file")
-	}
-	sets := make([][]scenario.SummaryRecord, 0, len(files))
-	for _, path := range files {
-		recs, err := readSummaryFile(path)
-		if err != nil {
-			return err
-		}
-		sets = append(sets, recs)
-	}
-	dst := out
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
-	}
-	return scenario.WriteSummaryJSON(dst, scenario.MergeSummaries(sets...))
 }
 
 // runSweep expands and executes a scenario grid.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/scenario"
+	"github.com/gossipkit/slicing/internal/telemetry"
 )
 
 func TestListShowsEveryScenario(t *testing.T) {
@@ -261,143 +262,6 @@ func TestUnknownBackend(t *testing.T) {
 	}
 }
 
-// sweepToFile runs a tiny timed sweep into dir/name and returns the path.
-func sweepToFile(t *testing.T, dir, name string, extra ...string) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	args := append([]string{
-		"sweep", "-scenarios", "quickstart", "-scale", "0.5", "-quiet", "-out", path,
-	}, extra...)
-	if err := run(args, io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareReportsDeltas(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := sweepToFile(t, dir, "old.json")
-	newPath := sweepToFile(t, dir, "new.json")
-	var out bytes.Buffer
-	if err := run([]string{"compare", oldPath, newPath}, &out, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"old c/s", "new c/s", "Δc/s%", "sim/quickstart", "matched 1 runs"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("compare output missing %q:\n%s", want, got)
-		}
-	}
-	// A generous threshold never trips on self-comparison noise...
-	if err := run([]string{"compare", oldPath, newPath, "-fail-above", "10000"}, io.Discard, io.Discard); err != nil {
-		t.Errorf("compare with huge threshold failed: %v", err)
-	}
-}
-
-func TestCompareFailAboveTrips(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-craft artifacts with a 50% cycles/sec drop so the gate must fire.
-	mk := func(name string, cps float64) string {
-		res := []scenario.RunResult{{
-			Run:     scenario.Run{Scenario: "s", Spec: scenario.Spec{Name: "a", N: 10, Cycles: 10}},
-			Backend: "sim",
-			Timing:  &scenario.Timing{WallMS: 1000 / cps * 10, CyclesPerSec: cps},
-		}}
-		data, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	oldPath := mk("old.json", 100)
-	newPath := mk("new.json", 50)
-	err := run([]string{"compare", oldPath, newPath, "-fail-above", "25"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "perf regression") {
-		t.Fatalf("50%% drop with -fail-above 25 returned %v, want regression error", err)
-	}
-	// The reverse direction is an improvement: never a failure.
-	if err := run([]string{"compare", newPath, oldPath, "-fail-above", "25"}, io.Discard, io.Discard); err != nil {
-		t.Errorf("improvement flagged as regression: %v", err)
-	}
-
-	// -min-wall-ms exempts runs whose baseline is too short to time
-	// meaningfully (the old run above took 100 ms)...
-	var out bytes.Buffer
-	if err := run([]string{"compare", oldPath, newPath, "-fail-above", "25", "-min-wall-ms", "500"}, &out, io.Discard); err != nil {
-		t.Errorf("sub-floor run tripped the gate despite -min-wall-ms: %v", err)
-	}
-	if !strings.Contains(out.String(), "gating 0 run(s)") {
-		t.Errorf("compare output missing gate count:\n%s", out.String())
-	}
-	// ...but a floor below the run's wall time still gates it.
-	err = run([]string{"compare", oldPath, newPath, "-fail-above", "25", "-min-wall-ms", "50"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "perf regression") {
-		t.Fatalf("above-floor 50%% drop returned %v, want regression error", err)
-	}
-}
-
-func TestCompareNeedsTwoFiles(t *testing.T) {
-	if err := run([]string{"compare", "only.json"}, io.Discard, io.Discard); err == nil {
-		t.Fatal("compare with one file accepted")
-	}
-}
-
-func TestSummarizeConsolidates(t *testing.T) {
-	dir := t.TempDir()
-	a := sweepToFile(t, dir, "a.json")
-	b := sweepToFile(t, dir, "b.json", "-seed", "2")
-	outPath := filepath.Join(dir, "summary.json")
-	if err := run([]string{"summarize", a, b, "-out", outPath}, io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []scenario.SummaryRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("summary is not valid JSON: %v\n%s", err, data)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("summary has %d records, want 2", len(recs))
-	}
-	for _, r := range recs {
-		if r.Scenario != "quickstart" || r.Backend != "sim" || r.CyclesPerSec <= 0 {
-			t.Errorf("bad summary record: %+v", r)
-		}
-	}
-	// compare accepts both shapes: a consolidated summary against a raw
-	// results file.
-	var cmpOut bytes.Buffer
-	if err := run([]string{"compare", outPath, a}, &cmpOut, io.Discard); err != nil {
-		t.Fatalf("compare summary-vs-raw: %v", err)
-	}
-	if !strings.Contains(cmpOut.String(), "matched 1 runs") {
-		t.Errorf("summary-vs-raw compare matched nothing: %s", cmpOut.String())
-	}
-}
-
-func TestCompareFlagsLostRuns(t *testing.T) {
-	dir := t.TempDir()
-	two := sweepToFile(t, dir, "two.json", "-replicas", "2")
-	one := sweepToFile(t, dir, "one.json")
-	var out bytes.Buffer
-	if err := run([]string{"compare", two, one}, &out, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "MISSING from") {
-		t.Errorf("lost run not reported: %s", out.String())
-	}
-	err := run([]string{"compare", two, one, "-fail-above", "10000"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("gate did not fail on lost coverage: %v", err)
-	}
-}
-
 func TestRunSimWorkersMatchesSerial(t *testing.T) {
 	var serial, parallel bytes.Buffer
 	base := []string{"run", "quickstart", "-scale", "0.5", "-every", "5", "-format", "json", "-timing=false"}
@@ -413,5 +277,34 @@ func TestRunSimWorkersMatchesSerial(t *testing.T) {
 	norm := strings.Replace(parallel.String(), "\n      \"simWorkers\": 4,", "", 1)
 	if norm != serial.String() {
 		t.Errorf("-simworkers 4 changed results:\n%s\nvs\n%s", parallel.String(), serial.String())
+	}
+}
+
+// trace in scenario mode must run a live spec under a ring and write a
+// well-formed dump, and -kinds must print the decode table.
+func TestTraceScenarioWritesEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := run([]string{"trace", "livecluster", "-scale", "0.05", "-out", path}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump telemetry.TraceDump
+	if err := json.Unmarshal(data, &dump); err != nil {
+		t.Fatalf("trace output is not valid JSON: %v", err)
+	}
+	if len(dump.Events) == 0 || dump.Total < uint64(len(dump.Events)) {
+		t.Errorf("trace dump has %d events of %d recorded", len(dump.Events), dump.Total)
+	}
+	var kinds bytes.Buffer
+	if err := run([]string{"trace", "-kinds"}, &kinds, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range traceKindTable {
+		if !strings.Contains(kinds.String(), row.kind.String()) {
+			t.Errorf("-kinds output missing %q", row.kind)
+		}
 	}
 }

@@ -101,13 +101,21 @@
 // package are thin wrappers over the same entries. The scale-10k,
 // scale-50k, scale-100k and scale-1m families push the simulation
 // engine well past the paper's N=10,000 evaluation ceiling — both
-// protocols, static and churning, at up to 1,000,000 nodes — and double
-// as the engine's throughput benchmarks (see BenchmarkEngineScaling
-// and `make bench-json`). The engine itself is a struct-of-arrays
-// arena: per-node state in parallel slices addressed by slot, all view
-// storage flattened into one backing array, per-worker scratch instead
-// of per-node buffers — ~1.9 kB per node all in, which is what makes
-// the million-node tier (`make scale-smoke`) fit a laptop.
+// protocols, static and churning, at up to 1,000,000 nodes. The engine
+// itself is a struct-of-arrays arena: per-node state in parallel slices
+// addressed by slot, all view storage flattened into one backing array,
+// per-worker scratch instead of per-node buffers — ~1.9 kB per node of
+// engine state, which is what makes the million-node tier fit a laptop.
+//
+// Speed is measured in one place: benchmark/, a module of its own run
+// as `bash benchmark/run.sh` (`make bench`). Four workloads — the sim
+// engine at N=1,000,000 and at N=100,000 under churn, a 10,000-node
+// live cluster, and the query plane over loopback HTTP — report set-up
+// time apart from steady-state throughput, step latency, heap bytes
+// per node and final disorder, plus a per-layer ledger from a traced
+// run; `bash benchmark/run.sh compare A.json B.json` judges two result
+// sets against the bounds in BENCHMARK.json. Every performance number
+// the README quotes is copied from that output.
 //
 // # Robustness: the fault plane
 //
@@ -124,8 +132,8 @@
 // windows scale with the run, so a 0.1-scale sweep keeps the fault
 // structure. The chaos-drift, chaos-byzantine, chaos-partition and
 // chaos-messages scenario families exercise the plane end to end, and
-// `make chaos-smoke` gates their recovery behavior in CI (see the
-// README's Robustness section).
+// TestChaosRecoveryGates pins their recovery behavior in tier-1 (see
+// the README's Robustness section).
 //
 // # Serving: the query plane
 //
@@ -152,9 +160,9 @@
 // /snapshot, /healthz, and an SSE stream at /watch — and its Shutdown
 // drains in-flight requests and open streams before returning; a node
 // leaving the serving plane is an ordinary churn event to the protocol.
-// cmd/slicenode mounts this with its -serve flag, and `slicebench
-// serve-bench` load-tests it, writing p50/p99 latency and staleness
-// figures to BENCH_serving.json.
+// cmd/slicenode mounts this with its -serve flag, and the benchmark's
+// serve-mixed-1k workload load-tests it (throughput, latency and the
+// staleness bounds the answers carried).
 //
 // # Observability
 //

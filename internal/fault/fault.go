@@ -37,7 +37,6 @@ const (
 	saltDrift     int64 = 0x6A09E667F3BCC909
 	saltByzantine int64 = -0x4AB1F58B7E2D3C4B
 	saltPartition int64 = 0x3C6EF372FE94F82B
-	saltChaos     int64 = 0x1F83D9ABFB41BD6B
 )
 
 // DriftSalt derives the drift-cohort salt for a run seed.
@@ -48,9 +47,6 @@ func ByzantineSalt(seed int64) int64 { return seed ^ saltByzantine }
 
 // PartitionSalt derives the partition-grouping salt for a run seed.
 func PartitionSalt(seed int64) int64 { return seed ^ saltPartition }
-
-// ChaosSalt derives the message-chaos salt for a run seed.
-func ChaosSalt(seed int64) int64 { return seed ^ saltChaos }
 
 // mix64 is the splitmix64 finalizer — the same full-avalanche mix the
 // simulator's counter-based streams use, duplicated here so the fault

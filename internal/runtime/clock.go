@@ -25,10 +25,6 @@ type realClock struct{}
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// WallClock returns the wall-time Clock (the default when
-// ClusterConfig.Clock is nil).
-func WallClock() Clock { return realClock{} }
-
 // virtualEpoch is the arbitrary origin of virtual time. Its value never
 // matters — only durations do — but a non-zero origin keeps time.Time
 // arithmetic away from the zero value's special cases.

@@ -12,8 +12,7 @@ import (
 // topped out far below this. Driven virtual time keeps the run
 // compute-bound (~2s at full size without the race detector; the
 // population shrinks under race instrumentation's ~10x slowdown, and the
-// full-size run also executes on every CI build via `make bench-json`'s
-// live sweep).
+// benchmark's live-ordering-10k workload runs the full size).
 func TestLiveClusterTenThousandNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node cluster skipped in -short mode")

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -16,119 +15,6 @@ func WriteJSON(w io.Writer, results []RunResult) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(results)
-}
-
-// ReadResults parses a results file produced by WriteJSON (one JSON
-// array of RunResult records), for the compare and summarize tooling.
-func ReadResults(r io.Reader) ([]RunResult, error) {
-	var results []RunResult
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&results); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// SummaryRecord is one row of the consolidated benchmark artifact
-// (BENCH_summary.json): a deliberately minimal, stable shape — run
-// identity, headline result, throughput — so artifacts from different
-// PRs stay diffable and `slicebench compare` has a constant schema to
-// track the perf trajectory across builds.
-type SummaryRecord struct {
-	Scenario string  `json:"scenario"`
-	Spec     string  `json:"spec"`
-	Replica  int     `json:"replica"`
-	Backend  string  `json:"backend"`
-	N        int     `json:"n"`
-	Cycles   int     `json:"cycles"`
-	FinalSDM float64 `json:"finalSDM"`
-	// WallMS and CyclesPerSec are zero when the producing sweep disabled
-	// timing.
-	WallMS       float64 `json:"wallMS,omitempty"`
-	CyclesPerSec float64 `json:"cyclesPerSec,omitempty"`
-	Error        string  `json:"error,omitempty"`
-}
-
-// Key identifies the run a summary record describes across artifacts
-// from different builds. N participates because the same scenario/spec
-// legitimately appears at several scales in one consolidated summary
-// (e.g. scale-10k runs in both the small-scale catalog sweep and the
-// full-scale BENCH_scale sweep); without it those records would
-// collide and compare would pair a toy run against a full-scale one.
-func (s SummaryRecord) Key() string {
-	return s.Backend + "/" + s.Scenario + "/" + s.Spec + "@n=" + strconv.Itoa(s.N) + "#" + strconv.Itoa(s.Replica)
-}
-
-// Summarize flattens result sets — typically the per-sweep BENCH_*.json
-// files of one build — into one sorted summary-record list. Records
-// sort by (backend, scenario, spec, replica), so the consolidated
-// artifact is byte-stable for a given set of inputs.
-func Summarize(sets ...[]RunResult) []SummaryRecord {
-	var recs []SummaryRecord
-	for _, set := range sets {
-		for _, res := range set {
-			rec := SummaryRecord{
-				Scenario: res.Scenario,
-				Spec:     res.Spec.Name,
-				Replica:  res.Replica,
-				Backend:  res.Backend,
-				N:        res.Spec.N,
-				Cycles:   res.Spec.Cycles,
-				FinalSDM: res.FinalSDM,
-				Error:    res.Error,
-			}
-			if rec.Backend == "" {
-				rec.Backend = BackendSim
-			}
-			if res.Timing != nil {
-				rec.WallMS = res.Timing.WallMS
-				rec.CyclesPerSec = res.Timing.CyclesPerSec
-			}
-			recs = append(recs, rec)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key() < recs[j].Key() })
-	return recs
-}
-
-// WriteSummaryJSON emits the consolidated benchmark artifact.
-func WriteSummaryJSON(w io.Writer, recs []SummaryRecord) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
-}
-
-// MergeSummaries concatenates summary-record sets back into one sorted
-// list (the Summarize ordering).
-func MergeSummaries(sets ...[]SummaryRecord) []SummaryRecord {
-	var recs []SummaryRecord
-	for _, set := range sets {
-		recs = append(recs, set...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key() < recs[j].Key() })
-	return recs
-}
-
-// ReadSummaryRecords parses a benchmark artifact in EITHER shape — a
-// consolidated summary (WriteSummaryJSON) or a raw results file
-// (WriteJSON) — into summary records, so compare and summarize accept
-// any BENCH_*.json interchangeably. The two shapes are structurally
-// disjoint ("spec" is a string in one, an object in the other), so
-// decoding disambiguates them.
-func ReadSummaryRecords(r io.Reader) ([]SummaryRecord, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	var recs []SummaryRecord
-	if err := json.Unmarshal(data, &recs); err == nil {
-		return MergeSummaries(recs), nil
-	}
-	var results []RunResult
-	if err := json.Unmarshal(data, &results); err != nil {
-		return nil, err
-	}
-	return Summarize(results), nil
 }
 
 // csvHeader is the summary-row schema of WriteCSV.

@@ -17,7 +17,7 @@ import (
 // cluster plus the spec-derived drive state (period, churn schedule,
 // churn rng) needed to move it forward cycle by cycle. It is the
 // machinery LiveBackend.Run is built on, exported so other consumers —
-// the serve-bench load harness stands a query plane on one — can run
+// benchmark/ steps one and stands a query plane on another — can run
 // the exact cluster a scenario describes without duplicating the
 // spec→cluster translation.
 type LiveCluster struct {

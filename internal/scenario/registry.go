@@ -306,7 +306,7 @@ var registry = []Scenario{
 	{
 		Name: "serving",
 		Description: "the query plane's reference clusters: warmed-up populations a serving endpoint answers " +
-			"from (slicebench serve-bench stands an HTTP server on one and measures p50/p99 query latency)",
+			"from (ranking, ordering, and ranking under churn at n=1,000)",
 		Backends: bothBackends(),
 		Specs: []Spec{
 			{Name: "ranking-1k", Protocol: ProtoRanking,
@@ -463,9 +463,9 @@ var registry = []Scenario{
 // N=10,000 ceiling (§4.5 stops there; the arena-based engine core is
 // benchmarked to 100k+). Each family runs both protocols, static and
 // under 0.1%/cycle uniform churn, with short fixed cycle counts — the
-// point is cycles/sec as a function of N, not convergence. Sweeping
-// them with -timing on records the N-scaling trajectory (see `make
-// bench-json`, which writes BENCH_scale.json at full scale).
+// point is cycles/sec as a function of N, not convergence. They are
+// what `make profile` runs; the measured N=1M and N=100k throughput
+// numbers come from benchmark/, which builds its own specs.
 func scaleScenario(n, cycles int) Scenario {
 	name := fmt.Sprintf("scale-%dk", n/1000)
 	if n >= 1_000_000 {

@@ -10,8 +10,8 @@ import (
 // the convergence data the benchmark catalog actually measured. The
 // paper's §4 gives probabilistic guarantees in closed form only for
 // idealized samplers; the reproduction instead measures where each
-// protocol family's slice disorder settles (the finalSDM column of
-// BENCH_summary.json) and uses that floor — inflated while a node is
+// protocol family's slice disorder settles (the finalSDM column of a
+// `slicebench sweep`) and uses that floor — inflated while a node is
 // still warming up — as the residual term of every reported bound.
 type Calibration struct {
 	// ResidualSDM is the slice-disorder floor the protocol family
@@ -51,8 +51,8 @@ const DefaultWarmupTicks = 5
 // Calibration.StarvationTicks is zero.
 const DefaultStarvationTicks = 8
 
-// Default calibrations, derived from the BENCH_summary.json convergence
-// data of the scenario catalog (see README "Serving"): ranking runs
+// Default calibrations, derived from the convergence data of a
+// `slicebench sweep` over the scenario catalog: ranking runs
 // settle around finalSDM ≈ 0.002–0.01 of normalized rank error within
 // ~150 cycles at n=10k (fig6 families), ordering runs floor roughly an
 // order of magnitude higher because the slice assignment inherits the

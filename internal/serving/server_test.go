@@ -267,33 +267,3 @@ func TestServerStartShutdown(t *testing.T) {
 		t.Fatal("Shutdown did not complete within twice the drain timeout")
 	}
 }
-
-func TestRunLoadAgainstServer(t *testing.T) {
-	e := testEngine(t, 400, 60)
-	q := NewSimQuerier(e, Calibration{})
-	ts := httptest.NewServer(NewServer(q, Options{}).Handler())
-	defer ts.Close()
-
-	res, err := RunLoad(context.Background(), ts.URL, LoadOptions{
-		Queries:     300,
-		Concurrency: 4,
-		TopKShare:   0.2,
-		AttrLow:     0,
-		AttrHigh:    100,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if res.Errors != 0 {
-		t.Errorf("load run saw %d errors", res.Errors)
-	}
-	if res.Queries != 300 || res.QPS <= 0 {
-		t.Errorf("result = %+v", res)
-	}
-	if res.P50MS <= 0 || res.P99MS < res.P50MS {
-		t.Errorf("latency percentiles inconsistent: %+v", res)
-	}
-	if res.MeanBound <= 0 || res.MaxBound > 1 {
-		t.Errorf("staleness bounds missing from load result: %+v", res)
-	}
-}

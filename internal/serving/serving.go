@@ -21,9 +21,7 @@
 // ClusterQuerier (round-robin over a live cluster — "any node can
 // answer"), and SimQuerier (the simulator backend, for tests). Server
 // mounts any SliceQuerier behind HTTP/JSON with an SSE stream for
-// boundary crossings, and RunLoad drives concurrent query load against
-// such a server, reporting p50/p99 latency (see cmd/slicebench
-// serve-bench).
+// boundary crossings.
 package serving
 
 import (
@@ -69,8 +67,8 @@ type Staleness struct {
 	// the answer's distance to the nearest slice boundary.
 	Confidence float64 `json:"confidence"`
 	// ResidualSDM is the calibrated convergence floor: the slice
-	// disorder the protocol family settles at in the benchmark catalog
-	// (BENCH_summary.json finalSDM), inflated while the node is still
+	// disorder the protocol family settles at in the scenario catalog
+	// (`slicebench sweep` finalSDM), inflated while the node is still
 	// warming up.
 	ResidualSDM float64 `json:"residualSDM"`
 	// Bound is max(RankCI, ResidualSDM), clamped to [0,1]: the error

@@ -185,7 +185,7 @@ func TestWorkersValidation(t *testing.T) {
 
 // TestParallelEngineAtScale drives the parallel engine at N=10,000 with
 // churn on several workers — under `go test -race` this is the race
-// gate of the compute/commit rounds (make test-hot runs it uncached).
+// gate of the compute/commit rounds (make test runs it uncached).
 // The population shrinks under the race detector's ~10x slowdown only
 // in -short mode; the full run is the wired-in N=10k acceptance check.
 func TestParallelEngineAtScale(t *testing.T) {

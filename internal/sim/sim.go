@@ -556,15 +556,6 @@ func (e *Engine) memberAt(s int32) core.Member {
 	return e.rns[s].Member()
 }
 
-// estimateAt reads slot s's live coordinate (random value or rank
-// estimate). Cold paths only; hot loops specialize per protocol.
-func (e *Engine) estimateAt(s int32) float64 {
-	if e.cfg.Protocol == Ordering {
-		return e.ons[s].Estimate()
-	}
-	return e.rns[s].Estimate()
-}
-
 // setAttrAt routes a forced attribute change to slot s's protocol node
 // — the single hook the fault plane mutates attributes through, which
 // is what keeps the dense attribute mirror honest.

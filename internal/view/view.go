@@ -140,11 +140,6 @@ func NewBound(capacity int, entries []Entry, ids []core.ID, ord []int16) *View {
 // merge repairs it.
 func (v *View) touch() { v.gen++ }
 
-// Gen returns the entry-set generation stamp: unchanged between two
-// calls iff no entry was added, removed or replaced in between. Pure
-// age and coordinate refreshes do not advance it.
-func (v *View) Gen() uint32 { return v.gen }
-
 // Len returns the number of entries currently held.
 func (v *View) Len() int { return len(v.entries) }
 
@@ -172,13 +167,6 @@ func (v *View) AppendEntries(buf []Entry) []Entry {
 // avoid a per-tick snapshot copy. Callers that mutate the view while
 // iterating must use AppendEntries instead.
 func (v *View) Raw() []Entry { return v.entries }
-
-// ForEach calls fn on every entry without copying.
-func (v *View) ForEach(fn func(Entry)) {
-	for _, e := range v.entries {
-		fn(e)
-	}
-}
 
 // Get returns the entry for id, if present.
 func (v *View) Get(id core.ID) (Entry, bool) {

@@ -9,15 +9,11 @@ package slicing
 // stream — each answer carrying a staleness/error bound derived from
 // the answering node's convergence state. This section re-exports that
 // plane: the backend-agnostic SliceQuerier contract, the three
-// queriers (live node, live cluster, simulator), the HTTP/SSE server,
-// and the load harness behind `slicebench serve-bench`.
+// queriers (live node, live cluster, simulator) and the HTTP/SSE
+// server.
 // ---------------------------------------------------------------------
 
-import (
-	"context"
-
-	"github.com/gossipkit/slicing/internal/serving"
-)
+import "github.com/gossipkit/slicing/internal/serving"
 
 // Query-plane types.
 type (
@@ -53,15 +49,11 @@ type (
 	QueryServer = serving.Server
 	// ServeOptions configures a QueryServer.
 	ServeOptions = serving.Options
-	// QueryLoadOptions configures RunQueryLoad.
-	QueryLoadOptions = serving.LoadOptions
-	// QueryLoadResult is RunQueryLoad's latency/staleness measurement.
-	QueryLoadResult = serving.LoadResult
 )
 
 // Default calibrations for the staleness bounds, derived from the
-// benchmark catalog's measured convergence floors (BENCH_summary.json
-// finalSDM; see the README's Serving section).
+// scenario catalog's measured convergence floors (`slicebench sweep`
+// finalSDM).
 var (
 	// RankingServingCalibration fits ranking-protocol backends.
 	RankingServingCalibration = serving.RankingCalibration
@@ -93,11 +85,4 @@ func NewSimQuerier(e *Simulation, cal ServingCalibration) *SimQuerier {
 // GET /watch (an SSE stream of boundary crossings).
 func NewQueryServer(q SliceQuerier, opts ServeOptions) *QueryServer {
 	return serving.NewServer(q, opts)
-}
-
-// RunQueryLoad drives concurrent query load against a serving endpoint
-// and reports p50/p99 latency plus the staleness bounds the answers
-// carried (the engine behind `slicebench serve-bench`).
-func RunQueryLoad(ctx context.Context, baseURL string, opts QueryLoadOptions) (QueryLoadResult, error) {
-	return serving.RunLoad(ctx, baseURL, opts)
 }
