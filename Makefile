@@ -39,13 +39,17 @@ bench-check:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 
-# Where the time goes inside one run (the benchmark says how much there
-# is): capture CPU + heap profiles of a spec (defaults: the N=100k
-# ordering run, 10 cycles, serial engine) and print the top-20 flat CPU
-# report, e.g.
+# Where the time and the bytes go inside one run (the benchmark says how
+# much there is): capture CPU + heap profiles of a spec (defaults: the
+# N=100k ordering run, 10 cycles, serial engine) and print the top-20
+# flat CPU report and the top-10 in-use heap report, e.g.
 #   make profile PROFILE_SPEC=scale-1m PROFILE_CYCLES=5
+# The heap profile is taken at the end of the last run while its engine
+# is still alive; a profile with under 1 MB in use allocated from
+# internal/ means the capture missed it, and the target fails (`make ci`
+# runs it small for that).
 # cpu.prof / mem.prof land in the working tree (gitignored); drill past
-# the flat report with `go tool pprof cpu.prof`.
+# the flat reports with `go tool pprof cpu.prof`.
 PROFILE_SPEC ?= scale-100k
 PROFILE_CYCLES ?= 10
 PROFILE_SIMWORKERS ?= 1
@@ -54,10 +58,17 @@ profile:
 		-simworkers $(PROFILE_SIMWORKERS) -cpuprofile cpu.prof -memprofile mem.prof \
 		-format csv
 	$(GO) tool pprof -top -nodecount=20 cpu.prof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 mem.prof
+	@$(GO) tool pprof -sample_index=inuse_space -top -unit=B -nodefraction=0 \
+		-focus='slicing/internal/' mem.prof | \
+		awk '/accounting for/ { b = $$5 + 0 } END { if (b < 1e6) { \
+		print "mem.prof: " b " B in use under internal/ (< 1 MB): the heap capture missed the engine" > "/dev/stderr"; exit 1 } }'
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 
+# The profile step is a smoke test of the profiling path itself.
 ci: lint build test test-serial bench-check bench
+	$(MAKE) profile PROFILE_SPEC=scale-10k PROFILE_CYCLES=2

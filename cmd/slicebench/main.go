@@ -55,6 +55,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/gossipkit/slicing/internal/metrics"
 	"github.com/gossipkit/slicing/internal/scenario"
@@ -200,9 +201,9 @@ func runOne(args []string, out, errOut io.Writer) error {
 		every      = fs.Int("every", 1, "record the SDM every k-th cycle")
 		cycles     = fs.Int("cycles", 0, "override every spec's cycle count (0 = spec value)")
 		timing     = fs.Bool("timing", true, "report wall time per run (json only)")
-		memStats   = fs.Bool("memstats", false, "print the engine memory budget per run (arena bytes, bytes/node) plus process heap stats")
+		memStats   = fs.Bool("memstats", false, "print each run's live heap per node after GC, the sim engine's memory budget (arena bytes, bytes/node) and process heap stats")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-		memProf    = fs.String("memprofile", "", "write a post-run heap profile to this file")
+		memProf    = fs.String("memprofile", "", "write a heap profile to this file, taken at the end of the last run while its engine or cluster is still alive")
 		debugAddr  = fs.String("debug-addr", "", "serve /metrics and /debug/trace for the running scenario on this address (runs sharing the process share the gauges; use -workers 1 for per-run readings)")
 	)
 	// Accept the scenario name before the flags (the natural word order)
@@ -229,19 +230,35 @@ func runOne(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var inst scenario.Instrumentation
+	var heapErr error
+	if *memStats || *memProf != "" {
+		// Heap readings are taken at the end of each run, while its engine
+		// or cluster is still alive; after the sweep there is nothing left
+		// to measure. Runs sharing the process (-workers > 1) share the
+		// heap; the profile on disk is the last finished run's.
+		var mu sync.Mutex
+		inst.AtEnd = func(spec scenario.Spec, nodes int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if err := captureHeap(errOut, spec.Name, nodes, *memStats, *memProf); err != nil && heapErr == nil {
+				heapErr = err
+			}
+		}
+	}
 	if *debugAddr != "" {
-		inst := scenario.Instrumentation{
-			Telemetry: telemetry.NewRegistry(),
-			Trace:     telemetry.NewTraceRing(0),
-		}
-		switch b := be.(type) {
-		case scenario.SimBackend:
-			b.Inst = inst
-			be = b
-		case scenario.LiveBackend:
-			b.Inst = inst
-			be = b
-		}
+		inst.Telemetry = telemetry.NewRegistry()
+		inst.Trace = telemetry.NewTraceRing(0)
+	}
+	switch b := be.(type) {
+	case scenario.SimBackend:
+		b.Inst = inst
+		be = b
+	case scenario.LiveBackend:
+		b.Inst = inst
+		be = b
+	}
+	if *debugAddr != "" {
 		ln, err := serveDebug(*debugAddr, inst)
 		if err != nil {
 			return err
@@ -279,16 +296,8 @@ func runOne(args []string, out, errOut io.Writer) error {
 	}
 	r := scenario.Runner{Workers: liveWorkers(*workers, be), DisableTiming: !*timing, Backend: be}
 	results := r.Sweep(runs, nil)
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC() // materialize the retained heap before profiling it
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
+	if heapErr != nil {
+		return heapErr
 	}
 	for _, res := range results {
 		if res.Error != "" {
@@ -319,16 +328,38 @@ func runOne(args []string, out, errOut io.Writer) error {
 	}
 }
 
-// writeMemStats prints each run's engine-side memory budget (the
+// captureHeap is the end-of-run heap reading: two collections (the
+// second frees what the first one's finalizers released), then the live
+// heap per node and/or a heap profile, both taken while the run's engine
+// or cluster is still reachable from the caller.
+func captureHeap(out io.Writer, spec string, nodes int, stats bool, profPath string) error {
+	runtime.GC()
+	runtime.GC()
+	if stats && nodes > 0 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		fmt.Fprintf(out, "# mem %s: n=%d live heap after GC=%s (%.1f bytes/node)\n",
+			spec, nodes, fmtBytes(int64(ms.HeapAlloc)), float64(ms.HeapAlloc)/float64(nodes))
+	}
+	if profPath == "" {
+		return nil
+	}
+	f, err := os.Create(profPath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return pprof.WriteHeapProfile(f)
+}
+
+// writeMemStats prints each sim run's engine-side memory budget (the
 // deterministic accounting sim.MemReport performs over the arena and
-// the per-slot slices) followed by the process-level heap picture from
-// runtime.ReadMemStats — the two together separate "what the engine
-// reserves per node" from allocator slack and GC headroom.
+// the per-slot slices; the live backend has no such audit, its
+// captureHeap line stands alone) followed by the process-level
+// allocation totals from runtime.ReadMemStats.
 func writeMemStats(out io.Writer, results []scenario.RunResult) {
 	for _, res := range results {
 		if res.Mem == nil {
-			fmt.Fprintf(out, "# mem %s/%s: no engine report (sim backend with -timing only)\n",
-				res.Scenario, res.Spec.Name)
 			continue
 		}
 		m := res.Mem

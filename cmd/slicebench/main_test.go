@@ -86,6 +86,26 @@ func TestRunWritesProfiles(t *testing.T) {
 	}
 }
 
+// -memstats reads the heap at the end of each run, while the engine or
+// cluster is still alive, on both backends: the live backend has no
+// engine-side audit but must still report bytes per node.
+func TestRunMemStatsBothBackends(t *testing.T) {
+	for _, backend := range []string{"sim", "live"} {
+		var errOut bytes.Buffer
+		err := run([]string{"run", "livecluster", "-backend", backend, "-memstats"}, io.Discard, &errOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := errOut.String()
+		if !strings.Contains(got, "live heap after GC=") || !strings.Contains(got, "bytes/node") {
+			t.Errorf("%s backend: -memstats printed no per-node heap line:\n%s", backend, got)
+		}
+		if strings.Contains(got, "no engine report") {
+			t.Errorf("%s backend: -memstats still prints the no-report placeholder:\n%s", backend, got)
+		}
+	}
+}
+
 func TestRunUnknownScenario(t *testing.T) {
 	if err := run([]string{"run", "fig9"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown scenario accepted")

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/gossipkit/slicing/internal/core"
 )
 
 // Window is a half-open cycle interval [From, To). To <= 0 means the
@@ -48,21 +50,9 @@ func ByzantineSalt(seed int64) int64 { return seed ^ saltByzantine }
 // PartitionSalt derives the partition-grouping salt for a run seed.
 func PartitionSalt(seed int64) int64 { return seed ^ saltPartition }
 
-// mix64 is the splitmix64 finalizer — the same full-avalanche mix the
-// simulator's counter-based streams use, duplicated here so the fault
-// plane stays dependency-free.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // hash01 maps (salt, id) to a uniform float64 in [0, 1).
 func hash01(salt int64, id uint64) float64 {
-	h := mix64(mix64(uint64(salt)) ^ mix64(id))
+	h := core.Mix64(core.Mix64(uint64(salt)) ^ core.Mix64(id))
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -70,7 +60,7 @@ func hash01(salt int64, id uint64) float64 {
 // per-cycle variant of hash01, used for live drift draws where no
 // counter stream exists.
 func Unit(salt int64, id, cycle uint64) float64 {
-	h := mix64(mix64(uint64(salt)) ^ mix64(id) ^ mix64(cycle*0x9E3779B97F4A7C15))
+	h := core.Mix64(core.Mix64(uint64(salt)) ^ core.Mix64(id) ^ core.Mix64(cycle*core.Golden))
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -93,7 +83,7 @@ func Group(salt int64, id uint64, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(mix64(mix64(uint64(salt))^mix64(id)) % uint64(n))
+	return int(core.Mix64(core.Mix64(uint64(salt))^core.Mix64(id)) % uint64(n))
 }
 
 // DriftKind selects a drift schedule shape.

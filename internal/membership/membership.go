@@ -8,6 +8,8 @@
 package membership
 
 import (
+	"sync"
+
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/view"
@@ -42,39 +44,11 @@ type Protocol interface {
 // supplies it so that gossip always advertises up-to-date coordinates.
 type SelfEntryFunc func() view.Entry
 
-// Exchanger is the compute/commit decomposition of a gossip exchange,
-// implemented by the view-swapping protocols (Cyclon, Newscast). It
-// factors Tick/HandleRequest/HandleReply into a half that is pure with
-// respect to every other node's state — aging the own view and picking
-// the partner — and a half that only merges already-materialized
-// payloads. A parallel cycle engine runs SelectPartner on all nodes
-// concurrently (each touches only its own view), freezes every view,
-// derives request and reply payloads from the frozen entries, and then
-// applies Absorb per view owner in a deterministic order — which makes
-// the whole membership phase bit-identical at any worker count.
-//
-// Payload construction under this split relies on a property both Merge
-// and MergeFresh already guarantee: entries describing the receiving
-// node are dropped on merge. A frozen request payload is therefore the
-// initiator's whole post-age view plus a fresh self entry (the explicit
-// "minus the target's entry" filtering of Fig. 3 is subsumed by the
-// merge-side self drop), and a frozen reply payload is the responder's
-// whole post-age view, plus a fresh self entry iff ReplyAddsSelf.
-type Exchanger interface {
-	// SelectPartner starts a gossip period: it ages the view and
-	// returns the partner this node initiates with, mirroring the
-	// selection of Tick (Cyclon: the oldest entry; Newscast: a
-	// uniformly random one). It mutates only the own view.
-	SelectPartner(rng core.RNG) (core.ID, bool)
-	// ReplyAddsSelf reports whether reply payloads carry a fresh self
-	// entry (Newscast) or not (the Cyclon variant's ACK′ describes the
-	// responder's neighbors only).
-	ReplyAddsSelf() bool
-	// Absorb commits one received payload — request or reply — into the
-	// view, applying this protocol's merge discipline (local-wins for
-	// Cyclon, freshest-wins for Newscast).
-	Absorb(entries []view.Entry)
-}
+// mergePool lends the envelope path its merge scratch: the over-filled
+// intermediate set of a merge lives there, so a node's view storage never
+// grows past capacity and a node retains no scratch of its own. The
+// scratch merges accept wire batches with repeated IDs.
+var mergePool = sync.Pool{New: func() any { return new(view.MergeScratch) }}
 
 // Cyclon is the variant of the Cyclon protocol described in §4.3.2 and
 // Fig. 3: each period the node ages its view, selects its oldest
@@ -89,10 +63,7 @@ type Cyclon struct {
 	v         *view.View
 }
 
-var (
-	_ Protocol  = (*Cyclon)(nil)
-	_ Exchanger = (*Cyclon)(nil)
-)
+var _ Protocol = (*Cyclon)(nil)
 
 // NewCyclon builds the Cyclon-variant protocol for a node. The view is
 // owned by the protocol but shared with the slicing layer.
@@ -126,34 +97,22 @@ func (c *Cyclon) HandleRequest(from core.ID, req proto.ViewRequest, _ core.RNG) 
 			break
 		}
 	}
-	c.v.Merge(req.Entries, c.self)
+	c.merge(req.Entries)
 	return []proto.Envelope{{To: from, Msg: proto.ViewReply{Entries: reply}}}
 }
 
 // HandleReply implements Protocol (Fig. 3, active thread, lines 4-6).
 func (c *Cyclon) HandleReply(_ core.ID, rep proto.ViewReply) {
-	c.v.Merge(rep.Entries, c.self)
+	c.merge(rep.Entries)
 }
 
-// SelectPartner implements Exchanger: age the view, pick the oldest
-// neighbor (Fig. 3, active thread, lines 1-2). The two steps run as one
-// fused pass (AgeAllOldest), which halves the view scans of the
-// membership compute half.
-func (c *Cyclon) SelectPartner(_ core.RNG) (core.ID, bool) {
-	oldest, ok := c.v.AgeAllOldest()
-	if !ok {
-		return 0, false
-	}
-	return oldest.ID, true
+// merge absorbs a payload keeping the local version of duplicated
+// entries.
+func (c *Cyclon) merge(entries []view.Entry) {
+	scr := mergePool.Get().(*view.MergeScratch)
+	c.v.MergeUsing(entries, c.self, scr)
+	mergePool.Put(scr)
 }
-
-// ReplyAddsSelf implements Exchanger: the Cyclon-variant ACK′ carries
-// the responder's view only.
-func (c *Cyclon) ReplyAddsSelf() bool { return false }
-
-// Absorb implements Exchanger: merge keeping the local version of
-// duplicated entries.
-func (c *Cyclon) Absorb(entries []view.Entry) { c.v.Merge(entries, c.self) }
 
 // View implements Protocol.
 func (c *Cyclon) View() *view.View { return c.v }
@@ -174,10 +133,7 @@ type Newscast struct {
 	v         *view.View
 }
 
-var (
-	_ Protocol  = (*Newscast)(nil)
-	_ Exchanger = (*Newscast)(nil)
-)
+var _ Protocol = (*Newscast)(nil)
 
 // NewNewscast builds the Newscast-like protocol for a node.
 func NewNewscast(self core.ID, selfEntry SelfEntryFunc, v *view.View) *Newscast {
@@ -198,33 +154,22 @@ func (n *Newscast) Tick(rng core.RNG) []proto.Envelope {
 // HandleRequest implements Protocol.
 func (n *Newscast) HandleRequest(from core.ID, req proto.ViewRequest, _ core.RNG) []proto.Envelope {
 	reply := append(n.v.AppendEntries(make([]view.Entry, 0, n.v.Len()+1)), n.selfEntry())
-	n.v.MergeFresh(req.Entries, n.self)
+	n.merge(req.Entries)
 	return []proto.Envelope{{To: from, Msg: proto.ViewReply{Entries: reply}}}
 }
 
 // HandleReply implements Protocol.
 func (n *Newscast) HandleReply(_ core.ID, rep proto.ViewReply) {
-	n.v.MergeFresh(rep.Entries, n.self)
+	n.merge(rep.Entries)
 }
 
-// SelectPartner implements Exchanger: age the view, pick a uniformly
-// random neighbor.
-func (n *Newscast) SelectPartner(rng core.RNG) (core.ID, bool) {
-	n.v.AgeAll()
-	target, ok := n.v.Random(rng)
-	if !ok {
-		return 0, false
-	}
-	return target.ID, true
+// merge absorbs a payload keeping the freshest version of duplicated
+// entries.
+func (n *Newscast) merge(entries []view.Entry) {
+	scr := mergePool.Get().(*view.MergeScratch)
+	n.v.MergeFreshUsing(entries, n.self, scr)
+	mergePool.Put(scr)
 }
-
-// ReplyAddsSelf implements Exchanger: Newscast replies advertise the
-// responder itself alongside its view.
-func (n *Newscast) ReplyAddsSelf() bool { return true }
-
-// Absorb implements Exchanger: merge keeping the freshest version of
-// duplicated entries.
-func (n *Newscast) Absorb(entries []view.Entry) { n.v.MergeFresh(entries, n.self) }
 
 // View implements Protocol.
 func (n *Newscast) View() *view.View { return n.v }

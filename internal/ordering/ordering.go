@@ -17,6 +17,7 @@ package ordering
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/proto"
@@ -104,17 +105,14 @@ type Node struct {
 	// is nil-safe, so the hot path pays one nil check per event when
 	// tracing is off — the 100k-node simulator never sets it).
 	trace *telemetry.TraceRing
-
-	// Reusable per-node buffers for the per-tick view snapshot and the
-	// local-sequence computation. A node is single-threaded (the runtime
-	// serializes it behind a mutex, the simulator runs one goroutine), and
-	// nothing below retains these across calls, so reuse is safe. The
-	// cycle simulator bypasses these entirely: it calls TickSwap with a
-	// per-worker Scratch so a million value-stored nodes don't each grow
-	// private buffers.
-	scratch Scratch
-	envBuf  []proto.Envelope
 }
+
+// scratchPool lends the envelope path (Tick, LDM) its tick buffers. A
+// Node embeds none of its own: the cycle engine stores a million of them
+// by value and passes per-worker Scratch to TickSwap, and a live node
+// ticks for microseconds per period, so neither should retain buffers
+// between calls.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // Scratch holds the reusable tick buffers — the filtered view snapshot
 // and the local-sequence members. Callers that drive many nodes from
@@ -207,12 +205,13 @@ func (n *Node) SetTrace(tr *telemetry.TraceRing) { n.trace = tr }
 // The returned envelope carries the swap request, if any partner
 // qualifies.
 func (n *Node) Tick(state proto.StateReader, rng core.RNG) []proto.Envelope {
-	target, req, ok := n.TickSwap(state, rng, &n.scratch)
+	scr := scratchPool.Get().(*Scratch)
+	target, req, ok := n.TickSwap(state, rng, scr)
+	scratchPool.Put(scr)
 	if !ok {
 		return nil
 	}
-	n.envBuf = append(n.envBuf[:0], proto.Envelope{To: target, Msg: req})
-	return n.envBuf
+	return []proto.Envelope{{To: target, Msg: req}}
 }
 
 // TickSwap is Tick without the envelope boxing: it returns the chosen
@@ -703,8 +702,8 @@ func (n *Node) localMembers(selfR float64, state proto.StateReader, scr *Scratch
 
 // localSequences computes LA.sequence_i and LR.sequence_i over
 // N_i ∪ {i} (§4.3) and annotates each member with its indices.
-func (n *Node) localSequences(selfR float64, state proto.StateReader) localSeq {
-	return n.rankMembers(n.localMembers(selfR, state, &n.scratch))
+func (n *Node) localSequences(selfR float64, state proto.StateReader, scr *Scratch) localSeq {
+	return n.rankMembers(n.localMembers(selfR, state, scr))
 }
 
 // rankMembers runs once per node per cycle on unconverged neighborhoods
@@ -770,7 +769,9 @@ func (n *Node) LDM(state proto.StateReader) float64 {
 	if !ok {
 		selfR = n.r
 	}
-	local := n.localSequences(selfR, state)
+	scr := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(scr)
+	local := n.localSequences(selfR, state, scr)
 	sum := 0.0
 	for _, m := range local.others {
 		d := float64(m.la - m.lr)
@@ -787,8 +788,7 @@ func (n *Node) Handle(from core.ID, msg proto.Message, _ core.RNG) []proto.Envel
 	switch m := msg.(type) {
 	case proto.SwapRequest:
 		rep, _ := n.ApplySwapRequest(from, m)
-		n.envBuf = append(n.envBuf[:0], proto.Envelope{To: from, Msg: rep})
-		return n.envBuf
+		return []proto.Envelope{{To: from, Msg: rep}}
 	case proto.SwapReply:
 		n.ApplySwapReply(from, m)
 		return nil

@@ -309,7 +309,7 @@ func TestGainEqualsLDMReduction(t *testing.T) {
 		c := newCluster(t, SelectMaxGain, attrs, rs)
 		node := c.nodes[1]
 		state := c.live()
-		local := node.localSequences(node.Estimate(), state)
+		local := node.localSequences(node.Estimate(), state, new(Scratch))
 		// Pick any misplaced neighbor and verify the gain.
 		for _, m := range local.others {
 			if !Misplaced(node.attr, m.attr, node.Estimate(), m.r) {

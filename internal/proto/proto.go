@@ -161,7 +161,8 @@ type Node interface {
 	// is injected per step: the live runtime passes the node's own
 	// serial generator, the cycle engine a per-(node,cycle) counter
 	// stream, which is what lets it run every node's step concurrently
-	// yet bit-identically at any worker count.
+	// yet bit-identically at any worker count. The returned slice (and
+	// Handle's) is the caller's: implementations do not reuse it.
 	Tick(state StateReader, rng core.RNG) []Envelope
 	// Handle processes one incoming protocol message, returning any
 	// replies.

@@ -15,6 +15,7 @@ package ranking
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/proto"
@@ -39,16 +40,15 @@ type Node struct {
 	// it (two random targets) is an ablation.
 	boundaryBias bool
 
-	// Reusable per-tick buffers (a node is single-threaded; neither
-	// slice is retained by callers beyond the consuming call). The cycle
-	// simulator bypasses these: it calls TickTargets with a per-worker
-	// Scratch so value-stored nodes don't each grow private buffers.
-	scratch Scratch
-	envBuf  []proto.Envelope
 	// updMsg is the node's UPD message, boxed once: the attribute value
 	// it carries never changes (§3.1 assumes static attributes).
 	updMsg proto.Message
 }
+
+// scratchPool lends Tick its buffer. A Node embeds none: the cycle
+// engine stores them by value and passes per-worker Scratch to
+// TickTargets, and a live node should retain nothing between periods.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // Scratch holds the reusable tick buffer — the filtered view snapshot.
 // Callers that drive many nodes from one goroutine (the cycle engine's
@@ -157,14 +157,13 @@ func (n *Node) lower(m core.Member) bool {
 // returned envelopes carry UPD messages for the boundary-closest
 // neighbor j1 and a random neighbor j2.
 func (n *Node) Tick(state proto.StateReader, rng core.RNG) []proto.Envelope {
-	j1, j2, ok := n.TickTargets(state, rng, &n.scratch)
+	scr := scratchPool.Get().(*Scratch)
+	j1, j2, ok := n.TickTargets(state, rng, scr)
+	scratchPool.Put(scr)
 	if !ok {
 		return nil
 	}
-	n.envBuf = append(n.envBuf[:0],
-		proto.Envelope{To: j1, Msg: n.updMsg},
-		proto.Envelope{To: j2, Msg: n.updMsg})
-	return n.envBuf
+	return []proto.Envelope{{To: j1, Msg: n.updMsg}, {To: j2, Msg: n.updMsg}}
 }
 
 // TickTargets is Tick without the envelope boxing: it feeds the view

@@ -1,0 +1,69 @@
+package runtime
+
+import (
+	goruntime "runtime"
+	"testing"
+	"time"
+
+	"github.com/gossipkit/slicing/internal/dist"
+)
+
+// A live node is a view of c entries, one attribute, one random value
+// and 8 bytes of generator state, plus the scheduler's and the
+// protocol wrappers' bookkeeping. The budget is the live heap a driven
+// 2,000-node ordering cluster retains per node after gossiping: 5,000 B
+// with ~2,600 measured when set. A per-node math/rand source alone is
+// 5,376 B, and views allowed to grow past c or private tick scratch are
+// another ~1,500 B each.
+func TestLiveHeapPerNodeBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes what the heap holds")
+	}
+	const n, steps, budget = 2_000, 20, 5_000
+	liveHeap := func() uint64 {
+		goruntime.GC()
+		goruntime.GC()
+		var ms goruntime.MemStats
+		goruntime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	c := drivenCluster(t, ClusterConfig{
+		N: n, Partition: testPartition(t, 100), ViewSize: 20,
+		Protocol: Ordering, Period: 10 * time.Millisecond,
+		MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond,
+		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1, Shards: 1,
+	})
+	for i := 0; i < steps; i++ {
+		if err := c.Advance(c.cfg.Period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	goruntime.KeepAlive(c)
+	perNode := float64(after-min(after, before)) / n
+	t.Logf("N=%d after %d steps: %.0f live heap bytes/node", n, steps, perNode)
+	if perNode > budget {
+		t.Errorf("live heap is %.0f bytes/node, budget %d", perNode, budget)
+	}
+}
+
+// Regression: buildNode used to seed node i of a cluster seeded s with
+// s+i, so (seed s, node i+1) and (seed s+1, node i) drew one stream and
+// sweeps over adjacent seeds were correlated.
+func TestAdjacentSeedClustersDoNotShareNodeStreams(t *testing.T) {
+	build := func(seed int64) *Cluster {
+		return drivenCluster(t, ClusterConfig{
+			N: 8, Partition: testPartition(t, 4), ViewSize: 4, Protocol: Ordering,
+			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: seed,
+		})
+	}
+	a, b := build(7), build(8)
+	for i := 0; i+1 < len(a.nodes); i++ {
+		// Copies: drawing must not disturb the clusters' own streams.
+		x, y := a.nodes[i+1].rng, b.nodes[i].rng
+		if x.Uint64() == y.Uint64() {
+			t.Errorf("(seed 7, node %d) and (seed 8, node %d) share a first draw", i+2, i+1)
+		}
+	}
+}

@@ -288,7 +288,7 @@ func (c *Cluster) buildNode(attr core.Attr, r float64, bootstrap []view.Entry) (
 		Membership: c.cfg.Membership,
 		Period:     c.cfg.Period,
 		JitterFrac: c.cfg.JitterFrac,
-		Seed:       c.cfg.Seed + int64(id),
+		Seed:       c.cfg.Seed,
 		Transport:  c.transportFor(),
 		InitialR:   r,
 		Bootstrap:  bootstrap,

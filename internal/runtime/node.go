@@ -23,7 +23,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -117,7 +116,8 @@ type NodeConfig struct {
 	// means DefaultJitterFrac; pass JitterNone (or any negative value)
 	// for strictly periodic ticks.
 	JitterFrac float64
-	// Seed feeds the node's private rng.
+	// Seed, mixed with ID, positions the node's private rng stream
+	// (core.NodeStream): nodes of one run may all share a Seed.
 	Seed int64
 	// Bootstrap seeds the initial view.
 	Bootstrap []view.Entry
@@ -176,7 +176,7 @@ type Node struct {
 	mu          sync.Mutex
 	slicer      proto.Node
 	mem         membership.Protocol
-	rng         *rand.Rand
+	rng         core.Stream // eight bytes by value; guarded by mu
 	state       proto.StateReader
 	pendingView core.ID // target of the in-flight view exchange, 0 if none
 	lastSlice   int
@@ -210,7 +210,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.JitterFrac >= 1 {
 		return nil, ErrBadJitter
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := core.NodeStream(cfg.Seed, uint64(cfg.ID))
 	v, err := view.New(cfg.ViewSize)
 	if err != nil {
 		return nil, err
@@ -420,14 +420,11 @@ func (n *Node) tick() {
 		n.mem.OnTimeout(n.pendingView)
 		n.pendingView = 0
 	}
-	memEnvs := n.mem.Tick(n.rng)
+	memEnvs := n.mem.Tick(&n.rng)
 	if len(memEnvs) > 0 {
 		n.pendingView = memEnvs[0].To
 	}
-	// The slicer reuses its envelope buffer across calls, so the slice
-	// must be copied before the lock is released: the passive thread may
-	// call into the slicer (and overwrite the buffer) while we send.
-	slEnvs := append([]proto.Envelope(nil), n.slicer.Tick(n.state, n.rng)...)
+	slEnvs := n.slicer.Tick(n.state, &n.rng)
 	id := n.slicer.ID()
 	notify := n.notifySliceChange()
 	n.mu.Unlock()
@@ -480,16 +477,14 @@ func (n *Node) handle(from core.ID, msg proto.Message) {
 	var replies []proto.Envelope
 	switch m := msg.(type) {
 	case proto.ViewRequest:
-		replies = n.mem.HandleRequest(from, m, n.rng)
+		replies = n.mem.HandleRequest(from, m, &n.rng)
 	case proto.ViewReply:
 		n.mem.HandleReply(from, m)
 		if n.pendingView == from {
 			n.pendingView = 0
 		}
 	default:
-		// Copy: the slicer's envelope buffer is reused on its next call,
-		// which may happen as soon as the lock is released below.
-		replies = append([]proto.Envelope(nil), n.slicer.Handle(from, msg, n.rng)...)
+		replies = n.slicer.Handle(from, msg, &n.rng)
 		if _, isRank := msg.(proto.RankUpdate); isRank && n.trace != nil {
 			n.trace.Record(telemetry.TraceEvent{
 				Kind: telemetry.TraceRankUpdate, Node: uint64(n.slicer.ID()),

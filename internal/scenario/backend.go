@@ -47,7 +47,15 @@ func (b SimBackend) Run(spec Spec) (*sim.Result, error) {
 		return nil, err
 	}
 	cfg.Telemetry = b.Inst.Telemetry
-	return sim.Run(cfg, spec.Cycles)
+	e, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.Run(spec.Cycles)
+	if b.Inst.AtEnd != nil {
+		b.Inst.AtEnd(spec, e.N())
+	}
+	return e.Result(), nil
 }
 
 // BackendByName resolves a backend flag value.

@@ -129,6 +129,9 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 	}
 	res.FinalN = len(c.Nodes())
 	res.Faults = lc.FaultTally()
+	if b.Inst.AtEnd != nil {
+		b.Inst.AtEnd(spec, res.FinalN)
+	}
 	return res, nil
 }
 

@@ -59,6 +59,11 @@ type Instrumentation struct {
 	// Trace receives protocol decision events (live runs only; the
 	// cycle simulator records aggregate series instead).
 	Trace *telemetry.TraceRing
+	// AtEnd, when non-nil, is called by the backends after a run's last
+	// cycle with the final population, while the run's engine or cluster
+	// is still reachable: the one moment a heap profile or a GC'd heap
+	// reading describes the run rather than what is left once it is gone.
+	AtEnd func(spec Spec, nodes int)
 }
 
 // MaterializeLive builds and starts the live cluster a spec describes.

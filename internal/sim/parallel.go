@@ -3,6 +3,7 @@ package sim
 import (
 	"sync"
 
+	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/view"
@@ -38,7 +39,7 @@ type simWorker struct {
 	// pass it to protocol code through the core.RNG interface; parking it
 	// here instead of in a loop-local keeps the interface conversion from
 	// heap-allocating a fresh 8-byte box per node per cycle.
-	stream Stream
+	stream core.Stream
 	// sink absorbs the values loaded by cache-warming passes (the
 	// exchange round touches the next request window one merge ahead of
 	// its use). Accumulating into a worker field keeps the compiler from

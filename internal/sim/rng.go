@@ -1,9 +1,10 @@
 package sim
 
-import "math/bits"
+import "github.com/gossipkit/slicing/internal/core"
 
-// This file implements the engine's counter-based randomness: one
-// independent splitmix64 stream per (run seed, node ID, cycle, phase).
+// This file derives the engine's counter-based randomness: one
+// independent splitmix64 stream (core.Stream) per (run seed, node ID,
+// cycle, phase).
 //
 // The serial engine threaded a single *rand.Rand through every node in
 // permutation order, which made each node's draws depend on where the
@@ -25,61 +26,14 @@ const (
 	phaseFault      uint64 = 3 // fault-plane draws (attribute drift steps)
 )
 
-// mix64 is the splitmix64 finalizer (Steele, Lea & Flood): a full-period
-// avalanche permutation of uint64.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// golden is the splitmix64 state increment (2^64 / φ, odd).
-const golden = 0x9E3779B97F4A7C15
-
-// Stream is a splitmix64 generator. The zero value is a valid stream
-// (seeded at state 0); engines derive one per node per cycle per phase
-// with nodeStream. It implements core.RNG.
-type Stream struct{ state uint64 }
-
 // nodeStream derives the stream for one node's draws in one phase of one
 // cycle. Each input is folded through the finalizer before the next is
 // mixed in, so streams for adjacent IDs, cycles or phases are
 // decorrelated (a single XOR of the raw values would make
 // (id=1,cycle=0) and (id=0,cycle=1) collide for many seed choices).
-func nodeStream(seed int64, id uint64, cycle uint64, phase uint64) Stream {
-	s := mix64(uint64(seed) + golden)
-	s = mix64(s ^ id)
-	s = mix64(s ^ cycle)
-	return Stream{state: s ^ phase*golden}
-}
-
-// Uint64 returns the next 64 uniform bits.
-func (s *Stream) Uint64() uint64 {
-	s.state += golden
-	return mix64(s.state)
-}
-
-// Intn implements core.RNG: a uniform int in [0,n). It panics if
-// n <= 0, matching math/rand. The implementation is Lemire's
-// multiply-shift with the exact-rejection refinement, so the result is
-// unbiased for every n.
-func (s *Stream) Intn(n int) int {
-	if n <= 0 {
-		panic("sim: Stream.Intn called with n <= 0")
-	}
-	un := uint64(n)
-	hi, lo := bits.Mul64(s.Uint64(), un)
-	if lo < un {
-		thresh := -un % un
-		for lo < thresh {
-			hi, lo = bits.Mul64(s.Uint64(), un)
-		}
-	}
-	return int(hi)
-}
-
-// Float64 implements core.RNG: a uniform float64 in [0,1) with 53
-// random bits.
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+func nodeStream(seed int64, id uint64, cycle uint64, phase uint64) core.Stream {
+	s := core.Mix64(uint64(seed) + core.Golden)
+	s = core.Mix64(s ^ id)
+	s = core.Mix64(s ^ cycle)
+	return core.StreamAt(s ^ phase*core.Golden)
 }

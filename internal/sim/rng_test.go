@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"testing"
+
+	"github.com/gossipkit/slicing/internal/core"
 )
 
 // Streams must be pure functions of (seed, id, cycle, phase): the same
@@ -18,7 +20,7 @@ func TestStreamDeterministicAndDistinct(t *testing.T) {
 		}
 	}
 	base := nodeStream(7, 42, 3, phaseMembership)
-	variants := map[string]Stream{
+	variants := map[string]core.Stream{
 		"seed":  nodeStream(8, 42, 3, phaseMembership),
 		"id":    nodeStream(7, 43, 3, phaseMembership),
 		"cycle": nodeStream(7, 42, 4, phaseMembership),
@@ -32,69 +34,12 @@ func TestStreamDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestStreamIntnBoundsAndPanic(t *testing.T) {
-	s := nodeStream(1, 1, 1, phaseProtocol)
-	for _, n := range []int{1, 2, 3, 7, 1000, 1 << 40} {
-		for i := 0; i < 50; i++ {
-			v := s.Intn(n)
-			if v < 0 || v >= n {
-				t.Fatalf("Intn(%d) = %d out of range", n, v)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Intn(0) did not panic")
-		}
-	}()
-	s.Intn(0)
-}
-
-// Uniformity smoke: mean of Float64 near 1/2, mean of Intn(k) near
-// (k-1)/2, and single-bit frequencies near 1/2 — catching gross mixing
-// mistakes in the stream derivation, not certifying the generator.
-func TestStreamUniformitySmoke(t *testing.T) {
-	const draws = 200_000
-	s := nodeStream(123, 9, 0, phaseProtocol)
-	sumF := 0.0
-	for i := 0; i < draws; i++ {
-		f := s.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64 = %v out of [0,1)", f)
-		}
-		sumF += f
-	}
-	if mean := sumF / draws; math.Abs(mean-0.5) > 0.005 {
-		t.Errorf("Float64 mean = %v, want ≈ 0.5", mean)
-	}
-	const k = 10
-	sumI := 0
-	for i := 0; i < draws; i++ {
-		sumI += s.Intn(k)
-	}
-	if mean := float64(sumI) / draws; math.Abs(mean-float64(k-1)/2) > 0.05 {
-		t.Errorf("Intn(%d) mean = %v, want ≈ %v", k, mean, float64(k-1)/2)
-	}
-	var ones [64]int
-	for i := 0; i < draws; i++ {
-		v := s.Uint64()
-		for b := 0; b < 64; b++ {
-			ones[b] += int(v >> b & 1)
-		}
-	}
-	for b, c := range ones {
-		if f := float64(c) / draws; math.Abs(f-0.5) > 0.01 {
-			t.Errorf("bit %d frequency = %v, want ≈ 0.5", b, f)
-		}
-	}
-}
-
 // Adjacent node IDs and cycles must yield decorrelated streams: the
 // fraction of equal bits between neighboring streams' draws stays near
 // 1/2 (a weak but effective counter-mix regression check).
 func TestStreamNeighborDecorrelation(t *testing.T) {
 	const draws = 10_000
-	check := func(name string, a, b Stream) {
+	check := func(name string, a, b core.Stream) {
 		t.Helper()
 		equal := 0
 		for i := 0; i < draws; i++ {

@@ -304,8 +304,8 @@ type Engine struct {
 	// them streams memory instead of chasing a million heap pointers.
 	// views holds the per-slot view headers; their entry storage is not
 	// theirs but the slot's block of varena, so all view payloads of the
-	// population form two contiguous arrays (entries + packed ID
-	// mirror). self caches each node's SelfEntry (refreshed by
+	// population form three contiguous arrays (entries, packed ID
+	// mirror, attribute-order permutation). self caches each node's SelfEntry (refreshed by
 	// refreshSelfEntries; see there for the staleness contract).
 	ids    []core.ID
 	ons    []ordering.Node
@@ -314,9 +314,9 @@ type Engine struct {
 	self   []view.Entry
 	varena *view.Arena
 	// Dense per-slot mirrors of the ordering nodes' hot scalars
-	// (ordering runs only; nil under ranking). An ordering.Node is
-	// ~170 bytes, so any per-slot scan through the node array pulls one
-	// cache line per node; the exchange compute, coordinate snapshot,
+	// (ordering runs only; nil under ranking). An ordering.Node is 120
+	// bytes, so any per-slot scan through the node array pulls two
+	// cache lines per node; the exchange compute, coordinate snapshot,
 	// commit re-validation and GDM assignment read these 8-byte mirrors
 	// instead. rs tracks each node's live random value (updated at the
 	// single swap-delivery choke point), attrs its attribute (updated by

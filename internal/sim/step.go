@@ -237,7 +237,10 @@ func (e *Engine) exchangeRound() {
 	e.memTarget = grow(e.memTarget, n)
 	e.reqLen = grow(e.reqLen, n)
 	e.reqStore = grow(e.reqStore, n*stride)
-	e.selfSnap = grow(e.selfSnap, n)
+	if e.newscast {
+		// Only Newscast replies advertise the responder itself.
+		e.selfSnap = grow(e.selfSnap, n)
+	}
 	for i := range e.ws {
 		e.ws[i].dropped, e.ws[i].partDrops, e.ws[i].chaosDrops = 0, 0, 0
 	}
@@ -299,14 +302,16 @@ func (e *Engine) exchangeRound() {
 			switch {
 			case isOrdering && !ref:
 				// Build the self entry from the dense mirrors — identical to
-				// SelfEntry without pulling the ~170-byte Node cache line.
+				// SelfEntry without pulling the Node's own cache lines.
 				self = view.Entry{ID: id, Attr: e.attrs[s], R: e.rs[s]}
 			case isOrdering:
 				self = e.ons[s].SelfEntry()
 			default:
 				self = e.rns[s].SelfEntry()
 			}
-			e.selfSnap[s] = self
+			if newscast {
+				e.selfSnap[s] = self
+			}
 			off := s * stride
 			req := append(v.AppendEntries(e.reqStore[off:off:off+stride]), self)
 			e.reqLen[s] = int32(len(req))
@@ -1243,6 +1248,11 @@ func Run(cfg Config, cycles int) (*Result, error) {
 		return nil, err
 	}
 	e.Run(cycles)
+	return e.Result(), nil
+}
+
+// Result bundles the series recorded so far.
+func (e *Engine) Result() *Result {
 	return &Result{
 		SDM:             e.SDM(),
 		GDM:             e.GDM(),
@@ -1255,5 +1265,5 @@ func Run(cfg Config, cycles int) (*Result, error) {
 		Phases:          e.Phases(),
 		FinalN:          e.N(),
 		Cycles:          e.Cycle(),
-	}, nil
+	}
 }

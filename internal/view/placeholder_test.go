@@ -43,13 +43,13 @@ func TestPlaceholderIsOldest(t *testing.T) {
 func TestMergeReplacesPlaceholderWithRealEntry(t *testing.T) {
 	v := MustNew(4)
 	v.Add(Entry{ID: 7, Age: AgeUnknown}) // bootstrap contact
-	v.Merge([]Entry{{ID: 7, Age: 2, Attr: 42, R: 0.5}}, core.ID(1))
+	v.MergeUsing([]Entry{{ID: 7, Age: 2, Attr: 42, R: 0.5}}, core.ID(1), new(MergeScratch))
 	e, _ := v.Get(7)
 	if e.Placeholder() || e.Attr != 42 {
 		t.Errorf("placeholder not replaced: %+v", e)
 	}
 	// But a real entry still wins over an incoming duplicate (Fig. 3).
-	v.Merge([]Entry{{ID: 7, Age: 0, Attr: 99, R: 0.9}}, core.ID(1))
+	v.MergeUsing([]Entry{{ID: 7, Age: 0, Attr: 99, R: 0.9}}, core.ID(1), new(MergeScratch))
 	e, _ = v.Get(7)
 	if e.Attr != 42 {
 		t.Errorf("own real entry overwritten: %+v", e)
@@ -59,7 +59,7 @@ func TestMergeReplacesPlaceholderWithRealEntry(t *testing.T) {
 func TestMergeDoesNotDowngradeToPlaceholder(t *testing.T) {
 	v := MustNew(4)
 	v.Add(Entry{ID: 7, Age: 1, Attr: 42, R: 0.5})
-	v.Merge([]Entry{{ID: 7, Age: AgeUnknown}}, core.ID(1))
+	v.MergeUsing([]Entry{{ID: 7, Age: AgeUnknown}}, core.ID(1), new(MergeScratch))
 	e, _ := v.Get(7)
 	if e.Placeholder() {
 		t.Errorf("real entry downgraded to placeholder: %+v", e)
@@ -69,7 +69,7 @@ func TestMergeDoesNotDowngradeToPlaceholder(t *testing.T) {
 func TestMergeFreshReplacesPlaceholder(t *testing.T) {
 	v := MustNew(4)
 	v.Add(Entry{ID: 7, Age: AgeUnknown})
-	v.MergeFresh([]Entry{{ID: 7, Age: 9, Attr: 42, R: 0.5}}, core.ID(1))
+	v.MergeFreshUsing([]Entry{{ID: 7, Age: 9, Attr: 42, R: 0.5}}, core.ID(1), new(MergeScratch))
 	e, _ := v.Get(7)
 	if e.Placeholder() {
 		t.Errorf("MergeFresh kept the placeholder: %+v", e)

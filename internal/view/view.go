@@ -91,9 +91,6 @@ type View struct {
 	// a cost dial: the permutation AttrOrder returns is the unique
 	// (attr, id)-sorted order however it was produced.
 	ordCredit uint8
-	// ageScratch backs trimOldestExact's threshold selection; reused
-	// across merges so trimming allocates nothing at steady state.
-	ageScratch []uint32
 }
 
 // New returns an empty view with the given capacity c (the paper's view
@@ -179,15 +176,7 @@ func (v *View) Get(id core.ID) (Entry, bool) {
 // Has reports whether id is in the view.
 func (v *View) Has(id core.ID) bool { return v.index(id) >= 0 }
 
-func (v *View) index(id core.ID) int {
-	n := len(v.entries)
-	if cap(v.ids) < pad4(n) {
-		// A heap-backed view mid-Merge can overgrow its padded mirror;
-		// fall back to the plain scan until the trim restores capacity.
-		return indexOf(v.ids, id)
-	}
-	return findID(v.ids, n, id)
-}
+func (v *View) index(id core.ID) int { return findID(v.ids, len(v.entries), id) }
 
 // findID scans the first n words of a sentinel-padded packed ID mirror
 // for id. The mirror holds zeroes from n up to at least pad4(n) (IDs
@@ -359,32 +348,6 @@ func (v *View) Reset(entries []Entry) {
 	v.touch()
 }
 
-// Merge incorporates entries received from a gossip exchange, following
-// the Cyclon-variant rules of Fig. 3: entries whose ID already appears
-// in the view are dropped (the local version wins), entries describing
-// self are dropped, and the result is trimmed back to capacity by
-// evicting the oldest entries. A local placeholder is always replaced by
-// a real incoming entry — a contact address is not data worth keeping.
-// Grows past capacity before trimming, so it requires heap-backed
-// storage; arena-bound views use MergeCompact.
-func (v *View) Merge(incoming []Entry, self core.ID) {
-	for _, e := range incoming {
-		if e.ID == self {
-			continue
-		}
-		if i := v.index(e.ID); i >= 0 {
-			if v.entries[i].Placeholder() && !e.Placeholder() {
-				v.entries[i] = e
-			}
-			continue
-		}
-		v.entries = append(v.entries, e)
-		v.ids = append(v.ids, e.ID)
-	}
-	v.trimOldest(len(v.entries) - v.capacity)
-	v.touch()
-}
-
 // MergeScratch is reusable working storage for the scratch-based and
 // fused merge variants: one per worker in the simulator, so merging
 // into arena-backed views allocates nothing at steady state. The work
@@ -408,12 +371,19 @@ type MergeScratch struct {
 	trimHist [trimMaxAge + 1]int32
 }
 
-// MergeUsing is Merge for views whose backing storage cannot grow past
-// capacity (arena blocks): the over-filled intermediate set lives in
-// scr, and only the trimmed survivors — at most capacity entries — are
-// written back. The result is identical to Merge entry for entry. This
-// is the reference path the fused MergeCompact/MergeReply kernels are
-// property-tested against.
+// MergeUsing incorporates entries received from a gossip exchange,
+// following the Cyclon-variant rules of Fig. 3: entries whose ID already
+// appears in the view are dropped (the local version wins), entries
+// describing self are dropped, and the result is trimmed back to
+// capacity by evicting the oldest entries. A local placeholder is always
+// replaced by a real incoming entry — a contact address is not data
+// worth keeping. The over-filled intermediate set lives in scr and only
+// the trimmed survivors — at most capacity entries — are written back,
+// so the view's own storage (an arena block, or a live node's heap
+// slices) never grows. Incoming may repeat IDs, as a hostile or
+// duplicated wire batch can. This is the reference path: the fused
+// MergeCompact/MergeReply kernels are property-tested against it, and it
+// against the grow-then-evict oracle in merge_oracle_test.go.
 func (v *View) MergeUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 	work := append(scr.work[:0], v.entries...)
 	wids := append(scr.wids[:0], v.ids...)
@@ -438,7 +408,9 @@ func (v *View) MergeUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 	v.touch()
 }
 
-// MergeFreshUsing is MergeFresh on scratch storage — see MergeUsing.
+// MergeFreshUsing incorporates entries keeping, for duplicated IDs, the
+// entry with the smaller age (Newscast-style freshest-wins), then trims
+// to the freshest capacity entries — on scratch storage, like MergeUsing.
 func (v *View) MergeFreshUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 	work := append(scr.work[:0], v.entries...)
 	wids := append(scr.wids[:0], v.ids...)
@@ -609,9 +581,9 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 	var quota int
 	if len(upgIx) == 0 {
 		thresh, quota = thresholdFromHist(hist, histMax, histOver, k,
-			v.entries, fresh, &v.ageScratch)
+			v.entries, fresh, &scr.ages)
 	} else {
-		thresh, quota = unionTrimThreshold(v.entries, fresh, k, &v.ageScratch, hist)
+		thresh, quota = unionTrimThreshold(v.entries, fresh, k, &scr.ages, hist)
 	}
 	var remap []int16
 	if ordValid {
@@ -821,15 +793,6 @@ func indexOf(ids []core.ID, id core.ID) int {
 // AgeUnknown placeholder marker) clamp into the overflow bucket.
 const trimMaxAge = 63
 
-// trimOldest removes the k oldest entries — see trimOldestEntries.
-func (v *View) trimOldest(k int) {
-	if k <= 0 {
-		return
-	}
-	v.entries = trimOldestEntries(v.entries, k, &v.ageScratch)
-	v.reindex()
-}
-
 // trimOldestEntries removes the k oldest entries in one compaction
 // pass, producing exactly the survivors k repeated evictOldest calls
 // would leave (entries strictly older than the k-th-largest age all go;
@@ -841,8 +804,7 @@ func (v *View) trimOldest(k int) {
 // counting histogram: gossiped entries are nearly always young (an
 // entry older than the view turnover time has long been evicted), so
 // ages concentrate near zero and the O(n + trimMaxAge) count beats any
-// comparison select. Shared by the in-place and scratch merge paths so
-// both trim identically.
+// comparison select.
 func trimOldestEntries(entries []Entry, k int, ageScratch *[]uint32) []Entry {
 	if k <= 0 {
 		return entries
@@ -930,33 +892,6 @@ func sortAgesDesc(ages []uint32) {
 		}
 		ages[j+1] = a
 	}
-}
-
-// MergeFresh incorporates entries keeping, for duplicated IDs, the entry
-// with the smaller age (Newscast-style freshest-wins), then trims to the
-// freshest capacity entries.
-func (v *View) MergeFresh(incoming []Entry, self core.ID) {
-	for _, e := range incoming {
-		if e.ID == self {
-			continue
-		}
-		if i := v.index(e.ID); i >= 0 {
-			if e.Age < v.entries[i].Age {
-				v.entries[i] = e
-			}
-			continue
-		}
-		v.entries = append(v.entries, e)
-		v.ids = append(v.ids, e.ID)
-	}
-	if len(v.entries) > v.capacity {
-		sort.SliceStable(v.entries, func(i, j int) bool {
-			return v.entries[i].Age < v.entries[j].Age
-		})
-		v.entries = v.entries[:v.capacity]
-		v.reindex()
-	}
-	v.touch()
 }
 
 // reindex rebuilds the packed id mirror after a bulk reorder or

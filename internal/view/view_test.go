@@ -159,7 +159,7 @@ func TestMergeKeepsOwnOnDuplicate(t *testing.T) {
 		{ID: 2, Age: 1},
 		{ID: 7, Age: 0}, // self: dropped
 	}
-	v.Merge(incoming, 7)
+	v.MergeUsing(incoming, 7, new(MergeScratch))
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", v.Len())
 	}
@@ -176,7 +176,7 @@ func TestMergeTrimsOldest(t *testing.T) {
 	v := MustNew(2)
 	v.Add(entry(1, 9))
 	v.Add(entry(2, 1))
-	v.Merge([]Entry{entry(3, 0), entry(4, 5)}, 99)
+	v.MergeUsing([]Entry{entry(3, 0), entry(4, 5)}, 99, new(MergeScratch))
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d, want cap 2", v.Len())
 	}
@@ -188,13 +188,13 @@ func TestMergeTrimsOldest(t *testing.T) {
 func TestMergeFreshPrefersYounger(t *testing.T) {
 	v := MustNew(4)
 	v.Add(Entry{ID: 1, Age: 5, R: 0.1})
-	v.MergeFresh([]Entry{{ID: 1, Age: 2, R: 0.9}}, 99)
+	v.MergeFreshUsing([]Entry{{ID: 1, Age: 2, R: 0.9}}, 99, new(MergeScratch))
 	e, _ := v.Get(1)
 	if e.Age != 2 || e.R != 0.9 {
 		t.Errorf("MergeFresh kept stale entry: %+v", e)
 	}
 	// An older incoming entry must not replace a fresher own entry.
-	v.MergeFresh([]Entry{{ID: 1, Age: 9, R: 0.5}}, 99)
+	v.MergeFreshUsing([]Entry{{ID: 1, Age: 9, R: 0.5}}, 99, new(MergeScratch))
 	e, _ = v.Get(1)
 	if e.Age != 2 {
 		t.Errorf("MergeFresh replaced fresher entry: %+v", e)
@@ -205,7 +205,7 @@ func TestMergeFreshKeepsFreshestWithinCapacity(t *testing.T) {
 	v := MustNew(2)
 	v.Add(entry(1, 9))
 	v.Add(entry(2, 0))
-	v.MergeFresh([]Entry{entry(3, 1), entry(4, 8)}, 99)
+	v.MergeFreshUsing([]Entry{entry(3, 1), entry(4, 8)}, 99, new(MergeScratch))
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", v.Len())
 	}
@@ -261,13 +261,13 @@ func TestViewInvariantsUnderRandomOps(t *testing.T) {
 				for i := range in {
 					in[i] = entry(core.ID(rng.Intn(30)), uint32(rng.Intn(10)))
 				}
-				v.Merge(in, self)
+				v.MergeUsing(in, self, new(MergeScratch))
 			case 2:
 				in := make([]Entry, rng.Intn(8))
 				for i := range in {
 					in[i] = entry(core.ID(rng.Intn(30)), uint32(rng.Intn(10)))
 				}
-				v.MergeFresh(in, self)
+				v.MergeFreshUsing(in, self, new(MergeScratch))
 			case 3:
 				v.Remove(core.ID(rng.Intn(30)))
 			}
@@ -308,9 +308,10 @@ func TestTrimOldestMatchesRepeatedEviction(t *testing.T) {
 		for i := range entries {
 			entries[i] = Entry{ID: core.ID(i + 1), Age: ageAt(rng)}
 		}
-		fast := &View{capacity: n, entries: append([]Entry(nil), entries...)}
+		var ages []uint32
+		fast := &View{capacity: n}
+		fast.entries = trimOldestEntries(append([]Entry(nil), entries...), k, &ages)
 		fast.reindex()
-		fast.trimOldest(k)
 		slow := &View{capacity: n, entries: append([]Entry(nil), entries...)}
 		slow.reindex()
 		for i := 0; i < k; i++ {
