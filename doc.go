@@ -104,7 +104,7 @@
 // protocols, static and churning, at up to 1,000,000 nodes. The engine
 // itself is a struct-of-arrays arena: per-node state in parallel slices
 // addressed by slot, all view storage flattened into one backing array,
-// per-worker scratch instead of per-node buffers — ~1.9 kB per node of
+// per-worker scratch instead of per-node buffers — ~1.8 kB per node of
 // engine state, which is what makes the million-node tier fit a laptop.
 //
 // Speed is measured in one place: benchmark/, a module of its own run
@@ -181,7 +181,7 @@
 // a golden test; attaching telemetry to a simulation never perturbs
 // it — instrumented runs are bit-identical to plain ones.
 //
-// NewTraceRing builds a lock-free ring of protocol decision events
+// NewTraceRing builds a fixed-capacity ring of protocol decision events
 // (TraceViewExchange, TraceSwapApplied, TraceBoundaryCross,
 // TraceRankUpdate, …); WithTrace shares one ring across a cluster's
 // nodes and a served node dumps it as JSON at GET /debug/trace.

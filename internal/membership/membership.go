@@ -2,9 +2,9 @@
 // protocols gossip over: the Cyclon variant of §4.3.2/Fig. 3 of the
 // paper (full-view exchange with the oldest neighbor), a Newscast-like
 // protocol (freshest-wins exchange with a random neighbor, the substrate
-// of the original JK paper), and a uniform oracle that re-draws the view
-// uniformly at random each period (the "artificial protocol" of §5.3.2,
-// used as the ground-truth sampler in Fig. 6(b)).
+// of the original JK paper). The uniform oracle of §5.3.2 (the
+// ground-truth sampler of Fig. 6(b)) needs global knowledge and exists
+// only inside the simulator (sim.UniformOracle).
 package membership
 
 import (
@@ -179,56 +179,3 @@ func (n *Newscast) OnTimeout(target core.ID) { n.v.Remove(target) }
 
 // Name implements Protocol.
 func (n *Newscast) Name() string { return "newscast" }
-
-// SampleFunc returns fresh entries for k uniformly random live nodes,
-// excluding a given node. The simulator provides it with global
-// knowledge; it stands for an idealized peer-sampling service.
-type SampleFunc func(rng core.RNG, k int, exclude core.ID) []view.Entry
-
-// Oracle re-draws the whole view uniformly at random every period: the
-// idealized sampler the paper compares the Cyclon variant against in
-// Fig. 6(b). It exchanges no messages.
-type Oracle struct {
-	self   core.ID
-	sample SampleFunc
-	v      *view.View
-}
-
-var _ Protocol = (*Oracle)(nil)
-
-// NewOracle builds a uniform-sampling oracle for a node.
-func NewOracle(self core.ID, sample SampleFunc, v *view.View) *Oracle {
-	return &Oracle{self: self, sample: sample, v: v}
-}
-
-// Tick implements Protocol: it replaces the entire view with fresh
-// uniform samples.
-func (o *Oracle) Tick(rng core.RNG) []proto.Envelope {
-	fresh := o.sample(rng, o.v.Cap(), o.self)
-	o.v.Clear()
-	for _, e := range fresh {
-		if e.ID != o.self {
-			o.v.Add(e)
-		}
-	}
-	return nil
-}
-
-// HandleRequest implements Protocol; the oracle never receives requests
-// but answers gracefully to tolerate stray messages under churn.
-func (o *Oracle) HandleRequest(from core.ID, _ proto.ViewRequest, _ core.RNG) []proto.Envelope {
-	return []proto.Envelope{{To: from, Msg: proto.ViewReply{}}}
-}
-
-// HandleReply implements Protocol (no-op).
-func (o *Oracle) HandleReply(core.ID, proto.ViewReply) {}
-
-// View implements Protocol.
-func (o *Oracle) View() *view.View { return o.v }
-
-// OnTimeout implements Protocol: the oracle re-samples every period, so
-// a stale entry is dropped immediately and replaced at the next tick.
-func (o *Oracle) OnTimeout(target core.ID) { o.v.Remove(target) }
-
-// Name implements Protocol.
-func (o *Oracle) Name() string { return "uniform-oracle" }

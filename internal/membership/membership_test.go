@@ -180,63 +180,6 @@ func TestNewscastViewsStayBounded(t *testing.T) {
 	}
 }
 
-func TestOracleRedrawsWholeView(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pool := []view.Entry{
-		{ID: 10}, {ID: 11}, {ID: 12}, {ID: 13}, {ID: 14},
-	}
-	sample := func(rng core.RNG, k int, exclude core.ID) []view.Entry {
-		out := make([]view.Entry, 0, k)
-		perm := make([]int, len(pool))
-		for i := range perm {
-			perm[i] = i
-		}
-		for i := len(perm) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		for _, i := range perm {
-			if pool[i].ID == exclude {
-				continue
-			}
-			out = append(out, pool[i])
-			if len(out) == k {
-				break
-			}
-		}
-		return out
-	}
-	v := view.MustNew(3)
-	v.Add(view.Entry{ID: 99, Age: 9}) // stale entry that must disappear
-	o := NewOracle(1, sample, v)
-	if envs := o.Tick(rng); len(envs) != 0 {
-		t.Errorf("oracle sent %d envelopes, want 0", len(envs))
-	}
-	if v.Has(99) {
-		t.Error("oracle did not discard the previous view")
-	}
-	if v.Len() != 3 {
-		t.Errorf("view size = %d, want 3", v.Len())
-	}
-	if err := v.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestOracleExcludesSelf(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	sample := func(rng core.RNG, k int, exclude core.ID) []view.Entry {
-		// Deliberately buggy sampler that returns the node itself.
-		return []view.Entry{{ID: 1}, {ID: 2}}
-	}
-	v := view.MustNew(4)
-	o := NewOracle(1, sample, v)
-	o.Tick(rng)
-	if v.Has(1) {
-		t.Error("oracle admitted a self entry")
-	}
-}
-
 func TestNames(t *testing.T) {
 	v := view.MustNew(2)
 	tests := []struct {
@@ -245,7 +188,6 @@ func TestNames(t *testing.T) {
 	}{
 		{NewCyclon(1, selfEntry(1), v), "cyclon"},
 		{NewNewscast(1, selfEntry(1), v), "newscast"},
-		{NewOracle(1, nil, v), "uniform-oracle"},
 	}
 	for _, tt := range tests {
 		if got := tt.p.Name(); got != tt.want {

@@ -10,11 +10,10 @@ import (
 )
 
 // rankBench builds a node with a c-entry view plus the matching members
-// snapshot (self first, mirroring view storage order — the
-// rankMembersIndexed precondition). converged draws coordinates already
-// aligned with the attribute order, modulo small jitter: the
-// nearly-sorted regime a converging system spends most cycles in.
-// unconverged draws them independently at random.
+// snapshot (self first, mirroring view storage order). converged draws
+// coordinates already aligned with the attribute order, modulo small
+// jitter: the nearly-sorted regime a converging system spends most
+// cycles in. unconverged draws them independently at random.
 func rankBench(c int, converged bool) (*Node, []localMember) {
 	rng := rand.New(rand.NewSource(int64(c) + 7))
 	v, err := view.New(c)
@@ -48,13 +47,9 @@ func rankBench(c int, converged bool) (*Node, []localMember) {
 	return n, members
 }
 
-// BenchmarkRankMembers compares the three ℓα/ℓρ rank kernels on one
-// node's local population: the fused branch-free O(c²) pairwise count,
-// the indexed path on a stale permutation (scratch-local insertion
-// sorts), and the indexed path riding a maintained valid permutation.
-// All three assign identical ranks (TestRankKernelsEquivalence);
-// this bench is why the stale fallback sorts locally instead of
-// rebuilding the permutation.
+// BenchmarkRankMembers times the exact ℓα/ℓρ count — the fused
+// branch-free O(c²) pairwise pass every tick falls back to — on one
+// node's local population.
 func BenchmarkRankMembers(b *testing.B) {
 	for _, c := range []int{20, 40} {
 		for _, converged := range []bool{false, true} {
@@ -63,36 +58,13 @@ func BenchmarkRankMembers(b *testing.B) {
 				label = "converged"
 			}
 			n, template := rankBench(c, converged)
-			scr := &Scratch{}
 			members := make([]localMember, len(template))
-			run := func(b *testing.B) {
+			b.Run(fmt.Sprintf("kernel=fused/c=%d/%s", c, label), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(members, template)
 					n.rankMembers(members)
 				}
-			}
-			runPacked := func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					copy(members, template)
-					if rankMembersPacked(members, scr) != packedOK {
-						b.Fatal("packed kernel bailed on packable input")
-					}
-				}
-			}
-			runIndexed := func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					copy(members, template)
-					n.rankMembersIndexed(members, scr)
-				}
-			}
-			b.Run(fmt.Sprintf("kernel=fused/c=%d/%s", c, label), run)
-			b.Run(fmt.Sprintf("kernel=packed/c=%d/%s", c, label), runPacked)
-			// ord has never been built: the indexed path takes its
-			// stale-permutation fallback (the packed pass, then the
-			// insertion sorts on unpackable inputs).
-			b.Run(fmt.Sprintf("kernel=indexed-stale/c=%d/%s", c, label), runIndexed)
-			n.v.AttrOrder() // build once; ranking does not mutate the view
-			b.Run(fmt.Sprintf("kernel=indexed-valid/c=%d/%s", c, label), runIndexed)
+			})
 		}
 	}
 }

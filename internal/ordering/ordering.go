@@ -121,12 +121,10 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 type Scratch struct {
 	entries []view.Entry
 	members []localMember
-	ridx    []int32
-	aidx    []int16
 	// misp holds the member indices the prescan flagged misplaced — the
 	// only ranks (besides self's) the swap decision reads.
 	misp []int32
-	// Packed-key pairwise rank buffers (rankMembersPacked).
+	// Packed-key rank buffers (rankMembersPackedPartial).
 	keyA, keyR []uint64
 	las, lrs   []int32
 	// noPack latches when a population exposes systematic key ties
@@ -306,9 +304,8 @@ func (n *Node) selectMaxGain(selfR float64, state proto.StateReader, scr *Scratc
 }
 
 // argmaxGain returns the misplaced member with the largest gain G_{i,j},
-// first occurrence winning ties (strict >) — the shared tail of the
-// counted-rank and indexed-rank paths, so the two cannot diverge on the
-// selection rule.
+// first occurrence winning ties (strict >) — the shared tail of TickSwap
+// and TickSwapFast, so the two cannot diverge on the selection rule.
 func (n *Node) argmaxGain(local localSeq, selfR float64) (core.ID, bool) {
 	bestGain := 0.0
 	var best core.ID
@@ -328,22 +325,19 @@ func (n *Node) argmaxGain(local localSeq, selfR float64) (core.ID, bool) {
 // TickSwapFast is TickSwap specialized for the cycle engine's
 // SelectMaxGain fast path: the engine resolves the node's own
 // coordinate (selfR) and hands the snapshot as a concrete CoordTable,
-// and the rank count rides the view's maintained attribute-order
-// permutation instead of the fused O(c²) pairwise pass. Decision
-// equivalence with TickSwap over the engine's snapshot reader is exact:
-// the member set, per-member coordinates, rank orders, gain argmax, and
-// stats/trace side effects are all identical (pinned by
+// and only the ranks the decision reads are computed (rankLocal).
+// Decision equivalence with TickSwap over the engine's snapshot reader
+// is exact: the member set, per-member coordinates, rank orders, gain
+// argmax, and stats/trace side effects are all identical (pinned by
 // TestTickSwapFastMatchesTickSwap).
 func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
 	// Gather N_i ∪ {i} in storage order with the misplaced prescan fused
 	// in: a converged neighborhood — the steady state — exits after this
-	// single O(c) pass without touching the permutation.
+	// single O(c) pass without ranking anything.
 	members := append(scr.members[:0], localMember{id: n.id, attr: n.attr, r: selfR})
 	misp := scr.misp[:0]
-	placeholders := false
 	for _, e := range n.v.Raw() {
 		if e.Placeholder() {
-			placeholders = true
 			continue
 		}
 		r := e.R
@@ -359,17 +353,7 @@ func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch
 	if len(misp) == 0 {
 		return 0, proto.SwapRequest{}, false
 	}
-	var local localSeq
-	if placeholders {
-		// Placeholders are excluded from the local sequences but present
-		// in the view's permutation; the indexed path cannot line the two
-		// up, so count ranks pairwise. Bootstrap-only: placeholders
-		// upgrade to full entries within the first few exchanges.
-		local = n.rankMembers(members)
-	} else {
-		local = n.rankMembersMisplaced(members, scr, misp)
-	}
-	target, ok := n.argmaxGain(local, selfR)
+	target, ok := n.argmaxGain(n.rankLocal(members, scr, misp), selfR)
 	if !ok {
 		return 0, proto.SwapRequest{}, false
 	}
@@ -380,105 +364,7 @@ func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch
 	return target, proto.SwapRequest{R: selfR, Attr: n.attr}, true
 }
 
-// rankMembersIndexed fills ℓα and ℓρ in O(c log c): ℓα reads off the
-// view's maintained (attr, id) permutation — self spliced in by binary
-// search — and ℓρ comes from an insertion sort of member indices by
-// (r, id), which is O(c) on the nearly-sorted views of a converging
-// system. Requires members[1+j] to mirror view entry j exactly (no
-// placeholders skipped). Both orders are the same strict total orders
-// rankMembers counts, so the assigned ranks are equal by construction.
-//
-// The permutation is consumed only when the merge repairs have kept it
-// current. When it lapsed — the usual case at large N, where views
-// barely overlap and every merge blows the repair budget — the ℓα
-// order is insertion-sorted locally instead: sorting c int16 indices in
-// scratch costs less than rebuilding the permutation in place, and
-// identical output is guaranteed because both produce the unique
-// (attr, id)-ascending order.
-func (n *Node) rankMembersIndexed(members []localMember, scr *Scratch) localSeq {
-	perm := n.v.AttrOrderIfValid()
-	if perm == nil {
-		// Stale permutation. First choice: branch-free pairwise counting
-		// over bit-packed keys — comparison sorts on data-random input
-		// pay a branch mispredict per compare, so 2·(c²/2) predicated
-		// compares beat 2·(c²/4) branchy ones. It bails (rarely) on
-		// inputs the packed keys cannot order; then the insertion sorts
-		// below run instead.
-		if !scr.noPack {
-			switch rankMembersPacked(members, scr) {
-			case packedOK:
-				return localSeq{self: members[0], others: members[1:], size: len(members)}
-			case packedTied:
-				scr.noPack = true
-			}
-		}
-		aidx := scr.aidx[:0]
-		for i := 1; i < len(members); i++ {
-			x := int16(i - 1)
-			mx := &members[i]
-			j := len(aidx) - 1
-			aidx = append(aidx, 0)
-			for j >= 0 {
-				my := &members[1+int(aidx[j])]
-				if my.attr < mx.attr || (my.attr == mx.attr && my.id < mx.id) {
-					break
-				}
-				aidx[j+1] = aidx[j]
-				j--
-			}
-			aidx[j+1] = x
-		}
-		scr.aidx = aidx
-		perm = aidx
-	}
-	// Self's attribute rank: the number of entries strictly (attr, id)
-	// before it, via binary search over the sorted permutation.
-	lo, hi := 0, len(perm)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		m := &members[1+int(perm[mid])]
-		if m.attr < n.attr || (m.attr == n.attr && m.id < n.id) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	selfPos := int32(lo)
-	members[0].la = selfPos
-	for k, ei := range perm {
-		la := int32(k)
-		if la >= selfPos {
-			la++
-		}
-		members[1+int(ei)].la = la
-	}
-	// ℓρ: insertion-sort member indices by (r, id); position = rank.
-	ridx := scr.ridx[:0]
-	for i := range members {
-		ridx = append(ridx, int32(i))
-	}
-	for i := 1; i < len(ridx); i++ {
-		x := ridx[i]
-		mx := &members[x]
-		j := i - 1
-		for j >= 0 {
-			my := &members[ridx[j]]
-			if my.r < mx.r || (my.r == mx.r && my.id < mx.id) {
-				break
-			}
-			ridx[j+1] = ridx[j]
-			j--
-		}
-		ridx[j+1] = x
-	}
-	scr.ridx = ridx
-	for k, mi := range ridx {
-		members[mi].lr = int32(k)
-	}
-	return localSeq{self: members[0], others: members[1:], size: len(members)}
-}
-
-// packedRank is rankMembersPacked's outcome.
+// packedRank is rankMembersPackedPartial's outcome.
 type packedRank int
 
 const (
@@ -500,65 +386,6 @@ const (
 func floatKey(f float64) uint64 {
 	b := math.Float64bits(f)
 	return b ^ (uint64(int64(b)>>63) | 1<<63)
-}
-
-// rankMembersPacked assigns both rank axes by branch-free pairwise
-// counting over bit-packed keys: ℓα over attr keys, ℓρ over coordinate
-// keys, each a single uint64 compare per pair instead of a float
-// compare plus ID tiebreak. Because key equality is bailed out (the
-// tiebreak cannot be packed), every counted order is the same strict
-// total order the indexed sorts produce — identical ranks, pinned by
-// TestRankKernelsEquivalence.
-func rankMembersPacked(members []localMember, scr *Scratch) packedRank {
-	c := len(members)
-	if !packKeys(members, scr) {
-		return packedGated
-	}
-	ka, kr := scr.keyA[:c], scr.keyR[:c]
-	las, lrs := scr.las[:c], scr.lrs[:c]
-	// Triangular pairwise count, both axes per pair: each unordered pair
-	// is visited once, crediting the greater key's rank and the lesser's
-	// complement. A tied pair still hands out exactly one credit, so the
-	// rank-sum is no tie detector here — equality is tested per pair
-	// (predicated, like the compares) and the call bails after the loop.
-	for i := range las {
-		las[i], lrs[i] = 0, 0
-	}
-	ties := 0
-	for x := 1; x < c; x++ {
-		kax, krx := ka[x], kr[x]
-		var lax, lrx int32
-		for y := 0; y < x; y++ {
-			kay, kry := ka[y], kr[y]
-			var aw, rw int32
-			if kay < kax {
-				aw = 1
-			}
-			if kry < krx {
-				rw = 1
-			}
-			if kay == kax {
-				ties = 1
-			}
-			if kry == krx {
-				ties = 1
-			}
-			lax += aw
-			las[y] += 1 - aw
-			lrx += rw
-			lrs[y] += 1 - rw
-		}
-		las[x] += lax
-		lrs[x] += lrx
-	}
-	if ties != 0 {
-		return packedTied
-	}
-	for i := range members {
-		members[i].la = las[i]
-		members[i].lr = lrs[i]
-	}
-	return packedOK
 }
 
 // packKeys fills the scratch key arrays with the members' order keys,
@@ -589,14 +416,16 @@ func packKeys(members []localMember, scr *Scratch) bool {
 // rankMembersPackedPartial ranks only the members whose ranks the swap
 // decision actually reads — self and the prescan's misplaced set — each
 // by one full strict-less scan of the packed keys, O(c·(1+|misplaced|))
-// instead of O(c²). Unscanned members keep the zero ranks the gather
-// gave them; argmaxGain skips well-placed members before touching a
-// rank, so those zeros are never consulted. Key equality is tested on
-// every scanned pair — exactly the pairs that could shift a computed
-// rank — and a tie (or gate) bails with the staged ranks uncommitted,
-// leaving the members untouched for the fallback sorts. A tie confined
-// to two unscanned members goes undetected, which is sound for the same
-// reason the zero ranks are: no consulted value depends on their order.
+// instead of O(c²), and a single predicated uint64 compare per pair and
+// axis instead of a float compare plus ID tiebreak. Unscanned members
+// keep the zero ranks the gather gave them; argmaxGain skips well-placed
+// members before touching a rank, so those zeros are never consulted.
+// Key equality is tested on every scanned pair — exactly the pairs that
+// could shift a computed rank — and a tie (or gate) bails with the
+// staged ranks uncommitted, leaving the members untouched for the exact
+// count. A tie confined to two unscanned members goes undetected, which
+// is sound for the same reason the zero ranks are: no consulted value
+// depends on their order.
 func rankMembersPackedPartial(members []localMember, scr *Scratch, misp []int32) packedRank {
 	c := len(members)
 	if !packKeys(members, scr) {
@@ -648,14 +477,15 @@ func rankMembersPackedPartial(members []localMember, scr *Scratch, misp []int32)
 	return packedOK
 }
 
-// rankMembersMisplaced is the swap tick's rank dispatch: the partial
-// packed kernel when the maintained permutation has lapsed (the usual
-// case at scale) and the misplaced set is small enough that 1+m rows of
-// c compares undercut the triangular c²/2 — roughly m < c/2, the
-// converging regime; larger sets (cold start) go through the full
-// paths. Every branch assigns the same consulted ranks.
-func (n *Node) rankMembersMisplaced(members []localMember, scr *Scratch, misp []int32) localSeq {
-	if 2*(len(misp)+1) <= len(members) && !scr.noPack && n.v.AttrOrderIfValid() == nil {
+// rankLocal is the swap tick's one rank dispatch, chosen from what the
+// gather already has in hand: the partial packed kernel when the
+// misplaced set is small enough that 1+m rows of c compares undercut the
+// triangular c²/2 of the exact count — m+1 ≤ c/2, the converging regime
+// — and rankMembers otherwise (cold start), or when the packed keys
+// cannot decide: rankMembers breaks ties by ID, so it is also the
+// tie/gate fallback. Both assign the same consulted ranks.
+func (n *Node) rankLocal(members []localMember, scr *Scratch, misp []int32) localSeq {
+	if 2*(len(misp)+1) <= len(members) && !scr.noPack {
 		switch rankMembersPackedPartial(members, scr, misp) {
 		case packedOK:
 			return localSeq{self: members[0], others: members[1:], size: len(members)}
@@ -663,7 +493,7 @@ func (n *Node) rankMembersMisplaced(members []localMember, scr *Scratch, misp []
 			scr.noPack = true
 		}
 	}
-	return n.rankMembersIndexed(members, scr)
+	return n.rankMembers(members)
 }
 
 // localMember is one element of the node's local sequences. The int32

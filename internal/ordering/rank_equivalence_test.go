@@ -24,8 +24,8 @@ func (m mapReader) R(id core.ID) (float64, bool) {
 // (departed nodes falling back to the view's recorded coordinate).
 // tieHeavy trials draw attributes and coordinates from small discrete
 // pools — forcing the attribute/coordinate ties and zero attributes
-// that make the packed kernels refuse — while the rest draw continuous
-// values, the distinct-key regime the packed kernels accept.
+// that make the packed kernel refuse — while the rest draw continuous
+// values, the distinct-key regime the packed kernel accepts.
 func randomRankState(rng *rand.Rand, tieHeavy bool) (*Node, mapReader, proto.CoordTable) {
 	c := 1 + rng.Intn(25)
 	v, err := view.New(c)
@@ -90,21 +90,33 @@ func randomRankState(rng *rand.Rand, tieHeavy bool) (*Node, mapReader, proto.Coo
 
 // TestTickSwapFastMatchesTickSwap is the swap-decision property pin:
 // over adversarial random states — attribute and coordinate ties,
-// zero attributes, placeholders, departed neighbors, valid and lapsed
-// attribute permutations — TickSwapFast (packed, partial-scan and
-// indexed rank kernels, CoordTable resolution) must make EXACTLY the
-// swap decision TickSwap (fused O(c²) pairwise count, StateReader
-// resolution) makes: same partner, same payload, same no-swap ticks.
+// zero attributes, placeholders, departed neighbors — TickSwapFast
+// (partial packed kernel or exact count behind rankLocal, CoordTable
+// resolution) must make EXACTLY the swap decision TickSwap (fused O(c²)
+// pairwise count, StateReader resolution) makes: same partner, same
+// payload, same no-swap ticks. The test replays rankLocal's dispatch on
+// the gathered members to count which kernel decided each trial, so
+// both sides of the dispatch — and the tie fallback — are known to run.
 func TestTickSwapFastMatchesTickSwap(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	scrRef, scrFast := &Scratch{}, &Scratch{}
-	decided := 0
+	scrRef := &Scratch{}
+	// One fast scratch per population, as an engine worker holds it: the
+	// noPack latch is a per-population fact. Every other tie-heavy trial
+	// takes a fresh scratch instead, so the refuse-then-count path keeps
+	// running after the shared one has latched.
+	scrCont, scrTied := &Scratch{}, &Scratch{}
+	var byPartial, byExact, byExactTied int
 	for trial := 0; trial < 3000; trial++ {
-		n, reader, coords := randomRankState(rng, trial%3 == 1)
-		if trial%3 == 0 {
-			// Exercise the maintained-permutation rank path too.
-			n.v.AttrOrder()
+		tieHeavy := trial%3 == 1
+		n, reader, coords := randomRankState(rng, tieHeavy)
+		scrFast := scrCont
+		if tieHeavy {
+			scrFast = scrTied
+			if trial%2 == 0 {
+				scrFast = &Scratch{}
+			}
 		}
+		latched := scrFast.noPack
 		selfR, _ := reader.R(n.ID())
 		refTo, refReq, refOK := n.TickSwap(reader, rng, scrRef)
 		refStats := n.stats
@@ -117,62 +129,33 @@ func TestTickSwapFastMatchesTickSwap(t *testing.T) {
 		if n.stats != refStats {
 			t.Fatalf("trial %d: stats side effects diverge: %+v vs %+v", trial, n.stats, refStats)
 		}
-		if refOK {
-			decided++
-		}
-	}
-	if decided < 500 {
-		t.Fatalf("only %d/3000 trials produced a swap decision; the property barely exercises the kernels", decided)
-	}
-}
-
-// TestRankKernelsEquivalence pins the rank assignments themselves:
-// the packed-key pairwise kernel and the indexed kernel must assign
-// exactly the ranks the fused reference count assigns whenever they
-// accept an input, and the packed kernel must refuse (tie/gate) rather
-// than ever committing different ranks.
-func TestRankKernelsEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	accepted := 0
-	for trial := 0; trial < 3000; trial++ {
-		n, reader, _ := randomRankState(rng, trial%3 == 1)
-		selfR, _ := reader.R(n.ID())
-		scr := &Scratch{}
-		members := n.localMembers(selfR, reader, scr)
-		if len(members) < 2 {
+		if !refOK {
 			continue
 		}
-		ref := make([]localMember, len(members))
-		copy(ref, members)
-		n.rankMembers(ref)
-
-		packed := make([]localMember, len(members))
-		copy(packed, members)
-		pscr := &Scratch{}
-		if rankMembersPacked(packed, pscr) == packedOK {
-			accepted++
-			for i := range ref {
-				if packed[i].la != ref[i].la || packed[i].lr != ref[i].lr {
-					t.Fatalf("trial %d: packed ranks diverge at member %d: (%d,%d) vs (%d,%d)",
-						trial, i, packed[i].la, packed[i].lr, ref[i].la, ref[i].lr)
-				}
+		members, misp := scrFast.members, scrFast.misp
+		partial := false
+		if 2*(len(misp)+1) <= len(members) && !latched {
+			unranked := make([]localMember, len(members))
+			for i, m := range members {
+				unranked[i] = localMember{id: m.id, attr: m.attr, r: m.r}
 			}
+			partial = rankMembersPackedPartial(unranked, &Scratch{}, misp) == packedOK
 		}
-
-		indexed := make([]localMember, len(members))
-		copy(indexed, members)
-		iscr := &Scratch{}
-		n.rankMembersIndexed(indexed, iscr)
-		for i := range ref {
-			if indexed[i].la != ref[i].la || indexed[i].lr != ref[i].lr {
-				t.Fatalf("trial %d: indexed ranks diverge at member %d: (%d,%d) vs (%d,%d)",
-					trial, i, indexed[i].la, indexed[i].lr, ref[i].la, ref[i].lr)
-			}
+		switch {
+		case partial:
+			byPartial++
+		case tieHeavy:
+			byExactTied++
+			fallthrough
+		default:
+			byExact++
 		}
 	}
-	if accepted < 300 {
-		t.Fatalf("packed kernel accepted only %d/3000 trials; the property barely exercises it", accepted)
+	if byPartial < 300 || byExact < 300 || byExactTied < 100 {
+		t.Fatalf("dispatch coverage too thin over 3000 trials: %d decided by the partial kernel (want ≥ 300), %d by the exact count (≥ 300), %d of those tie-heavy (≥ 100)",
+			byPartial, byExact, byExactTied)
 	}
+	t.Logf("decided by partial kernel: %d, by exact count: %d (%d tie-heavy)", byPartial, byExact, byExactTied)
 }
 
 // TestRankMembersPartialEquivalence pins the partial-scan kernel: for

@@ -100,7 +100,7 @@ type ClusterConfig struct {
 	Telemetry *telemetry.Registry
 	// Trace, when non-nil, records protocol decision events (view
 	// exchanges, swap attempts, boundary crossings, rank updates) from
-	// every node into one shared lock-free ring. Nil disables tracing.
+	// every node into one shared ring. Nil disables tracing.
 	Trace *telemetry.TraceRing
 }
 

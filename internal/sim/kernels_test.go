@@ -4,8 +4,8 @@ import "testing"
 
 // TestKernelEquivalence is the fast-path compatibility contract: every
 // fused protocol kernel (single-pass view merge with the fused trim
-// histogram and branch-free compaction, packed-key and partial-scan
-// mod-JK rank counts, generation-stamped order reuse, bulk bootstrap,
+// histogram and branch-free compaction, the packed-key partial-scan
+// mod-JK rank count with its exact-count fallback, bulk bootstrap,
 // fused measurement) must produce BIT-IDENTICAL results to the
 // straightforward reference implementations forced by
 // Config.ReferenceKernels. The matrix reuses the worker-invariance

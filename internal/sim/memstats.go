@@ -19,9 +19,8 @@ import (
 type MemReport struct {
 	// Nodes is the live population the report was taken at.
 	Nodes int `json:"nodes"`
-	// ArenaBytes is the flat view storage: every node's view entries,
-	// the packed ID mirror and the attribute-order permutation, in three
-	// contiguous arrays.
+	// ArenaBytes is the flat view storage: every node's view entries
+	// and the packed ID mirror, in two contiguous arrays.
 	ArenaBytes int64 `json:"arenaBytes"`
 	// StateBytes covers the per-slot parallel slices: identifiers,
 	// value-stored protocol nodes, view headers and cached self entries,

@@ -46,6 +46,13 @@ func invarianceConfigs() map[string]Config {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
 			Policy: ordering.SelectMaxGain, AttrDist: attr, Seed: 11, RecordGDM: true,
 		},
+		// Discrete attributes: neighbors share attribute keys, so the packed
+		// rank kernel refuses, the worker's scratch latches, and every later
+		// tick takes the exact count's ID tie-break.
+		"ordering/modjk/cyclon/tied-attrs": {
+			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
+			Policy: ordering.SelectMaxGain, AttrDist: dist.Zipf{S: 1, N: 8}, Seed: 18, RecordGDM: true,
+		},
 		"ordering/jk/newscast/halfconc": {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
 			Policy: ordering.SelectRandomMisplaced, Membership: NewscastViews,

@@ -45,7 +45,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 		t.Errorf("population drifted implausibly under 0.1%% churn: %d nodes", mem.Nodes)
 	}
 	// The budget the README advertises: the engine must stay around
-	// ~1.9 kB per node, and well under 2.5 kB — a per-node map, pointer
+	// ~1.8 kB per node, and well under 2.5 kB — a per-node map, pointer
 	// field or stray per-node buffer would blow straight through this.
 	if bpn := mem.BytesPerNode; bpn <= 0 || bpn > 2500 {
 		t.Errorf("engine bytes/node = %.0f, want (0, 2500]", bpn)

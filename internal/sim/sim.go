@@ -304,8 +304,8 @@ type Engine struct {
 	// them streams memory instead of chasing a million heap pointers.
 	// views holds the per-slot view headers; their entry storage is not
 	// theirs but the slot's block of varena, so all view payloads of the
-	// population form three contiguous arrays (entries, packed ID
-	// mirror, attribute-order permutation). self caches each node's SelfEntry (refreshed by
+	// population form two contiguous arrays (entries, packed ID
+	// mirror). self caches each node's SelfEntry (refreshed by
 	// refreshSelfEntries; see there for the staleness contract).
 	ids    []core.ID
 	ons    []ordering.Node

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -89,23 +90,20 @@ type TraceEvent struct {
 	Rank     float64   `json:"rank,omitempty"`
 }
 
-// traceSlot pairs an event with a seqlock version: odd while a writer
-// is mid-copy, even when stable.
+// traceSlot pairs an event with the lock its copy is made under; used
+// is false until the slot is first written.
 type traceSlot struct {
-	ver atomic.Uint64
-	ev  TraceEvent
+	mu   sync.Mutex
+	used bool
+	ev   TraceEvent
 }
 
-// TraceRing is a fixed-capacity lock-free ring of TraceEvents,
-// overwrite-oldest. Writers claim a slot with one atomic add and copy
-// under a per-slot seqlock; readers snapshot without blocking writers.
+// TraceRing is a fixed-capacity ring of TraceEvents, overwrite-oldest.
+// Writers claim a slot with one atomic add and copy under that slot's
+// mutex, so writers contend only when the ring wraps onto a slot still
+// being written; readers TryLock and skip rather than wait.
 // Recording through a nil ring is a no-op, so every protocol hook is a
 // single nil check when tracing is off.
-//
-// The seqlock protects against torn reads, not against two writers
-// lapping each other onto the same slot within one write — with
-// capacities in the hundreds that requires a full ring wrap during a
-// single struct copy, which debugging traffic does not produce.
 type TraceRing struct {
 	mask  uint64
 	pos   atomic.Uint64 // next event index; also the total recorded
@@ -140,9 +138,13 @@ func (r *TraceRing) Record(ev TraceEvent) {
 	ev.Seq = i
 	ev.Time = time.Now().UnixNano()
 	s := &r.slots[i&r.mask]
-	s.ver.Add(1) // odd: write in progress
-	s.ev = ev
-	s.ver.Add(1) // even: stable
+	s.mu.Lock()
+	// Two writers a full lap apart can reach the lock out of order; the
+	// slot keeps the newer event.
+	if !s.used || s.ev.Seq < i {
+		s.ev, s.used = ev, true
+	}
+	s.mu.Unlock()
 }
 
 // Total returns how many events have ever been recorded (recorded
@@ -156,7 +158,8 @@ func (r *TraceRing) Total() uint64 {
 
 // Snapshot returns the currently held events, oldest first. Slots being
 // written during the pass are retried a few times, then skipped — a
-// dump never blocks the protocol.
+// dump never waits on a writer, and holds a slot only for one struct
+// copy.
 func (r *TraceRing) Snapshot() []TraceEvent {
 	if r == nil {
 		return nil
@@ -165,18 +168,15 @@ func (r *TraceRing) Snapshot() []TraceEvent {
 	for i := range r.slots {
 		s := &r.slots[i]
 		for attempt := 0; attempt < 3; attempt++ {
-			v1 := s.ver.Load()
-			if v1 == 0 || v1%2 == 1 {
-				if v1 == 0 {
-					break // never written
-				}
+			if !s.mu.TryLock() {
 				continue
 			}
-			ev := s.ev
-			if s.ver.Load() == v1 {
+			ev, used := s.ev, s.used
+			s.mu.Unlock()
+			if used {
 				out = append(out, ev)
-				break
 			}
+			break
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -7,12 +7,12 @@ import (
 )
 
 // Arena is flat backing storage for a population of equal-capacity
-// views: one contiguous Entry array indexed by slot*stride, the packed
-// ID mirror in a second contiguous array, and the attribute-order
-// permutation in a third. Laying every view out back to back turns the
-// simulator's per-cycle scans — the compute and commit halves of a
-// gossip round both walk every view in slot order — into sequential
-// streams instead of a pointer chase through per-node heap allocations.
+// views: one contiguous Entry array indexed by slot*stride and the
+// packed ID mirror in a second contiguous array. Laying every view out
+// back to back turns the simulator's per-cycle scans — the compute and
+// commit halves of a gossip round both walk every view in slot order —
+// into sequential streams instead of a pointer chase through per-node
+// heap allocations.
 //
 // The ID mirror is padded: each slot's ID block spans pad4(stride)
 // words, and the words past a view's live length are held at zero.
@@ -31,7 +31,6 @@ type Arena struct {
 	idStride int
 	entries  []Entry
 	ids      []core.ID
-	ord      []int16
 }
 
 // pad4 rounds n up to a multiple of four — the group width of findID's
@@ -50,7 +49,6 @@ func NewArena(stride, slots int) *Arena {
 		idStride: idStride,
 		entries:  make([]Entry, slots*stride),
 		ids:      make([]core.ID, slots*idStride),
-		ord:      make([]int16, slots*idStride),
 	}
 }
 
@@ -62,12 +60,16 @@ func (a *Arena) Slots() int { return len(a.entries) / a.stride }
 
 // Block returns slot's backing storage as zero-length, full-capacity
 // slices — appends stay inside the slot, and exceeding the stride
-// panics instead of silently corrupting the neighbor slot. The ID and
-// permutation blocks carry the padded stride (see Arena).
+// panics instead of silently corrupting the neighbor slot. The ID block
+// carries the padded stride (see Arena). The third result is always
+// nil: the arena once held an attribute-order permutation column there,
+// and benchmark/kernels.go is pinned to the three-slice shape until a
+// benchmark-maintenance PR removes the parameter from Block, NewBound
+// and Rebind together.
 func (a *Arena) Block(slot int) ([]Entry, []core.ID, []int16) {
 	lo, hi := slot*a.stride, (slot+1)*a.stride
 	ilo, ihi := slot*a.idStride, (slot+1)*a.idStride
-	return a.entries[lo:lo:hi], a.ids[ilo:ilo:ihi], a.ord[ilo:ilo:ihi]
+	return a.entries[lo:lo:hi], a.ids[ilo:ilo:ihi], nil
 }
 
 // EnsureSlots grows the arena to back at least n slots, doubling to
@@ -86,9 +88,7 @@ func (a *Arena) EnsureSlots(n int) bool {
 	copy(entries, a.entries)
 	ids := make([]core.ID, slots*a.idStride)
 	copy(ids, a.ids)
-	ord := make([]int16, slots*a.idStride)
-	copy(ord, a.ord)
-	a.entries, a.ids, a.ord = entries, ids, ord
+	a.entries, a.ids = entries, ids
 	return true
 }
 
@@ -96,6 +96,5 @@ func (a *Arena) EnsureSlots(n int) bool {
 // deterministic part of the engine's memory budget (see sim.MemReport).
 func (a *Arena) Bytes() int64 {
 	return int64(len(a.entries))*int64(unsafe.Sizeof(Entry{})) +
-		int64(len(a.ids))*int64(unsafe.Sizeof(core.ID(0))) +
-		int64(len(a.ord))*int64(unsafe.Sizeof(int16(0)))
+		int64(len(a.ids))*int64(unsafe.Sizeof(core.ID(0)))
 }

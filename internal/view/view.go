@@ -17,9 +17,8 @@ import (
 // requested.
 var ErrCapacity = errors.New("view: capacity must be positive")
 
-// maxCapacity bounds the view capacity so entry indices fit the int16
-// attribute-order permutation. Far above any gossip view size (the
-// paper uses c ≈ log n; the repo's largest scenario uses 40).
+// maxCapacity bounds the view capacity. Far above any gossip view size
+// (the paper uses c ≈ log n; the repo's largest scenario uses 40).
 const maxCapacity = 1<<15 - 1
 
 // AgeUnknown marks a placeholder entry: a contact address learned out of
@@ -68,29 +67,6 @@ type View struct {
 	// compare four words per step with no tail loop; every shrinking
 	// mutation re-zeroes the freed tail.
 	ids []core.ID
-	// ord is the (attr, id)-ascending permutation of entry indices,
-	// maintained lazily against gen: valid iff ordGen == gen. Mutators
-	// only bump gen (invalidation is one increment); the fused merge
-	// repairs ord in place when the entry-set delta is small, and
-	// AttrOrder rebuilds it on demand otherwise. mod-JK's fast rank path
-	// reads it instead of recounting pairwise ranks every tick.
-	ord []int16
-	// gen stamps the entry set: it advances whenever the set of
-	// (ID, Attr) rows can have changed — adds, removals, merges, trims,
-	// placeholder upgrades — and stays put under pure age or coordinate
-	// refreshes (AgeAll, UpdateR), which do not move the permutation.
-	gen    uint32
-	ordGen uint32
-	// ordCredit is the permutation-maintenance heuristic: AttrOrder
-	// recharges it, every in-merge repair spends one unit, and a merge
-	// finding it empty just lets the permutation go stale. Owners that
-	// consult the order every cycle (unconverged mod-JK nodes) keep it
-	// repaired — always cheaper than the rebuild their next tick would
-	// pay — while owners that stop consulting (converged neighborhoods,
-	// ranking nodes) stop paying within a cycle's worth of merges. Purely
-	// a cost dial: the permutation AttrOrder returns is the unique
-	// (attr, id)-sorted order however it was produced.
-	ordCredit uint8
 }
 
 // New returns an empty view with the given capacity c (the paper's view
@@ -121,21 +97,18 @@ func MustNew(capacity int) *View {
 // capacity — pad4(capacity) for the ID mirror, whose unused words the
 // view zeroes here to establish the sentinel-padding invariant (the
 // block may have been vacated by a departed node). The view never
-// allocates entry storage of its own.
-func NewBound(capacity int, entries []Entry, ids []core.ID, ord []int16) *View {
+// allocates entry storage of its own. The third block is ignored: it is
+// Arena.Block's retired permutation column, kept in the signature until
+// a benchmark-maintenance PR drops it from benchmark/kernels.go too.
+func NewBound(capacity int, entries []Entry, ids []core.ID, _ []int16) *View {
 	if capacity < 1 || capacity > maxCapacity ||
-		cap(entries) < capacity || cap(ids) < pad4(capacity) || cap(ord) < capacity {
+		cap(entries) < capacity || cap(ids) < pad4(capacity) {
 		panic(ErrCapacity)
 	}
 	ids = ids[:0]
 	clear(ids[:cap(ids)])
-	return &View{capacity: capacity, entries: entries[:0], ids: ids, ord: ord[:0]}
+	return &View{capacity: capacity, entries: entries[:0], ids: ids}
 }
-
-// touch records a mutation of the entry set, invalidating the
-// attribute-order permutation until AttrOrder rebuilds it or a fused
-// merge repairs it.
-func (v *View) touch() { v.gen++ }
 
 // Len returns the number of entries currently held.
 func (v *View) Len() int { return len(v.entries) }
@@ -206,7 +179,6 @@ func findID(ids []core.ID, n int, id core.ID) int {
 func (v *View) Add(e Entry) {
 	if i := v.index(e.ID); i >= 0 {
 		v.entries[i] = e
-		v.touch()
 		return
 	}
 	if len(v.entries) >= v.capacity {
@@ -214,7 +186,6 @@ func (v *View) Add(e Entry) {
 	}
 	v.entries = append(v.entries, e)
 	v.ids = append(v.ids, e.ID)
-	v.touch()
 }
 
 // Clear removes every entry, keeping the allocated storage.
@@ -222,7 +193,6 @@ func (v *View) Clear() {
 	clear(v.ids)
 	v.entries = v.entries[:0]
 	v.ids = v.ids[:0]
-	v.touch()
 }
 
 // Remove deletes the entry for id, reporting whether it was present.
@@ -235,13 +205,11 @@ func (v *View) Remove(id core.ID) bool {
 	v.entries = append(v.entries[:i], v.entries[i+1:]...)
 	v.ids = append(v.ids[:i], v.ids[i+1:]...)
 	v.ids[:last+1][last] = 0
-	v.touch()
 	return true
 }
 
 // UpdateR overwrites the rank coordinate recorded for id (Fig. 2 line 11:
-// on receiving an ACK the initiator refreshes r_j in its view). The
-// attribute order is untouched, so the generation stamp stays put.
+// on receiving an ACK the initiator refreshes r_j in its view).
 func (v *View) UpdateR(id core.ID, r float64) bool {
 	i := v.index(id)
 	if i < 0 {
@@ -324,7 +292,6 @@ func (v *View) evictOldest() {
 	v.entries = append(v.entries[:best], v.entries[best+1:]...)
 	v.ids = append(v.ids[:best], v.ids[best+1:]...)
 	v.ids[:last+1][last] = 0
-	v.touch()
 }
 
 // Reset replaces the view's contents wholesale with the given entries —
@@ -345,7 +312,6 @@ func (v *View) Reset(entries []Entry) {
 	if len(v.ids) < old {
 		clear(v.ids[len(v.ids):old])
 	}
-	v.touch()
 }
 
 // MergeScratch is reusable working storage for the scratch-based and
@@ -364,7 +330,6 @@ type MergeScratch struct {
 	fresh  []Entry
 	upgIx  []int32
 	upgEnt []Entry
-	remap  []int16
 	// trimHist backs unionTrimThreshold's bounded age histogram; keeping
 	// it here (per worker) lets the kernel clear only the populated
 	// prefix instead of re-zeroing a stack table every merge.
@@ -401,11 +366,13 @@ func (v *View) MergeUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 		wids = append(wids, e.ID)
 	}
 	scr.wids = wids
-	work = trimOldestEntries(work, len(work)-v.capacity, &scr.ages)
+	if k := len(work) - v.capacity; k > 0 {
+		thresh, quota := unionTrimThreshold(work, nil, k, &scr.ages, &scr.trimHist)
+		work = removeByThreshold(work, thresh, quota)
+	}
 	v.entries = append(v.entries[:0], work...)
 	v.reindex()
 	scr.work = work
-	v.touch()
 }
 
 // MergeFreshUsing incorporates entries keeping, for duplicated IDs, the
@@ -437,7 +404,6 @@ func (v *View) MergeFreshUsing(incoming []Entry, self core.ID, scr *MergeScratch
 	v.entries = append(v.entries[:0], work...)
 	v.reindex()
 	scr.work = work
-	v.touch()
 }
 
 // MergeCompact is MergeUsing fused into a single pass over the view's
@@ -450,9 +416,7 @@ func (v *View) MergeFreshUsing(incoming []Entry, self core.ID, scr *MergeScratch
 // batches — the only kind a gossip exchange produces (one view's
 // entries plus at most the sender's fresh self entry; views cannot hold
 // duplicates) — which is a precondition here: the scratch variants scan
-// the growing work set per entry, this one does not. When the owner has
-// been consulting AttrOrder it also repairs the attribute-order
-// permutation in place instead of invalidating it.
+// the growing work set per entry, this one does not.
 func (v *View) MergeCompact(incoming []Entry, self core.ID, scr *MergeScratch) {
 	v.mergeCompact(incoming, self, scr, nil)
 }
@@ -466,13 +430,6 @@ func (v *View) MergeCompact(incoming []Entry, self core.ID, scr *MergeScratch) {
 func (v *View) MergeReply(incoming []Entry, self core.ID, scr *MergeScratch, replyDst []Entry) int {
 	return v.mergeCompact(incoming, self, scr, replyDst)
 }
-
-// mergeOrdBudget bounds the incremental permutation repair: past this
-// many admitted entries an insertion-repair approaches the cost of the
-// full rebuild, so the permutation is left stale for AttrOrder's lazy
-// fallback instead — which only runs if the owner actually consults it,
-// and converged nodes never do.
-const mergeOrdBudget = 8
 
 func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, replyDst []Entry) int {
 	n0 := len(v.entries)
@@ -533,24 +490,11 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 	if replyDst != nil {
 		replyLen = copy(replyDst, v.entries)
 	}
-	// Repair the attribute-order permutation only when it is current,
-	// the owner has been consulting it (credit), and the admitted batch
-	// is small enough that insertion repair undercuts the rebuild the
-	// owner's next consult would pay (budget). Cyclon's big mid-exchange
-	// batches fall through to the lazy rebuild; the trickle merges of a
-	// converging neighborhood repair in place.
-	ordValid := v.ord != nil && v.ordGen == v.gen && v.ordCredit > 0 &&
-		len(fresh) <= mergeOrdBudget
-	if ordValid {
-		v.ordCredit--
-	}
 	// Placeholder upgrades replace in place: same ID, real data. They
 	// join the trim below with their new ages, as the scratch path's
-	// work set did. An upgrade moves within the attribute order, so it
-	// spends the maintained permutation (rare: bootstrap edges only).
+	// work set did.
 	for k, ix := range upgIx {
 		v.entries[ix] = upgEnt[k]
-		ordValid = false
 	}
 	k := n0 + len(fresh) - v.capacity
 	if k <= 0 {
@@ -560,18 +504,11 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 			v.entries = append(v.entries, e)
 			v.ids = append(v.ids, e.ID)
 		}
-		v.touch()
-		if ordValid {
-			for i := n0; i < len(v.entries); i++ {
-				v.ordInsert(int16(i))
-			}
-			v.ordGen = v.gen
-		}
 		return replyLen
 	}
-	// Trim: find the k-th-largest-age threshold over the union — the
-	// same histogram walk (or exact fallback) trimOldestEntries runs —
-	// then compact survivors in place: existing entries first, admitted
+	// Trim: find the k-th-largest-age threshold over the union (the
+	// histogram walk, or the exact fallback past trimMaxAge), then
+	// compact survivors in place: existing entries first, admitted
 	// entries appended, the at-threshold quota consumed earliest-stored
 	// first. That is removeByThreshold's order over [existing..., new...].
 	// The classify loops above already counted the union's age multiset;
@@ -585,99 +522,58 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 	} else {
 		thresh, quota = unionTrimThreshold(v.entries, fresh, k, &scr.ages, hist)
 	}
-	var remap []int16
-	if ordValid {
-		if cap(scr.remap) < n0 {
-			scr.remap = make([]int16, n0+8)
-		}
-		remap = scr.remap[:n0]
-	}
 	ent := v.entries[:cap(v.entries)]
 	ids := v.ids[:cap(v.ids)]
 	w := 0
-	firstFresh := 0
-	if remap == nil {
-		// Branch-free compaction: the age tests are data-random, so a
-		// predicated write-always/advance-conditionally loop beats
-		// branching (the rankMembers reasoning). The store is guarded by
-		// `w < len(ent)` — the arena block is exactly sized, so once the
-		// survivors fill it the (now pointless) stores must stop. That
-		// branch flips at most once per merge, so it predicts perfectly,
-		// while the data-random age tests stay predicated. Compaction is
-		// in place: the write cursor w never passes the read cursor, and
-		// the fresh entries live in scratch. Semantics are identical to
-		// the branchy remap loop below: evict over-threshold ages plus
-		// the first `quota` at-threshold entries in storage order.
-		for i := 0; i < n0; i++ {
-			e := ent[i]
-			var older, at, hasQ int
-			if e.Age > thresh {
-				older = 1
-			}
-			if e.Age == thresh {
-				at = 1
-			}
-			if quota > 0 {
-				hasQ = 1
-			}
-			use := at & hasQ
-			quota -= use
-			if w < len(ent) {
-				ent[w] = e
-				ids[w] = e.ID
-			}
-			w += 1 - (older | use)
+	// Branch-free compaction: the age tests are data-random, so a
+	// predicated write-always/advance-conditionally loop beats
+	// branching (the rankMembers reasoning). The store is guarded by
+	// `w < len(ent)` — the arena block is exactly sized, so once the
+	// survivors fill it the (now pointless) stores must stop. That
+	// branch flips at most once per merge, so it predicts perfectly,
+	// while the data-random age tests stay predicated. Compaction is
+	// in place: the write cursor w never passes the read cursor, and
+	// the fresh entries live in scratch. Semantics are
+	// removeByThreshold's: evict over-threshold ages plus the first
+	// `quota` at-threshold entries in storage order.
+	for i := 0; i < n0; i++ {
+		e := ent[i]
+		var older, at, hasQ int
+		if e.Age > thresh {
+			older = 1
 		}
-		firstFresh = w
-		for _, e := range fresh {
-			var older, at, hasQ int
-			if e.Age > thresh {
-				older = 1
-			}
-			if e.Age == thresh {
-				at = 1
-			}
-			if quota > 0 {
-				hasQ = 1
-			}
-			use := at & hasQ
-			quota -= use
-			if w < len(ent) {
-				ent[w] = e
-				ids[w] = e.ID
-			}
-			w += 1 - (older | use)
+		if e.Age == thresh {
+			at = 1
 		}
-	} else {
-		for i := 0; i < n0; i++ {
-			e := ent[i]
-			if e.Age > thresh {
-				remap[i] = -1
-				continue
-			}
-			if e.Age == thresh && quota > 0 {
-				quota--
-				remap[i] = -1
-				continue
-			}
+		if quota > 0 {
+			hasQ = 1
+		}
+		use := at & hasQ
+		quota -= use
+		if w < len(ent) {
 			ent[w] = e
 			ids[w] = e.ID
-			remap[i] = int16(w)
-			w++
 		}
-		firstFresh = w
-		for _, e := range fresh {
-			if e.Age > thresh {
-				continue
-			}
-			if e.Age == thresh && quota > 0 {
-				quota--
-				continue
-			}
+		w += 1 - (older | use)
+	}
+	for _, e := range fresh {
+		var older, at, hasQ int
+		if e.Age > thresh {
+			older = 1
+		}
+		if e.Age == thresh {
+			at = 1
+		}
+		if quota > 0 {
+			hasQ = 1
+		}
+		use := at & hasQ
+		quota -= use
+		if w < len(ent) {
 			ent[w] = e
 			ids[w] = e.ID
-			w++
 		}
+		w += 1 - (older | use)
 	}
 	v.entries = ent[:w]
 	v.ids = ids[:w]
@@ -691,18 +587,22 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 		}
 		clear(ids[w:hi])
 	}
-	v.touch()
-	if ordValid {
-		v.repairOrd(remap, firstFresh, w)
-		v.ordGen = v.gen
-	}
 	return replyLen
 }
 
-// unionTrimThreshold computes trimOldestEntries' eviction threshold and
-// at-threshold quota over the union of two entry sets without
-// materializing it: the age histogram (and the exact over-limit
-// fallback) sees the same age multiset either way.
+// unionTrimThreshold finds what removing the k oldest entries of the
+// union a∪b means: the k-th-largest age, and how many entries aged
+// exactly that must go with everything older. removeByThreshold (or
+// mergeCompact's in-place twin) then leaves exactly the survivors k
+// repeated evictOldest calls would, in one pass instead of O(k·n) with a
+// memmove per eviction — every gossip merge over-fills the view by up to
+// capacity+1 entries. The threshold comes from a small counting
+// histogram: gossiped entries are nearly always young (an entry older
+// than the view turnover time has long been evicted), so ages
+// concentrate near zero and the O(n + trimMaxAge) count beats any
+// comparison select. The union is never materialized: the histogram
+// (and the exact over-limit fallback) sees the same age multiset either
+// way. Requires 0 < k ≤ len(a)+len(b).
 func unionTrimThreshold(a, b []Entry, k int, ageScratch *[]uint32, hist *[trimMaxAge + 1]int32) (uint32, int) {
 	// hist is persistent per-worker scratch: a first cheap pass finds the
 	// union's max in-range age, and only that prefix is cleared, counted,
@@ -747,8 +647,8 @@ func unionTrimThreshold(a, b []Entry, k int, ageScratch *[]uint32, hist *[trimMa
 // standalone first.
 func thresholdFromHist(hist *[trimMaxAge + 1]int32, mx uint32, over, k int, a, b []Entry, ageScratch *[]uint32) (uint32, int) {
 	if k <= over {
-		// Threshold falls among the (rare) over-limit ages: resolve it
-		// exactly, as trimOldestExactEntries does.
+		// Threshold falls among the (rare) over-limit ages: a descending
+		// insertion sort of the raw ages finds the exact k-th largest.
 		ages := (*ageScratch)[:0]
 		for i := range a {
 			ages = append(ages, a[i].Age)
@@ -789,62 +689,15 @@ func indexOf(ids []core.ID, id core.ID) int {
 	return -1
 }
 
-// trimBuckets histograms ages 0..trimMaxAge; older ages (and the
-// AgeUnknown placeholder marker) clamp into the overflow bucket.
+// trimMaxAge is the trim histogram's last bucket; older ages (and the
+// AgeUnknown placeholder marker) are only counted as over-limit.
 const trimMaxAge = 63
-
-// trimOldestEntries removes the k oldest entries in one compaction
-// pass, producing exactly the survivors k repeated evictOldest calls
-// would leave (entries strictly older than the k-th-largest age all go;
-// ties at that age go earliest-stored first) while preserving the
-// survivors' order. Repeated evictOldest is O(k·n) with a memmove per
-// eviction — measurably the hottest membership cost at simulation
-// scale, since every gossip merge over-fills the view by up to
-// capacity+1 entries. The k-th-largest-age threshold comes from a small
-// counting histogram: gossiped entries are nearly always young (an
-// entry older than the view turnover time has long been evicted), so
-// ages concentrate near zero and the O(n + trimMaxAge) count beats any
-// comparison select.
-func trimOldestEntries(entries []Entry, k int, ageScratch *[]uint32) []Entry {
-	if k <= 0 {
-		return entries
-	}
-	var buckets [trimMaxAge + 2]int32
-	for _, e := range entries {
-		a := e.Age
-		if a > trimMaxAge {
-			a = trimMaxAge + 1
-		}
-		buckets[a]++
-	}
-	// Walk from the oldest bucket down, accumulating until the k-th
-	// largest age is covered.
-	if k <= int(buckets[trimMaxAge+1]) {
-		// The threshold falls inside the clamped bucket: resolve it
-		// exactly among the (rare) over-limit ages.
-		return trimOldestExactEntries(entries, k, ageScratch)
-	}
-	// Every over-limit entry ranks above any in-range age; all of them
-	// go, and the threshold lies in the in-range buckets.
-	thresh := uint32(0)
-	removeAtThresh := 0
-	remaining := k - int(buckets[trimMaxAge+1])
-	for a := trimMaxAge; a >= 0; a-- {
-		n := int(buckets[a])
-		if remaining <= n {
-			thresh = uint32(a)
-			removeAtThresh = remaining
-			break
-		}
-		remaining -= n
-	}
-	return removeByThreshold(entries, thresh, removeAtThresh)
-}
 
 // removeByThreshold drops every entry older than thresh plus the first
 // removeAtThresh entries aged exactly thresh, preserving the survivors'
-// order — the shared compaction of both trim paths, encoding the
-// evictOldest tie-break (earliest-stored goes first) exactly once.
+// order: the scratch merge's compaction, spelling out the evictOldest
+// tie-break (earliest-stored goes first) that mergeCompact's predicated
+// loop must match.
 func removeByThreshold(entries []Entry, thresh uint32, removeAtThresh int) []Entry {
 	kept := entries[:0]
 	for _, e := range entries {
@@ -860,28 +713,8 @@ func removeByThreshold(entries []Entry, thresh uint32, removeAtThresh int) []Ent
 	return kept
 }
 
-// trimOldestExactEntries is trimOldestEntries' fallback when the age
-// threshold lands beyond trimMaxAge: a descending insertion sort of the
-// raw ages finds the exact k-th largest.
-func trimOldestExactEntries(entries []Entry, k int, ageScratch *[]uint32) []Entry {
-	ages := (*ageScratch)[:0]
-	for _, e := range entries {
-		ages = append(ages, e.Age)
-	}
-	*ageScratch = ages
-	sortAgesDesc(ages)
-	thresh := ages[k-1]
-	removeAtThresh := 0
-	for _, a := range ages[:k] {
-		if a == thresh {
-			removeAtThresh++
-		}
-	}
-	return removeByThreshold(entries, thresh, removeAtThresh)
-}
-
-// sortAgesDesc is the descending insertion sort both exact trim paths
-// share; view-sized inputs are far below any cutover to a fancier sort.
+// sortAgesDesc is thresholdFromHist's descending insertion sort;
+// view-sized inputs are far below any cutover to a fancier sort.
 func sortAgesDesc(ages []uint32) {
 	for i := 1; i < len(ages); i++ {
 		a := ages[i]
@@ -907,117 +740,18 @@ func (v *View) reindex() {
 	}
 }
 
-// AttrOrder returns the view's (attr, id)-ascending permutation:
-// ord[k] is the index of the k-th entry in attribute order, ties broken
-// by ID — a strict total order, so positions equal counted ranks. The
-// permutation is maintained lazily: fused merges repair it in place
-// when the delta is small, any other mutation just advances the
-// generation stamp, and a stale permutation is rebuilt here by one
-// bounded insertion sort. Valid until the next mutating call.
-func (v *View) AttrOrder() []int16 {
-	if v.ord == nil || v.ordGen != v.gen {
-		v.rebuildOrd()
-	}
-	v.ordCredit = ordCreditFull
-	return v.ord
-}
-
-// AttrOrderIfValid returns the (attr, id) permutation only when it is
-// already current, recharging the repair credit; it never rebuilds. A
-// nil return tells the caller to fall back to its own fused/local sort
-// — at gossip scale view overlap is tiny, so the merge repair budget is
-// routinely exceeded and a local sort of c indices is cheaper than
-// rebuilding the permutation in place every tick.
-func (v *View) AttrOrderIfValid() []int16 {
-	if v.ord == nil || v.ordGen != v.gen {
-		return nil
-	}
-	v.ordCredit = ordCreditFull
-	return v.ord
-}
-
-// ordCreditFull covers the merges one gossip cycle lands on a view
-// (its own request/reply absorption plus a typical responder's load)
-// with headroom, so a consulted-every-cycle permutation never lapses
-// into a rebuild, while an unconsulted one stops being repaired after
-// about a cycle.
-const ordCreditFull = 6
-
-func (v *View) rebuildOrd() {
-	if v.ord == nil {
-		v.ord = make([]int16, 0, v.capacity)
-	}
-	v.ord = v.ord[:0]
-	for i := range v.entries {
-		v.ordInsert(int16(i))
-	}
-	v.ordGen = v.gen
-}
-
-// ordInsert places entry index ix into the permutation by binary
-// search + shift.
-func (v *View) ordInsert(ix int16) {
-	e := &v.entries[ix]
-	lo, hi := 0, len(v.ord)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if entryBefore(&v.entries[v.ord[mid]], e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	v.ord = append(v.ord, 0)
-	copy(v.ord[lo+1:], v.ord[lo:])
-	v.ord[lo] = ix
-}
-
-// repairOrd renumbers the permutation through a compaction's old→new
-// index map, dropping evicted entries, then inserts the admitted tail
-// [firstFresh, w).
-func (v *View) repairOrd(remap []int16, firstFresh, w int) {
-	ord := v.ord
-	out := 0
-	for _, oi := range ord {
-		ni := remap[oi]
-		if ni < 0 {
-			continue
-		}
-		ord[out] = ni
-		out++
-	}
-	v.ord = ord[:out]
-	for i := firstFresh; i < w; i++ {
-		v.ordInsert(int16(i))
-	}
-}
-
-// entryBefore is the strict (attr, id) order underlying AttrOrder.
-func entryBefore(a, b *Entry) bool {
-	if a.Attr != b.Attr {
-		return a.Attr < b.Attr
-	}
-	return a.ID < b.ID
-}
-
 // Rebind moves the view's contents onto new backing storage — an arena
 // block (see Arena.Block) passed as zero-length slices with capacity of
 // at least the current length. Overlapping old and new storage is fine
 // (churn's swap-delete moves a view between slots of the same arena);
 // the copies are memmove-safe. The new ID block's tail is re-zeroed —
 // the target slot may have belonged to a departed node with a longer
-// view — and the permutation moves along with its validity stamp.
-func (v *View) Rebind(entries []Entry, ids []core.ID, ord []int16) {
+// view. The third block is ignored, as in NewBound.
+func (v *View) Rebind(entries []Entry, ids []core.ID, _ []int16) {
 	v.entries = append(entries, v.entries...)
 	nids := append(ids, v.ids...)
 	clear(nids[len(nids):cap(nids)])
 	v.ids = nids
-	if v.ord != nil {
-		v.ord = append(ord, v.ord...)
-	} else {
-		v.ord = ord[:0]
-		v.ordGen = v.gen - 1 // no permutation yet: storage present, stale
-	}
 }
 
 // Clone returns a deep copy of the view.
@@ -1042,9 +776,8 @@ func (v *View) IDs() []core.ID {
 }
 
 // Validate checks the view invariants: unique IDs, size within
-// capacity, the packed mirror in lockstep with its tail zeroed, and —
-// when the generation stamps declare it valid — the attribute-order
-// permutation sorted and complete. It is exercised by property tests.
+// capacity, and the packed mirror in lockstep with its tail zeroed. It
+// is exercised by property tests.
 func (v *View) Validate() error {
 	if len(v.entries) > v.capacity {
 		return fmt.Errorf("view: %d entries exceed capacity %d", len(v.entries), v.capacity)
@@ -1068,21 +801,6 @@ func (v *View) Validate() error {
 	for i, w := range tail {
 		if w != 0 {
 			return fmt.Errorf("view: id mirror tail not zeroed at +%d: %v", i, w)
-		}
-	}
-	if v.ord != nil && v.ordGen == v.gen {
-		if len(v.ord) != len(v.entries) {
-			return fmt.Errorf("view: attr order has %d entries, view %d", len(v.ord), len(v.entries))
-		}
-		used := make(map[int16]bool, len(v.ord))
-		for k, ix := range v.ord {
-			if int(ix) >= len(v.entries) || ix < 0 || used[ix] {
-				return fmt.Errorf("view: attr order not a permutation at %d: %d", k, ix)
-			}
-			used[ix] = true
-			if k > 0 && entryBefore(&v.entries[ix], &v.entries[v.ord[k-1]]) {
-				return fmt.Errorf("view: attr order out of order at %d", k)
-			}
 		}
 	}
 	return nil

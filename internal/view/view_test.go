@@ -285,10 +285,13 @@ func TestViewInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
-// TestTrimOldestMatchesRepeatedEviction pins the single-pass trim to
-// its reference semantics: k repeated evictOldest calls (first-stored
-// entry wins age ties), including ages beyond the histogram range and
-// AgeUnknown placeholders, which exercise the exact-selection fallback.
+// TestTrimOldestMatchesRepeatedEviction pins the single-pass trim
+// (unionTrimThreshold + removeByThreshold) to its reference semantics:
+// k repeated evictOldest calls (first-stored entry wins age ties),
+// including ages beyond the histogram range and AgeUnknown placeholders,
+// which exercise the exact-selection fallback. The threshold is taken
+// over a random two-way split of the entries, down to an empty second
+// half — the shape MergeUsing passes.
 func TestTrimOldestMatchesRepeatedEviction(t *testing.T) {
 	ageAt := func(rng *rand.Rand) uint32 {
 		switch rng.Intn(6) {
@@ -309,8 +312,11 @@ func TestTrimOldestMatchesRepeatedEviction(t *testing.T) {
 			entries[i] = Entry{ID: core.ID(i + 1), Age: ageAt(rng)}
 		}
 		var ages []uint32
+		var hist [trimMaxAge + 1]int32
+		split := 1 + rng.Intn(n)
+		thresh, quota := unionTrimThreshold(entries[:split], entries[split:], k, &ages, &hist)
 		fast := &View{capacity: n}
-		fast.entries = trimOldestEntries(append([]Entry(nil), entries...), k, &ages)
+		fast.entries = removeByThreshold(append([]Entry(nil), entries...), thresh, quota)
 		fast.reindex()
 		slow := &View{capacity: n, entries: append([]Entry(nil), entries...)}
 		slow.reindex()

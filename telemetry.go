@@ -5,7 +5,7 @@ package slicing
 //
 // internal/telemetry is a stdlib-only metrics plane — atomic counters,
 // gauges and fixed-bucket histograms behind a hand-rolled Prometheus
-// text-format handler — plus a lock-free ring of protocol decision
+// text-format handler — plus a fixed-capacity ring of protocol decision
 // events. This section re-exports the two consumer-facing pieces: the
 // registry a caller attaches to a node or cluster (WithTelemetry) and
 // the trace ring (WithTrace). Registry.Handler() serves the scrape
@@ -22,7 +22,7 @@ type (
 	// with Prometheus text-format exposition (Handler) and expvar
 	// mirroring (PublishExpvar).
 	Telemetry = telemetry.Registry
-	// TraceRing is a bounded lock-free buffer of protocol decision
+	// TraceRing is a bounded buffer of protocol decision
 	// events; full rings overwrite oldest-first.
 	TraceRing = telemetry.TraceRing
 	// TraceEvent is one recorded protocol decision.
