@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serial bench bench-check profile lint ci
+.PHONY: all build test test-serial bench bench-check fuzz profile lint ci
 
 all: build
 
@@ -39,11 +39,28 @@ bench-check:
 	cd benchmark && $(GO) test ./...
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' ./...
 
+# Every Fuzz* target for FUZZTIME each, mutating from the corpus under
+# its package's testdata/fuzz/ (which plain `go test` already replays).
+# `go test -fuzz` takes one package and one target at a time. Not part
+# of `make ci`: a crasher it finds is committed as a corpus entry with
+# its fix.
+FUZZTIME ?= 30s
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
+
 # Where the time and the bytes go inside one run (the benchmark says how
 # much there is): capture CPU + heap profiles of a spec (defaults: the
-# N=100k ordering run, 10 cycles, serial engine) and print the top-20
-# flat CPU report and the top-10 in-use heap report, e.g.
+# N=100k runs, 10 cycles, serial engine) and print the top-20 flat and
+# top-15 cumulative CPU reports and the top-10 in-use heap report, e.g.
 #   make profile PROFILE_SPEC=scale-1m PROFILE_CYCLES=5
+# -workers 1 runs the spec's variants one after another: two at a time,
+# one cpu.prof interleaves an ordering and a ranking engine and every
+# hotspot reads at half its share of the run it belongs to.
 # The heap profile is taken at the end of the last run while its engine
 # is still alive; a profile with under 1 MB in use allocated from
 # internal/ means the capture missed it, and the target fails (`make ci`
@@ -55,9 +72,10 @@ PROFILE_CYCLES ?= 10
 PROFILE_SIMWORKERS ?= 1
 profile:
 	$(GO) run ./cmd/slicebench run $(PROFILE_SPEC) -cycles $(PROFILE_CYCLES) \
-		-simworkers $(PROFILE_SIMWORKERS) -cpuprofile cpu.prof -memprofile mem.prof \
+		-workers 1 -simworkers $(PROFILE_SIMWORKERS) -cpuprofile cpu.prof -memprofile mem.prof \
 		-format csv
 	$(GO) tool pprof -top -nodecount=20 cpu.prof
+	$(GO) tool pprof -top -cum -nodecount=15 cpu.prof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 mem.prof
 	@$(GO) tool pprof -sample_index=inuse_space -top -unit=B -nodefraction=0 \
 		-focus='slicing/internal/' mem.prof | \

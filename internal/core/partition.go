@@ -21,12 +21,43 @@ var (
 // covering the whole normalized rank domain (0,1]. Per the paper (§3.2)
 // the partition is global knowledge: every node knows it.
 //
-// The zero value is not a usable partition; construct one with Equal or
-// NewPartition.
+// A Partition is one pointer to an immutable table built by Equal or
+// NewPartition, so copies are cheap and share it. The zero value is the
+// single slice (0,1].
 type Partition struct {
+	t *partitionTable
+}
+
+// partitionTable is what every copy of a Partition shares. The grid
+// turns "how many boundaries lie strictly below r" — the one question
+// behind Index and NearestBoundary, asked per neighbor per cycle by the
+// ranking tick — into one load plus a short walk.
+type partitionTable struct {
 	// bounds holds the interior boundaries, strictly increasing, inside
 	// (0,1). A partition with k slices has k-1 interior boundaries.
 	bounds []float64
+	// grid[g] is the number of boundaries strictly below g/cells, for
+	// g in [0, cells]. cells is a power of two, so r·cells and g/cells
+	// are exact and the grid agrees with comparisons on the boundaries
+	// themselves for every float64.
+	grid  []int32
+	cells float64
+}
+
+// newPartition indexes boundaries that are already sorted and validated.
+func newPartition(bounds []float64) Partition {
+	cells := 4
+	for cells < 4*(len(bounds)+1) {
+		cells *= 2
+	}
+	t := &partitionTable{bounds: bounds, grid: make([]int32, cells+1), cells: float64(cells)}
+	for _, b := range bounds {
+		t.grid[int(b*t.cells)+1]++
+	}
+	for g := 1; g <= cells; g++ {
+		t.grid[g] += t.grid[g-1]
+	}
+	return Partition{t: t}
 }
 
 // Equal returns a partition of k equally sized slices.
@@ -38,7 +69,7 @@ func Equal(k int) (Partition, error) {
 	for i := 1; i < k; i++ {
 		bounds[i-1] = float64(i) / float64(k)
 	}
-	return Partition{bounds: bounds}, nil
+	return newPartition(bounds), nil
 }
 
 // MustEqual is Equal for static configuration; it panics on error.
@@ -65,20 +96,50 @@ func NewPartition(bounds ...float64) (Partition, error) {
 			return Partition{}, fmt.Errorf("%w: duplicate boundary %v", ErrBadBoundary, b)
 		}
 	}
-	return Partition{bounds: sorted}, nil
+	return newPartition(sorted), nil
+}
+
+// interior returns the interior boundaries (shared, not a copy).
+func (p Partition) interior() []float64 {
+	if p.t == nil {
+		return nil
+	}
+	return p.t.bounds
+}
+
+// below returns the number of interior boundaries strictly below r:
+// the first i with bounds[i] >= r, or len(bounds) when there is none
+// (r ≥ 1, +Inf, and NaN, which no boundary is ≥).
+func (p Partition) below(r float64) int {
+	t := p.t
+	if t == nil || r <= 0 {
+		return 0
+	}
+	if !(r < 1) {
+		return len(t.bounds)
+	}
+	// g/cells ≤ r < (g+1)/cells: at least grid[g] boundaries lie below
+	// r and at most grid[g+1]; the ones between share r's cell.
+	g := int(r * t.cells)
+	i, hi := int(t.grid[g]), int(t.grid[g+1])
+	for i < hi && t.bounds[i] < r {
+		i++
+	}
+	return i
 }
 
 // Len returns the number of slices.
-func (p Partition) Len() int { return len(p.bounds) + 1 }
+func (p Partition) Len() int { return len(p.interior()) + 1 }
 
 // Slice returns the i-th slice (0-based).
 func (p Partition) Slice(i int) Slice {
+	bounds := p.interior()
 	low, high := 0.0, 1.0
 	if i > 0 {
-		low = p.bounds[i-1]
+		low = bounds[i-1]
 	}
-	if i < len(p.bounds) {
-		high = p.bounds[i]
+	if i < len(bounds) {
+		high = bounds[i]
 	}
 	return Slice{Low: low, High: high}
 }
@@ -98,13 +159,10 @@ func (p Partition) Slices() []Slice {
 // slice, as every node must always report some slice.
 func (p Partition) Index(r float64) int {
 	// The slice containing r is the first one whose upper boundary is ≥ r,
-	// i.e. the number of interior boundaries strictly below r.
-	i := sort.SearchFloat64s(p.bounds, r)
-	// SearchFloat64s returns the first index with bounds[i] >= r. A rank
+	// i.e. the number of interior boundaries strictly below r. A rank
 	// exactly on a boundary belongs to the lower slice ((l,u] intervals),
-	// which is precisely index i. Ranks beyond 1 clamp automatically
-	// because i never exceeds len(bounds).
-	return i
+	// and ranks beyond 1 clamp because below never exceeds len(bounds).
+	return p.below(r)
 }
 
 // Of returns the slice containing normalized rank r (clamped like Index).
@@ -112,9 +170,7 @@ func (p Partition) Of(r float64) Slice { return p.Slice(p.Index(r)) }
 
 // Boundaries returns the interior boundaries (a copy).
 func (p Partition) Boundaries() []float64 {
-	out := make([]float64, len(p.bounds))
-	copy(out, p.bounds)
-	return out
+	return append([]float64(nil), p.interior()...)
 }
 
 // NearestBoundary returns the interior boundary closest to rank r and the
@@ -126,29 +182,13 @@ func (p Partition) Boundaries() []float64 {
 // NearestBoundary returns (NaN, +Inf): no node is ever "close to a
 // boundary".
 func (p Partition) NearestBoundary(r float64) (boundary, dist float64) {
-	if len(p.bounds) == 0 {
-		return math.NaN(), math.Inf(1)
-	}
-	// Manual binary search with sort.SearchFloat64s's exact predicate
-	// (bounds[i] >= r, so a NaN rank still resolves to len(bounds)):
-	// the ranking tick calls this per neighbor per cycle, and the
-	// sort.Search closure costs a non-inlinable call per probe.
-	lo, hi := 0, len(p.bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if !(p.bounds[mid] >= r) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	i := lo
+	bounds, i := p.interior(), p.below(r)
 	boundary, dist = math.NaN(), math.Inf(1)
-	if i < len(p.bounds) {
-		boundary, dist = p.bounds[i], p.bounds[i]-r
+	if i < len(bounds) {
+		boundary, dist = bounds[i], bounds[i]-r
 	}
-	if i > 0 && r-p.bounds[i-1] < dist {
-		boundary, dist = p.bounds[i-1], r-p.bounds[i-1]
+	if i > 0 && r-bounds[i-1] < dist {
+		boundary, dist = bounds[i-1], r-bounds[i-1]
 	}
 	return boundary, dist
 }
@@ -172,12 +212,13 @@ func (p Partition) SliceDistance(act, est int) float64 {
 // Validate checks internal invariants; it is primarily exercised by
 // property tests.
 func (p Partition) Validate() error {
-	for i, b := range p.bounds {
+	bounds := p.interior()
+	for i, b := range bounds {
 		if b <= 0 || b >= 1 {
 			return fmt.Errorf("%w: %v", ErrBadBoundary, b)
 		}
-		if i > 0 && p.bounds[i-1] >= b {
-			return fmt.Errorf("%w: %v after %v", ErrBadBoundary, b, p.bounds[i-1])
+		if i > 0 && bounds[i-1] >= b {
+			return fmt.Errorf("%w: %v after %v", ErrBadBoundary, b, bounds[i-1])
 		}
 	}
 	return nil

@@ -19,8 +19,8 @@ func TestNodeSizeBudget(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"ordering.Node", unsafe.Sizeof(ordering.Node{}), 128},
-		{"ranking.Node", unsafe.Sizeof(ranking.Node{}), 128},
+		{"ordering.Node", unsafe.Sizeof(ordering.Node{}), 104},
+		{"ranking.Node", unsafe.Sizeof(ranking.Node{}), 96},
 		{"view.View", unsafe.Sizeof(view.View{}), 56},
 	} {
 		if c.got > c.want {
@@ -31,15 +31,15 @@ func TestNodeSizeBudget(t *testing.T) {
 
 // The audited engine bytes per node at N=10k, c=20, Cyclon, once two
 // cycles have touched every staging buffer. The audit is deterministic
-// (slice capacities, not GC state): 1822.6 and 1784.0 when pinned.
+// (slice capacities, not GC state): 1806.6 and 1768.0 when pinned.
 func TestEngineBytesPerNodeBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		proto  ProtocolKind
 		budget float64
 	}{
-		{"ordering", Ordering, 1831},
-		{"ranking", Ranking, 1792},
+		{"ordering", Ordering, 1815},
+		{"ranking", Ranking, 1776},
 	} {
 		e, err := New(Config{
 			N: 10_000, Slices: 100, ViewSize: 20, Protocol: c.proto,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/churn"
+	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/ordering"
@@ -41,6 +42,12 @@ func fingerprint(e *Engine) runFingerprint {
 func invarianceConfigs() map[string]Config {
 	attr := dist.Uniform{Lo: 0, Hi: 1000}
 	flat := churn.Flat{JoinRate: 0.02, LeaveRate: 0.02}
+	// Three boundaries inside one cell of the partition's lookup grid,
+	// then one wide slice: the only config whose slices are not equal.
+	clustered, err := core.NewPartition(0.05, 0.0625, 0.07, 0.8)
+	if err != nil {
+		panic(err)
+	}
 	return map[string]Config{
 		"ordering/modjk/cyclon": {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
@@ -68,6 +75,10 @@ func invarianceConfigs() map[string]Config {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ranking,
 			AttrDist: attr, Seed: 14,
 			Schedule: flat, Pattern: churn.Correlated{Spread: 10},
+		},
+		"ranking/cyclon/custom-partition": {
+			N: 400, Partition: &clustered, ViewSize: 12, Protocol: Ranking,
+			AttrDist: attr, Seed: 19,
 		},
 		"ranking/uniform/window/churn": {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ranking,

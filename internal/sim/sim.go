@@ -397,7 +397,7 @@ type Engine struct {
 	// Slice-index cache for the fast measurement path (ordering runs):
 	// sliceR[s] is the coordinate sliceIdx[s] was computed from (NaN =
 	// never computed), so a converged node's partition lookup is one
-	// float compare per cycle instead of a binary search. slotBelieved
+	// float compare per cycle instead of a partition lookup. slotBelieved
 	// stages the per-slot believed slice of the current measurement in
 	// slot order before the members-order gather.
 	sliceR       []float64
