@@ -1,10 +1,5 @@
-// Benchmarks regenerating every figure and analytic result of the
-// paper's evaluation (one benchmark per figure, reporting the final SDM
-// as a custom metric), the ablation benches called out in DESIGN.md §5,
-// and micro-benchmarks of the hot paths.
-//
-// Figure benches run at a reduced scale so the whole suite completes in
-// minutes; cmd/slicesim regenerates the same experiments at paper scale.
+// The ablation benches called out in DESIGN.md §5 and micro-benchmarks
+// of the hot paths.
 package slicing_test
 
 import (
@@ -12,100 +7,7 @@ import (
 	"testing"
 
 	slicing "github.com/gossipkit/slicing"
-	"github.com/gossipkit/slicing/internal/experiments"
 )
-
-const benchScale = 0.02 // 200 nodes, proportional cycle counts
-
-func reportFinal(b *testing.B, res *experiments.Result) {
-	b.Helper()
-	for _, s := range res.Series {
-		if p, ok := s.Last(); ok {
-			b.ReportMetric(p.Value, "final-"+s.Name)
-		}
-	}
-}
-
-func benchFigure(b *testing.B, name string) {
-	fn, err := experiments.Lookup(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var last *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res, err := fn(experiments.Options{Scale: benchScale, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	reportFinal(b, last)
-}
-
-// BenchmarkFig4a regenerates Figure 4(a): GDM vs SDM for mod-JK.
-func BenchmarkFig4a(b *testing.B) { benchFigure(b, "fig4a") }
-
-// BenchmarkFig4b regenerates Figure 4(b): JK vs mod-JK convergence.
-func BenchmarkFig4b(b *testing.B) { benchFigure(b, "fig4b") }
-
-// BenchmarkFig4c regenerates Figure 4(c): unsuccessful swaps under
-// concurrency.
-func BenchmarkFig4c(b *testing.B) { benchFigure(b, "fig4c") }
-
-// BenchmarkFig4d regenerates Figure 4(d): convergence under full
-// concurrency.
-func BenchmarkFig4d(b *testing.B) { benchFigure(b, "fig4d") }
-
-// BenchmarkFig6a regenerates Figure 6(a): ordering vs ranking, static.
-func BenchmarkFig6a(b *testing.B) { benchFigure(b, "fig6a") }
-
-// BenchmarkFig6b regenerates Figure 6(b): Cyclon views vs uniform oracle.
-func BenchmarkFig6b(b *testing.B) { benchFigure(b, "fig6b") }
-
-// BenchmarkFig6c regenerates Figure 6(c): churn burst recovery.
-func BenchmarkFig6c(b *testing.B) { benchFigure(b, "fig6c") }
-
-// BenchmarkFig6d regenerates Figure 6(d): sustained churn and the
-// sliding window.
-func BenchmarkFig6d(b *testing.B) { benchFigure(b, "fig6d") }
-
-// BenchmarkDrift regenerates the value-drift extension experiment.
-func BenchmarkDrift(b *testing.B) { benchFigure(b, "drift") }
-
-// BenchmarkHeavyTail regenerates the Pareto analytic-vs-simulated
-// extension experiment.
-func BenchmarkHeavyTail(b *testing.B) { benchFigure(b, "heavytail") }
-
-// BenchmarkBimodal regenerates the bimodal-mixture distribution-freeness
-// extension experiment.
-func BenchmarkBimodal(b *testing.B) { benchFigure(b, "bimodal") }
-
-// BenchmarkLemma41 validates the Lemma 4.1 bound table.
-func BenchmarkLemma41(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Lemma41(experiments.Options{Scale: 0.05, Seed: int64(i + 1)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkThm51 validates the Theorem 5.1 sample-size table.
-func BenchmarkThm51(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Thm51(experiments.Options{Scale: 0.2, Seed: int64(i + 1)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvenSplit validates the §4.4 even-split probability table.
-func BenchmarkEvenSplit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.EvenSplit(experiments.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- Ablations (DESIGN.md §5) ---
 

@@ -17,7 +17,9 @@
 //	slicebench trace livecluster -out trace.json
 //
 // run executes one scenario family and prints its SDM curves side by
-// side (table, csv or json). sweep expands a scenario grid — families ×
+// side (table, csv or json), then one PASS/FAIL line per claim the
+// family states about its curves (on stderr with json); a failed claim
+// makes the command exit 1. sweep expands a scenario grid — families ×
 // seed replicas — across a worker pool and emits one summary record per
 // run. Sweep output is deterministic: with -timing=false the same grid
 // and seed produce byte-identical JSON regardless of -workers. The wall
@@ -59,6 +61,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/metrics"
 	"github.com/gossipkit/slicing/internal/scenario"
+	"github.com/gossipkit/slicing/internal/sim"
 	"github.com/gossipkit/slicing/internal/telemetry"
 )
 
@@ -307,9 +310,11 @@ func runOne(args []string, out, errOut io.Writer) error {
 	if *memStats {
 		writeMemStats(errOut, results)
 	}
+	verdictOut := out
 	switch *format {
 	case "json":
-		return scenario.WriteJSON(out, results)
+		err = scenario.WriteJSON(out, results)
+		verdictOut = errOut // keep stdout valid JSON
 	case "csv", "table":
 		fmt.Fprintf(out, "# %s — %s\n", sc.Name, sc.Description)
 		series := make([]metrics.Series, len(results))
@@ -320,12 +325,37 @@ func runOne(args []string, out, errOut io.Writer) error {
 			}
 		}
 		if *format == "csv" {
-			return metrics.WriteCSV(out, "cycle", series...)
+			err = metrics.WriteCSV(out, "cycle", series...)
+		} else {
+			err = writeSeriesTable(out, series)
 		}
-		return writeSeriesTable(out, series)
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
+	if err != nil {
+		return err
+	}
+	return writeVerdicts(verdictOut, sc, results)
+}
+
+// writeVerdicts prints one PASS/FAIL line per claim of the family and
+// fails the command if any claim fails.
+func writeVerdicts(out io.Writer, sc scenario.Scenario, results []scenario.RunResult) error {
+	runs := make(map[string]*sim.Result, len(results))
+	for _, res := range results {
+		runs[res.Spec.Name] = res.Out
+	}
+	failed := 0
+	for _, v := range sc.Check(runs) {
+		fmt.Fprintf(out, "# claim %s\n", v)
+		if !v.Pass {
+			failed++
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d claims of %s failed", failed, len(sc.Claims), sc.Name)
+	}
+	return nil
 }
 
 // captureHeap is the end-of-run heap reading: two collections (the

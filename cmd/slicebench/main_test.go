@@ -106,6 +106,32 @@ func TestRunMemStatsBothBackends(t *testing.T) {
 	}
 }
 
+// run prints one verdict line per claim after the curves, and a failed
+// claim (here: one cycle is too short for GDM to collapse) fails the
+// command, which main turns into exit status 1.
+func TestRunPrintsClaimVerdicts(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"run", "fig4-policies", "-scale", "0.03"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Lookup("fig4-policies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "# claim PASS"); got != len(sc.Claims) || got == 0 {
+		t.Errorf("%d PASS lines for %d claims:\n%s", got, len(sc.Claims), out.String())
+	}
+
+	out.Reset()
+	err = run([]string{"run", "fig4-disorder", "-scale", "0.01", "-cycles", "1"}, &out, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "claims of fig4-disorder failed") {
+		t.Errorf("failed claim returned %v, want an error", err)
+	}
+	if !strings.Contains(out.String(), "# claim FAIL  last(mod-jk.gdm)") {
+		t.Errorf("no FAIL line:\n%s", out.String())
+	}
+}
+
 func TestRunUnknownScenario(t *testing.T) {
 	if err := run([]string{"run", "fig9"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown scenario accepted")
@@ -248,7 +274,7 @@ func TestRunLiveBackendRefusesSimOnly(t *testing.T) {
 // A live sweep over "all" auto-selects the live-capable scenarios.
 func TestSweepLiveBackendAutoFilters(t *testing.T) {
 	var out, errOut bytes.Buffer
-	err := run([]string{"sweep", "-backend", "live", "-scale", "0.05", "-workers", "2", "-quiet"}, &out, &errOut)
+	err := run([]string{"sweep", "-backend", "live", "-scale", "0.01", "-workers", "2", "-quiet"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("%v\nstderr:\n%s", err, errOut.String())
 	}

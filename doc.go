@@ -32,7 +32,7 @@
 //
 //   - Simulated: a deterministic cycle-based engine (the paper's
 //     PeerSim model) via Simulate, reproducing every figure of the
-//     paper's evaluation — see cmd/slicesim.
+//     paper's evaluation — see cmd/slicebench.
 //   - Live: clusters of real protocol participants multiplexed onto a
 //     sharded scheduler via NewCluster (10,000+ gossiping nodes in one
 //     process), or standalone goroutine-per-node processes via NewNode
@@ -84,8 +84,8 @@
 // exposing the analytic CDF and Quantile of its law: Quantile(b) is
 // the true attribute threshold of a slice boundary b, and CDF(x) is
 // the asymptotic normalized rank of attribute x — the closed-form
-// references the skewed-attribute experiments compare simulated
-// populations against.
+// references a skewed-attribute run's slice assignment can be compared
+// against.
 //
 // # Scenarios
 //
@@ -97,11 +97,13 @@
 // into a SimConfig via its Config method. Scenarios, ScenarioNames and
 // LookupScenario expose the catalog; cmd/slicebench lists, runs and
 // sweeps it (scenario grids fan out across a worker pool with
-// deterministic per-run seeds), and the examples and the experiments
-// package are thin wrappers over the same entries. The scale-10k,
-// scale-50k, scale-100k and scale-1m families push the simulation
-// engine well past the paper's N=10,000 evaluation ceiling — both
-// protocols, static and churning, at up to 1,000,000 nodes. The engine
+// deterministic per-run seeds), and the examples are thin wrappers over
+// the same entries. A figure family also states the paper's claims
+// about its curves as data (Scenario.Claims), which `slicebench run`
+// checks on either engine. The scale-10k, scale-50k, scale-100k and
+// scale-1m families push the simulation engine well past the paper's
+// N=10,000 evaluation ceiling — both protocols, static and churning, at
+// up to 1,000,000 nodes. The engine
 // itself is a struct-of-arrays arena: per-node state in parallel slices
 // addressed by slot, all view storage flattened into one backing array,
 // per-worker scratch instead of per-node buffers — ~1.8 kB per node of

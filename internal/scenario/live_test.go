@@ -80,11 +80,12 @@ func TestSimVsLiveConvergence(t *testing.T) {
 
 // Every registry scenario that declares live-backend support runs
 // end-to-end on the live backend at scale 0.1, emitting the same result
-// shape as the sim backend plus the backend tag.
+// shape as the sim backend plus the backend tag. Families with claims
+// are left to TestClaims, which runs them live and checks more.
 func TestLiveScenariosEndToEnd(t *testing.T) {
 	var liveNames []string
 	for _, sc := range All() {
-		if sc.SupportsBackend(BackendLive) {
+		if sc.SupportsBackend(BackendLive) && len(sc.Claims) == 0 {
 			liveNames = append(liveNames, sc.Name)
 		}
 	}

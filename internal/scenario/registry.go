@@ -25,6 +25,9 @@ type Scenario struct {
 	Tags []string `json:"tags,omitempty"`
 	// Specs hold one entry per curve, at paper scale.
 	Specs []Spec `json:"specs"`
+	// Claims state what the family's curves must show (see Check);
+	// `slicebench run` prints a verdict per claim.
+	Claims []Claim `json:"claims,omitempty"`
 }
 
 // SupportsBackend reports whether the family declares the backend. An
@@ -77,6 +80,12 @@ var registry = []Scenario{
 			N: 10000, Slices: 100, ViewSize: 20, Cycles: 200, RecordGDM: true,
 			Attr: uniformAttr(), MinCycles: 60, MinSlices: 10,
 		}},
+		// A residual adjacent transposition can survive a short scaled
+		// run, so GDM must collapse ≥10⁴× rather than reach exactly 0.
+		Claims: []Claim{
+			claim(lastOf("mod-jk", "gdm"), "<=", 1e-4, firstOf("mod-jk", "gdm")),
+			claim(lastOf("mod-jk", "sdm"), ">", 1, Stat{}),
+		},
 	},
 	{
 		Name:        "fig4-policies",
@@ -88,6 +97,10 @@ var registry = []Scenario{
 			{Name: "mod-jk", Protocol: ProtoOrdering, Policy: PolicyModJK,
 				N: 10000, Slices: 10, ViewSize: 20, Cycles: 60, Attr: uniformAttr(), MinCycles: 30},
 		},
+		// mod-JK's area under the SDM curve is no larger than JK's, up to
+		// small-scale noise.
+		Claims:   []Claim{claim(sumOf("mod-jk", "sdm"), "<=", 1.05, sumOf("jk", "sdm"))},
+		Backends: bothBackends(),
 	},
 	{
 		Name:        "fig4-concurrency",
@@ -103,6 +116,10 @@ var registry = []Scenario{
 			{Name: "mod-jk-full", Protocol: ProtoOrdering, Policy: PolicyModJK, Concurrency: 1,
 				N: 10000, Slices: 10, ViewSize: 20, Cycles: 100, Attr: uniformAttr(), MinCycles: 100},
 		},
+		Claims: []Claim{
+			claim(sumOf("jk-full", "unsuccessful%"), ">=", 1, sumOf("jk-half", "unsuccessful%")),
+			claim(sumOf("mod-jk-full", "unsuccessful%"), ">", 1, Stat{}),
+		},
 	},
 	{
 		Name:        "fig4-atomicity",
@@ -114,6 +131,7 @@ var registry = []Scenario{
 			{Name: "full-concurrency", Protocol: ProtoOrdering, Policy: PolicyModJK, Concurrency: 1,
 				N: 10000, Slices: 100, ViewSize: 20, Cycles: 100, Attr: uniformAttr(), MinSlices: 10},
 		},
+		Claims: []Claim{claim(lastOf("full-concurrency", "sdm"), "<", 1, firstOf("full-concurrency", "sdm"))},
 	},
 	{
 		Name:        "fig6-static",
@@ -132,6 +150,8 @@ var registry = []Scenario{
 				N: 10000, Slices: 100, ViewSize: 10, Cycles: 1000, Attr: uniformAttr(),
 				MinCycles: 400, MinSlices: 10},
 		},
+		Claims:   []Claim{claim(lastOf("ranking", "sdm"), "<", 1, lastOf("ordering", "sdm"))},
+		Backends: bothBackends(),
 	},
 	{
 		Name:        "fig6-sampler",
@@ -144,6 +164,10 @@ var registry = []Scenario{
 			{Name: "sdm-views", Protocol: ProtoRanking, Membership: MemCyclon,
 				N: 10000, Slices: 100, ViewSize: 10, Cycles: 1000, Attr: uniformAttr(),
 				MinCycles: 200, MinSlices: 10},
+		},
+		Claims: []Claim{
+			claim(lastOf("sdm-views", "sdm"), ">=", 0.3, lastOf("sdm-uniform", "sdm")),
+			claim(lastOf("sdm-views", "sdm"), "<=", 3, lastOf("sdm-uniform", "sdm")),
 		},
 	},
 	{
@@ -166,6 +190,7 @@ var registry = []Scenario{
 				},
 				MinCycles: 300, MinSlices: 10},
 		},
+		Claims: []Claim{claim(lastOf("ranking", "sdm"), "<", 1, lastOf("jk", "sdm"))},
 	},
 	{
 		Name:        "fig6-steady",
@@ -185,6 +210,11 @@ var registry = []Scenario{
 				Churn:     steadyChurn(),
 				MinCycles: 400, MinSlices: 10},
 		},
+		Claims: []Claim{
+			claim(lastOf("ranking", "sdm"), "<", 1, lastOf("ordering", "sdm")),
+			claim(lastOf("sliding-window", "sdm"), "<=", 1.5, lastOf("ranking", "sdm")),
+		},
+		Backends: bothBackends(),
 	},
 	{
 		Name:        "heavytail",
@@ -199,6 +229,8 @@ var registry = []Scenario{
 				Attr:      DistSpec{Kind: "pareto", Xm: 10, Alpha: 1.2},
 				MinCycles: 200, MinSlices: 10},
 		},
+		Claims:   []Claim{claim(lastOf("sdm-simulated", "sdm"), "<=", 0.5, firstOf("sdm-simulated", "sdm"))},
+		Backends: bothBackends(),
 	},
 	{
 		Name:        "bimodal",
@@ -215,6 +247,13 @@ var registry = []Scenario{
 				N: 10000, Slices: 100, ViewSize: 10, Cycles: 1000, Attr: uniformAttr(),
 				MinCycles: 200, MinSlices: 10},
 		},
+		// The +1 keeps the tracking ratio meaningful near the zero floor.
+		Claims: []Claim{
+			claim(lastOf("sdm-bimodal", "sdm"), "<=", 0.5, firstOf("sdm-bimodal", "sdm")),
+			claim(plusOne(lastOf("sdm-bimodal", "sdm")), "<=", 3, plusOne(lastOf("sdm-uniform", "sdm"))),
+			claim(plusOne(lastOf("sdm-bimodal", "sdm")), ">=", 1.0/3, plusOne(lastOf("sdm-uniform", "sdm"))),
+		},
+		Backends: bothBackends(),
 	},
 	{
 		Name:        "flash-crowd",
@@ -598,6 +637,7 @@ func (sc Scenario) clone() Scenario {
 	sc.Specs = specs
 	sc.Backends = append([]string(nil), sc.Backends...)
 	sc.Tags = append([]string(nil), sc.Tags...)
+	sc.Claims = append([]Claim(nil), sc.Claims...)
 	return sc
 }
 

@@ -155,6 +155,9 @@ type RunResult struct {
 	// switch so DisableTiming keeps sweep output a pure function of the
 	// grid.
 	Mem *sim.MemReport `json:"mem,omitempty"`
+	// Out is the backend's full result, the input of Scenario.Check; it
+	// is not emitted.
+	Out *sim.Result `json:"-"`
 }
 
 // Runner fans runs across a worker pool. The zero value runs on every
@@ -193,6 +196,7 @@ func (r Runner) execute(run Run) RunResult {
 		return res
 	}
 	elapsed := time.Since(start)
+	res.Out = out
 	if last, ok := out.SDM.Last(); ok {
 		res.FinalSDM = last.Value
 	}

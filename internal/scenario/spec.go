@@ -1,5 +1,5 @@
 // Package scenario is the declarative layer between the execution
-// engines and every entry point (CLI, experiments, examples, CI). A
+// engines and every entry point (CLI, examples, CI). A
 // Spec names everything one run needs — protocol and policy, system
 // size, cycles, attribute distribution, churn schedule, membership
 // substrate, seed, metrics cadence, live-runtime tuning — as plain data
@@ -512,7 +512,7 @@ func scaledInt(v int, scale float64, floor int) int {
 // slice count (when MinSlices is set), window size and churn phase
 // lengths shrunk by scale ∈ (0,1], respecting the spec's floors. The
 // qualitative shape of the run — who wins, where curves cross — is
-// preserved; see the experiments package, which runs scaled specs in CI.
+// preserved; TestClaims checks the families' claims on scaled specs.
 func (s Spec) Scaled(scale float64) Spec {
 	if scale >= 1 {
 		return s

@@ -55,30 +55,3 @@ func MinSliceWidth(n int, beta, eps float64) (float64, error) {
 	}
 	return 3 / (beta * beta * float64(n)) * math.Log(2/eps), nil
 }
-
-// ExpectedSlicePopulation returns the mean np and standard deviation
-// √(np(1−p)) of the binomially distributed number of peers whose random
-// value lands in a slice of width p (paper §4.4).
-func ExpectedSlicePopulation(n int, p float64) (mean, stddev float64, err error) {
-	if n < 1 {
-		return math.NaN(), math.NaN(), ErrCount
-	}
-	if p <= 0 || p > 1 || math.IsNaN(p) {
-		return math.NaN(), math.NaN(), ErrWidth
-	}
-	nf := float64(n)
-	return nf * p, math.Sqrt(nf * p * (1 - p)), nil
-}
-
-// RelativeSliceError returns the relative proportional expected deviation
-// √((1−p)/(np)) from the mean slice population (paper §4.4): the paper's
-// observation that small slices have a very large relative error.
-func RelativeSliceError(n int, p float64) (float64, error) {
-	if n < 1 {
-		return math.NaN(), ErrCount
-	}
-	if p <= 0 || p > 1 || math.IsNaN(p) {
-		return math.NaN(), ErrWidth
-	}
-	return math.Sqrt((1 - p) / (float64(n) * p)), nil
-}

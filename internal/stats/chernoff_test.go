@@ -138,39 +138,3 @@ func TestChernoffBoundEmpirical(t *testing.T) {
 		t.Errorf("empirical deviation frequency %v exceeds Chernoff bound %v", freq, bound)
 	}
 }
-
-func TestExpectedSlicePopulation(t *testing.T) {
-	mean, sd, err := ExpectedSlicePopulation(10000, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != 100 {
-		t.Errorf("mean = %v, want 100", mean)
-	}
-	wantSD := math.Sqrt(10000 * 0.01 * 0.99)
-	if math.Abs(sd-wantSD) > 1e-12 {
-		t.Errorf("stddev = %v, want %v", sd, wantSD)
-	}
-}
-
-func TestRelativeSliceErrorGrowsAsSlicesShrink(t *testing.T) {
-	prev := 0.0
-	for _, p := range []float64{0.5, 0.1, 0.01, 0.001} {
-		e, err := RelativeSliceError(10000, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e <= prev {
-			t.Errorf("relative error %v at p=%v not larger than %v", e, p, prev)
-		}
-		prev = e
-	}
-}
-
-func TestRelativeSliceErrorCompensatedByN(t *testing.T) {
-	small, _ := RelativeSliceError(1000, 0.01)
-	large, _ := RelativeSliceError(1000000, 0.01)
-	if large >= small {
-		t.Errorf("larger n should shrink relative error: %v vs %v", large, small)
-	}
-}

@@ -61,22 +61,3 @@ func SliceConfidence(k int, pHat, d float64) (float64, error) {
 	// Two-sided: confidence = 1 - α where z = Z_{α/2} ⇒ α = 2(1 - Φ(z)).
 	return 1 - 2*(1-NormalCDF(z)), nil
 }
-
-// ConfidenceInterval returns the Wald interval p̂ ± Z_{α/2}·σ(p̂) for a
-// rank estimate after k observations, clamped to [0,1].
-func ConfidenceInterval(alpha, pHat float64, k int) (lo, hi float64, err error) {
-	if pHat < 0 || pHat > 1 || math.IsNaN(pHat) {
-		return math.NaN(), math.NaN(), ErrEstimate
-	}
-	if k < 1 {
-		return 0, 1, nil
-	}
-	z, err := ZAlphaOver2(alpha)
-	if err != nil {
-		return math.NaN(), math.NaN(), err
-	}
-	sigma := math.Sqrt(pHat * (1 - pHat) / float64(k))
-	lo = math.Max(0, pHat-z*sigma)
-	hi = math.Min(1, pHat+z*sigma)
-	return lo, hi, nil
-}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -106,30 +105,6 @@ func TestSliceConfidenceEdgeCases(t *testing.T) {
 	}
 	if c, _ := SliceConfidence(100, 0, 0.1); c != 1 {
 		t.Errorf("confidence with zero variance = %v, want 1", c)
-	}
-}
-
-func TestConfidenceInterval(t *testing.T) {
-	lo, hi, err := ConfidenceInterval(0.05, 0.5, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHalf := 1.959963984540054 * math.Sqrt(0.25/100)
-	if math.Abs((hi-lo)/2-wantHalf) > 1e-9 {
-		t.Errorf("interval half-width = %v, want %v", (hi-lo)/2, wantHalf)
-	}
-	if lo > 0.5 || hi < 0.5 {
-		t.Errorf("interval [%v,%v] does not contain the estimate", lo, hi)
-	}
-}
-
-func TestConfidenceIntervalClamped(t *testing.T) {
-	lo, hi, err := ConfidenceInterval(0.05, 0.01, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo < 0 || hi > 1 {
-		t.Errorf("interval [%v,%v] not clamped to [0,1]", lo, hi)
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"log/slog"
 )
 
-// Log flag vocabulary shared by the three binaries: every cmd accepts
+// Log flag vocabulary shared by the binaries: every cmd accepts
 // -log-level and -log-format with these values, so operators configure
-// slicenode, slicebench, and slicesim identically.
+// slicenode and slicebench identically.
 const (
 	LogFormatText = "text"
 	LogFormatJSON = "json"
