@@ -111,6 +111,39 @@ func TestStalePayloadsDriftRandomValues(t *testing.T) {
 	}
 }
 
+// The drift extension: with stale payloads, atomic cycles keep every
+// distinct random value, while full concurrency ends with fewer distinct
+// values than the atomic run.
+func TestDriftShape(t *testing.T) {
+	distinctAfter := func(conc float64) (start, end int) {
+		cfg := baseOrderingConfig()
+		cfg.ViewSize = 20
+		cfg.Concurrency = conc
+		cfg.StalePayloads = true
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := func() int {
+			m := make(map[float64]bool)
+			for _, st := range e.States() {
+				m[st.R] = true
+			}
+			return len(m)
+		}
+		start = distinct()
+		e.Run(50)
+		return start, distinct()
+	}
+	atomicStart, atomicEnd := distinctAfter(0)
+	if atomicEnd != atomicStart {
+		t.Errorf("atomic run lost random values: %d → %d", atomicStart, atomicEnd)
+	}
+	if _, fullEnd := distinctAfter(1); fullEnd >= atomicEnd {
+		t.Errorf("full concurrency kept %d distinct values; expected drift below %d", fullEnd, atomicEnd)
+	}
+}
+
 // The boundary-bias ablation runs end-to-end through the engine.
 func TestBoundaryBiasAblationRuns(t *testing.T) {
 	cfg := baseRankingConfig()

@@ -136,3 +136,21 @@ func TestBinomialTailMatchesDirectSum(t *testing.T) {
 		t.Errorf("BinomialTail = %v, want %v", got, want)
 	}
 }
+
+// The §4.4 table: at every network size from 10 to 100,000 the exact
+// probability of a perfect two-way split stays below √(2/(nπ)).
+func TestEvenSplitTable(t *testing.T) {
+	for _, n := range []int{10, 100, 1000, 10000, 100000} {
+		exact, err := ExactEvenSplitProbability(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asym, err := EvenSplitAsymptotic(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact > asym {
+			t.Errorf("n=%d: exact %v above the asymptotic bound %v", n, exact, asym)
+		}
+	}
+}

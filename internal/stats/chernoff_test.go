@@ -138,3 +138,24 @@ func TestChernoffBoundEmpirical(t *testing.T) {
 		t.Errorf("empirical deviation frequency %v exceeds Chernoff bound %v", freq, bound)
 	}
 }
+
+// Lemma 4.1 as a table: on every (slice width, β) row of the paper's
+// setup the Chernoff bound is at least the exact binomial tail.
+func TestLemma41Table(t *testing.T) {
+	const n = 500
+	for _, p := range []float64{0.01, 0.05, 0.1} {
+		for _, beta := range []float64{0.25, 0.5} {
+			bound, err := SliceDeviationBound(n, p, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := BinomialTail(n, p, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exact > bound+1e-9 {
+				t.Errorf("p=%v β=%v: exact tail %v exceeds Chernoff bound %v", p, beta, exact, bound)
+			}
+		}
+	}
+}

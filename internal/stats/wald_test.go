@@ -142,3 +142,42 @@ func TestTheorem51Empirical(t *testing.T) {
 		t.Errorf("after k=%d samples only %.3f correct, want ≥ %.3f", k, frac, 1-alpha)
 	}
 }
+
+// Theorem 5.1 as a table: as the distance d to the slice boundary
+// shrinks, the required k never decreases, and k samples name the slice
+// correctly with the requested confidence.
+func TestThm51Table(t *testing.T) {
+	const (
+		alpha    = 0.05
+		boundary = 0.5
+		trials   = 600
+	)
+	rng := rand.New(rand.NewSource(1))
+	prevK := 0
+	for _, d := range []float64{0.1, 0.05, 0.02, 0.01} {
+		p := boundary - d
+		k, err := RequiredSamples(alpha, p, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k < prevK {
+			t.Errorf("d=%v: required k %d below %d for a larger d", d, k, prevK)
+		}
+		prevK = k
+		correct := 0
+		for trial := 0; trial < trials; trial++ {
+			lower := 0
+			for i := 0; i < k; i++ {
+				if rng.Float64() < p {
+					lower++
+				}
+			}
+			if float64(lower)/float64(k) <= boundary {
+				correct++
+			}
+		}
+		if frac := float64(correct) / trials; frac < 0.9 {
+			t.Errorf("d=%v k=%d: empirical correctness %v below 0.9", d, k, frac)
+		}
+	}
+}
