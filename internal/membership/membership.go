@@ -44,10 +44,10 @@ type Protocol interface {
 // supplies it so that gossip always advertises up-to-date coordinates.
 type SelfEntryFunc func() view.Entry
 
-// mergePool lends the envelope path its merge scratch: the over-filled
-// intermediate set of a merge lives there, so a node's view storage never
-// grows past capacity and a node retains no scratch of its own. The
-// scratch merges accept wire batches with repeated IDs.
+// mergePool lends the envelope path its merge scratch: the fused
+// kernel's classification buffers and the scratch merges' over-filled
+// intermediate set live there, so a node's view storage never grows past
+// capacity and a node retains no scratch of its own.
 var mergePool = sync.Pool{New: func() any { return new(view.MergeScratch) }}
 
 // Cyclon is the variant of the Cyclon protocol described in §4.3.2 and
@@ -56,7 +56,10 @@ var mergePool = sync.Pool{New: func() any { return new(view.MergeScratch) }}
 // self entry); j replies with its whole view (minus entries describing
 // the initiator); both sides merge keeping their own version of
 // duplicated entries. Unlike original Cyclon, all entries are exchanged
-// at each step.
+// at each step. Both merges run the simulator's fused kernel
+// (view.MergeCompact) whenever the received batch is ID-unique, as every
+// honest peer's is; a batch that repeats an ID takes the scratch merge,
+// which tolerates it.
 type Cyclon struct {
 	self      core.ID
 	selfEntry SelfEntryFunc
@@ -107,10 +110,15 @@ func (c *Cyclon) HandleReply(_ core.ID, rep proto.ViewReply) {
 }
 
 // merge absorbs a payload keeping the local version of duplicated
-// entries.
+// entries. Both paths leave the same entries in the same order; the
+// fused one is only sound on an ID-unique batch.
 func (c *Cyclon) merge(entries []view.Entry) {
 	scr := mergePool.Get().(*view.MergeScratch)
-	c.v.MergeUsing(entries, c.self, scr)
+	if view.UniqueIDs(entries) {
+		c.v.MergeCompact(entries, c.self, scr)
+	} else {
+		c.v.MergeUsing(entries, c.self, scr)
+	}
 	mergePool.Put(scr)
 }
 

@@ -4,6 +4,7 @@ import (
 	goruntime "runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/dist"
 )
@@ -11,15 +12,15 @@ import (
 // A live node is a view of c entries, one attribute, one random value
 // and 8 bytes of generator state, plus the scheduler's and the
 // protocol wrappers' bookkeeping. The budget is the live heap a driven
-// 2,000-node ordering cluster retains per node after gossiping: 5,000 B
-// with ~2,600 measured when set. A per-node math/rand source alone is
-// 5,376 B, and views allowed to grow past c or private tick scratch are
-// another ~1,500 B each.
+// 2,000-node ordering cluster retains per node after gossiping: 2,550 B
+// against ~2,495 measured when set. A per-node math/rand source alone
+// is 5,376 B, and views allowed to grow past c or private tick scratch
+// are another ~1,500 B each.
 func TestLiveHeapPerNodeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what the heap holds")
 	}
-	const n, steps, budget = 2_000, 20, 5_000
+	const n, steps, budget = 2_000, 20, 2_550
 	liveHeap := func() uint64 {
 		goruntime.GC()
 		goruntime.GC()
@@ -45,6 +46,15 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	t.Logf("N=%d after %d steps: %.0f live heap bytes/node", n, steps, perNode)
 	if perNode > budget {
 		t.Errorf("live heap is %.0f bytes/node, budget %d", perNode, budget)
+	}
+}
+
+// Every pending tick and in-flight message is one timer-wheel event, and
+// every heap sift copies them: an int64 deadline keeps one at 56 B,
+// where a time.Time made it 72.
+func TestEventSizeBudget(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 56 {
+		t.Errorf("event is %d bytes, budget 56", got)
 	}
 }
 

@@ -53,9 +53,9 @@ func (c *VirtualClock) Now() time.Time {
 // until another wake-up (a new event or a stop) arrives.
 func (c *VirtualClock) After(time.Duration) <-chan time.Time { return nil }
 
-// advanceTo moves the clock forward to t (never backward).
-func (c *VirtualClock) advanceTo(t time.Time) {
-	d := int64(t.Sub(virtualEpoch))
+// advanceTo moves the clock forward to d nanoseconds past virtualEpoch
+// (never backward).
+func (c *VirtualClock) advanceTo(d int64) {
 	for {
 		cur := c.nanos.Load()
 		if d <= cur || c.nanos.CompareAndSwap(cur, d) {

@@ -63,7 +63,7 @@ func (m MessageCounts) Total() uint64 {
 // event is one entry of a shard's timer wheel: a node tick (node != nil)
 // or a message delivery.
 type event struct {
-	at   time.Time
+	at   int64  // deadline, in nanoseconds since the scheduler's origin
 	seq  uint64 // tie-break: events with equal deadlines keep push order
 	node *Node  // tick target; nil for deliveries
 	from core.ID
@@ -71,54 +71,61 @@ type event struct {
 	msg  proto.Message
 }
 
+// before is the wheel's order: deadline, then push order. seq is unique,
+// so the order is total and the pop sequence does not depend on how the
+// heap happens to be laid out.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
 // eventHeap is a min-heap over (at, seq). Implemented inline (not via
 // container/heap) so pushes and pops stay interface-free on the hot
-// path.
+// path. Both sifts move a hole instead of swapping: one event copy per
+// level instead of two.
 type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
 
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
-	i := len(*h) - 1
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
+		if !ev.before(&q[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = ev
 }
 
 func (h *eventHeap) pop() event {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
-	old[0] = old[n]
+	last := old[n]
 	old[n] = event{} // release msg/node references
-	*h = old[:n]
+	q := old[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && old[:n].less(l, smallest) {
-			smallest = l
-		}
-		if r < n && old[:n].less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		old[i], old[smallest] = old[smallest], old[i]
-		i = smallest
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
 	}
+	q[i] = last
 	return top
 }
 
@@ -176,6 +183,10 @@ type scheduler struct {
 	cfg    schedConfig
 	clock  Clock
 	vclock *VirtualClock // non-nil in driven mode
+	// origin is time zero of every event deadline: virtualEpoch in
+	// driven mode (so a deadline reads like VirtualClock.nanos), the
+	// clock's reading at construction otherwise.
+	origin time.Time
 	shards []*shard
 	seq    atomic.Uint64
 	// tel holds the scrape-path-independent instruments (histograms and
@@ -235,6 +246,9 @@ func newScheduler(cfg schedConfig) *scheduler {
 	s := &scheduler{cfg: cfg, clock: cfg.clock, stop: make(chan struct{})}
 	if vc, ok := cfg.clock.(*VirtualClock); ok {
 		s.vclock = vc
+		s.origin = virtualEpoch
+	} else {
+		s.origin = cfg.clock.Now()
 	}
 	s.stepTarget.Store(math.MinInt64)
 	s.idleCond = sync.NewCond(&s.idleMu)
@@ -250,6 +264,14 @@ func newScheduler(cfg schedConfig) *scheduler {
 }
 
 func (s *scheduler) driven() bool { return s.vclock != nil }
+
+// now reads the clock in deadline units: nanoseconds since the origin.
+func (s *scheduler) now() int64 {
+	if s.vclock != nil {
+		return s.vclock.nanos.Load()
+	}
+	return int64(s.clock.Now().Sub(s.origin))
+}
 
 func (s *scheduler) shardFor(id core.ID) *shard {
 	return s.shards[uint64(id)%uint64(len(s.shards))]
@@ -309,10 +331,10 @@ func (s *scheduler) removeNode(id core.ID) {
 
 // scheduleTick books a node's next active-thread tick after delay.
 func (s *scheduler) scheduleTick(n *Node, delay time.Duration) {
-	s.scheduleTickAt(n, s.clock.Now().Add(delay))
+	s.scheduleTickAt(n, s.now()+int64(delay))
 }
 
-func (s *scheduler) scheduleTickAt(n *Node, at time.Time) {
+func (s *scheduler) scheduleTickAt(n *Node, at int64) {
 	s.push(s.shardFor(n.ID()), event{at: at, node: n})
 }
 
@@ -331,7 +353,7 @@ func (s *scheduler) push(sh *shard, ev event) {
 // the insertion into its existing critical section).
 func (s *scheduler) pushLocked(sh *shard, ev event) {
 	ev.seq = s.seq.Add(1)
-	if s.driven() && ev.at.Sub(virtualEpoch) <= time.Duration(s.stepTarget.Load()) {
+	if s.driven() && ev.at <= s.stepTarget.Load() {
 		sh.ready = append(sh.ready, ev)
 		s.pending.Add(1)
 	} else {
@@ -356,13 +378,13 @@ func (s *scheduler) worker(sh *shard) {
 				sh.ready, sh.readyHead = sh.ready[:0], 0
 			}
 			have = true
-		} else if !s.driven() && len(sh.wheel) > 0 && !sh.wheel[0].at.After(s.clock.Now()) {
+		} else if !s.driven() && len(sh.wheel) > 0 && sh.wheel[0].at <= s.now() {
 			ev = sh.wheel.pop()
 			have = true
 		}
 		var wait <-chan time.Time
 		if !have && !s.driven() && len(sh.wheel) > 0 {
-			d := sh.wheel[0].at.Sub(s.clock.Now())
+			d := time.Duration(sh.wheel[0].at - s.now())
 			if _, real := s.clock.(realClock); real {
 				// Reuse one timer per shard. Only this worker touches
 				// it, and Go 1.23+ timer semantics guarantee Reset
@@ -402,7 +424,7 @@ func (s *scheduler) execute(sh *shard, ev event) {
 		// Timer lag: how far behind its deadline the event runs. In
 		// driven mode this is bounded by the quantum; in wall-clock mode
 		// it surfaces worker backlog.
-		s.tel.timerLag.Observe(s.clock.Now().Sub(ev.at).Seconds())
+		s.tel.timerLag.Observe(time.Duration(s.now() - ev.at).Seconds())
 		if ev.node != nil {
 			s.tel.ticks.Inc()
 		}
@@ -421,8 +443,8 @@ func (s *scheduler) execute(sh *shard, ev event) {
 		// period on Now() would compound that into systematic period
 		// drift. Clamp to Now() so a node that fell behind does not
 		// accumulate a past-due backlog.
-		next := ev.at.Add(ev.node.nextPeriod())
-		if now := s.clock.Now(); next.Before(now) {
+		next := ev.at + int64(ev.node.nextPeriod())
+		if now := s.now(); next < now {
 			next = now
 		}
 		s.scheduleTickAt(ev.node, next)
@@ -476,31 +498,28 @@ func (s *scheduler) waitIdle() {
 // quanta is preserved. Returns with every event at or before the new
 // virtual now executed.
 func (s *scheduler) step(d time.Duration) {
-	target := s.vclock.Now().Add(d)
+	target := s.now() + int64(d)
 	for {
-		var earliest time.Time
+		var earliest int64
 		none := true
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			if len(sh.wheel) > 0 && (none || sh.wheel[0].at.Before(earliest)) {
+			if len(sh.wheel) > 0 && (none || sh.wheel[0].at < earliest) {
 				earliest = sh.wheel[0].at
 				none = false
 			}
 			sh.mu.Unlock()
 		}
-		if none || earliest.After(target) {
+		if none || earliest > target {
 			break
 		}
-		batchEnd := earliest.Add(s.cfg.quantum)
-		if batchEnd.After(target) {
-			batchEnd = target
-		}
+		batchEnd := min(earliest+int64(s.cfg.quantum), target)
 		s.vclock.advanceTo(batchEnd)
-		s.stepTarget.Store(int64(batchEnd.Sub(virtualEpoch)))
+		s.stepTarget.Store(batchEnd)
 		for _, sh := range s.shards {
 			released := 0
 			sh.mu.Lock()
-			for len(sh.wheel) > 0 && !sh.wheel[0].at.After(batchEnd) {
+			for len(sh.wheel) > 0 && sh.wheel[0].at <= batchEnd {
 				sh.ready = append(sh.ready, sh.wheel.pop())
 				released++
 			}
@@ -603,11 +622,12 @@ func (t *schedNet) Send(from, to core.ID, msg proto.Message) error {
 		lat += nf.delay
 		s.faultChaosDelays.Add(1)
 	}
-	s.pushLocked(sh, event{at: s.clock.Now().Add(lat), from: from, to: to, msg: msg})
+	ev := event{at: s.now() + int64(lat), from: from, to: to, msg: msg}
+	s.pushLocked(sh, ev)
 	if nf != nil && nf.dup > 0 && sh.rng.Float64() < nf.dup {
 		// Duplication: a second copy of the same message lands at the
 		// same deadline (its seq orders it right after the original).
-		s.pushLocked(sh, event{at: s.clock.Now().Add(lat), from: from, to: to, msg: msg})
+		s.pushLocked(sh, ev)
 		s.faultChaosDups.Add(1)
 	}
 	sh.mu.Unlock()

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/transport"
 )
@@ -18,28 +20,65 @@ func TestEventHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var h eventHeap
 	const n = 500
-	base := time.Unix(0, 0)
-	for i := 0; i < n; i++ {
-		h.push(event{
-			at:  base.Add(time.Duration(rng.Intn(50)) * time.Millisecond),
-			seq: uint64(i),
-		})
-	}
+	popped := 0
 	var prev event
-	for i := 0; i < n; i++ {
+	pop := func() {
 		ev := h.pop()
-		if i > 0 {
-			if ev.at.Before(prev.at) {
-				t.Fatalf("pop %d: %v before %v", i, ev.at, prev.at)
+		if popped > 0 {
+			if ev.at < prev.at {
+				t.Fatalf("pop %d: %v before %v", popped, ev.at, prev.at)
 			}
-			if ev.at.Equal(prev.at) && ev.seq < prev.seq {
-				t.Fatalf("pop %d: seq %d before %d at equal deadlines", i, ev.seq, prev.seq)
+			if ev.at == prev.at && ev.seq < prev.seq {
+				t.Fatalf("pop %d: seq %d before %d at equal deadlines", popped, ev.seq, prev.seq)
 			}
 		}
 		prev = ev
+		popped++
 	}
-	if len(h) != 0 {
-		t.Fatalf("%d events left after popping all", len(h))
+	// Pushes interleave with pops (never below the last popped deadline,
+	// as on a running wheel), so both sifts run on every heap size.
+	for i := 0; i < n; i++ {
+		h.push(event{
+			at:  prev.at + int64(time.Duration(rng.Intn(50))*time.Millisecond),
+			seq: uint64(i),
+		})
+		if rng.Intn(3) == 0 {
+			pop()
+		}
+	}
+	for len(h) > 0 {
+		pop()
+	}
+	if popped != n {
+		t.Fatalf("popped %d of %d events", popped, n)
+	}
+}
+
+// A chaos-duplicated message lands at its original's deadline, right
+// after it: on the wall clock the two copies must not read the clock
+// twice.
+func TestSchedNetDuplicateSharesDeadline(t *testing.T) {
+	s := newScheduler(schedConfig{clock: realClock{}, shards: 1, seed: 1,
+		minLat: time.Millisecond, maxLat: 5 * time.Millisecond})
+	s.register(7, func(core.ID, proto.Message) {})
+	s.setFaults(&netFaults{dup: 1})
+	if err := s.net().Send(1, 7, proto.RankUpdate{Attr: 3}); err != nil {
+		t.Fatal(err)
+	}
+	w := s.shardFor(7).wheel
+	if len(w) != 2 {
+		t.Fatalf("wheel holds %d events, want the message and its duplicate", len(w))
+	}
+	a, b := w[0], w[1]
+	if b.before(&a) {
+		a, b = b, a
+	}
+	if a.at != b.at || b.seq != a.seq+1 {
+		t.Errorf("duplicate at (%d, seq %d), original at (%d, seq %d): want the same deadline and the next seq",
+			b.at, b.seq, a.at, a.seq)
+	}
+	if got := s.faultChaosDups.Load(); got != 1 {
+		t.Errorf("ChaosDups = %d, want 1", got)
 	}
 }
 
@@ -196,35 +235,84 @@ func TestSchedulerTickCadence(t *testing.T) {
 	}
 }
 
+// driven1Result is what a single-shard driven run leaves behind: the
+// final SDM (as bits), the traffic, and the ordering counters summed
+// over every node.
+type driven1Result struct {
+	sdmBits uint64
+	counts  MessageCounts
+	stats   ordering.Stats
+}
+
 // A single-shard driven cluster is deterministic: same seed, same
-// trajectory, same traffic.
+// trajectory, same traffic. The ordering-over-Cyclon config is also
+// pinned to recorded values, so a change that reorders the timer wheel
+// or alters a merge outcome fails here instead of only moving a
+// benchmark fingerprint.
 func TestDrivenSingleShardDeterministic(t *testing.T) {
-	run := func() (float64, MessageCounts) {
-		c, err := NewCluster(ClusterConfig{
+	for _, tc := range []struct {
+		name string
+		cfg  ClusterConfig
+		want *driven1Result
+	}{
+		{name: "ranking/loss", cfg: ClusterConfig{
 			N: 40, Partition: testPartition(t, 4), ViewSize: 8,
 			Protocol: Ranking, Period: testPeriod,
-			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 123,
-			Clock: NewVirtualClock(), Shards: 1, Loss: 0.1,
+			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 123, Loss: 0.1,
+		}},
+		{name: "ordering/cyclon/latency+loss", cfg: ClusterConfig{
+			N: 60, Partition: testPartition(t, 4), ViewSize: 8,
+			Protocol: Ordering, Membership: CyclonViews, Period: 10 * time.Millisecond,
+			MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond,
+			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 123, Loss: 0.02,
+		}, want: &driven1Result{
+			sdmBits: math.Float64bits(2),
+			counts: MessageCounts{
+				ViewRequests: 2326, ViewReplies: 2264,
+				SwapRequests: 458, SwapReplies: 447, Dropped: 102,
+			},
+			stats: ordering.Stats{
+				ReqSent: 464, ReqReceived: 458, SwapFailedAtReceiver: 259,
+				SwapFailedAtInitiator: 380, Swapped: 266,
+			},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() driven1Result {
+				cfg := tc.cfg
+				cfg.Clock, cfg.Shards = NewVirtualClock(), 1
+				c, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Stop()
+				if err := c.Start(); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Advance(40 * cfg.Period); err != nil {
+					t.Fatal(err)
+				}
+				res := driven1Result{sdmBits: math.Float64bits(c.SDM()), counts: c.MessageCounts()}
+				for _, n := range c.Nodes() {
+					if st, ok := n.OrderingStats(); ok {
+						res.stats.ReqSent += st.ReqSent
+						res.stats.ReqReceived += st.ReqReceived
+						res.stats.SwapFailedAtReceiver += st.SwapFailedAtReceiver
+						res.stats.SwapFailedAtInitiator += st.SwapFailedAtInitiator
+						res.stats.SwapAbandonedAtSender += st.SwapAbandonedAtSender
+						res.stats.Swapped += st.Swapped
+					}
+				}
+				return res
+			}
+			r1, r2 := run(), run()
+			if r1 != r2 {
+				t.Fatalf("same seed, different runs:\n%+v\n%+v", r1, r2)
+			}
+			if tc.want != nil && r1 != *tc.want {
+				t.Errorf("trajectory moved:\n got %#v\nwant %#v", r1, *tc.want)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Stop()
-		if err := c.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Advance(40 * testPeriod); err != nil {
-			t.Fatal(err)
-		}
-		return c.SDM(), c.MessageCounts()
-	}
-	sdm1, m1 := run()
-	sdm2, m2 := run()
-	if sdm1 != sdm2 {
-		t.Errorf("same seed, different SDM: %v vs %v", sdm1, sdm2)
-	}
-	if m1 != m2 {
-		t.Errorf("same seed, different traffic: %+v vs %+v", m1, m2)
 	}
 }
 

@@ -54,9 +54,59 @@ func mergeFreshOracle(v *View, incoming []Entry, self core.ID) {
 	v.reindex()
 }
 
-// The live envelope path merges every wire payload through the scratch
-// variants, so they must equal the oracles entry for entry on anything a
-// peer can send — repeated IDs, entries describing the receiver,
+// UniqueIDs is exact: IDs that share a bitset bit are told apart, a
+// repeat is caught wherever it sits, and nothing is allocated.
+func TestUniqueIDs(t *testing.T) {
+	bit := func(id core.ID) uint64 { return uint64(id) * 0x9E3779B97F4A7C15 >> (64 - uniqueBits) }
+	twin := core.ID(2)
+	for bit(twin) != bit(1) {
+		twin++
+	}
+	for _, tc := range []struct {
+		ids  []core.ID
+		want bool
+	}{
+		{nil, true},
+		{[]core.ID{1}, true},
+		{[]core.ID{1, twin}, true},
+		{[]core.ID{1, twin, 1}, false},
+		{[]core.ID{twin, 3, 4, twin}, false},
+		{[]core.ID{1, 2, 3, 4, 5}, true},
+		{[]core.ID{1, 2, 3, 4, 1}, false},
+	} {
+		batch := make([]Entry, len(tc.ids))
+		for i, id := range tc.ids {
+			batch[i] = Entry{ID: id}
+		}
+		if got := UniqueIDs(batch); got != tc.want {
+			t.Errorf("UniqueIDs(%v) = %v, want %v", tc.ids, got, tc.want)
+		}
+	}
+	f := func(raw []uint16) bool {
+		batch := make([]Entry, len(raw))
+		set := map[core.ID]bool{}
+		for i, r := range raw {
+			batch[i].ID = core.ID(1 + r%512)
+			set[batch[i].ID] = true
+		}
+		return UniqueIDs(batch) == (len(set) == len(batch))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	batch := make([]Entry, 21)
+	for i := range batch {
+		batch[i].ID = core.ID(1 + 97*i)
+	}
+	if n := testing.AllocsPerRun(100, func() { UniqueIDs(batch) }); n != 0 {
+		t.Errorf("UniqueIDs allocates %v times per call", n)
+	}
+}
+
+// The live envelope path merges a wire payload that fails UniqueIDs (and
+// every Newscast payload) through the scratch variants, so they must
+// equal the oracles entry for entry on anything a peer can send —
+// repeated IDs, entries describing the receiver,
 // placeholders, ages past the trim histogram — and must never grow the
 // view's own storage past its capacity.
 func TestScratchMergesMatchOracles(t *testing.T) {

@@ -336,6 +336,40 @@ type MergeScratch struct {
 	trimHist [trimMaxAge + 1]int32
 }
 
+// uniqueBits is log2 of UniqueIDs' bitset size: 1,024 bits, so a
+// view-sized batch (c+1 ≈ 21 IDs) rarely hashes two IDs onto one bit.
+const uniqueBits = 10
+
+// UniqueIDs reports whether no two entries of batch share an ID — the
+// precondition of MergeCompact, which the live envelope path checks on
+// every wire batch before taking the fused kernel (an honest peer's
+// batch always passes; a hostile or corrupted one may not). Each ID is
+// hashed onto one bit of a 128-byte stack bitset; only a bit already set
+// costs an exact scan of the entries before it, so the answer is exact
+// and the call allocates nothing.
+func UniqueIDs(batch []Entry) bool {
+	var seen [1 << (uniqueBits - 6)]uint64
+	for i := range batch {
+		h := uint64(batch[i].ID) * 0x9E3779B97F4A7C15 >> (64 - uniqueBits)
+		w, bit := h>>6, uint64(1)<<(h&63)
+		if seen[w]&bit != 0 && containsID(batch[:i], batch[i].ID) {
+			return false
+		}
+		seen[w] |= bit
+	}
+	return true
+}
+
+// containsID is UniqueIDs' exact fallback on a bitset collision.
+func containsID(entries []Entry, id core.ID) bool {
+	for i := range entries {
+		if entries[i].ID == id {
+			return true
+		}
+	}
+	return false
+}
+
 // MergeUsing incorporates entries received from a gossip exchange,
 // following the Cyclon-variant rules of Fig. 3: entries whose ID already
 // appears in the view are dropped (the local version wins), entries
@@ -348,7 +382,8 @@ type MergeScratch struct {
 // slices) never grows. Incoming may repeat IDs, as a hostile or
 // duplicated wire batch can. This is the reference path: the fused
 // MergeCompact/MergeReply kernels are property-tested against it, and it
-// against the grow-then-evict oracle in merge_oracle_test.go.
+// against the grow-then-evict oracle in merge_oracle_test.go. The live
+// envelope path falls back to it for a batch that fails UniqueIDs.
 func (v *View) MergeUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 	work := append(scr.work[:0], v.entries...)
 	wids := append(scr.wids[:0], v.ids...)
@@ -416,7 +451,11 @@ func (v *View) MergeFreshUsing(incoming []Entry, self core.ID, scr *MergeScratch
 // batches — the only kind a gossip exchange produces (one view's
 // entries plus at most the sender's fresh self entry; views cannot hold
 // duplicates) — which is a precondition here: the scratch variants scan
-// the growing work set per entry, this one does not.
+// the growing work set per entry, this one does not. The simulator's
+// exchange round meets it by construction; the live envelope path
+// (membership.Cyclon) receives wire batches, so it checks UniqueIDs
+// first and merges a batch that repeats an ID through MergeUsing
+// instead.
 func (v *View) MergeCompact(incoming []Entry, self core.ID, scr *MergeScratch) {
 	v.mergeCompact(incoming, self, scr, nil)
 }
