@@ -84,12 +84,17 @@ profile:
 
 # benchmark/ is its own module, invisible to the root `go vet ./...`,
 # and it is where a re-shaped pinned entry point (Arena.Block, NewBound,
-# MergeReply, TickSwapFast) breaks first.
+# MergeReply, TickSwapFast) breaks first. internal/sim carries amd64
+# assembly (prefetch_amd64.s) with a no-op fallback elsewhere: the arm64
+# vet proves the fallback compiles, and the 386 run drives the no-op
+# path through the determinism suites on an amd64 host.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) test -short -count=1 -run 'TestWorkerCountInvariance|TestKernelEquivalence' ./internal/sim
 
 # The profile step is a smoke test of the profiling path itself.
 ci: lint build test test-serial bench-check bench

@@ -40,11 +40,6 @@ type simWorker struct {
 	// here instead of in a loop-local keeps the interface conversion from
 	// heap-allocating a fresh 8-byte box per node per cycle.
 	stream core.Stream
-	// sink absorbs the values loaded by cache-warming passes (the
-	// exchange round touches the next request window one merge ahead of
-	// its use). Accumulating into a worker field keeps the compiler from
-	// eliding the loads; the value itself is never read.
-	sink uint64
 
 	dropped     uint64
 	partDrops   uint64

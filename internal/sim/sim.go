@@ -362,9 +362,12 @@ type Engine struct {
 	recvTotal     uint64
 	failRecvTotal uint64
 	// Cumulative wall-clock nanoseconds per cycle phase; see
-	// telemetry.go. Always on (four clock reads per cycle), exported
-	// through Result so every perf artifact carries its own breakdown.
-	phaseNS [phaseCount]int64
+	// telemetry.go. Always on (four clock reads per cycle, two more in a
+	// gossiping membership round), exported through Result so every perf
+	// artifact carries its own breakdown. memberNS splits the membership
+	// total into its sub-phases.
+	phaseNS  [phaseCount]int64
+	memberNS [memberPartCount]int64
 
 	// Fault-plane state; see faults.go. The salts are derived from the
 	// run seed at construction, partNow/chaosNow cache the cycle's
@@ -702,14 +705,11 @@ type sampler struct {
 	seenGen []uint32
 	gen     uint32
 	buf     []view.Entry
-	// idx and sink back the draw-ahead warm pass in sample: the k slot
-	// indices a call will consume are drawn up front and their seenGen
-	// and self-entry cache lines touched in a dependency-free loop, so
-	// the ~2k random-access misses overlap instead of serializing behind
-	// the accept loop's seen-check branch. sink keeps the compiler from
-	// eliding the warming loads.
-	idx  []int
-	sink uint64
+	// idx backs the draw-ahead in sample: the k slot indices a call will
+	// consume are drawn up front and their self entries prefetched, so
+	// the k random-access misses overlap instead of serializing behind
+	// the accept loop's seen-check branch.
+	idx []int
 }
 
 // sample fills the sampler's reusable buffer with the cached self
@@ -740,24 +740,23 @@ func (sp *sampler) sample(ids []core.ID, selfs []view.Entry, rng core.RNG, k int
 		sp.gen = 1
 	}
 	gen := sp.gen
-	// Draw the first k indices ahead of the accept loop and touch their
-	// seenGen and self-entry lines with independent loads. The accept
-	// loop's seen check is a branch on a random-access load; issued one
-	// at a time those misses serialize, while this pass lets the CPU
-	// keep many in flight. The RNG consumption order is unchanged — the
-	// accept loop replays the same draws from idx before falling back to
-	// live draws for the (rare) rejection overflow.
+	// Draw the first k indices ahead of the accept loop and prefetch
+	// their self entries. The accept loop's reads are random-access and
+	// sit behind its seen-check branch; prefetched here, their misses
+	// are all in flight at once and nothing waits for them (plain
+	// warming loads would: each must complete before it retires). The
+	// RNG consumption order is unchanged — the accept loop replays the
+	// same draws from idx before falling back to live draws for the
+	// (rare) rejection overflow.
 	if cap(sp.idx) < k {
 		sp.idx = make([]int, k)
 	}
 	idx := sp.idx[:k]
-	warm := sp.sink
 	for j := range idx {
 		i := rng.Intn(n)
 		idx[j] = i
-		warm += uint64(sp.seenGen[i]) + uint64(selfs[i].ID)
+		prefetchWindow(selfs[i : i+1])
 	}
-	sp.sink = warm
 	drawn := 0
 	j := 0
 	for len(out) < k && drawn < n {

@@ -35,7 +35,7 @@ func (e *Engine) Step() {
 		}
 		e.oracleRound()
 	} else {
-		e.exchangeRound()
+		e.exchangeRound(&pc)
 	}
 	pc.lap(phaseIxMembership)
 	e.protocolRound()
@@ -228,7 +228,10 @@ func (e *Engine) removeNode(id core.ID) {
 // its view before sending its random value or its attribute value",
 // §4.5.2); what changed versus the serial engine is only that requests
 // read start-of-round views and replies land after all requests.
-func (e *Engine) exchangeRound() {
+//
+// pc's membership sub-phases split at the two commit boundaries: stage
+// is everything before half A, reply is half A, absorb is half B.
+func (e *Engine) exchangeRound(pc *phaseClock) {
 	n := len(e.ids)
 	if n == 0 {
 		return
@@ -352,6 +355,7 @@ func (e *Engine) exchangeRound() {
 	// One request and one reply land per completed exchange.
 	e.Delivered.ViewRequests += delivered
 	e.Delivered.ViewReplies += delivered
+	pc.split()
 
 	// Commit half A: targets reply and absorb, in initiator-slot order.
 	// The Cyclon fast path fuses the reply capture into the merge itself
@@ -364,13 +368,15 @@ func (e *Engine) exchangeRound() {
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		// g walks the worker's span of initList globally, one step per
-		// (target, initiator) pair, so the next pair's request window —
-		// a random ~670-byte read the merge would otherwise stall on —
-		// can be touched one full merge ahead of its use. The ~400 ns a
-		// MergeReply takes is enough to overlap the next window's cache
-		// misses, and the warming loads land in ws.sink so they survive
-		// compilation.
+		// (target, initiator) pair. Each pair's request window is a random
+		// ~670-byte read, so the next pair's window is prefetched before
+		// the current pair merges: the prefetch does not wait for its
+		// lines, and they arrive while the merge runs.
 		g, ghi := head[lo], head[hi]
+		if g < ghi {
+			off := int(e.initList[g]) * stride
+			prefetchWindow(e.reqStore[off : off+stride])
+		}
 		for t := lo; t < hi; t++ {
 			list := e.initList[head[t]:head[t+1]]
 			if len(list) == 0 {
@@ -381,12 +387,7 @@ func (e *Engine) exchangeRound() {
 			for _, s32 := range list {
 				if g++; g < ghi {
 					noff := int(e.initList[g]) * stride
-					win := e.reqStore[noff : noff+stride]
-					pf := uint64(0)
-					for x := 0; x < len(win); x += 2 {
-						pf += uint64(win[x].ID)
-					}
-					ws.sink += pf
+					prefetchWindow(e.reqStore[noff : noff+stride])
 				}
 				s := int(s32)
 				off := s * stride
@@ -409,6 +410,7 @@ func (e *Engine) exchangeRound() {
 			}
 		}
 	})
+	pc.split()
 	// Commit half B: initiators absorb their replies.
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]

@@ -49,6 +49,14 @@ const (
 	phaseCount
 )
 
+// Membership sub-phase indices into Engine.memberNS, in round order.
+const (
+	memberIxStage = iota
+	memberIxReply
+	memberIxAbsorb
+	memberPartCount
+)
+
 // engineTel is the engine's instrument set; nil (the default) keeps the
 // cycle loop free of clock reads. The gauges are written by the engine's
 // single driving goroutine and read atomically at scrape time, so a
@@ -100,6 +108,10 @@ func newEngineTel(reg *telemetry.Registry) *engineTel {
 type phaseClock struct {
 	e    *Engine
 	mark time.Time
+	// part is the membership sub-phase in progress and partMark the
+	// clock read it began at; split and the membership lap close it.
+	part     int
+	partMark time.Time
 }
 
 func (e *Engine) startPhases() phaseClock {
@@ -109,15 +121,30 @@ func (e *Engine) startPhases() phaseClock {
 // lap adds the time since the previous mark to the indexed phase total
 // (and histogram, if instrumented) and re-marks. Timing reads the wall
 // clock only — never the engine's RNG streams — so instrumented and
-// uninstrumented runs are bit-identical.
+// uninstrumented runs are bit-identical. The membership lap also closes
+// the sub-phase in progress off the same clock read, so the sub-phases
+// sum to the membership total exactly.
 func (pc *phaseClock) lap(ix int) {
 	now := time.Now()
 	d := now.Sub(pc.mark)
 	pc.e.phaseNS[ix] += d.Nanoseconds()
+	if ix == phaseIxMembership {
+		pc.e.memberNS[pc.part] += now.Sub(pc.partMark).Nanoseconds()
+	}
 	if pc.e.tel != nil {
 		pc.e.tel.phases[ix].Observe(d.Seconds())
 	}
-	pc.mark = now
+	pc.mark, pc.part, pc.partMark = now, memberIxStage, now
+}
+
+// split closes the membership sub-phase in progress and opens the next
+// one. A round that never splits (the uniform oracle) books all of its
+// membership time to the stage sub-phase.
+func (pc *phaseClock) split() {
+	now := time.Now()
+	pc.e.memberNS[pc.part] += now.Sub(pc.partMark).Nanoseconds()
+	pc.part++
+	pc.partMark = now
 }
 
 // PhaseNanos is the cumulative wall-clock time spent in each cycle
@@ -126,11 +153,22 @@ func (pc *phaseClock) lap(ix int) {
 // membership (the view-exchange compute+commit round), protocol (the
 // slicing tick and swap/update delivery), and measure (per-cycle
 // disorder measurements).
+//
+// Membership is further split into three sub-phases taken from the
+// same clock reads, so they sum to MembershipNS exactly: stage (aging,
+// partner selection, freezing the requests and sorting them by
+// target), reply (commit half A: every target replies to and absorbs
+// its requests) and absorb (commit half B: every initiator absorbs its
+// reply). The uniform oracle books all of its membership time to
+// stage. Total sums the four top-level phases only.
 type PhaseNanos struct {
-	ChurnNS      int64 `json:"churn_ns"`
-	MembershipNS int64 `json:"membership_ns"`
-	ProtocolNS   int64 `json:"protocol_ns"`
-	MeasureNS    int64 `json:"measure_ns"`
+	ChurnNS            int64 `json:"churn_ns"`
+	MembershipNS       int64 `json:"membership_ns"`
+	MembershipStageNS  int64 `json:"membership_stage_ns"`
+	MembershipReplyNS  int64 `json:"membership_reply_ns"`
+	MembershipAbsorbNS int64 `json:"membership_absorb_ns"`
+	ProtocolNS         int64 `json:"protocol_ns"`
+	MeasureNS          int64 `json:"measure_ns"`
 }
 
 // Total returns the summed phase time.
@@ -141,9 +179,12 @@ func (p PhaseNanos) Total() int64 {
 // Phases returns the engine's cumulative per-phase wall-clock totals.
 func (e *Engine) Phases() PhaseNanos {
 	return PhaseNanos{
-		ChurnNS:      e.phaseNS[phaseIxChurn],
-		MembershipNS: e.phaseNS[phaseIxMembership],
-		ProtocolNS:   e.phaseNS[phaseIxProtocol],
-		MeasureNS:    e.phaseNS[phaseIxMeasure],
+		ChurnNS:            e.phaseNS[phaseIxChurn],
+		MembershipNS:       e.phaseNS[phaseIxMembership],
+		MembershipStageNS:  e.memberNS[memberIxStage],
+		MembershipReplyNS:  e.memberNS[memberIxReply],
+		MembershipAbsorbNS: e.memberNS[memberIxAbsorb],
+		ProtocolNS:         e.phaseNS[phaseIxProtocol],
+		MeasureNS:          e.phaseNS[phaseIxMeasure],
 	}
 }

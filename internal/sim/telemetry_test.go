@@ -58,3 +58,43 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 		}
 	}
 }
+
+// TestMembershipSubPhasesSumExactly pins the membership split: on a
+// Cyclon engine the stage, reply and absorb sub-phases are each
+// non-zero and add up to MembershipNS to the nanosecond, and on the
+// uniform oracle all of the membership time is stage.
+func TestMembershipSubPhasesSumExactly(t *testing.T) {
+	for _, m := range []MembershipKind{CyclonViews, UniformOracle} {
+		t.Run(m.String(), func(t *testing.T) {
+			e, err := New(Config{
+				N: 2000, Slices: 10, ViewSize: 20,
+				Protocol: Ranking, Membership: m,
+				AttrDist: dist.Uniform{Lo: 0, Hi: 1}, Seed: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Run(4)
+			p := e.Phases()
+			sum := p.MembershipStageNS + p.MembershipReplyNS + p.MembershipAbsorbNS
+			if sum != p.MembershipNS {
+				t.Errorf("stage %d + reply %d + absorb %d = %d, want MembershipNS %d",
+					p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS, sum, p.MembershipNS)
+			}
+			if p.Total() != p.ChurnNS+p.MembershipNS+p.ProtocolNS+p.MeasureNS {
+				t.Errorf("Total %d is not the sum of the four top-level phases", p.Total())
+			}
+			if m == UniformOracle {
+				if p.MembershipReplyNS != 0 || p.MembershipAbsorbNS != 0 || p.MembershipStageNS <= 0 {
+					t.Errorf("oracle sub-phases stage %d reply %d absorb %d, want all time in stage",
+						p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS)
+				}
+				return
+			}
+			if p.MembershipStageNS <= 0 || p.MembershipReplyNS <= 0 || p.MembershipAbsorbNS <= 0 {
+				t.Errorf("sub-phases stage %d reply %d absorb %d, want each > 0",
+					p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS)
+			}
+		})
+	}
+}
