@@ -129,13 +129,16 @@
 // series — the liar-held fraction of the slice they target), scheduled
 // network partitions (cross-group traffic black-holed for a window,
 // then healed), and message chaos (loss bursts, duplication, delay
-// spikes). Every injection decision is a pure hash of seed, node and
-// cycle — a faulted run is bit-reproducible at any worker count — and
-// windows scale with the run, so a 0.1-scale sweep keeps the fault
-// structure. The chaos-drift, chaos-byzantine, chaos-partition and
-// chaos-messages scenario families exercise the plane end to end, and
-// TestChaosRecoveryGates pins their recovery behavior in tier-1 (see
-// the README's Robustness section).
+// spikes). Cohorts, drift steps, lies and partition groups are pure
+// hashes of seed, node and cycle, and drift and lies go through one
+// fault.Applier that both engines call, so they are identical on both.
+// Message loss, duplication and delay are draws on each engine's own
+// stream and differ between engines. A faulted sim run is
+// bit-reproducible at any worker count, and windows scale with the run,
+// so a 0.1-scale sweep keeps the fault structure. The chaos-drift,
+// chaos-byzantine, chaos-partition and chaos-messages scenario families
+// exercise the plane end to end, and TestChaosRecoveryGates pins their
+// recovery behavior in tier-1 (see the README's Robustness section).
 //
 // # Serving: the query plane
 //

@@ -1,12 +1,14 @@
 // Package fault is the seeded fault-injection plane shared by both
-// backends. Every injection decision — which nodes drift, which nodes
-// lie, which side of a partition a node lands on, whether a message is
-// lost, duplicated or delayed inside a chaos window — is a pure
-// function of (salt, node id[, cycle]) or a draw on a stream the
-// caller already owns. That keeps the simulator's worker-count
-// bit-invariance contract intact (no shared mutable RNG is consulted
-// from parallel code) and makes live runs reproduce per seed: the same
-// plan under the same seed injects the same faults in the same order.
+// backends. Which nodes drift and by how much, which nodes lie and what
+// they claim, and which side of a partition a node lands on are pure
+// functions of (salt, node id[, cycle]). Attribute faults (drift and
+// lies) are applied by one Applier that both engines call, so the same
+// seed moves and corrupts the same nodes identically on both. Whether a
+// message is lost, duplicated or delayed inside a chaos window is a
+// draw on a stream the engine already owns, so those outcomes differ
+// between engines. No shared mutable RNG is consulted from parallel
+// code, which keeps the simulator's worker-count bit-invariance
+// contract intact.
 //
 // A Plan is the engine-level shape; the scenario layer builds one from
 // the Spec.Faults JSON block after validation.
@@ -16,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"github.com/gossipkit/slicing/internal/core"
 )
@@ -57,8 +60,8 @@ func hash01(salt int64, id uint64) float64 {
 }
 
 // Unit maps (salt, id, cycle) to a uniform float64 in [0, 1) — the
-// per-cycle variant of hash01, used for live drift draws where no
-// counter stream exists.
+// per-cycle variant of hash01. Drift walk steps and lie jitter draw
+// from it on both engines.
 func Unit(salt int64, id, cycle uint64) float64 {
 	h := core.Mix64(core.Mix64(uint64(salt)) ^ core.Mix64(id) ^ core.Mix64(cycle*core.Golden))
 	return float64(h>>11) / (1 << 53)
@@ -215,7 +218,8 @@ type Chaos struct {
 	// the simulator a delayed message slips to end-of-cycle delivery;
 	// live it gains DelayMS extra latency.
 	Delay float64
-	// DelayMS is the live-backend delay spike in milliseconds.
+	// DelayMS is the live-backend delay spike in milliseconds, at most
+	// what a time.Duration holds.
 	DelayMS int
 }
 
@@ -273,7 +277,7 @@ var (
 	ErrGroups       = errors.New("fault: partition needs at least 2 groups")
 	ErrWindow       = errors.New("fault: window must have From >= 0 and To == 0 or To > From")
 	ErrChaosProb    = errors.New("fault: chaos loss/dup/delay must be probabilities in [0, 1]")
-	ErrChaosDelayMS = errors.New("fault: chaos delayMs must be non-negative")
+	ErrChaosDelayMS = errors.New("fault: chaos delayMs must be non-negative and fit a time.Duration")
 )
 
 func checkWindow(w Window) error {
@@ -332,7 +336,7 @@ func (p *Plan) Validate() error {
 		if c.Loss == 0 && c.Dup == 0 && c.Delay == 0 {
 			return fmt.Errorf("fault: chaos window %d injects nothing (loss=dup=delay=0)", i)
 		}
-		if c.DelayMS < 0 {
+		if c.DelayMS < 0 || int64(c.DelayMS) > math.MaxInt64/int64(time.Millisecond) {
 			return ErrChaosDelayMS
 		}
 		if err := checkWindow(c.Window); err != nil {

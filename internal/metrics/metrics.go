@@ -222,27 +222,3 @@ func MisassignedFraction(states []NodeState, part core.Partition) float64 {
 	}
 	return float64(wrong) / float64(n)
 }
-
-// SlicePollution returns the fraction of the nodes that believe they
-// belong to slice that isLiar marks as byzantine — the adversary's
-// occupancy of the slice it targets. An honest run (or a slice nobody
-// claims) scores 0; a fully captured slice scores toward 1. States
-// must carry the nodes' BELIEVED slice; the caller decides whether
-// attributes are the real ones or the lies (pollution only reads
-// SliceIndex and identity).
-func SlicePollution(states []NodeState, slice int, isLiar func(core.ID) bool) float64 {
-	claimed, lying := 0, 0
-	for i := range states {
-		if states[i].SliceIndex != slice {
-			continue
-		}
-		claimed++
-		if isLiar(states[i].Member.ID) {
-			lying++
-		}
-	}
-	if claimed == 0 {
-		return 0
-	}
-	return float64(lying) / float64(claimed)
-}

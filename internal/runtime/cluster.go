@@ -395,18 +395,12 @@ func (c *Cluster) Nodes() []*Node {
 // the traffic).
 func (c *Cluster) MessageCounts() MessageCounts { return c.sched.counts() }
 
-// NetFaultCounts tallies the injections performed by the internal
-// network's fault layer (see SetPartition / SetChaos).
-type NetFaultCounts struct {
-	PartitionDrops uint64
-	ChaosDrops     uint64
-	ChaosDups      uint64
-	ChaosDelays    uint64
-}
-
-// FaultCounts reports the cluster's fault-injection tallies so far.
-func (c *Cluster) FaultCounts() NetFaultCounts {
-	return NetFaultCounts{
+// FaultCounts reports the injections the internal network's fault layer
+// (see SetPartition / SetChaos) performed so far. The attribute-fault
+// fields stay zero: drift and lies are a fault.Applier's, not the
+// network's.
+func (c *Cluster) FaultCounts() fault.Counts {
+	return fault.Counts{
 		PartitionDrops: c.sched.faultPartDrops.Load(),
 		ChaosDrops:     c.sched.faultChaosDrops.Load(),
 		ChaosDups:      c.sched.faultChaosDups.Load(),

@@ -6,6 +6,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/metrics"
 )
 
@@ -110,7 +111,7 @@ func TestPartitionHealDeterministic(t *testing.T) {
 	part := testPartition(t, 4)
 	type outcome struct {
 		counts MessageCounts
-		faults NetFaultCounts
+		faults fault.Counts
 		sdm    []float64
 	}
 	run := func() outcome {

@@ -17,9 +17,9 @@ const (
 // FaultsSpec is the serializable fault-injection plan of a run
 // (Spec.Faults). Each family is optional; windows are half-open cycle
 // intervals [from, until) with until 0 meaning "never closes". The same
-// block drives both backends: the simulator injects in its serial cycle
-// sections, the live backend through the cluster's fault API — in both,
-// injection is a pure function of the run seed.
+// block drives both backends: attribute faults through one
+// fault.Applier, partitions and message chaos through each engine's own
+// network.
 type FaultsSpec struct {
 	// Drift mutates the attributes of a node cohort mid-run.
 	Drift *DriftSpec `json:"drift,omitempty"`
@@ -82,9 +82,10 @@ type ChaosSpec struct {
 	Loss  float64 `json:"loss,omitempty"`
 	Dup   float64 `json:"dup,omitempty"`
 	Delay float64 `json:"delay,omitempty"`
-	// DelayMS is the live-backend delay spike in milliseconds (the
-	// simulator defers a delayed message to end-of-cycle instead; a live
-	// run with DelayMS 0 spikes by one gossip period).
+	// DelayMS is the live-backend delay spike in milliseconds, at most
+	// what a time.Duration holds (the simulator defers a delayed message
+	// to end-of-cycle instead; a live run with DelayMS 0 spikes by one
+	// gossip period).
 	DelayMS int `json:"delayMS,omitempty"`
 }
 

@@ -3,8 +3,12 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
+
+	"github.com/gossipkit/slicing/internal/core"
+	"github.com/gossipkit/slicing/internal/sim"
 )
 
 // fullFaultsSpec exercises every family and every optional field at
@@ -38,23 +42,17 @@ func TestFaultsSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("round-tripped faulted spec invalid: %v", err)
 	}
 	// A faultless spec must not grow a faults key.
-	if data, _ := json.Marshal(validSpec()); string(data) != "" && reflect.DeepEqual(json.Valid(data), false) {
-		t.Fatalf("marshal broke: %s", data)
+	plain, err := json.Marshal(validSpec())
+	if err != nil {
+		t.Fatal(err)
 	}
-	plainJSON, _ := json.Marshal(validSpec())
-	if got := string(plainJSON); errors.Is(nil, nil) && jsonHasKey(got, "faults") {
-		t.Errorf("zero Faults should be omitted: %s", got)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(plain, &keys); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// jsonHasKey reports whether a marshaled object contains the top-level key.
-func jsonHasKey(data, key string) bool {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(data), &m); err != nil {
-		return false
+	if _, ok := keys["faults"]; ok {
+		t.Errorf("zero Faults should be omitted: %s", plain)
 	}
-	_, ok := m[key]
-	return ok
 }
 
 func TestFaultsSpecValidation(t *testing.T) {
@@ -71,6 +69,8 @@ func TestFaultsSpecValidation(t *testing.T) {
 		"loss over 1":         func(f *FaultsSpec) { f.Chaos[0].Loss = 1.5 },
 		"negative dup":        func(f *FaultsSpec) { f.Chaos[0].Dup = -0.1 },
 		"negative delayMS":    func(f *FaultsSpec) { f.Chaos[0].DelayMS = -3 },
+		// 1e13 ms wraps time.Duration negative on the live backend.
+		"delayMS overflow": func(f *FaultsSpec) { f.Chaos[0].DelayMS = 10_000_000_000_000 },
 	}
 	for name, mutate := range cases {
 		spec := validSpec()
@@ -232,4 +232,103 @@ func TestChaosRecoveryGates(t *testing.T) {
 				be.Name(), during, final.Value)
 		}
 	}
+}
+
+// TestDriftSameOnBothEngines pins that attribute drift is one function
+// of the seed: stepped through a walk-drift window, every node moves by
+// the same amount on the simulator and on the live runtime.
+func TestDriftSameOnBothEngines(t *testing.T) {
+	spec := Spec{
+		Name: "drift", Protocol: ProtoRanking,
+		N: 200, Slices: 10, ViewSize: 10, Cycles: 12, Seed: 7,
+		Attr:   DistSpec{Kind: "uniform", Lo: 0, Hi: 1000},
+		Faults: &FaultsSpec{Drift: &DriftSpec{Kind: DriftWalk, From: 2, Until: 10, Frac: 0.25, Amp: 40}},
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := MaterializeLive(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Stop()
+	simAttrs := func() map[core.ID]core.Attr {
+		m := make(map[core.ID]core.Attr)
+		for _, st := range e.States() {
+			m[st.Member.ID] = st.Member.Attr
+		}
+		return m
+	}
+	liveAttrs := func() map[core.ID]core.Attr {
+		m := make(map[core.ID]core.Attr)
+		for _, n := range lc.Cluster.Nodes() {
+			m[n.ID()] = n.SelfEntry().Attr
+		}
+		return m
+	}
+	sim0, live0 := simAttrs(), liveAttrs()
+	if err := lc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < spec.Cycles; c++ {
+		e.Step()
+		if err := lc.Step(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim1, live1 := simAttrs(), liveAttrs()
+	if len(sim1) != len(live1) {
+		t.Fatalf("populations differ: sim %d, live %d", len(sim1), len(live1))
+	}
+	drifted, mismatched := 0, 0
+	for id, a := range sim1 {
+		b, ok := live1[id]
+		if !ok {
+			t.Fatalf("node %d is live in the sim only", id)
+		}
+		ds, dl := float64(a-sim0[id]), float64(b-live0[id])
+		if ds != 0 {
+			drifted++
+		}
+		if math.Abs(ds-dl) > 1e-9 {
+			mismatched++
+		}
+	}
+	if drifted == 0 {
+		t.Fatal("no node drifted")
+	}
+	if mismatched > 0 {
+		t.Errorf("%d of %d drifting nodes moved by different amounts on sim and live", mismatched, drifted)
+	}
+}
+
+// FuzzFaultsSpec feeds arbitrary JSON to the faults block: plan must
+// never panic, and a plan it accepts must run on both backends.
+func FuzzFaultsSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var fs FaultsSpec
+		if err := json.Unmarshal(data, &fs); err != nil {
+			return
+		}
+		if _, err := fs.plan("fuzz"); err != nil {
+			return
+		}
+		spec := Spec{
+			Name: "fuzz", Protocol: ProtoRanking,
+			N: 16, Slices: 4, ViewSize: 5, Cycles: 8, Seed: 1,
+			Attr:   DistSpec{Kind: "uniform", Lo: 0, Hi: 100},
+			Faults: &fs,
+			Live:   &LiveSpec{Shards: 1},
+		}
+		for _, be := range []Backend{SimBackend{}, LiveBackend{}} {
+			if _, err := be.Run(spec); err != nil {
+				t.Fatalf("%s: an accepted faults block failed to run: %v", be.Name(), err)
+			}
+		}
+	})
 }

@@ -1,11 +1,8 @@
 package scenario
 
 import (
-	"math/rand"
-
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/metrics"
-	"github.com/gossipkit/slicing/internal/runtime"
 	"github.com/gossipkit/slicing/internal/sim"
 )
 
@@ -66,8 +63,9 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 		var req, failed uint64
 		for _, n := range nodes {
 			st := n.Status()
+			// A lying node is graded by the attribute it is hiding.
 			states = append(states, metrics.NodeState{
-				Member:     core.Member{ID: st.ID, Attr: st.Attr},
+				Member:     core.Member{ID: st.ID, Attr: lc.faults.Real(st.ID, st.Attr)},
 				R:          st.R,
 				SliceIndex: st.SliceIx,
 			})
@@ -78,13 +76,12 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 				}
 			}
 		}
-		// Pollution grades the BELIEVED states (who claims the target
-		// slice); the disorder measures then grade against ground truth —
-		// a lying node is judged by the attribute it is hiding.
-		if p, ok := lc.Pollution(states); ok {
+		// Pollution grades the BELIEVED slices.
+		if p, ok := lc.faults.Pollution(len(states), func(i int) (core.ID, int) {
+			return states[i].Member.ID, states[i].SliceIndex
+		}); ok {
 			res.Pollution.Add(cycle, p)
 		}
-		states = lc.GroundTruth(states)
 		res.SDM.Add(cycle, metrics.SDM(states, part))
 		res.Size.Add(cycle, float64(len(states)))
 		if spec.RecordGDM {
@@ -128,18 +125,27 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 		Dropped:      counts.Dropped,
 	}
 	res.FinalN = len(c.Nodes())
-	res.Faults = lc.FaultTally()
+	// The network tallies partition and chaos injections, the applier
+	// drift and lies.
+	res.Faults = c.FaultCounts()
+	res.Faults.DriftPerturbations = lc.faults.Counts.DriftPerturbations
+	res.Faults.LiesInstalled = lc.faults.Counts.LiesInstalled
 	if b.Inst.AtEnd != nil {
 		b.Inst.AtEnd(spec, res.FinalN)
 	}
 	return res, nil
 }
 
-// applyLiveChurn executes one cycle's churn event as real cluster
-// operations: leavers crash mid-gossip (no goodbye), joiners bootstrap
-// from live views. Both pattern calls read the same pre-event
-// attribute-ordered membership, exactly like the simulator's churn.
-func applyLiveChurn(c *runtime.Cluster, cfg sim.Config, rng *rand.Rand, cycle int) error {
+// applyChurn executes the cycle's churn event as real cluster
+// operations: leavers crash mid-gossip (no goodbye) and take their lie
+// stash with them, joiners bootstrap from live views. Both pattern
+// calls read the same pre-event attribute-ordered membership, exactly
+// like the simulator's churn.
+func (lc *LiveCluster) applyChurn(cycle int) error {
+	c, cfg := lc.Cluster, &lc.cfg
+	if cfg.Schedule == nil || cfg.Pattern == nil {
+		return nil
+	}
 	ev := cfg.Schedule.At(cycle, len(c.Nodes()))
 	if ev.Leave == 0 && ev.Join == 0 {
 		return nil
@@ -151,12 +157,13 @@ func applyLiveChurn(c *runtime.Cluster, cfg sim.Config, rng *rand.Rand, cycle in
 	}
 	core.SortMembers(members)
 	if ev.Leave > 0 {
-		for _, id := range cfg.Pattern.PickLeavers(rng, members, ev.Leave) {
+		for _, id := range cfg.Pattern.PickLeavers(lc.rng, members, ev.Leave) {
 			c.Kill(id)
+			lc.faults.Forget(id)
 		}
 	}
 	for i := 0; i < ev.Join; i++ {
-		if _, err := c.Join(cfg.Pattern.JoinAttr(rng, members)); err != nil {
+		if _, err := c.Join(cfg.Pattern.JoinAttr(lc.rng, members)); err != nil {
 			return err
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/fault"
-	"github.com/gossipkit/slicing/internal/metrics"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/runtime"
 	"github.com/gossipkit/slicing/internal/sim"
@@ -37,15 +36,11 @@ type LiveCluster struct {
 	cfg sim.Config
 	rng *rand.Rand
 
-	// Fault-driving state (cfg.Faults): the per-family salts, the
-	// currently-lying nodes with their real attributes (ground truth for
-	// disorder measures), and the open/closed edge trackers for the
-	// partition and chaos windows.
-	faults                       *fault.Plan
-	saltDrift, saltByz, saltPart int64
-	lying                        map[core.ID]core.Attr
-	partOpen, chaosOn            bool
-	driftPerturbs, liesInstalled uint64
+	// Fault-driving state (cfg.Faults): the attribute-fault applier (its
+	// stash is the ground truth for disorder measures) and the
+	// open/closed edge trackers for the partition and chaos windows.
+	faults            *fault.Applier
+	partOpen, chaosOn bool
 }
 
 // Instrumentation carries the observability hooks a caller can attach
@@ -155,6 +150,8 @@ func MaterializeLiveWith(spec Spec, inst Instrumentation) (*LiveCluster, error) 
 	if err != nil {
 		return nil, err
 	}
+	faults := fault.NewApplier(cfg.Faults, cfg.Seed, part)
+	faults.Trace = c.Trace()
 	return &LiveCluster{
 		Cluster:  c,
 		Part:     part,
@@ -165,12 +162,8 @@ func MaterializeLiveWith(spec Spec, inst Instrumentation) (*LiveCluster, error) 
 		// The driver's own rng decides churn membership picks;
 		// decorrelated from the cluster's construction rng but equally
 		// seeded.
-		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
-		faults:    cfg.Faults,
-		saltDrift: fault.DriftSalt(cfg.Seed),
-		saltByz:   fault.ByzantineSalt(cfg.Seed),
-		saltPart:  fault.PartitionSalt(cfg.Seed),
-		lying:     make(map[core.ID]core.Attr),
+		rng:    rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
+		faults: faults,
 	}, nil
 }
 
@@ -187,10 +180,8 @@ func (lc *LiveCluster) Stop() { lc.Cluster.Stop() }
 // virtual Advance otherwise. Cycles are numbered from 0 like the
 // simulator's.
 func (lc *LiveCluster) Step(cycle int) error {
-	if lc.cfg.Schedule != nil && lc.cfg.Pattern != nil {
-		if err := applyLiveChurn(lc.Cluster, lc.cfg, lc.rng, cycle); err != nil {
-			return err
-		}
+	if err := lc.applyChurn(cycle); err != nil {
+		return err
 	}
 	if err := lc.applyFaults(cycle); err != nil {
 		return err
@@ -204,17 +195,16 @@ func (lc *LiveCluster) Step(cycle int) error {
 
 // applyFaults drives the cycle's fault-plane transitions on the live
 // cluster: partition open/heal and chaos window edges on the network,
-// drift and byzantine attribute changes on the nodes. Every decision is
-// the same pure (salt, id[, cycle]) function the simulator uses, so a
-// live chaos run reproduces per seed.
+// then drift and byzantine attribute changes through the same
+// fault.Applier the simulator uses.
 func (lc *LiveCluster) applyFaults(cycle int) error {
-	p := lc.faults
+	p := lc.cfg.Faults
 	if p.Empty() {
 		return nil
 	}
 	if pt := p.PartitionAt(cycle); pt != nil {
 		if !lc.partOpen {
-			if err := lc.Cluster.SetPartition(lc.saltPart, pt.Groups); err != nil {
+			if err := lc.Cluster.SetPartition(lc.faults.PartitionSalt(), pt.Groups); err != nil {
 				return err
 			}
 			lc.partOpen = true
@@ -236,153 +226,25 @@ func (lc *LiveCluster) applyFaults(cycle int) error {
 		lc.Cluster.ClearChaos()
 		lc.chaosOn = false
 	}
-	lc.applyDrift(cycle, p.Drift)
-	lc.applyByzantine(cycle, p.ByzantineOf())
-	return nil
-}
-
-// applyDrift perturbs the drift cohort's attributes. A lying node's
-// REAL attribute (tracked in lc.lying) moves instead of its advertised
-// lie, so drift surfaces when the lie is lifted — same rule as the
-// simulator.
-func (lc *LiveCluster) applyDrift(cycle int, d *fault.Drift) {
-	if !d.Applies(cycle) {
-		return
-	}
-	for _, n := range lc.Cluster.Nodes() {
-		id := n.ID()
-		if !fault.Select(lc.saltDrift, uint64(id), d.Frac) {
-			continue
-		}
-		delta := d.Delta(cycle, fault.Unit(lc.saltDrift, uint64(id), uint64(cycle)))
-		if delta == 0 {
-			continue
-		}
-		if real, ok := lc.lying[id]; ok {
-			lc.lying[id] = real + core.Attr(delta)
-		} else {
-			n.SetAttr(n.SelfEntry().Attr + core.Attr(delta))
-		}
-		lc.driftPerturbs++
-	}
-}
-
-// applyByzantine reconciles the liar cohort with the lie window:
-// installs lies (stashing the real attribute) when it opens, restores
-// them when it closes. Idempotent per cycle.
-func (lc *LiveCluster) applyByzantine(cycle int, b *fault.Byzantine) {
-	if b == nil {
-		return
-	}
-	active := b.Window.Contains(cycle)
-	if !active && len(lc.lying) == 0 {
-		return
+	if p.Drift == nil && p.Byzantine == nil {
+		return nil
 	}
 	nodes := lc.Cluster.Nodes()
-	byID := make(map[core.ID]*runtime.Node, len(nodes))
+	byID := make(liveNodes, len(nodes))
 	members := make([]core.Member, 0, len(nodes))
 	for _, n := range nodes {
 		id := n.ID()
 		byID[id] = n
-		attr := n.SelfEntry().Attr
-		if real, ok := lc.lying[id]; ok {
-			attr = real
-		}
-		members = append(members, core.Member{ID: id, Attr: attr})
+		members = append(members, core.Member{ID: id, Attr: lc.faults.Real(id, n.SelfEntry().Attr)})
 	}
 	core.SortMembers(members)
-	// Churn may have killed a liar; its stash must not leak.
-	for id := range lc.lying {
-		if _, alive := byID[id]; !alive {
-			delete(lc.lying, id)
-		}
-	}
-	for _, m := range members {
-		n := byID[m.ID]
-		_, cur := lc.lying[m.ID]
-		want := active && fault.Select(lc.saltByz, uint64(m.ID), b.Frac)
-		switch {
-		case want:
-			lie := liveLieAttr(b, lc.saltByz, m.ID, members, lc.Part)
-			if !cur {
-				lc.lying[m.ID] = m.Attr
-				lc.liesInstalled++
-				lc.Cluster.Trace().Record(telemetry.TraceEvent{
-					Kind: telemetry.TraceLieSent, Node: uint64(m.ID), Attr: float64(lie),
-				})
-			}
-			if n.SelfEntry().Attr != lie {
-				n.SetAttr(lie)
-			}
-		case cur:
-			n.SetAttr(lc.lying[m.ID])
-			delete(lc.lying, m.ID)
-		}
-	}
+	lc.faults.Apply(cycle, members, byID)
+	return nil
 }
 
-// liveLieAttr mirrors the simulator's lie computation against the
-// real-attribute membership: always-top claims above the maximum,
-// random claims inside the range, collusive interpolates into the
-// target slice's attribute quantile range.
-func liveLieAttr(b *fault.Byzantine, salt int64, id core.ID, members []core.Member, part core.Partition) core.Attr {
-	n := len(members)
-	lo, hi := members[0].Attr, members[n-1].Attr
-	switch b.Policy {
-	case fault.LieRandom:
-		return lo + (hi-lo)*core.Attr(fault.Unit(salt, uint64(id), 2))
-	case fault.LieCollusive:
-		sl := part.Slice(b.Target(part.Len()))
-		rank := sl.Low + (sl.High-sl.Low)*fault.Unit(salt, uint64(id), 3)
-		pos := int(rank * float64(n))
-		if pos >= n {
-			pos = n - 1
-		}
-		return members[pos].Attr
-	default: // LieAlwaysTop
-		return hi + 1 + core.Attr(fault.Unit(salt, uint64(id), 1))
-	}
-}
+// liveNodes adapts the cluster's live nodes to fault.Nodes.
+type liveNodes map[core.ID]*runtime.Node
 
-// GroundTruth rewrites the believed states of currently-lying nodes
-// with their stashed real attributes, so disorder measures grade the
-// system against the truth the liars are hiding.
-func (lc *LiveCluster) GroundTruth(states []metrics.NodeState) []metrics.NodeState {
-	if len(lc.lying) == 0 {
-		return states
-	}
-	for i := range states {
-		if real, ok := lc.lying[states[i].Member.ID]; ok {
-			states[i].Member.Attr = real
-		}
-	}
-	return states
-}
+func (ns liveNodes) Attr(id core.ID) core.Attr { return ns[id].SelfEntry().Attr }
 
-// Pollution returns the byzantine slice pollution of the believed
-// states — the liar-cohort fraction among the nodes claiming the
-// target slice — and whether a byzantine family is configured at all.
-func (lc *LiveCluster) Pollution(states []metrics.NodeState) (float64, bool) {
-	b := lc.faults.ByzantineOf()
-	if b == nil {
-		return 0, false
-	}
-	return metrics.SlicePollution(states, b.Target(lc.Part.Len()), func(id core.ID) bool {
-		return fault.Select(lc.saltByz, uint64(id), b.Frac)
-	}), true
-}
-
-// FaultTally reports the run's cumulative injection counters: the
-// driver's own attribute perturbations and lies, plus the cluster
-// network's partition and chaos injections.
-func (lc *LiveCluster) FaultTally() sim.FaultCounts {
-	nf := lc.Cluster.FaultCounts()
-	return sim.FaultCounts{
-		DriftPerturbations: lc.driftPerturbs,
-		LiesInstalled:      lc.liesInstalled,
-		PartitionDrops:     nf.PartitionDrops,
-		ChaosDrops:         nf.ChaosDrops,
-		ChaosDups:          nf.ChaosDups,
-		ChaosDelays:        nf.ChaosDelays,
-	}
-}
+func (ns liveNodes) SetAttr(id core.ID, a core.Attr) { ns[id].SetAttr(a) }

@@ -6,50 +6,36 @@ import (
 	"github.com/gossipkit/slicing/internal/metrics"
 )
 
-// This file is the simulator half of the fault plane (Config.Faults).
-// Injection preserves the worker-count bit-invariance contract the same
-// way the protocol rounds do:
-//
-//   - Cohort membership, partition grouping and lie targets are pure
-//     functions of (salt, node ID) — no state, no draw order.
-//   - Per-node randomness (drift walk steps, chaos loss on view
-//     exchanges) comes from the node's own counter stream (phaseFault,
-//     or a trailing draw on its membership stream), so parallel workers
-//     can evaluate any subset of nodes in any order.
-//   - Everything else — lie installation, chaos draws on protocol
-//     envelopes — runs in the serial sections of a cycle on the
-//     engine's stream, exactly like churn.
+// This file is the simulator's side of the fault plane (Config.Faults).
+// Drift and byzantine lies go through the fault.Applier the live
+// backend uses too; the simulator supplies node access (simNodes) and
+// applies partition and chaos windows on its own network. Partition
+// grouping is a pure function of (salt, ID); chaos loss on view
+// exchanges is a trailing draw on the node's membership stream, and
+// chaos on protocol envelopes draws in the serial sections on the
+// engine's stream — so faults keep the worker-count bit-invariance.
 
 // FaultCounts tallies the injections a run performed, cumulatively.
-type FaultCounts struct {
-	// DriftPerturbations counts individual attribute updates applied by
-	// the drift schedule.
-	DriftPerturbations uint64
-	// LiesInstalled counts honest→lying transitions (a node beginning to
-	// impersonate a false attribute).
-	LiesInstalled uint64
-	// PartitionDrops counts messages and view exchanges suppressed
-	// because they crossed an open partition.
-	PartitionDrops uint64
-	// ChaosDrops / ChaosDups / ChaosDelays count messages lost,
-	// duplicated and deferred by chaos windows.
-	ChaosDrops  uint64
-	ChaosDups   uint64
-	ChaosDelays uint64
-}
+type FaultCounts = fault.Counts
 
 // FaultTally returns the cumulative injection counters.
-func (e *Engine) FaultTally() FaultCounts { return e.fc }
+func (e *Engine) FaultTally() FaultCounts { return e.faults.Counts }
 
 // Pollution returns the per-cycle slice-pollution series: the fraction
 // of the byzantine target slice's believed occupants that are liars.
 // Empty unless the plan has a Byzantine family.
 func (e *Engine) Pollution() metrics.Series { return e.pollution }
 
+// simNodes adapts the engine to fault.Nodes through the slot table.
+type simNodes Engine
+
+func (n *simNodes) Attr(id core.ID) core.Attr { return (*Engine)(n).memberAt(n.slots[id]).Attr }
+
+func (n *simNodes) SetAttr(id core.ID, a core.Attr) { (*Engine)(n).setAttrAt(n.slots[id], a) }
+
 // applyFaults runs the cycle's serial fault step, after churn and
 // before the membership phase: caches the cycle's partition/chaos
-// windows, applies the drift schedule to the real attributes, and
-// installs, refreshes or lifts byzantine lies. It reports whether any
+// windows and applies the attribute faults. It reports whether any
 // node attribute changed (so Step can invalidate the self-entry cache).
 func (e *Engine) applyFaults() (changed bool) {
 	p := e.cfg.Faults
@@ -58,157 +44,24 @@ func (e *Engine) applyFaults() (changed bool) {
 	}
 	e.partNow = p.PartitionAt(e.cycle)
 	e.chaosNow = p.ChaosAt(e.cycle)
-	if e.applyDrift(p.Drift) {
-		changed = true
-	}
-	if e.applyByzantine(p.Byzantine) {
-		changed = true
-	}
-	return changed
-}
-
-// applyDrift perturbs the attributes of the drift cohort. The REAL
-// attribute always moves — e.members stays ground truth — while the
-// node only adopts the new value when it is not currently lying (a
-// liar's drift surfaces when its lie is lifted).
-func (e *Engine) applyDrift(d *fault.Drift) bool {
-	if !d.Applies(e.cycle) {
-		return false
-	}
-	seed, cycle := e.cfg.Seed, uint64(e.cycle)
-	moved := false
-	for i := range e.members {
-		m := &e.members[i]
-		id := uint64(m.ID)
-		if !fault.Select(e.saltDrift, id, d.Frac) {
-			continue
-		}
-		st := nodeStream(seed, id, cycle, phaseFault)
-		delta := d.Delta(e.cycle, st.Float64())
-		if delta == 0 {
-			continue
-		}
-		m.Attr += core.Attr(delta)
-		if _, lies := e.lying[m.ID]; !lies {
-			e.setAttrAt(e.slots[m.ID], m.Attr)
-		}
-		e.fc.DriftPerturbations++
-		moved = true
-	}
-	if moved {
-		core.SortMembers(e.members)
-	}
-	return moved
-}
-
-// applyByzantine reconciles every cohort node's lying state with the
-// window: installs lies when it opens (and on liars that join mid-
-// window), refreshes lies that drifted out of position, restores real
-// attributes when it closes. Idempotent per cycle.
-func (e *Engine) applyByzantine(b *fault.Byzantine) bool {
-	if b == nil {
-		return false
-	}
-	active := b.Window.Contains(e.cycle)
-	if !active && len(e.lying) == 0 {
-		return false
-	}
-	changed := false
-	for i := range e.members {
-		m := e.members[i]
-		_, cur := e.lying[m.ID]
-		want := active && fault.Select(e.saltByz, uint64(m.ID), b.Frac)
-		switch {
-		case want:
-			lie := e.lieAttr(b, m.ID)
-			s := e.slots[m.ID]
-			if !cur {
-				if e.lying == nil {
-					e.lying = make(map[core.ID]struct{})
-				}
-				e.lying[m.ID] = struct{}{}
-				e.fc.LiesInstalled++
-			}
-			if e.memberAt(s).Attr != lie {
-				e.setAttrAt(s, lie)
-				changed = true
-			}
-		case cur:
-			// Window closed (or the node was never in the cohort — map
-			// entries only exist for cohort nodes): drop the lie.
-			e.setAttrAt(e.slots[m.ID], m.Attr)
-			delete(e.lying, m.ID)
-			changed = true
-		}
-	}
-	return changed
-}
-
-// lieAttr computes the attribute a liar claims, as a pure function of
-// (salt, id) against the current attribute-ordered membership:
-//
-//   - always-top: above the population maximum, jittered per liar so
-//     lies stay distinct.
-//   - random: uniform within the population's attribute range.
-//   - collusive: interpolated into the target slice's attribute
-//     quantile range — the cohort converges onto one slice.
-func (e *Engine) lieAttr(b *fault.Byzantine, id core.ID) core.Attr {
-	n := len(e.members)
-	lo, hi := e.members[0].Attr, e.members[n-1].Attr
-	switch b.Policy {
-	case fault.LieRandom:
-		return lo + (hi-lo)*core.Attr(fault.Unit(e.saltByz, uint64(id), 2))
-	case fault.LieCollusive:
-		sl := e.part.Slice(b.Target(e.part.Len()))
-		rank := sl.Low + (sl.High-sl.Low)*fault.Unit(e.saltByz, uint64(id), 3)
-		pos := int(rank * float64(n))
-		if pos >= n {
-			pos = n - 1
-		}
-		return e.members[pos].Attr
-	default: // LieAlwaysTop
-		return hi + 1 + core.Attr(fault.Unit(e.saltByz, uint64(id), 1))
-	}
-}
-
-// isLiar reports whether id belongs to the byzantine cohort (a static
-// property of the run: cohort nodes count as liars before, during and
-// after the lie window, so residual pollution decay is measurable).
-func (e *Engine) isLiar(id core.ID) bool {
-	b := e.cfg.Faults.ByzantineOf()
-	return b != nil && fault.Select(e.saltByz, uint64(id), b.Frac)
+	return e.faults.Apply(e.cycle, e.members, (*simNodes)(e))
 }
 
 // partitionBlocks reports whether a message from a to b crosses an open
 // partition this cycle. Pure against per-cycle state (partNow, the
 // salt), so parallel compute phases may call it freely.
 func (e *Engine) partitionBlocks(a, b core.ID) bool {
-	return e.partNow != nil && e.partNow.Crosses(e.saltPart, uint64(a), uint64(b))
+	return e.partNow != nil && e.partNow.Crosses(e.faults.PartitionSalt(), uint64(a), uint64(b))
 }
 
-// recordPollution appends the cycle's slice-pollution sample: among the
-// nodes that believe they are in the byzantine target slice, the
-// fraction belonging to the liar cohort. believed is in e.members
-// order.
+// recordPollution appends the cycle's slice-pollution sample. believed
+// is in e.members order.
 func (e *Engine) recordPollution(believed []int) {
-	b := e.cfg.Faults.ByzantineOf()
-	if b == nil {
+	p, ok := e.faults.Pollution(len(e.members), func(i int) (core.ID, int) {
+		return e.members[i].ID, believed[i]
+	})
+	if !ok {
 		return
-	}
-	target := b.Target(e.part.Len())
-	claimed, lying := 0, 0
-	for i := range e.members {
-		if believed[i] != target {
-			continue
-		}
-		claimed++
-		if fault.Select(e.saltByz, uint64(e.members[i].ID), b.Frac) {
-			lying++
-		}
-	}
-	p := 0.0
-	if claimed > 0 {
-		p = float64(lying) / float64(claimed)
 	}
 	e.pollution.Add(e.cycle, p)
 	if e.tel != nil {
@@ -222,7 +75,7 @@ func (e *Engine) publishFaultTelemetry() {
 	if e.tel == nil {
 		return
 	}
-	cur, prev := e.fc, e.prevFC
+	cur, prev := e.faults.Counts, e.prevFC
 	e.tel.faults[faultIxDrift].Add(cur.DriftPerturbations - prev.DriftPerturbations)
 	e.tel.faults[faultIxLie].Add(cur.LiesInstalled - prev.LiesInstalled)
 	e.tel.faults[faultIxPartDrop].Add(cur.PartitionDrops - prev.PartitionDrops)

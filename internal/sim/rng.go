@@ -23,7 +23,6 @@ import "github.com/gossipkit/slicing/internal/core"
 const (
 	phaseMembership uint64 = 1 // view-exchange partner selection, oracle re-draws
 	phaseProtocol   uint64 = 2 // overlap decision + slicing-step draws
-	phaseFault      uint64 = 3 // fault-plane draws (attribute drift steps)
 )
 
 // nodeStream derives the stream for one node's draws in one phase of one

@@ -369,18 +369,14 @@ type Engine struct {
 	phaseNS  [phaseCount]int64
 	memberNS [memberPartCount]int64
 
-	// Fault-plane state; see faults.go. The salts are derived from the
-	// run seed at construction, partNow/chaosNow cache the cycle's
-	// active windows, lying tracks which IDs currently impersonate a
-	// false attribute, and fc tallies every injection.
-	saltDrift int64
-	saltByz   int64
-	saltPart  int64
-	partNow   *fault.Partition
-	chaosNow  *fault.Chaos
-	lying     map[core.ID]struct{}
-	fc        FaultCounts
-	prevFC    FaultCounts
+	// Fault-plane state; see faults.go. faults applies the attribute
+	// faults and tallies every injection, partNow/chaosNow cache the
+	// cycle's active windows, and prevFC is the tally telemetry last
+	// published.
+	faults   *fault.Applier
+	partNow  *fault.Partition
+	chaosNow *fault.Chaos
+	prevFC   FaultCounts
 
 	// workers is the resolved compute-worker count (≥ 1); ws holds one
 	// scratch block per worker. See parallel.go.
@@ -509,9 +505,7 @@ func New(cfg Config) (*Engine, error) {
 		size:     metrics.Series{Name: "n"},
 
 		pollution: metrics.Series{Name: "pollution"},
-		saltDrift: fault.DriftSalt(cfg.Seed),
-		saltByz:   fault.ByzantineSalt(cfg.Seed),
-		saltPart:  fault.PartitionSalt(cfg.Seed),
+		faults:    fault.NewApplier(cfg.Faults, cfg.Seed, part),
 	}
 	switch cfg.Protocol {
 	case Ordering:

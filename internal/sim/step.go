@@ -184,7 +184,7 @@ func (e *Engine) removeNode(id core.ID) {
 	if int(id) < len(e.coordTab) {
 		e.coordTab[id] = math.NaN()
 	}
-	delete(e.lying, id)
+	e.faults.Forget(id)
 }
 
 // exchangeRound is the membership phase for the gossiping substrates
@@ -322,8 +322,8 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 	})
 	for i := range e.ws {
 		e.Delivered.Dropped += e.ws[i].dropped + e.ws[i].partDrops + e.ws[i].chaosDrops
-		e.fc.PartitionDrops += e.ws[i].partDrops
-		e.fc.ChaosDrops += e.ws[i].chaosDrops
+		e.faults.Counts.PartitionDrops += e.ws[i].partDrops
+		e.faults.Counts.ChaosDrops += e.ws[i].chaosDrops
 	}
 
 	// Deterministic per-target initiator lists: a counting sort of the
@@ -632,7 +632,7 @@ func (e *Engine) commitOrdering(n int) {
 			continue
 		}
 		if e.partitionBlocks(e.ids[s], to) {
-			e.fc.PartitionDrops++
+			e.faults.Counts.PartitionDrops++
 			e.Delivered.Dropped++
 			continue
 		}
@@ -644,12 +644,12 @@ func (e *Engine) commitOrdering(n int) {
 			// the overlapping set: it lands at end of cycle with the
 			// stale-delivery semantics overlap already has.
 			if ch.Loss > 0 && e.rng.Float64() < ch.Loss {
-				e.fc.ChaosDrops++
+				e.faults.Counts.ChaosDrops++
 				e.Delivered.Dropped++
 				continue
 			}
 			if ch.Delay > 0 && e.rng.Float64() < ch.Delay {
-				e.fc.ChaosDelays++
+				e.faults.Counts.ChaosDelays++
 				overlapping = append(overlapping, deferredEnv{from: int32(s), to: to, r: e.swapR[s], attr: e.swapAttr[s]})
 				continue
 			}
@@ -665,7 +665,7 @@ func (e *Engine) commitOrdering(n int) {
 		e.deliverSwap(int32(s), to, r, attr)
 		if ch := e.chaosNow; ch != nil && ch.Dup > 0 && e.rng.Float64() < ch.Dup {
 			// Duplication: the same request lands twice.
-			e.fc.ChaosDups++
+			e.faults.Counts.ChaosDups++
 			e.deliverSwap(int32(s), to, r, attr)
 		}
 	}
@@ -683,12 +683,12 @@ func (e *Engine) flushDeferred(overlapping []deferredEnv) {
 	isOrdering := e.ons != nil
 	for _, d := range overlapping {
 		if e.partitionBlocks(e.ids[d.from], d.to) {
-			e.fc.PartitionDrops++
+			e.faults.Counts.PartitionDrops++
 			e.Delivered.Dropped++
 			continue
 		}
 		if ch := e.chaosNow; ch != nil && ch.Loss > 0 && e.rng.Float64() < ch.Loss {
-			e.fc.ChaosDrops++
+			e.faults.Counts.ChaosDrops++
 			e.Delivered.Dropped++
 			continue
 		}
@@ -803,25 +803,25 @@ func (e *Engine) commitRankingSerial(n int) {
 				continue
 			}
 			if e.partitionBlocks(e.ids[s], to) {
-				e.fc.PartitionDrops++
+				e.faults.Counts.PartitionDrops++
 				e.Delivered.Dropped++
 				continue
 			}
 			if ch != nil {
 				if ch.Loss > 0 && e.rng.Float64() < ch.Loss {
-					e.fc.ChaosDrops++
+					e.faults.Counts.ChaosDrops++
 					e.Delivered.Dropped++
 					continue
 				}
 				if ch.Delay > 0 && e.rng.Float64() < ch.Delay {
-					e.fc.ChaosDelays++
+					e.faults.Counts.ChaosDelays++
 					overlapping = append(overlapping, deferredEnv{from: int32(s), to: to, attr: attr})
 					continue
 				}
 			}
 			e.deliverRank(int32(s), to, attr)
 			if ch != nil && ch.Dup > 0 && e.rng.Float64() < ch.Dup {
-				e.fc.ChaosDups++
+				e.faults.Counts.ChaosDups++
 				e.deliverRank(int32(s), to, attr)
 			}
 		}
@@ -854,7 +854,7 @@ func (e *Engine) commitRankingParallel(n int) {
 				continue
 			}
 			if e.partitionBlocks(e.ids[s], to) {
-				e.fc.PartitionDrops++
+				e.faults.Counts.PartitionDrops++
 				e.Delivered.Dropped++
 				dst[i] = -1
 				continue
