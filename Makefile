@@ -88,9 +88,19 @@ profile:
 # assembly (prefetch_amd64.s) with a no-op fallback elsewhere: the arm64
 # vet proves the fallback compiles, and the 386 run drives the no-op
 # path through the determinism suites on an amd64 host.
+# The math/rand ratchet: outside benchmark/, only the non-test files in
+# RAND_FILES may import math/rand. Moving a file onto core.Stream takes
+# it off the list; nothing puts one back.
+RAND_FILES = internal/churn/churn.go internal/dist/continuous.go internal/dist/dist.go \
+	internal/dist/empirical.go internal/dist/mixture.go internal/dist/zipf.go \
+	internal/runtime/cluster.go internal/runtime/sched.go internal/scenario/livecluster.go \
+	internal/sim/sim.go internal/transport/inmem.go
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+	@out=$$(grep -rl --include='*.go' '"math/rand"' . | sed 's|^\./||' | grep -v -e '_test\.go$$' -e '^benchmark/' | \
+		grep -vxF $(addprefix -e ,$(RAND_FILES))); if [ -n "$$out" ]; then \
+		echo "math/rand imported outside RAND_FILES:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...

@@ -132,8 +132,9 @@
 // spikes). Cohorts, drift steps, lies and partition groups are pure
 // hashes of seed, node and cycle, and drift and lies go through one
 // fault.Applier that both engines call, so they are identical on both.
-// Message loss, duplication and delay are draws on each engine's own
-// stream and differ between engines. A faulted sim run is
+// Message loss, duplication and delay are one pure hash of the message
+// (fault.Chaos.Decide), drawn from no engine stream; only the message
+// key differs between engines. A faulted sim run is
 // bit-reproducible at any worker count, and windows scale with the run,
 // so a 0.1-scale sweep keeps the fault structure. The chaos-drift,
 // chaos-byzantine, chaos-partition and chaos-messages scenario families

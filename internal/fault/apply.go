@@ -42,10 +42,10 @@ type Applier struct {
 	// Trace, when non-nil, records a TraceLieSent per installed lie.
 	Trace *telemetry.TraceRing
 
-	plan                         *Plan
-	part                         core.Partition
-	saltDrift, saltByz, saltPart int64
-	lying                        map[core.ID]core.Attr // liar → real attribute
+	plan                                    *Plan
+	part                                    core.Partition
+	saltDrift, saltByz, saltPart, saltChaos int64
+	lying                                   map[core.ID]core.Attr // liar → real attribute
 }
 
 // NewApplier builds the applier of plan (nil injects nothing) for a run
@@ -53,14 +53,16 @@ type Applier struct {
 func NewApplier(plan *Plan, seed int64, part core.Partition) *Applier {
 	return &Applier{
 		plan: plan, part: part,
-		saltDrift: DriftSalt(seed), saltByz: ByzantineSalt(seed), saltPart: PartitionSalt(seed),
+		saltDrift: DriftSalt(seed), saltByz: ByzantineSalt(seed),
+		saltPart: PartitionSalt(seed), saltChaos: ChaosSalt(seed),
 		lying: make(map[core.ID]core.Attr),
 	}
 }
 
-// PartitionSalt returns the salt each engine's network hands to
-// Partition.Crosses.
-func (a *Applier) PartitionSalt() int64 { return a.saltPart }
+// NetAt returns the message faults open at cycle.
+func (a *Applier) NetAt(cycle int) Net {
+	return Net{Part: a.plan.PartitionAt(cycle), PartSalt: a.saltPart, Chaos: a.plan.ChaosAt(cycle), ChaosSalt: a.saltChaos}
+}
 
 // Apply runs cycle's attribute faults and reports whether any
 // advertised attribute changed. members is the live membership with

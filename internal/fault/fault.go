@@ -3,12 +3,12 @@
 // they claim, and which side of a partition a node lands on are pure
 // functions of (salt, node id[, cycle]). Attribute faults (drift and
 // lies) are applied by one Applier that both engines call, so the same
-// seed moves and corrupts the same nodes identically on both. Whether a
-// message is lost, duplicated or delayed inside a chaos window is a
-// draw on a stream the engine already owns, so those outcomes differ
-// between engines. No shared mutable RNG is consulted from parallel
-// code, which keeps the simulator's worker-count bit-invariance
-// contract intact.
+// seed moves and corrupts the same nodes identically on both. Both
+// engines' networks ask one Net whether a message crosses a partition
+// and whether chaos drops, delays or duplicates it: pure functions of
+// the message, never a draw on an engine's stream. No shared mutable
+// RNG is consulted from parallel code, which keeps the simulator's
+// worker-count bit-invariance contract intact.
 //
 // A Plan is the engine-level shape; the scenario layer builds one from
 // the Spec.Faults JSON block after validation.
@@ -42,6 +42,7 @@ const (
 	saltDrift     int64 = 0x6A09E667F3BCC909
 	saltByzantine int64 = -0x4AB1F58B7E2D3C4B
 	saltPartition int64 = 0x3C6EF372FE94F82B
+	saltChaos     int64 = -0x5AB00AC5E5A5D0E1
 )
 
 // DriftSalt derives the drift-cohort salt for a run seed.
@@ -52,6 +53,9 @@ func ByzantineSalt(seed int64) int64 { return seed ^ saltByzantine }
 
 // PartitionSalt derives the partition-grouping salt for a run seed.
 func PartitionSalt(seed int64) int64 { return seed ^ saltPartition }
+
+// ChaosSalt derives the message-chaos salt for a run seed.
+func ChaosSalt(seed int64) int64 { return seed ^ saltChaos }
 
 // hash01 maps (salt, id) to a uniform float64 in [0, 1).
 func hash01(salt int64, id uint64) float64 {
@@ -214,13 +218,54 @@ type Chaos struct {
 	Loss float64
 	// Dup is the per-message duplication probability in [0, 1].
 	Dup float64
-	// Delay is the per-message delay-spike probability in [0, 1]. In
-	// the simulator a delayed message slips to end-of-cycle delivery;
-	// live it gains DelayMS extra latency.
+	// Delay is the per-message delay-spike probability in [0, 1] (see
+	// Decide). In the simulator a delayed message slips to end-of-cycle
+	// delivery; live it gains DelayMS extra latency.
 	Delay float64
 	// DelayMS is the live-backend delay spike in milliseconds, at most
 	// what a time.Duration holds.
 	DelayMS int
+}
+
+// Decide is the chaos verdict on one message: whether it is dropped,
+// delayed and duplicated — independent draws at Loss, Delay and Dup,
+// each a pure hash of (salt, from, to, key). key tells apart the
+// messages one sender sends one receiver. A dropped message ignores the
+// other two verdicts.
+func (c *Chaos) Decide(salt int64, from, to core.ID, key uint64) (drop, delay, dup bool) {
+	h := core.Mix64(uint64(salt) ^ core.Mix64(uint64(from)))
+	h = core.Mix64(h ^ core.Mix64(uint64(to)))
+	h = core.Mix64(h ^ key)
+	u := func(i uint64) float64 { return float64(core.Mix64(h+i*core.Golden)>>11) / (1 << 53) }
+	return u(1) < c.Loss, u(2) < c.Delay, u(3) < c.Dup
+}
+
+// Net is the message-fault state of one cycle, what both engines'
+// networks ask about every send: the open partition and chaos windows
+// (nil when closed) with the run's salt for each. The zero Net passes
+// everything.
+type Net struct {
+	Part      *Partition
+	PartSalt  int64
+	Chaos     *Chaos
+	ChaosSalt int64
+}
+
+// Blocks reports whether the open partition black-holes a message
+// from→to.
+func (n *Net) Blocks(from, to core.ID) bool {
+	return n.Part != nil && n.Part.Crosses(n.PartSalt, uint64(from), uint64(to))
+}
+
+// Decide is the open chaos window's verdict on a message (see
+// Chaos.Decide); with no window open nothing fires. The simulator keys
+// a message on its cycle and its index among its sender's sends that
+// cycle, the live scheduler on its sequence number for the send.
+func (n *Net) Decide(from, to core.ID, key uint64) (drop, delay, dup bool) {
+	if n.Chaos == nil {
+		return false, false, false
+	}
+	return n.Chaos.Decide(n.ChaosSalt, from, to, key)
 }
 
 // Plan is a run's full fault schedule. A nil Plan (or any nil family

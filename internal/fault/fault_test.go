@@ -3,6 +3,8 @@ package fault
 import (
 	"math"
 	"testing"
+
+	"github.com/gossipkit/slicing/internal/core"
 )
 
 func TestWindowContains(t *testing.T) {
@@ -195,5 +197,63 @@ func TestPlanChaosAt(t *testing.T) {
 	}
 	if c := p.ChaosAt(15); c == nil || c.Dup != 0.3 {
 		t.Error("cycle 15 should hit the dup window")
+	}
+}
+
+// TestChaosDecideRates pins the chaos verdict's statistics: over many
+// messages, drop, delay and dup fire at Loss, Delay and Dup within 4σ,
+// and drop∧dup fires at Loss·Dup, so the three draws are independent.
+// The verdict is a pure function of the message, and 0 and 1 are exact.
+func TestChaosDecideRates(t *testing.T) {
+	const n = 200_000
+	ch := Chaos{Loss: 0.25, Delay: 0.1, Dup: 0.15}
+	salt := ChaosSalt(42)
+	var drops, delays, dups, both int
+	for i := 0; i < n; i++ {
+		// Every (from, key) pair is distinct: from cycles over 1,000
+		// senders, key counts the rounds.
+		from, to := core.ID(i%1000+1), core.ID((i*7919)%1000+1)
+		key := uint64(i / 1000)
+		drop, delay, dup := ch.Decide(salt, from, to, key)
+		if d2, l2, u2 := ch.Decide(salt, from, to, key); d2 != drop || l2 != delay || u2 != dup {
+			t.Fatalf("Decide(%d, %d, %d) is not a pure function", from, to, key)
+		}
+		if drop {
+			drops++
+		}
+		if delay {
+			delays++
+		}
+		if dup {
+			dups++
+		}
+		if drop && dup {
+			both++
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		count int
+		p     float64
+	}{
+		{"drop", drops, ch.Loss},
+		{"delay", delays, ch.Delay},
+		{"dup", dups, ch.Dup},
+		{"drop∧dup", both, ch.Loss * ch.Dup},
+	} {
+		got := float64(tc.count) / n
+		sigma := math.Sqrt(tc.p * (1 - tc.p) / n)
+		if math.Abs(got-tc.p) > 4*sigma {
+			t.Errorf("%s frequency = %.5f, want %.5f ± %.5f (4σ)", tc.name, got, tc.p, 4*sigma)
+		}
+	}
+	never, always := Chaos{}, Chaos{Loss: 1, Delay: 1, Dup: 1}
+	for key := uint64(0); key < 1000; key++ {
+		if d, l, u := never.Decide(salt, 1, 2, key); d || l || u {
+			t.Fatalf("zero rates fired on key %d", key)
+		}
+		if d, l, u := always.Decide(salt, 1, 2, key); !d || !l || !u {
+			t.Fatalf("unit rates missed on key %d", key)
+		}
 	}
 }

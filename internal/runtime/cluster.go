@@ -126,11 +126,6 @@ type Cluster struct {
 	started bool
 	stopped bool
 
-	// netf mirrors the fault set currently installed on the scheduler
-	// (SetPartition / SetChaos compose through it). Guarded like the
-	// fields above: mutations must not race each other.
-	netf netFaults
-
 	// nodeCount mirrors len(nodes) atomically so the telemetry gauge can
 	// sample it from a scrape goroutine without racing Join/Kill.
 	nodeCount atomic.Int64
@@ -396,7 +391,7 @@ func (c *Cluster) Nodes() []*Node {
 func (c *Cluster) MessageCounts() MessageCounts { return c.sched.counts() }
 
 // FaultCounts reports the injections the internal network's fault layer
-// (see SetPartition / SetChaos) performed so far. The attribute-fault
+// (see SetNetFaults) performed so far. The attribute-fault
 // fields stay zero: drift and lies are a fault.Applier's, not the
 // network's.
 func (c *Cluster) FaultCounts() fault.Counts {
@@ -408,81 +403,45 @@ func (c *Cluster) FaultCounts() fault.Counts {
 	}
 }
 
-// storeFaults publishes the cluster's current fault set to the
-// scheduler (nil when everything is cleared, keeping the honest send
-// path at a single pointer load).
-func (c *Cluster) storeFaults() {
-	if c.netf == (netFaults{}) {
-		c.sched.setFaults(nil)
-		return
-	}
-	nf := c.netf
-	c.sched.setFaults(&nf)
-}
-
-// SetPartition splits the internal network into groups that cannot
-// exchange messages: every send whose endpoints hash (under salt) into
-// different groups is black-holed. Views keep their cross-group
-// entries, so HealPartition lets the overlay re-merge through them.
-// Like Join/Kill, it must not race other cluster mutations; it applies
-// to sends scheduled after it returns. Requires the scheduler-routed
-// network.
-func (c *Cluster) SetPartition(salt int64, groups int) error {
+// SetNetFaults replaces the message faults the internal network applies
+// to every send scheduled after it returns (a zero net clears them):
+// net's partition black-holes cross-group sends, and its chaos verdict
+// drops a send, duplicates it, or delays it by delay; both windows must
+// pass fault.Plan validation (net is normally fault.Applier.NetAt's).
+// Views keep their cross-group entries, so lifting a partition lets the
+// overlay re-merge through them; opening and lifting one is traced.
+// Like Join/Kill, it must not race other cluster mutations. Requires
+// the scheduler-routed network.
+func (c *Cluster) SetNetFaults(net fault.Net, delay time.Duration) error {
 	if c.tr != nil {
 		return ErrExternalInjection
-	}
-	if groups < 2 {
-		return fault.ErrGroups
-	}
-	c.netf.partSalt = salt
-	c.netf.partGroups = groups
-	c.storeFaults()
-	c.cfg.Trace.Record(telemetry.TraceEvent{
-		Kind: telemetry.TracePartitionOpen, Slice: groups,
-	})
-	return nil
-}
-
-// HealPartition removes the partition installed by SetPartition;
-// cross-group traffic flows again from the next scheduled send.
-func (c *Cluster) HealPartition() {
-	if c.netf.partGroups == 0 {
-		return
-	}
-	groups := c.netf.partGroups
-	c.netf.partSalt = 0
-	c.netf.partGroups = 0
-	c.storeFaults()
-	c.cfg.Trace.Record(telemetry.TraceEvent{
-		Kind: telemetry.TracePartitionHeal, Slice: groups,
-	})
-}
-
-// SetChaos layers message chaos onto the internal network: loss is an
-// extra drop probability, dup duplicates delivered messages, and delayP
-// adds delay to a delivery with that probability. It composes with (and
-// is checked after) the construction-time Loss/latency injection.
-// Requires the scheduler-routed network.
-func (c *Cluster) SetChaos(loss, dup, delayP float64, delay time.Duration) error {
-	if c.tr != nil {
-		return ErrExternalInjection
-	}
-	if loss < 0 || loss > 1 || dup < 0 || dup > 1 || delayP < 0 || delayP > 1 {
-		return fault.ErrChaosProb
 	}
 	if delay < 0 {
 		return ErrLatencyRange
 	}
-	c.netf.loss, c.netf.dup, c.netf.delayP, c.netf.delay = loss, dup, delayP, delay
-	c.storeFaults()
+	p := fault.Plan{Partition: net.Part}
+	if net.Chaos != nil {
+		p.Chaos = []fault.Chaos{*net.Chaos}
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	var was *fault.Partition
+	if old := c.sched.faults.Load(); old != nil {
+		was = old.Part
+	}
+	switch {
+	case was == nil && net.Part != nil:
+		c.cfg.Trace.Record(telemetry.TraceEvent{Kind: telemetry.TracePartitionOpen, Slice: net.Part.Groups})
+	case was != nil && net.Part == nil:
+		c.cfg.Trace.Record(telemetry.TraceEvent{Kind: telemetry.TracePartitionHeal, Slice: was.Groups})
+	}
+	nf := &netFaults{Net: net, delay: delay}
+	if net == (fault.Net{}) {
+		nf = nil // keep the honest send path at a single pointer load
+	}
+	c.sched.setFaults(nf)
 	return nil
-}
-
-// ClearChaos removes the chaos installed by SetChaos, leaving any
-// partition in place.
-func (c *Cluster) ClearChaos() {
-	c.netf.loss, c.netf.dup, c.netf.delayP, c.netf.delay = 0, 0, 0, 0
-	c.storeFaults()
 }
 
 // Partition returns the slice partition the cluster was configured with.

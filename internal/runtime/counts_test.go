@@ -138,7 +138,7 @@ func TestPartitionHealDeterministic(t *testing.T) {
 		if atOpen.PartitionDrops != 0 {
 			t.Fatalf("partition drops before the partition opened: %+v", atOpen)
 		}
-		if err := c.SetPartition(partSalt, 2); err != nil {
+		if err := c.SetNetFaults(fault.Net{Part: &fault.Partition{Groups: 2}, PartSalt: partSalt}, 0); err != nil {
 			t.Fatal(err)
 		}
 		step(during)
@@ -146,7 +146,9 @@ func TestPartitionHealDeterministic(t *testing.T) {
 		if atHeal.PartitionDrops == 0 {
 			t.Error("no cross-group traffic black-holed during the partition window")
 		}
-		c.HealPartition()
+		if err := c.SetNetFaults(fault.Net{}, 0); err != nil {
+			t.Fatal(err)
+		}
 		step(post)
 		o.counts = c.MessageCounts()
 		o.faults = c.FaultCounts()

@@ -145,7 +145,7 @@ type shard struct {
 	readyHead int       // first unconsumed ready event
 	nodes     map[core.ID]*Node
 	handlers  map[core.ID]transport.Handler
-	rng       *rand.Rand // loss/latency draws; guarded by mu
+	rng       *rand.Rand // transport loss/latency draws; guarded by mu
 	notify    chan struct{}
 	counts    shardCounts
 	// timer is the worker's reusable deadline timer (wall-clock mode
@@ -218,19 +218,12 @@ type scheduler struct {
 	faultPartDrops, faultChaosDrops, faultChaosDups, faultChaosDelays atomic.Uint64
 }
 
-// netFaults configures the internal network's injected faults. The
-// zero value of each family is off.
+// netFaults configures the internal network's injected faults: the
+// fault.Net every send asks (its chaos verdict keyed on the send's
+// sequence number), and the latency a chaos-delayed send gains.
 type netFaults struct {
-	// partSalt/partGroups partition the id space: a send whose endpoints
-	// hash to different groups is black-holed. partGroups < 2 means no
-	// partition.
-	partSalt   int64
-	partGroups int
-	// loss/dup/delayP are extra per-send probabilities layered on the
-	// transport's own seeded loss; delay is the latency added to a
-	// delay-spiked send.
-	loss, dup, delayP float64
-	delay             time.Duration
+	fault.Net
+	delay time.Duration
 }
 
 // setFaults installs (or clears, with nil) the fault configuration.
@@ -579,14 +572,14 @@ func (t *schedNet) Unregister(id core.ID) {
 // Send implements transport.Transport: an existence check, a seeded
 // loss/latency draw on the destination shard's rng, and an event push —
 // all in one critical section on the destination shard. Injected
-// faults (partition, chaos windows) layer onto the same draw sequence:
-// the partition test is a pure hash of the endpoints (no draw), so a
-// partitioned send consumes no randomness and heals bit-compatibly.
+// faults (partition, chaos windows) draw nothing from that rng: the
+// partition test is a pure hash of the endpoints and the chaos verdict
+// a pure hash of the send, so a faulted send leaves the transport's
+// draw sequence as it was.
 func (t *schedNet) Send(from, to core.ID, msg proto.Message) error {
 	s := (*scheduler)(t)
 	nf := s.faults.Load()
-	if nf != nil && nf.partGroups > 1 &&
-		fault.Group(nf.partSalt, uint64(from), nf.partGroups) != fault.Group(nf.partSalt, uint64(to), nf.partGroups) {
+	if nf != nil && nf.Blocks(from, to) {
 		s.shardFor(to).counts.dropped.Add(1)
 		s.faultPartDrops.Add(1)
 		return nil // black-holed at the partition: the sender cannot tell
@@ -598,16 +591,18 @@ func (t *schedNet) Send(from, to core.ID, msg proto.Message) error {
 		sh.counts.dropped.Add(1)
 		return transport.ErrUnknownDestination
 	}
-	if s.cfg.loss > 0 && sh.rng.Float64() < s.cfg.loss {
-		sh.mu.Unlock()
-		sh.counts.dropped.Add(1)
-		return nil // lost in transit: the sender cannot tell
+	lost := s.cfg.loss > 0 && sh.rng.Float64() < s.cfg.loss
+	var drop, delayed, dup bool
+	if !lost && nf != nil && nf.Chaos != nil {
+		drop, delayed, dup = nf.Decide(from, to, s.seq.Add(1))
 	}
-	if nf != nil && nf.loss > 0 && sh.rng.Float64() < nf.loss {
+	if lost || drop {
 		sh.mu.Unlock()
 		sh.counts.dropped.Add(1)
-		s.faultChaosDrops.Add(1)
-		return nil
+		if drop {
+			s.faultChaosDrops.Add(1)
+		}
+		return nil // lost in transit: the sender cannot tell
 	}
 	var lat time.Duration
 	if s.cfg.maxLat > 0 {
@@ -618,13 +613,18 @@ func (t *schedNet) Send(from, to core.ID, msg proto.Message) error {
 			lat = s.cfg.minLat
 		}
 	}
-	if nf != nil && nf.delayP > 0 && sh.rng.Float64() < nf.delayP {
+	if delayed {
 		lat += nf.delay
 		s.faultChaosDelays.Add(1)
 	}
 	ev := event{at: s.now() + int64(lat), from: from, to: to, msg: msg}
+	if lat < 0 || ev.at < 0 {
+		// A chaos delay may be as long as a Duration holds: saturate
+		// rather than wrap the deadline into the past.
+		ev.at = math.MaxInt64
+	}
 	s.pushLocked(sh, ev)
-	if nf != nil && nf.dup > 0 && sh.rng.Float64() < nf.dup {
+	if dup {
 		// Duplication: a second copy of the same message lands at the
 		// same deadline (its seq orders it right after the original).
 		s.pushLocked(sh, ev)

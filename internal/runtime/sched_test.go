@@ -10,6 +10,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/transport"
@@ -61,7 +62,7 @@ func TestSchedNetDuplicateSharesDeadline(t *testing.T) {
 	s := newScheduler(schedConfig{clock: realClock{}, shards: 1, seed: 1,
 		minLat: time.Millisecond, maxLat: 5 * time.Millisecond})
 	s.register(7, func(core.ID, proto.Message) {})
-	s.setFaults(&netFaults{dup: 1})
+	s.setFaults(&netFaults{Net: fault.Net{Chaos: &fault.Chaos{Dup: 1}}})
 	if err := s.net().Send(1, 7, proto.RankUpdate{Attr: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +80,28 @@ func TestSchedNetDuplicateSharesDeadline(t *testing.T) {
 	}
 	if got := s.faultChaosDups.Load(); got != 1 {
 		t.Errorf("ChaosDups = %d, want 1", got)
+	}
+}
+
+// A chaos delay as long as validation admits saturates the deadline
+// instead of wrapping it into the past, where the message would be
+// delivered at once.
+func TestSchedNetChaosDelaySaturates(t *testing.T) {
+	s := newScheduler(schedConfig{clock: NewVirtualClock(), shards: 1, seed: 1,
+		minLat: time.Millisecond, maxLat: 5 * time.Millisecond})
+	s.register(7, func(core.ID, proto.Message) {})
+	s.vclock.advanceTo(int64(time.Hour))
+	maxDelay := time.Duration(math.MaxInt64/int64(time.Millisecond)) * time.Millisecond
+	s.setFaults(&netFaults{Net: fault.Net{Chaos: &fault.Chaos{Delay: 1}}, delay: maxDelay})
+	if err := s.net().Send(1, 7, proto.RankUpdate{Attr: 3}); err != nil {
+		t.Fatal(err)
+	}
+	w := s.shardFor(7).wheel
+	if len(w) != 1 {
+		t.Fatalf("wheel holds %d events, want 1", len(w))
+	}
+	if now := s.now(); w[0].at < now {
+		t.Errorf("delayed message due at %d, before now %d: the deadline wrapped", w[0].at, now)
 	}
 }
 

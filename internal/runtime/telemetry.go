@@ -24,7 +24,7 @@ const (
 	metricNodes       = "slicing_runtime_nodes"
 	// metricFaults counts the internal network's fault-plane injections,
 	// labeled kind=partitionDrop|chaosDrop|chaosDup|chaosDelay (stays 0
-	// until SetPartition / SetChaos install faults).
+	// until SetNetFaults installs faults).
 	metricFaults = "slicing_runtime_faults_injected_total"
 )
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -305,6 +306,52 @@ func TestDriftSameOnBothEngines(t *testing.T) {
 	if mismatched > 0 {
 		t.Errorf("%d of %d drifting nodes moved by different amounts on sim and live", mismatched, drifted)
 	}
+}
+
+// TestChaosLossRateOnBothEngines pins that chaos drops messages at the
+// plan's Loss on both engines: under an always-open loss-only window,
+// with no churn, partition or transport loss, every send meets the
+// chaos verdict and is either dropped or delivered, so ChaosDrops ÷
+// (delivered + ChaosDrops) must sit within the binomial spread of Loss.
+// A simulated view reply rides its request's verdict, so it is not a
+// send there; live it is. The simulator runs at one and three workers,
+// live at one shard.
+func TestChaosLossRateOnBothEngines(t *testing.T) {
+	const loss = 0.2
+	spec := Spec{
+		Name: "chaos-rate", Protocol: ProtoRanking,
+		N: 200, Slices: 10, ViewSize: 10, Cycles: 40, Seed: 5,
+		Attr:   DistSpec{Kind: "uniform", Lo: 0, Hi: 1000},
+		Faults: &FaultsSpec{Chaos: []ChaosSpec{{From: 0, Loss: loss}}},
+		Live:   &LiveSpec{Shards: 1},
+	}
+	check := func(name string, res *sim.Result, delivered uint64) {
+		t.Helper()
+		drops := res.Faults.ChaosDrops
+		if res.Messages.Dropped != drops {
+			t.Fatalf("%s: %d drops, %d of them chaos: some send missed the verdict", name, res.Messages.Dropped, drops)
+		}
+		sends := float64(delivered + drops)
+		got := float64(drops) / sends
+		sigma := math.Sqrt(loss * (1 - loss) / sends)
+		if math.Abs(got-loss) > 4*sigma {
+			t.Errorf("%s: chaos dropped %.4f of %.0f sends, want %.2f ± %.4f (4σ)", name, got, sends, loss, 4*sigma)
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		s := spec
+		s.SimWorkers = workers
+		res, err := SimBackend{}.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("sim/workers=%d", workers), res, res.Messages.Total()-res.Messages.ViewReplies)
+	}
+	res, err := LiveBackend{}.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("live", res, res.Messages.Total())
 }
 
 // FuzzFaultsSpec feeds arbitrary JSON to the faults block: plan must

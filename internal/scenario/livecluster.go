@@ -36,11 +36,9 @@ type LiveCluster struct {
 	cfg sim.Config
 	rng *rand.Rand
 
-	// Fault-driving state (cfg.Faults): the attribute-fault applier (its
-	// stash is the ground truth for disorder measures) and the
-	// open/closed edge trackers for the partition and chaos windows.
-	faults            *fault.Applier
-	partOpen, chaosOn bool
+	// faults applies cfg.Faults; its stash is the ground truth for
+	// disorder measures.
+	faults *fault.Applier
 }
 
 // Instrumentation carries the observability hooks a caller can attach
@@ -193,38 +191,20 @@ func (lc *LiveCluster) Step(cycle int) error {
 	return lc.Cluster.Advance(lc.Period)
 }
 
-// applyFaults drives the cycle's fault-plane transitions on the live
-// cluster: partition open/heal and chaos window edges on the network,
-// then drift and byzantine attribute changes through the same
-// fault.Applier the simulator uses.
+// applyFaults installs the cycle's message faults on the live
+// cluster's network, then applies drift and byzantine attribute changes
+// through the same fault.Applier the simulator uses.
 func (lc *LiveCluster) applyFaults(cycle int) error {
 	p := lc.cfg.Faults
 	if p.Empty() {
 		return nil
 	}
-	if pt := p.PartitionAt(cycle); pt != nil {
-		if !lc.partOpen {
-			if err := lc.Cluster.SetPartition(lc.faults.PartitionSalt(), pt.Groups); err != nil {
-				return err
-			}
-			lc.partOpen = true
-		}
-	} else if lc.partOpen {
-		lc.Cluster.HealPartition()
-		lc.partOpen = false
+	delay := lc.Period
+	if ch := p.ChaosAt(cycle); ch != nil && ch.DelayMS > 0 {
+		delay = time.Duration(ch.DelayMS) * time.Millisecond
 	}
-	if ch := p.ChaosAt(cycle); ch != nil {
-		delay := time.Duration(ch.DelayMS) * time.Millisecond
-		if delay == 0 {
-			delay = lc.Period
-		}
-		if err := lc.Cluster.SetChaos(ch.Loss, ch.Dup, ch.Delay, delay); err != nil {
-			return err
-		}
-		lc.chaosOn = true
-	} else if lc.chaosOn {
-		lc.Cluster.ClearChaos()
-		lc.chaosOn = false
+	if err := lc.Cluster.SetNetFaults(lc.faults.NetAt(cycle), delay); err != nil {
+		return err
 	}
 	if p.Drift == nil && p.Byzantine == nil {
 		return nil

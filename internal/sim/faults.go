@@ -10,10 +10,10 @@ import (
 // Drift and byzantine lies go through the fault.Applier the live
 // backend uses too; the simulator supplies node access (simNodes) and
 // applies partition and chaos windows on its own network. Partition
-// grouping is a pure function of (salt, ID); chaos loss on view
-// exchanges is a trailing draw on the node's membership stream, and
-// chaos on protocol envelopes draws in the serial sections on the
-// engine's stream — so faults keep the worker-count bit-invariance.
+// grouping is a pure function of (salt, ID), and the chaos verdict on a
+// message is a pure function of (salt, sender, receiver, cycle, the
+// message's index among its sender's sends) — no engine stream is
+// drawn, so faults keep the worker-count bit-invariance.
 
 // FaultCounts tallies the injections a run performed, cumulatively.
 type FaultCounts = fault.Counts
@@ -34,24 +34,23 @@ func (n *simNodes) Attr(id core.ID) core.Attr { return (*Engine)(n).memberAt(n.s
 func (n *simNodes) SetAttr(id core.ID, a core.Attr) { (*Engine)(n).setAttrAt(n.slots[id], a) }
 
 // applyFaults runs the cycle's serial fault step, after churn and
-// before the membership phase: caches the cycle's partition/chaos
-// windows and applies the attribute faults. It reports whether any
-// node attribute changed (so Step can invalidate the self-entry cache).
+// before the membership phase: caches the cycle's message faults and
+// applies the attribute faults. It reports whether any node attribute
+// changed (so Step can invalidate the self-entry cache).
 func (e *Engine) applyFaults() (changed bool) {
-	p := e.cfg.Faults
-	if p.Empty() {
+	if e.cfg.Faults.Empty() {
 		return false
 	}
-	e.partNow = p.PartitionAt(e.cycle)
-	e.chaosNow = p.ChaosAt(e.cycle)
+	e.net = e.faults.NetAt(e.cycle)
 	return e.faults.Apply(e.cycle, e.members, (*simNodes)(e))
 }
 
-// partitionBlocks reports whether a message from a to b crosses an open
-// partition this cycle. Pure against per-cycle state (partNow, the
-// salt), so parallel compute phases may call it freely.
-func (e *Engine) partitionBlocks(a, b core.ID) bool {
-	return e.partNow != nil && e.partNow.Crosses(e.faults.PartitionSalt(), uint64(a), uint64(b))
+// chaos is the cycle's chaos verdict on the message from→to that is its
+// sender's idx-th send of the cycle: 0 is the view request, 1 a swap
+// request, 1 and 2 the two ranking UPDs. Pure, so parallel compute
+// phases may call it freely.
+func (e *Engine) chaos(from, to core.ID, idx uint64) (drop, delay, dup bool) {
+	return e.net.Decide(from, to, uint64(e.cycle)<<2|idx)
 }
 
 // recordPollution appends the cycle's slice-pollution sample. believed

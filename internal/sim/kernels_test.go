@@ -51,6 +51,10 @@ func TestKernelEquivalence(t *testing.T) {
 					t.Fatalf("workers=%d: fast message counts diverge: %+v vs %+v",
 						workers, got.messages, want.messages)
 				}
+				if got.faults != want.faults {
+					t.Fatalf("workers=%d: fast fault tallies diverge: %+v vs %+v",
+						workers, got.faults, want.faults)
+				}
 				if got.ordering != want.ordering {
 					t.Fatalf("workers=%d: fast ordering stats diverge: %+v vs %+v",
 						workers, got.ordering, want.ordering)

@@ -13,10 +13,12 @@ import (
 
 // runFingerprint captures everything a worker count could plausibly
 // perturb: every recorded series point, the message counters, the
-// ordering stats and the exact final per-node state.
+// fault-injection tallies, the ordering stats and the exact final
+// per-node state.
 type runFingerprint struct {
 	sdm, gdm, unsucc, size string
 	messages               MessageCounts
+	faults                 FaultCounts
 	ordering               ordering.Stats
 	finalN                 int
 	states                 string
@@ -25,6 +27,7 @@ type runFingerprint struct {
 func fingerprint(e *Engine) runFingerprint {
 	fp := runFingerprint{
 		messages: e.Delivered,
+		faults:   e.FaultTally(),
 		ordering: e.OrderingStats(),
 		finalN:   e.N(),
 	}
@@ -127,9 +130,9 @@ func allFaultsPlan() *fault.Plan {
 
 // TestWorkerCountInvariance is the parallel engine's compatibility
 // contract: the same spec and seed produce BIT-IDENTICAL results — SDM
-// series, GDM series, unsuccessful-swap series, message counts,
-// ordering stats and the exact final membership — at every worker
-// count. This is what makes Workers a pure throughput knob.
+// series, GDM series, unsuccessful-swap series, message counts, fault
+// tallies, ordering stats and the exact final membership — at every
+// worker count. This is what makes Workers a pure throughput knob.
 func TestWorkerCountInvariance(t *testing.T) {
 	const cycles = 40
 	for name, cfg := range invarianceConfigs() {
@@ -163,6 +166,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 				}
 				if got.messages != want.messages {
 					t.Fatalf("workers=%d: message counts diverge: %+v vs %+v", workers, got.messages, want.messages)
+				}
+				if got.faults != want.faults {
+					t.Fatalf("workers=%d: fault tallies diverge: %+v vs %+v", workers, got.faults, want.faults)
 				}
 				if got.ordering != want.ordering {
 					t.Fatalf("workers=%d: ordering stats diverge: %+v vs %+v", workers, got.ordering, want.ordering)

@@ -212,9 +212,9 @@ type Config struct {
 	Pattern  churn.Pattern
 	// Faults is the run's fault-injection plan (attribute drift,
 	// byzantine misreporting, partition/heal, message chaos); nil means
-	// an honest, well-behaved run. Injection draws come from the
-	// fault-phase counter streams and the engine's serial stream, so a
-	// faulted run stays bit-identical at any worker count. See faults.go.
+	// an honest, well-behaved run. Every injection is a pure hash of the
+	// seed (see package fault), so a faulted run stays bit-identical at
+	// any worker count. See faults.go.
 	Faults *fault.Plan
 	// RecordGDM additionally records the global disorder measure each
 	// cycle (Fig. 4(a)).
@@ -370,13 +370,11 @@ type Engine struct {
 	memberNS [memberPartCount]int64
 
 	// Fault-plane state; see faults.go. faults applies the attribute
-	// faults and tallies every injection, partNow/chaosNow cache the
-	// cycle's active windows, and prevFC is the tally telemetry last
-	// published.
-	faults   *fault.Applier
-	partNow  *fault.Partition
-	chaosNow *fault.Chaos
-	prevFC   FaultCounts
+	// faults and tallies every injection, net caches the cycle's message
+	// faults, and prevFC is the tally telemetry last published.
+	faults *fault.Applier
+	net    fault.Net
+	prevFC FaultCounts
 
 	// workers is the resolved compute-worker count (≥ 1); ws holds one
 	// scratch block per worker. See parallel.go.
@@ -657,6 +655,53 @@ func (e *Engine) refreshSelfEntries() {
 			}
 		})
 	}
+}
+
+// applyChurn executes the cycle's churn event (§3.3): leavers vanish
+// without notice, joiners arrive with fresh state and a bootstrap view.
+// The whole event costs one merge pass over the membership — leavers are
+// swap-deleted from the arena in O(1) each, and both PickLeavers and
+// every JoinAttr draw read the same pre-event attribute-ordered
+// membership, so no event ever re-sorts the population. Churn runs
+// single-threaded on the engine stream: events are a few nodes per
+// cycle, and keeping their draws serial is what lets the per-node
+// streams stay counter-based. It reports whether it refreshed the
+// self-entry cache, so Step can avoid a duplicate refresh pass for
+// oracle runs.
+func (e *Engine) applyChurn() (refreshed bool) {
+	if e.cfg.Schedule == nil || e.cfg.Pattern == nil {
+		return false
+	}
+	ev := e.cfg.Schedule.At(e.cycle, len(e.ids))
+	if ev.Leave == 0 && ev.Join == 0 {
+		return false
+	}
+	members := e.members // pre-event membership, attribute order
+	if ev.Leave > 0 {
+		for _, id := range e.cfg.Pattern.PickLeavers(e.rng, members, ev.Leave) {
+			e.removeNode(id)
+		}
+	}
+	joiners := e.joinersBuf[:0]
+	for i := 0; i < ev.Join; i++ {
+		attr := e.cfg.Pattern.JoinAttr(e.rng, members)
+		if err := e.addNode(attr); err != nil {
+			// addNode only fails on invalid static configuration, which
+			// New has already validated.
+			panic(err)
+		}
+		joiners = append(joiners, core.Member{ID: e.nextID, Attr: attr})
+	}
+	e.joinersBuf = joiners
+	e.mergeMembers(joiners)
+	if ev.Join > 0 {
+		// Bootstrap views sample the cached self entries; re-cache so
+		// joiners see current coordinates, not cycle-of-creation ones.
+		e.refreshSelfEntries()
+		e.bootstrapViews(len(e.ids) - ev.Join)
+		return true
+	}
+	return false
 }
 
 // bootstrapViews fills the view of every node in slots [from, len) with

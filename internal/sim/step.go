@@ -52,53 +52,6 @@ func (e *Engine) Run(cycles int) {
 	}
 }
 
-// applyChurn executes the cycle's churn event (§3.3): leavers vanish
-// without notice, joiners arrive with fresh state and a bootstrap view.
-// The whole event costs one merge pass over the membership — leavers are
-// swap-deleted from the arena in O(1) each, and both PickLeavers and
-// every JoinAttr draw read the same pre-event attribute-ordered
-// membership, so no event ever re-sorts the population. Churn runs
-// single-threaded on the engine stream: events are a few nodes per
-// cycle, and keeping their draws serial is what lets the per-node
-// streams stay counter-based. It reports whether it refreshed the
-// self-entry cache, so Step can avoid a duplicate refresh pass for
-// oracle runs.
-func (e *Engine) applyChurn() (refreshed bool) {
-	if e.cfg.Schedule == nil || e.cfg.Pattern == nil {
-		return false
-	}
-	ev := e.cfg.Schedule.At(e.cycle, len(e.ids))
-	if ev.Leave == 0 && ev.Join == 0 {
-		return false
-	}
-	members := e.members // pre-event membership, attribute order
-	if ev.Leave > 0 {
-		for _, id := range e.cfg.Pattern.PickLeavers(e.rng, members, ev.Leave) {
-			e.removeNode(id)
-		}
-	}
-	joiners := e.joinersBuf[:0]
-	for i := 0; i < ev.Join; i++ {
-		attr := e.cfg.Pattern.JoinAttr(e.rng, members)
-		if err := e.addNode(attr); err != nil {
-			// addNode only fails on invalid static configuration, which
-			// New has already validated.
-			panic(err)
-		}
-		joiners = append(joiners, core.Member{ID: e.nextID, Attr: attr})
-	}
-	e.joinersBuf = joiners
-	e.mergeMembers(joiners)
-	if ev.Join > 0 {
-		// Bootstrap views sample the cached self entries; re-cache so
-		// joiners see current coordinates, not cycle-of-creation ones.
-		e.refreshSelfEntries()
-		e.bootstrapViews(len(e.ids) - ev.Join)
-		return true
-	}
-	return false
-}
-
 // mergeMembers rebuilds the attribute-ordered membership after a churn
 // event in one pass: departed members are dropped (their slot is gone)
 // and the event's joiners — sorted among themselves, at most a handful —
@@ -248,10 +201,6 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 		e.ws[i].dropped, e.ws[i].partDrops, e.ws[i].chaosDrops = 0, 0, 0
 	}
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
-	chaosLoss := 0.0
-	if e.chaosNow != nil {
-		chaosLoss = e.chaosNow.Loss
-	}
 	newscast, isOrdering := e.newscast, e.ons != nil
 	ref := e.cfg.ReferenceKernels
 	e.parallelFor(n, func(w, lo, hi int) {
@@ -278,15 +227,16 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			tgt := int32(-1)
 			if pok {
 				if ts, live := e.slotOf(pen.ID); live {
+					drop, _, _ := e.chaos(id, pen.ID, 0)
 					switch {
-					case e.partitionBlocks(id, pen.ID):
+					case e.net.Blocks(id, pen.ID):
 						// The partner is unreachable across the partition:
 						// the exchange is suppressed, but the view entry is
 						// KEPT — the partner is alive, and those entries are
 						// what re-merges the overlay when the partition
 						// heals (no sim node ever re-bootstraps).
 						ws.partDrops++
-					case chaosLoss > 0 && st.Float64() < chaosLoss:
+					case drop:
 						// Chaos ate the view request; the exchange never
 						// completes this cycle.
 						ws.chaosDrops++
@@ -503,10 +453,10 @@ type deferredEnv struct {
 // in an engine-stream shuffled order, where the swap predicate is
 // re-evaluated against live state — failed predicates are the paper's
 // unsuccessful swaps. Ranking updates are one-way and always useful, so
-// they deliver immediately regardless of Concurrency (§5); on
-// chaos-free cycles their commit additionally fans out over the workers
-// (see commitRankingParallel), since which estimator absorbs which
-// update is fixed by the compute phase alone.
+// they deliver immediately regardless of Concurrency (§5), and their
+// commit fans out over the workers (see commitRanking), since which
+// estimator absorbs which update is fixed by the compute phase and the
+// chaos verdicts alone.
 func (e *Engine) protocolRound() {
 	n := len(e.ids)
 	if n == 0 {
@@ -534,11 +484,7 @@ func (e *Engine) protocolRound() {
 			}
 		})
 		e.tickRanking(n)
-		if e.chaosNow == nil {
-			e.commitRankingParallel(n)
-		} else {
-			e.commitRankingSerial(n)
-		}
+		e.commitRanking(n)
 	}
 }
 
@@ -627,32 +573,30 @@ func (e *Engine) commitOrdering(n int) {
 		if to == 0 {
 			continue
 		}
-		if e.overlapBuf[s] {
+		// An overlapping request is late already: of chaos's verdict
+		// only a drop applies to it.
+		drop, delay, dup := e.chaos(e.ids[s], to, 1)
+		if e.overlapBuf[s] && !drop {
 			overlapping = append(overlapping, deferredEnv{from: int32(s), to: to, r: e.swapR[s], attr: e.swapAttr[s]})
 			continue
 		}
-		if e.partitionBlocks(e.ids[s], to) {
+		if e.net.Blocks(e.ids[s], to) {
 			e.faults.Counts.PartitionDrops++
 			e.Delivered.Dropped++
 			continue
 		}
-		if ch := e.chaosNow; ch != nil {
-			// Chaos draws run on the engine's serial stream, exactly
-			// like the overlapping-delivery shuffle — this loop is
-			// slot-ordered and single-threaded, so the draw sequence
-			// is worker-count independent. A delayed request joins
-			// the overlapping set: it lands at end of cycle with the
-			// stale-delivery semantics overlap already has.
-			if ch.Loss > 0 && e.rng.Float64() < ch.Loss {
-				e.faults.Counts.ChaosDrops++
-				e.Delivered.Dropped++
-				continue
-			}
-			if ch.Delay > 0 && e.rng.Float64() < ch.Delay {
-				e.faults.Counts.ChaosDelays++
-				overlapping = append(overlapping, deferredEnv{from: int32(s), to: to, r: e.swapR[s], attr: e.swapAttr[s]})
-				continue
-			}
+		if drop {
+			e.faults.Counts.ChaosDrops++
+			e.Delivered.Dropped++
+			continue
+		}
+		if delay {
+			// A delayed request joins the overlapping set: it lands at
+			// end of cycle with the stale-delivery semantics overlap
+			// already has.
+			e.faults.Counts.ChaosDelays++
+			overlapping = append(overlapping, deferredEnv{from: int32(s), to: to, r: e.swapR[s], attr: e.swapAttr[s]})
+			continue
 		}
 		// Atomic exchange: send the live value, and only if the swap
 		// still helps.
@@ -663,7 +607,7 @@ func (e *Engine) commitOrdering(n int) {
 			continue
 		}
 		e.deliverSwap(int32(s), to, r, attr)
-		if ch := e.chaosNow; ch != nil && ch.Dup > 0 && e.rng.Float64() < ch.Dup {
+		if dup {
 			// Duplication: the same request lands twice.
 			e.faults.Counts.ChaosDups++
 			e.deliverSwap(int32(s), to, r, attr)
@@ -682,13 +626,8 @@ func (e *Engine) flushDeferred(overlapping []deferredEnv) {
 	})
 	isOrdering := e.ons != nil
 	for _, d := range overlapping {
-		if e.partitionBlocks(e.ids[d.from], d.to) {
+		if e.net.Blocks(e.ids[d.from], d.to) {
 			e.faults.Counts.PartitionDrops++
-			e.Delivered.Dropped++
-			continue
-		}
-		if ch := e.chaosNow; ch != nil && ch.Loss > 0 && e.rng.Float64() < ch.Loss {
-			e.faults.Counts.ChaosDrops++
 			e.Delivered.Dropped++
 			continue
 		}
@@ -789,98 +728,75 @@ func (e *Engine) tickRanking(n int) {
 	})
 }
 
-// commitRankingSerial applies the ranking deliveries in slot order on
-// the engine's serial stream — the path chaos windows require, since
-// loss/delay/dup draws must be worker-count independent.
-func (e *Engine) commitRankingSerial(n int) {
-	overlapping := e.deferredBuf[:0]
-	ch := e.chaosNow
-	for s := 0; s < n; s++ {
-		attr := e.rns[s].Member().Attr
-		for k := 0; k < 2; k++ {
-			to := e.updTo[2*s+k]
-			if to == 0 {
-				continue
-			}
-			if e.partitionBlocks(e.ids[s], to) {
-				e.faults.Counts.PartitionDrops++
-				e.Delivered.Dropped++
-				continue
-			}
-			if ch != nil {
-				if ch.Loss > 0 && e.rng.Float64() < ch.Loss {
-					e.faults.Counts.ChaosDrops++
-					e.Delivered.Dropped++
-					continue
-				}
-				if ch.Delay > 0 && e.rng.Float64() < ch.Delay {
-					e.faults.Counts.ChaosDelays++
-					overlapping = append(overlapping, deferredEnv{from: int32(s), to: to, attr: attr})
-					continue
-				}
-			}
-			e.deliverRank(int32(s), to, attr)
-			if ch != nil && ch.Dup > 0 && e.rng.Float64() < ch.Dup {
-				e.faults.Counts.ChaosDups++
-				e.deliverRank(int32(s), to, attr)
-			}
-		}
-	}
-	e.flushDeferred(overlapping)
-}
-
-// commitRankingParallel applies the ranking deliveries across the
-// workers. Legal on chaos-free cycles because the commit then draws no
-// randomness and each delivery writes only its TARGET's estimator state
-// while reading its sender's attribute, which is immutable for the rest
-// of the cycle — so deliveries to different targets are independent. A
-// serial counting pre-pass resolves each update's destination slot
-// (tallying partition and departed-target drops in slot order, exactly
-// as the serial path would) and builds per-target delivery lists in
-// ascending sender order; each worker then applies its targets' lists.
-// Per-target delivery order equals the serial order restricted to that
-// target, and estimator absorption is per-target state, so the result
-// is bit-identical to commitRankingSerial.
-func (e *Engine) commitRankingParallel(n int) {
+// commitRanking applies the ranking deliveries across the workers.
+// Each delivery writes only its TARGET's estimator state while reading
+// its sender's attribute, which is immutable for the rest of the cycle,
+// so deliveries to different targets are independent. A serial counting
+// pre-pass settles every update's fate in slot order — partition drop,
+// the chaos verdict (drop, delay, dup), departed target — and builds
+// per-target delivery lists in ascending sender order, a duplicate being
+// one more entry right after its original; each worker then applies its
+// targets' lists. Chaos-delayed updates land after all of them, in
+// flushDeferred. Per-target delivery order is fixed by slot order alone,
+// so the commit is bit-identical at any worker count.
+func (e *Engine) commitRanking(n int) {
 	e.rankDst = grow(e.rankDst, 2*n)
+	// dst[i] is update i's target slot shifted left by one, its low bit
+	// set when chaos duplicates it; -1 when it is not delivered now.
 	dst := e.rankDst
+	delayed := e.deferredBuf[:0]
 	delivered := uint64(0)
 	for s := 0; s < n; s++ {
+		from := e.ids[s]
 		for k := 0; k < 2; k++ {
 			i := 2*s + k
 			to := e.updTo[i]
+			dst[i] = -1
 			if to == 0 {
-				dst[i] = -1
 				continue
 			}
-			if e.partitionBlocks(e.ids[s], to) {
+			if e.net.Blocks(from, to) {
 				e.faults.Counts.PartitionDrops++
 				e.Delivered.Dropped++
-				dst[i] = -1
 				continue
+			}
+			drop, delay, dup := e.chaos(from, to, uint64(k)+1)
+			if drop {
+				e.faults.Counts.ChaosDrops++
+				e.Delivered.Dropped++
+				continue
+			}
+			if delay {
+				e.faults.Counts.ChaosDelays++
+				delayed = append(delayed, deferredEnv{from: int32(s), to: to, attr: e.rns[s].Member().Attr})
+				continue
+			}
+			copies := int32(1)
+			if dup {
+				e.faults.Counts.ChaosDups++
+				copies = 2
 			}
 			ts, live := e.slotOf(to)
 			if !live {
-				e.Delivered.Dropped++
-				dst[i] = -1
+				e.Delivered.Dropped += uint64(copies)
 				continue
 			}
-			dst[i] = ts
-			delivered++
+			dst[i] = ts<<1 | (copies - 1)
+			delivered += uint64(copies)
 		}
 	}
 	e.Delivered.RankUpdates += delivered
 	// Counting sort of the resolved updates by target slot; the encoded
 	// index 2·sender+k ascends within each target's list, preserving the
-	// serial delivery order.
+	// slot-order delivery sequence.
 	e.initHead = grow(e.initHead, n+1)
 	e.initPos = grow(e.initPos, n)
-	e.initList = grow(e.initList, 2*n)
+	e.initList = grow(e.initList, int(delivered))
 	head := e.initHead
 	clear(head[:n+1])
-	for i := 0; i < 2*n; i++ {
-		if t := dst[i]; t >= 0 {
-			head[t+1]++
+	for _, d := range dst {
+		if d >= 0 {
+			head[d>>1+1] += 1 + d&1
 		}
 	}
 	for t := 0; t < n; t++ {
@@ -888,8 +804,12 @@ func (e *Engine) commitRankingParallel(n int) {
 	}
 	pos := e.initPos
 	copy(pos, head[:n])
-	for i := 0; i < 2*n; i++ {
-		if t := dst[i]; t >= 0 {
+	for i, d := range dst {
+		if d < 0 {
+			continue
+		}
+		t := d >> 1
+		for c := int32(0); c <= d&1; c++ {
 			e.initList[pos[t]] = int32(i)
 			pos[t]++
 		}
@@ -902,6 +822,7 @@ func (e *Engine) commitRankingParallel(n int) {
 			}
 		}
 	})
+	e.flushDeferred(delayed)
 }
 
 // snapReader serves the phase-start coordinate snapshot captured by

@@ -161,3 +161,64 @@ func TestFrameSizes(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCodecUnmarshal feeds hostile frames to the decoder. It must never
+// panic, never allocate more entries than the frame's bytes can hold,
+// and every frame it accepts must re-marshal to a frame that decodes to
+// the bit-identical message (floats compared by their bits, so NaN
+// payloads compare too).
+func FuzzCodecUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		var entries []view.Entry
+		switch m := msg.(type) {
+		case proto.ViewRequest:
+			entries = m.Entries
+		case proto.ViewReply:
+			entries = m.Entries
+		}
+		if cap(entries)*entrySize > len(data) {
+			t.Fatalf("a %d-byte frame allocated %d entries", len(data), cap(entries))
+		}
+		again, err := Marshal(msg)
+		if err != nil {
+			t.Fatalf("accepted %T does not re-marshal: %v", msg, err)
+		}
+		back, err := Unmarshal(again)
+		if err != nil {
+			t.Fatalf("re-marshaled %T does not decode: %v", msg, err)
+		}
+		if a, b := wireBits(msg), wireBits(back); !reflect.DeepEqual(a, b) {
+			t.Fatalf("round trip changed the message:\n got %x\nwant %x", b, a)
+		}
+	})
+}
+
+// wireBits flattens a message to its type tag and field bits, floats by
+// math.Float64bits.
+func wireBits(msg proto.Message) []uint64 {
+	entryBits := func(tag uint64, es []view.Entry) []uint64 {
+		out := []uint64{tag}
+		for _, e := range es {
+			out = append(out, uint64(e.ID), uint64(e.Age),
+				math.Float64bits(float64(e.Attr)), math.Float64bits(e.R))
+		}
+		return out
+	}
+	switch m := msg.(type) {
+	case proto.ViewRequest:
+		return entryBits(uint64(tagViewRequest), m.Entries)
+	case proto.ViewReply:
+		return entryBits(uint64(tagViewReply), m.Entries)
+	case proto.SwapRequest:
+		return []uint64{uint64(tagSwapRequest), math.Float64bits(m.R), math.Float64bits(float64(m.Attr))}
+	case proto.SwapReply:
+		return []uint64{uint64(tagSwapReply), math.Float64bits(m.R)}
+	case proto.RankUpdate:
+		return []uint64{uint64(tagRankUpdate), math.Float64bits(float64(m.Attr))}
+	}
+	return nil
+}

@@ -18,7 +18,7 @@ import (
 // words, and the words past a view's live length are held at zero.
 // core.IDs start at 1, so zero is a free sentinel — the duplicate scan
 // of a gossip merge (findID) can then compare four words per step with
-// no tail loop, the branch-free layout ROADMAP item 2 asks for.
+// no tail loop.
 //
 // The arena does not own View headers; callers bind a *View onto a slot
 // with View.Rebind(a.Block(slot)). Blocks are zero-length, full-capacity

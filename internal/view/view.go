@@ -485,7 +485,7 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 	// The same two loops double as the trim's histogram pass — every
 	// resident and every admitted entry is in hand exactly once here, so
 	// the age counts fall out for free and unionTrimThreshold's separate
-	// walks over the union are skipped (ROADMAP item 2's fused trim).
+	// walks over the union are skipped (the fused trim).
 	hist := &scr.trimHist
 	clear(hist[:])
 	histMax, histOver := uint32(0), 0
