@@ -56,7 +56,8 @@ fuzz:
 # Where the time and the bytes go inside one run (the benchmark says how
 # much there is): capture CPU + heap profiles of a spec (defaults: the
 # N=100k runs, 10 cycles, serial engine) and print the top-20 flat and
-# top-15 cumulative CPU reports and the top-10 in-use heap report, e.g.
+# top-15 cumulative CPU reports and the top-10 in-use and allocated heap
+# reports (the second shows where the run's garbage comes from), e.g.
 #   make profile PROFILE_SPEC=scale-1m PROFILE_CYCLES=5
 # -workers 1 runs the spec's variants one after another: two at a time,
 # one cpu.prof interleaves an ordering and a ranking engine and every
@@ -77,6 +78,7 @@ profile:
 	$(GO) tool pprof -top -nodecount=20 cpu.prof
 	$(GO) tool pprof -top -cum -nodecount=15 cpu.prof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 mem.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 mem.prof
 	@$(GO) tool pprof -sample_index=inuse_space -top -unit=B -nodefraction=0 \
 		-focus='slicing/internal/' mem.prof | \
 		awk '/accounting for/ { b = $$5 + 0 } END { if (b < 1e6) { \

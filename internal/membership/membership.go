@@ -19,14 +19,21 @@ import (
 // protocols it communicates through envelopes; the simulator completes a
 // whole exchange within a cycle (the paper updates views before every
 // slicing step), the runtime lets exchanges float.
+//
+// A view payload changes hands with its message: the sender never
+// touches a request or reply it returned again, and a delivered payload
+// belongs to its receiver, which may overwrite it or recycle its
+// backing array. A transport that delivers one message twice must
+// therefore hand each delivery its own copy of the entries.
 type Protocol interface {
 	// Tick starts one gossip period, returning the request to send (if
 	// any).
 	Tick(rng core.RNG) []proto.Envelope
 	// HandleRequest processes an incoming view request and returns the
-	// reply.
+	// reply. The reply may be written into the request's backing array.
 	HandleRequest(from core.ID, req proto.ViewRequest, rng core.RNG) []proto.Envelope
-	// HandleReply processes the view received in response to Tick.
+	// HandleReply processes the view received in response to Tick. The
+	// reply's backing array may be recycled once it is merged.
 	HandleReply(from core.ID, rep proto.ViewReply)
 	// View exposes the protocol's current view. The slicing protocol
 	// layered on top reads (and shares) this view.
@@ -50,6 +57,29 @@ type SelfEntryFunc func() view.Entry
 // capacity and a node retains no scratch of its own.
 var mergePool = sync.Pool{New: func() any { return new(view.MergeScratch) }}
 
+// payloadPool recycles Cyclon's wire payloads, as *[]view.Entry: one
+// buffer carries a whole exchange — Tick fills it with the request, the
+// partner overwrites it with the reply, and the initiator returns it
+// here once the reply is merged.
+var payloadPool sync.Pool
+
+// getPayload returns an empty payload buffer with capacity at least c.
+// A pooled buffer too small for this view (another cluster's, or a
+// decoded wire batch) is dropped.
+func getPayload(c int) []view.Entry {
+	if p, _ := payloadPool.Get().(*[]view.Entry); p != nil && cap(*p) >= c {
+		return (*p)[:0]
+	}
+	return make([]view.Entry, 0, c)
+}
+
+// putPayload recycles a payload whose message has been consumed.
+func putPayload(buf []view.Entry) {
+	if cap(buf) > 0 {
+		payloadPool.Put(&buf)
+	}
+}
+
 // Cyclon is the variant of the Cyclon protocol described in §4.3.2 and
 // Fig. 3: each period the node ages its view, selects its oldest
 // neighbor j, and sends its whole view (minus j's entry, plus a fresh
@@ -59,7 +89,10 @@ var mergePool = sync.Pool{New: func() any { return new(view.MergeScratch) }}
 // at each step. Both merges run the simulator's fused kernel
 // (view.MergeCompact) whenever the received batch is ID-unique, as every
 // honest peer's is; a batch that repeats an ID takes the scratch merge,
-// which tolerates it.
+// which tolerates it. One pooled buffer carries an exchange end to end:
+// the partner writes its reply into the request's array (view.MergeReply,
+// as the simulator's exchange round does), and the initiator recycles
+// it after merging the reply.
 type Cyclon struct {
 	self      core.ID
 	selfEntry SelfEntryFunc
@@ -80,33 +113,54 @@ func (c *Cyclon) Tick(_ core.RNG) []proto.Envelope {
 	if !ok {
 		return nil
 	}
-	payload := c.v.AppendEntries(make([]view.Entry, 0, c.v.Len()+1))
-	for i := range payload {
-		if payload[i].ID == oldest.ID {
-			payload = append(payload[:i], payload[i+1:]...)
-			break
-		}
-	}
+	// The view minus the target plus the self entry is at most c entries.
+	payload := removeID(c.v.AppendEntries(getPayload(c.v.Cap())), oldest.ID)
 	payload = append(payload, c.selfEntry())
 	return []proto.Envelope{{To: oldest.ID, Msg: proto.ViewRequest{Entries: payload}}}
 }
 
 // HandleRequest implements Protocol (Fig. 3, passive thread, lines 7-10).
+// The reply — the pre-merge view minus the initiator — is written into
+// the request's own backing array, or a pooled buffer when that array
+// cannot hold the view.
 func (c *Cyclon) HandleRequest(from core.ID, req proto.ViewRequest, _ core.RNG) []proto.Envelope {
-	reply := c.v.AppendEntries(make([]view.Entry, 0, c.v.Len()))
-	for i := range reply {
-		if reply[i].ID == from {
-			reply = append(reply[:i], reply[i+1:]...)
-			break
+	in := req.Entries
+	scr := mergePool.Get().(*view.MergeScratch)
+	var reply []view.Entry
+	if view.UniqueIDs(in) {
+		dst := in[:cap(in)]
+		if len(dst) < c.v.Len() {
+			dst = getPayload(c.v.Cap())
+			dst = dst[:cap(dst)]
 		}
+		reply = dst[:c.v.MergeReply(in, c.self, scr, dst)]
+	} else {
+		// The scratch merge reads the batch as it goes, so the reply is
+		// captured into a buffer of its own first.
+		reply = c.v.AppendEntries(getPayload(c.v.Cap()))
+		c.v.MergeUsing(in, c.self, scr)
 	}
-	c.merge(req.Entries)
-	return []proto.Envelope{{To: from, Msg: proto.ViewReply{Entries: reply}}}
+	mergePool.Put(scr)
+	return []proto.Envelope{{To: from, Msg: proto.ViewReply{Entries: removeID(reply, from)}}}
 }
 
 // HandleReply implements Protocol (Fig. 3, active thread, lines 4-6).
+// The reply's array goes back to the payload pool once merged.
 func (c *Cyclon) HandleReply(_ core.ID, rep proto.ViewReply) {
 	c.merge(rep.Entries)
+	putPayload(rep.Entries)
+}
+
+// removeID deletes the entry for id from a payload, keeping the others
+// in order. A view holds an ID at most once, so the first match is the
+// only one.
+func removeID(entries []view.Entry, id core.ID) []view.Entry {
+	for i := range entries {
+		if entries[i].ID == id {
+			return append(entries[:i], entries[i+1:]...)
+		}
+	}
+	return entries
 }
 
 // merge absorbs a payload keeping the local version of duplicated

@@ -134,6 +134,49 @@ func TestCyclonReplyExcludesInitiator(t *testing.T) {
 	}
 }
 
+// One pooled buffer carries a whole Cyclon exchange, so an exchange
+// allocates only its two envelopes, their two interface boxes and the
+// slice header the reply's array returns to the pool in — no view-sized
+// payload. Copying the view into a fresh request and a fresh reply made
+// it six, two of them ~670 B.
+func TestCyclonExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const c = 20
+	pop := make([]view.Entry, 4*c)
+	for i := range pop {
+		id := core.ID(i + 1)
+		pop[i] = view.Entry{ID: id, Age: uint32(i % 5), Attr: core.Attr(id), R: float64(i) / float64(len(pop))}
+	}
+	nodes := make([]*Cyclon, len(pop))
+	for i := range nodes {
+		v := view.MustNew(c)
+		for k := 1; k <= c; k++ {
+			v.Add(pop[(i+3*k)%len(pop)])
+		}
+		id := pop[i].ID
+		nodes[i] = NewCyclon(id, selfEntry(id), v)
+	}
+	k := 0
+	exchange := func() {
+		a := nodes[k%len(nodes)]
+		k++
+		envs := a.Tick(nil)
+		b := nodes[envs[0].To-1]
+		rep := b.HandleRequest(a.self, envs[0].Msg.(proto.ViewRequest), nil)
+		a.HandleReply(b.self, rep[0].Msg.(proto.ViewReply))
+	}
+	for i := 0; i < 2*len(nodes); i++ {
+		exchange() // fill the merge and payload pools
+	}
+	got := testing.AllocsPerRun(200, exchange)
+	t.Logf("%v allocations per exchange", got)
+	if got > 5 {
+		t.Errorf("one Cyclon exchange allocates %v times, budget 5", got)
+	}
+}
+
 func TestNewscastExchangeFreshestWins(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	va := view.MustNew(4)

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/core"
@@ -75,13 +76,113 @@ func FuzzCyclonMerge(f *testing.F) {
 		if err := v.Validate(); err != nil {
 			t.Fatalf("after merging %v: %v", batch, err)
 		}
-		got, exp := v.Entries(), want.Entries()
-		if len(got) != len(exp) {
-			t.Fatalf("merged %d entries, MergeUsing %d:\n got %v\nwant %v", len(got), len(exp), got, exp)
+		sameEntries(t, "merged view", v.Entries(), want.Entries())
+	})
+}
+
+// sameEntries fails the test unless got equals want entry for entry,
+// in order.
+func sameEntries(t *testing.T, what string, got, want []view.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d:\n got %v\nwant %v", what, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: entry %d is %+v, want %+v\n got %v\nwant %v", what, i, got[i], want[i], got, want)
 		}
-		for i := range got {
-			if got[i] != exp[i] {
-				t.Fatalf("entry %d: got %+v, MergeUsing %+v\n got %v\nwant %v", i, got[i], exp[i], got, exp)
+	}
+}
+
+// without is the reference removal of id's entry from a view snapshot.
+func without(entries []view.Entry, id core.ID) []view.Entry {
+	return slices.DeleteFunc(entries, func(e view.Entry) bool { return e.ID == id })
+}
+
+// The exchange's two ends: the initiator is fuzzSelf, the partner the
+// next ID, so fuzzed entries name both.
+const fuzzPartner = fuzzSelf + 1
+
+// fill adds up to c decoded entries to v, skipping the owner's own ID.
+func (f *fuzzReader) fill(v *view.View, owner core.ID) {
+	for n := int(f.byte()) % (v.Cap() + 1); n > 0; n-- {
+		if e := f.entry(v.Cap()); e.ID != owner {
+			v.Add(e)
+		}
+	}
+}
+
+// FuzzCyclonExchange holds one live Cyclon exchange — Tick's pooled
+// request, the reply written into the request's array by MergeReply,
+// the reply's array recycled after HandleReply — equal to the
+// copy-per-message exchange it replaced: the request is the initiator's
+// aged view minus its target plus a fresh self entry, the reply is the
+// partner's pre-merge view minus the initiator, and each side merges
+// with MergeUsing. The bytes decode to c ∈ [1, 16], a mode, both views,
+// then the request: the initiator's own Tick payload (mode bit 0 clear)
+// or a decoded batch with repeated IDs, placeholders and entries naming
+// either end (bit 0 set), and a spare capacity; mode bit 1 leaves the
+// request's array no room beyond its entries, so it may be shorter than
+// the partner's view. The seed corpus in testdata/fuzz/FuzzCyclonExchange
+// runs under plain `go test`.
+func FuzzCyclonExchange(f *testing.F) {
+	self := func(id core.ID) SelfEntryFunc {
+		return func() view.Entry { return view.Entry{ID: id, Attr: core.Attr(id), R: 0.5} }
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzReader(data)
+		c := 1 + int(in.byte()%16)
+		mode := in.byte()
+		va, vb := view.MustNew(c), view.MustNew(c)
+		in.fill(va, fuzzSelf)
+		in.fill(vb, fuzzPartner)
+		a := NewCyclon(fuzzSelf, self(fuzzSelf), va)
+		b := NewCyclon(fuzzPartner, self(fuzzPartner), vb)
+		wantA, wantB := va.Clone(), vb.Clone()
+
+		var req []view.Entry
+		if mode&1 == 0 {
+			oldest, ok := wantA.AgeAllOldest()
+			envs := a.Tick(nil)
+			if !ok {
+				if len(envs) != 0 {
+					t.Fatalf("Tick on an empty view sent %d envelopes", len(envs))
+				}
+				return
+			}
+			if len(envs) != 1 || envs[0].To != oldest.ID {
+				t.Fatalf("Tick sent %v, want one request to the oldest neighbor %v", envs, oldest.ID)
+			}
+			req = envs[0].Msg.(proto.ViewRequest).Entries
+			want := append(without(wantA.Entries(), oldest.ID), self(fuzzSelf)())
+			sameEntries(t, "request", req, want)
+		} else {
+			n := int(in.byte()) % (2*c + 3)
+			req = make([]view.Entry, n, n+int(in.byte())%(c+2))
+			for i := range req {
+				req[i] = in.entry(c)
+			}
+		}
+		if mode&2 != 0 {
+			req = req[:len(req):len(req)]
+		}
+
+		wantReply := without(wantB.Entries(), fuzzSelf)
+		wantB.MergeUsing(slices.Clone(req), fuzzPartner, new(view.MergeScratch))
+		replies := b.HandleRequest(fuzzSelf, proto.ViewRequest{Entries: req}, nil)
+		if len(replies) != 1 || replies[0].To != fuzzSelf {
+			t.Fatalf("HandleRequest sent %v, want one reply to the initiator", replies)
+		}
+		reply := replies[0].Msg.(proto.ViewReply).Entries
+		sameEntries(t, "reply", reply, wantReply)
+		sameEntries(t, "partner view", vb.Entries(), wantB.Entries())
+
+		wantA.MergeUsing(wantReply, fuzzSelf, new(view.MergeScratch))
+		a.HandleReply(fuzzPartner, proto.ViewReply{Entries: reply})
+		sameEntries(t, "initiator view", va.Entries(), wantA.Entries())
+		for _, v := range []*view.View{va, vb} {
+			if err := v.Validate(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package runtime
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -626,7 +627,15 @@ func (t *schedNet) Send(from, to core.ID, msg proto.Message) error {
 	s.pushLocked(sh, ev)
 	if dup {
 		// Duplication: a second copy of the same message lands at the
-		// same deadline (its seq orders it right after the original).
+		// same deadline (its seq orders it right after the original). A
+		// delivered view payload belongs to its receiver, which writes
+		// its reply into it or recycles it, so the copy gets its own.
+		switch m := msg.(type) {
+		case proto.ViewRequest:
+			ev.msg = proto.ViewRequest{Entries: slices.Clone(m.Entries)}
+		case proto.ViewReply:
+			ev.msg = proto.ViewReply{Entries: slices.Clone(m.Entries)}
+		}
 		s.pushLocked(sh, ev)
 		s.faultChaosDups.Add(1)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/transport"
+	"github.com/gossipkit/slicing/internal/view"
 )
 
 // The timer wheel pops events in (deadline, push order).
@@ -81,6 +83,44 @@ func TestSchedNetDuplicateSharesDeadline(t *testing.T) {
 	if got := s.faultChaosDups.Load(); got != 1 {
 		t.Errorf("ChaosDups = %d, want 1", got)
 	}
+}
+
+// A delivered view payload belongs to its receiver, which writes its
+// reply into it or recycles it, so a chaos duplicate of a view message
+// must carry the same entries in a backing array of its own.
+func TestSchedNetDuplicateCopiesViewPayload(t *testing.T) {
+	s := newScheduler(schedConfig{clock: NewVirtualClock(), shards: 1, seed: 1})
+	s.register(7, func(core.ID, proto.Message) {})
+	s.setFaults(&netFaults{Net: fault.Net{Chaos: &fault.Chaos{Dup: 1}}})
+	entries := []view.Entry{{ID: 2, Age: 1, Attr: 4, R: 0.5}, {ID: 3, Age: 2, Attr: 9, R: 0.25}}
+	for _, msg := range []proto.Message{proto.ViewRequest{Entries: entries}, proto.ViewReply{Entries: entries}} {
+		sh := s.shardFor(7)
+		sh.wheel = sh.wheel[:0]
+		if err := s.net().Send(1, 7, msg); err != nil {
+			t.Fatal(err)
+		}
+		if len(sh.wheel) != 2 {
+			t.Fatalf("%T: wheel holds %d events, want the message and its duplicate", msg, len(sh.wheel))
+		}
+		a, b := viewPayload(sh.wheel[0].msg), viewPayload(sh.wheel[1].msg)
+		if !slices.Equal(a, entries) || !slices.Equal(b, entries) {
+			t.Fatalf("%T: deliveries carry %v and %v, want %v twice", msg, a, b, entries)
+		}
+		if &a[0] == &b[0] {
+			t.Errorf("%T: both deliveries share one backing array", msg)
+		}
+	}
+}
+
+// viewPayload returns a view message's entries.
+func viewPayload(msg proto.Message) []view.Entry {
+	switch m := msg.(type) {
+	case proto.ViewRequest:
+		return m.Entries
+	case proto.ViewReply:
+		return m.Entries
+	}
+	return nil
 }
 
 // A chaos delay as long as validation admits saturates the deadline

@@ -32,6 +32,13 @@ var (
 type Handler func(from core.ID, msg proto.Message)
 
 // Transport routes protocol messages between nodes.
+//
+// A message changes hands when it is sent: the sender does not touch it
+// again, and a delivered view payload (the entries of a
+// proto.ViewRequest or proto.ViewReply) belongs to its receiver, which
+// may write its reply into it or recycle its backing array. A transport
+// that delivers one message twice gives each delivery its own copy of
+// the entries.
 type Transport interface {
 	// Register binds a handler for a local node id.
 	Register(id core.ID, h Handler) error
@@ -41,7 +48,10 @@ type Transport interface {
 	// message was accepted, not that it will arrive: transports may
 	// drop (loss injection, full queues, broken connections).
 	Send(from, to core.ID, msg proto.Message) error
-	// Close shuts down the transport and waits for in-flight deliveries
-	// to finish.
+	// Close shuts down the transport. It does not wait for messages in
+	// transit to arrive: one whose latency has not elapsed, or that is
+	// still queued or unsent, may be dropped. InMem and tcp return once
+	// their goroutines and timers have finished, so none of their
+	// handlers runs after Close.
 	Close() error
 }
