@@ -109,7 +109,7 @@ type Node struct {
 
 // scratchPool lends the envelope path (Tick, LDM) its tick buffers. A
 // Node embeds none of its own: the cycle engine stores a million of them
-// by value and passes per-worker Scratch to TickSwap, and a live node
+// by value and passes per-worker Scratch to TickTable, and a live node
 // ticks for microseconds per period, so neither should retain buffers
 // between calls.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -200,11 +200,12 @@ func (n *Node) SetTrace(tr *telemetry.TraceRing) { n.trace = tr }
 
 // Tick implements proto.Node: one active-thread period (Fig. 2 lines
 // 4-9). The view has already been recomputed by the membership layer.
-// The returned envelope carries the swap request, if any partner
-// qualifies.
-func (n *Node) Tick(state proto.StateReader, rng core.RNG) []proto.Envelope {
+// A live node knows its neighbors only through its view, so it ticks on
+// an empty table: every neighbor resolves to its recorded entry. The
+// returned envelope carries the swap request, if any partner qualifies.
+func (n *Node) Tick(rng core.RNG) []proto.Envelope {
 	scr := scratchPool.Get().(*Scratch)
-	target, req, ok := n.TickSwap(state, rng, scr)
+	target, req, ok := n.TickTable(n.r, nil, rng, scr)
 	scratchPool.Put(scr)
 	if !ok {
 		return nil
@@ -212,16 +213,42 @@ func (n *Node) Tick(state proto.StateReader, rng core.RNG) []proto.Envelope {
 	return []proto.Envelope{{To: target, Msg: req}}
 }
 
-// TickSwap is Tick without the envelope boxing: it returns the chosen
-// partner and the swap request by value, drawing tick scratch from scr.
-// The cycle engine's compute phase calls this once per node per cycle,
-// so avoiding the per-tick interface allocation matters at N=10⁶.
+// TickTable is the swap tick both engines run, and the one policy
+// dispatch: the node's coordinate is selfR, and a neighbor's is its
+// coords entry when the table knows it, its view entry otherwise. The
+// cycle engine passes its phase-start snapshot; a live node passes nil.
+// mod-JK goes to the partial rank kernel (TickSwapFast); JK and random
+// draw from the view over the same table. It returns the chosen partner
+// and the swap request by value, drawing tick scratch from scr.
+func (n *Node) TickTable(selfR float64, coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
+	if n.policy == SelectMaxGain {
+		return n.TickSwapFast(selfR, coords, scr)
+	}
+	target, ok := n.drawPartner(selfR, coords.Coord, rng, scr)
+	return n.request(target, ok, selfR)
+}
+
+// TickSwap is the reference swap tick: TickTable with coordinates
+// resolved through a StateReader and mod-JK ranked by the exact O(c²)
+// count. The kernel tests and benchmarks check the fast kernels
+// against it.
 func (n *Node) TickSwap(state proto.StateReader, rng core.RNG, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
 	selfR, ok := state.R(n.id)
 	if !ok {
 		selfR = n.r
 	}
-	target, ok := n.selectPartner(selfR, state, rng, scr)
+	var target core.ID
+	if n.policy == SelectMaxGain {
+		target, ok = n.selectMaxGain(selfR, state, scr)
+	} else {
+		target, ok = n.drawPartner(selfR, state.R, rng, scr)
+	}
+	return n.request(target, ok, selfR)
+}
+
+// request is the shared tail of every swap tick: it books a request to
+// target and builds its payload, or reports that no partner qualified.
+func (n *Node) request(target core.ID, ok bool, selfR float64) (core.ID, proto.SwapRequest, bool) {
 	if !ok {
 		return 0, proto.SwapRequest{}, false
 	}
@@ -234,8 +261,7 @@ func (n *Node) TickSwap(state proto.StateReader, rng core.RNG, scr *Scratch) (co
 
 // neighborCoordinate resolves a neighbor's random value through the
 // state reader, falling back to the view's recorded value when the
-// reader does not know the neighbor (a live distributed node only knows
-// its view).
+// reader does not know the neighbor.
 func neighborCoordinate(state proto.StateReader, e view.Entry) float64 {
 	if r, ok := state.R(e.ID); ok {
 		return r
@@ -243,42 +269,34 @@ func neighborCoordinate(state proto.StateReader, e view.Entry) float64 {
 	return e.R
 }
 
-func (n *Node) selectPartner(selfR float64, state proto.StateReader, rng core.RNG, scr *Scratch) (core.ID, bool) {
-	if n.policy == SelectMaxGain {
-		// localSequences takes (and placeholder-filters) its own view
-		// snapshot; snapshotting here too would copy the view twice per
-		// tick on the paper's default policy.
-		return n.selectMaxGain(selfR, state, scr)
-	}
+// drawPartner is the JK and random policies' partner choice: a uniform
+// draw over the view's non-placeholder entries — under JK only those
+// misplaced against selfR, each neighbor's coordinate resolved through
+// coord with the view's recorded value as fallback.
+func (n *Node) drawPartner(selfR float64, coord func(core.ID) (float64, bool), rng core.RNG, scr *Scratch) (core.ID, bool) {
 	// Placeholder entries carry no usable coordinates; they are gossip
 	// contacts for the membership layer only.
 	entries := scr.entries[:0]
 	for _, e := range n.v.Raw() {
-		if !e.Placeholder() {
-			entries = append(entries, e)
+		if e.Placeholder() {
+			continue
 		}
+		if n.policy == SelectRandomMisplaced {
+			r := e.R
+			if cr, ok := coord(e.ID); ok {
+				r = cr
+			}
+			if !Misplaced(n.attr, e.Attr, selfR, r) {
+				continue
+			}
+		}
+		entries = append(entries, e)
 	}
 	scr.entries = entries
 	if len(entries) == 0 {
 		return 0, false
 	}
-	switch n.policy {
-	case SelectRandom:
-		return entries[rng.Intn(len(entries))].ID, true
-	case SelectRandomMisplaced:
-		misplaced := entries[:0]
-		for _, e := range entries {
-			if Misplaced(n.attr, e.Attr, selfR, neighborCoordinate(state, e)) {
-				misplaced = append(misplaced, e)
-			}
-		}
-		if len(misplaced) == 0 {
-			return 0, false
-		}
-		return misplaced[rng.Intn(len(misplaced))].ID, true
-	default:
-		return 0, false
-	}
+	return entries[rng.Intn(len(entries))].ID, true
 }
 
 // selectMaxGain evaluates the gain G_{i,j} for every misplaced neighbor
@@ -322,14 +340,13 @@ func (n *Node) argmaxGain(local localSeq, selfR float64) (core.ID, bool) {
 	return best, found
 }
 
-// TickSwapFast is TickSwap specialized for the cycle engine's
-// SelectMaxGain fast path: the engine resolves the node's own
-// coordinate (selfR) and hands the snapshot as a concrete CoordTable,
-// and only the ranks the decision reads are computed (rankLocal).
-// Decision equivalence with TickSwap over the engine's snapshot reader
-// is exact: the member set, per-member coordinates, rank orders, gain
-// argmax, and stats/trace side effects are all identical (pinned by
-// TestTickSwapFastMatchesTickSwap).
+// TickSwapFast is TickTable's mod-JK kernel: the caller resolves the
+// node's own coordinate (selfR) and hands its neighbors' as a concrete
+// CoordTable, and only the ranks the decision reads are computed
+// (rankLocal). Decision equivalence with TickSwap over a reader that
+// answers as the table does is exact: the member set, per-member
+// coordinates, rank orders, gain argmax, and stats/trace side effects
+// are all identical (pinned by TestTickSwapFastMatchesTickSwap).
 func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
 	// Gather N_i ∪ {i} in storage order with the misplaced prescan fused
 	// in: a converged neighborhood — the steady state — exits after this
@@ -354,14 +371,7 @@ func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch
 		return 0, proto.SwapRequest{}, false
 	}
 	target, ok := n.argmaxGain(n.rankLocal(members, scr, misp), selfR)
-	if !ok {
-		return 0, proto.SwapRequest{}, false
-	}
-	n.stats.ReqSent++
-	n.trace.Record(telemetry.TraceEvent{
-		Kind: telemetry.TraceSwapRequest, Node: uint64(n.id), Peer: uint64(target), Rank: selfR,
-	})
-	return target, proto.SwapRequest{R: selfR, Attr: n.attr}, true
+	return n.request(target, ok, selfR)
 }
 
 // packedRank is rankMembersPackedPartial's outcome.

@@ -145,12 +145,22 @@ func (c *cluster) live() proto.StateReader {
 	})
 }
 
-// step runs one synchronous tick for every node, delivering messages
-// immediately.
+// tickOver is Tick with coordinates resolved through state: the
+// reference tick, boxed as Tick boxes it.
+func tickOver(n *Node, state proto.StateReader, rng core.RNG) []proto.Envelope {
+	to, req, ok := n.TickSwap(state, rng, new(Scratch))
+	if !ok {
+		return nil
+	}
+	return []proto.Envelope{{To: to, Msg: req}}
+}
+
+// step runs one synchronous tick for every node over the live reader,
+// delivering messages immediately.
 func (c *cluster) step(rng *rand.Rand) {
 	for _, id := range c.order {
 		n := c.nodes[id]
-		for _, env := range n.Tick(c.live(), rng) {
+		for _, env := range tickOver(n, c.live(), rng) {
 			target := c.nodes[env.To]
 			for _, rep := range target.Handle(id, env.Msg, rng) {
 				c.nodes[rep.To].Handle(env.To, rep.Msg, rng)
@@ -341,7 +351,7 @@ func TestMaxGainPicksBestNeighbor(t *testing.T) {
 	// Neighbor 3: attr 15, r = 0.5 — mildly misplaced relative to 1.
 	c := newCluster(t, SelectMaxGain, []core.Attr{10, 20, 15}, []float64{0.9, 0.1, 0.5})
 	rng := rand.New(rand.NewSource(2))
-	envs := c.nodes[1].Tick(c.live(), rng)
+	envs := tickOver(c.nodes[1], c.live(), rng)
 	if len(envs) != 1 {
 		t.Fatalf("Tick returned %d envelopes, want 1", len(envs))
 	}
@@ -356,7 +366,7 @@ func TestUnsuccessfulSwapUnderStaleness(t *testing.T) {
 	c := newCluster(t, SelectMaxGain, []core.Attr{10, 20}, []float64{0.9, 0.1})
 	rng := rand.New(rand.NewSource(3))
 	snapshot := proto.MapReader{1: 0.9, 2: 0.1}
-	envs := c.nodes[1].Tick(snapshot, rng)
+	envs := tickOver(c.nodes[1], snapshot, rng)
 	if len(envs) != 1 || envs[0].To != 2 {
 		t.Fatalf("expected one request to node 2, got %v", envs)
 	}
@@ -434,7 +444,7 @@ func TestSelfEntryFresh(t *testing.T) {
 func TestSelectRandomPolicySendsToAnyNeighbor(t *testing.T) {
 	c := newCluster(t, SelectRandom, []core.Attr{10, 20, 30}, []float64{0.1, 0.5, 0.9})
 	rng := rand.New(rand.NewSource(8))
-	envs := c.nodes[1].Tick(c.live(), rng)
+	envs := tickOver(c.nodes[1], c.live(), rng)
 	if len(envs) != 1 {
 		t.Fatalf("SelectRandom sent %d messages, want 1 (even when aligned)", len(envs))
 	}
@@ -446,8 +456,7 @@ func TestTickOnEmptyView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := proto.MapReader{1: 0.4}
-	if envs := n.Tick(state, rand.New(rand.NewSource(1))); len(envs) != 0 {
+	if envs := n.Tick(rand.New(rand.NewSource(1))); len(envs) != 0 {
 		t.Errorf("Tick on empty view sent %d messages", len(envs))
 	}
 }

@@ -21,8 +21,7 @@ func TestTickSkipsPlaceholders(t *testing.T) {
 	// A placeholder that would look wildly misplaced if its zero attr
 	// and zero coordinate were taken at face value.
 	v.Add(view.Entry{ID: 2, Age: view.AgeUnknown})
-	state := proto.MapReader{1: 0.9}
-	if envs := n.Tick(state, rand.New(rand.NewSource(1))); len(envs) != 0 {
+	if envs := n.Tick(rand.New(rand.NewSource(1))); len(envs) != 0 {
 		t.Errorf("Tick engaged a placeholder: %v", envs)
 	}
 }
@@ -39,7 +38,7 @@ func TestMaxGainIgnoresPlaceholderInLocalSequences(t *testing.T) {
 	v.Add(view.Entry{ID: 2, Age: view.AgeUnknown})
 	v.Add(view.Entry{ID: 3, Age: 0, Attr: 60, R: 0.4}) // genuinely misplaced
 	state := proto.MapReader{1: 0.5, 3: 0.4}
-	envs := n.Tick(state, rand.New(rand.NewSource(1)))
+	envs := n.Tick(rand.New(rand.NewSource(1)))
 	if len(envs) != 1 || envs[0].To != 3 {
 		t.Fatalf("expected a swap with node 3, got %v", envs)
 	}

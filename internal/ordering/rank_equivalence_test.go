@@ -208,3 +208,62 @@ func TestRankMembersPartialEquivalence(t *testing.T) {
 		t.Fatalf("partial kernel accepted only %d/3000 trials; the property barely exercises it", accepted)
 	}
 }
+
+// TestTickTableMatchesTickSwap pins the one policy dispatch both
+// engines run. For every policy, TickTable over a table must make the
+// decision TickSwap makes over a reader that answers as the table does,
+// and TickTable over the nil table — the live tick — the decision
+// TickSwap makes over a reader backed by the node's own view and value:
+// the same partner, payload and stats, with the RNG left at the same
+// next draw.
+func TestTickTableMatchesTickSwap(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	policies := []Policy{SelectMaxGain, SelectRandomMisplaced, SelectRandom}
+	sent := map[Policy]int{}
+	for trial := 0; trial < 3000; trial++ {
+		n, reader, coords := randomRankState(rng, trial%3 == 1)
+		n.policy = policies[(trial/3)%len(policies)]
+		selfR, _ := reader.R(n.ID())
+		viewBacked := proto.FuncReader(func(id core.ID) (float64, bool) {
+			if id == n.ID() {
+				return n.Estimate(), true
+			}
+			e, ok := n.View().Get(id)
+			return e.R, ok
+		})
+		for _, c := range []struct {
+			state  proto.StateReader
+			selfR  float64
+			coords proto.CoordTable
+		}{
+			{reader, selfR, coords},
+			{viewBacked, n.Estimate(), nil},
+		} {
+			seed := rng.Int63()
+			refRng, rng2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			n.stats = Stats{}
+			refTo, refReq, refOK := n.TickSwap(c.state, refRng, &Scratch{})
+			refStats := n.stats
+			n.stats = Stats{}
+			to, req, ok := n.TickTable(c.selfR, c.coords, rng2, &Scratch{})
+			if refOK != ok || refTo != to || refReq != req {
+				t.Fatalf("trial %d (%v, table=%v): decision diverges:\n reference: to=%v req=%+v ok=%v\n table:     to=%v req=%+v ok=%v",
+					trial, n.policy, c.coords != nil, refTo, refReq, refOK, to, req, ok)
+			}
+			if n.stats != refStats {
+				t.Fatalf("trial %d (%v): stats diverge: %+v vs %+v", trial, n.policy, n.stats, refStats)
+			}
+			if a, b := refRng.Int63(), rng2.Int63(); a != b {
+				t.Fatalf("trial %d (%v): RNG left at different draws", trial, n.policy)
+			}
+			if ok {
+				sent[n.policy]++
+			}
+		}
+	}
+	for _, p := range policies {
+		if sent[p] < 300 {
+			t.Fatalf("%v sent only %d requests over 6000 ticks", p, sent[p])
+		}
+	}
+}

@@ -68,42 +68,16 @@ func (RankUpdate) message()  {}
 
 // StateReader resolves the current normalized-rank coordinate of a node:
 // its random value under the ordering protocols, its rank estimate under
-// ranking. The simulator injects a live reader (modelling the paper's
-// "the view is up-to-date when a message is sent") or a cycle-start
-// snapshot (modelling artificial concurrency, §4.5.2); the runtime
-// injects a reader backed by the node's own view, which is all a real
-// distributed node can observe.
+// ranking. It is the resolver of the reference ticks
+// (ordering.Node.TickSwap, ranking.Node.TickTargets), which the kernel
+// tests and benchmarks check the fast ticks against; neither engine
+// ticks through it.
 type StateReader interface {
 	// R returns the coordinate for id and whether it is known.
 	R(id core.ID) (float64, bool)
 }
 
-// ViewBacked returns a StateReader that resolves coordinates from a
-// node's own view, with the node's own live coordinate supplied
-// separately. This is the only reader available to a real distributed
-// node.
-func ViewBacked(self core.ID, selfR func() float64, v *view.View) StateReader {
-	return viewReader{self: self, selfR: selfR, v: v}
-}
-
-type viewReader struct {
-	self  core.ID
-	selfR func() float64
-	v     *view.View
-}
-
-func (r viewReader) R(id core.ID) (float64, bool) {
-	if id == r.self {
-		return r.selfR(), true
-	}
-	e, ok := r.v.Get(id)
-	if !ok {
-		return 0, false
-	}
-	return e.R, true
-}
-
-// MapReader is a StateReader backed by a plain map (used for snapshots).
+// MapReader is a StateReader backed by a plain map.
 type MapReader map[core.ID]float64
 
 // R implements StateReader.
@@ -112,26 +86,27 @@ func (m MapReader) R(id core.ID) (float64, bool) {
 	return v, ok
 }
 
-// FuncReader adapts a function to StateReader (used for live reads).
+// FuncReader adapts a function, such as CoordTable.Coord, to
+// StateReader.
 type FuncReader func(core.ID) (float64, bool)
 
 // R implements StateReader.
 func (f FuncReader) R(id core.ID) (float64, bool) { return f(id) }
 
-// CoordTable is the cycle engine's concrete coordinate table: the
-// phase-start coordinate snapshot indexed directly by node ID, with NaN
-// marking departed or never-assigned IDs. It carries the same answers
-// as the engine's snapshot StateReader, but as a flat array: the
-// per-neighbor resolve in a protocol tick becomes one load and one
-// NaN test instead of an interface dispatch plus an ID→slot→coordinate
-// double indirection — half the cache misses of the hottest random
-// access a million-node tick performs.
+// CoordTable is the coordinate table the fast ticks resolve neighbors
+// through: a coordinate snapshot indexed directly by node ID, with NaN
+// marking departed or never-assigned IDs. The cycle engine passes its
+// phase-start snapshot; a live node passes nil, the empty table, which
+// leaves every neighbor at the coordinate its view entry records. The
+// per-neighbor resolve is one load and one NaN test instead of an
+// interface dispatch plus an ID→slot→coordinate double indirection —
+// half the cache misses of the hottest random access a million-node
+// tick performs.
 type CoordTable []float64
 
-// Coord returns the coordinate for id and whether id is live. The
-// semantics mirror the engine's snapshot StateReader bit for bit:
-// unknown and departed IDs are reported unknown, and callers fall back
-// to the coordinate recorded in their own view.
+// Coord returns the coordinate for id and whether id is live. Unknown
+// and departed IDs are reported unknown, and callers fall back to the
+// coordinate recorded in their own view.
 func (c CoordTable) Coord(id core.ID) (float64, bool) {
 	if id < 1 || int(id) >= len(c) {
 		return 0, false
@@ -156,14 +131,14 @@ type Node interface {
 	// the membership protocol when gossiping.
 	SelfEntry() view.Entry
 	// Tick runs one active-thread period (after the membership exchange)
-	// and returns the messages to send. The StateReader tells the node
-	// how fresh its knowledge of its neighbors' coordinates is. The RNG
-	// is injected per step: the live runtime passes the node's own
-	// serial generator, the cycle engine a per-(node,cycle) counter
-	// stream, which is what lets it run every node's step concurrently
-	// yet bit-identically at any worker count. The returned slice (and
-	// Handle's) is the caller's: implementations do not reuse it.
-	Tick(state StateReader, rng core.RNG) []Envelope
+	// and returns the messages to send. A node resolves its neighbors'
+	// coordinates from its own view, the only knowledge a distributed
+	// node has. The live runtime passes the node's own serial generator;
+	// the cycle engine skips Tick for the unboxed table ticks
+	// (ordering.Node.TickTable, ranking.Node.TickTargetsFast) over its
+	// phase-start snapshot. The returned slice (and Handle's) is the
+	// caller's: implementations do not reuse it.
+	Tick(rng core.RNG) []Envelope
 	// Handle processes one incoming protocol message, returning any
 	// replies.
 	Handle(from core.ID, msg Message, rng core.RNG) []Envelope

@@ -1,10 +1,10 @@
 package proto
 
 import (
+	"math"
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/core"
-	"github.com/gossipkit/slicing/internal/view"
 )
 
 func TestMapReader(t *testing.T) {
@@ -27,26 +27,28 @@ func TestFuncReader(t *testing.T) {
 	}
 }
 
-func TestViewBackedReader(t *testing.T) {
-	v := view.MustNew(4)
-	v.Add(view.Entry{ID: 2, R: 0.7})
-	selfR := 0.25
-	r := ViewBacked(1, func() float64 { return selfR }, v)
-	// Self resolves through the live callback.
-	if got, ok := r.R(1); !ok || got != 0.25 {
-		t.Errorf("R(self) = %v,%v", got, ok)
+// A live tick resolves neighbors through the nil table: every ID is
+// unknown, so each neighbor falls back to its view entry. A filled table
+// answers live IDs and reports departed (NaN) and out-of-range IDs
+// unknown.
+func TestCoordTable(t *testing.T) {
+	var empty CoordTable
+	for _, id := range []core.ID{0, 1, 99} {
+		if _, ok := empty.Coord(id); ok {
+			t.Errorf("nil table: Coord(%v) known", id)
+		}
 	}
-	selfR = 0.5
-	if got, _ := r.R(1); got != 0.5 {
-		t.Errorf("R(self) not live: %v", got)
+	tab := CoordTable{math.NaN(), 0.7, math.NaN(), 0}
+	if got, ok := tab.Coord(1); !ok || got != 0.7 {
+		t.Errorf("Coord(1) = %v,%v", got, ok)
 	}
-	// Neighbors resolve through the view.
-	if got, ok := r.R(2); !ok || got != 0.7 {
-		t.Errorf("R(2) = %v,%v", got, ok)
+	if got, ok := tab.Coord(3); !ok || got != 0 {
+		t.Errorf("Coord(3) = %v,%v", got, ok)
 	}
-	// Unknown nodes are unknown.
-	if _, ok := r.R(99); ok {
-		t.Error("R(99) should be unknown")
+	for _, id := range []core.ID{0, 2, 4} {
+		if _, ok := tab.Coord(id); ok {
+			t.Errorf("Coord(%v) known", id)
+		}
 	}
 }
 

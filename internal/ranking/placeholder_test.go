@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/view"
 )
 
@@ -12,7 +11,7 @@ func TestTickSkipsPlaceholders(t *testing.T) {
 	n := newTestNode(t, 10, 50, 4, nil)
 	n.View().Add(view.Entry{ID: 1, Age: view.AgeUnknown}) // bootstrap contact
 	rng := rand.New(rand.NewSource(1))
-	envs := n.Tick(proto.MapReader{}, rng)
+	envs := n.Tick(rng)
 	if len(envs) != 0 {
 		t.Errorf("Tick targeted a placeholder: %v", envs)
 	}
@@ -26,7 +25,7 @@ func TestTickMixedPlaceholdersAndReal(t *testing.T) {
 	n.View().Add(view.Entry{ID: 1, Age: view.AgeUnknown})
 	n.View().Add(view.Entry{ID: 2, Age: 0, Attr: 10, R: 0.3})
 	rng := rand.New(rand.NewSource(1))
-	envs := n.Tick(proto.MapReader{}, rng)
+	envs := n.Tick(rng)
 	for _, env := range envs {
 		if env.To == 1 {
 			t.Error("UPD sent to a placeholder contact")

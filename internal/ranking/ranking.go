@@ -47,7 +47,7 @@ type Node struct {
 
 // scratchPool lends Tick its buffer. A Node embeds none: the cycle
 // engine stores them by value and passes per-worker Scratch to
-// TickTargets, and a live node should retain nothing between periods.
+// TickTargetsFast, and a live node should retain nothing between periods.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // Scratch holds the reusable tick buffer — the filtered view snapshot.
@@ -153,12 +153,14 @@ func (n *Node) lower(m core.Member) bool {
 }
 
 // Tick implements proto.Node: one active-thread period (Fig. 5 lines
-// 4-16). The view has been recomputed by the membership layer. The
-// returned envelopes carry UPD messages for the boundary-closest
-// neighbor j1 and a random neighbor j2.
-func (n *Node) Tick(state proto.StateReader, rng core.RNG) []proto.Envelope {
+// 4-16). The view has been recomputed by the membership layer. A live
+// node knows its neighbors' estimates only through its view, so it
+// ticks on an empty table: every neighbor resolves to its recorded
+// entry. The returned envelopes carry UPD messages for the
+// boundary-closest neighbor j1 and a random neighbor j2.
+func (n *Node) Tick(rng core.RNG) []proto.Envelope {
 	scr := scratchPool.Get().(*Scratch)
-	j1, j2, ok := n.TickTargets(state, rng, scr)
+	j1, j2, ok := n.TickTargetsFast(nil, rng, scr)
 	scratchPool.Put(scr)
 	if !ok {
 		return nil
@@ -166,7 +168,8 @@ func (n *Node) Tick(state proto.StateReader, rng core.RNG) []proto.Envelope {
 	return []proto.Envelope{{To: j1, Msg: n.updMsg}, {To: j2, Msg: n.updMsg}}
 }
 
-// TickTargets is Tick without the envelope boxing: it feeds the view
+// TickTargets is the reference ranking tick: TickTargetsFast with
+// neighbor estimates resolved through a StateReader. It feeds the view
 // scan into the estimator and returns the two UPD targets (j1 may equal
 // j2) by value, drawing tick scratch from scr. Both updates carry the
 // node's current attribute — read it with Member().Attr at delivery.
@@ -193,8 +196,7 @@ func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) 
 	}
 	// j1: the neighbor whose rank estimate is closest to its nearest
 	// slice boundary (Fig. 5 lines 8-10). Estimates resolve through the
-	// state reader so the simulator can model freshness; a live node
-	// falls back to the view's recorded estimates.
+	// state reader, falling back to the view's recorded estimates.
 	j1 := entries[0]
 	if n.boundaryBias {
 		best := n.boundaryDistance(state, entries[0])
@@ -213,16 +215,15 @@ func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) 
 	return j1.ID, j2.ID, true
 }
 
-// TickTargetsFast is TickTargets specialized for the cycle engine: the
-// engine resolves neighbor estimates through the phase-start snapshot
-// as a concrete CoordTable — one load and one NaN test per neighbor
-// instead of an interface dispatch plus an ID→slot→estimate double
-// indirection, the hottest random access of a million-node ranking
-// tick. Decision and side-effect equivalence with TickTargets over the
-// engine's snapshot reader is exact: the table carries the same
-// answers as the reader (unknown/departed IDs fall back to the view's
-// recorded estimate), the RNG draws happen in the same order, and the
-// estimator feeding is identical (pinned by TestKernelEquivalence).
+// TickTargetsFast is the ranking tick both engines run: neighbor
+// estimates resolve through a concrete CoordTable — one load and one
+// NaN test per neighbor instead of an interface dispatch — with the
+// view's recorded estimate as fallback for IDs the table does not know.
+// The cycle engine passes its phase-start snapshot; a live node passes
+// nil. Decision and side-effect equivalence with TickTargets over a
+// reader that answers as the table does is exact: the RNG draws happen
+// in the same order, and the estimator feeding is identical (pinned by
+// TestTickTargetsFastMatchesTickTargets).
 func (n *Node) TickTargetsFast(coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, core.ID, bool) {
 	entries := scr.entries[:0]
 	for _, e := range n.v.Raw() {

@@ -96,7 +96,7 @@ func TestTickScansView(t *testing.T) {
 	n.View().Add(view.Entry{ID: 1, Attr: 10, R: 0.2})
 	n.View().Add(view.Entry{ID: 2, Attr: 90, R: 0.8})
 	rng := rand.New(rand.NewSource(1))
-	n.Tick(proto.MapReader{}, rng)
+	n.Tick(rng)
 	// Two observations: one lower, one higher → estimate 0.5.
 	if got := n.Estimate(); got != 0.5 {
 		t.Errorf("estimate after view scan = %v, want 0.5", got)
@@ -116,7 +116,7 @@ func TestTickViewScanDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.View().Add(view.Entry{ID: 1, Attr: 10})
-	n.Tick(proto.MapReader{}, rand.New(rand.NewSource(1)))
+	n.Tick(rand.New(rand.NewSource(1)))
 	if est.Samples() != 0 {
 		t.Error("view scan fed the estimator despite DisableViewScan")
 	}
@@ -130,7 +130,7 @@ func TestTickTargetsBoundaryClosestNeighbor(t *testing.T) {
 	n.View().Add(view.Entry{ID: 2, Attr: 60, R: 0.48})
 	n.View().Add(view.Entry{ID: 3, Attr: 90, R: 0.95})
 	rng := rand.New(rand.NewSource(1))
-	envs := n.Tick(proto.MapReader{}, rng)
+	envs := n.Tick(rng)
 	if len(envs) != 2 {
 		t.Fatalf("Tick returned %d envelopes, want 2 (j1 and j2)", len(envs))
 	}
@@ -158,15 +158,15 @@ func TestTickUsesStateReaderForBoundaryDistance(t *testing.T) {
 	n.View().Add(view.Entry{ID: 2, Attr: 60, R: 0.49}) // stale: near boundary
 	n.View().Add(view.Entry{ID: 3, Attr: 90, R: 0.99}) // stale: far
 	state := proto.MapReader{2: 0.9, 3: 0.52}
-	envs := n.Tick(state, rand.New(rand.NewSource(1)))
-	if envs[0].To != 3 {
-		t.Errorf("j1 = %v, want 3 (fresh estimate nearest boundary)", envs[0].To)
+	j1, _, ok := n.TickTargets(state, rand.New(rand.NewSource(1)), new(Scratch))
+	if !ok || j1 != 3 {
+		t.Errorf("j1 = %v (ok=%v), want 3 (fresh estimate nearest boundary)", j1, ok)
 	}
 }
 
 func TestTickEmptyView(t *testing.T) {
 	n := newTestNode(t, 10, 50, 2, nil)
-	if envs := n.Tick(proto.MapReader{}, rand.New(rand.NewSource(1))); len(envs) != 0 {
+	if envs := n.Tick(rand.New(rand.NewSource(1))); len(envs) != 0 {
 		t.Errorf("Tick on empty view sent %d messages", len(envs))
 	}
 }

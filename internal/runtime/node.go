@@ -17,7 +17,8 @@
 // The same protocol state machines the simulator drives cycle-by-cycle
 // run here under real concurrency, message loss and crashes. Unlike the
 // simulator, a live node resolves neighbor coordinates only from its own
-// view (proto.ViewBacked): there is no global oracle.
+// view — it ticks the simulator's kernels on an empty coordinate table
+// (proto.CoordTable): there is no global oracle.
 package runtime
 
 import (
@@ -177,8 +178,7 @@ type Node struct {
 	slicer      proto.Node
 	mem         membership.Protocol
 	rng         core.Stream // eight bytes by value; guarded by mu
-	state       proto.StateReader
-	pendingView core.ID // target of the in-flight view exchange, 0 if none
+	pendingView core.ID     // target of the in-flight view exchange, 0 if none
 	lastSlice   int
 	ticks       int
 	lastRecv    int // ticks value when the passive thread last received
@@ -275,7 +275,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	node.state = proto.ViewBacked(cfg.ID, func() float64 { return slicer.Estimate() }, v)
 	node.lastSlice = slicer.SliceIndex()
 	if on, ok := slicer.(*ordering.Node); ok {
 		on.SetTrace(cfg.Trace)
@@ -424,7 +423,7 @@ func (n *Node) tick() {
 	if len(memEnvs) > 0 {
 		n.pendingView = memEnvs[0].To
 	}
-	slEnvs := n.slicer.Tick(n.state, &n.rng)
+	slEnvs := n.slicer.Tick(&n.rng)
 	id := n.slicer.ID()
 	notify := n.notifySliceChange()
 	n.mu.Unlock()

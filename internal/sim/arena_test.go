@@ -16,7 +16,9 @@ import (
 // every view header is bound onto exactly its slot's arena block, and
 // the incrementally maintained membership is exactly the live
 // population in attribute order with no departed ID resolving to a
-// live node.
+// live node. It also checks the dense mirrors the engine reads instead
+// of the protocol nodes against the node state they stand for
+// (checkMirrors).
 func checkArenaConsistency(t *testing.T, e *Engine) {
 	t.Helper()
 	n := len(e.ids)
@@ -68,6 +70,13 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 	for id := core.ID(1); int(id) < len(e.slots); id++ {
 		s := e.slots[id]
 		if s == noSlot {
+			// A departed ID must read unknown in the coordinate table, so
+			// a tick falls back to the view's entry for it.
+			if int(id) < len(e.coordTab) {
+				if r := e.coordTab[id]; r == r {
+					t.Fatalf("cycle %d: departed %v resolves to %v in the coordinate table", e.cycle, id, r)
+				}
+			}
 			continue
 		}
 		live++
@@ -94,10 +103,61 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 		if !ok {
 			t.Fatalf("cycle %d: membership lists departed node %v", e.cycle, m.ID)
 		}
-		if e.memberAt(s) != m {
+		// The membership holds real attributes; a liar's node advertises
+		// its lie.
+		got := e.memberAt(s)
+		got.Attr = e.faults.Real(got.ID, got.Attr)
+		if got != m {
 			t.Fatalf("cycle %d: membership entry %v diverges from node state %v",
-				e.cycle, m, e.memberAt(s))
+				e.cycle, m, got)
 		}
+	}
+	checkMirrors(t, e)
+}
+
+// checkMirrors pins the ordering engine's dense mirrors to the node
+// state they stand for: rs and attrs to each node's random value and
+// attribute, the slice-index cache to the partition lookup of the
+// coordinate it was computed from (and, once a cycle has been measured,
+// to the node's current believed slice), and the swap-counter totals to
+// the Stats sums over the live nodes.
+func checkMirrors(t *testing.T, e *Engine) {
+	t.Helper()
+	n := len(e.ids)
+	if e.ons == nil {
+		if len(e.rs) != 0 || len(e.attrs) != 0 || len(e.sliceR) != 0 || len(e.sliceIdx) != 0 {
+			t.Fatalf("cycle %d: ranking engine holds ordering mirrors", e.cycle)
+		}
+		return
+	}
+	if len(e.rs) != n || len(e.attrs) != n || len(e.sliceR) != n || len(e.sliceIdx) != n {
+		t.Fatalf("cycle %d: mirrors out of lockstep: n=%d rs=%d attrs=%d sliceR=%d sliceIdx=%d",
+			e.cycle, n, len(e.rs), len(e.attrs), len(e.sliceR), len(e.sliceIdx))
+	}
+	var recv, fail uint64
+	for s := range e.ons {
+		on := &e.ons[s]
+		if e.rs[s] != on.Estimate() {
+			t.Fatalf("cycle %d: slot %d rs mirror %v, node holds %v", e.cycle, s, e.rs[s], on.Estimate())
+		}
+		if e.attrs[s] != on.Member().Attr {
+			t.Fatalf("cycle %d: slot %d attrs mirror %v, node holds %v", e.cycle, s, e.attrs[s], on.Member().Attr)
+		}
+		if r := e.sliceR[s]; r == r && e.sliceIdx[s] != int32(e.part.Index(r)) {
+			t.Fatalf("cycle %d: slot %d caches slice %d for %v, partition says %d",
+				e.cycle, s, e.sliceIdx[s], r, e.part.Index(r))
+		}
+		if e.cycle > 0 && int(e.sliceIdx[s]) != on.SliceIndex() {
+			t.Fatalf("cycle %d: slot %d measured slice %d, node believes %d",
+				e.cycle, s, e.sliceIdx[s], on.SliceIndex())
+		}
+		st := on.Stats()
+		recv += st.ReqReceived
+		fail += st.SwapFailedAtReceiver
+	}
+	if e.recvTotal != recv || e.failRecvTotal != fail {
+		t.Fatalf("cycle %d: swap totals (received %d, failed %d), live Stats sums (%d, %d)",
+			e.cycle, e.recvTotal, e.failRecvTotal, recv, fail)
 	}
 }
 

@@ -41,11 +41,9 @@ type simWorker struct {
 	// heap-allocating a fresh 8-byte box per node per cycle.
 	stream core.Stream
 
-	dropped     uint64
-	partDrops   uint64
-	chaosDrops  uint64
-	reqReceived uint64
-	reqFailed   uint64
+	dropped    uint64
+	partDrops  uint64
+	chaosDrops uint64
 }
 
 // parallelFor splits [0, n) into one contiguous range per worker and

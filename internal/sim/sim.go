@@ -224,16 +224,6 @@ type Config struct {
 	// registry. Timing never touches the engine's RNG streams, so an
 	// instrumented run is bit-identical to an uninstrumented one.
 	Telemetry *telemetry.Registry
-	// ReferenceKernels forces the straightforward reference
-	// implementations of the protocol kernels — the scratch-based
-	// two-pass view merge, the StateReader-dispatched O(c²) mod-JK rank
-	// count, per-entry bootstrap inserts and the per-node measurement
-	// scan — instead of the fused fast paths the engine runs by default.
-	// The fast kernels are bit-identical by contract; this switch exists
-	// so the equivalence suite can prove that on every config
-	// (kernels_test.go). Purely a throughput knob: results never depend
-	// on it.
-	ReferenceKernels bool
 }
 
 // Config validation errors.
@@ -355,10 +345,11 @@ type Engine struct {
 	prevFailed      uint64
 	// Engine-side mirrors of the ordering Stats sums the per-cycle
 	// unsuccessful-swap series needs: bumped at the swap-delivery choke
-	// point (deliverSwap), so the fast measurement path reads two
-	// counters instead of scanning a million Node structs every cycle.
-	// Identical to the Stats sums by construction — deliverSwap is the
-	// only ApplySwapRequest caller in the engine.
+	// point (deliverSwap), so the measurement reads two counters instead
+	// of scanning a million Node structs every cycle. Identical to the
+	// live nodes' Stats sums by construction — deliverSwap is the only
+	// ApplySwapRequest caller in the engine, and removeNode subtracts a
+	// departing node's counts (checkArenaConsistency pins this).
 	recvTotal     uint64
 	failRecvTotal uint64
 	// Cumulative wall-clock nanoseconds per cycle phase; see
@@ -391,7 +382,7 @@ type Engine struct {
 	// partitioned: every slot is written by exactly one worker.
 	snapBuf     []float64 // per-slot phase-start coordinates
 	believedBuf []int     // per-cycle believed slice indices, attr order
-	// Slice-index cache for the fast measurement path (ordering runs):
+	// Slice-index cache for the measurement (ordering runs):
 	// sliceR[s] is the coordinate sliceIdx[s] was computed from (NaN =
 	// never computed), so a converged node's partition lookup is one
 	// float compare per cycle instead of a partition lookup. slotBelieved
@@ -400,8 +391,8 @@ type Engine struct {
 	sliceR       []float64
 	sliceIdx     []int32
 	slotBelieved []int32
-	// coordTab is the ID-indexed coordinate snapshot handed to the fast
-	// ordering tick (see proto.CoordTable): live IDs refreshed from
+	// coordTab is the ID-indexed coordinate snapshot handed to every
+	// protocol tick (see proto.CoordTable): live IDs refreshed from
 	// snapBuf each protocol round, departed IDs pinned at NaN by
 	// removeNode, the growth tail NaN-initialized. One random load per
 	// neighbor resolve instead of the slot-table double hop.
@@ -706,20 +697,14 @@ func (e *Engine) applyChurn() (refreshed bool) {
 
 // bootstrapViews fills the view of every node in slots [from, len) with
 // ViewSize random other nodes. The sampler's output is distinct and
-// excludes the owner, so the bulk Reset is identical to the reference
-// Add loop minus its per-entry duplicate scans — at construction that
-// is O(c²) saved per node, a visible slice of a million-node run's
-// wall time (a scenario's cycles/sec includes engine construction).
+// excludes the owner, so the bulk Reset is identical to the Add loop
+// (TestResetMatchesClearAdd) minus its per-entry duplicate scans — at
+// construction that is O(c²) saved per node, a visible slice of a
+// million-node run's wall time (a scenario's cycles/sec includes engine
+// construction).
 func (e *Engine) bootstrapViews(from int) {
 	for i := from; i < len(e.ids); i++ {
-		fresh := e.sampleEntries(e.rng, e.cfg.ViewSize, e.ids[i])
-		if e.cfg.ReferenceKernels {
-			for _, entry := range fresh {
-				e.views[i].Add(entry)
-			}
-			continue
-		}
-		e.views[i].Reset(fresh)
+		e.views[i].Reset(e.sampleEntries(e.rng, e.cfg.ViewSize, e.ids[i]))
 	}
 }
 

@@ -88,10 +88,9 @@ func (e *Engine) removeNode(id core.ID) {
 	last := int32(len(e.ids) - 1)
 	if e.ons != nil {
 		// The departing node carries its swap counters away: the
-		// unsuccessful-swap series sums over LIVE nodes (the reference
-		// path re-scans Stats each cycle), so the engine-side running
-		// totals must forget this node's history to keep reporting the
-		// same live-only sums.
+		// unsuccessful-swap series sums over LIVE nodes, so the
+		// engine-side running totals forget this node's history and stay
+		// equal to the Stats sums over the live population.
 		st := e.ons[s].Stats()
 		e.recvTotal -= st.ReqReceived
 		e.failRecvTotal -= st.SwapFailedAtReceiver
@@ -202,7 +201,6 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 	}
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
 	newscast, isOrdering := e.newscast, e.ons != nil
-	ref := e.cfg.ReferenceKernels
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
@@ -212,14 +210,10 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			st := &ws.stream
 			var pen view.Entry
 			var pok bool
-			switch {
-			case newscast:
+			if newscast {
 				v.AgeAll()
 				pen, pok = v.Random(st)
-			case ref:
-				v.AgeAll()
-				pen, pok = v.Oldest()
-			default:
+			} else {
 				// Cyclon always picks the oldest entry right after aging:
 				// one fused read-modify pass instead of two view walks.
 				pen, pok = v.AgeAllOldest()
@@ -252,14 +246,11 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			}
 			e.memTarget[s] = tgt
 			var self view.Entry
-			switch {
-			case isOrdering && !ref:
+			if isOrdering {
 				// Build the self entry from the dense mirrors — identical to
 				// SelfEntry without pulling the Node's own cache lines.
 				self = view.Entry{ID: id, Attr: e.attrs[s], R: e.rs[s]}
-			case isOrdering:
-				self = e.ons[s].SelfEntry()
-			default:
+			} else {
 				self = e.rns[s].SelfEntry()
 			}
 			if newscast {
@@ -312,9 +303,8 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 	// (MergeReply): the absorbed request's window is rewritten with the
 	// target's pre-merge entries in the same kernel, so each commit
 	// touches the arena block once and the reply needs no staging copy.
-	// Newscast keeps the two-step path — its keep-freshest merge mutates
-	// existing entries, so the reply must be captured before merging —
-	// and the reference toggle keeps the scratch merge for both.
+	// Newscast keeps the two-step path: its keep-freshest merge mutates
+	// existing entries, so the reply must be captured before merging.
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		// g walks the worker's span of initList globally, one step per
@@ -342,17 +332,12 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 				s := int(s32)
 				off := s * stride
 				req := e.reqStore[off : off+int(e.reqLen[s])]
-				if !newscast && !ref {
+				if !newscast {
 					e.reqLen[s] = int32(v.MergeReply(req, tid, &ws.merge, e.reqStore[off:off+stride]))
 					continue
 				}
-				reply := v.AppendEntries(ws.replyBuf[:0])
-				if newscast {
-					reply = append(reply, e.selfSnap[t])
-					v.MergeFreshUsing(req, tid, &ws.merge)
-				} else {
-					v.MergeUsing(req, tid, &ws.merge)
-				}
+				reply := append(v.AppendEntries(ws.replyBuf[:0]), e.selfSnap[t])
+				v.MergeFreshUsing(req, tid, &ws.merge)
 				// The request is absorbed; its window now carries the
 				// reply back to initiator s (len(reply) ≤ stride always).
 				e.reqLen[s] = int32(copy(e.reqStore[off:off+stride], reply))
@@ -370,12 +355,9 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			}
 			off := s * stride
 			reply := e.reqStore[off : off+int(e.reqLen[s])]
-			switch {
-			case newscast:
+			if newscast {
 				e.views[s].MergeFreshUsing(reply, e.ids[s], &ws.merge)
-			case ref:
-				e.views[s].MergeUsing(reply, e.ids[s], &ws.merge)
-			default:
+			} else {
 				e.views[s].MergeCompact(reply, e.ids[s], &ws.merge)
 			}
 		}
@@ -391,26 +373,15 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 func (e *Engine) oracleRound() {
 	k := e.cfg.ViewSize
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
-	ref := e.cfg.ReferenceKernels
 	e.parallelFor(len(e.ids), func(w, lo, hi int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
 			id := e.ids[s]
 			ws.stream = nodeStream(seed, uint64(id), cycle, phaseMembership)
 			fresh := ws.sampler.sample(e.ids, e.self, &ws.stream, k, id)
-			v := e.views[s]
-			if ref {
-				v.Clear()
-				for _, en := range fresh {
-					if en.ID != id {
-						v.Add(en)
-					}
-				}
-				continue
-			}
 			// The sample is distinct and already excludes id; the bulk
 			// Reset is the Clear+Add loop minus its duplicate scans.
-			v.Reset(fresh)
+			e.views[s].Reset(fresh)
 		}
 	})
 }
@@ -464,17 +435,9 @@ func (e *Engine) protocolRound() {
 	}
 	e.snapBuf = grow(e.snapBuf, n)
 	if e.ons != nil {
-		if e.cfg.ReferenceKernels {
-			e.parallelFor(n, func(_, lo, hi int) {
-				for s := lo; s < hi; s++ {
-					e.snapBuf[s] = e.ons[s].Estimate()
-				}
-			})
-		} else {
-			// The dense mirror IS the live coordinate array; the snapshot
-			// is one memmove instead of a strided walk over Node structs.
-			copy(e.snapBuf[:n], e.rs)
-		}
+		// The dense mirror IS the live coordinate array; the snapshot is
+		// one memmove instead of a strided walk over Node structs.
+		copy(e.snapBuf[:n], e.rs)
 		e.tickOrdering(n)
 		e.commitOrdering(n)
 	} else {
@@ -497,16 +460,7 @@ func (e *Engine) tickOrdering(n int) {
 	e.overlapBuf = grow(e.overlapBuf, n)
 	conc := e.cfg.Concurrency
 	drawOverlap := conc > 0
-	reader := (*snapReader)(e)
-	// The fast tick only specializes SelectMaxGain — the policy whose
-	// O(c²) rank count dominates million-node cycles. Random policies
-	// draw from the stream inside selectPartner, so they keep the
-	// reference entry point (which is already cheap for them).
-	fast := !e.cfg.ReferenceKernels && e.cfg.Policy == ordering.SelectMaxGain
-	var coords proto.CoordTable
-	if fast {
-		coords = e.refreshCoordTab(n)
-	}
+	coords := e.refreshCoordTab(n)
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
@@ -514,16 +468,7 @@ func (e *Engine) tickOrdering(n int) {
 			ws.stream = nodeStream(seed, uint64(e.ids[s]), cycle, phaseProtocol)
 			st := &ws.stream
 			e.overlapBuf[s] = drawOverlap && st.Float64() < conc
-			var (
-				to  core.ID
-				req proto.SwapRequest
-				ok  bool
-			)
-			if fast {
-				to, req, ok = e.ons[s].TickSwapFast(e.snapBuf[s], coords, &ws.oscr)
-			} else {
-				to, req, ok = e.ons[s].TickSwap(reader, st, &ws.oscr)
-			}
+			to, req, ok := e.ons[s].TickTable(e.snapBuf[s], coords, st, &ws.oscr)
 			if !ok {
 				e.swapTo[s] = 0
 				continue
@@ -698,27 +643,13 @@ func (e *Engine) deliverRank(from int32, to core.ID, attr core.Attr) {
 // land in the flat updTo store, stride 2 per slot, 0 = no update.
 func (e *Engine) tickRanking(n int) {
 	e.updTo = grow(e.updTo, 2*n)
-	reader := (*snapReader)(e)
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
-	// The fast tick reads neighbor estimates off the ID-indexed snapshot
-	// table instead of dispatching through the snapshot reader — same
-	// answers, half the dependent cache misses per neighbor.
-	fast := !e.cfg.ReferenceKernels
-	var coords proto.CoordTable
-	if fast {
-		coords = e.refreshCoordTab(n)
-	}
+	coords := e.refreshCoordTab(n)
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
 			ws.stream = nodeStream(seed, uint64(e.ids[s]), cycle, phaseProtocol)
-			var j1, j2 core.ID
-			var ok bool
-			if fast {
-				j1, j2, ok = e.rns[s].TickTargetsFast(coords, &ws.stream, &ws.rscr)
-			} else {
-				j1, j2, ok = e.rns[s].TickTargets(reader, &ws.stream, &ws.rscr)
-			}
+			j1, j2, ok := e.rns[s].TickTargetsFast(coords, &ws.stream, &ws.rscr)
 			if !ok {
 				e.updTo[2*s], e.updTo[2*s+1] = 0, 0
 				continue
@@ -825,23 +756,6 @@ func (e *Engine) commitRanking(n int) {
 	e.flushDeferred(delayed)
 }
 
-// snapReader serves the phase-start coordinate snapshot captured by
-// protocolRound, resolving IDs to slots without hashing. Every
-// compute-phase tick reads through it: the snapshot is immutable for
-// the duration of the parallel pass, which is what makes concurrent
-// ticks race-free AND order-independent.
-type snapReader Engine
-
-// R implements proto.StateReader.
-func (sr *snapReader) R(id core.ID) (float64, bool) {
-	e := (*Engine)(sr)
-	s, ok := e.slotOf(id)
-	if !ok {
-		return 0, false
-	}
-	return e.snapBuf[s], true
-}
-
 // record appends the cycle's measurements to the result series. The
 // per-node reads (believed slices, rank tallies) fan out over the
 // workers; sums reduce over fixed chunks in chunk order (floats) or
@@ -852,22 +766,15 @@ func (e *Engine) record() {
 	n := len(e.ids)
 	e.believedBuf = grow(e.believedBuf, n)
 	believed := e.believedBuf
-	switch {
-	case e.cfg.ReferenceKernels && e.ons != nil:
-		e.parallelFor(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				believed[i] = e.ons[e.slots[e.members[i].ID]].SliceIndex()
-			}
-		})
-	case e.ons != nil:
+	sb := grow(e.slotBelieved, n)
+	e.slotBelieved = sb
+	if e.ons != nil {
 		// Two passes: believed slices materialize in slot order first —
 		// sequential reads, and a node whose coordinate is unchanged
 		// since the last measurement reuses its cached partition index
 		// (at steady state that is nearly everyone) — then the
 		// members-order gather reads 4-byte staged values instead of
 		// striding 170-byte Node structs.
-		sb := grow(e.slotBelieved, n)
-		e.slotBelieved = sb
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
 				if r := e.rs[s]; r != e.sliceR[s] {
@@ -877,31 +784,18 @@ func (e *Engine) record() {
 				sb[s] = e.sliceIdx[s]
 			}
 		})
-		e.parallelFor(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				believed[i] = int(sb[e.slots[e.members[i].ID]])
-			}
-		})
-	case e.cfg.ReferenceKernels:
-		e.parallelFor(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				believed[i] = e.rns[e.slots[e.members[i].ID]].SliceIndex()
-			}
-		})
-	default:
-		sb := grow(e.slotBelieved, n)
-		e.slotBelieved = sb
+	} else {
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
 				sb[s] = int32(e.rns[s].SliceIndex())
 			}
 		})
-		e.parallelFor(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				believed[i] = int(sb[e.slots[e.members[i].ID]])
-			}
-		})
 	}
+	e.parallelFor(n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			believed[i] = int(sb[e.slots[e.members[i].ID]])
+		}
+	})
 	sdm := e.chunkedSum(n, func(lo, hi int) float64 {
 		return metrics.SDMSortedRange(believed, e.part, lo, hi)
 	})
@@ -922,32 +816,10 @@ func (e *Engine) record() {
 		}
 	}
 	if e.ons != nil {
-		var received, failed uint64
-		if e.cfg.ReferenceKernels {
-			for i := range e.ws {
-				e.ws[i].reqReceived, e.ws[i].reqFailed = 0, 0
-			}
-			e.parallelFor(n, func(w, lo, hi int) {
-				ws := &e.ws[w]
-				var recv, fail uint64
-				for i := lo; i < hi; i++ {
-					st := e.ons[i].Stats()
-					recv += st.ReqReceived
-					fail += st.SwapFailedAtReceiver
-				}
-				ws.reqReceived, ws.reqFailed = recv, fail
-			})
-			for i := range e.ws {
-				received += e.ws[i].reqReceived
-				failed += e.ws[i].reqFailed
-			}
-		} else {
-			// The engine-side delivery counters hold exactly the sums the
-			// Stats scan produces: deliverSwap is the only increment site,
-			// and removeNode subtracts a departing node's counts so the
-			// totals stay live-only — the same population the scan walks.
-			received, failed = e.recvTotal, e.failRecvTotal
-		}
+		// The engine-side delivery counters hold exactly the Stats sums
+		// over live nodes: deliverSwap is the only increment site, and
+		// removeNode subtracts a departing node's counts.
+		received, failed := e.recvTotal, e.failRecvTotal
 		dr, df := received-min(received, e.prevReqReceived), failed-min(failed, e.prevFailed)
 		pct := 0.0
 		if dr > 0 {
