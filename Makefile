@@ -86,11 +86,13 @@ profile:
 
 # benchmark/ is its own module, invisible to the root `go vet ./...`,
 # and it is where a re-shaped pinned entry point (Arena.Block, NewBound,
-# MergeReply, TickSwapFast) breaks first. internal/sim carries amd64
-# assembly (prefetch_amd64.s) with a no-op fallback elsewhere: the arm64
-# vet proves the fallback compiles, and the 386 run drives the no-op
-# path through the determinism suites on an amd64 host, together with
-# the tests that pin each fast kernel to its reference.
+# MergeReply, TickSwapFast) breaks first. internal/core carries the one
+# amd64 assembly file (prefetch_amd64.s, used by the sim's exchange round
+# and the live scheduler) with a no-op fallback elsewhere: the arm64 vet
+# proves the fallback compiles, and the 386 run drives the no-op path
+# through the primitive's own test, the sim determinism suites and the
+# live timer wheel's order test on an amd64 host, together with the
+# tests that pin each fast kernel to its reference.
 # The math/rand ratchet: outside benchmark/, only the non-test files in
 # RAND_FILES may import math/rand. Moving a file onto core.Stream takes
 # it off the list; nothing puts one back.
@@ -108,8 +110,8 @@ lint:
 	cd benchmark && $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) test -short -count=1 \
-		-run 'TestWorkerCountInvariance|TestKernelEquivalence|TestTickSwapFastMatchesTickSwap|TestTickTableMatchesTickSwap|TestTickTargetsFastMatchesTickTargets|TestAgeAllOldestMatchesTwoStep|TestResetMatchesClearAdd|FuzzCyclonMerge|FuzzCyclonExchange' \
-		./internal/sim ./internal/ordering ./internal/ranking ./internal/view ./internal/membership
+		-run 'TestPrefetchWindow|TestEventHeapOrder|TestWorkerCountInvariance|TestKernelEquivalence|TestTickSwapFastMatchesTickSwap|TestTickTableMatchesTickSwap|TestTickTargetsFastMatchesTickTargets|TestAgeAllOldestMatchesTwoStep|TestResetMatchesClearAdd|FuzzCyclonMerge|FuzzCyclonExchange' \
+		./internal/core ./internal/sim ./internal/runtime ./internal/ordering ./internal/ranking ./internal/view ./internal/membership
 
 # The profile step is a smoke test of the profiling path itself.
 ci: lint build test test-serial bench-check bench

@@ -40,7 +40,7 @@ func TestNodeStreamAdjacentSeedsDoNotAlias(t *testing.T) {
 
 func TestStreamIntnBoundsAndPanic(t *testing.T) {
 	s := NodeStream(1, 1)
-	for _, n := range []int{1, 2, 3, 7, 1000, 1 << 40} {
+	for _, n := range []int{1, 2, 3, 7, 1000, math.MaxInt} { // MaxInt: the widest bound on 32- and 64-bit ints alike
 		for i := 0; i < 50; i++ {
 			v := s.Intn(n)
 			if v < 0 || v >= n {

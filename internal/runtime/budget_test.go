@@ -12,15 +12,17 @@ import (
 // A live node is a view of c entries, one attribute, one random value
 // and 8 bytes of generator state, plus the scheduler's and the
 // protocol wrappers' bookkeeping. The budget is the live heap a driven
-// 2,000-node ordering cluster retains per node after gossiping: 2,480 B
-// against ~2,406 measured when set. A per-node math/rand source alone
-// is 5,376 B, and views allowed to grow past c or private tick scratch
-// are another ~1,500 B each.
+// 2,000-node ordering cluster retains per node after gossiping: 2,220 B
+// against ~2,157 measured when set (~2,406 before a node's standalone
+// stop/done channels were made lazily by Start and the scheduler's two
+// per-shard maps became one 56-byte slot per node). A per-node
+// math/rand source alone is 5,376 B, and views allowed to grow past c
+// or private tick scratch are another ~1,500 B each.
 func TestLiveHeapPerNodeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what the heap holds")
 	}
-	const n, steps, budget = 2_000, 20, 2_480
+	const n, steps, budget = 2_000, 20, 2_220
 	liveHeap := func() uint64 {
 		goruntime.GC()
 		goruntime.GC()
@@ -96,6 +98,15 @@ func TestLiveAllocBytesPerMessageBudget(t *testing.T) {
 func TestEventSizeBudget(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got > 56 {
 		t.Errorf("event is %d bytes, budget 56", got)
+	}
+}
+
+// A shard slot is a handler and five footprint pointers with a length
+// byte each, read on every event. A shard keeps one per node ID it ever
+// issued, so a departed node still costs its slot.
+func TestSlotSizeBudget(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got > 56 {
+		t.Errorf("slot is %d bytes, budget 56", got)
 	}
 }
 

@@ -39,8 +39,9 @@ var (
 	ErrExternalDriven = errors.New("runtime: a VirtualClock requires the scheduler-routed network (leave Transport nil)")
 	// ErrNotDriven is returned by Advance on a wall-clock cluster.
 	ErrNotDriven = errors.New("runtime: Advance needs a cluster built with a VirtualClock")
-	// ErrStopped is returned by Join after Stop.
-	ErrStopped = errors.New("runtime: cluster is stopped")
+	// ErrStopped is returned by a cluster's Start, Advance and Join, and
+	// by a node's Start, after Stop.
+	ErrStopped = errors.New("runtime: stopped")
 )
 
 // EstimatorFactory builds one estimator per ranking node.

@@ -24,8 +24,10 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/membership"
@@ -171,32 +173,81 @@ type sliceWatch struct {
 
 // Node is a live protocol participant.
 type Node struct {
-	part core.Partition
-	tr   transport.Transport
-
+	// The fields a tick or a delivery reads come first: the scheduler
+	// prefetches the struct up to part (see footprint).
 	mu          sync.Mutex
 	slicer      proto.Node
 	mem         membership.Protocol
 	rng         core.Stream // eight bytes by value; guarded by mu
 	pendingView core.ID     // target of the in-flight view exchange, 0 if none
-	lastSlice   int
 	ticks       int
 	lastRecv    int // ticks value when the passive thread last received
+	lastSlice   int
+	tr          transport.Transport
+	tel         *nodeTelemetry       // nil when no registry was configured
+	trace       *telemetry.TraceRing // nil-safe: Record on nil is a no-op
+	period      time.Duration
+	jitter      float64
 	watches     []sliceWatch
-	nextWatch   int
 
-	period time.Duration
-	jitter float64
+	part      core.Partition
+	nextWatch int
+	reg       *telemetry.Registry
 
-	reg   *telemetry.Registry
-	tel   *nodeTelemetry       // nil when no registry was configured
-	trace *telemetry.TraceRing // nil-safe: Record on nil is a no-op
+	// A standalone node's active thread (Start/Stop). A cluster node
+	// never starts one, so the channels are made by Start.
+	started, stopped bool
+	stop, done       chan struct{}
+}
 
-	startOnce sync.Once
-	stopOnce  sync.Once
-	started   bool
-	stop      chan struct{}
-	done      chan struct{}
+// footprint is where a node's tick and handler first read, recorded
+// once when the node takes its shard slot: the head of the Node, its
+// membership struct, its view's header, and the view's entry and ID
+// blocks, which view.New allocates at capacity and never moves. Span
+// lengths are counted in 64-byte units, one byte each. The pointers keep
+// what they point at alive, as the node does.
+type footprint struct {
+	p     [fpSpans]unsafe.Pointer
+	units [fpSpans]uint8
+}
+
+// The footprint's spans.
+const (
+	fpNode = iota
+	fpMem
+	fpView
+	fpEntries
+	fpIDs
+	fpSpans
+)
+
+// footprint records where n's event handling first reads.
+func (n *Node) footprint() footprint {
+	var fp footprint
+	set := func(i int, p unsafe.Pointer, size uintptr) {
+		fp.p[i], fp.units[i] = p, uint8(min((size+63)/64, math.MaxUint8))
+	}
+	set(fpNode, unsafe.Pointer(n), unsafe.Offsetof(n.part))
+	switch m := n.mem.(type) {
+	case *membership.Cyclon:
+		set(fpMem, unsafe.Pointer(m), unsafe.Sizeof(*m))
+	case *membership.Newscast:
+		set(fpMem, unsafe.Pointer(m), unsafe.Sizeof(*m))
+	}
+	v := n.mem.View()
+	set(fpView, unsafe.Pointer(v), unsafe.Sizeof(*v))
+	ents, ids := v.Blocks()
+	set(fpEntries, unsafe.Pointer(unsafe.SliceData(ents)), uintptr(len(ents))*unsafe.Sizeof(view.Entry{}))
+	set(fpIDs, unsafe.Pointer(unsafe.SliceData(ids)), uintptr(len(ids))*unsafe.Sizeof(core.ID(0)))
+	return fp
+}
+
+// prefetch starts loading every span of the footprint; an empty one
+// (the zero footprint) loads nothing.
+func (fp *footprint) prefetch() {
+	for i, p := range fp.p {
+		core.Prefetch(p, uintptr(fp.units[i])*64)
+	}
 }
 
 // NewNode builds a live node. Start must be called to begin gossiping.
@@ -272,8 +323,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		jitter: effectiveJitter(cfg.JitterFrac),
 		reg:    cfg.Telemetry,
 		trace:  cfg.Trace,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
 	node.lastSlice = slicer.SliceIndex()
 	if on, ok := slicer.(*ordering.Node); ok {
@@ -346,40 +395,41 @@ func (n *Node) notifySliceChange() func() {
 func (n *Node) ID() core.ID { return n.slicer.ID() }
 
 // Start registers the node on its transport and launches the active
-// thread. Calling Start twice returns ErrStarted.
+// thread. Calling Start twice returns ErrStarted; Start after Stop
+// returns ErrStopped and neither registers nor launches anything.
 func (n *Node) Start() error {
-	var err error
-	ran := false
-	n.startOnce.Do(func() {
-		ran = true
-		err = n.tr.Register(n.ID(), n.handle)
-		if err != nil {
-			return
-		}
-		n.mu.Lock()
-		n.started = true
-		n.mu.Unlock()
-		go n.loop()
-	})
-	if !ran {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
+		return ErrStopped
+	}
+	if n.started {
 		return ErrStarted
 	}
-	return err
+	n.started = true
+	// Register does not call the handler synchronously, so holding mu
+	// here cannot deadlock a delivery; it only waits for this to return.
+	if err := n.tr.Register(n.ID(), n.handle); err != nil {
+		return err
+	}
+	n.stop, n.done = make(chan struct{}), make(chan struct{})
+	go n.loop()
+	return nil
 }
 
 // Stop halts the active thread and deregisters from the transport.
-// It is idempotent and safe to call even if Start failed.
+// It is idempotent and safe to call before Start or after Start failed.
 func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stop)
-		n.mu.Lock()
-		started := n.started
-		n.mu.Unlock()
-		if started {
-			<-n.done
-			n.tr.Unregister(n.ID())
-		}
-	})
+	n.mu.Lock()
+	stop, done := n.stop, n.done
+	first := !n.stopped
+	n.stopped = true
+	n.mu.Unlock()
+	if first && done != nil {
+		close(stop)
+		<-done
+		n.tr.Unregister(n.ID())
+	}
 }
 
 // loop is the active thread: wait(period), gossip, repeat.

@@ -8,6 +8,7 @@ import (
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/transport"
 	"github.com/gossipkit/slicing/internal/view"
@@ -116,6 +117,9 @@ func TestNodeStartStopLifecycle(t *testing.T) {
 	}
 	n.Stop()
 	n.Stop() // idempotent
+	if err := n.Start(); !errors.Is(err, ErrStopped) {
+		t.Errorf("Start after Stop = %v, want ErrStopped", err)
+	}
 }
 
 func TestStopWithoutStart(t *testing.T) {
@@ -129,6 +133,18 @@ func TestStopWithoutStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Stop() // must not hang or panic
+	n.Stop()
+	// A node stopped before it started stays stopped: Start says so and
+	// neither registers it nor launches its active thread.
+	if err := n.Start(); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Start after Stop = %v, want ErrStopped", err)
+	}
+	if err := tr.Send(2, 1, proto.RankUpdate{Attr: 1}); !errors.Is(err, transport.ErrUnknownDestination) {
+		t.Errorf("send to a node started after Stop = %v, want ErrUnknownDestination", err)
+	}
+	if n.done != nil {
+		t.Error("Start after Stop launched the active thread")
+	}
 }
 
 func TestClusterValidation(t *testing.T) {

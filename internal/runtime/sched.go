@@ -20,9 +20,13 @@ import (
 // assigned to shards by id, each shard owns a timer wheel (a min-heap of
 // timed events — node ticks and message deliveries) drained by one
 // worker goroutine, and passive handlers are dispatched on the shard
-// that owns the destination node. A cluster of N nodes therefore costs
-// O(shards) goroutines instead of O(N), which is what lets a live
-// in-process cluster scale past 10,000 gossiping nodes.
+// that owns the destination node. A shard finds a node by slice
+// index, not by hash: cluster IDs are dense, so id/shards is the node's
+// slot on shard id%shards, and the slot holds its handler, its *Node and
+// the addresses its handler reads first, which a driven worker
+// prefetches a few events ahead of running them. A cluster of N nodes
+// therefore costs O(shards) goroutines instead of O(N), which is what
+// lets a live in-process cluster scale past 10,000 gossiping nodes.
 //
 // The scheduler runs in one of two modes, decided by the cluster's
 // Clock:
@@ -68,7 +72,7 @@ type event struct {
 	seq  uint64 // tie-break: events with equal deadlines keep push order
 	node *Node  // tick target; nil for deliveries
 	from core.ID
-	to   core.ID
+	to   core.ID // the destination's slot: the delivery's receiver or the ticking node
 	msg  proto.Message
 }
 
@@ -79,10 +83,12 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// eventHeap is a min-heap over (at, seq). Implemented inline (not via
-// container/heap) so pushes and pops stay interface-free on the hot
+// eventHeap is a binary min-heap over (at, seq). Implemented inline (not
+// via container/heap) so pushes and pops stay interface-free on the hot
 // path. Both sifts move a hole instead of swapping: one event copy per
-// level instead of two.
+// level instead of two. (A 4-ary heap, half as deep at the ~20k events
+// a 10k-node cluster keeps pending, measured no faster end to end: each
+// of its levels reads four children instead of two.)
 type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
@@ -136,16 +142,27 @@ type shardCounts struct {
 	viewReq, viewRep, swapReq, swapRep, rankUpd, dropped atomic.Uint64
 }
 
+// slot is one node's place on its shard: the handler its deliveries
+// dispatch to (nil when none is registered) and where the node whose
+// ticks the shard runs first reads, its own address included. An empty
+// slot is the zero value and holds no pointers.
+type slot struct {
+	handler transport.Handler
+	fp      footprint
+}
+
+// node is the slot's node: nil for a handler-only registration.
+func (sl *slot) node() *Node { return (*Node)(sl.fp.p[fpNode]) }
+
 // shard owns a subset of the cluster's nodes: their tick events, the
-// deliveries addressed to them, and the handler map used to dispatch
-// those deliveries. One worker goroutine drains it.
+// deliveries addressed to them, and the slots used to dispatch those
+// deliveries. One worker goroutine drains it.
 type shard struct {
 	mu        sync.Mutex
-	wheel     eventHeap // future events
-	ready     []event   // due events awaiting the worker (driven mode)
-	readyHead int       // first unconsumed ready event
-	nodes     map[core.ID]*Node
-	handlers  map[core.ID]transport.Handler
+	wheel     eventHeap  // future events
+	ready     []event    // due events awaiting the worker (driven mode)
+	readyHead int        // first unconsumed ready event
+	slots     []slot     // indexed by id / len(scheduler.shards); grows on demand
 	rng       *rand.Rand // transport loss/latency draws; guarded by mu
 	notify    chan struct{}
 	counts    shardCounts
@@ -154,6 +171,31 @@ type shard struct {
 	// fresh time.After per idle wait would leak one unstoppable runtime
 	// timer per wait on the scheduler's hottest path.
 	timer *time.Timer
+}
+
+// slot returns slot i, or nil past the end of the slice.
+func (sh *shard) slot(i uint64) *slot {
+	if i >= uint64(len(sh.slots)) {
+		return nil
+	}
+	return &sh.slots[i]
+}
+
+// grow returns slot i, extending the slice to hold it. Cluster IDs are
+// dense (1..N, then one more per Join, never reused), so a shard holds
+// one slot per ID it was ever issued, 56 bytes each.
+func (sh *shard) grow(i uint64) *slot {
+	if n := i + 1; n > uint64(len(sh.slots)) {
+		sh.slots = append(sh.slots, make([]slot, n-uint64(len(sh.slots)))...)
+	}
+	return &sh.slots[i]
+}
+
+// prefetch starts loading the footprint of the node in slot i, if any.
+func (sh *shard) prefetch(i uint64) {
+	if sl := sh.slot(i); sl != nil {
+		sl.fp.prefetch()
+	}
 }
 
 func (sh *shard) wake() {
@@ -248,10 +290,8 @@ func newScheduler(cfg schedConfig) *scheduler {
 	s.idleCond = sync.NewCond(&s.idleMu)
 	for i := 0; i < cfg.shards; i++ {
 		s.shards = append(s.shards, &shard{
-			nodes:    make(map[core.ID]*Node),
-			handlers: make(map[core.ID]transport.Handler),
-			rng:      rand.New(rand.NewSource(cfg.seed ^ int64(0x9E3779B97F4A7C15+uint64(i)*0xBF58476D1CE4E5B9))),
-			notify:   make(chan struct{}, 1),
+			rng:    rand.New(rand.NewSource(cfg.seed ^ int64(0x9E3779B97F4A7C15+uint64(i)*0xBF58476D1CE4E5B9))),
+			notify: make(chan struct{}, 1),
 		})
 	}
 	return s
@@ -270,6 +310,9 @@ func (s *scheduler) now() int64 {
 func (s *scheduler) shardFor(id core.ID) *shard {
 	return s.shards[uint64(id)%uint64(len(s.shards))]
 }
+
+// slotOf is id's slot index on its shard.
+func (s *scheduler) slotOf(id core.ID) uint64 { return uint64(id) / uint64(len(s.shards)) }
 
 // start launches one worker per shard.
 func (s *scheduler) start() {
@@ -294,12 +337,13 @@ func (s *scheduler) halt() {
 	s.done.Wait()
 }
 
-// addNode places a node on its shard's tick map. The first tick must be
-// scheduled separately (scheduleTick) once the cluster starts.
+// addNode places a node in its shard slot and records the node's
+// footprint there. The first tick must be scheduled separately
+// (scheduleTick) once the cluster starts.
 func (s *scheduler) addNode(n *Node) {
 	sh := s.shardFor(n.ID())
 	sh.mu.Lock()
-	sh.nodes[n.ID()] = n
+	sh.grow(s.slotOf(n.ID())).fp = n.footprint()
 	sh.mu.Unlock()
 }
 
@@ -308,18 +352,19 @@ func (s *scheduler) addNode(n *Node) {
 func (s *scheduler) register(id core.ID, h transport.Handler) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	sh.handlers[id] = h
+	sh.grow(s.slotOf(id)).handler = h
 	sh.mu.Unlock()
 }
 
 // removeNode detaches a node: its future tick is not rescheduled and
 // deliveries addressed to it are counted as dropped (a crash leaves no
-// goodbye).
+// goodbye). The slot is emptied, so it pins nothing of the node.
 func (s *scheduler) removeNode(id core.ID) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	delete(sh.nodes, id)
-	delete(sh.handlers, id)
+	if sl := sh.slot(s.slotOf(id)); sl != nil {
+		*sl = slot{}
+	}
 	sh.mu.Unlock()
 }
 
@@ -329,7 +374,7 @@ func (s *scheduler) scheduleTick(n *Node, delay time.Duration) {
 }
 
 func (s *scheduler) scheduleTickAt(n *Node, at int64) {
-	s.push(s.shardFor(n.ID()), event{at: at, node: n})
+	s.push(s.shardFor(n.ID()), event{at: at, node: n, to: n.ID()})
 }
 
 // push inserts an event on a shard's wheel — or, when a driven step is
@@ -355,9 +400,15 @@ func (s *scheduler) pushLocked(sh *shard, ev event) {
 	}
 }
 
+// lookAhead is how far down the ready queue the worker prefetches: on
+// taking event k it starts loading the footprint of event k+lookAhead's
+// destination, so the lines arrive while events k and k+1 run.
+const lookAhead = 2
+
 // worker drains one shard: ready events first (driven mode), then due
 // wheel events (free-running mode), then sleeps until the next deadline
-// or a wake-up.
+// or a wake-up. It reads the event's destination slot in the same
+// critical section that takes the event.
 func (s *scheduler) worker(sh *shard) {
 	defer s.done.Done()
 	for {
@@ -367,6 +418,9 @@ func (s *scheduler) worker(sh *shard) {
 		if sh.readyHead < len(sh.ready) {
 			ev = sh.ready[sh.readyHead]
 			sh.ready[sh.readyHead] = event{} // release msg/node references
+			if k := sh.readyHead + lookAhead; k < len(sh.ready) {
+				sh.prefetch(s.slotOf(sh.ready[k].to))
+			}
 			sh.readyHead++
 			if sh.readyHead == len(sh.ready) {
 				sh.ready, sh.readyHead = sh.ready[:0], 0
@@ -375,6 +429,13 @@ func (s *scheduler) worker(sh *shard) {
 		} else if !s.driven() && len(sh.wheel) > 0 && sh.wheel[0].at <= s.now() {
 			ev = sh.wheel.pop()
 			have = true
+		}
+		var h transport.Handler
+		var n *Node
+		if have {
+			if sl := sh.slot(s.slotOf(ev.to)); sl != nil {
+				h, n = sl.handler, sl.node()
+			}
 		}
 		var wait <-chan time.Time
 		if !have && !s.driven() && len(sh.wheel) > 0 {
@@ -395,7 +456,7 @@ func (s *scheduler) worker(sh *shard) {
 		}
 		sh.mu.Unlock()
 		if have {
-			s.execute(sh, ev)
+			s.execute(sh, ev, h, n)
 			if s.driven() {
 				s.finish()
 			}
@@ -410,10 +471,11 @@ func (s *scheduler) worker(sh *shard) {
 	}
 }
 
-// execute runs one event on the worker's goroutine. Tick events run the
-// node's active thread and rebook the next period; delivery events
-// dispatch the passive handler.
-func (s *scheduler) execute(sh *shard, ev event) {
+// execute runs one event on the worker's goroutine; h and n are what
+// the event's destination slot held when the worker took it. Tick
+// events run the node's active thread and rebook the next period;
+// delivery events dispatch the passive handler.
+func (s *scheduler) execute(sh *shard, ev event, h transport.Handler, n *Node) {
 	if s.tel != nil {
 		// Timer lag: how far behind its deadline the event runs. In
 		// driven mode this is bounded by the quantum; in wall-clock mode
@@ -424,10 +486,7 @@ func (s *scheduler) execute(sh *shard, ev event) {
 		}
 	}
 	if ev.node != nil {
-		sh.mu.Lock()
-		_, live := sh.nodes[ev.node.ID()]
-		sh.mu.Unlock()
-		if !live {
+		if n != ev.node {
 			return // killed after this tick was booked
 		}
 		ev.node.tick()
@@ -444,9 +503,6 @@ func (s *scheduler) execute(sh *shard, ev event) {
 		s.scheduleTickAt(ev.node, next)
 		return
 	}
-	sh.mu.Lock()
-	h := sh.handlers[ev.to]
-	sh.mu.Unlock()
 	if h == nil {
 		sh.counts.dropped.Add(1)
 		return
@@ -566,7 +622,9 @@ func (t *schedNet) Unregister(id core.ID) {
 	s := (*scheduler)(t)
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	delete(sh.handlers, id)
+	if sl := sh.slot(s.slotOf(id)); sl != nil {
+		sl.handler = nil
+	}
 	sh.mu.Unlock()
 }
 
@@ -587,7 +645,7 @@ func (t *schedNet) Send(from, to core.ID, msg proto.Message) error {
 	}
 	sh := s.shardFor(to)
 	sh.mu.Lock()
-	if _, ok := sh.handlers[to]; !ok {
+	if sl := sh.slot(s.slotOf(to)); sl == nil || sl.handler == nil {
 		sh.mu.Unlock()
 		sh.counts.dropped.Add(1)
 		return transport.ErrUnknownDestination

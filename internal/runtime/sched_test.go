@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
@@ -18,42 +19,109 @@ import (
 	"github.com/gossipkit/slicing/internal/view"
 )
 
-// The timer wheel pops events in (deadline, push order).
-func TestEventHeapOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var h eventHeap
-	const n = 500
-	popped := 0
-	var prev event
-	pop := func() {
-		ev := h.pop()
-		if popped > 0 {
-			if ev.at < prev.at {
-				t.Fatalf("pop %d: %v before %v", popped, ev.at, prev.at)
+// The wheel pops exactly what a sort of everything pushed by (deadline,
+// push order) gives. Pushes interleave with pops and never fall below
+// the last popped deadline (as on a running wheel), so the whole pop
+// sequence is that sort. Covered: every size from 0 to 9 (the heap's
+// first levels, where a node may have one child or none), tied
+// deadlines, deadlines saturated at math.MaxInt64, and a 20k-event
+// wheel.
+func TestEventHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	gens := []struct {
+		name string
+		next func(last int64) int64
+	}{
+		{"spread", func(last int64) int64 { return last + rng.Int63n(int64(50*time.Millisecond)) }},
+		{"ties", func(last int64) int64 { return last + rng.Int63n(3) }},
+		{"saturated", func(last int64) int64 {
+			if last == math.MaxInt64 || rng.Intn(4) == 0 {
+				return math.MaxInt64
 			}
-			if ev.at == prev.at && ev.seq < prev.seq {
-				t.Fatalf("pop %d: seq %d before %d at equal deadlines", popped, ev.seq, prev.seq)
+			return last + rng.Int63n(3)
+		}},
+	}
+	// run pushes n events, popping one after a push with probability
+	// popP, then drains the wheel, and checks the pop sequence.
+	run := func(t *testing.T, n int, popP float64, next func(int64) int64) {
+		var h eventHeap
+		var pushed, popped []event
+		var last int64
+		pop := func() {
+			ev := h.pop()
+			last = ev.at
+			popped = append(popped, ev)
+		}
+		for i := 0; i < n; i++ {
+			ev := event{at: next(last), seq: uint64(i + 1)}
+			h.push(ev)
+			pushed = append(pushed, ev)
+			if rng.Float64() < popP {
+				pop()
 			}
 		}
-		prev = ev
-		popped++
-	}
-	// Pushes interleave with pops (never below the last popped deadline,
-	// as on a running wheel), so both sifts run on every heap size.
-	for i := 0; i < n; i++ {
-		h.push(event{
-			at:  prev.at + int64(time.Duration(rng.Intn(50))*time.Millisecond),
-			seq: uint64(i),
-		})
-		if rng.Intn(3) == 0 {
+		for len(h) > 0 {
 			pop()
 		}
+		slices.SortFunc(pushed, func(a, b event) int {
+			if a.before(&b) {
+				return -1
+			}
+			if b.before(&a) {
+				return 1
+			}
+			return 0
+		})
+		if len(popped) != len(pushed) {
+			t.Fatalf("popped %d of %d events", len(popped), len(pushed))
+		}
+		for i := range pushed {
+			if popped[i].at != pushed[i].at || popped[i].seq != pushed[i].seq {
+				t.Fatalf("pop %d is (%d, seq %d), want (%d, seq %d)",
+					i, popped[i].at, popped[i].seq, pushed[i].at, pushed[i].seq)
+			}
+		}
 	}
-	for len(h) > 0 {
-		pop()
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			for n := 0; n <= 9; n++ {
+				run(t, n, 0, g.next)
+				for rep := 0; rep < 20; rep++ {
+					run(t, n, 0.3, g.next)
+				}
+			}
+			run(t, 20_000, 0, g.next)
+			run(t, 20_000, 0.45, g.next)
+		})
 	}
-	if popped != n {
-		t.Fatalf("popped %d of %d events", popped, n)
+}
+
+// BenchmarkEventHeap is one pop and one push at a steady depth of 20k
+// pending events, with the live workload's deadline spread: half the
+// pushes are ticks rebooked one period (10 ms ± 10 %) ahead, half are
+// deliveries 1–5 ms ahead.
+func BenchmarkEventHeap(b *testing.B) {
+	const depth = 20_000
+	const period = int64(10 * time.Millisecond)
+	rng := rand.New(rand.NewSource(1))
+	ahead := make([]int64, 4096)
+	for i := range ahead {
+		if i%2 == 0 {
+			ahead[i] = period*9/10 + rng.Int63n(period/5)
+		} else {
+			ahead[i] = int64(time.Millisecond) + rng.Int63n(int64(4*time.Millisecond))
+		}
+	}
+	var h eventHeap
+	for i := 0; i < depth; i++ {
+		h.push(event{at: rng.Int63n(period), seq: uint64(i + 1)})
+	}
+	seq := uint64(depth)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := h.pop()
+		seq++
+		h.push(event{at: ev.at + ahead[i%len(ahead)], seq: seq})
 	}
 }
 
@@ -199,6 +267,109 @@ func TestSchedNetDelivery(t *testing.T) {
 	counts := s.counts()
 	if counts.RankUpdates != 1 || counts.Dropped != 1 {
 		t.Fatalf("counts = %+v, want 1 rank update and 1 drop", counts)
+	}
+}
+
+// A slot's footprint is recorded once, when its node takes the slot, so
+// the view blocks it names must never move: after 20 gossip steps with
+// joins and kills between them, every live slot still names its view's
+// current entry and ID arrays, and every killed node's slot is empty.
+func TestLiveViewStorageStable(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		proto Protocol
+		mem   Membership
+	}{
+		{"ordering-cyclon", Ordering, CyclonViews},
+		{"ranking-newscast", Ranking, NewscastViews},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := drivenCluster(t, ClusterConfig{
+				N: 60, Partition: testPartition(t, 4), ViewSize: 8,
+				Protocol: tc.proto, Membership: tc.mem,
+				MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond,
+				AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 3, Shards: 3,
+			})
+			rng := rand.New(rand.NewSource(5))
+			var killed []core.ID
+			for step := 0; step < 20; step++ {
+				if _, err := c.Join(core.Attr(rng.Float64() * 1000)); err != nil {
+					t.Fatal(err)
+				}
+				nodes := c.Nodes()
+				id := nodes[rng.Intn(len(nodes))].ID()
+				c.Kill(id)
+				killed = append(killed, id)
+				if err := c.Advance(c.cfg.Period); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := c.sched
+			for _, n := range c.Nodes() {
+				sl := s.shardFor(n.ID()).slot(s.slotOf(n.ID()))
+				if sl == nil || sl.node() != n {
+					t.Fatalf("node %d is not in its slot", n.ID())
+				}
+				ents, ids := n.mem.View().Blocks()
+				for _, b := range []struct {
+					span  int
+					p     unsafe.Pointer
+					bytes uintptr
+				}{
+					{fpEntries, unsafe.Pointer(unsafe.SliceData(ents)), uintptr(len(ents)) * unsafe.Sizeof(view.Entry{})},
+					{fpIDs, unsafe.Pointer(unsafe.SliceData(ids)), uintptr(len(ids)) * unsafe.Sizeof(core.ID(0))},
+				} {
+					if got := sl.fp.p[b.span]; got != b.p {
+						t.Errorf("node %d: footprint span %d starts at %p, the view's block at %p", n.ID(), b.span, got, b.p)
+					}
+					if got := uintptr(sl.fp.units[b.span]) * 64; got < b.bytes || got >= b.bytes+64 {
+						t.Errorf("node %d: footprint span %d covers %d bytes, the view's block is %d", n.ID(), b.span, got, b.bytes)
+					}
+				}
+			}
+			for _, id := range killed {
+				sl := s.shardFor(id).slot(s.slotOf(id))
+				if sl != nil && (sl.handler != nil || sl.fp != (footprint{})) {
+					t.Errorf("killed node %d's slot still holds pointers", id)
+				}
+			}
+		})
+	}
+}
+
+// A send to a slot that holds no handler fails, counts as dropped and
+// leaves the slot slice as it was: whether the ID was never registered,
+// was killed, or lies past the end of the slice.
+func TestSchedNetUnknownDestination(t *testing.T) {
+	s := newTestSched(t, schedConfig{shards: 2, seed: 1, quantum: time.Millisecond})
+	var rx recorder
+	for _, id := range []core.ID{2, 9, 11} {
+		s.register(id, rx.handler)
+	}
+	s.removeNode(9)
+	slotsLen := func() (n int) {
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			n += len(sh.slots)
+			sh.mu.Unlock()
+		}
+		return n
+	}
+	before := slotsLen()
+	for i, to := range []core.ID{4, 9, 10_001} { // never registered, killed, past the end
+		if err := s.net().Send(1, to, proto.RankUpdate{Attr: 3}); !errors.Is(err, transport.ErrUnknownDestination) {
+			t.Errorf("Send to %d = %v, want ErrUnknownDestination", to, err)
+		}
+		if got := s.counts().Dropped; got != uint64(i+1) {
+			t.Errorf("after the send to %d, Dropped = %d, want %d", to, got, i+1)
+		}
+	}
+	if after := slotsLen(); after != before {
+		t.Errorf("sends to unknown IDs grew the slots from %d to %d", before, after)
+	}
+	s.step(time.Millisecond)
+	if got := rx.count(); got != 0 {
+		t.Errorf("%d messages delivered, want none", got)
 	}
 }
 

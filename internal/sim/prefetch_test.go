@@ -1,24 +1,19 @@
 package sim
 
 import (
-	"slices"
 	"testing"
 	"unsafe"
 
-	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/view"
 )
 
-// TestPrefetchWindow drives the prefetch primitive over the window
-// shapes the exchange round and the sampler hand it: it must change
-// nothing and allocate nothing. On the fallback build it is a no-op and
-// passes trivially.
+// TestPrefetchWindow checks the byte range the engine's window wrapper
+// hands core.Prefetch for the window shapes the exchange round and the
+// sampler use: it starts at the window's first entry and ends just past
+// its last, and an empty window is zero bytes. core's TestPrefetchWindow
+// drives the primitive itself over such ranges.
 func TestPrefetchWindow(t *testing.T) {
 	backing := make([]view.Entry, 64)
-	for i := range backing {
-		backing[i] = view.Entry{ID: core.ID(i + 1), Age: uint32(i), Attr: core.Attr(i), R: float64(i) / 64}
-	}
-	want := slices.Clone(backing)
 
 	// The first entry that does not start on a 64-byte line.
 	mid := -1
@@ -48,11 +43,20 @@ func TestPrefetchWindow(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if allocs := testing.AllocsPerRun(100, func() { prefetchWindow(c.win) }); allocs != 0 {
-				t.Errorf("prefetchWindow allocated %v times per call", allocs)
+			p, n := windowBytes(c.win)
+			if len(c.win) == 0 {
+				if n != 0 {
+					t.Errorf("empty window spans %d bytes, want 0", n)
+				}
+				return
 			}
-			if !slices.Equal(backing, want) {
-				t.Fatal("prefetchWindow changed the window's contents")
+			first := unsafe.Pointer(&c.win[0])
+			end := unsafe.Add(unsafe.Pointer(&c.win[len(c.win)-1]), unsafe.Sizeof(view.Entry{}))
+			if p != first {
+				t.Errorf("range starts at %p, want the first entry at %p", p, first)
+			}
+			if got := unsafe.Add(p, n); got != end {
+				t.Errorf("range ends at %p, want just past the last entry at %p", got, end)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"sort"
+	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/metrics"
@@ -1061,4 +1062,14 @@ func (e *Engine) Result() *Result {
 		FinalN:          e.N(),
 		Cycles:          e.Cycle(),
 	}
+}
+
+// prefetchWindow asks the CPU to start loading every cache line of win
+// and returns without waiting for any of them (see core.Prefetch). A
+// nil or empty window is a no-op.
+func prefetchWindow(win []view.Entry) { core.Prefetch(windowBytes(win)) }
+
+// windowBytes is win as the byte range core.Prefetch takes.
+func windowBytes(win []view.Entry) (unsafe.Pointer, uintptr) {
+	return unsafe.Pointer(unsafe.SliceData(win)), uintptr(len(win)) * unsafe.Sizeof(view.Entry{})
 }

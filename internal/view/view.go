@@ -138,6 +138,14 @@ func (v *View) AppendEntries(buf []Entry) []Entry {
 // iterating must use AppendEntries instead.
 func (v *View) Raw() []Entry { return v.entries }
 
+// Blocks exposes the view's entry array and its packed ID mirror at full
+// capacity, for callers that prefetch them by address. New allocates
+// both at capacity and no mutation grows them past it, so a New view's
+// blocks stay put for its whole life (a bound view's move with Rebind).
+func (v *View) Blocks() ([]Entry, []core.ID) {
+	return v.entries[:cap(v.entries)], v.ids[:cap(v.ids)]
+}
+
 // Get returns the entry for id, if present.
 func (v *View) Get(id core.ID) (Entry, bool) {
 	if i := v.index(id); i >= 0 {
