@@ -99,7 +99,7 @@ profile:
 RAND_FILES = internal/churn/churn.go internal/dist/continuous.go internal/dist/dist.go \
 	internal/dist/empirical.go internal/dist/mixture.go internal/dist/zipf.go \
 	internal/runtime/cluster.go internal/runtime/sched.go internal/scenario/livecluster.go \
-	internal/sim/sim.go internal/transport/inmem.go
+	internal/sim/sim.go
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi

@@ -36,7 +36,7 @@
 //   - Live: clusters of real protocol participants multiplexed onto a
 //     sharded scheduler via NewCluster (10,000+ gossiping nodes in one
 //     process), or standalone goroutine-per-node processes via NewNode
-//     over an in-memory or TCP transport — see cmd/slicenode.
+//     over a TCP transport — see cmd/slicenode.
 //
 // # Engines and backends
 //

@@ -4,9 +4,10 @@
 // self-organize so that the top 10% by bandwidth form a "super-peer"
 // slice an application can be deployed on. The workload — population,
 // partition, bandwidth law, seed — is the registry spec; this program
-// lifts it from the cycle simulator into a LIVE cluster (every node a
-// goroutine gossiping over an in-memory transport), then audits the top
-// slice's composition against ground truth.
+// lifts it from the cycle simulator into a LIVE cluster (every node
+// multiplexed onto the cluster's sharded scheduler, gossiping over its
+// internal network), then audits the top slice's composition against
+// ground truth.
 //
 //	go run ./examples/resourceallocation
 package main

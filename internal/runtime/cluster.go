@@ -15,7 +15,6 @@ import (
 	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/telemetry"
-	"github.com/gossipkit/slicing/internal/transport"
 	"github.com/gossipkit/slicing/internal/view"
 )
 
@@ -28,15 +27,6 @@ var (
 	// ErrLatencyRange is returned when MaxLatency < MinLatency or a
 	// latency bound is negative.
 	ErrLatencyRange = errors.New("runtime: latency bounds need 0 ≤ MinLatency ≤ MaxLatency")
-	// ErrExternalInjection is returned when loss/latency injection is
-	// combined with an external Transport: injection belongs to the
-	// scheduler-routed internal network (configure the external
-	// transport's own injection instead).
-	ErrExternalInjection = errors.New("runtime: latency/loss injection requires the scheduler-routed network (leave Transport nil)")
-	// ErrExternalDriven is returned when a VirtualClock is combined with
-	// an external Transport: driven time can only quiesce traffic it
-	// routes itself.
-	ErrExternalDriven = errors.New("runtime: a VirtualClock requires the scheduler-routed network (leave Transport nil)")
 	// ErrNotDriven is returned by Advance on a wall-clock cluster.
 	ErrNotDriven = errors.New("runtime: Advance needs a cluster built with a VirtualClock")
 	// ErrStopped is returned by a cluster's Start, Advance and Join, and
@@ -48,6 +38,9 @@ var (
 type EstimatorFactory func() ranking.Estimator
 
 // ClusterConfig parameterizes a process-local cluster of live nodes.
+// Every message between them is routed by the cluster's sharded
+// scheduler itself — its internal network, with optional latency and
+// loss injection below; no per-node goroutines exist.
 type ClusterConfig struct {
 	N         int
 	Partition core.Partition
@@ -70,13 +63,6 @@ type ClusterConfig struct {
 	AttrDist dist.Source
 	// Seed makes the construction reproducible.
 	Seed int64
-	// Transport, when non-nil, carries the traffic over an external
-	// transport (e.g. TCP): the cluster registers its nodes there and
-	// only node ticks run on the scheduler. When nil — the default, and
-	// the path that scales to 10k+ nodes — messages are routed by the
-	// cluster's sharded scheduler itself, with optional latency and loss
-	// injection below; no per-node goroutines exist in that mode.
-	Transport transport.Transport
 	// BootstrapDegree is the number of random nodes seeded into each
 	// initial view. Default min(ViewSize, N-1).
 	BootstrapDegree int
@@ -88,11 +74,11 @@ type ClusterConfig struct {
 	// (capped at 32).
 	Shards int
 	// MinLatency and MaxLatency bound the uniformly drawn delivery
-	// delay of the internal network (scheduler-routed mode only). Zero
-	// delivers at the next scheduling opportunity.
+	// delay of the internal network. Zero delivers at the next
+	// scheduling opportunity.
 	MinLatency, MaxLatency time.Duration
 	// Loss is the probability a message on the internal network is
-	// silently dropped (scheduler-routed mode only).
+	// silently dropped.
 	Loss float64
 	// Telemetry, when non-nil, receives the cluster's metrics: per-shard
 	// queue depths, delivered/dropped tallies, latency histograms, and
@@ -109,7 +95,6 @@ type ClusterConfig struct {
 type Cluster struct {
 	part   core.Partition
 	sched  *scheduler
-	tr     transport.Transport // external transport; nil when scheduler-routed
 	driven bool
 
 	// Immutable construction parameters, kept for Join.
@@ -161,14 +146,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		clock = realClock{}
 	}
 	_, driven := clock.(*VirtualClock)
-	if cfg.Transport != nil {
-		if driven {
-			return nil, ErrExternalDriven
-		}
-		if cfg.Loss > 0 || cfg.MaxLatency > 0 || cfg.MinLatency > 0 {
-			return nil, ErrExternalInjection
-		}
-	}
 	shards := cfg.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -188,7 +165,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		part:   cfg.Partition,
 		sched:  sched,
-		tr:     cfg.Transport,
 		driven: driven,
 		cfg:    cfg,
 		index:  make(map[core.ID]int, cfg.N),
@@ -260,14 +236,6 @@ func (c *Cluster) bootstrapDegree(peers int) int {
 	return deg
 }
 
-// transportFor returns the transport a node sends through.
-func (c *Cluster) transportFor() transport.Transport {
-	if c.tr != nil {
-		return c.tr
-	}
-	return c.sched.net()
-}
-
 // buildNode creates the node with the next identifier, appends it to
 // the cluster and places it on its scheduler shard. bootstrap may be
 // nil (NewCluster seeds views afterwards).
@@ -285,7 +253,7 @@ func (c *Cluster) buildNode(attr core.Attr, r float64, bootstrap []view.Entry) (
 		Period:     c.cfg.Period,
 		JitterFrac: c.cfg.JitterFrac,
 		Seed:       c.cfg.Seed,
-		Transport:  c.transportFor(),
+		Transport:  c.sched.net(),
 		InitialR:   r,
 		Bootstrap:  bootstrap,
 		Trace:      c.cfg.Trace,
@@ -312,22 +280,12 @@ func (c *Cluster) buildNode(attr core.Attr, r float64, bootstrap []view.Entry) (
 // launch registers a node's passive handler and books its first tick at
 // a random phase within one period, so freshly started (or joined)
 // nodes desynchronize immediately instead of thundering together.
-func (c *Cluster) launch(n *Node) error {
-	if c.tr != nil {
-		if err := c.tr.Register(n.ID(), n.handle); err != nil {
-			return err
-		}
-	} else {
-		c.sched.register(n.ID(), n.handle)
-	}
+func (c *Cluster) launch(n *Node) {
+	c.sched.register(n.ID(), n.handle)
 	c.sched.scheduleTick(n, time.Duration(c.rng.Float64()*float64(c.cfg.Period)))
-	return nil
 }
 
-// Start launches the scheduler workers and every node. A launch
-// failure (possible only with an external Transport refusing a
-// registration) stops the cluster before returning: a partially
-// launched cluster is never left running.
+// Start launches the scheduler workers and every node.
 func (c *Cluster) Start() error {
 	if c.stopped {
 		return ErrStopped
@@ -338,27 +296,18 @@ func (c *Cluster) Start() error {
 	c.started = true
 	c.sched.start()
 	for _, n := range c.nodes {
-		if err := c.launch(n); err != nil {
-			c.Stop()
-			return err
-		}
+		c.launch(n)
 	}
 	return nil
 }
 
-// Stop halts the scheduler; nodes stop gossiping and external handlers
-// are deregistered.
+// Stop halts the scheduler; nodes stop gossiping.
 func (c *Cluster) Stop() {
 	if c.stopped {
 		return
 	}
 	c.stopped = true
 	c.sched.halt()
-	if c.tr != nil {
-		for _, n := range c.nodes {
-			c.tr.Unregister(n.ID())
-		}
-	}
 }
 
 // Advance moves a driven cluster's virtual clock forward by d,
@@ -387,8 +336,7 @@ func (c *Cluster) Nodes() []*Node {
 }
 
 // MessageCounts reports the traffic delivered and dropped by the
-// cluster's internal network (zero when an external Transport carries
-// the traffic).
+// cluster's internal network.
 func (c *Cluster) MessageCounts() MessageCounts { return c.sched.counts() }
 
 // FaultCounts reports the injections the internal network's fault layer
@@ -411,12 +359,8 @@ func (c *Cluster) FaultCounts() fault.Counts {
 // pass fault.Plan validation (net is normally fault.Applier.NetAt's).
 // Views keep their cross-group entries, so lifting a partition lets the
 // overlay re-merge through them; opening and lifting one is traced.
-// Like Join/Kill, it must not race other cluster mutations. Requires
-// the scheduler-routed network.
+// Like Join/Kill, it must not race other cluster mutations.
 func (c *Cluster) SetNetFaults(net fault.Net, delay time.Duration) error {
-	if c.tr != nil {
-		return ErrExternalInjection
-	}
 	if delay < 0 {
 		return ErrLatencyRange
 	}
@@ -451,10 +395,6 @@ func (c *Cluster) Partition() core.Partition { return c.part }
 // Period returns the configured gossip period.
 func (c *Cluster) Period() time.Duration { return c.cfg.Period }
 
-// Driven reports whether the cluster runs on a VirtualClock (time moves
-// only through Advance).
-func (c *Cluster) Driven() bool { return c.driven }
-
 // Join adds one node with the given attribute to the running cluster —
 // churn's arrival half (§3.3). The joiner bootstraps from
 // BootstrapDegree random live nodes and starts gossiping at a random
@@ -470,13 +410,7 @@ func (c *Cluster) Join(attr core.Attr) (*Node, error) {
 		return nil, err
 	}
 	if c.started {
-		if err := c.launch(n); err != nil {
-			// Roll the half-added node back out (possible only with an
-			// external Transport refusing the registration): a member
-			// that never gossips must not haunt the measurements.
-			c.Kill(n.ID())
-			return nil, err
-		}
+		c.launch(n)
 	}
 	c.telJoins.Inc()
 	return n, nil
@@ -491,9 +425,6 @@ func (c *Cluster) Kill(id core.ID) bool {
 		return false
 	}
 	c.sched.removeNode(id)
-	if c.tr != nil {
-		c.tr.Unregister(id)
-	}
 	last := len(c.nodes) - 1
 	if i != last {
 		c.nodes[i] = c.nodes[last]

@@ -11,6 +11,7 @@ import (
 	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/transport"
+	"github.com/gossipkit/slicing/internal/transport/tcp"
 	"github.com/gossipkit/slicing/internal/view"
 )
 
@@ -22,6 +23,31 @@ func testPartition(t *testing.T, k int) core.Partition {
 	}
 	return p
 }
+
+// loopbackTransport is a TCP transport on an ephemeral loopback port,
+// closed when the test ends: a vehicle for standalone-node tests that
+// exchange no messages.
+func loopbackTransport(t *testing.T) *tcp.Transport {
+	t.Helper()
+	tr, err := tcp.New(tcp.Options{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+// registerRecorder is a Transport that records Register calls and
+// delivers nothing.
+type registerRecorder struct{ registered []core.ID }
+
+func (r *registerRecorder) Register(id core.ID, _ transport.Handler) error {
+	r.registered = append(r.registered, id)
+	return nil
+}
+func (*registerRecorder) Unregister(core.ID)                         {}
+func (*registerRecorder) Send(core.ID, core.ID, proto.Message) error { return nil }
+func (*registerRecorder) Close() error                               { return nil }
 
 // testPeriod is the virtual gossip period of the driven tests. Its
 // absolute value is irrelevant (no wall time passes); it only scales the
@@ -68,8 +94,7 @@ func advanceUntil(t *testing.T, c *Cluster, maxCycles int, cond func() bool, des
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	tr := transport.NewInMem(transport.InMemOptions{})
-	defer tr.Close()
+	tr := loopbackTransport(t)
 	part := testPartition(t, 4)
 	base := NodeConfig{
 		ID: 1, Attr: 5, Partition: part, ViewSize: 4,
@@ -99,8 +124,7 @@ func TestNewNodeValidation(t *testing.T) {
 }
 
 func TestNodeStartStopLifecycle(t *testing.T) {
-	tr := transport.NewInMem(transport.InMemOptions{})
-	defer tr.Close()
+	tr := loopbackTransport(t)
 	n, err := NewNode(NodeConfig{
 		ID: 1, Attr: 5, Partition: testPartition(t, 2), ViewSize: 4,
 		Protocol: Ranking, Estimator: ranking.NewCounter(),
@@ -123,8 +147,7 @@ func TestNodeStartStopLifecycle(t *testing.T) {
 }
 
 func TestStopWithoutStart(t *testing.T) {
-	tr := transport.NewInMem(transport.InMemOptions{})
-	defer tr.Close()
+	tr := &registerRecorder{}
 	n, err := NewNode(NodeConfig{
 		ID: 1, Attr: 5, Partition: testPartition(t, 2), ViewSize: 4,
 		Protocol: Ordering, Period: time.Millisecond, Transport: tr,
@@ -139,8 +162,8 @@ func TestStopWithoutStart(t *testing.T) {
 	if err := n.Start(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Start after Stop = %v, want ErrStopped", err)
 	}
-	if err := tr.Send(2, 1, proto.RankUpdate{Attr: 1}); !errors.Is(err, transport.ErrUnknownDestination) {
-		t.Errorf("send to a node started after Stop = %v, want ErrUnknownDestination", err)
+	if len(tr.registered) != 0 {
+		t.Errorf("Start after Stop registered %v", tr.registered)
 	}
 	if n.done != nil {
 		t.Error("Start after Stop launched the active thread")
@@ -149,8 +172,6 @@ func TestStopWithoutStart(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	part := testPartition(t, 2)
-	tr := transport.NewInMem(transport.InMemOptions{})
-	defer tr.Close()
 	base := ClusterConfig{
 		N: 8, Partition: part, ViewSize: 4, Protocol: Ranking,
 		Period: time.Millisecond, AttrDist: dist.Uniform{Lo: 0, Hi: 1},
@@ -169,14 +190,6 @@ func TestClusterValidation(t *testing.T) {
 			c.MinLatency = time.Millisecond
 			c.MaxLatency = time.Microsecond
 		}, ErrLatencyRange},
-		{"injection over external transport", func(c *ClusterConfig) {
-			c.Transport = tr
-			c.Loss = 0.1
-		}, ErrExternalInjection},
-		{"virtual clock over external transport", func(c *ClusterConfig) {
-			c.Transport = tr
-			c.Clock = NewVirtualClock()
-		}, ErrExternalDriven},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -278,7 +291,7 @@ func TestLiveClusterJoins(t *testing.T) {
 }
 
 // The protocols must tolerate message loss, injected by the scheduler's
-// own network this time — no external transport involved.
+// internal network.
 func TestLiveClusterToleratesLoss(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 24, Partition: testPartition(t, 3), ViewSize: 8,
@@ -361,8 +374,7 @@ func TestAwaitSDMDriven(t *testing.T) {
 
 // The jitter sentinel: zero means the default, JitterNone means none.
 func TestJitterFracSentinel(t *testing.T) {
-	tr := transport.NewInMem(transport.InMemOptions{})
-	defer tr.Close()
+	tr := loopbackTransport(t)
 	base := NodeConfig{
 		ID: 1, Attr: 5, Partition: testPartition(t, 2), ViewSize: 4,
 		Protocol: Ordering, Period: time.Second, Transport: tr,
@@ -509,8 +521,7 @@ func TestKillWhileIteratingNodesSnapshot(t *testing.T) {
 // (a driven scheduler could then re-tick a node forever inside one
 // batch); both config surfaces reject it.
 func TestJitterFracUpperBound(t *testing.T) {
-	tr := transport.NewInMem(transport.InMemOptions{})
-	defer tr.Close()
+	tr := loopbackTransport(t)
 	_, err := NewNode(NodeConfig{
 		ID: 1, Attr: 5, Partition: testPartition(t, 2), ViewSize: 4,
 		Protocol: Ordering, Period: time.Millisecond, Transport: tr,

@@ -7,7 +7,7 @@ import (
 	"github.com/gossipkit/slicing/internal/dist"
 )
 
-// A live in-memory cluster at N=10,000 completes a timed convergence run
+// A live in-process cluster at N=10,000 completes a timed convergence run
 // on the sharded scheduler: the goroutine-per-node design this replaces
 // topped out far below this. Driven virtual time keeps the run
 // compute-bound (~2s at full size without the race detector; the

@@ -14,7 +14,6 @@ package tcp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -30,9 +29,6 @@ import (
 // MaxFrame bounds accepted frame sizes (a full view exchange of 65535
 // entries is ~1.8 MB; anything bigger is malformed or hostile).
 const MaxFrame = 4 << 20
-
-// ErrFrameTooLarge is returned when a peer announces an oversized frame.
-var ErrFrameTooLarge = errors.New("tcp: frame too large")
 
 // Options configures a TCP transport.
 type Options struct {

@@ -1,7 +1,8 @@
-// Package transport delivers protocol messages between live nodes. Two
-// implementations are provided: an in-memory transport with configurable
-// latency and loss (for tests, examples, and failure injection) and a
-// TCP transport (package tcp) for real deployments.
+// Package transport delivers protocol messages between live nodes. It
+// defines the Transport interface a node sends through; the TCP
+// transport (package tcp) implements it across processes, and a
+// runtime.Cluster's scheduler implements it in-process, with its own
+// latency, loss and fault injection.
 //
 // The paper's simulations exchange messages atomically inside cycles;
 // the transports instead deliver asynchronously, exposing the protocols
@@ -50,8 +51,8 @@ type Transport interface {
 	Send(from, to core.ID, msg proto.Message) error
 	// Close shuts down the transport. It does not wait for messages in
 	// transit to arrive: one whose latency has not elapsed, or that is
-	// still queued or unsent, may be dropped. InMem and tcp return once
-	// their goroutines and timers have finished, so none of their
-	// handlers runs after Close.
+	// still queued or unsent, may be dropped. The tcp transport returns
+	// once its goroutines have finished, so none of its handlers runs
+	// after Close.
 	Close() error
 }

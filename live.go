@@ -3,13 +3,14 @@ package slicing
 // ---------------------------------------------------------------------
 // Live runtime facade: real protocol participants.
 //
-// Where the simulator models cycles, the runtime runs nodes: each Node
-// gossips on its own schedule over a Transport (in-memory or TCP), and
-// a Cluster multiplexes thousands of them onto a sharded scheduler in
-// one process. A VirtualClock puts a cluster in driven mode — the same
-// concurrent code paths, no wall time spent waiting — which is how the
-// live scenario backend and the e2e tests run. This section exports
-// the runtime, its transports, and the jitter/clock vocabulary;
+// Where the simulator models cycles, the runtime runs nodes: a Cluster
+// multiplexes thousands of them onto a sharded scheduler in one process
+// and routes their messages over the scheduler's internal network, and
+// a standalone Node gossips on its own schedule over a TCP transport.
+// A VirtualClock puts a cluster in driven mode — the same concurrent
+// code paths, no wall time spent waiting — which is how the live
+// scenario backend and the e2e tests run. This section exports
+// the runtime, the TCP transport, and the jitter/clock vocabulary;
 // options.go layers functional options (WithPeriod, WithJitter,
 // WithServe) on top of these configs.
 // ---------------------------------------------------------------------
@@ -89,23 +90,16 @@ func NewCounterEstimator() Estimator { return ranking.NewCounter() }
 // NewWindowEstimator returns the sliding-window estimator of §5.3.4.
 func NewWindowEstimator(size int) (Estimator, error) { return ranking.NewWindow(size) }
 
-// Transports.
+// Transports: a standalone Node sends through a Transport; TCP is the
+// one implementation exported here.
 type (
 	// Transport routes protocol messages between live nodes.
 	Transport = transport.Transport
-	// InMemTransportOptions configures the in-memory transport.
-	InMemTransportOptions = transport.InMemOptions
 	// TCPTransportOptions configures the TCP transport.
 	TCPTransportOptions = tcp.Options
 	// TCPTransport is the TCP-backed transport.
 	TCPTransport = tcp.Transport
 )
-
-// NewInMemTransport builds a process-local transport with optional
-// latency and loss injection.
-func NewInMemTransport(opts InMemTransportOptions) Transport {
-	return transport.NewInMem(opts)
-}
 
 // NewTCPTransport starts a TCP transport listening per opts.
 func NewTCPTransport(opts TCPTransportOptions) (*TCPTransport, error) {

@@ -261,16 +261,29 @@ func TestServedClusterWatchStreamsCrossings(t *testing.T) {
 	}
 }
 
+// loopbackTransport is a TCP transport on an ephemeral loopback port,
+// closed when the test ends.
+func loopbackTransport(t *testing.T) *slicing.TCPTransport {
+	t.Helper()
+	tr, err := slicing.NewTCPTransport(slicing.TCPTransportOptions{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
 func TestServedNodeServeLifecycle(t *testing.T) {
 	part, err := slicing.EqualSlices(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := loopbackTransport(t)
 	node, err := slicing.NewNodeWith(slicing.NodeConfig{
 		ID: 1, Attr: 50, Partition: part, ViewSize: 4,
 		Protocol:  slicing.LiveRanking,
 		Estimator: slicing.NewCounterEstimator(),
-		Transport: slicing.NewInMemTransport(slicing.InMemTransportOptions{}),
+		Transport: tr,
 		Seed:      3,
 	},
 		slicing.WithPeriod(50*time.Millisecond), // options must satisfy the "Period required" check
@@ -310,11 +323,12 @@ func TestNewNodeWithoutServeHasNoServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := loopbackTransport(t)
 	node, err := slicing.NewNodeWith(slicing.NodeConfig{
 		ID: 1, Attr: 10, Partition: part, ViewSize: 4,
 		Protocol:  slicing.LiveRanking,
 		Estimator: slicing.NewCounterEstimator(),
-		Transport: slicing.NewInMemTransport(slicing.InMemTransportOptions{}),
+		Transport: tr,
 		Seed:      9,
 	}, slicing.WithPeriod(50*time.Millisecond))
 	if err != nil {
