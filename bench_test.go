@@ -12,15 +12,13 @@ import (
 // --- Ablations (DESIGN.md §5) ---
 
 // BenchmarkSelectionPolicies ablates the swap-partner heuristic: random
-// neighbor vs random misplaced (JK) vs max gain (mod-JK). The final-sdm
-// metric after a fixed budget of cycles quantifies each heuristic's
-// contribution.
+// misplaced (JK) vs max gain (mod-JK). The final-sdm metric after a
+// fixed budget of cycles quantifies the gain heuristic's contribution.
 func BenchmarkSelectionPolicies(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
 		policy any
 	}{
-		{"random", slicing.RandomPartner},
 		{"jk-random-misplaced", slicing.JK},
 		{"mod-jk-max-gain", slicing.ModJK},
 	} {
@@ -34,8 +32,6 @@ func BenchmarkSelectionPolicies(b *testing.B) {
 					Seed:     int64(i + 1),
 				}
 				switch tc.name {
-				case "random":
-					cfg.Policy = slicing.RandomPartner
 				case "jk-random-misplaced":
 					cfg.Policy = slicing.JK
 				default:

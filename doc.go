@@ -26,9 +26,9 @@
 //     over a sliding window). Converges more slowly but keeps improving,
 //     and tracks attribute-correlated churn.
 //
-// Both run over a peer-sampling substrate (a Cyclon variant or a
-// Newscast-like protocol) and are implemented as transport-agnostic
-// state machines, executable two ways:
+// Both run over a peer-sampling substrate (the paper's Cyclon variant,
+// or in the simulator a uniform oracle) and are implemented as
+// transport-agnostic state machines, executable two ways:
 //
 //   - Simulated: a deterministic cycle-based engine (the paper's
 //     PeerSim model) via Simulate, reproducing every figure of the

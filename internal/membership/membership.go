@@ -1,10 +1,13 @@
 // Package membership implements the peer-sampling substrate the slicing
 // protocols gossip over: the Cyclon variant of §4.3.2/Fig. 3 of the
-// paper (full-view exchange with the oldest neighbor), a Newscast-like
-// protocol (freshest-wins exchange with a random neighbor, the substrate
-// of the original JK paper). The uniform oracle of §5.3.2 (the
-// ground-truth sampler of Fig. 6(b)) needs global knowledge and exists
-// only inside the simulator (sim.UniformOracle).
+// paper (full-view exchange with the oldest neighbor), which every live
+// node runs and the simulator inlines over its view arena. The uniform
+// oracle of §5.3.2 (the ground-truth sampler of Fig. 6(b)) needs global
+// knowledge and exists only inside the simulator (sim.UniformOracle).
+//
+// Newscast, the substrate of the original JK paper, is kept only for
+// the benchmark's membership.newscast_exchange_ns kernel row; no engine,
+// spec or facade value selects it, and it goes with that row.
 package membership
 
 import (
@@ -188,7 +191,9 @@ func (c *Cyclon) Name() string { return "cyclon" }
 // Newscast is a Newscast-like protocol: each period the node exchanges
 // its full view with a uniformly random neighbor; both sides keep the
 // freshest entry per ID and trim to the freshest capacity entries. The
-// original JK algorithm runs on a variant of Newscast.
+// original JK algorithm runs on a variant of Newscast. Only the
+// benchmark's membership.newscast_exchange_ns kernel row reaches it;
+// the benchmark-maintenance change that retires that row removes it.
 type Newscast struct {
 	self      core.ID
 	selfEntry SelfEntryFunc

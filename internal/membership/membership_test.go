@@ -198,7 +198,7 @@ func TestNewscastExchangeFreshestWins(t *testing.T) {
 	}
 }
 
-func TestNewscastViewsStayBounded(t *testing.T) {
+func TestNewscastBoundsViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	va := view.MustNew(3)
 	vb := view.MustNew(3)

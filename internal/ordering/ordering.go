@@ -36,10 +36,6 @@ const (
 	// SelectMaxGain picks the misplaced neighbor with the largest local
 	// disorder gain G_{i,j}: the paper's mod-JK algorithm.
 	SelectMaxGain
-	// SelectRandom picks any uniformly random neighbor, misplaced or
-	// not; messages to well-placed neighbors are wasted. Kept as an
-	// ablation baseline for the selection heuristics.
-	SelectRandom
 )
 
 // String implements fmt.Stringer.
@@ -49,8 +45,6 @@ func (p Policy) String() string {
 		return "jk"
 	case SelectMaxGain:
 		return "mod-jk"
-	case SelectRandom:
-		return "random"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -156,7 +150,7 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("ordering: initial random value %v outside (0,1]", cfg.InitialR)
 	}
 	switch cfg.Policy {
-	case SelectRandomMisplaced, SelectMaxGain, SelectRandom:
+	case SelectRandomMisplaced, SelectMaxGain:
 	default:
 		return nil, fmt.Errorf("ordering: unknown policy %d", int(cfg.Policy))
 	}
@@ -217,9 +211,9 @@ func (n *Node) Tick(rng core.RNG) []proto.Envelope {
 // dispatch: the node's coordinate is selfR, and a neighbor's is its
 // coords entry when the table knows it, its view entry otherwise. The
 // cycle engine passes its phase-start snapshot; a live node passes nil.
-// mod-JK goes to the partial rank kernel (TickSwapFast); JK and random
-// draw from the view over the same table. It returns the chosen partner
-// and the swap request by value, drawing tick scratch from scr.
+// mod-JK goes to the partial rank kernel (TickSwapFast); JK draws from
+// the view over the same table. It returns the chosen partner and the
+// swap request by value, drawing tick scratch from scr.
 func (n *Node) TickTable(selfR float64, coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
 	if n.policy == SelectMaxGain {
 		return n.TickSwapFast(selfR, coords, scr)
@@ -269,10 +263,10 @@ func neighborCoordinate(state proto.StateReader, e view.Entry) float64 {
 	return e.R
 }
 
-// drawPartner is the JK and random policies' partner choice: a uniform
-// draw over the view's non-placeholder entries — under JK only those
-// misplaced against selfR, each neighbor's coordinate resolved through
-// coord with the view's recorded value as fallback.
+// drawPartner is the JK policy's partner choice: a uniform draw over
+// the view's non-placeholder entries misplaced against selfR, each
+// neighbor's coordinate resolved through coord with the view's
+// recorded value as fallback.
 func (n *Node) drawPartner(selfR float64, coord func(core.ID) (float64, bool), rng core.RNG, scr *Scratch) (core.ID, bool) {
 	// Placeholder entries carry no usable coordinates; they are gossip
 	// contacts for the membership layer only.
@@ -281,14 +275,12 @@ func (n *Node) drawPartner(selfR float64, coord func(core.ID) (float64, bool), r
 		if e.Placeholder() {
 			continue
 		}
-		if n.policy == SelectRandomMisplaced {
-			r := e.R
-			if cr, ok := coord(e.ID); ok {
-				r = cr
-			}
-			if !Misplaced(n.attr, e.Attr, selfR, r) {
-				continue
-			}
+		r := e.R
+		if cr, ok := coord(e.ID); ok {
+			r = cr
+		}
+		if !Misplaced(n.attr, e.Attr, selfR, r) {
+			continue
 		}
 		entries = append(entries, e)
 	}
@@ -704,8 +696,8 @@ func (n *Node) AbandonSwap() {
 	n.trace.Record(telemetry.TraceEvent{Kind: telemetry.TraceSwapAbandoned, Node: uint64(n.id)})
 }
 
-// SetR force-sets the node's random value. Used by churn models when
-// re-keying and by tests.
+// SetR force-sets the node's random value. Only tests call it, to pose
+// a node's coordinate directly.
 func (n *Node) SetR(r float64) { n.r = r }
 
 // SetAttr force-sets the node's attribute. The fault plane uses it for

@@ -90,7 +90,6 @@ func TestPolicyString(t *testing.T) {
 	}{
 		{SelectRandomMisplaced, "jk"},
 		{SelectMaxGain, "mod-jk"},
-		{SelectRandom, "random"},
 		{Policy(99), "policy(99)"},
 	}
 	for _, tt := range tests {
@@ -438,15 +437,6 @@ func TestSelfEntryFresh(t *testing.T) {
 	e := n.SelfEntry()
 	if e.ID != 9 || e.Age != 0 || e.Attr != 3 || e.R != 0.4 {
 		t.Errorf("SelfEntry = %+v", e)
-	}
-}
-
-func TestSelectRandomPolicySendsToAnyNeighbor(t *testing.T) {
-	c := newCluster(t, SelectRandom, []core.Attr{10, 20, 30}, []float64{0.1, 0.5, 0.9})
-	rng := rand.New(rand.NewSource(8))
-	envs := tickOver(c.nodes[1], c.live(), rng)
-	if len(envs) != 1 {
-		t.Fatalf("SelectRandom sent %d messages, want 1 (even when aligned)", len(envs))
 	}
 }
 

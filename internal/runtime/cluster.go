@@ -51,8 +51,6 @@ type ClusterConfig struct {
 	// Estimators builds per-node estimators (Ranking only; default
 	// counters).
 	Estimators EstimatorFactory
-	// Membership selects the substrate. Default CyclonViews.
-	Membership Membership
 	// Period is the gossip period for every node. Required.
 	Period time.Duration
 	// JitterFrac desynchronizes node periods. Zero means
@@ -63,9 +61,6 @@ type ClusterConfig struct {
 	AttrDist dist.Source
 	// Seed makes the construction reproducible.
 	Seed int64
-	// BootstrapDegree is the number of random nodes seeded into each
-	// initial view. Default min(ViewSize, N-1).
-	BootstrapDegree int
 	// Clock drives the scheduler. Nil means the wall clock; a
 	// *VirtualClock puts the cluster in driven mode, where time moves
 	// only through Advance.
@@ -185,7 +180,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("runtime: node %d: %w", i+1, err)
 		}
 	}
-	// Bootstrap: each node's view holds BootstrapDegree random others.
+	// Bootstrap: each node's view holds min(ViewSize, N-1) random others.
 	deg := c.bootstrapDegree(cfg.N - 1)
 	for i, n := range c.nodes {
 		for _, entry := range c.sampleBootstrap(i, deg) {
@@ -216,24 +211,15 @@ func (c *Cluster) sampleBootstrap(exclude, deg int) []view.Entry {
 	return entries
 }
 
-// bootstrapDegree clamps the configured bootstrap degree to the number
-// of live peers a new view can actually reference. peers excludes the
-// node being bootstrapped: construction passes N-1 (everyone is already
-// in the arena), Join passes len(c.nodes) (the joiner is not appended
-// yet). It can be zero — a rejoin into a churn-drained cluster starts
-// with an empty view and waits for peers.
+// bootstrapDegree is the number of random peers seeded into a new view:
+// a full view, clamped to the number of live peers it can actually
+// reference. peers excludes the node being bootstrapped: construction
+// passes N-1 (everyone is already in the arena), Join passes
+// len(c.nodes) (the joiner is not appended yet). It can be zero — a
+// rejoin into a churn-drained cluster starts with an empty view and
+// waits for peers.
 func (c *Cluster) bootstrapDegree(peers int) int {
-	deg := c.cfg.BootstrapDegree
-	if deg <= 0 || deg > c.cfg.ViewSize {
-		deg = c.cfg.ViewSize
-	}
-	if deg > peers {
-		deg = peers
-	}
-	if deg < 0 {
-		deg = 0
-	}
-	return deg
+	return max(0, min(c.cfg.ViewSize, peers))
 }
 
 // buildNode creates the node with the next identifier, appends it to
@@ -249,7 +235,6 @@ func (c *Cluster) buildNode(attr core.Attr, r float64, bootstrap []view.Entry) (
 		ViewSize:   c.cfg.ViewSize,
 		Protocol:   c.cfg.Protocol,
 		Policy:     c.cfg.Policy,
-		Membership: c.cfg.Membership,
 		Period:     c.cfg.Period,
 		JitterFrac: c.cfg.JitterFrac,
 		Seed:       c.cfg.Seed,
@@ -396,10 +381,10 @@ func (c *Cluster) Partition() core.Partition { return c.part }
 func (c *Cluster) Period() time.Duration { return c.cfg.Period }
 
 // Join adds one node with the given attribute to the running cluster —
-// churn's arrival half (§3.3). The joiner bootstraps from
-// BootstrapDegree random live nodes and starts gossiping at a random
-// phase within the next period. Safe to call while the cluster gossips,
-// but not concurrently with other cluster mutations.
+// churn's arrival half (§3.3). The joiner bootstraps from up to
+// ViewSize random live nodes and starts gossiping at a random phase
+// within the next period. Safe to call while the cluster gossips, but
+// not concurrently with other cluster mutations.
 func (c *Cluster) Join(attr core.Attr) (*Node, error) {
 	if c.stopped {
 		return nil, ErrStopped

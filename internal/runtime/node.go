@@ -50,18 +50,6 @@ const (
 	Ranking
 )
 
-// Membership selects the peer-sampling substrate.
-type Membership int
-
-// Available substrates. The uniform oracle is simulation-only: a live
-// node has no global knowledge.
-const (
-	// CyclonViews is the Cyclon variant of §4.3.2.
-	CyclonViews Membership = iota + 1
-	// NewscastViews is the Newscast-like substrate.
-	NewscastViews
-)
-
 // Jitter configuration. A zero JitterFrac historically meant "use the
 // default", which made an intentionally jitter-free node impossible to
 // request; the explicit sentinel closes that gap.
@@ -111,8 +99,6 @@ type NodeConfig struct {
 	Estimator ranking.Estimator
 	// DisableViewScan turns off estimator feeding from view scans.
 	DisableViewScan bool
-	// Membership selects the view substrate. Default CyclonViews.
-	Membership Membership
 	// Period is the gossip period (Figs. 2/5: wait(period)). Required.
 	Period time.Duration
 	// JitterFrac desynchronizes periods by ±JitterFrac·Period. Zero
@@ -155,8 +141,8 @@ type Status struct {
 	// RecvGap is the number of consecutive ticks the passive thread has
 	// gone without receiving a single message. A warmed-up node with a
 	// large gap is effectively cut off from the overlay — the serving
-	// layer's partition detector (Calibration.StarvationTicks) reads this
-	// to flag degraded answers.
+	// layer's partition detector (serving.DefaultStarvationTicks) reads
+	// this to flag degraded answers.
 	RecvGap int
 }
 
@@ -228,10 +214,7 @@ func (n *Node) footprint() footprint {
 		fp.p[i], fp.units[i] = p, uint8(min((size+63)/64, math.MaxUint8))
 	}
 	set(fpNode, unsafe.Pointer(n), unsafe.Offsetof(n.part))
-	switch m := n.mem.(type) {
-	case *membership.Cyclon:
-		set(fpMem, unsafe.Pointer(m), unsafe.Sizeof(*m))
-	case *membership.Newscast:
+	if m, ok := n.mem.(*membership.Cyclon); ok {
 		set(fpMem, unsafe.Pointer(m), unsafe.Sizeof(*m))
 	}
 	v := n.mem.View()
@@ -306,18 +289,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadProtocol, int(cfg.Protocol))
 	}
-	var mem membership.Protocol
-	switch cfg.Membership {
-	case NewscastViews:
-		mem = membership.NewNewscast(cfg.ID, slicer.SelfEntry, v)
-	default:
-		mem = membership.NewCyclon(cfg.ID, slicer.SelfEntry, v)
-	}
 	node := &Node{
 		part:   cfg.Partition,
 		tr:     cfg.Transport,
 		slicer: slicer,
-		mem:    mem,
+		mem:    membership.NewCyclon(cfg.ID, slicer.SelfEntry, v),
 		rng:    rng,
 		period: cfg.Period,
 		jitter: effectiveJitter(cfg.JitterFrac),

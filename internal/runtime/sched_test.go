@@ -278,15 +278,13 @@ func TestLiveViewStorageStable(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		proto Protocol
-		mem   Membership
 	}{
-		{"ordering-cyclon", Ordering, CyclonViews},
-		{"ranking-newscast", Ranking, NewscastViews},
+		{"ordering-cyclon", Ordering},
+		{"ranking-cyclon", Ranking},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := drivenCluster(t, ClusterConfig{
-				N: 60, Partition: testPartition(t, 4), ViewSize: 8,
-				Protocol: tc.proto, Membership: tc.mem,
+				N: 60, Partition: testPartition(t, 4), ViewSize: 8, Protocol: tc.proto,
 				MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond,
 				AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 3, Shards: 3,
 			})
@@ -496,7 +494,7 @@ func TestDrivenSingleShardDeterministic(t *testing.T) {
 		}},
 		{name: "ordering/cyclon/latency+loss", cfg: ClusterConfig{
 			N: 60, Partition: testPartition(t, 4), ViewSize: 8,
-			Protocol: Ordering, Membership: CyclonViews, Period: 10 * time.Millisecond,
+			Protocol: Ordering, Period: 10 * time.Millisecond,
 			MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond,
 			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 123, Loss: 0.02,
 		}, want: &driven1Result{

@@ -130,12 +130,6 @@ func MaterializeLiveWith(spec Spec, inst Instrumentation) (*LiveCluster, error) 
 	case sim.Ranking:
 		ccfg.Protocol = runtime.Ranking
 	}
-	switch cfg.Membership {
-	case sim.NewscastViews:
-		ccfg.Membership = runtime.NewscastViews
-	default:
-		ccfg.Membership = runtime.CyclonViews
-	}
 	if cfg.Estimator == sim.WindowEstimator {
 		w := cfg.WindowSize
 		ccfg.Estimators = func() ranking.Estimator { return ranking.MustNewWindow(w) }

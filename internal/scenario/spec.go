@@ -43,13 +43,11 @@ const (
 	ProtoOrdering = "ordering"
 	ProtoRanking  = "ranking"
 
-	PolicyJK     = "jk"     // original JK: random misplaced neighbor
-	PolicyModJK  = "mod-jk" // mod-JK: max local gain (the paper's default)
-	PolicyRandom = "random" // ablation: any random neighbor
+	PolicyJK    = "jk"     // original JK: random misplaced neighbor
+	PolicyModJK = "mod-jk" // mod-JK: max local gain (the paper's default)
 
-	MemCyclon   = "cyclon"   // §4.3.2 Cyclon variant (default)
-	MemNewscast = "newscast" // Newscast-like substrate (original JK)
-	MemUniform  = "uniform"  // §5.3.2 idealized uniform sampler
+	MemCyclon  = "cyclon"  // §4.3.2 Cyclon variant (default)
+	MemUniform = "uniform" // §5.3.2 idealized uniform sampler
 
 	EstCounter = "counter" // unbounded ℓ/g counters (default)
 	EstWindow  = "window"  // §5.3.4 sliding window
@@ -422,8 +420,6 @@ func (s Spec) Config() (sim.Config, error) {
 			cfg.Policy = ordering.SelectMaxGain
 		case PolicyJK:
 			cfg.Policy = ordering.SelectRandomMisplaced
-		case PolicyRandom:
-			cfg.Policy = ordering.SelectRandom
 		default:
 			return cfg, specErr("%s: unknown policy %q", s.Name, s.Policy)
 		}
@@ -438,8 +434,6 @@ func (s Spec) Config() (sim.Config, error) {
 	switch s.Membership {
 	case "", MemCyclon:
 		cfg.Membership = sim.CyclonViews
-	case MemNewscast:
-		cfg.Membership = sim.NewscastViews
 	case MemUniform:
 		cfg.Membership = sim.UniformOracle
 	default:

@@ -29,31 +29,33 @@ func TestValidateAcceptsValidSpec(t *testing.T) {
 
 func TestValidateFailures(t *testing.T) {
 	cases := map[string]func(*Spec){
-		"missing name":       func(s *Spec) { s.Name = "" },
-		"zero n":             func(s *Spec) { s.N = 0 },
-		"zero view":          func(s *Spec) { s.ViewSize = 0 },
-		"zero cycles":        func(s *Spec) { s.Cycles = 0 },
-		"no slices":          func(s *Spec) { s.Slices = 0 },
-		"both partitions":    func(s *Spec) { s.SliceBounds = []float64{0.5} },
-		"bad bounds":         func(s *Spec) { s.Slices = 0; s.SliceBounds = []float64{1.5} },
-		"bad protocol":       func(s *Spec) { s.Protocol = "gossip" },
-		"policy on ranking":  func(s *Spec) { s.Policy = PolicyModJK },
-		"bad policy":         func(s *Spec) { s.Protocol = ProtoOrdering; s.Policy = "greedy" },
-		"bad membership":     func(s *Spec) { s.Membership = "scamp" },
-		"bad estimator":      func(s *Spec) { s.Estimator = "ewma" },
-		"window without W":   func(s *Spec) { s.Estimator = EstWindow },
-		"conc below range":   func(s *Spec) { s.Concurrency = -0.1 },
-		"negative workers":   func(s *Spec) { s.SimWorkers = -1 },
-		"conc above range":   func(s *Spec) { s.Concurrency = 1.1 },
-		"negative cadence":   func(s *Spec) { s.SampleEvery = -1 },
-		"bad dist kind":      func(s *Spec) { s.Attr.Kind = "cauchy" },
-		"uniform lo==hi":     func(s *Spec) { s.Attr = DistSpec{Kind: "uniform", Lo: 1, Hi: 1} },
-		"pareto bad xm":      func(s *Spec) { s.Attr = DistSpec{Kind: "pareto", Xm: 0, Alpha: 1} },
-		"exponential mean 0": func(s *Spec) { s.Attr = DistSpec{Kind: "exponential"} },
-		"normal stddev 0":    func(s *Spec) { s.Attr = DistSpec{Kind: "normal", Mean: 1} },
-		"lognormal sigma 0":  func(s *Spec) { s.Attr = DistSpec{Kind: "lognormal"} },
-		"zipf no support":    func(s *Spec) { s.Attr = DistSpec{Kind: "zipf", S: 1} },
-		"empty mixture":      func(s *Spec) { s.Attr = DistSpec{Kind: "mixture"} },
+		"missing name":        func(s *Spec) { s.Name = "" },
+		"zero n":              func(s *Spec) { s.N = 0 },
+		"zero view":           func(s *Spec) { s.ViewSize = 0 },
+		"zero cycles":         func(s *Spec) { s.Cycles = 0 },
+		"no slices":           func(s *Spec) { s.Slices = 0 },
+		"both partitions":     func(s *Spec) { s.SliceBounds = []float64{0.5} },
+		"bad bounds":          func(s *Spec) { s.Slices = 0; s.SliceBounds = []float64{1.5} },
+		"bad protocol":        func(s *Spec) { s.Protocol = "gossip" },
+		"policy on ranking":   func(s *Spec) { s.Policy = PolicyModJK },
+		"bad policy":          func(s *Spec) { s.Protocol = ProtoOrdering; s.Policy = "greedy" },
+		"random policy":       func(s *Spec) { s.Protocol = ProtoOrdering; s.Policy = "random" },
+		"bad membership":      func(s *Spec) { s.Membership = "scamp" },
+		"newscast membership": func(s *Spec) { s.Membership = "newscast" },
+		"bad estimator":       func(s *Spec) { s.Estimator = "ewma" },
+		"window without W":    func(s *Spec) { s.Estimator = EstWindow },
+		"conc below range":    func(s *Spec) { s.Concurrency = -0.1 },
+		"negative workers":    func(s *Spec) { s.SimWorkers = -1 },
+		"conc above range":    func(s *Spec) { s.Concurrency = 1.1 },
+		"negative cadence":    func(s *Spec) { s.SampleEvery = -1 },
+		"bad dist kind":       func(s *Spec) { s.Attr.Kind = "cauchy" },
+		"uniform lo==hi":      func(s *Spec) { s.Attr = DistSpec{Kind: "uniform", Lo: 1, Hi: 1} },
+		"pareto bad xm":       func(s *Spec) { s.Attr = DistSpec{Kind: "pareto", Xm: 0, Alpha: 1} },
+		"exponential mean 0":  func(s *Spec) { s.Attr = DistSpec{Kind: "exponential"} },
+		"normal stddev 0":     func(s *Spec) { s.Attr = DistSpec{Kind: "normal", Mean: 1} },
+		"lognormal sigma 0":   func(s *Spec) { s.Attr = DistSpec{Kind: "lognormal"} },
+		"zipf no support":     func(s *Spec) { s.Attr = DistSpec{Kind: "zipf", S: 1} },
+		"empty mixture":       func(s *Spec) { s.Attr = DistSpec{Kind: "mixture"} },
 		"mixture bad weight": func(s *Spec) {
 			s.Attr = DistSpec{Kind: "mixture", Components: []WeightedDist{
 				{Weight: 0, Dist: DistSpec{Kind: "uniform", Lo: 0, Hi: 1}},
@@ -94,7 +96,7 @@ func TestConfigTranslation(t *testing.T) {
 	spec := Spec{
 		Name: "full", Protocol: ProtoOrdering, Policy: PolicyJK,
 		N: 500, Slices: 20, ViewSize: 12, Cycles: 50,
-		Membership: MemNewscast, Concurrency: 0.5, StalePayloads: true,
+		Membership: MemUniform, Concurrency: 0.5, StalePayloads: true,
 		RecordGDM: true, Seed: 11, SimWorkers: 6,
 		Attr: DistSpec{Kind: "pareto", Xm: 10, Alpha: 1.5},
 		Churn: &ChurnSpec{
@@ -106,7 +108,7 @@ func TestConfigTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Protocol != sim.Ordering || cfg.Membership != sim.NewscastViews {
+	if cfg.Protocol != sim.Ordering || cfg.Membership != sim.UniformOracle {
 		t.Errorf("protocol/membership = %v/%v", cfg.Protocol, cfg.Membership)
 	}
 	if cfg.N != 500 || cfg.Slices != 20 || cfg.ViewSize != 12 || cfg.Seed != 11 {

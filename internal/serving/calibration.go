@@ -22,33 +22,22 @@ type Calibration struct {
 	// catalog's runs reach the floor; a node with fewer ticks reports a
 	// proportionally inflated residual.
 	ConvergedTicks int
-	// Z is the z-score of the reported Wald interval; 0 means
-	// DefaultZ (1.96, a 95% interval).
-	Z float64
-	// WarmupTicks is the grace period for fresh joiners: a node that has
-	// completed fewer ticks answers with Staleness.Warming set, telling
-	// clients "too young to judge" instead of handing them a vacuous
-	// near-1 bound. 0 means DefaultWarmupTicks.
-	WarmupTicks int
-	// StarvationTicks is the partition detector's patience: a node whose
-	// passive thread has received nothing for this many consecutive ticks
-	// is presumed cut off (black-holed links starve the rank sampler) and
-	// answers with Staleness.Degraded set and an inflated bound. 0 means
-	// DefaultStarvationTicks.
-	StarvationTicks int
 }
 
-// DefaultZ is the z-score used when Calibration.Z is zero: a two-sided
+// DefaultZ is the z-score of the reported Wald interval: a two-sided
 // 95% confidence interval.
 const DefaultZ = 1.96
 
-// DefaultWarmupTicks is the fresh-joiner grace when
-// Calibration.WarmupTicks is zero: below this many completed periods an
-// answer is flagged Warming rather than trusted to its numeric bound.
+// DefaultWarmupTicks is the grace period for fresh joiners: a node that
+// has completed fewer periods answers with Staleness.Warming set,
+// telling clients "too young to judge" instead of handing them a
+// vacuous near-1 bound.
 const DefaultWarmupTicks = 5
 
-// DefaultStarvationTicks is the partition-detection patience when
-// Calibration.StarvationTicks is zero.
+// DefaultStarvationTicks is the partition detector's patience: a node
+// whose passive thread has received nothing for this many consecutive
+// ticks is presumed cut off (black-holed links starve the rank sampler)
+// and answers with Staleness.Degraded set and an inflated bound.
 const DefaultStarvationTicks = 8
 
 // Default calibrations, derived from the convergence data of a
@@ -64,30 +53,6 @@ var (
 	OrderingCalibration = Calibration{ResidualSDM: 0.1, ConvergedTicks: 100}
 )
 
-// z returns the effective z-score.
-func (c Calibration) z() float64 {
-	if c.Z <= 0 {
-		return DefaultZ
-	}
-	return c.Z
-}
-
-// warmup returns the effective fresh-joiner grace.
-func (c Calibration) warmup() int {
-	if c.WarmupTicks <= 0 {
-		return DefaultWarmupTicks
-	}
-	return c.WarmupTicks
-}
-
-// starvation returns the effective partition-detection patience.
-func (c Calibration) starvation() int {
-	if c.StarvationTicks <= 0 {
-		return DefaultStarvationTicks
-	}
-	return c.StarvationTicks
-}
-
 // staleness computes the error bound for an answer derived from a node
 // with the given convergence state:
 //
@@ -100,10 +65,11 @@ func (c Calibration) starvation() int {
 // The evidence count k is the estimator fill when present, else the
 // tick count (an ordering node incorporates roughly one exchange of
 // evidence per period). The reported Bound is the max of the Wald
-// interval half-width at z (the sampling error of the rank estimate)
-// and the calibrated residual floor (the systematic error convergence
-// never removes), the floor scaled up by ConvergedTicks/ticks while the
-// node is younger than the calibration's convergence horizon.
+// interval half-width at DefaultZ (the sampling error of the rank
+// estimate) and the calibrated residual floor (the systematic error
+// convergence never removes), the floor scaled up by
+// ConvergedTicks/ticks while the node is younger than the calibration's
+// convergence horizon.
 func (c Calibration) staleness(ticks, samples, points int, rank, boundaryDist float64) Staleness {
 	st := Staleness{Ticks: ticks, Samples: samples, Points: points}
 	k := samples
@@ -117,7 +83,7 @@ func (c Calibration) staleness(ticks, samples, points int, rank, boundaryDist fl
 	case variance == 0:
 		st.RankCI = 0
 	default:
-		st.RankCI = c.z() * math.Sqrt(variance/float64(k))
+		st.RankCI = DefaultZ * math.Sqrt(variance/float64(k))
 	}
 	st.ResidualSDM = c.ResidualSDM
 	if c.ConvergedTicks > 0 && ticks < c.ConvergedTicks {
@@ -136,7 +102,7 @@ func (c Calibration) staleness(ticks, samples, points int, rank, boundaryDist fl
 	// Below the warmup grace the residual inflation saturates toward a
 	// vacuous bound of 1; Warming tells the client the node is merely
 	// young, not wrong — wait, or ask another node.
-	if ticks < c.warmup() {
+	if ticks < DefaultWarmupTicks {
 		st.Warming = true
 	}
 	return st
@@ -145,18 +111,17 @@ func (c Calibration) staleness(ticks, samples, points int, rank, boundaryDist fl
 // starve applies the partition detector to a computed staleness block:
 // recvGap is the number of consecutive ticks the answering node's
 // passive thread has gone without receiving a message. A warmed-up node
-// starved past the calibration's patience is flagged Degraded and its
+// starved past DefaultStarvationTicks is flagged Degraded and its
 // bound inflates with the gap: every piece of evidence behind the answer
 // — samples, ticks, the view itself — predates the moment the node was
 // cut off, so the whole estimate is frozen and its error grows the
 // longer the starvation lasts. Warming takes precedence: a fresh joiner
 // has not earned a degraded verdict.
 func (c Calibration) starve(st Staleness, recvGap int) Staleness {
-	patience := c.starvation()
-	if st.Warming || recvGap < patience {
+	if st.Warming || recvGap < DefaultStarvationTicks {
 		return st
 	}
-	factor := float64(recvGap) / float64(patience)
+	factor := float64(recvGap) / DefaultStarvationTicks
 	st.Degraded = true
 	st.ResidualSDM = math.Min(1, st.ResidualSDM*factor)
 	st.Bound = math.Min(1, st.Bound*factor)

@@ -17,7 +17,7 @@ import (
 
 // testEngine builds a converged ranking simulation: N uniform nodes,
 // 4 slices, enough cycles for the estimates to settle.
-func testEngine(t *testing.T, n, cycles int) *sim.Engine {
+func testEngine(t testing.TB, n, cycles int) *sim.Engine {
 	t.Helper()
 	e, err := sim.New(sim.Config{
 		N:        n,

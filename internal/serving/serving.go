@@ -75,13 +75,13 @@ type Staleness struct {
 	// bar a client should put on the answer's rank (and hence slice).
 	Bound float64 `json:"bound"`
 	// Warming reports that the answering node is younger than the
-	// calibration's warmup grace (Calibration.WarmupTicks): its bound is
+	// warmup grace (DefaultWarmupTicks completed periods): its bound is
 	// dominated by youth, not by measured disorder. Clients should treat
 	// the answer as provisional rather than read the near-1 bound as a
 	// converged node's verdict.
 	Warming bool `json:"warming,omitempty"`
 	// Degraded reports that the answering node appears cut off from the
-	// network (no message received for Calibration.StarvationTicks
+	// network (no message received for DefaultStarvationTicks
 	// consecutive gossip periods — the signature of a partition or
 	// black-holed links). The bound is inflated accordingly and /healthz
 	// stops advertising the node as healthy.

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"testing"
-
-	"github.com/gossipkit/slicing/internal/ordering"
 )
 
 // The ranking protocol's convergence must be essentially unaffected by
@@ -156,26 +154,6 @@ func TestBoundaryBiasAblationRuns(t *testing.T) {
 	end, _ := res.SDM.Last()
 	if end.Value >= start {
 		t.Errorf("no convergence with random targets: %v → %v", start, end.Value)
-	}
-}
-
-// SelectRandom (pure ablation policy) still converges, just slower than
-// JK's misplaced-only targeting.
-func TestRandomPolicyConvergesSlower(t *testing.T) {
-	at := func(policy ordering.Policy) float64 {
-		cfg := baseOrderingConfig()
-		cfg.Policy = policy
-		res, err := Run(cfg, 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last, _ := res.SDM.Last()
-		return last.Value
-	}
-	random := at(ordering.SelectRandom)
-	jk := at(ordering.SelectRandomMisplaced)
-	if random < jk {
-		t.Errorf("pure-random partner selection (%v) beat JK (%v); expected slower", random, jk)
 	}
 }
 

@@ -70,7 +70,6 @@ func (e *Engine) MemReport() MemReport {
 		sliceBytes(e.memTarget, int32(0)) +
 		sliceBytes(e.reqStore, view.Entry{}) +
 		sliceBytes(e.reqLen, int32(0)) +
-		sliceBytes(e.selfSnap, view.Entry{}) +
 		sliceBytes(e.initHead, int32(0)) +
 		sliceBytes(e.initPos, int32(0)) +
 		sliceBytes(e.initList, int32(0)) +

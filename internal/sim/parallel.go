@@ -25,16 +25,15 @@ import (
 //     exact and commutative — and reduce over per-worker fields.
 
 // simWorker is one worker's scratch block: a private rejection sampler
-// for the oracle round, merge/reply/tick scratch for the compute and
-// commit phases (shared across every node the worker drives, so a
-// million value-stored nodes don't each grow private buffers), and
-// integer partial tallies for the reduce steps.
+// for the oracle round, merge/tick scratch for the compute and commit
+// phases (shared across every node the worker drives, so a million
+// value-stored nodes don't each grow private buffers), and integer
+// partial tallies for the reduce steps.
 type simWorker struct {
-	sampler  sampler
-	merge    view.MergeScratch
-	replyBuf []view.Entry
-	oscr     ordering.Scratch
-	rscr     ranking.Scratch
+	sampler sampler
+	merge   view.MergeScratch
+	oscr    ordering.Scratch
+	rscr    ranking.Scratch
 	// stream holds the current node's derived RNG stream. Compute phases
 	// pass it to protocol code through the core.RNG interface; parking it
 	// here instead of in a loop-local keeps the interface conversion from

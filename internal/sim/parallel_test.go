@@ -63,10 +63,10 @@ func invarianceConfigs() map[string]Config {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
 			Policy: ordering.SelectMaxGain, AttrDist: dist.Zipf{S: 1, N: 8}, Seed: 18, RecordGDM: true,
 		},
-		"ordering/jk/newscast/halfconc": {
+		"ordering/jk/cyclon/halfconc": {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
-			Policy: ordering.SelectRandomMisplaced, Membership: NewscastViews,
-			Concurrency: 0.5, AttrDist: attr, Seed: 12,
+			Policy: ordering.SelectRandomMisplaced, Concurrency: 0.5,
+			AttrDist: attr, Seed: 12,
 		},
 		"ordering/modjk/fullconc/stale/churn": {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,

@@ -21,7 +21,7 @@ import "github.com/gossipkit/slicing/internal/core"
 // Stream phases: draws made in different phases of the same cycle must
 // not replay each other, so the phase participates in stream derivation.
 const (
-	phaseMembership uint64 = 1 // view-exchange partner selection, oracle re-draws
+	phaseMembership uint64 = 1 // uniform-oracle view re-draws
 	phaseProtocol   uint64 = 2 // overlap decision + slicing-step draws
 )
 

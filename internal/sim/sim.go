@@ -33,10 +33,10 @@
 // hot-path lookup — message delivery, state reads, snapshots, sampling,
 // measurement — is a bounds check and a slice index: no hashing, no
 // pointer chasing, no interface dispatch (the engine calls the concrete
-// ordering/ranking APIs and inlines the Cyclon/Newscast exchange
-// semantics over the arena directly). Churn is O(1) amortized per node:
-// leavers are swap-deleted (the vacating view is rebound onto the freed
-// arena block), and the attribute-ordered membership is maintained
+// ordering/ranking APIs and inlines the Cyclon exchange semantics over
+// the arena directly). Churn is O(1) amortized per node: leavers are
+// swap-deleted (the vacating view is rebound onto the freed arena
+// block), and the attribute-ordered membership is maintained
 // incrementally by a single merge pass per churn event. The engine
 // scales to populations of 10⁶ nodes; see the scale-* scenario family,
 // BenchmarkEngineScaling, and MemReport for the bytes/node budget.
@@ -120,8 +120,6 @@ type MembershipKind int
 const (
 	// CyclonViews is the Cyclon variant of §4.3.2 (the paper's default).
 	CyclonViews MembershipKind = iota + 1
-	// NewscastViews is the Newscast-like substrate (original JK).
-	NewscastViews
 	// UniformOracle re-draws views uniformly at random every cycle
 	// (§5.3.2's idealized sampler).
 	UniformOracle
@@ -132,8 +130,6 @@ func (k MembershipKind) String() string {
 	switch k {
 	case CyclonViews:
 		return "cyclon"
-	case NewscastViews:
-		return "newscast"
 	case UniformOracle:
 		return "uniform"
 	default:
@@ -313,11 +309,6 @@ type Engine struct {
 	// the fault plane's setAttrAt).
 	rs    []float64
 	attrs []core.Attr
-	// newscast resolves the membership substrate's exchange semantics
-	// once: partner = random (vs oldest), replies advertise self, merges
-	// keep the freshest duplicate. The oracle substrate bypasses
-	// exchanges entirely (oracleRound).
-	newscast bool
 
 	// slots maps core.ID → arena slot. IDs are assigned sequentially
 	// from 1, so the table is indexed directly by ID — an ID lookup is a
@@ -404,13 +395,11 @@ type Engine struct {
 	// per-initiator payload windows (strided ViewSize+1 per slot — a
 	// window carries the initiator's request on the way in and, once the
 	// target has absorbed it, is reused for that initiator's reply on
-	// the way back), per-slot self entries, and the counting-sorted
-	// per-target initiator lists that give the commit its deterministic
-	// order.
+	// the way back), and the counting-sorted per-target initiator lists
+	// that give the commit its deterministic order.
 	memTarget []int32
 	reqStore  []view.Entry
 	reqLen    []int32
-	selfSnap  []view.Entry
 	initHead  []int32
 	initPos   []int32
 	initList  []int32
@@ -477,21 +466,20 @@ func New(cfg Config) (*Engine, error) {
 		workers = 1
 	}
 	e := &Engine{
-		cfg:      cfg,
-		part:     part,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		ids:      make([]core.ID, 0, cfg.N),
-		views:    make([]*view.View, 0, cfg.N),
-		self:     make([]view.Entry, 0, cfg.N),
-		varena:   view.NewArena(cfg.ViewSize, cfg.N),
-		newscast: cfg.Membership == NewscastViews,
-		slots:    make([]int32, 1, cfg.N+1), // slot 0 is the unused ID 0
-		workers:  workers,
-		ws:       make([]simWorker, workers),
-		sdm:      metrics.Series{Name: "sdm"},
-		gdm:      metrics.Series{Name: "gdm"},
-		unsucc:   metrics.Series{Name: "unsuccessful%"},
-		size:     metrics.Series{Name: "n"},
+		cfg:     cfg,
+		part:    part,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		ids:     make([]core.ID, 0, cfg.N),
+		views:   make([]*view.View, 0, cfg.N),
+		self:    make([]view.Entry, 0, cfg.N),
+		varena:  view.NewArena(cfg.ViewSize, cfg.N),
+		slots:   make([]int32, 1, cfg.N+1), // slot 0 is the unused ID 0
+		workers: workers,
+		ws:      make([]simWorker, workers),
+		sdm:     metrics.Series{Name: "sdm"},
+		gdm:     metrics.Series{Name: "gdm"},
+		unsucc:  metrics.Series{Name: "unsuccessful%"},
+		size:    metrics.Series{Name: "n"},
 
 		pollution: metrics.Series{Name: "pollution"},
 		faults:    fault.NewApplier(cfg.Faults, cfg.Seed, part),
@@ -628,8 +616,8 @@ func (e *Engine) addNode(attr core.Attr) error {
 // per cycle for uniform-oracle runs (before the membership phase, so
 // oracle draws see coordinates at most one phase old — exactly what a
 // fresh gossip entry would carry) and once per joining churn event
-// (before bootstrap views are sampled). Cyclon and Newscast exchanges
-// read the live node state directly and never consume the cache. Each
+// (before bootstrap views are sampled). Cyclon exchanges read the live
+// node state directly and never consume the cache. Each
 // slot is written by exactly one worker, so the pass parallelizes
 // trivially.
 func (e *Engine) refreshSelfEntries() {

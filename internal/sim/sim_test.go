@@ -416,25 +416,11 @@ func TestChurnDropsMessagesToDeparted(t *testing.T) {
 func TestStringerCoverage(t *testing.T) {
 	kinds := []interface{ String() string }{
 		Ordering, Ranking, ProtocolKind(0),
-		CyclonViews, NewscastViews, UniformOracle, MembershipKind(0),
+		CyclonViews, UniformOracle, MembershipKind(0),
 	}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("%T has empty String()", k)
 		}
-	}
-}
-
-func TestNewscastSubstrateRuns(t *testing.T) {
-	cfg := baseOrderingConfig()
-	cfg.Membership = NewscastViews
-	res, err := Run(cfg, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, _ := res.SDM.At(0)
-	end, _ := res.SDM.Last()
-	if end.Value >= start {
-		t.Errorf("no convergence on newscast substrate: %v → %v", start, end.Value)
 	}
 }

@@ -140,33 +140,30 @@ func (e *Engine) removeNode(id core.ID) {
 	e.faults.Forget(id)
 }
 
-// exchangeRound is the membership phase for the gossiping substrates
-// (Cyclon, Newscast), restructured from the serial permutation walk
-// into compute/commit rounds. The exchange semantics are inlined over
-// the arena: Cyclon ages the view and gossips with the oldest entry,
-// merging with keep-known-duplicate semantics; Newscast gossips with a
-// uniformly random entry, advertises itself in replies, and merges with
-// keep-freshest-duplicate semantics. Both drop the partner's entry on a
-// timed-out exchange (§3.3).
+// exchangeRound is the membership phase for the Cyclon substrate,
+// restructured from the serial permutation walk into compute/commit
+// rounds. The exchange semantics are inlined over the arena: every node
+// ages its view, gossips with its oldest entry and merges with
+// keep-known-duplicate semantics; a timed-out exchange drops the
+// partner's entry (§3.3).
 //
 // Compute (parallel over slots): every node ages its view and selects
-// its partner on its own per-cycle stream — each node touches only its
-// own state — then its request payload (post-age view plus a fresh self
-// entry) is frozen into a flat engine buffer. Requests to departed
-// partners time out here (the initiator drops the stale entry and skips
-// its exchange, exactly as in the serial engine).
+// its oldest entry as partner — each node touches only its own state —
+// then its request payload (post-age view plus a fresh self entry) is
+// frozen into a flat engine buffer. Requests to departed partners time
+// out here (the initiator drops the stale entry and skips its exchange,
+// exactly as in the serial engine).
 //
 // Commit half A (parallel over view OWNERS): each target absorbs one
 // frozen request per initiator that selected it, in ascending
-// initiator-slot order, and just before absorbing each request it
-// materializes that initiator's reply from its LIVE view — so when
-// several initiators fan in on one target in the same cycle, each gets
-// a different reply, exactly as the serial walk produced. (Serving all
-// of them the same frozen view instead measurably homogenizes views —
-// clusters of nodes end up holding near-identical neighbor sets, which
-// starves the ranking estimator of sample diversity and stalls its
-// convergence.) The reply is staged in a worker-local buffer and then
-// written over the initiator's request window — the request is dead
+// initiator-slot order, and in the same merge captures that initiator's
+// reply from its LIVE pre-merge view — so when several initiators fan in
+// on one target in the same cycle, each gets a different reply, exactly
+// as the serial walk produced. (Serving all of them the same frozen view
+// instead measurably homogenizes views — clusters of nodes end up
+// holding near-identical neighbor sets, which starves the ranking
+// estimator of sample diversity and stalls its convergence.) The reply
+// is written over the initiator's request window — the request is dead
 // once absorbed, so the round needs one flat payload store, not two.
 // Every initiator has exactly one target, so no two workers ever write
 // the same window.
@@ -193,32 +190,18 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 	e.memTarget = grow(e.memTarget, n)
 	e.reqLen = grow(e.reqLen, n)
 	e.reqStore = grow(e.reqStore, n*stride)
-	if e.newscast {
-		// Only Newscast replies advertise the responder itself.
-		e.selfSnap = grow(e.selfSnap, n)
-	}
 	for i := range e.ws {
 		e.ws[i].dropped, e.ws[i].partDrops, e.ws[i].chaosDrops = 0, 0, 0
 	}
-	seed, cycle := e.cfg.Seed, uint64(e.cycle)
-	newscast, isOrdering := e.newscast, e.ons != nil
+	isOrdering := e.ons != nil
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
 			id := e.ids[s]
 			v := e.views[s]
-			ws.stream = nodeStream(seed, uint64(id), cycle, phaseMembership)
-			st := &ws.stream
-			var pen view.Entry
-			var pok bool
-			if newscast {
-				v.AgeAll()
-				pen, pok = v.Random(st)
-			} else {
-				// Cyclon always picks the oldest entry right after aging:
-				// one fused read-modify pass instead of two view walks.
-				pen, pok = v.AgeAllOldest()
-			}
+			// Cyclon always picks the oldest entry right after aging: one
+			// fused read-modify pass instead of two view walks.
+			pen, pok := v.AgeAllOldest()
 			tgt := int32(-1)
 			if pok {
 				if ts, live := e.slotOf(pen.ID); live {
@@ -253,9 +236,6 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 				self = view.Entry{ID: id, Attr: e.attrs[s], R: e.rs[s]}
 			} else {
 				self = e.rns[s].SelfEntry()
-			}
-			if newscast {
-				e.selfSnap[s] = self
 			}
 			off := s * stride
 			req := append(v.AppendEntries(e.reqStore[off:off:off+stride]), self)
@@ -300,12 +280,10 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 	pc.split()
 
 	// Commit half A: targets reply and absorb, in initiator-slot order.
-	// The Cyclon fast path fuses the reply capture into the merge itself
-	// (MergeReply): the absorbed request's window is rewritten with the
-	// target's pre-merge entries in the same kernel, so each commit
-	// touches the arena block once and the reply needs no staging copy.
-	// Newscast keeps the two-step path: its keep-freshest merge mutates
-	// existing entries, so the reply must be captured before merging.
+	// MergeReply fuses the reply capture into the merge itself: the
+	// absorbed request's window is rewritten with the target's pre-merge
+	// entries in the same kernel, so each commit touches the arena block
+	// once and the reply needs no staging copy.
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		// g walks the worker's span of initList globally, one step per
@@ -333,16 +311,7 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 				s := int(s32)
 				off := s * stride
 				req := e.reqStore[off : off+int(e.reqLen[s])]
-				if !newscast {
-					e.reqLen[s] = int32(v.MergeReply(req, tid, &ws.merge, e.reqStore[off:off+stride]))
-					continue
-				}
-				reply := append(v.AppendEntries(ws.replyBuf[:0]), e.selfSnap[t])
-				v.MergeFreshUsing(req, tid, &ws.merge)
-				// The request is absorbed; its window now carries the
-				// reply back to initiator s (len(reply) ≤ stride always).
-				e.reqLen[s] = int32(copy(e.reqStore[off:off+stride], reply))
-				ws.replyBuf = reply[:0]
+				e.reqLen[s] = int32(v.MergeReply(req, tid, &ws.merge, e.reqStore[off:off+stride]))
 			}
 		}
 	})
@@ -356,11 +325,7 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			}
 			off := s * stride
 			reply := e.reqStore[off : off+int(e.reqLen[s])]
-			if newscast {
-				e.views[s].MergeFreshUsing(reply, e.ids[s], &ws.merge)
-			} else {
-				e.views[s].MergeCompact(reply, e.ids[s], &ws.merge)
-			}
+			e.views[s].MergeCompact(reply, e.ids[s], &ws.merge)
 		}
 	})
 }

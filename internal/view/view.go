@@ -277,7 +277,9 @@ func (v *View) Oldest() (Entry, bool) {
 	return v.entries[best], true
 }
 
-// Random returns a uniformly random entry.
+// Random returns a uniformly random entry. Its one caller is
+// membership.Newscast, kept only for the benchmark's
+// membership.newscast_exchange_ns row; it goes with that row.
 func (v *View) Random(rng core.RNG) (Entry, bool) {
 	if len(v.entries) == 0 {
 		return Entry{}, false
@@ -421,6 +423,8 @@ func (v *View) MergeUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 // MergeFreshUsing incorporates entries keeping, for duplicated IDs, the
 // entry with the smaller age (Newscast-style freshest-wins), then trims
 // to the freshest capacity entries — on scratch storage, like MergeUsing.
+// Only membership.Newscast and the benchmark's
+// membership.newscast_exchange_ns row reach it; it goes with that row.
 func (v *View) MergeFreshUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 	work := append(scr.work[:0], v.entries...)
 	wids := append(scr.wids[:0], v.ids...)

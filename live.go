@@ -65,17 +65,13 @@ const (
 	JitterNone = runtime.JitterNone
 )
 
-// Live protocol and membership kinds (runtime flavors of the simulation
-// constants).
+// Live protocol kinds (runtime flavors of the simulation constants).
+// A live node always gossips over the Cyclon variant of §4.3.2.
 const (
 	// LiveOrdering runs JK / mod-JK on a live node.
 	LiveOrdering = runtime.Ordering
 	// LiveRanking runs the ranking protocol on a live node.
 	LiveRanking = runtime.Ranking
-	// LiveCyclon selects the Cyclon-variant substrate.
-	LiveCyclon = runtime.CyclonViews
-	// LiveNewscast selects the Newscast-like substrate.
-	LiveNewscast = runtime.NewscastViews
 )
 
 // NewNode builds a live node; call Start to begin gossiping.

@@ -42,8 +42,6 @@ const (
 const (
 	// CyclonViews is the Cyclon variant of §4.3.2 (default).
 	CyclonViews = sim.CyclonViews
-	// NewscastViews is the Newscast-like substrate.
-	NewscastViews = sim.NewscastViews
 	// UniformOracle re-draws views uniformly at random every cycle.
 	UniformOracle = sim.UniformOracle
 )
@@ -63,8 +61,6 @@ const (
 	// ModJK picks the misplaced neighbor with the maximal local
 	// disorder gain (the paper's contribution).
 	ModJK = ordering.SelectMaxGain
-	// RandomPartner picks any random neighbor (ablation baseline).
-	RandomPartner = ordering.SelectRandom
 )
 
 // Attribute distributions for SimConfig.AttrDist. Every concrete source

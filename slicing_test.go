@@ -38,7 +38,6 @@ func TestPublicOrderingPolicies(t *testing.T) {
 	policies := map[string]slicing.SimConfig{
 		"jk":      {Policy: slicing.JK},
 		"mod-jk":  {Policy: slicing.ModJK},
-		"random":  {Policy: slicing.RandomPartner},
 		"default": {},
 	}
 	for name, overlay := range policies {
