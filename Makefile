@@ -106,6 +106,13 @@ RAND_FILES = internal/churn/churn.go internal/dist/continuous.go internal/dist/d
 # oracles that only tests call; nothing new joins the list.
 UNREF_FUNCS = BinomialTail EvenSplitAsymptotic ExactEvenSplitProbability NormalizedRanks \
 	ParseExposition SDMSorted
+# The same ratchet over exported methods under internal/, by name: a
+# method whose name no non-test file uses outside its declarations
+# fails. UNREF_METHODS lists the survivors: interface implementations
+# (MarshalJSON, UnmarshalJSON, Swap), the test oracle LDM, and leads
+# still to audit; nothing new joins the list.
+UNREF_METHODS = MarshalJSON UnmarshalJSON Swap LDM Has IDs Clear Oldest Stride SetR \
+	Boundaries Of Valid SweepGrid
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
@@ -117,6 +124,11 @@ lint:
 		echo "$$src" | grep -vE "^func $$f[[(]" | grep -qw "$$f" || out="$$out $$f"; done; \
 	out=$$(echo $$out | tr ' ' '\n' | grep -vxF -e '' $(addprefix -e ,$(UNREF_FUNCS))); if [ -n "$$out" ]; then \
 		echo "exported funcs under internal/ that no non-test file calls:" >&2; echo "$$out" >&2; exit 1; fi
+	@src=$$(find . -name '*.go' ! -name '*_test.go' -exec sed 's|//.*||' {} +); out=; \
+	for f in $$(find internal -name '*.go' ! -name '*_test.go' -exec sed -nE 's/^func \([^)]*\) ([A-Z][A-Za-z0-9_]*)[[(].*/\1/p' {} + | sort -u); do \
+		echo "$$src" | grep -vE "^func (\([^)]*\) )?$$f[[(]" | grep -qw "$$f" || out="$$out $$f"; done; \
+	out=$$(echo $$out | tr ' ' '\n' | grep -vxF -e '' $(addprefix -e ,$(UNREF_METHODS))); if [ -n "$$out" ]; then \
+		echo "exported methods under internal/ that no non-test file calls:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...

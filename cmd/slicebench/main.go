@@ -423,11 +423,7 @@ func fmtBytes(b int64) string {
 // metrics scrape plus trace dump.
 func serveDebug(addr string, inst scenario.Instrumentation) (net.Listener, error) {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", inst.Telemetry.Handler())
-	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = inst.Trace.WriteJSON(w)
-	})
+	telemetry.MountDiagnostics(mux, inst.Telemetry, inst.Trace, false)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

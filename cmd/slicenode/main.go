@@ -49,7 +49,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -272,15 +271,30 @@ func run(args []string) error {
 	}
 	defer tr.Close()
 
+	// The node always carries its observability plane: a metrics
+	// registry and a protocol trace ring. They cost nothing until
+	// scraped, and -serve / -debug-addr expose them over HTTP.
+	reg := slicing.NewTelemetry()
+	ring := slicing.NewTraceRing(0)
 	cfg := slicing.NodeConfig{
-		ID:        slicing.ID(set.id),
-		Attr:      slicing.Attr(set.attr),
-		Partition: part,
-		ViewSize:  set.view,
-		Seed:      set.seed,
-		Bootstrap: bootstrap,
-		Transport: tr,
+		ID:         slicing.ID(set.id),
+		Attr:       slicing.Attr(set.attr),
+		Partition:  part,
+		ViewSize:   set.view,
+		Seed:       set.seed,
+		Bootstrap:  bootstrap,
+		Transport:  tr,
+		Period:     set.period,
+		JitterFrac: set.jitter,
+		Telemetry:  reg,
+		Trace:      ring,
 	}
+	// A zero JitterFrac field means DefaultJitterFrac; a configured
+	// live.jitterFrac of 0 means strictly periodic gossip.
+	if set.jitter == 0 {
+		cfg.JitterFrac = slicing.JitterNone
+	}
+	cal := slicing.RankingServingCalibration
 	switch set.protocol {
 	case "ranking":
 		cfg.Protocol = slicing.LiveRanking
@@ -295,43 +309,50 @@ func run(args []string) error {
 		}
 	case "ordering":
 		cfg.Protocol = slicing.LiveOrdering
+		cal = slicing.OrderingServingCalibration
 	default:
 		return fmt.Errorf("unknown protocol %q", set.protocol)
 	}
 
-	// The node always carries its observability plane: a metrics
-	// registry and a protocol trace ring. They cost nothing until
-	// scraped, and -serve / -debug-addr expose them over HTTP.
-	reg := slicing.NewTelemetry()
-	ring := slicing.NewTraceRing(0)
-	opts := []slicing.Option{
-		slicing.WithPeriod(set.period),
-		slicing.WithJitter(set.jitter),
-		slicing.WithTelemetry(reg),
-		slicing.WithTrace(ring),
-		slicing.WithDebug(),
-	}
-	if set.serve != "" {
-		opts = append(opts, slicing.WithServe(set.serve))
-	}
-	node, err := slicing.NewNodeWith(cfg, opts...)
+	node, err := slicing.NewNode(cfg)
 	if err != nil {
 		return err
 	}
 	if err := node.Start(); err != nil {
 		return err
 	}
+	var srv *slicing.QueryServer
+	if set.serve != "" {
+		srv = slicing.NewQueryServer(slicing.NewNodeQuerier(node, cal), slicing.ServeOptions{
+			Addr: set.serve, Telemetry: reg, Trace: ring, Debug: true,
+		})
+		if err := srv.Start(); err != nil {
+			node.Stop()
+			return err
+		}
+	}
+	// Departure order matters: drain the query plane (finish in-flight
+	// answers, end streams), then stop gossiping — to peers this is an
+	// ordinary crash-style churn event.
+	shutdown := func() error {
+		var err error
+		if srv != nil {
+			err = srv.Shutdown(context.Background())
+		}
+		node.Stop()
+		return err
+	}
 	logger.Info("node started",
 		"id", set.id, "addr", tr.Addr(), "attr", set.attr,
 		"protocol", set.protocol, "slices", set.slices)
-	if addr := node.ServeAddr(); addr != "" {
-		logger.Info("serving slice queries", "url", "http://"+addr,
+	if srv != nil {
+		logger.Info("serving slice queries", "url", "http://"+srv.Addr(),
 			"endpoints", "/slice /topk /snapshot /watch /healthz /metrics /debug/trace /debug/pprof/")
 	}
 	if set.debugAddr != "" {
 		dbg, err := startDebugServer(set.debugAddr, reg, ring)
 		if err != nil {
-			node.Close(context.Background())
+			_ = shutdown() // the listen error is the one to report
 			return err
 		}
 		defer dbg.Close()
@@ -346,11 +367,8 @@ func run(args []string) error {
 	for {
 		select {
 		case <-sig:
-			// Departure order matters: drain the query plane (finish
-			// in-flight answers, end streams), then stop gossiping —
-			// to peers this is an ordinary crash-style churn event.
 			logger.Info("draining and shutting down")
-			return node.Close(context.Background())
+			return shutdown()
 		case <-ticker.C:
 			st := node.Status()
 			logger.Info("status",
@@ -364,16 +382,7 @@ func run(args []string) error {
 // non-serving case: metrics scrape, trace dump and pprof, nothing else.
 func startDebugServer(addr string, reg *slicing.Telemetry, ring *slicing.TraceRing) (net.Listener, error) {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = ring.WriteJSON(w)
-	})
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	telemetry.MountDiagnostics(mux, reg, ring, true)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -148,10 +148,11 @@
 // (SliceOf), "who is in the top k%?" (TopK), and point-in-time
 // Snapshots from a node's purely local estimate — no global view is
 // ever assembled — and streams slice-boundary crossings via
-// WatchBoundary. Three implementations exist: NewNodeQuerier (one live
-// node), NewClusterQuerier (round-robin over a cluster), and
-// NewSimQuerier (oracle-grade answers from a simulation engine, used to
-// validate the live path). Every answer carries a Staleness block
+// WatchBoundary. Two queriers share one answer builder: the live
+// ClusterQuerier (NewClusterQuerier, round-robin over a cluster; its
+// one-node case is NewNodeQuerier) and NewSimQuerier (oracle-grade
+// answers from a simulation engine, used to validate the live path).
+// Every answer carries a Staleness block
 // combining the Theorem 5.1 Wald confidence interval on the node's rank
 // estimate with a calibrated residual disorder floor (inflated while
 // the protocol is still warming up), so callers can tell a converged
@@ -166,7 +167,10 @@
 // /snapshot, /healthz, and an SSE stream at /watch — and its Shutdown
 // drains in-flight requests and open streams before returning; a node
 // leaving the serving plane is an ordinary churn event to the protocol.
-// cmd/slicenode mounts this with its -serve flag, and the benchmark's
+// Serving is explicit composition — build the node or cluster, wrap it
+// in a querier, mount that on NewQueryServer, Start both, and Shutdown
+// the server before stopping gossip; cmd/slicenode does exactly this
+// with its -serve flag, and the benchmark's
 // serve-mixed-1k workload load-tests it (throughput, latency and the
 // staleness bounds the answers carried).
 //
@@ -174,10 +178,11 @@
 //
 // Every layer reports into an optional, stdlib-only telemetry plane.
 // NewTelemetry builds a metrics Registry (atomic counters, gauges and
-// fixed-bucket histograms with a Prometheus text-format HTTP handler
-// and expvar mirroring); WithTelemetry attaches it to a node or
-// cluster, SimConfig.Telemetry to a simulation, and ServeOptions.
-// Telemetry to a query server, which then mounts GET /metrics.
+// fixed-bucket histograms with a Prometheus text-format HTTP handler);
+// NodeConfig.Telemetry or ClusterConfig.Telemetry attaches it to a node
+// or cluster, SimConfig.Telemetry to a simulation, and
+// ServeOptions.Telemetry to a query server, which then mounts GET
+// /metrics.
 // Metric families cover the scheduler (queue depth, timer lag,
 // delivered/dropped messages, delivery latency, churn), the per-node
 // protocol state (rank estimate, slice, view length, sends), the
@@ -189,9 +194,10 @@
 //
 // NewTraceRing builds a fixed-capacity ring of protocol decision events
 // (TraceViewExchange, TraceSwapApplied, TraceBoundaryCross,
-// TraceRankUpdate, …); WithTrace shares one ring across a cluster's
-// nodes and a served node dumps it as JSON at GET /debug/trace.
-// WithDebug mounts net/http/pprof on the same mux. Diagnostics in the
+// TraceRankUpdate, …); ClusterConfig.Trace shares one ring across a
+// cluster's nodes, and a query server given it as ServeOptions.Trace
+// dumps it as JSON at GET /debug/trace. ServeOptions.Debug mounts
+// net/http/pprof on the same mux. Diagnostics in the
 // binaries flow through log/slog behind shared -log-level/-log-format
 // flags.
 //
@@ -201,10 +207,9 @@
 // sections, one file per section: slicing.go (the §3 domain model),
 // simulate.go (the cycle engine), live.go (the runtime and transports),
 // scenarios.go (the declarative catalog), serve.go (the query plane),
-// options.go (functional options: WithPeriod, WithJitter, WithServe,
-// and the ServedNode/ServedCluster wrappers returned by NewNodeWith and
-// NewClusterWith), and analytic.go (the Lemma 4.1 / Theorem 5.1 closed
-// forms). The exported surface is locked additive-only by a golden test
+// telemetry.go (metrics and protocol traces) and analytic.go (the
+// Lemma 4.1 / Theorem 5.1 closed forms). Configuration has one path:
+// the NodeConfig, ClusterConfig and ServeOptions structs. The exported surface is locked additive-only by a golden test
 // (api_surface_test.go): removing or re-typing an identifier fails the
 // build's test gate, and deliberate surface changes are blessed with
 // `go test -run TestAPISurface -update`.

@@ -1,10 +1,11 @@
 package slicing_test
 
-// CI's observability smoke: a served, instrumented cluster is stood up
-// through the public facade alone, driven in virtual time, and its
-// diagnostics are scraped over real HTTP — /metrics must parse as
-// valid Prometheus text format and carry every golden live-plane
-// metric family, and /debug/trace must dump recorded protocol events.
+// CI's observability smoke: a served, instrumented cluster is composed
+// through the public facade alone (NewCluster, NewClusterQuerier,
+// NewQueryServer), driven in virtual time, and its diagnostics are
+// scraped over real HTTP — /metrics must parse as valid Prometheus text
+// format and carry every golden live-plane metric family, and
+// /debug/trace must dump recorded protocol events.
 // The ci.yml "observability smoke" step runs exactly this test.
 
 import (
@@ -27,30 +28,41 @@ func TestMetricsEndToEnd(t *testing.T) {
 	clock := slicing.NewVirtualClock()
 	reg := slicing.NewTelemetry()
 	ring := slicing.NewTraceRing(0)
-	cluster, err := slicing.NewClusterWith(slicing.ClusterConfig{
+	cluster, err := slicing.NewCluster(slicing.ClusterConfig{
 		N: 32, Partition: part, ViewSize: 8,
-		Protocol: slicing.LiveRanking,
-		AttrDist: slicing.UniformDist{Lo: 0, Hi: 100},
-		Seed:     3,
-		Clock:    clock,
-	},
-		slicing.WithPeriod(servePeriod),
-		slicing.WithServe("127.0.0.1:0"),
-		slicing.WithTelemetry(reg),
-		slicing.WithTrace(ring),
-		slicing.WithDebug(),
-	)
+		Protocol:  slicing.LiveRanking,
+		AttrDist:  slicing.UniformDist{Lo: 0, Hi: 100},
+		Seed:      3,
+		Clock:     clock,
+		Period:    servePeriod,
+		Telemetry: reg,
+		Trace:     ring,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close(context.Background())
+	q, err := slicing.NewClusterQuerier(cluster, slicing.RankingServingCalibration)
+	if err != nil {
+		cluster.Stop()
+		t.Fatal(err)
+	}
+	srv := slicing.NewQueryServer(q, slicing.ServeOptions{
+		Addr: "127.0.0.1:0", Telemetry: reg, Trace: ring, Debug: true,
+	})
+	defer func() {
+		_ = srv.Shutdown(context.Background())
+		cluster.Stop()
+	}()
 	if err := cluster.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := cluster.Advance(10 * servePeriod); err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + cluster.ServeAddr()
+	base := "http://" + srv.Addr()
 
 	// /metrics: valid exposition carrying every golden live-plane family.
 	resp, err := http.Get(base + "/metrics")
@@ -99,7 +111,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("trace dump is empty after 10 gossip periods: total=%d events=%d", dump.Total, len(dump.Events))
 	}
 
-	// /debug/pprof mounted via WithDebug.
+	// /debug/pprof mounted via ServeOptions.Debug.
 	resp3, err := http.Get(base + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,106 @@ import (
 	"math"
 	"sort"
 
+	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/view"
 )
+
+// evidence is everything one answer is built from: the answering
+// node's own state, the anchors and candidate members of its local
+// estimate, and the convergence counters behind its staleness bound.
+// The live querier fills it from one Status and one ViewEntries call
+// per query; SimQuerier from its Refresh snapshot. sliceOf, topK and
+// snapshot below are the only answer builders of the plane.
+type evidence struct {
+	pts []anchor // the interpolation table (see anchorsFrom)
+	// The answering node's identity, attribute, rank estimate, believed
+	// slice and view length.
+	id             core.ID
+	attr, rank     float64
+	slice, viewLen int
+	// members are the top-k candidates; placeholders and id are skipped.
+	members []view.Entry
+	// The convergence counters the staleness bound is computed from.
+	ticks, samples, recvGap int
+}
+
+// staleness derives the bound of an answer at rank whose distance to
+// the nearest slice boundary is boundaryDist, running both health
+// detectors: the warmup grace inside Calibration.staleness and the
+// receive-starvation detector on top.
+func (ev *evidence) staleness(cal Calibration, rank, boundaryDist float64) Staleness {
+	return cal.starve(cal.staleness(ev.ticks, ev.samples, len(ev.pts), rank, boundaryDist), ev.recvGap)
+}
+
+// badAttr reports a query attribute SliceOf rejects with ErrBadAttr.
+func badAttr(attr float64) bool { return math.IsNaN(attr) || math.IsInf(attr, 0) }
+
+// badFrac reports a top-k fraction TopK rejects with ErrBadFrac.
+func badFrac(frac float64) bool { return math.IsNaN(frac) || frac <= 0 || frac > 1 }
+
+// sliceOf answers "which slice is attr in?" from ev.
+func sliceOf(ev *evidence, part core.Partition, cal Calibration, attr float64) (SliceAnswer, error) {
+	if len(ev.pts) == 0 {
+		return SliceAnswer{}, ErrNoEvidence
+	}
+	rank := rankAt(ev.pts, attr)
+	ix := part.Index(rank)
+	sl := part.Slice(ix)
+	return SliceAnswer{
+		Attr:      attr,
+		Rank:      rank,
+		SliceIx:   ix,
+		Low:       sl.Low,
+		High:      sl.High,
+		Node:      ev.id,
+		Staleness: ev.staleness(cal, rank, part.BoundaryDistance(rank)),
+	}, nil
+}
+
+// topK answers "who is in the top frac?" from ev: the answering node
+// itself when its rank clears the cut, then every candidate that does.
+func topK(ev *evidence, cal Calibration, frac float64) (TopKAnswer, error) {
+	if len(ev.pts) == 0 {
+		return TopKAnswer{}, ErrNoEvidence
+	}
+	cut := 1 - frac
+	ans := TopKAnswer{
+		Frac:          frac,
+		AttrThreshold: attrAt(ev.pts, cut),
+		SelfIncluded:  ev.rank >= cut,
+		Node:          ev.id,
+		Staleness:     ev.staleness(cal, cut, frac),
+	}
+	if ans.SelfIncluded {
+		ans.Members = append(ans.Members, TopKMember{ID: ev.id, Attr: ev.attr, Rank: ev.rank})
+	}
+	for _, e := range ev.members {
+		if e.Placeholder() || e.R < cut || e.ID == ev.id {
+			continue
+		}
+		ans.Members = append(ans.Members, TopKMember{ID: e.ID, Attr: float64(e.Attr), Rank: e.R})
+	}
+	sortMembers(ans.Members)
+	return ans, nil
+}
+
+// snapshot reports the answering node's own state from ev.
+func snapshot(ev *evidence, part core.Partition, cal Calibration) (Snapshot, error) {
+	if len(ev.pts) == 0 {
+		return Snapshot{}, ErrNoEvidence
+	}
+	sl := part.Slice(ev.slice)
+	return Snapshot{
+		Node:      ev.id,
+		Attr:      ev.attr,
+		Rank:      ev.rank,
+		SliceIx:   ev.slice,
+		Low:       sl.Low,
+		High:      sl.High,
+		ViewLen:   ev.viewLen,
+		Staleness: ev.staleness(cal, ev.rank, part.BoundaryDistance(ev.rank)),
+	}, nil
+}
 
 // anchor is one (attribute, normalized-rank) point of the local rank
 // interpolation: a view entry's attribute and coordinate, or the node's

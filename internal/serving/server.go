@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -112,7 +111,7 @@ func newServeTel(reg *telemetry.Registry, endpoints []string) *serveTel {
 // Every answer carries its Staleness block; errors are JSON
 // {"error":"..."} with 400 for bad parameters and 503 while the backend
 // has no evidence yet. The server is engine-agnostic: mount any
-// SliceQuerier (live node, live cluster, or simulator).
+// SliceQuerier (live nodes or simulator).
 type Server struct {
 	q        SliceQuerier
 	opts     Options
@@ -148,19 +147,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /snapshot", s.instrument("/snapshot", s.handleSnapshot))
 	mux.HandleFunc("GET /watch", s.instrument("/watch", s.handleWatch))
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	if s.opts.Telemetry != nil {
-		mux.Handle("GET /metrics", s.opts.Telemetry.Handler())
-	}
-	if s.opts.Trace != nil {
-		mux.HandleFunc("GET /debug/trace", s.handleTrace)
-	}
-	if s.opts.Debug {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
+	telemetry.MountDiagnostics(mux, s.opts.Telemetry, s.opts.Trace, s.opts.Debug)
 	return mux
 }
 
@@ -395,13 +382,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		base["state"] = "ok"
 		writeJSON(w, http.StatusOK, base)
 	}
-}
-
-// handleTrace dumps the protocol trace ring as indented JSON.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = s.opts.Trace.WriteJSON(w)
 }
 
 // handleWatch streams boundary crossings as Server-Sent Events: one

@@ -72,11 +72,7 @@ func TestSimQuerierAnswers(t *testing.T) {
 	if len(top.Members) == 0 {
 		t.Error("TopK returned no members from a 400-node population")
 	}
-	for i := 1; i < len(top.Members); i++ {
-		if top.Members[i].Rank > top.Members[i-1].Rank {
-			t.Fatal("TopK members not sorted best-first")
-		}
-	}
+	checkTopK(t, "sim", top)
 
 	if _, err := q.SliceOf(nan()); err != ErrBadAttr {
 		t.Errorf("SliceOf(NaN) err = %v, want ErrBadAttr", err)

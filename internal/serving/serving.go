@@ -17,11 +17,13 @@
 // the benchmark catalog's measured finalSDM values (standing in for the
 // paper's §4 probabilistic guarantees).
 //
-// Three queriers implement the plane: NodeQuerier (one live node),
-// ClusterQuerier (round-robin over a live cluster — "any node can
-// answer"), and SimQuerier (the simulator backend, for tests). Server
-// mounts any SliceQuerier behind HTTP/JSON with an SSE stream for
-// boundary crossings.
+// Two queriers implement the plane over one answer builder:
+// ClusterQuerier (round-robin over live nodes — "any node can answer";
+// NewNodeQuerier is the one-node case) and SimQuerier (the simulator
+// backend, for tests). Each only reads its answering node's evidence;
+// sliceOf, topK and snapshot (estimate.go) build every answer from it.
+// Server mounts any SliceQuerier behind HTTP/JSON with an SSE stream
+// for boundary crossings.
 package serving
 
 import (
@@ -164,10 +166,9 @@ type BoundaryEvent struct {
 }
 
 // SliceQuerier answers slice queries from a local estimate. It is the
-// backend-agnostic contract of the query plane: NodeQuerier (one live
-// node), ClusterQuerier (a live cluster) and SimQuerier (the simulator)
-// all implement it, so the HTTP server and the load bench are
-// engine-agnostic.
+// backend-agnostic contract of the query plane: ClusterQuerier (live
+// nodes) and SimQuerier (the simulator) both implement it, so the HTTP
+// server and the load bench are engine-agnostic.
 //
 // Implementations are safe for concurrent use.
 type SliceQuerier interface {

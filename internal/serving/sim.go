@@ -1,23 +1,24 @@
 package serving
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/metrics"
 	"github.com/gossipkit/slicing/internal/sim"
+	"github.com/gossipkit/slicing/internal/view"
 )
 
 // SimQuerier adapts the cycle simulator to the query plane, mainly so
 // tests and scenario runs can exercise the serving contract without
-// standing up goroutines. Unlike NodeQuerier its anchors come from
-// engine.States() — the simulator's global oracle — so its answers are
-// as good as the protocol state itself, with none of the bounded-view
-// sampling error a live node adds. Treat it as the reference
-// implementation the live queriers are measured against, not as a
-// model of production accuracy.
+// standing up goroutines. Unlike the live querier its anchors and top-k
+// candidates come from engine.States() — the simulator's global oracle
+// — so its answers are as good as the protocol state itself, with none
+// of the bounded-view sampling error a live node adds. Treat it as the
+// reference the live querier is measured against, not as a model of
+// production accuracy. Its answers are built by the same functions as
+// the live querier's, from evidence read under one lock: ticks are the
+// engine cycle, samples and points the population's anchor count.
 //
 // The simulator is not safe for concurrent stepping, so the querier
 // answers from an immutable snapshot taken by Refresh (and at
@@ -26,23 +27,19 @@ import (
 // BoundaryEvents to watchers — the sim has no callback plumbing, so
 // crossings are detected by comparison.
 type SimQuerier struct {
-	cal Calibration
+	cal  Calibration
+	part core.Partition
 
 	mu       sync.Mutex
-	part     core.Partition
 	cycle    int
 	states   []metrics.NodeState
+	members  []view.Entry // states as top-k candidates
 	pts      []anchor
+	next     uint64 // round-robin answering node
 	believed map[core.ID]int
-	watchers map[int]*simWatcher
+	watchers map[int]chan BoundaryEvent // WatchBoundary subscriptions
 	nextID   int
-	next     atomic.Uint64 // round-robin answering node
-	seq      atomic.Uint64
-}
-
-// simWatcher is one WatchBoundary subscription on a SimQuerier.
-type simWatcher struct {
-	ch chan BoundaryEvent
+	seq      uint64
 }
 
 var _ SliceQuerier = (*SimQuerier)(nil)
@@ -57,7 +54,7 @@ func NewSimQuerier(e *sim.Engine, cal Calibration) *SimQuerier {
 		cal:      cal,
 		part:     e.Partition(),
 		believed: make(map[core.ID]int),
-		watchers: make(map[int]*simWatcher),
+		watchers: make(map[int]chan BoundaryEvent),
 	}
 	q.Refresh(e)
 	return q
@@ -65,14 +62,18 @@ func NewSimQuerier(e *sim.Engine, cal Calibration) *SimQuerier {
 
 // Refresh re-snapshots the engine (call it after stepping, with the
 // engine quiescent) and notifies watchers of every node whose believed
-// slice changed since the last snapshot.
+// slice changed since the last snapshot. Each snapshot is built afresh
+// and never written again, so an answer may keep reading it after the
+// lock is released.
 func (q *SimQuerier) Refresh(e *sim.Engine) {
 	states := e.States()
 	cycle := e.Cycle()
 
 	pts := make([]anchor, 0, len(states))
-	for _, st := range states {
+	members := make([]view.Entry, len(states))
+	for i, st := range states {
 		pts = append(pts, anchor{attr: float64(st.Member.Attr), rank: clamp01(st.R)})
+		members[i] = view.Entry{ID: st.Member.ID, Attr: st.Member.Attr, R: st.R}
 	}
 	pts = monotonize(pts)
 
@@ -88,111 +89,78 @@ func (q *SimQuerier) Refresh(e *sim.Engine) {
 	}
 	q.cycle = cycle
 	q.states = states
+	q.members = members
 	q.pts = pts
 	for _, ev := range crossings {
-		ev.Seq = q.seq.Add(1)
-		for _, w := range q.watchers {
+		q.seq++
+		ev.Seq = q.seq
+		for _, ch := range q.watchers {
 			select {
-			case w.ch <- ev:
+			case ch <- ev:
 			default:
 			}
 		}
 	}
 }
 
-// snapshot returns the current anchors, cycle, and the answering node
-// (round-robin across the simulated population).
-func (q *SimQuerier) snapshot() (pts []anchor, cycle int, self metrics.NodeState, ok bool) {
+// evidence reads one answer's evidence from the current snapshot under
+// one lock, the answering node taken round-robin across the simulated
+// population. An empty population yields no anchors: ErrNoEvidence.
+func (q *SimQuerier) evidence() evidence {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.states) == 0 {
-		return nil, 0, metrics.NodeState{}, false
+		return evidence{}
 	}
-	i := q.next.Add(1) - 1
-	return q.pts, q.cycle, q.states[int(i%uint64(len(q.states)))], true
+	self := q.states[int(q.next%uint64(len(q.states)))]
+	q.next++
+	return evidence{
+		pts:     q.pts,
+		id:      self.Member.ID,
+		attr:    float64(self.Member.Attr),
+		rank:    self.R,
+		slice:   self.SliceIndex,
+		viewLen: len(q.pts) - 1,
+		members: q.members,
+		ticks:   q.cycle,
+		samples: len(q.pts),
+	}
 }
 
 // SliceOf implements SliceQuerier.
 func (q *SimQuerier) SliceOf(attr float64) (SliceAnswer, error) {
-	if math.IsNaN(attr) || math.IsInf(attr, 0) {
+	if badAttr(attr) {
 		return SliceAnswer{}, ErrBadAttr
 	}
-	pts, cycle, self, ok := q.snapshot()
-	if !ok || len(pts) == 0 {
-		return SliceAnswer{}, ErrNoEvidence
-	}
-	rank := rankAt(pts, attr)
-	ix := q.part.Index(rank)
-	sl := q.part.Slice(ix)
-	return SliceAnswer{
-		Attr:      attr,
-		Rank:      rank,
-		SliceIx:   ix,
-		Low:       sl.Low,
-		High:      sl.High,
-		Node:      self.Member.ID,
-		Staleness: q.cal.staleness(cycle, len(pts), len(pts), rank, q.part.BoundaryDistance(rank)),
-	}, nil
+	ev := q.evidence()
+	return sliceOf(&ev, q.part, q.cal, attr)
 }
 
 // TopK implements SliceQuerier.
 func (q *SimQuerier) TopK(frac float64) (TopKAnswer, error) {
-	if math.IsNaN(frac) || frac <= 0 || frac > 1 {
+	if badFrac(frac) {
 		return TopKAnswer{}, ErrBadFrac
 	}
-	pts, cycle, self, ok := q.snapshot()
-	if !ok || len(pts) == 0 {
-		return TopKAnswer{}, ErrNoEvidence
-	}
-	cut := 1 - frac
-	ans := TopKAnswer{
-		Frac:          frac,
-		AttrThreshold: attrAt(pts, cut),
-		SelfIncluded:  self.R >= cut,
-		Node:          self.Member.ID,
-		Staleness:     q.cal.staleness(cycle, len(pts), len(pts), cut, frac),
-	}
-	q.mu.Lock()
-	for _, st := range q.states {
-		if st.R < cut {
-			continue
-		}
-		ans.Members = append(ans.Members, TopKMember{ID: st.Member.ID, Attr: float64(st.Member.Attr), Rank: st.R})
-	}
-	q.mu.Unlock()
-	sortMembers(ans.Members)
-	return ans, nil
+	ev := q.evidence()
+	return topK(&ev, q.cal, frac)
 }
 
 // Snapshot implements SliceQuerier.
 func (q *SimQuerier) Snapshot() (Snapshot, error) {
-	pts, cycle, self, ok := q.snapshot()
-	if !ok {
-		return Snapshot{}, ErrNoEvidence
-	}
-	sl := q.part.Slice(self.SliceIndex)
-	return Snapshot{
-		Node:      self.Member.ID,
-		Attr:      float64(self.Member.Attr),
-		Rank:      self.R,
-		SliceIx:   self.SliceIndex,
-		Low:       sl.Low,
-		High:      sl.High,
-		ViewLen:   len(pts) - 1,
-		Staleness: q.cal.staleness(cycle, len(pts), len(pts), self.R, q.part.BoundaryDistance(self.R)),
-	}, nil
+	ev := q.evidence()
+	return snapshot(&ev, q.part, q.cal)
 }
 
 // WatchBoundary implements SliceQuerier. Crossings are detected (and
 // delivered, synchronously) by Refresh.
 func (q *SimQuerier) WatchBoundary(buffer int) (<-chan BoundaryEvent, func(), error) {
-	w := &simWatcher{ch: make(chan BoundaryEvent, normalizeBuffer(buffer))}
+	ch := make(chan BoundaryEvent, normalizeBuffer(buffer))
 	q.mu.Lock()
 	id := q.nextID
 	q.nextID++
-	q.watchers[id] = w
+	q.watchers[id] = ch
 	q.mu.Unlock()
-	return w.ch, func() {
+	return ch, func() {
 		q.mu.Lock()
 		delete(q.watchers, id)
 		q.mu.Unlock()

@@ -2,14 +2,13 @@ package telemetry
 
 import (
 	"bufio"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Handler returns the /metrics endpoint: the registry rendered in
@@ -21,6 +20,29 @@ func (r *Registry) Handler() http.Handler {
 		_ = r.WriteProm(bw)
 		_ = bw.Flush()
 	})
+}
+
+// MountDiagnostics mounts the diagnostics routes on mux: GET /metrics
+// for a non-nil reg, GET /debug/trace (the ring as JSON) for a non-nil
+// ring, and the pprof handlers under GET /debug/pprof/ when withPprof
+// is set. Every diagnostics listener builds its routes here.
+func MountDiagnostics(mux *http.ServeMux, reg *Registry, ring *TraceRing, withPprof bool) {
+	if reg != nil {
+		mux.Handle("GET /metrics", reg.Handler())
+	}
+	if ring != nil {
+		mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = ring.WriteJSON(w)
+		})
+	}
+	if withPprof {
+		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	}
 }
 
 // WriteProm renders every family, sorted by name, to w. Callback
@@ -107,60 +129,4 @@ func formatFloat(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// expvar publication is global (expvar.Publish panics on duplicates),
-// so remember what this process already exported.
-var (
-	expvarMu        sync.Mutex
-	expvarPublished = map[string]bool{}
-)
-
-// PublishExpvar mirrors the registry under one expvar variable: a JSON
-// object mapping "name{labels}" to values (histograms expand to
-// count/sum/bucket objects). Calling it again with the same name is a
-// no-op, and several registries may not share a name.
-func (r *Registry) PublishExpvar(name string) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarPublished[name] {
-		return
-	}
-	expvarPublished[name] = true
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}
-
-// Snapshot renders the registry as a plain JSON-ready map — the expvar
-// mirror, also handy in tests.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any)
-	for _, fam := range r.sortedFamilies() {
-		for _, ins := range fam.series {
-			key := fam.name + ins.labelSig
-			switch fam.kind {
-			case kindCounter:
-				if ins.counterFn != nil {
-					out[key] = ins.counterFn()
-				} else {
-					out[key] = ins.counter.Value()
-				}
-			case kindGauge:
-				if ins.gaugeFn != nil {
-					out[key] = ins.gaugeFn()
-				} else {
-					out[key] = ins.gauge.Value()
-				}
-			case kindHistogram:
-				h := ins.hist
-				cum := h.snapshot()
-				buckets := make(map[string]uint64, len(cum))
-				for i, bound := range h.bounds {
-					buckets[formatFloat(bound)] = cum[i]
-				}
-				buckets["+Inf"] = cum[len(cum)-1]
-				out[key] = map[string]any{"count": h.Count(), "sum": h.Sum(), "buckets": buckets}
-			}
-		}
-	}
-	return out
 }

@@ -1,10 +1,10 @@
 // Package telemetry is the repo's stdlib-only metrics plane: atomic
 // counters, gauges, and fixed-bucket histograms collected in a Registry
-// and exposed in Prometheus text format (plus an expvar mirror). It
-// exists so a running cluster, query plane, or long simulation is
-// observable while it runs — the paper's SDM (§3) is argued as an
-// *online* quality signal, and BENCH artifacts after the fact cannot
-// show shard backlog, gossip loss, or convergence in flight.
+// and exposed in Prometheus text format. It exists so a running
+// cluster, query plane, or long simulation is observable while it runs
+// — the paper's SDM (§3) is argued as an *online* quality signal, and
+// BENCH artifacts after the fact cannot show shard backlog, gossip
+// loss, or convergence in flight.
 //
 // Design constraints, in order:
 //

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -137,30 +136,21 @@ func TestGaugeFuncRebind(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("app_v", "v", func() float64 { return 1 })
 	r.GaugeFunc("app_v", "v", func() float64 { return 2 })
-	snap := r.Snapshot()
-	if got := snap["app_v"]; got != 2.0 {
-		t.Fatalf("rebound gauge func reads %v, want 2", got)
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSnapshotAndExpvarShape(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("app_c_total", "c").Add(3)
-	h := r.Histogram("app_h", "h", []float64{1})
-	h.Observe(0.5)
-	snap := r.Snapshot()
-	if _, err := json.Marshal(snap); err != nil {
-		t.Fatalf("snapshot not JSON-marshalable: %v", err)
+	text := buf.String()
+	fams, err := ParseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("ParseExposition rejected our own output: %v", err)
 	}
-	hm, ok := snap["app_h"].(map[string]any)
-	if !ok {
-		t.Fatalf("histogram snapshot is %T, want map", snap["app_h"])
+	if fams["app_v"] != "gauge" {
+		t.Fatalf("family app_v = %q, want gauge:\n%s", fams["app_v"], text)
 	}
-	if hm["count"] != uint64(1) {
-		t.Fatalf("histogram count = %v, want 1", hm["count"])
+	if !strings.Contains(text, "\napp_v 2\n") || strings.Contains(text, "\napp_v 1\n") {
+		t.Fatalf("rebound gauge func does not read 2:\n%s", text)
 	}
-	r.PublishExpvar("test_snapshot_shape")
-	r.PublishExpvar("test_snapshot_shape") // second publish must not panic
 }
 
 func TestConcurrentInstruments(t *testing.T) {

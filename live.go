@@ -10,9 +10,7 @@ package slicing
 // A VirtualClock puts a cluster in driven mode — the same concurrent
 // code paths, no wall time spent waiting — which is how the live
 // scenario backend and the e2e tests run. This section exports
-// the runtime, the TCP transport, and the jitter/clock vocabulary;
-// options.go layers functional options (WithPeriod, WithJitter,
-// WithServe) on top of these configs.
+// the runtime, the TCP transport, and the jitter/clock vocabulary.
 // ---------------------------------------------------------------------
 
 import (

@@ -32,18 +32,21 @@ func TestMetricNames(t *testing.T) {
 
 	// Live cluster: scheduler + churn metrics. Construction registers;
 	// the cluster never starts.
-	cluster, err := NewClusterWith(ClusterConfig{
+	cluster, err := NewCluster(ClusterConfig{
 		N: 4, Partition: part, ViewSize: 4,
-		Protocol: LiveRanking,
-		AttrDist: UniformDist{Lo: 0, Hi: 100},
-		Seed:     1,
-		Clock:    NewVirtualClock(),
-	}, WithPeriod(DefaultPeriod), WithTelemetry(reg), WithTrace(ring))
+		Protocol:  LiveRanking,
+		AttrDist:  UniformDist{Lo: 0, Hi: 100},
+		Seed:      1,
+		Clock:     NewVirtualClock(),
+		Period:    DefaultPeriod,
+		Telemetry: reg,
+		Trace:     ring,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Cluster.Stop()
-	if cluster.Cluster.Metrics() != reg {
+	defer cluster.Stop()
+	if cluster.Metrics() != reg {
 		t.Error("Cluster.Metrics() does not return the attached registry")
 	}
 
@@ -64,7 +67,7 @@ func TestMetricNames(t *testing.T) {
 	_ = node
 
 	// Query server: serving metrics.
-	q, err := NewClusterQuerier(cluster.Cluster, RankingServingCalibration)
+	q, err := NewClusterQuerier(cluster, RankingServingCalibration)
 	if err != nil {
 		t.Fatal(err)
 	}

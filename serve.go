@@ -8,9 +8,12 @@ package slicing
 // attribute X in?", "who is in the top k%?", a boundary-crossing
 // stream — each answer carrying a staleness/error bound derived from
 // the answering node's convergence state. This section re-exports that
-// plane: the backend-agnostic SliceQuerier contract, the three
-// queriers (live node, live cluster, simulator) and the HTTP/SSE
-// server.
+// plane: the backend-agnostic SliceQuerier contract, the two queriers
+// (live nodes, simulator) and the HTTP/SSE server. Serving a live node
+// or cluster is explicit composition: build it, wrap it with
+// NewNodeQuerier or NewClusterQuerier, mount that on NewQueryServer,
+// Start the node or cluster and then the server; on departure Shutdown
+// the server before stopping gossip.
 // ---------------------------------------------------------------------
 
 import "github.com/gossipkit/slicing/internal/serving"
@@ -18,8 +21,8 @@ import "github.com/gossipkit/slicing/internal/serving"
 // Query-plane types.
 type (
 	// SliceQuerier answers slice queries from a local estimate; the
-	// backend-agnostic contract implemented by NodeQuerier,
-	// ClusterQuerier and SimQuerier.
+	// backend-agnostic contract implemented by ClusterQuerier and
+	// SimQuerier.
 	SliceQuerier = serving.SliceQuerier
 	// SliceAnswer answers "which slice is attribute X in?".
 	SliceAnswer = serving.SliceAnswer
@@ -37,9 +40,8 @@ type (
 	// convergence data (see RankingServingCalibration).
 	ServingCalibration = serving.Calibration
 
-	// NodeQuerier answers queries from one live node's local estimate.
-	NodeQuerier = serving.NodeQuerier
-	// ClusterQuerier answers queries round-robin across a live cluster.
+	// ClusterQuerier answers queries round-robin across live nodes,
+	// each answer from one node's local estimate.
 	ClusterQuerier = serving.ClusterQuerier
 	// SimQuerier answers queries from a simulation snapshot (testing).
 	SimQuerier = serving.SimQuerier
@@ -61,9 +63,10 @@ var (
 	OrderingServingCalibration = serving.OrderingCalibration
 )
 
-// NewNodeQuerier wraps one live node as a SliceQuerier. A zero
-// calibration selects RankingServingCalibration.
-func NewNodeQuerier(n *Node, cal ServingCalibration) *NodeQuerier {
+// NewNodeQuerier wraps one live node as a SliceQuerier: a
+// ClusterQuerier whose every answer comes from n. A zero calibration
+// selects RankingServingCalibration.
+func NewNodeQuerier(n *Node, cal ServingCalibration) *ClusterQuerier {
 	return serving.NewNodeQuerier(n, cal)
 }
 

@@ -1,9 +1,10 @@
 package slicing_test
 
 // End-to-end exercise of the query plane through the public facade
-// only: a live cluster on a VirtualClock is built with NewClusterWith +
-// WithServe, driven to convergence in virtual time (no wall-clock
-// sleeps), and then queried over real HTTP. Answer quality is judged
+// only: a live cluster on a VirtualClock is built with NewCluster,
+// wrapped by NewClusterQuerier and mounted on NewQueryServer, driven to
+// convergence in virtual time (no wall-clock sleeps), and then queried
+// over real HTTP. Answer quality is judged
 // against the same slice-distance metric the paper's SDM sums, with the
 // tolerance derived from the cluster's own measured disorder — the
 // query plane may not be meaningfully worse than the protocol state it
@@ -53,34 +54,50 @@ type topkResp struct {
 	} `json:"members"`
 }
 
-func startServedCluster(t *testing.T, n, slices, viewSize int, seed int64) (*slicing.ServedCluster, slicing.Partition, *slicing.VirtualClock) {
+// startServedCluster composes a served cluster explicitly: cluster,
+// querier, server, then Start in that order. The cleanup drains the
+// server before it stops the cluster.
+func startServedCluster(t *testing.T, n, slices, viewSize int, seed int64) (*slicing.Cluster, string, slicing.Partition) {
 	t.Helper()
 	part, err := slicing.EqualSlices(slices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := slicing.NewVirtualClock()
-	cluster, err := slicing.NewClusterWith(slicing.ClusterConfig{
+	cluster, err := slicing.NewCluster(slicing.ClusterConfig{
 		N: n, Partition: part, ViewSize: viewSize,
-		Protocol: slicing.LiveRanking,
-		AttrDist: slicing.UniformDist{Lo: 0, Hi: 100},
-		Seed:     seed,
-		Clock:    clock,
-	},
-		slicing.WithPeriod(servePeriod),
-		slicing.WithJitter(0.05),
-		slicing.WithServe("127.0.0.1:0"),
-	)
+		Protocol:   slicing.LiveRanking,
+		AttrDist:   slicing.UniformDist{Lo: 0, Hi: 100},
+		Seed:       seed,
+		Clock:      slicing.NewVirtualClock(),
+		Period:     servePeriod,
+		JitterFrac: 0.05,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q, err := slicing.NewClusterQuerier(cluster, slicing.RankingServingCalibration)
+	if err != nil {
+		cluster.Stop()
+		t.Fatal(err)
+	}
+	srv := slicing.NewQueryServer(q, slicing.ServeOptions{Addr: "127.0.0.1:0"})
 	if err := cluster.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if cluster.ServeAddr() == "" {
-		t.Fatal("WithServe cluster reports empty ServeAddr after Start")
+	if err := srv.Start(); err != nil {
+		cluster.Stop()
+		t.Fatal(err)
 	}
-	return cluster, part, clock
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		cluster.Stop()
+	})
+	if srv.Addr() == "" {
+		t.Fatal("started query server reports an empty Addr")
+	}
+	return cluster, srv.Addr(), part
 }
 
 func getDecoded(t *testing.T, url string, into any) {
@@ -100,8 +117,7 @@ func getDecoded(t *testing.T, url string, into any) {
 
 func TestServedClusterEndToEnd(t *testing.T) {
 	const n, slices = 64, 4
-	cluster, part, _ := startServedCluster(t, n, slices, 16, 11)
-	defer cluster.Close(context.Background())
+	cluster, addr, part := startServedCluster(t, n, slices, 16, 11)
 
 	// Drive the cluster in virtual time until the protocol itself is
 	// reasonably converged; the cap bounds the test, not wall time.
@@ -121,7 +137,7 @@ func TestServedClusterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := "http://" + cluster.ServeAddr()
+	base := "http://" + addr
 
 	// The served answers are judged by the same per-node slice-distance
 	// the SDM sums: the query plane interpolates from single-node state,
@@ -202,10 +218,9 @@ func TestServedClusterWatchStreamsCrossings(t *testing.T) {
 	// A freshly started cluster is maximally disordered, so driving it
 	// forward forces slice-boundary crossings; the SSE stream must carry
 	// them. The stream is opened before any cycle runs.
-	cluster, _, _ := startServedCluster(t, 32, 4, 8, 7)
-	defer cluster.Close(context.Background())
+	cluster, addr, _ := startServedCluster(t, 32, 4, 8, 7)
 
-	req, err := http.NewRequest(http.MethodGet, "http://"+cluster.ServeAddr()+"/watch", nil)
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/watch", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,26 +294,30 @@ func TestServedNodeServeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := loopbackTransport(t)
-	node, err := slicing.NewNodeWith(slicing.NodeConfig{
+	node, err := slicing.NewNode(slicing.NodeConfig{
 		ID: 1, Attr: 50, Partition: part, ViewSize: 4,
-		Protocol:  slicing.LiveRanking,
-		Estimator: slicing.NewCounterEstimator(),
-		Transport: tr,
-		Seed:      3,
-	},
-		slicing.WithPeriod(50*time.Millisecond), // options must satisfy the "Period required" check
-		slicing.WithJitter(0),
-		slicing.WithServe("127.0.0.1:0"),
-	)
+		Protocol:   slicing.LiveRanking,
+		Estimator:  slicing.NewCounterEstimator(),
+		Transport:  tr,
+		Seed:       3,
+		Period:     50 * time.Millisecond,
+		JitterFrac: slicing.JitterNone,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := slicing.NewQueryServer(slicing.NewNodeQuerier(node, slicing.RankingServingCalibration),
+		slicing.ServeOptions{Addr: "127.0.0.1:0"})
 	if err := node.Start(); err != nil {
 		t.Fatal(err)
 	}
-	addr := node.ServeAddr()
+	if err := srv.Start(); err != nil {
+		node.Stop()
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
 	if addr == "" {
-		t.Fatal("ServeAddr empty after Start with WithServe")
+		t.Fatal("Addr empty after the query server started")
 	}
 
 	var snap struct {
@@ -310,40 +329,13 @@ func TestServedNodeServeLifecycle(t *testing.T) {
 		t.Errorf("snapshot reports node %d attr %v, want node 1 attr 50", snap.Node, snap.Attr)
 	}
 
-	if err := node.Close(context.Background()); err != nil {
-		t.Fatalf("Close: %v", err)
+	// Departure order: the query plane drains, then gossip stops.
+	err = srv.Shutdown(context.Background())
+	node.Stop()
+	if err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
-		t.Error("query plane still answering after Close")
-	}
-}
-
-func TestNewNodeWithoutServeHasNoServer(t *testing.T) {
-	part, err := slicing.EqualSlices(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := loopbackTransport(t)
-	node, err := slicing.NewNodeWith(slicing.NodeConfig{
-		ID: 1, Attr: 10, Partition: part, ViewSize: 4,
-		Protocol:  slicing.LiveRanking,
-		Estimator: slicing.NewCounterEstimator(),
-		Transport: tr,
-		Seed:      9,
-	}, slicing.WithPeriod(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if node.QueryServer() != nil {
-		t.Error("QueryServer non-nil without WithServe")
-	}
-	if node.ServeAddr() != "" {
-		t.Errorf("ServeAddr %q without WithServe", node.ServeAddr())
-	}
-	if err := node.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Close(context.Background()); err != nil {
-		t.Fatalf("Close without server: %v", err)
+		t.Error("query plane still answering after Shutdown")
 	}
 }

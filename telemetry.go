@@ -7,9 +7,10 @@ package slicing
 // gauges and fixed-bucket histograms behind a hand-rolled Prometheus
 // text-format handler — plus a fixed-capacity ring of protocol decision
 // events. This section re-exports the two consumer-facing pieces: the
-// registry a caller attaches to a node or cluster (WithTelemetry) and
-// the trace ring (WithTrace). Registry.Handler() serves the scrape
-// endpoint; a served node mounts it at GET /metrics automatically.
+// registry a caller attaches to a node or cluster (the Telemetry field
+// of NodeConfig / ClusterConfig) and the trace ring (their Trace
+// field). Registry.Handler() serves the scrape endpoint; a query server
+// given the registry in ServeOptions mounts it at GET /metrics.
 // ---------------------------------------------------------------------
 
 import (
@@ -19,8 +20,7 @@ import (
 // Telemetry types.
 type (
 	// Telemetry is a metrics registry: counters, gauges and histograms
-	// with Prometheus text-format exposition (Handler) and expvar
-	// mirroring (PublishExpvar).
+	// with Prometheus text-format exposition (Handler).
 	Telemetry = telemetry.Registry
 	// TraceRing is a bounded buffer of protocol decision
 	// events; full rings overwrite oldest-first.
@@ -53,12 +53,13 @@ const (
 )
 
 // NewTelemetry builds an empty metrics registry. Attach it with
-// WithTelemetry (or ClusterConfig.Telemetry / NodeConfig.Telemetry)
-// and serve Handler() — a served node does both for you and exposes
+// ClusterConfig.Telemetry / NodeConfig.Telemetry and serve Handler(),
+// or pass it to a query server as ServeOptions.Telemetry, which mounts
 // GET /metrics.
 func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 
 // NewTraceRing builds a protocol trace ring holding capacity events
 // (rounded up to a power of two; capacity <= 0 selects the default).
-// Attach it with WithTrace; a served node dumps it at GET /debug/trace.
+// Attach it with ClusterConfig.Trace / NodeConfig.Trace; a query server
+// given it as ServeOptions.Trace dumps it at GET /debug/trace.
 func NewTraceRing(capacity int) *TraceRing { return telemetry.NewTraceRing(capacity) }
