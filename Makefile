@@ -100,35 +100,19 @@ RAND_FILES = internal/churn/churn.go internal/dist/continuous.go internal/dist/d
 	internal/dist/empirical.go internal/dist/mixture.go internal/dist/zipf.go \
 	internal/runtime/cluster.go internal/runtime/sched.go internal/scenario/livecluster.go \
 	internal/sim/sim.go
-# The dead-function ratchet: every exported package-level func under
-# internal/ must be named, outside comments and its own declaration, by
-# some non-test .go file (benchmark/ counts). UNREF_FUNCS lists the test
-# oracles that only tests call; nothing new joins the list.
-UNREF_FUNCS = BinomialTail EvenSplitAsymptotic ExactEvenSplitProbability NormalizedRanks \
-	ParseExposition SDMSorted
-# The same ratchet over exported methods under internal/, by name: a
-# method whose name no non-test file uses outside its declarations
-# fails. UNREF_METHODS lists the survivors: interface implementations
-# (MarshalJSON, UnmarshalJSON, Swap), the test oracle LDM, and leads
-# still to audit; nothing new joins the list.
-UNREF_METHODS = MarshalJSON UnmarshalJSON Swap LDM Has IDs Clear Oldest Stride SetR \
-	Boundaries Of Valid SweepGrid
+# The dead-code gate: reach_test.go (build tag reach) walks the
+# type-checked reference graph from cmd/, examples/, benchmark/ and the
+# facade's exported names, and fails on a declaration nothing reaches
+# unless testdata/unreachable.allow lists it (test oracles that tests in
+# two or more packages call). Delete what it finds rather than extend the
+# list.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	@out=$$(grep -rl --include='*.go' '"math/rand"' . | sed 's|^\./||' | grep -v -e '_test\.go$$' -e '^benchmark/' | \
 		grep -vxF $(addprefix -e ,$(RAND_FILES))); if [ -n "$$out" ]; then \
 		echo "math/rand imported outside RAND_FILES:" >&2; echo "$$out" >&2; exit 1; fi
-	@src=$$(find . -name '*.go' ! -name '*_test.go' -exec sed 's|//.*||' {} +); out=; \
-	for f in $$(find internal -name '*.go' ! -name '*_test.go' -exec sed -nE 's/^func ([A-Z][A-Za-z0-9_]*)[[(].*/\1/p' {} + | sort -u); do \
-		echo "$$src" | grep -vE "^func $$f[[(]" | grep -qw "$$f" || out="$$out $$f"; done; \
-	out=$$(echo $$out | tr ' ' '\n' | grep -vxF -e '' $(addprefix -e ,$(UNREF_FUNCS))); if [ -n "$$out" ]; then \
-		echo "exported funcs under internal/ that no non-test file calls:" >&2; echo "$$out" >&2; exit 1; fi
-	@src=$$(find . -name '*.go' ! -name '*_test.go' -exec sed 's|//.*||' {} +); out=; \
-	for f in $$(find internal -name '*.go' ! -name '*_test.go' -exec sed -nE 's/^func \([^)]*\) ([A-Z][A-Za-z0-9_]*)[[(].*/\1/p' {} + | sort -u); do \
-		echo "$$src" | grep -vE "^func (\([^)]*\) )?$$f[[(]" | grep -qw "$$f" || out="$$out $$f"; done; \
-	out=$$(echo $$out | tr ' ' '\n' | grep -vxF -e '' $(addprefix -e ,$(UNREF_METHODS))); if [ -n "$$out" ]; then \
-		echo "exported methods under internal/ that no non-test file calls:" >&2; echo "$$out" >&2; exit 1; fi
+	$(GO) test -tags reach -run '^TestReachability$$' .
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...

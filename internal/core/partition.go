@@ -144,15 +144,6 @@ func (p Partition) Slice(i int) Slice {
 	return Slice{Low: low, High: high}
 }
 
-// Slices returns all slices in order.
-func (p Partition) Slices() []Slice {
-	out := make([]Slice, p.Len())
-	for i := range out {
-		out[i] = p.Slice(i)
-	}
-	return out
-}
-
 // Index returns the index of the slice containing normalized rank r.
 // Values r ≤ 0 clamp to the first slice and r > 1 to the last, so that
 // degenerate estimates (an empty estimator reports 0) still map to a
@@ -163,14 +154,6 @@ func (p Partition) Index(r float64) int {
 	// exactly on a boundary belongs to the lower slice ((l,u] intervals),
 	// and ranks beyond 1 clamp because below never exceeds len(bounds).
 	return p.below(r)
-}
-
-// Of returns the slice containing normalized rank r (clamped like Index).
-func (p Partition) Of(r float64) Slice { return p.Slice(p.Index(r)) }
-
-// Boundaries returns the interior boundaries (a copy).
-func (p Partition) Boundaries() []float64 {
-	return append([]float64(nil), p.interior()...)
 }
 
 // NearestBoundary returns the interior boundary closest to rank r and the
@@ -207,21 +190,6 @@ func (p Partition) SliceDistance(act, est int) float64 {
 	actual := p.Slice(act)
 	estimated := p.Slice(est)
 	return math.Abs(actual.Mid()-estimated.Mid()) / actual.Width()
-}
-
-// Validate checks internal invariants; it is primarily exercised by
-// property tests.
-func (p Partition) Validate() error {
-	bounds := p.interior()
-	for i, b := range bounds {
-		if b <= 0 || b >= 1 {
-			return fmt.Errorf("%w: %v", ErrBadBoundary, b)
-		}
-		if i > 0 && bounds[i-1] >= b {
-			return fmt.Errorf("%w: %v after %v", ErrBadBoundary, b, bounds[i-1])
-		}
-	}
-	return nil
 }
 
 // String implements fmt.Stringer.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,6 +10,21 @@ import (
 	"testing/quick"
 	"unsafe"
 )
+
+// Validate checks the partition's invariants: interior boundaries
+// strictly inside (0,1) and strictly increasing.
+func (p Partition) Validate() error {
+	bounds := p.interior()
+	for i, b := range bounds {
+		if b <= 0 || b >= 1 {
+			return fmt.Errorf("%w: %v", ErrBadBoundary, b)
+		}
+		if i > 0 && bounds[i-1] >= b {
+			return fmt.Errorf("%w: %v after %v", ErrBadBoundary, b, bounds[i-1])
+		}
+	}
+	return nil
+}
 
 func TestEqualPartition(t *testing.T) {
 	tests := []struct {
@@ -101,8 +117,8 @@ func TestPartitionIndex(t *testing.T) {
 		if got := p.Index(tt.r); got != tt.want {
 			t.Errorf("Index(%v) = %d, want %d", tt.r, got, tt.want)
 		}
-		if !p.Of(tt.r).Contains(math.Min(math.Max(tt.r, 1e-12), 1)) {
-			t.Errorf("Of(%v) = %v does not contain the clamped rank", tt.r, p.Of(tt.r))
+		if s := p.Slice(p.Index(tt.r)); !s.Contains(math.Min(math.Max(tt.r, 1e-12), 1)) {
+			t.Errorf("Slice(Index(%v)) = %v does not contain the clamped rank", tt.r, s)
 		}
 	}
 }
@@ -112,7 +128,10 @@ func TestPartitionSlicesAdjacent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices := p.Slices()
+	slices := make([]Slice, p.Len())
+	for i := range slices {
+		slices[i] = p.Slice(i)
+	}
 	if slices[0].Low != 0 {
 		t.Errorf("first slice low = %v, want 0", slices[0].Low)
 	}
@@ -224,8 +243,8 @@ func TestEqualPartitionTiles(t *testing.T) {
 		k := int(k8%64) + 1
 		p := MustEqual(k)
 		total := 0.0
-		for _, s := range p.Slices() {
-			total += s.Width()
+		for i := 0; i < p.Len(); i++ {
+			total += p.Slice(i).Width()
 		}
 		return math.Abs(total-1) < 1e-9 && p.Len() == k
 	}
@@ -265,9 +284,6 @@ func checkLookup(t *testing.T, p Partition, bounds []float64, r float64) {
 	want := lowerBoundOracle(bounds, r)
 	if got := p.Index(r); got != want {
 		t.Fatalf("Index(%v [%#x]) = %d, oracle %d (k=%d)", r, math.Float64bits(r), got, want, p.Len())
-	}
-	if got, wantS := p.Of(r), p.Slice(want); got != wantS {
-		t.Fatalf("Of(%v) = %v, oracle %v", r, got, wantS)
 	}
 	wantB, wantD := nearestBoundaryOracle(bounds, r)
 	gotB, gotD := p.NearestBoundary(r)
@@ -330,7 +346,7 @@ func TestPartitionLookupMatchesOracle(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("Validate: %v", err)
 		}
-		bounds := p.Boundaries()
+		bounds := p.interior()
 		for _, r := range specialRanks {
 			checkLookup(t, p, bounds, r)
 		}
@@ -352,9 +368,9 @@ func TestPartitionLookupMatchesOracle(t *testing.T) {
 // "not set": it must stay the single slice (0,1].
 func TestZeroPartitionIsSingleSlice(t *testing.T) {
 	var p Partition
-	if p.Len() != 1 || p.Index(0.7) != 0 || p.Validate() != nil || len(p.Boundaries()) != 0 {
-		t.Errorf("zero Partition: Len %d, Index %d, Validate %v, Boundaries %v",
-			p.Len(), p.Index(0.7), p.Validate(), p.Boundaries())
+	if p.Len() != 1 || p.Index(0.7) != 0 || p.Validate() != nil || len(p.interior()) != 0 {
+		t.Errorf("zero Partition: Len %d, Index %d, Validate %v, interior %v",
+			p.Len(), p.Index(0.7), p.Validate(), p.interior())
 	}
 	if b, d := p.NearestBoundary(0.7); !math.IsNaN(b) || !math.IsInf(d, 1) {
 		t.Errorf("zero Partition NearestBoundary = (%v, %v), want (NaN, +Inf)", b, d)
@@ -472,7 +488,7 @@ func FuzzPartitionLookup(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		bounds := p.Boundaries()
+		bounds := p.interior()
 		checkLookup(t, p, bounds, fuzzRank(&in, bounds))
 	})
 }

@@ -73,7 +73,7 @@ func TestNearestBoundaryIsMinimum(t *testing.T) {
 			r := rng.Float64()
 			_, got := p.NearestBoundary(r)
 			want := math.Inf(1)
-			for _, b := range p.Boundaries() {
+			for _, b := range p.interior() {
 				if d := math.Abs(r - b); d < want {
 					want = d
 				}

@@ -12,9 +12,6 @@ type Slice struct {
 	High float64
 }
 
-// Contains reports whether normalized rank r falls inside the slice.
-func (s Slice) Contains(r float64) bool { return s.Low < r && r <= s.High }
-
 // Width returns the fraction of the population the slice represents.
 func (s Slice) Width() float64 { return s.High - s.Low }
 

@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// Contains reports whether normalized rank r falls inside the slice: the
+// (Low, High] membership rule the lookups are checked against.
+func (s Slice) Contains(r float64) bool { return s.Low < r && r <= s.High }
+
 func TestSliceContains(t *testing.T) {
 	tests := []struct {
 		name  string

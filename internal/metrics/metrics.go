@@ -121,33 +121,15 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// SDMSorted computes the slice disorder measure from nodes already in
-// attribute order: believed[i] is the slice that the i-th node of the
-// attribute-based sequence believes it belongs to. A caller that
-// maintains the attribute order incrementally (the simulator's engine
-// keeps its membership sorted across churn events) skips the per-cycle
-// O(n log n) sort that SDM pays, making the measurement
-// linear.
-func SDMSorted(believed []int, part core.Partition) float64 {
-	n := len(believed)
-	if n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for pos, b := range believed {
-		trueRank := float64(pos+1) / float64(n)
-		sum += part.SliceDistance(part.Index(trueRank), b)
-	}
-	return sum
-}
-
 // SDMSortedRange returns the SDM contribution of positions [lo, hi) of
-// an attribute-ordered believed sequence of total length len(believed).
-// It is the partial-sum form of SDMSorted: a parallel measurement pass
+// an attribute-ordered believed sequence: believed[i] is the slice that
+// the i-th node of the attribute-based sequence believes it belongs to.
+// A caller that keeps the attribute order incrementally (the simulator's
+// engine keeps its membership sorted across churn events) skips the
+// per-cycle O(n log n) sort that SDM pays. A parallel measurement pass
 // computes fixed-size chunks concurrently and adds the chunk sums in
 // chunk order, which keeps the floating-point reduction independent of
-// how many workers ran it. SDMSorted(b, p) equals the in-order sum of
-// its chunked ranges.
+// how many workers ran it.
 func SDMSortedRange(believed []int, part core.Partition, lo, hi int) float64 {
 	n := len(believed)
 	if n == 0 {

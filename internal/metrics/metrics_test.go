@@ -164,8 +164,9 @@ func TestSDMZeroIffAllAssigned(t *testing.T) {
 	}
 }
 
-// Property: SDMSorted over states pre-sorted into attribute order
-// equals the sort-based SDM over the same states in any order.
+// Property: SDMSortedRange over all of a believed sequence pre-sorted
+// into attribute order equals the sort-based SDM over the same states in
+// any order.
 func TestSDMSortedMatchesSDM(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
@@ -188,12 +189,9 @@ func TestSDMSortedMatchesSDM(t *testing.T) {
 		for i, st := range sorted {
 			believed[i] = st.SliceIndex
 		}
-		if got := SDMSorted(believed, part); got != want {
-			t.Fatalf("trial %d: SDMSorted = %v, SDM = %v", trial, got, want)
+		if got := SDMSortedRange(believed, part, 0, n); got != want {
+			t.Fatalf("trial %d: SDMSortedRange = %v, SDM = %v", trial, got, want)
 		}
-	}
-	if got := SDMSorted(nil, core.MustEqual(3)); got != 0 {
-		t.Errorf("SDMSorted(empty) = %v, want 0", got)
 	}
 }
 
@@ -273,8 +271,8 @@ func TestGDMBruteForce(t *testing.T) {
 	}
 }
 
-// SDMSortedRange must tile SDMSorted exactly: summing in-order chunk
-// partials of any fixed chunking reproduces the full measure (this is
+// SDMSortedRange must tile exactly: summing in-order chunk partials of
+// any fixed chunking reproduces the one-chunk measure (this is
 // the contract the parallel engine's chunked reduction relies on).
 func TestSDMSortedRangeTilesSDMSorted(t *testing.T) {
 	part, err := core.Equal(7)
@@ -285,14 +283,14 @@ func TestSDMSortedRangeTilesSDMSorted(t *testing.T) {
 	for i := range believed {
 		believed[i] = (i * 13) % 7
 	}
-	want := SDMSorted(believed, part)
+	want := SDMSortedRange(believed, part, 0, len(believed))
 	for _, chunk := range []int{1, 3, 64, 999, 1000, 5000} {
 		sum := 0.0
 		for lo := 0; lo < len(believed); lo += chunk {
 			sum += SDMSortedRange(believed, part, lo, min(lo+chunk, len(believed)))
 		}
 		if sum != want {
-			t.Errorf("chunk=%d: tiled sum %v != SDMSorted %v", chunk, sum, want)
+			t.Errorf("chunk=%d: tiled sum %v != whole range %v", chunk, sum, want)
 		}
 	}
 	if got := SDMSortedRange(nil, part, 0, 0); got != 0 {

@@ -43,20 +43,6 @@ func (s Series) At(cycle int) (float64, bool) {
 	return 0, false
 }
 
-// Min returns the minimal recorded value.
-func (s Series) Min() (float64, bool) {
-	if len(s.Points) == 0 {
-		return 0, false
-	}
-	m := s.Points[0].Value
-	for _, p := range s.Points[1:] {
-		if p.Value < m {
-			m = p.Value
-		}
-	}
-	return m, true
-}
-
 // WriteCSV emits one row per cycle with one column per series, aligned
 // on the union of the recorded cycles. Missing samples are left empty.
 // The column header of the x axis is xlabel.

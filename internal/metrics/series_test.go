@@ -30,19 +30,6 @@ func TestSeriesAt(t *testing.T) {
 	}
 }
 
-func TestSeriesMin(t *testing.T) {
-	s := Series{}
-	if _, ok := s.Min(); ok {
-		t.Error("Min on empty series should report !ok")
-	}
-	s.Add(0, 7)
-	s.Add(1, 3)
-	s.Add(2, 9)
-	if m, ok := s.Min(); !ok || m != 3 {
-		t.Errorf("Min = %v,%v, want 3,true", m, ok)
-	}
-}
-
 func TestWriteCSVAlignsSeries(t *testing.T) {
 	a := Series{Name: "jk"}
 	a.Add(0, 1)

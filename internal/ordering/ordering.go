@@ -509,8 +509,8 @@ type localMember struct {
 	lr   int32 // ℓρ: index in LR.sequence (local random-value order)
 }
 
-// localSequences computes LA.sequence_i and LR.sequence_i over
-// N_i ∪ {i} (§4.3) and annotates each member with its indices.
+// localSeq is LA.sequence_i and LR.sequence_i over N_i ∪ {i} (§4.3):
+// each member annotated with its indices in both.
 type localSeq struct {
 	self   localMember
 	others []localMember
@@ -530,12 +530,6 @@ func (n *Node) localMembers(selfR float64, state proto.StateReader, scr *Scratch
 	}
 	scr.members = members
 	return members
-}
-
-// localSequences computes LA.sequence_i and LR.sequence_i over
-// N_i ∪ {i} (§4.3) and annotates each member with its indices.
-func (n *Node) localSequences(selfR float64, state proto.StateReader, scr *Scratch) localSeq {
-	return n.rankMembers(n.localMembers(selfR, state, scr))
 }
 
 // rankMembers runs once per node per cycle on unconverged neighborhoods
@@ -591,27 +585,6 @@ func (s localSeq) gain(i, j localMember) float64 {
 	ai, ri := float64(i.la), float64(i.lr)
 	aj, rj := float64(j.la), float64(j.lr)
 	return ((ai-ri)*(ai-ri) + (aj-rj)*(aj-rj) - (ai-rj)*(ai-rj) - (aj-ri)*(aj-ri)) / float64(s.size)
-}
-
-// LDM returns the node's local disorder measure LDM_i(t) (§4.3): the
-// mean squared distance between local attribute and random indices over
-// N_i ∪ {i}. Exposed for tests and for the ablation benches.
-func (n *Node) LDM(state proto.StateReader) float64 {
-	selfR, ok := state.R(n.id)
-	if !ok {
-		selfR = n.r
-	}
-	scr := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(scr)
-	local := n.localSequences(selfR, state, scr)
-	sum := 0.0
-	for _, m := range local.others {
-		d := float64(m.la - m.lr)
-		sum += d * d
-	}
-	d := float64(local.self.la - local.self.lr)
-	sum += d * d
-	return sum / float64(local.size)
 }
 
 // Handle implements proto.Node: the passive thread of Fig. 2 (lines
@@ -695,10 +668,6 @@ func (n *Node) AbandonSwap() {
 	n.stats.SwapAbandonedAtSender++
 	n.trace.Record(telemetry.TraceEvent{Kind: telemetry.TraceSwapAbandoned, Node: uint64(n.id)})
 }
-
-// SetR force-sets the node's random value. Only tests call it, to pose
-// a node's coordinate directly.
-func (n *Node) SetR(r float64) { n.r = r }
 
 // SetAttr force-sets the node's attribute. The fault plane uses it for
 // attribute drift (the attribute really changed) and byzantine

@@ -292,6 +292,25 @@ func TestMaxGainConvergesFasterThanJK(t *testing.T) {
 	}
 }
 
+// LDM returns the node's local disorder measure LDM_i(t) (§4.3): the
+// mean squared distance between the local attribute and random indices
+// over N_i ∪ {i}.
+func (n *Node) LDM(state proto.StateReader) float64 {
+	selfR, ok := state.R(n.id)
+	if !ok {
+		selfR = n.r
+	}
+	local := n.rankMembers(n.localMembers(selfR, state, new(Scratch)))
+	sum := 0.0
+	for _, m := range local.others {
+		d := float64(m.la - m.lr)
+		sum += d * d
+	}
+	d := float64(local.self.la - local.self.lr)
+	sum += d * d
+	return sum / float64(local.size)
+}
+
 // Property (Eq. (1)): the closed-form gain equals the measured LDM
 // reduction after actually performing the swap through the protocol
 // messages.
@@ -318,7 +337,7 @@ func TestGainEqualsLDMReduction(t *testing.T) {
 		c := newCluster(t, SelectMaxGain, attrs, rs)
 		node := c.nodes[1]
 		state := c.live()
-		local := node.localSequences(node.Estimate(), state, new(Scratch))
+		local := node.rankMembers(node.localMembers(node.Estimate(), state, new(Scratch)))
 		// Pick any misplaced neighbor and verify the gain.
 		for _, m := range local.others {
 			if !Misplaced(node.attr, m.attr, node.Estimate(), m.r) {
@@ -329,11 +348,9 @@ func TestGainEqualsLDMReduction(t *testing.T) {
 			// Swap by force, then measure.
 			other := c.nodes[m.id]
 			ri, rj := node.Estimate(), other.Estimate()
-			node.SetR(rj)
-			other.SetR(ri)
+			node.r, other.r = rj, ri
 			after := node.LDM(state)
-			node.SetR(ri)
-			other.SetR(rj)
+			node.r, other.r = ri, rj
 			if math.Abs((before-after)-predicted) > 1e-9 {
 				t.Fatalf("trial %d: gain %v != LDM reduction %v", trial, predicted, before-after)
 			}
@@ -370,7 +387,7 @@ func TestUnsuccessfulSwapUnderStaleness(t *testing.T) {
 		t.Fatalf("expected one request to node 2, got %v", envs)
 	}
 	// Node 2's value changes before the message arrives.
-	c.nodes[2].SetR(0.95)
+	c.nodes[2].r = 0.95
 	reps := c.nodes[2].Handle(1, envs[0].Msg, rng)
 	st := c.nodes[2].Stats()
 	if st.SwapFailedAtReceiver != 1 {
@@ -422,7 +439,7 @@ func TestSliceIndexFollowsRandomValue(t *testing.T) {
 	if got := n.SliceIndex(); got != 1 {
 		t.Errorf("SliceIndex = %d, want 1", got)
 	}
-	n.SetR(0.95)
+	n.r = 0.95
 	if got := n.SliceIndex(); got != 3 {
 		t.Errorf("SliceIndex = %d, want 3", got)
 	}

@@ -133,9 +133,6 @@ func (w *Window) Estimate() float64 {
 // Samples implements Estimator.
 func (w *Window) Samples() int { return w.used }
 
-// Size returns the window capacity W.
-func (w *Window) Size() int { return w.size }
-
 // Reset implements Estimator.
 func (w *Window) Reset() {
 	for i := range w.bits {
@@ -143,10 +140,6 @@ func (w *Window) Reset() {
 	}
 	w.used, w.next, w.ones = 0, 0, 0
 }
-
-// Bytes returns the memory footprint of the bit buffer, illustrating the
-// paper's 10⁴ samples ≈ 1.25 kB observation.
-func (w *Window) Bytes() int { return len(w.bits) * 8 }
 
 // String implements fmt.Stringer.
 func (w *Window) String() string { return fmt.Sprintf("window(%d)", w.size) }

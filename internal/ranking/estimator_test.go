@@ -159,12 +159,12 @@ func TestWindowReset(t *testing.T) {
 // 1.25 kB.
 func TestWindowMemoryFootprint(t *testing.T) {
 	w := MustNewWindow(10000)
-	if got := w.Bytes(); got != 1256 && got != 1250 {
+	if got := len(w.bits) * 8; got != 1256 && got != 1250 {
 		// 10000 bits = 1250 bytes, rounded up to 64-bit words: 1256.
-		t.Errorf("Bytes() = %d, want ≈ 1250 (paper: 1.25 kB)", got)
+		t.Errorf("bit buffer = %d B, want ≈ 1250 (paper: 1.25 kB)", got)
 	}
-	if w.Size() != 10000 {
-		t.Errorf("Size() = %d, want 10000", w.Size())
+	if w.size != 10000 {
+		t.Errorf("size = %d, want 10000", w.size)
 	}
 }
 

@@ -138,9 +138,6 @@ func (n *Node) SelfEntry() view.Entry {
 // View exposes the node's view (shared with its membership protocol).
 func (n *Node) View() *view.View { return n.v }
 
-// Stats returns a snapshot of the node's event counters.
-func (n *Node) Stats() Stats { return n.stats }
-
 // Samples returns the number of observations incorporated so far.
 func (n *Node) Samples() int { return n.est.Samples() }
 

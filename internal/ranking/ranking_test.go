@@ -59,7 +59,7 @@ func TestHandleUpdatesEstimate(t *testing.T) {
 	if got := n.Estimate(); got != 0.5 {
 		t.Errorf("estimate = %v, want 0.5", got)
 	}
-	st := n.Stats()
+	st := n.stats
 	if st.UpdatesReceived != 2 {
 		t.Errorf("UpdatesReceived = %d, want 2", st.UpdatesReceived)
 	}
@@ -101,7 +101,7 @@ func TestTickScansView(t *testing.T) {
 	if got := n.Estimate(); got != 0.5 {
 		t.Errorf("estimate after view scan = %v, want 0.5", got)
 	}
-	if got := n.Stats().ViewObservations; got != 2 {
+	if got := n.stats.ViewObservations; got != 2 {
 		t.Errorf("ViewObservations = %d, want 2", got)
 	}
 }
@@ -146,7 +146,7 @@ func TestTickTargetsBoundaryClosestNeighbor(t *testing.T) {
 			t.Errorf("UPD carries attr %v, want the sender's 50", upd.Attr)
 		}
 	}
-	if got := n.Stats().UpdatesSent; got != 2 {
+	if got := n.stats.UpdatesSent; got != 2 {
 		t.Errorf("UpdatesSent = %d, want 2", got)
 	}
 }

@@ -94,8 +94,8 @@ func TestTickTargetsFastMatchesTickTargets(t *testing.T) {
 			if a, b := refRng.Int63(), fastRng.Int63(); a != b {
 				t.Fatalf("trial %d: RNG left at different draws: %v vs %v", trial, a, b)
 			}
-			if ref.Stats() != fast.Stats() {
-				t.Fatalf("trial %d: stats diverge: %+v vs %+v", trial, ref.Stats(), fast.Stats())
+			if ref.stats != fast.stats {
+				t.Fatalf("trial %d: stats diverge: %+v vs %+v", trial, ref.stats, fast.stats)
 			}
 			if !reflect.DeepEqual(ref.est, fast.est) {
 				t.Fatalf("trial %d: estimator state diverges: %+v vs %+v", trial, ref.est, fast.est)

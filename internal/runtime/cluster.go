@@ -374,12 +374,6 @@ func (c *Cluster) SetNetFaults(net fault.Net, delay time.Duration) error {
 	return nil
 }
 
-// Partition returns the slice partition the cluster was configured with.
-func (c *Cluster) Partition() core.Partition { return c.part }
-
-// Period returns the configured gossip period.
-func (c *Cluster) Period() time.Duration { return c.cfg.Period }
-
 // Join adds one node with the given attribute to the running cluster —
 // churn's arrival half (§3.3). The joiner bootstraps from up to
 // ViewSize random live nodes and starts gossiping at a random phase

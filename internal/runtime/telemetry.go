@@ -122,11 +122,6 @@ func (c *Cluster) attachClusterTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(c.nodeCount.Load()) })
 }
 
-// Metrics returns the telemetry registry the cluster was built with,
-// or nil. The serving layer and cmd binaries mount its Handler as
-// /metrics.
-func (c *Cluster) Metrics() *telemetry.Registry { return c.cfg.Telemetry }
-
 // Trace returns the protocol trace ring the cluster was built with, or
 // nil.
 func (c *Cluster) Trace() *telemetry.TraceRing { return c.cfg.Trace }
@@ -167,9 +162,3 @@ func (n *Node) attachNodeTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc(metricNodeViewLen, "Entries in the node's gossip view.",
 		func() float64 { return float64(n.Status().ViewLen) })
 }
-
-// Metrics returns the registry the node was built with, or nil.
-func (n *Node) Metrics() *telemetry.Registry { return n.reg }
-
-// TraceRing returns the node's protocol trace ring, or nil.
-func (n *Node) TraceRing() *telemetry.TraceRing { return n.trace }

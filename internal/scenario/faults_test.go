@@ -39,7 +39,7 @@ func TestFaultsSpecJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(spec, back) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", back, spec)
 	}
-	if err := back.Validate(); err != nil {
+	if _, err := back.Config(); err != nil {
 		t.Errorf("round-tripped faulted spec invalid: %v", err)
 	}
 	// A faultless spec must not grow a faults key.
@@ -253,7 +253,7 @@ func TestDriftSameOnBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := MaterializeLive(spec)
+	lc, err := MaterializeLiveWith(spec, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,8 +268,8 @@ func TestLiveSpecValidation(t *testing.T) {
 				N: 50, Slices: 2, ViewSize: 5, Cycles: 5, Attr: uniformAttr(),
 				Live: &tt.live,
 			}
-			if err := s.Validate(); !errors.Is(err, ErrSpec) {
-				t.Errorf("Validate = %v, want ErrSpec", err)
+			if _, err := s.Config(); !errors.Is(err, ErrSpec) {
+				t.Errorf("Config = %v, want ErrSpec", err)
 			}
 		})
 	}

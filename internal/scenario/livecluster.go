@@ -59,16 +59,11 @@ type Instrumentation struct {
 	AtEnd func(spec Spec, nodes int)
 }
 
-// MaterializeLive builds and starts the live cluster a spec describes.
-// The caller owns the result and must Stop it. Simulation-only knobs
+// MaterializeLiveWith builds and starts the live cluster a spec
+// describes, with observability hooks attached before it starts. The
+// caller owns the result and must Stop it. Simulation-only knobs
 // (uniform-oracle membership, artificial concurrency) are rejected,
 // exactly as by the live backend.
-func MaterializeLive(spec Spec) (*LiveCluster, error) {
-	return MaterializeLiveWith(spec, Instrumentation{})
-}
-
-// MaterializeLiveWith is MaterializeLive with observability hooks
-// attached to the cluster before it starts.
 func MaterializeLiveWith(spec Spec, inst Instrumentation) (*LiveCluster, error) {
 	cfg, err := spec.Config()
 	if err != nil {

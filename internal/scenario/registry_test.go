@@ -85,10 +85,10 @@ func TestEveryRegistrySpecValidates(t *testing.T) {
 				t.Errorf("%s: duplicate spec name %q", sc.Name, spec.Name)
 			}
 			labels[spec.Name] = true
-			if err := spec.Validate(); err != nil {
+			if _, err := spec.Config(); err != nil {
 				t.Errorf("%s/%s: %v", sc.Name, spec.Name, err)
 			}
-			if err := spec.Scaled(0.01).Validate(); err != nil {
+			if _, err := spec.Scaled(0.01).Config(); err != nil {
 				t.Errorf("%s/%s scaled: %v", sc.Name, spec.Name, err)
 			}
 		}

@@ -268,15 +268,6 @@ func (r Runner) Sweep(runs []Run, onResult func(RunResult)) []RunResult {
 	return results
 }
 
-// SweepGrid is Expand followed by Sweep.
-func (r Runner) SweepGrid(g Grid, onResult func(RunResult)) ([]RunResult, error) {
-	runs, err := g.Expand()
-	if err != nil {
-		return nil, err
-	}
-	return r.Sweep(runs, onResult), nil
-}
-
 // Summary renders a one-line digest of a result for progress streams.
 func (res RunResult) Summary() string {
 	tag := ""

@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// SweepGrid is Expand followed by Sweep.
+func (r Runner) SweepGrid(g Grid, onResult func(RunResult)) ([]RunResult, error) {
+	runs, err := g.Expand()
+	if err != nil {
+		return nil, err
+	}
+	return r.Sweep(runs, onResult), nil
+}
+
 func TestDeriveSeedDeterministicAndDistinct(t *testing.T) {
 	a := DeriveSeed(1, "fig6-burst", "jk", 0, 0)
 	if b := DeriveSeed(1, "fig6-burst", "jk", 0, 0); a != b {

@@ -355,11 +355,9 @@ func (c *ChurnSpec) pattern(fallback dist.Source) (churn.Pattern, error) {
 	}
 }
 
-// Validate checks the spec without building a simulator.
-func (s Spec) Validate() error {
-	_, err := s.Config()
-	return err
-}
+// maxWindow is about 100× the paper's 10⁴-sample window (§5.3.4): each
+// node pays W/8 bytes for its window up front.
+const maxWindow = 1 << 20
 
 // Config translates the spec into a runnable sim.Config, validating
 // every field.
@@ -373,6 +371,11 @@ func (s Spec) Config() (sim.Config, error) {
 	}
 	if s.ViewSize < 1 {
 		return cfg, specErr("%s: viewSize must be positive", s.Name)
+	}
+	// A view holds distinct peers, and n nodes fill at most n slices:
+	// larger sizes are never used, only allocated.
+	if s.ViewSize > s.N || s.Slices > s.N {
+		return cfg, specErr("%s: viewSize %d and slices %d must not exceed n %d", s.Name, s.ViewSize, s.Slices, s.N)
 	}
 	if s.Cycles < 1 {
 		return cfg, specErr("%s: cycles must be positive", s.Name)
@@ -444,8 +447,8 @@ func (s Spec) Config() (sim.Config, error) {
 		cfg.Estimator = sim.CounterEstimator
 	case EstWindow:
 		cfg.Estimator = sim.WindowEstimator
-		if s.WindowSize < 1 {
-			return cfg, specErr("%s: window estimator needs windowSize ≥ 1", s.Name)
+		if s.WindowSize < 1 || s.WindowSize > maxWindow {
+			return cfg, specErr("%s: window estimator needs 1 ≤ windowSize ≤ %d", s.Name, maxWindow)
 		}
 		cfg.WindowSize = s.WindowSize
 	default:

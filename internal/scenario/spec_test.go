@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -22,7 +23,7 @@ func validSpec() Spec {
 }
 
 func TestValidateAcceptsValidSpec(t *testing.T) {
-	if err := validSpec().Validate(); err != nil {
+	if _, err := validSpec().Config(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 }
@@ -44,6 +45,9 @@ func TestValidateFailures(t *testing.T) {
 		"newscast membership": func(s *Spec) { s.Membership = "newscast" },
 		"bad estimator":       func(s *Spec) { s.Estimator = "ewma" },
 		"window without W":    func(s *Spec) { s.Estimator = EstWindow },
+		"window above max":    func(s *Spec) { s.Estimator = EstWindow; s.WindowSize = maxWindow + 1 },
+		"view above n":        func(s *Spec) { s.ViewSize = s.N + 1 },
+		"slices above n":      func(s *Spec) { s.Slices = s.N + 1 },
 		"conc below range":    func(s *Spec) { s.Concurrency = -0.1 },
 		"negative workers":    func(s *Spec) { s.SimWorkers = -1 },
 		"conc above range":    func(s *Spec) { s.Concurrency = 1.1 },
@@ -86,8 +90,8 @@ func TestValidateFailures(t *testing.T) {
 	for name, mutate := range cases {
 		spec := validSpec()
 		mutate(&spec)
-		if err := spec.Validate(); !errors.Is(err, ErrSpec) {
-			t.Errorf("%s: Validate() = %v, want ErrSpec", name, err)
+		if _, err := spec.Config(); !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: Config() = %v, want ErrSpec", name, err)
 		}
 	}
 }
@@ -162,7 +166,7 @@ func TestJSONRoundTrip(t *testing.T) {
 					sc.Name, spec.Name, back, spec)
 			}
 			// A round-tripped spec must stay valid and build the same config.
-			if err := back.Validate(); err != nil {
+			if _, err := back.Config(); err != nil {
 				t.Errorf("%s/%s: round-tripped spec invalid: %v", sc.Name, spec.Name, err)
 			}
 		}
@@ -280,4 +284,47 @@ func TestSimWorkersRoundTripAndInvariance(t *testing.T) {
 	if serial.Messages != parallel.Messages {
 		t.Fatalf("SimWorkers changed message counts: %+v vs %+v", serial.Messages, parallel.Messages)
 	}
+}
+
+// FuzzSpec decodes whole specs, seeded with every spec of every registry
+// family. A spec whose Config accepts it must re-encode to the same bytes
+// and, when it is small (N ≤ 64, Cycles ≤ 5), run on the simulator
+// without an error. Larger specs are skipped, not shrunk: a clamp would
+// run a spec nobody wrote.
+func FuzzSpec(f *testing.F) {
+	for _, sc := range All() {
+		for _, spec := range sc.Specs {
+			data, err := json.Marshal(spec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec Spec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		if _, err := spec.Config(); err != nil {
+			return
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("an accepted spec does not encode: %v", err)
+		}
+		var back Spec
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("an accepted spec does not decode its own encoding: %v", err)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is no fixed point:\n%s\n%s", enc, again)
+		}
+		if spec.N > 64 || spec.Cycles > 5 {
+			return
+		}
+		if _, err := (SimBackend{}).Run(spec); err != nil {
+			t.Fatalf("an accepted spec failed to run: %v", err)
+		}
+	})
 }

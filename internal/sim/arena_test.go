@@ -39,15 +39,16 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 				e.cycle, i, nodeID, e.ids[i])
 		}
 		// The view header must be bound onto this slot's arena block:
-		// same backing pointer, capacity clamped to the stride.
+		// same backing pointer, capacity clamped to the stride (the
+		// configured view size).
 		eb, ib, _ := e.varena.Block(i)
 		raw := e.views[i].Raw()
 		if cap(raw) == 0 || unsafe.SliceData(raw[:cap(raw)]) != unsafe.SliceData(eb[:cap(eb)]) {
 			t.Fatalf("cycle %d: slot %d's view is not bound to its arena block", e.cycle, i)
 		}
-		if cap(raw) > e.varena.Stride() {
+		if cap(raw) > e.cfg.ViewSize {
 			t.Fatalf("cycle %d: slot %d's view capacity %d exceeds the arena stride %d",
-				e.cycle, i, cap(raw), e.varena.Stride())
+				e.cycle, i, cap(raw), e.cfg.ViewSize)
 		}
 		// The packed ID mirror must live in the same slot's padded ID
 		// block, with every word past the live length held at the zero
@@ -257,7 +258,7 @@ func TestChurnDeterminismAtScale(t *testing.T) {
 }
 
 // TestSDMMatchesSortedMeasure pins the engine's O(n) SDM path (cached
-// attribute order + metrics.SDMSorted) to the reference sort-based
+// attribute order + metrics.SDMSortedRange) to the reference sort-based
 // measure, under churn so the incrementally merged order is exercised.
 func TestSDMMatchesSortedMeasure(t *testing.T) {
 	cfg := baseRankingConfig()

@@ -194,16 +194,16 @@ func TestWorkersValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Workers() != 1 {
-		t.Errorf("Workers=0 resolved to %d, want 1", e.Workers())
+	if e.workers != 1 {
+		t.Errorf("Workers=0 resolved to %d, want 1", e.workers)
 	}
 	cfg.Workers = 4
 	e, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Workers() != 4 {
-		t.Errorf("Workers=4 resolved to %d", e.Workers())
+	if e.workers != 4 {
+		t.Errorf("Workers=4 resolved to %d", e.workers)
 	}
 }
 

@@ -948,9 +948,6 @@ func (e *Engine) N() int { return len(e.ids) }
 // Partition returns the slice partition in force.
 func (e *Engine) Partition() core.Partition { return e.part }
 
-// Workers returns the engine's resolved compute-worker count.
-func (e *Engine) Workers() int { return e.workers }
-
 // SDM returns the slice disorder series (one point per completed cycle,
 // plus the initial state at cycle 0).
 func (e *Engine) SDM() metrics.Series { return e.sdm }

@@ -6,6 +6,101 @@ import (
 	"testing"
 )
 
+// The exact binomial oracles below are what the Chernoff bound
+// (chernoff.go) and the §4.4 even-split asymptotic are checked against.
+
+// ErrOddPopulation is returned when an exact even split of an odd
+// population is requested.
+var ErrOddPopulation = errors.New("stats: exact even split needs an even population")
+
+// lnFactorial returns ln(n!) via math.Lgamma.
+func lnFactorial(n int) float64 {
+	v, _ := math.Lgamma(float64(n) + 1)
+	return v
+}
+
+// LnBinomialCoeff returns ln C(n,k).
+func LnBinomialCoeff(n, k int) float64 {
+	if k < 0 || k > n {
+		return math.Inf(-1)
+	}
+	return lnFactorial(n) - lnFactorial(k) - lnFactorial(n-k)
+}
+
+// BinomialPMF returns Pr[X = k] for X ~ Binomial(n, p), computed in log
+// space for numerical stability at large n.
+func BinomialPMF(n, k int, p float64) float64 {
+	if k < 0 || k > n || p < 0 || p > 1 {
+		return 0
+	}
+	if p == 0 {
+		if k == 0 {
+			return 1
+		}
+		return 0
+	}
+	if p == 1 {
+		if k == n {
+			return 1
+		}
+		return 0
+	}
+	ln := LnBinomialCoeff(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
+	return math.Exp(ln)
+}
+
+// BinomialTail returns Pr[|X − np| ≥ βnp] for X ~ Binomial(n, p): the
+// exact probability bounded by Lemma 4.1. It sums the PMF outside the
+// band (np(1−β), np(1+β)).
+func BinomialTail(n int, p, beta float64) (float64, error) {
+	if n < 1 {
+		return math.NaN(), ErrCount
+	}
+	if p <= 0 || p > 1 || math.IsNaN(p) {
+		return math.NaN(), ErrWidth
+	}
+	if beta <= 0 || beta > 1 || math.IsNaN(beta) {
+		return math.NaN(), ErrBeta
+	}
+	mean := float64(n) * p
+	lo := mean * (1 - beta) // X ≤ lo counts
+	hi := mean * (1 + beta) // X ≥ hi counts
+	total := 0.0
+	for k := 0; k <= n; k++ {
+		kf := float64(k)
+		if kf <= lo || kf >= hi {
+			total += BinomialPMF(n, k, p)
+		}
+	}
+	if total > 1 {
+		total = 1
+	}
+	return total, nil
+}
+
+// ExactEvenSplitProbability returns the exact probability that n peers
+// drawing independent uniform random values split into two slices of
+// exactly n/2 peers each: C(n, n/2)·2⁻ⁿ. n must be even and positive.
+func ExactEvenSplitProbability(n int) (float64, error) {
+	if n < 1 {
+		return math.NaN(), ErrCount
+	}
+	if n%2 != 0 {
+		return math.NaN(), ErrOddPopulation
+	}
+	ln := LnBinomialCoeff(n, n/2) - float64(n)*math.Ln2
+	return math.Exp(ln), nil
+}
+
+// EvenSplitAsymptotic returns the paper's §4.4 asymptotic upper bound
+// √(2/(nπ)) for the probability of a perfect even split.
+func EvenSplitAsymptotic(n int) (float64, error) {
+	if n < 1 {
+		return math.NaN(), ErrCount
+	}
+	return math.Sqrt(2 / (float64(n) * math.Pi)), nil
+}
+
 func TestBinomialPMFSmallCases(t *testing.T) {
 	tests := []struct {
 		n, k int

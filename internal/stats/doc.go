@@ -8,10 +8,11 @@
 //     estimate its slice with a given confidence, as a function of its
 //     distance to the nearest slice boundary (Wald large-sample normal
 //     test in the binomial case).
-//   - The §4.4 claim that the probability of splitting n peers into two
-//     perfectly equal slices by uniform random values is less than
-//     √(2/(nπ)): computed exactly via the central binomial term and
-//     compared with the asymptotic.
+//
+// Its tests check Lemma 4.1 against the exact binomial tail, and the §4.4
+// claim that the probability of splitting n peers into two perfectly
+// equal slices by uniform random values is less than √(2/(nπ)) against
+// the exact central binomial term.
 //
 // The package also provides the standard normal quantile function Φ⁻¹
 // (needed by Theorem 5.1), implemented with Acklam's rational

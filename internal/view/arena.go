@@ -52,9 +52,6 @@ func NewArena(stride, slots int) *Arena {
 	}
 }
 
-// Stride returns the per-slot capacity.
-func (a *Arena) Stride() int { return a.stride }
-
 // Slots returns the number of slots currently backed.
 func (a *Arena) Slots() int { return len(a.entries) / a.stride }
 

@@ -8,6 +8,14 @@ import (
 	"github.com/gossipkit/slicing/internal/core"
 )
 
+// Clear removes every entry, keeping the allocated storage: the first
+// half of the Clear+Add oracle Reset is checked against.
+func (v *View) Clear() {
+	clear(v.ids)
+	v.entries = v.entries[:0]
+	v.ids = v.ids[:0]
+}
+
 // randomEntries draws n entries with distinct IDs from [1, maxID], ages
 // from a small pool (so ties are common) and about one placeholder in
 // six.

@@ -196,13 +196,6 @@ func (v *View) Add(e Entry) {
 	v.ids = append(v.ids, e.ID)
 }
 
-// Clear removes every entry, keeping the allocated storage.
-func (v *View) Clear() {
-	clear(v.ids)
-	v.entries = v.entries[:0]
-	v.ids = v.ids[:0]
-}
-
 // Remove deletes the entry for id, reporting whether it was present.
 func (v *View) Remove(id core.ID) bool {
 	i := v.index(id)
@@ -256,22 +249,6 @@ func (v *View) AgeAllOldest() (Entry, bool) {
 		}
 		if i == 0 || a > bestAge {
 			best, bestAge = i, a
-		}
-	}
-	return v.entries[best], true
-}
-
-// Oldest returns the entry with the maximal age (Fig. 3 line 2). Ties
-// resolve to the earliest-stored entry, keeping the protocol
-// deterministic under a fixed seed.
-func (v *View) Oldest() (Entry, bool) {
-	if len(v.entries) == 0 {
-		return Entry{}, false
-	}
-	best := 0
-	for i := range v.entries {
-		if v.entries[i].Age > v.entries[best].Age {
-			best = i
 		}
 	}
 	return v.entries[best], true
@@ -815,15 +792,6 @@ func (v *View) Clone() *View {
 	copy(c.entries, v.entries)
 	c.reindex()
 	return c
-}
-
-// IDs returns the neighbor identifiers.
-func (v *View) IDs() []core.ID {
-	ids := make([]core.ID, len(v.entries))
-	for i, e := range v.entries {
-		ids[i] = e.ID
-	}
-	return ids
 }
 
 // Validate checks the view invariants: unique IDs, size within

