@@ -31,7 +31,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/api_surface.golden from the current source")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current source")
 
 const goldenPath = "testdata/api_surface.golden"
 
