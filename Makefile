@@ -97,9 +97,8 @@ profile:
 # RAND_FILES may import math/rand. Moving a file onto core.Stream takes
 # it off the list; nothing puts one back.
 RAND_FILES = internal/churn/churn.go internal/dist/continuous.go internal/dist/dist.go \
-	internal/dist/empirical.go internal/dist/mixture.go internal/dist/zipf.go \
-	internal/runtime/cluster.go internal/runtime/sched.go internal/scenario/livecluster.go \
-	internal/sim/sim.go
+	internal/dist/mixture.go internal/runtime/cluster.go internal/runtime/sched.go \
+	internal/scenario/livecluster.go internal/sim/sim.go
 # The dead-code gate: reach_test.go (build tag reach) walks the
 # type-checked reference graph from cmd/, examples/, benchmark/ and the
 # facade's exported names, and fails on a declaration nothing reaches

@@ -188,3 +188,135 @@ func pkgNames(pkgs map[string]*ast.Package) []string {
 	sort.Strings(names)
 	return names
 }
+
+// TestFacadeNamesUsed is the facade's ratchet: an exported name stays
+// only if a program under cmd/ or examples/, or an Example in
+// example_test.go, spells it as slicing.X, or it appears in the
+// signature of a facade declaration that stays. Anything else is surface
+// with no caller, and the test names it.
+func TestFacadeNamesUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sig maps each exported facade name to the identifiers of its
+	// signature, type or value.
+	sig := map[string][]string{}
+	for _, file := range pkgs["slicing"].Files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					sig[d.Name.Name] = localIdents(d.Type)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							sig[s.Name.Name] = localIdents(s.Type)
+						}
+					case *ast.ValueSpec:
+						nodes := []ast.Node{s.Type}
+						for _, v := range s.Values {
+							nodes = append(nodes, v)
+						}
+						for _, name := range s.Names {
+							if name.IsExported() {
+								sig[name.Name] = localIdents(nodes...)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[string]bool{}
+	var work []string
+	spell := func(name string) {
+		if _, ok := sig[name]; ok && !used[name] {
+			used[name] = true
+			work = append(work, name)
+		}
+	}
+	files := []string{"example_test.go"}
+	for _, dir := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"github.com/gossipkit/slicing"` {
+				local = "slicing"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && local != "" && x.Name == local {
+					spell(sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	for len(work) > 0 {
+		name := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, id := range sig[name] {
+			spell(id)
+		}
+	}
+
+	var unused []string
+	for name := range sig {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d exported facade name(s) that no cmd/ or examples/ program, no Example and no kept signature spells; delete them or show a caller:\n  %s",
+			len(unused), strings.Join(unused, "\n  "))
+	}
+}
+
+// localIdents lists the unqualified identifiers under the nodes: in a
+// facade declaration those are the facade's own names (pkg.X selectors
+// name another package and are skipped).
+func localIdents(nodes ...ast.Node) []string {
+	var ids []string
+	for _, n := range nodes {
+		if n == nil {
+			continue
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				return false
+			case *ast.Ident:
+				ids = append(ids, n.Name)
+			}
+			return true
+		})
+	}
+	return ids
+}

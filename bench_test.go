@@ -1,5 +1,5 @@
-// The ablation benches called out in DESIGN.md §5 and micro-benchmarks
-// of the hot paths.
+// Ablation benches of the protocol choices and micro-benchmarks of the
+// hot paths.
 package slicing_test
 
 import (
@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	slicing "github.com/gossipkit/slicing"
+	"github.com/gossipkit/slicing/internal/churn"
+	"github.com/gossipkit/slicing/internal/sim"
 )
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations ---
 
 // BenchmarkSelectionPolicies ablates the swap-partner heuristic: random
 // misplaced (JK) vs max gain (mod-JK). The final-sdm metric after a
@@ -76,38 +78,6 @@ func BenchmarkViewSize(b *testing.B) {
 	}
 }
 
-// BenchmarkBoundaryBias ablates the ranking protocol's boundary-closest
-// targeting (Fig. 5 j1) against two uniformly random targets.
-func BenchmarkBoundaryBias(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"boundary-biased", false},
-		{"random-targets", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var final float64
-			for i := 0; i < b.N; i++ {
-				res, err := slicing.Simulate(slicing.SimConfig{
-					N: 300, Slices: 10, ViewSize: 10,
-					Protocol:            slicing.Ranking,
-					DisableBoundaryBias: tc.disable,
-					AttrDist:            slicing.UniformDist{Lo: 0, Hi: 1000},
-					Seed:                int64(i + 1),
-				}, 100)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if p, ok := res.SDM.Last(); ok {
-					final = p.Value
-				}
-			}
-			b.ReportMetric(final, "final-sdm")
-		})
-	}
-}
-
 // BenchmarkWindowSize sweeps the sliding-window size under sustained
 // correlated churn: small windows track drift but carry sampling noise;
 // large windows are smooth but stale.
@@ -119,44 +89,12 @@ func BenchmarkWindowSize(b *testing.B) {
 				res, err := slicing.Simulate(slicing.SimConfig{
 					N: 300, Slices: 10, ViewSize: 10,
 					Protocol:  slicing.Ranking,
-					Estimator: slicing.WindowEstimator, WindowSize: w,
+					Estimator: sim.WindowEstimator, WindowSize: w,
 					AttrDist: slicing.UniformDist{Lo: 0, Hi: 1000},
-					Schedule: slicing.PeriodicChurn{Rate: 0.002, Every: 5},
-					Pattern:  slicing.CorrelatedChurn{Spread: 10},
+					Schedule: churn.Flat{JoinRate: 0.002, LeaveRate: 0.002, Every: 5},
+					Pattern:  churn.Correlated{Spread: 10},
 					Seed:     int64(i + 1),
 				}, 300)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if p, ok := res.SDM.Last(); ok {
-					final = p.Value
-				}
-			}
-			b.ReportMetric(final, "final-sdm")
-		})
-	}
-}
-
-// BenchmarkEstimatorSources ablates the ranking estimator's inputs: view
-// scans + messages (the paper) vs messages only.
-func BenchmarkEstimatorSources(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"views-and-messages", false},
-		{"messages-only", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var final float64
-			for i := 0; i < b.N; i++ {
-				res, err := slicing.Simulate(slicing.SimConfig{
-					N: 300, Slices: 10, ViewSize: 10,
-					Protocol:        slicing.Ranking,
-					DisableViewScan: tc.disable,
-					AttrDist:        slicing.UniformDist{Lo: 0, Hi: 1000},
-					Seed:            int64(i + 1),
-				}, 100)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -42,11 +42,12 @@
 //
 // The two execution regimes sit behind one abstraction: a
 // ScenarioBackend runs a ScenarioSpec either on the simulator
-// (SimScenarioBackend — logical cycles, atomic exchanges, bit-exact
-// per seed) or on the live runtime (LiveScenarioBackend — a real
-// cluster with interleaved gossip, churn applied as actual joins and
-// crashes on the spec's schedule, and seeded latency/loss injection
-// from the spec's live block). Both return the same result shape, so
+// (ScenarioBackendByName(BackendSim) — logical cycles, atomic
+// exchanges, bit-exact per seed) or on the live runtime
+// (ScenarioBackendByName(BackendLive) — a real cluster with
+// interleaved gossip, churn applied as actual joins and crashes on the
+// spec's schedule, and seeded latency/loss injection from the spec's
+// live block). Both return the same result shape, so
 // the slice-disorder trajectory of a live cluster is directly
 // comparable, cycle for cycle, with its simulation — the asynchronous
 // regime §4.5.2 of the paper approximates with artificial overlap
@@ -55,11 +56,11 @@
 // The live runtime's cluster core is a sharded scheduler: a fixed
 // worker pool (one worker per shard) drains per-shard timer wheels of
 // node ticks and message deliveries, so a cluster costs O(shards)
-// goroutines instead of O(nodes). Behind the LiveClock abstraction a
-// cluster runs on the wall clock or — handed a VirtualClock — in
-// driven virtual time, where Cluster.Advance executes each period's
-// work concurrently and returns without sleeping: live evaluation runs
-// and tests are compute-bound, not period-bound.
+// goroutines instead of O(nodes). A cluster runs on the wall clock
+// or — handed a VirtualClock from NewVirtualClock — in driven virtual
+// time, where Cluster.Advance executes each period's work
+// concurrently and returns without sleeping: live evaluation runs and
+// tests are compute-bound, not period-bound.
 //
 // The simulator itself is also multi-core: each cycle executes as
 // compute/commit rounds — per-node counter-based RNG streams make
@@ -72,20 +73,26 @@
 // is purely a throughput dial: sweeps parallelize across runs, one big
 // run parallelizes across cores.
 //
-// # Attribute distributions
+// # Attribute distributions and churn
 //
-// Both execution modes draw node attributes from an AttrSource. The
+// Both execution modes draw node attributes from one of five laws. The
 // protocols are distribution-free — only the attribute rank matters —
-// so skewed sources exist to stress that claim and to model realistic
+// so skewed laws exist to stress that claim and to model realistic
 // capability workloads: UniformDist, ParetoDist, ExponentialDist,
-// NormalDist, LogNormalDist, ZipfDist, MixtureDist (multi-modal
-// fleets) and EmpiricalDist (histogram replay of measured profiles,
-// via NewEmpiricalDist). Every source also implements AttrDistribution,
-// exposing the analytic CDF and Quantile of its law: Quantile(b) is
-// the true attribute threshold of a slice boundary b, and CDF(x) is
-// the asymptotic normalized rank of attribute x — the closed-form
-// references a skewed-attribute run's slice assignment can be compared
-// against.
+// NormalDist and MixtureDist (multi-modal fleets, one
+// MixtureComponent per mode). Every law also exposes the analytic CDF
+// and Quantile of its distribution: Quantile(b) is the true attribute
+// threshold of a slice boundary b, and CDF(x) is the asymptotic
+// normalized rank of attribute x — the closed-form references a
+// skewed-attribute run's slice assignment can be compared against.
+//
+// Churn is declared in a ScenarioSpec's churn block: a sequence of
+// phases, each a join and a leave rate (fractions of the population,
+// at most 1) applied every cycle or every k-th cycle for a bounded
+// number of cycles, and a pattern — the paper's attribute-correlated
+// churn of §5.3.3 (the lowest attributes leave, joiners arrive above
+// the maximum) or uniform churn. Fig. 6(c)'s burst and Fig. 6(d)'s
+// periodic churn are two such blocks in the catalog.
 //
 // # Scenarios
 //
@@ -94,7 +101,7 @@
 // of a paper figure (fig4-*, fig6-*) or extension workload (heavytail,
 // bimodal, flash-crowd, mass-departure, slice-oscillation) — and each
 // spec is a JSON-serializable description of one run that translates
-// into a SimConfig via its Config method. Scenarios, ScenarioNames and
+// into a SimConfig via its Config method. Scenarios and
 // LookupScenario expose the catalog; cmd/slicebench lists, runs and
 // sweeps it (scenario grids fan out across a worker pool with
 // deterministic per-run seeds), and the examples are thin wrappers over
@@ -152,7 +159,7 @@
 // ClusterQuerier (NewClusterQuerier, round-robin over a cluster; its
 // one-node case is NewNodeQuerier) and NewSimQuerier (oracle-grade
 // answers from a simulation engine, used to validate the live path).
-// Every answer carries a Staleness block
+// Every answer carries a staleness block
 // combining the Theorem 5.1 Wald confidence interval on the node's rank
 // estimate with a calibrated residual disorder floor (inflated while
 // the protocol is still warming up), so callers can tell a converged
@@ -193,8 +200,8 @@
 // it — instrumented runs are bit-identical to plain ones.
 //
 // NewTraceRing builds a fixed-capacity ring of protocol decision events
-// (TraceViewExchange, TraceSwapApplied, TraceBoundaryCross,
-// TraceRankUpdate, …); ClusterConfig.Trace shares one ring across a
+// (view exchanges, swap requests and outcomes, boundary crossings, rank
+// updates); ClusterConfig.Trace shares one ring across a
 // cluster's nodes, and a query server given it as ServeOptions.Trace
 // dumps it as JSON at GET /debug/trace. ServeOptions.Debug mounts
 // net/http/pprof on the same mux. Diagnostics in the
@@ -209,10 +216,13 @@
 // scenarios.go (the declarative catalog), serve.go (the query plane),
 // telemetry.go (metrics and protocol traces) and analytic.go (the
 // Lemma 4.1 / Theorem 5.1 closed forms). Configuration has one path:
-// the NodeConfig, ClusterConfig and ServeOptions structs. The exported surface is locked additive-only by a golden test
-// (api_surface_test.go): removing or re-typing an identifier fails the
-// build's test gate, and deliberate surface changes are blessed with
-// `go test -run TestAPISurface -update`.
+// the NodeConfig, ClusterConfig and ServeOptions structs. The exported
+// surface is locked by a golden test (api_surface_test.go): removing or
+// re-typing an identifier fails the test gate, and deliberate surface
+// changes are blessed with `go test -run TestAPISurface -update`. Its
+// ratchet, TestFacadeNamesUsed, fails on any exported name that no
+// program under cmd/ or examples/, no Example and no kept signature
+// spells.
 //
 // # Quick start
 //

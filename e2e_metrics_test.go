@@ -103,7 +103,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/trace: status %d", resp2.StatusCode)
 	}
-	var dump slicing.TraceDump
+	var dump telemetry.TraceDump
 	if err := json.NewDecoder(resp2.Body).Decode(&dump); err != nil {
 		t.Fatalf("GET /debug/trace: decode: %v", err)
 	}

@@ -38,62 +38,13 @@ type Schedule interface {
 	fmt.Stringer
 }
 
-// None is the static system: no churn.
-type None struct{}
-
-// At implements Schedule.
-func (None) At(int, int) Event { return Event{} }
-
-// String implements fmt.Stringer.
-func (None) String() string { return "none" }
-
-// Burst applies Rate·n leaves and Rate·n joins every cycle while
-// cycle < Until (Fig. 6(c): Rate 0.001, Until 200).
-type Burst struct {
-	Rate  float64
-	Until int
-}
-
-// At implements Schedule.
-func (b Burst) At(cycle, n int) Event {
-	if cycle >= b.Until {
-		return Event{}
-	}
-	k := count(b.Rate, n)
-	return Event{Leave: k, Join: k}
-}
-
-// String implements fmt.Stringer.
-func (b Burst) String() string {
-	return fmt.Sprintf("burst(%.2g%%/cycle,until=%d)", b.Rate*100, b.Until)
-}
-
-// Periodic applies Rate·n leaves and joins every Every cycles,
-// indefinitely (Fig. 6(d): Rate 0.001, Every 10).
-type Periodic struct {
-	Rate  float64
-	Every int
-}
-
-// At implements Schedule.
-func (p Periodic) At(cycle, n int) Event {
-	if p.Every <= 0 || cycle == 0 || cycle%p.Every != 0 {
-		return Event{}
-	}
-	k := count(p.Rate, n)
-	return Event{Leave: k, Join: k}
-}
-
-// String implements fmt.Stringer.
-func (p Periodic) String() string {
-	return fmt.Sprintf("periodic(%.2g%% every %d cycles)", p.Rate*100, p.Every)
-}
-
 // Flat applies LeaveRate·n leaves and JoinRate·n joins, either every
-// cycle (Every ≤ 1) or — Periodic-style — every Every-th cycle, skipping
-// cycle 0. Unlike Burst and Periodic the two rates are independent, so
-// it expresses one-sided churn: a join flood (flash crowd) or a pure
-// departure wave. Bound it in time by wrapping it in a Compose phase.
+// cycle (Every ≤ 1) or every Every-th cycle, skipping cycle 0. The zero
+// Flat is the static system. Equal rates give the paper's schedules:
+// Fig. 6(d) is Flat{0.001, 0.001, 10}, and Fig. 6(c)'s burst is
+// Flat{0.001, 0.001, 0} bounded to 200 cycles by a Compose phase.
+// Independent rates express one-sided churn: a join flood (flash
+// crowd) or a pure departure wave.
 type Flat struct {
 	// JoinRate and LeaveRate are fractions of the current system size.
 	JoinRate  float64

@@ -18,10 +18,11 @@ func sortedMembers(attrs ...core.Attr) []core.Member {
 }
 
 func TestNoneSchedule(t *testing.T) {
-	var s None
+	// The static system is the zero Flat.
+	var s Flat
 	for _, cycle := range []int{0, 1, 100} {
 		if e := s.At(cycle, 10000); e.Leave != 0 || e.Join != 0 {
-			t.Errorf("None.At(%d) = %+v, want zero", cycle, e)
+			t.Errorf("Flat{}.At(%d) = %+v, want zero", cycle, e)
 		}
 	}
 }
@@ -29,7 +30,7 @@ func TestNoneSchedule(t *testing.T) {
 func TestBurstSchedule(t *testing.T) {
 	// The paper's Fig. 6(c): 0.1% per cycle during the first 200 cycles
 	// of a 10⁴-node system → 10 leaves + 10 joins per cycle.
-	s := Burst{Rate: 0.001, Until: 200}
+	s := Compose(Phase{Schedule: Flat{JoinRate: 0.001, LeaveRate: 0.001}, Cycles: 200})
 	tests := []struct {
 		cycle     int
 		wantLeave int
@@ -43,14 +44,14 @@ func TestBurstSchedule(t *testing.T) {
 	for _, tt := range tests {
 		e := s.At(tt.cycle, 10000)
 		if e.Leave != tt.wantLeave || e.Join != tt.wantLeave {
-			t.Errorf("Burst.At(%d) = %+v, want leave=join=%d", tt.cycle, e, tt.wantLeave)
+			t.Errorf("burst.At(%d) = %+v, want leave=join=%d", tt.cycle, e, tt.wantLeave)
 		}
 	}
 }
 
 func TestPeriodicSchedule(t *testing.T) {
 	// Fig. 6(d): 0.1% every 10 cycles.
-	s := Periodic{Rate: 0.001, Every: 10}
+	s := Flat{JoinRate: 0.001, LeaveRate: 0.001, Every: 10}
 	tests := []struct {
 		cycle     int
 		wantLeave int
@@ -65,15 +66,8 @@ func TestPeriodicSchedule(t *testing.T) {
 	for _, tt := range tests {
 		e := s.At(tt.cycle, 10000)
 		if e.Leave != tt.wantLeave || e.Join != tt.wantLeave {
-			t.Errorf("Periodic.At(%d) = %+v, want leave=join=%d", tt.cycle, e, tt.wantLeave)
+			t.Errorf("periodic.At(%d) = %+v, want leave=join=%d", tt.cycle, e, tt.wantLeave)
 		}
-	}
-}
-
-func TestPeriodicZeroEvery(t *testing.T) {
-	s := Periodic{Rate: 0.5, Every: 0}
-	if e := s.At(10, 100); e.Leave != 0 {
-		t.Errorf("Periodic with Every=0 produced churn: %+v", e)
 	}
 }
 
@@ -93,7 +87,7 @@ func TestFlatSchedule(t *testing.T) {
 }
 
 func TestFlatScheduleEvery(t *testing.T) {
-	// With Every set, Flat spaces events like Periodic (and skips cycle 0).
+	// With Every set, Flat spaces events Every cycles apart and skips cycle 0.
 	s := Flat{JoinRate: 0.001, LeaveRate: 0.001, Every: 10}
 	tests := []struct {
 		cycle     int
@@ -125,7 +119,7 @@ func TestComposeSequencesPhases(t *testing.T) {
 	}{
 		{0, 10},   // burst phase, every cycle
 		{199, 10}, // last burst cycle
-		{200, 0},  // steady phase, local cycle 0 → Periodic-style skip
+		{200, 0},  // steady phase, local cycle 0 → skipped
 		{205, 0},  // steady phase, off-beat
 		{210, 5},  // steady phase, local cycle 10
 		{1200, 5}, // unbounded tail phase keeps going
@@ -261,9 +255,8 @@ func TestUniformJoinAttrFollowsDist(t *testing.T) {
 
 func TestStringers(t *testing.T) {
 	for _, s := range []interface{ String() string }{
-		None{}, Burst{Rate: 0.001, Until: 200}, Periodic{Rate: 0.001, Every: 10},
 		Flat{JoinRate: 0.01, Every: 5},
-		Compose(Phase{Schedule: Burst{Rate: 0.001, Until: 10}, Cycles: 10}, Phase{}),
+		Compose(Phase{Schedule: Flat{JoinRate: 0.001}, Cycles: 10}, Phase{}),
 		Correlated{}, Uniform{Dist: dist.Uniform{}},
 	} {
 		if s.String() == "" {

@@ -8,10 +8,6 @@ import (
 // Sampling sits on the simulator's node-creation and churn-join paths,
 // so its cost caps how fast large churny populations can be built.
 func BenchmarkSample(b *testing.B) {
-	emp, err := NewEmpirical([]float64{1, 2, 2, 3, 5, 8, 13, 21}, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, bc := range []struct {
 		name string
 		d    Source
@@ -20,13 +16,10 @@ func BenchmarkSample(b *testing.B) {
 		{"pareto", Pareto{Xm: 10, Alpha: 1.5}},
 		{"exponential", Exponential{Mean: 3600}},
 		{"normal", Normal{Mean: 500, Stddev: 50}},
-		{"lognormal", LogNormal{Mu: 1, Sigma: 0.5}},
-		{"zipf-1e3", Zipf{S: 1.1, N: 1000}},
 		{"mixture-2", Mixture{Components: []Weighted{
 			{Weight: 0.5, Dist: Normal{Mean: 50, Stddev: 5}},
 			{Weight: 0.5, Dist: Normal{Mean: 500, Stddev: 20}},
 		}}},
-		{"empirical-4bin", emp},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))

@@ -142,40 +142,6 @@ func (n Normal) Quantile(p float64) float64 {
 // String implements fmt.Stringer.
 func (n Normal) String() string { return fmt.Sprintf("normal(μ=%g,σ=%g)", n.Mean, n.Stddev) }
 
-// LogNormal draws values whose logarithm is Normal(Mu, Sigma): the
-// multiplicative heavy-tail reported for session lengths and storage.
-// Sigma must be > 0.
-type LogNormal struct {
-	Mu, Sigma float64
-}
-
-// Sample implements Source.
-func (l LogNormal) Sample(rng *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
-}
-
-// CDF implements Distribution.
-func (l LogNormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return stats.NormalCDF((math.Log(x) - l.Mu) / l.Sigma)
-}
-
-// Quantile implements Distribution.
-func (l LogNormal) Quantile(p float64) float64 {
-	if badP(p) {
-		return math.NaN()
-	}
-	if l.Sigma == 0 { // point mass; avoid 0·(±Inf) at p ∈ {0,1}
-		return math.Exp(l.Mu)
-	}
-	return math.Exp(l.Mu + l.Sigma*stdNormalQuantile(p))
-}
-
-// String implements fmt.Stringer.
-func (l LogNormal) String() string { return fmt.Sprintf("lognormal(μ=%g,σ=%g)", l.Mu, l.Sigma) }
-
 // stdNormalQuantile extends stats.NormalQuantile to the closed domain:
 // Φ⁻¹(0) = −∞ and Φ⁻¹(1) = +∞.
 func stdNormalQuantile(p float64) float64 {

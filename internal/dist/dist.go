@@ -3,8 +3,8 @@
 // are distribution-free — a node's slice depends only on its attribute
 // *rank* — so skewed sources exist to stress that claim and to model
 // realistic capability workloads: measurement studies report
-// heavy-tailed bandwidth (Pareto, Zipf, log-normal) and multi-modal
-// populations (Mixture), the scenarios the companion INRIA report
+// heavy-tailed bandwidth (Pareto) and multi-modal populations
+// (Mixture), the scenarios the companion INRIA report
 // (arXiv:cs/0612035) motivates.
 //
 // Every source implements Sample for drawing values, plus analytic CDF

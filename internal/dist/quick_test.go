@@ -10,7 +10,7 @@ import (
 // randomContinuous builds a continuous distribution with random but
 // sane parameters from the seed's rng.
 func randomContinuous(rng *rand.Rand) Distribution {
-	switch rng.Intn(6) {
+	switch rng.Intn(5) {
 	case 0:
 		lo := rng.NormFloat64() * 100
 		return Uniform{Lo: lo, Hi: lo + 1e-3 + rng.Float64()*100}
@@ -20,8 +20,6 @@ func randomContinuous(rng *rand.Rand) Distribution {
 		return Exponential{Mean: 0.1 + rng.Float64()*50}
 	case 3:
 		return Normal{Mean: rng.NormFloat64() * 100, Stddev: 0.1 + rng.Float64()*20}
-	case 4:
-		return LogNormal{Mu: rng.NormFloat64(), Sigma: 0.1 + rng.Float64()*2}
 	default:
 		m1 := rng.NormFloat64() * 10
 		return Mixture{Components: []Weighted{
@@ -74,45 +72,6 @@ func TestQuantileMonotone(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: an Empirical histogram fitted to any sample set is itself a
-// valid distribution whose support stays inside [min, max] and whose
-// quantiles invert its CDF.
-func TestEmpiricalFitRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		src := randomContinuous(rng)
-		n := 50 + rng.Intn(500)
-		samples := make([]float64, n)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range samples {
-			samples[i] = src.Sample(rng)
-			lo = math.Min(lo, samples[i])
-			hi = math.Max(hi, samples[i])
-		}
-		e, err := NewEmpirical(samples, 1+rng.Intn(40))
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		for i := 0; i < 20; i++ {
-			x := e.Sample(rng)
-			if x < lo || x > hi {
-				t.Logf("sample %v outside [%v,%v]", x, lo, hi)
-				return false
-			}
-			p := rng.Float64()
-			if got := e.CDF(e.Quantile(p)); math.Abs(got-p) > 1e-9 {
-				t.Logf("CDF(Quantile(%v)) = %v", p, got)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -25,20 +25,11 @@ import (
 // Node is a ranking protocol instance bound to one network node. It
 // implements proto.Node.
 type Node struct {
-	id    core.ID
-	attr  core.Attr
-	part  core.Partition
-	est   Estimator
-	v     *view.View
-	stats Stats
-	// scanView controls whether Tick feeds the view's attribute values
-	// into the estimator (Fig. 5 lines 5-7). The paper does; disabling
-	// it (messages only) is an ablation.
-	scanView bool
-	// boundaryBias controls whether j1 targets the neighbor closest to
-	// a slice boundary (Fig. 5 lines 8-10). The paper does; disabling
-	// it (two random targets) is an ablation.
-	boundaryBias bool
+	id   core.ID
+	attr core.Attr
+	part core.Partition
+	est  Estimator
+	v    *view.View
 
 	// updMsg is the node's UPD message, boxed once: the attribute value
 	// it carries never changes (§3.1 assumes static attributes).
@@ -57,16 +48,6 @@ type Scratch struct {
 	entries []view.Entry
 }
 
-// Stats counts protocol events.
-type Stats struct {
-	// UpdatesSent counts UPD messages sent.
-	UpdatesSent uint64
-	// UpdatesReceived counts UPD messages received.
-	UpdatesReceived uint64
-	// ViewObservations counts attribute values fed from view scans.
-	ViewObservations uint64
-}
-
 var _ proto.Node = (*Node)(nil)
 
 // Config parameterizes a ranking node.
@@ -78,12 +59,6 @@ type Config struct {
 	// protocol of Fig. 5, MustNewWindow(W) the §5.3.4 variant.
 	Estimator Estimator
 	View      *view.View
-	// DisableViewScan turns off the per-period estimator feeding from
-	// the view (ablation; the paper's algorithm keeps it on).
-	DisableViewScan bool
-	// DisableBoundaryBias makes both UPD targets uniformly random
-	// (ablation; the paper biases j1 toward boundary-adjacent nodes).
-	DisableBoundaryBias bool
 }
 
 // NewNode builds a ranking node.
@@ -95,14 +70,12 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("ranking: config needs an estimator")
 	}
 	return &Node{
-		id:           cfg.ID,
-		attr:         cfg.Attr,
-		part:         cfg.Partition,
-		est:          cfg.Estimator,
-		v:            cfg.View,
-		scanView:     !cfg.DisableViewScan,
-		boundaryBias: !cfg.DisableBoundaryBias,
-		updMsg:       proto.RankUpdate{Attr: cfg.Attr},
+		id:     cfg.ID,
+		attr:   cfg.Attr,
+		part:   cfg.Partition,
+		est:    cfg.Estimator,
+		v:      cfg.View,
+		updMsg: proto.RankUpdate{Attr: cfg.Attr},
 	}, nil
 }
 
@@ -182,11 +155,8 @@ func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) 
 		}
 	}
 	scr.entries = entries
-	if n.scanView {
-		for _, e := range entries {
-			n.est.Observe(n.lower(e.Member()))
-			n.stats.ViewObservations++
-		}
+	for _, e := range entries {
+		n.est.Observe(n.lower(e.Member()))
 	}
 	if len(entries) == 0 {
 		return 0, 0, false
@@ -195,20 +165,14 @@ func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) 
 	// slice boundary (Fig. 5 lines 8-10). Estimates resolve through the
 	// state reader, falling back to the view's recorded estimates.
 	j1 := entries[0]
-	if n.boundaryBias {
-		best := n.boundaryDistance(state, entries[0])
-		for _, e := range entries[1:] {
-			if d := n.boundaryDistance(state, e); d < best {
-				best, j1 = d, e
-			}
+	best := n.boundaryDistance(state, entries[0])
+	for _, e := range entries[1:] {
+		if d := n.boundaryDistance(state, e); d < best {
+			best, j1 = d, e
 		}
-	} else {
-		j1 = entries[rng.Intn(len(entries))]
 	}
-	n.stats.UpdatesSent++
 	// j2: a uniformly random neighbor (Fig. 5 line 12).
 	j2 := entries[rng.Intn(len(entries))]
-	n.stats.UpdatesSent++
 	return j1.ID, j2.ID, true
 }
 
@@ -229,29 +193,20 @@ func (n *Node) TickTargetsFast(coords proto.CoordTable, rng core.RNG, scr *Scrat
 		}
 	}
 	scr.entries = entries
-	if n.scanView {
-		for _, e := range entries {
-			n.est.Observe(n.lower(e.Member()))
-			n.stats.ViewObservations++
-		}
+	for _, e := range entries {
+		n.est.Observe(n.lower(e.Member()))
 	}
 	if len(entries) == 0 {
 		return 0, 0, false
 	}
 	j1 := entries[0]
-	if n.boundaryBias {
-		best := n.boundaryDistanceTab(coords, entries[0])
-		for _, e := range entries[1:] {
-			if d := n.boundaryDistanceTab(coords, e); d < best {
-				best, j1 = d, e
-			}
+	best := n.boundaryDistanceTab(coords, entries[0])
+	for _, e := range entries[1:] {
+		if d := n.boundaryDistanceTab(coords, e); d < best {
+			best, j1 = d, e
 		}
-	} else {
-		j1 = entries[rng.Intn(len(entries))]
 	}
-	n.stats.UpdatesSent++
 	j2 := entries[rng.Intn(len(entries))]
-	n.stats.UpdatesSent++
 	return j1.ID, j2.ID, true
 }
 
@@ -286,6 +241,5 @@ func (n *Node) Handle(from core.ID, msg proto.Message, _ core.RNG) []proto.Envel
 // ApplyRankUpdate is the passive thread without the message unboxing:
 // absorb one UPD observation carrying the sender's attribute.
 func (n *Node) ApplyRankUpdate(from core.ID, attr core.Attr) {
-	n.stats.UpdatesReceived++
 	n.est.Observe(n.lower(core.Member{ID: from, Attr: attr}))
 }

@@ -59,9 +59,8 @@ func TestHandleUpdatesEstimate(t *testing.T) {
 	if got := n.Estimate(); got != 0.5 {
 		t.Errorf("estimate = %v, want 0.5", got)
 	}
-	st := n.stats
-	if st.UpdatesReceived != 2 {
-		t.Errorf("UpdatesReceived = %d, want 2", st.UpdatesReceived)
+	if got := n.Samples(); got != 2 {
+		t.Errorf("Samples = %d, want 2 (one per update)", got)
 	}
 }
 
@@ -101,24 +100,8 @@ func TestTickScansView(t *testing.T) {
 	if got := n.Estimate(); got != 0.5 {
 		t.Errorf("estimate after view scan = %v, want 0.5", got)
 	}
-	if got := n.stats.ViewObservations; got != 2 {
-		t.Errorf("ViewObservations = %d, want 2", got)
-	}
-}
-
-func TestTickViewScanDisabled(t *testing.T) {
-	est := NewCounter()
-	n, err := NewNode(Config{
-		ID: 10, Attr: 50, Partition: core.MustEqual(4),
-		Estimator: est, View: view.MustNew(8), DisableViewScan: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.View().Add(view.Entry{ID: 1, Attr: 10})
-	n.Tick(rand.New(rand.NewSource(1)))
-	if est.Samples() != 0 {
-		t.Error("view scan fed the estimator despite DisableViewScan")
+	if got := n.Samples(); got != 2 {
+		t.Errorf("Samples after view scan = %d, want 2", got)
 	}
 }
 
@@ -145,9 +128,6 @@ func TestTickTargetsBoundaryClosestNeighbor(t *testing.T) {
 		if upd.Attr != 50 {
 			t.Errorf("UPD carries attr %v, want the sender's 50", upd.Attr)
 		}
-	}
-	if got := n.stats.UpdatesSent; got != 2 {
-		t.Errorf("UpdatesSent = %d, want 2", got)
 	}
 }
 

@@ -47,7 +47,6 @@ func rankTickState(rng *rand.Rand, noTable bool) (ref, fast *Node, reader proto.
 		coords, reader = nil, proto.MapReader{}
 	}
 	slices := 2 + rng.Intn(5)
-	scanView, boundaryBias := rng.Intn(2) == 0, rng.Intn(2) == 0
 	window, attr := 1+rng.Intn(6), core.Attr(rng.Intn(100))
 	if rng.Intn(2) == 0 {
 		window = 0
@@ -60,7 +59,6 @@ func rankTickState(rng *rand.Rand, noTable bool) (ref, fast *Node, reader proto.
 		n, err := NewNode(Config{
 			ID: self, Attr: attr, Partition: core.MustEqual(slices),
 			Estimator: est, View: v.Clone(),
-			DisableViewScan: !scanView, DisableBoundaryBias: !boundaryBias,
 		})
 		if err != nil {
 			panic(err)
@@ -72,10 +70,10 @@ func rankTickState(rng *rand.Rand, noTable bool) (ref, fast *Node, reader proto.
 
 // TestTickTargetsFastMatchesTickTargets is the ranking tick's property
 // pin: over random views with placeholders, departed and unknown IDs,
-// tied boundary distances and a nil table, both ablation switches and
-// both estimators, TickTargetsFast must pick the same (j1, j2, ok) as
-// TickTargets over a reader answering as the table does, leave the RNG
-// at the same next draw, and leave equal Stats and estimator state.
+// tied boundary distances and a nil table, and both estimators,
+// TickTargetsFast must pick the same (j1, j2, ok) as TickTargets over a
+// reader answering as the table does, leave the RNG at the same next
+// draw, and leave equal estimator state.
 func TestTickTargetsFastMatchesTickTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	var scrRef, scrFast Scratch
@@ -94,15 +92,12 @@ func TestTickTargetsFastMatchesTickTargets(t *testing.T) {
 			if a, b := refRng.Int63(), fastRng.Int63(); a != b {
 				t.Fatalf("trial %d: RNG left at different draws: %v vs %v", trial, a, b)
 			}
-			if ref.stats != fast.stats {
-				t.Fatalf("trial %d: stats diverge: %+v vs %+v", trial, ref.stats, fast.stats)
-			}
 			if !reflect.DeepEqual(ref.est, fast.est) {
 				t.Fatalf("trial %d: estimator state diverges: %+v vs %+v", trial, ref.est, fast.est)
 			}
 			if rok {
 				sent++
-				if ref.boundaryBias && hasBoundaryTie(ref, reader) {
+				if hasBoundaryTie(ref, reader) {
 					ties++
 				}
 			}

@@ -97,8 +97,6 @@ type NodeConfig struct {
 	Policy ordering.Policy
 	// Estimator is the ranking estimator instance (Ranking only).
 	Estimator ranking.Estimator
-	// DisableViewScan turns off estimator feeding from view scans.
-	DisableViewScan bool
 	// Period is the gossip period (Figs. 2/5: wait(period)). Required.
 	Period time.Duration
 	// JitterFrac desynchronizes periods by ±JitterFrac·Period. Zero
@@ -178,7 +176,6 @@ type Node struct {
 
 	part      core.Partition
 	nextWatch int
-	reg       *telemetry.Registry
 
 	// A standalone node's active thread (Start/Stop). A cluster node
 	// never starts one, so the channels are made by Start.
@@ -280,7 +277,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n, err := ranking.NewNode(ranking.Config{
 			ID: cfg.ID, Attr: cfg.Attr, Partition: cfg.Partition,
 			Estimator: cfg.Estimator, View: v,
-			DisableViewScan: cfg.DisableViewScan,
 		})
 		if err != nil {
 			return nil, err
@@ -297,7 +293,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		rng:    rng,
 		period: cfg.Period,
 		jitter: effectiveJitter(cfg.JitterFrac),
-		reg:    cfg.Telemetry,
 		trace:  cfg.Trace,
 	}
 	node.lastSlice = slicer.SliceIndex()

@@ -132,8 +132,7 @@ type Spec struct {
 // DistSpec is the serializable form of an attribute distribution. Kind
 // selects the law; only that law's parameter fields are read.
 type DistSpec struct {
-	// Kind is one of uniform, pareto, exponential, normal, lognormal,
-	// zipf, mixture.
+	// Kind is one of uniform, pareto, exponential, normal, mixture.
 	Kind string `json:"kind"`
 	// Lo and Hi bound the uniform law.
 	Lo float64 `json:"lo,omitempty"`
@@ -144,12 +143,6 @@ type DistSpec struct {
 	// Mean parameterizes the exponential law; Mean and Stddev the normal.
 	Mean   float64 `json:"mean,omitempty"`
 	Stddev float64 `json:"stddev,omitempty"`
-	// Mu and Sigma parameterize the log-normal law.
-	Mu    float64 `json:"mu,omitempty"`
-	Sigma float64 `json:"sigma,omitempty"`
-	// S and NMax parameterize the finite Zipf law on {1..NMax}.
-	S    float64 `json:"s,omitempty"`
-	NMax int     `json:"nMax,omitempty"`
 	// Components define a mixture (weights need not sum to 1; they are
 	// normalized).
 	Components []WeightedDist `json:"components,omitempty"`
@@ -184,16 +177,6 @@ func (d DistSpec) Source() (dist.Distribution, error) {
 			return nil, specErr("normal needs stddev > 0")
 		}
 		return dist.Normal{Mean: d.Mean, Stddev: d.Stddev}, nil
-	case "lognormal":
-		if d.Sigma <= 0 {
-			return nil, specErr("lognormal needs sigma > 0")
-		}
-		return dist.LogNormal{Mu: d.Mu, Sigma: d.Sigma}, nil
-	case "zipf":
-		if d.NMax < 1 || d.S < 0 {
-			return nil, specErr("zipf needs nMax ≥ 1 and s ≥ 0")
-		}
-		return dist.Zipf{S: d.S, N: d.NMax}, nil
 	case "mixture":
 		if len(d.Components) == 0 {
 			return nil, specErr("mixture needs components")
@@ -227,7 +210,7 @@ type ChurnSpec struct {
 
 // ChurnPhase is one regime segment: Join/Leave fractions of the current
 // population applied every Every cycles (0/1 = every cycle; larger
-// values skip the phase's cycle 0, Periodic-style) for Cycles cycles
+// values skip the phase's cycle 0) for Cycles cycles
 // (0 = rest of the run; only valid for the last phase). A phase with
 // zero rates is an explicit quiet period.
 type ChurnPhase struct {
@@ -309,8 +292,10 @@ func (c *ChurnSpec) schedule() (churn.Schedule, error) {
 	}
 	phases := make([]churn.Phase, len(c.Phases))
 	for i, p := range c.Phases {
-		if p.Join < 0 || p.Leave < 0 {
-			return nil, specErr("churn phase %d has negative rate", i)
+		// A rate is a fraction of the current population: above 1 a
+		// phase would ask for more joiners than the system holds nodes.
+		if !(p.Join >= 0 && p.Join <= 1 && p.Leave >= 0 && p.Leave <= 1) {
+			return nil, specErr("churn phase %d rate outside [0,1]", i)
 		}
 		if p.Every < 0 || p.Cycles < 0 {
 			return nil, specErr("churn phase %d has negative every/cycles", i)

@@ -57,8 +57,6 @@ func TestValidateFailures(t *testing.T) {
 		"pareto bad xm":       func(s *Spec) { s.Attr = DistSpec{Kind: "pareto", Xm: 0, Alpha: 1} },
 		"exponential mean 0":  func(s *Spec) { s.Attr = DistSpec{Kind: "exponential"} },
 		"normal stddev 0":     func(s *Spec) { s.Attr = DistSpec{Kind: "normal", Mean: 1} },
-		"lognormal sigma 0":   func(s *Spec) { s.Attr = DistSpec{Kind: "lognormal"} },
-		"zipf no support":     func(s *Spec) { s.Attr = DistSpec{Kind: "zipf", S: 1} },
 		"empty mixture":       func(s *Spec) { s.Attr = DistSpec{Kind: "mixture"} },
 		"mixture bad weight": func(s *Spec) {
 			s.Attr = DistSpec{Kind: "mixture", Components: []WeightedDist{
@@ -71,6 +69,12 @@ func TestValidateFailures(t *testing.T) {
 		"churn negative rate": func(s *Spec) {
 			s.Churn = &ChurnSpec{
 				Phases:  []ChurnPhase{{Join: -0.1}},
+				Pattern: PatternSpec{Kind: PatternUniform},
+			}
+		},
+		"churn rate above 1": func(s *Spec) {
+			s.Churn = &ChurnSpec{
+				Phases:  []ChurnPhase{{Join: 1e9}},
 				Pattern: PatternSpec{Kind: PatternUniform},
 			}
 		},
@@ -300,6 +304,43 @@ func FuzzSpec(f *testing.F) {
 			}
 			f.Add(data)
 		}
+	}
+	// Byte mutation seldom reaches a huge integer, and a field that sizes
+	// a loop, a table or a timer fails only there: one small runnable
+	// spec per such field, set to 2⁴⁰.
+	const huge = 1 << 40
+	target := huge
+	for _, mutate := range []func(*Spec){
+		func(s *Spec) { s.SampleEvery = huge },
+		func(s *Spec) { s.MinN = huge },
+		func(s *Spec) {
+			s.Faults = &FaultsSpec{Drift: &DriftSpec{Kind: DriftWalk, Until: 5, Frac: 0.5, Amp: 1, Every: huge}}
+		},
+		func(s *Spec) {
+			s.Faults = &FaultsSpec{Drift: &DriftSpec{Kind: DriftOscillate, Until: 5, Frac: 0.5, Amp: 1, Period: huge}}
+		},
+		func(s *Spec) { s.Faults = &FaultsSpec{Partition: &PartitionSpec{Until: 5, Groups: huge}} },
+		func(s *Spec) { s.Faults = &FaultsSpec{Chaos: []ChaosSpec{{Until: 5, Delay: 0.5, DelayMS: huge}}} },
+		func(s *Spec) {
+			s.Faults = &FaultsSpec{Byzantine: &ByzantineSpec{Policy: LieCollusive, Until: 5, Frac: 0.5, TargetSlice: &target}}
+		},
+		func(s *Spec) {
+			s.Churn = &ChurnSpec{Phases: []ChurnPhase{{Join: 0.1, Leave: 0.1, Cycles: huge}, {}},
+				Pattern: PatternSpec{Kind: PatternUniform}}
+		},
+		func(s *Spec) {
+			s.Churn = &ChurnSpec{Phases: []ChurnPhase{{Join: 0.1, Leave: 0.1, Every: huge}},
+				Pattern: PatternSpec{Kind: PatternUniform}}
+		},
+	} {
+		spec := Spec{Name: "huge", Protocol: ProtoRanking, N: 32, Slices: 4, ViewSize: 8, Cycles: 5,
+			Attr: DistSpec{Kind: "uniform", Lo: 0, Hi: 1}}
+		mutate(&spec)
+		data, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec Spec

@@ -16,7 +16,7 @@ import (
 )
 
 // Options configures a Server. The zero value is usable: an
-// OS-assigned port, DefaultDrainTimeout, and the default watch buffer.
+// OS-assigned port and DefaultDrainTimeout.
 type Options struct {
 	// Addr is the listen address (":8080"); empty means ":0" (an
 	// OS-assigned port, reported by Server.Addr).
@@ -25,8 +25,6 @@ type Options struct {
 	// in-flight requests and SSE streams before closing connections. 0
 	// means DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// WatchBuffer is the per-SSE-subscriber event buffer (0 = default 64).
-	WatchBuffer int
 	// Telemetry, when non-nil, instruments every endpoint (request and
 	// error counters, latency histograms, the reported staleness-bound
 	// distribution, SSE subscriber gauge, watch drops) and mounts the
@@ -406,7 +404,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotImplemented, map[string]string{"error": "serving: streaming unsupported"})
 		return
 	}
-	events, cancel, err := s.q.WatchBoundary(s.opts.WatchBuffer)
+	events, cancel, err := s.q.WatchBoundary(0)
 	if err != nil {
 		writeErr(w, err)
 		return

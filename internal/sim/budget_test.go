@@ -20,7 +20,7 @@ func TestNodeSizeBudget(t *testing.T) {
 		got, want uintptr
 	}{
 		{"ordering.Node", unsafe.Sizeof(ordering.Node{}), 104},
-		{"ranking.Node", unsafe.Sizeof(ranking.Node{}), 96},
+		{"ranking.Node", unsafe.Sizeof(ranking.Node{}), 64},
 		{"view.View", unsafe.Sizeof(view.View{}), 56},
 	} {
 		if c.got > c.want {

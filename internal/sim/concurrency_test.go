@@ -142,21 +142,6 @@ func TestDriftShape(t *testing.T) {
 	}
 }
 
-// The boundary-bias ablation runs end-to-end through the engine.
-func TestBoundaryBiasAblationRuns(t *testing.T) {
-	cfg := baseRankingConfig()
-	cfg.DisableBoundaryBias = true
-	res, err := Run(cfg, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, _ := res.SDM.At(0)
-	end, _ := res.SDM.Last()
-	if end.Value >= start {
-		t.Errorf("no convergence with random targets: %v → %v", start, end.Value)
-	}
-}
-
 // Population size series tracks churnless runs exactly.
 func TestSizeSeriesConstantWithoutChurn(t *testing.T) {
 	cfg := baseRankingConfig()

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/churn"
@@ -39,6 +41,29 @@ func fingerprint(e *Engine) runFingerprint {
 	return fp
 }
 
+// zipf draws ranks from the finite Zipf law P(k) ∝ k^(−s) on {1..n}:
+// a handful of distinct attribute values, so neighbors share keys.
+type zipf struct {
+	s float64
+	n int
+}
+
+// Sample implements dist.Source.
+func (z zipf) Sample(rng *rand.Rand) float64 {
+	total := 0.0
+	for k := 1; k <= z.n; k++ {
+		total += math.Pow(float64(k), -z.s)
+	}
+	u, cum := rng.Float64()*total, 0.0
+	for k := 1; k < z.n; k++ {
+		cum += math.Pow(float64(k), -z.s)
+		if u < cum {
+			return float64(k)
+		}
+	}
+	return float64(z.n)
+}
+
 // invarianceConfigs is the compatibility matrix of the worker-count
 // contract: both protocols, every membership substrate, concurrency on
 // and off, static and churned.
@@ -61,7 +86,7 @@ func invarianceConfigs() map[string]Config {
 		// tick takes the exact count's ID tie-break.
 		"ordering/modjk/cyclon/tied-attrs": {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
-			Policy: ordering.SelectMaxGain, AttrDist: dist.Zipf{S: 1, N: 8}, Seed: 18, RecordGDM: true,
+			Policy: ordering.SelectMaxGain, AttrDist: zipf{s: 1, n: 8}, Seed: 18, RecordGDM: true,
 		},
 		"ordering/jk/cyclon/halfconc": {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,

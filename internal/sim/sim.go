@@ -170,12 +170,6 @@ type Config struct {
 	Estimator EstimatorKind
 	// WindowSize is the sliding-window size W (WindowEstimator only).
 	WindowSize int
-	// DisableViewScan turns off estimator feeding from view scans
-	// (ranking ablation).
-	DisableViewScan bool
-	// DisableBoundaryBias makes both ranking targets random (ablation
-	// of the Fig. 5 boundary-closest targeting).
-	DisableBoundaryBias bool
 	// Concurrency is the probability that a swap exchange is an
 	// overlapping message (§4.5.2): 0 = the atomic cycle model, 0.5 =
 	// the paper's "half concurrency", 1 = "full concurrency". An
@@ -597,8 +591,6 @@ func (e *Engine) addNode(attr core.Attr) error {
 		n, err := ranking.NewNode(ranking.Config{
 			ID: id, Attr: attr, Partition: e.part,
 			Estimator: est, View: v,
-			DisableViewScan:     e.cfg.DisableViewScan,
-			DisableBoundaryBias: e.cfg.DisableBoundaryBias,
 		})
 		if err != nil {
 			return err

@@ -302,9 +302,15 @@ func TestRankingCyclonTracksUniformOracle(t *testing.T) {
 	}
 }
 
+// burst is Fig. 6(c)'s schedule: rate·n joins and as many leaves every
+// cycle for the first until cycles.
+func burst(rate float64, until int) churn.Schedule {
+	return churn.Compose(churn.Phase{Schedule: churn.Flat{JoinRate: rate, LeaveRate: rate}, Cycles: until})
+}
+
 func TestChurnKeepsPopulationConstant(t *testing.T) {
 	cfg := baseRankingConfig()
-	cfg.Schedule = churn.Burst{Rate: 0.01, Until: 20}
+	cfg.Schedule = burst(0.01, 20)
 	cfg.Pattern = churn.Correlated{Spread: 10}
 	e, err := New(cfg)
 	if err != nil {
@@ -321,7 +327,7 @@ func TestChurnKeepsPopulationConstant(t *testing.T) {
 // stays stuck. Compare SDM at the end of a long run.
 func TestCorrelatedChurnRankingRecoversOrderingStuck(t *testing.T) {
 	const cycles = 400
-	schedule := churn.Burst{Rate: 0.002, Until: 100}
+	schedule := burst(0.002, 100)
 	pattern := churn.Correlated{Spread: 10}
 
 	ordCfg := baseOrderingConfig()
@@ -357,7 +363,7 @@ func TestCorrelatedChurnRankingRecoversOrderingStuck(t *testing.T) {
 // sustained correlated churn (Fig. 6(d)).
 func TestSlidingWindowResistsSustainedChurn(t *testing.T) {
 	const cycles = 600
-	schedule := churn.Periodic{Rate: 0.002, Every: 5}
+	schedule := churn.Flat{JoinRate: 0.002, LeaveRate: 0.002, Every: 5}
 	pattern := churn.Correlated{Spread: 10}
 
 	counterCfg := baseRankingConfig()
@@ -401,7 +407,7 @@ func TestMessagesAreCounted(t *testing.T) {
 
 func TestChurnDropsMessagesToDeparted(t *testing.T) {
 	cfg := baseRankingConfig()
-	cfg.Schedule = churn.Burst{Rate: 0.05, Until: 10}
+	cfg.Schedule = burst(0.05, 10)
 	cfg.Pattern = churn.Correlated{Spread: 10}
 	e, err := New(cfg)
 	if err != nil {

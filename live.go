@@ -18,7 +18,6 @@ import (
 
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/runtime"
-	"github.com/gossipkit/slicing/internal/transport"
 	"github.com/gossipkit/slicing/internal/transport/tcp"
 )
 
@@ -28,20 +27,14 @@ type (
 	Node = runtime.Node
 	// NodeConfig parameterizes a live node.
 	NodeConfig = runtime.NodeConfig
-	// NodeStatus is a point-in-time node snapshot.
-	NodeStatus = runtime.Status
 	// Cluster is a process-local set of live nodes, multiplexed onto a
 	// sharded scheduler (a fixed worker pool draining per-shard timer
 	// wheels) so one process sustains 10,000+ gossiping nodes.
 	Cluster = runtime.Cluster
 	// ClusterConfig parameterizes a cluster.
 	ClusterConfig = runtime.ClusterConfig
-	// ClusterMessageCounts tallies a cluster's internal-network traffic.
-	ClusterMessageCounts = runtime.MessageCounts
 	// Estimator accumulates rank observations for a ranking node.
 	Estimator = ranking.Estimator
-	// LiveClock abstracts time for a cluster's scheduler.
-	LiveClock = runtime.Clock
 	// VirtualClock is a manually advanced clock: handing one to a
 	// cluster puts it in driven mode, where time moves only through
 	// Cluster.Advance — the same concurrent code paths as wall-clock
@@ -84,11 +77,9 @@ func NewCounterEstimator() Estimator { return ranking.NewCounter() }
 // NewWindowEstimator returns the sliding-window estimator of §5.3.4.
 func NewWindowEstimator(size int) (Estimator, error) { return ranking.NewWindow(size) }
 
-// Transports: a standalone Node sends through a Transport; TCP is the
-// one implementation exported here.
+// A standalone Node sends through a transport; TCP is the one
+// implementation exported here.
 type (
-	// Transport routes protocol messages between live nodes.
-	Transport = transport.Transport
 	// TCPTransportOptions configures the TCP transport.
 	TCPTransportOptions = tcp.Options
 	// TCPTransport is the TCP-backed transport.

@@ -25,20 +25,11 @@ type (
 	Scenario = scenario.Scenario
 	// ScenarioSpec declares one run as plain data.
 	ScenarioSpec = scenario.Spec
-	// ScenarioGrid declares a sweep (scenarios × seed replicas × scale).
-	ScenarioGrid = scenario.Grid
-	// ScenarioRunner fans grid runs across a worker pool.
-	ScenarioRunner = scenario.Runner
-	// ScenarioRunResult is one run's summary (and optional SDM series).
-	ScenarioRunResult = scenario.RunResult
 )
 
 // Scenarios returns the built-in scenario catalog: the paper's figure
 // families plus the extension workloads.
 func Scenarios() []Scenario { return scenario.All() }
-
-// ScenarioNames lists the catalog in presentation order.
-func ScenarioNames() []string { return scenario.Names() }
 
 // LookupScenario finds a catalog scenario by name (e.g. "fig6-burst").
 func LookupScenario(name string) (Scenario, error) { return scenario.Lookup(name) }
@@ -57,26 +48,6 @@ type (
 	ScenarioLiveSpec = scenario.LiveSpec
 )
 
-// Fault plane: a spec's Faults block opts a run into seeded,
-// deterministic fault injection on either backend — attribute drift,
-// byzantine misreporting, scheduled partitions, and message chaos.
-// Windows are half-open cycle intervals [From, Until); injection
-// decisions are pure hashes of seed, node and cycle, so faulted runs
-// stay bit-reproducible. The chaos-* scenario families exercise every
-// family end to end (see the README's Robustness section).
-type (
-	// ScenarioFaultsSpec is a spec's fault-injection block.
-	ScenarioFaultsSpec = scenario.FaultsSpec
-	// ScenarioDriftSpec schedules mid-run attribute drift.
-	ScenarioDriftSpec = scenario.DriftSpec
-	// ScenarioByzantineSpec schedules attribute misreporting.
-	ScenarioByzantineSpec = scenario.ByzantineSpec
-	// ScenarioPartitionSpec schedules a network partition and heal.
-	ScenarioPartitionSpec = scenario.PartitionSpec
-	// ScenarioChaosSpec schedules a message loss/dup/delay window.
-	ScenarioChaosSpec = scenario.ChaosSpec
-)
-
 // Backend names accepted by ScenarioBackendByName (and the slicebench
 // -backend flag).
 const (
@@ -85,12 +56,6 @@ const (
 	// BackendLive names the live-runtime backend.
 	BackendLive = scenario.BackendLive
 )
-
-// SimScenarioBackend returns the simulator backend.
-func SimScenarioBackend() ScenarioBackend { return scenario.SimBackend{} }
-
-// LiveScenarioBackend returns the live-runtime backend.
-func LiveScenarioBackend() ScenarioBackend { return scenario.LiveBackend{} }
 
 // ScenarioBackendByName resolves "sim" or "live".
 func ScenarioBackendByName(name string) (ScenarioBackend, error) {

@@ -24,18 +24,6 @@ type (
 	// backend-agnostic contract implemented by ClusterQuerier and
 	// SimQuerier.
 	SliceQuerier = serving.SliceQuerier
-	// SliceAnswer answers "which slice is attribute X in?".
-	SliceAnswer = serving.SliceAnswer
-	// TopKAnswer answers "who is in the top k%?".
-	TopKAnswer = serving.TopKAnswer
-	// TopKMember is one locally known top-k% member.
-	TopKMember = serving.TopKMember
-	// SliceSnapshot is the answering node's own state.
-	SliceSnapshot = serving.Snapshot
-	// BoundaryEvent is one slice-boundary crossing.
-	BoundaryEvent = serving.BoundaryEvent
-	// Staleness is the error bound attached to every answer.
-	Staleness = serving.Staleness
 	// ServingCalibration anchors staleness bounds to measured
 	// convergence data (see RankingServingCalibration).
 	ServingCalibration = serving.Calibration

@@ -9,8 +9,8 @@ package slicing
 // simulation, live runtime, scenarios, serving — is expressed in these
 // types. Sibling facade sections live one per file: simulate.go (the
 // cycle model), live.go (the runtime), scenarios.go (the declarative
-// catalog), serve.go (the query plane), options.go (functional
-// options), analytic.go (closed-form results).
+// catalog), serve.go (the query plane), telemetry.go (metrics and
+// traces), analytic.go (closed-form results).
 // ---------------------------------------------------------------------
 
 import (
@@ -28,9 +28,6 @@ type (
 	Attr = core.Attr
 	// Member pairs a node identity with its attribute.
 	Member = core.Member
-	// Slice is a half-open interval (Low, High] of the normalized rank
-	// domain.
-	Slice = core.Slice
 	// Partition is an ordered set of adjacent slices covering (0,1].
 	Partition = core.Partition
 	// ViewEntry is one row of a gossip view (used for bootstrapping live

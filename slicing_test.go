@@ -1,6 +1,7 @@
 package slicing_test
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -81,15 +82,21 @@ func TestPublicPartitions(t *testing.T) {
 	}
 }
 
+// Churn reaches the public API through a spec: JSON in, SimConfig out.
 func TestPublicChurnTypes(t *testing.T) {
-	res, err := slicing.Simulate(slicing.SimConfig{
-		N: 200, Slices: 5, ViewSize: 10,
-		Protocol: slicing.Ranking,
-		AttrDist: slicing.UniformDist{Lo: 0, Hi: 100},
-		Schedule: slicing.BurstChurn{Rate: 0.01, Until: 10},
-		Pattern:  slicing.CorrelatedChurn{Spread: 5},
-		Seed:     3,
-	}, 20)
+	var spec slicing.ScenarioSpec
+	if err := json.Unmarshal([]byte(`{"name": "burst", "protocol": "ranking",
+		"n": 200, "slices": 5, "viewSize": 10, "cycles": 20, "seed": 3,
+		"attr": {"kind": "uniform", "lo": 0, "hi": 100},
+		"churn": {"phases": [{"join": 0.01, "leave": 0.01, "cycles": 10}],
+			"pattern": {"kind": "correlated", "spread": 5}}}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := slicing.Simulate(cfg, spec.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}

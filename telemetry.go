@@ -25,31 +25,6 @@ type (
 	// TraceRing is a bounded buffer of protocol decision
 	// events; full rings overwrite oldest-first.
 	TraceRing = telemetry.TraceRing
-	// TraceEvent is one recorded protocol decision.
-	TraceEvent = telemetry.TraceEvent
-	// TraceKind labels a TraceEvent (view exchange, swap attempt,
-	// boundary crossing, …).
-	TraceKind = telemetry.TraceKind
-	// TraceDump is the JSON shape of a dumped ring.
-	TraceDump = telemetry.TraceDump
-)
-
-// Trace event kinds.
-const (
-	// TraceViewExchange records a membership gossip exchange.
-	TraceViewExchange = telemetry.TraceViewExchange
-	// TraceSwapRequest records an ordering-protocol swap attempt.
-	TraceSwapRequest = telemetry.TraceSwapRequest
-	// TraceSwapApplied records an adopted swap.
-	TraceSwapApplied = telemetry.TraceSwapApplied
-	// TraceSwapFailed records a swap rejected by its receiver.
-	TraceSwapFailed = telemetry.TraceSwapFailed
-	// TraceSwapAbandoned records a swap abandoned unsent.
-	TraceSwapAbandoned = telemetry.TraceSwapAbandoned
-	// TraceBoundaryCross records a node changing slices.
-	TraceBoundaryCross = telemetry.TraceBoundaryCross
-	// TraceRankUpdate records a rank-estimate revision.
-	TraceRankUpdate = telemetry.TraceRankUpdate
 )
 
 // NewTelemetry builds an empty metrics registry. Attach it with
