@@ -76,18 +76,7 @@ func ExampleRequiredSamples() {
 // disorder (GDM) of random values against attributes; mod-JK gets the
 // slices right sooner (lower SDM after the same five cycles).
 func ExampleSimulate_modJK() {
-	run := func(policy any) (sdm float64, gdmFell bool) {
-		cfg := slicing.SimConfig{
-			N: 1000, Slices: 10, ViewSize: 20,
-			Protocol: slicing.Ordering,
-			AttrDist: slicing.UniformDist{Lo: 0, Hi: 1000},
-			Seed:     1,
-		}
-		if policy == slicing.JK {
-			cfg.Policy = slicing.JK
-		} else {
-			cfg.Policy = slicing.ModJK
-		}
+	run := func(cfg slicing.SimConfig) (sdm float64, gdmFell bool) {
 		e, err := slicing.NewSimulation(cfg)
 		if err != nil {
 			panic(err)
@@ -97,8 +86,16 @@ func ExampleSimulate_modJK() {
 		last, _ := e.Result().SDM.Last()
 		return last.Value, slicing.GDM(e.States()) < before
 	}
-	jk, jkFell := run(slicing.JK)
-	modJK, modFell := run(slicing.ModJK)
+	cfg := slicing.SimConfig{
+		N: 1000, Slices: 10, ViewSize: 20,
+		Protocol: slicing.Ordering,
+		AttrDist: slicing.UniformDist{Lo: 0, Hi: 1000},
+		Seed:     1,
+	}
+	cfg.Policy = slicing.JK
+	jk, jkFell := run(cfg)
+	cfg.Policy = slicing.ModJK
+	modJK, modFell := run(cfg)
 	fmt.Println("GDM fell under both:", jkFell && modFell)
 	fmt.Println("mod-JK SDM below JK:", modJK < jk)
 	// Output:

@@ -109,8 +109,8 @@ func (q *ClusterQuerier) Snapshot() (Snapshot, error) {
 // machinery. Events are delivered from the nodes' gossip goroutines; a
 // full buffer drops the event rather than stalling gossip. Seq numbers
 // the merged stream, so its gaps reveal drops.
-func (q *ClusterQuerier) WatchBoundary(buffer int) (<-chan BoundaryEvent, func(), error) {
-	ch := make(chan BoundaryEvent, normalizeBuffer(buffer))
+func (q *ClusterQuerier) WatchBoundary() (<-chan BoundaryEvent, func(), error) {
+	ch := make(chan BoundaryEvent, watchBuffer)
 	var seq atomic.Uint64
 	cancels := make([]func(), 0, len(q.nodes))
 	for _, n := range q.nodes {
@@ -130,10 +130,5 @@ func (q *ClusterQuerier) WatchBoundary(buffer int) (<-chan BoundaryEvent, func()
 	}, nil
 }
 
-// normalizeBuffer resolves the WatchBoundary buffer argument.
-func normalizeBuffer(buffer int) int {
-	if buffer <= 0 {
-		return 64
-	}
-	return buffer
-}
+// watchBuffer is the event buffer of one WatchBoundary subscription.
+const watchBuffer = 64

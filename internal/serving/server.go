@@ -404,7 +404,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotImplemented, map[string]string{"error": "serving: streaming unsupported"})
 		return
 	}
-	events, cancel, err := s.q.WatchBoundary(0)
+	events, cancel, err := s.q.WatchBoundary()
 	if err != nil {
 		writeErr(w, err)
 		return

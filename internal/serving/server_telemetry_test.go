@@ -24,7 +24,7 @@ func (q *laggyQuerier) SliceOf(attr float64) (SliceAnswer, error) {
 }
 func (q *laggyQuerier) TopK(frac float64) (TopKAnswer, error) { return TopKAnswer{}, ErrNoEvidence }
 func (q *laggyQuerier) Snapshot() (Snapshot, error)           { return Snapshot{}, ErrNoEvidence }
-func (q *laggyQuerier) WatchBoundary(buffer int) (<-chan BoundaryEvent, func(), error) {
+func (q *laggyQuerier) WatchBoundary() (<-chan BoundaryEvent, func(), error) {
 	return q.ch, func() {}, nil
 }
 

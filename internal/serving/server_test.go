@@ -90,7 +90,7 @@ func nan() float64 { var z float64; return z / z }
 func TestSimQuerierWatchSeesCrossings(t *testing.T) {
 	e := testEngine(t, 100, 0) // cycle 0: estimates raw, crossings ahead
 	q := NewSimQuerier(e, Calibration{})
-	events, cancel, err := q.WatchBoundary(256)
+	events, cancel, err := q.WatchBoundary()
 	if err != nil {
 		t.Fatalf("WatchBoundary: %v", err)
 	}

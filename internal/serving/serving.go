@@ -180,9 +180,9 @@ type SliceQuerier interface {
 	// Snapshot reports the answering node's own state.
 	Snapshot() (Snapshot, error)
 	// WatchBoundary subscribes to slice-boundary crossings. Events are
-	// delivered on the returned channel (buffered to buffer entries,
-	// default 64; events are dropped, never blocked on, when the
+	// delivered on the returned channel (buffered to watchBuffer
+	// entries; events are dropped, never blocked on, when the
 	// subscriber falls behind — Seq gaps reveal drops). The channel is
 	// never closed; cancel detaches the subscription.
-	WatchBoundary(buffer int) (<-chan BoundaryEvent, func(), error)
+	WatchBoundary() (<-chan BoundaryEvent, func(), error)
 }

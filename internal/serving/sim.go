@@ -153,8 +153,8 @@ func (q *SimQuerier) Snapshot() (Snapshot, error) {
 
 // WatchBoundary implements SliceQuerier. Crossings are detected (and
 // delivered, synchronously) by Refresh.
-func (q *SimQuerier) WatchBoundary(buffer int) (<-chan BoundaryEvent, func(), error) {
-	ch := make(chan BoundaryEvent, normalizeBuffer(buffer))
+func (q *SimQuerier) WatchBoundary() (<-chan BoundaryEvent, func(), error) {
+	ch := make(chan BoundaryEvent, watchBuffer)
 	q.mu.Lock()
 	id := q.nextID
 	q.nextID++
