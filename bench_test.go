@@ -8,7 +8,6 @@ import (
 
 	slicing "github.com/gossipkit/slicing"
 	"github.com/gossipkit/slicing/internal/churn"
-	"github.com/gossipkit/slicing/internal/sim"
 )
 
 // --- Ablations ---
@@ -88,8 +87,11 @@ func BenchmarkWindowSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := slicing.Simulate(slicing.SimConfig{
 					N: 300, Slices: 10, ViewSize: 10,
-					Protocol:  slicing.Ranking,
-					Estimator: sim.WindowEstimator, WindowSize: w,
+					Protocol: slicing.Ranking,
+					Estimators: func() slicing.Estimator {
+						est, _ := slicing.NewWindowEstimator(w)
+						return est
+					},
 					AttrDist: slicing.UniformDist{Lo: 0, Hi: 1000},
 					Schedule: churn.Flat{JoinRate: 0.002, LeaveRate: 0.002, Every: 5},
 					Pattern:  churn.Correlated{Spread: 10},

@@ -26,24 +26,10 @@
 // finish, streams close — and only then does gossip stop: the node's
 // departure is an ordinary churn event to both its clients and its
 // peers.
-//
-// Instead of flags, -config loads a JSON file; explicitly set flags
-// override config values. The file mirrors the flag set, with the
-// gossip timing under a "live" block that reuses the scenario spec's
-// field names:
-//
-//	{
-//	  "id": 1, "listen": "127.0.0.1:7001", "attr": 120,
-//	  "peers": {"2": "127.0.0.1:7002", "3": "127.0.0.1:7003"},
-//	  "slices": 4, "protocol": "ranking", "view": 20,
-//	  "serve": ":8080",
-//	  "live": {"periodMS": 500, "jitterFrac": 0.1}
-//	}
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -67,50 +53,7 @@ func main() {
 	}
 }
 
-// fileConfig is the -config JSON shape: the flag set as a document,
-// with gossip timing under a "live" block borrowing the scenario
-// spec's field names (periodMS, jitterFrac).
-type fileConfig struct {
-	ID        uint64                    `json:"id"`
-	Listen    string                    `json:"listen"`
-	Attr      float64                   `json:"attr"`
-	Peers     map[string]string         `json:"peers"`
-	Slices    int                       `json:"slices"`
-	Protocol  string                    `json:"protocol"`
-	View      int                       `json:"view"`
-	Window    int                       `json:"window"`
-	Seed      int64                     `json:"seed"`
-	Serve     string                    `json:"serve"`
-	DebugAddr string                    `json:"debugAddr"`
-	ReportMS  float64                   `json:"reportMS"`
-	Live      *slicing.ScenarioLiveSpec `json:"live"`
-}
-
-// loadConfig reads and validates a config file. Unknown fields are
-// rejected — a typoed key silently reverting to a default is exactly
-// the class of footgun the file is meant to remove.
-func loadConfig(path string) (*fileConfig, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var cfg fileConfig
-	if err := dec.Decode(&cfg); err != nil {
-		return nil, fmt.Errorf("config %s: %w", path, err)
-	}
-	if live := cfg.Live; live != nil {
-		if live.Shards != 0 || live.MinLatencyMS != 0 || live.MaxLatencyMS != 0 || live.Loss != 0 || live.RealTime {
-			return nil, fmt.Errorf("config %s: live.shards/latency/loss/realTime are cluster-backend knobs; a TCP node has real latency", path)
-		}
-	}
-	return &cfg, nil
-}
-
-// settings is the fully resolved configuration of one node run:
-// defaults, then config-file values, then explicitly set flags.
+// settings is the resolved flag set of one node run.
 type settings struct {
 	id        uint64
 	listen    string
@@ -119,7 +62,6 @@ type settings struct {
 	slices    int
 	protocol  string
 	period    time.Duration
-	jitter    float64
 	view      int
 	window    int
 	report    time.Duration
@@ -130,97 +72,32 @@ type settings struct {
 	logFormat string
 }
 
-// parseArgs resolves flags and the optional -config file into
-// settings. Precedence: an explicitly set flag always wins; otherwise
-// a non-zero config value; otherwise the flag default.
+// parseArgs resolves the flags into settings.
 func parseArgs(args []string) (*settings, error) {
 	fs := flag.NewFlagSet("slicenode", flag.ContinueOnError)
 	var (
-		configPath = fs.String("config", "", "JSON config file (explicit flags override it)")
-		id         = fs.Uint64("id", 0, "node identifier (required, unique)")
-		listen     = fs.String("listen", "127.0.0.1:0", "listen address")
-		attr       = fs.Float64("attr", 0, "attribute value (capability metric)")
-		peersArg   = fs.String("peers", "", "comma-separated id=host:port peer book")
-		slices     = fs.Int("slices", 10, "number of equal slices")
-		protoArg   = fs.String("protocol", "ranking", "protocol: ranking|ordering")
-		period     = fs.Duration("period", slicing.DefaultPeriod, "gossip period")
-		view       = fs.Int("view", 20, "view size")
-		window     = fs.Int("window", 0, "sliding-window size (0 = unbounded counter)")
-		report     = fs.Duration("report", 2*time.Second, "status report interval")
-		seed       = fs.Int64("seed", 0, "rng seed (0 = derive from id)")
-		serve      = fs.String("serve", "", "answer slice queries over HTTP on this address (empty = off)")
-		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /debug/trace and /debug/pprof on this address (with -serve they mount on the serve mux instead)")
-		logLevel   = fs.String("log-level", "", telemetry.LogLevelUsage)
-		logFormat  = fs.String("log-format", "", telemetry.LogFormatUsage)
+		id        = fs.Uint64("id", 0, "node identifier (required, unique)")
+		listen    = fs.String("listen", "127.0.0.1:0", "listen address")
+		attr      = fs.Float64("attr", 0, "attribute value (capability metric)")
+		peersArg  = fs.String("peers", "", "comma-separated id=host:port peer book")
+		slices    = fs.Int("slices", 10, "number of equal slices")
+		protoArg  = fs.String("protocol", "ranking", "protocol: ranking|ordering")
+		period    = fs.Duration("period", slicing.DefaultPeriod, "gossip period")
+		view      = fs.Int("view", 20, "view size")
+		window    = fs.Int("window", 0, "sliding-window size (0 = unbounded counter)")
+		report    = fs.Duration("report", 2*time.Second, "status report interval")
+		seed      = fs.Int64("seed", 0, "rng seed (0 = derive from id)")
+		serve     = fs.String("serve", "", "answer slice queries over HTTP on this address (empty = off)")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/trace and /debug/pprof on this address (with -serve they mount on the serve mux instead)")
+		logLevel  = fs.String("log-level", "", telemetry.LogLevelUsage)
+		logFormat = fs.String("log-format", "", telemetry.LogFormatUsage)
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	jitter := slicing.DefaultJitterFrac
-	peers := map[slicing.ID]string{}
-	if *configPath != "" {
-		cfg, err := loadConfig(*configPath)
-		if err != nil {
-			return nil, err
-		}
-		if !explicit["id"] && cfg.ID != 0 {
-			*id = cfg.ID
-		}
-		if !explicit["listen"] && cfg.Listen != "" {
-			*listen = cfg.Listen
-		}
-		if !explicit["attr"] {
-			*attr = cfg.Attr
-		}
-		if !explicit["slices"] && cfg.Slices != 0 {
-			*slices = cfg.Slices
-		}
-		if !explicit["protocol"] && cfg.Protocol != "" {
-			*protoArg = cfg.Protocol
-		}
-		if !explicit["view"] && cfg.View != 0 {
-			*view = cfg.View
-		}
-		if !explicit["window"] && cfg.Window != 0 {
-			*window = cfg.Window
-		}
-		if !explicit["seed"] && cfg.Seed != 0 {
-			*seed = cfg.Seed
-		}
-		if !explicit["serve"] && cfg.Serve != "" {
-			*serve = cfg.Serve
-		}
-		if !explicit["debug-addr"] && cfg.DebugAddr != "" {
-			*debugAddr = cfg.DebugAddr
-		}
-		if !explicit["report"] && cfg.ReportMS > 0 {
-			*report = time.Duration(cfg.ReportMS * float64(time.Millisecond))
-		}
-		if live := cfg.Live; live != nil {
-			if !explicit["period"] && live.PeriodMS > 0 {
-				*period = time.Duration(live.PeriodMS * float64(time.Millisecond))
-			}
-			if live.JitterFrac != nil {
-				jitter = *live.JitterFrac
-			}
-		}
-		for idStr, addr := range cfg.Peers {
-			pid, err := strconv.ParseUint(idStr, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("config %s: bad peer id %q: %w", *configPath, idStr, err)
-			}
-			peers[slicing.ID(pid)] = addr
-		}
-	}
-	if *peersArg != "" {
-		flagPeers, err := parsePeers(*peersArg)
-		if err != nil {
-			return nil, err
-		}
-		peers = flagPeers
+	peers, err := parsePeers(*peersArg)
+	if err != nil {
+		return nil, err
 	}
 	if *id == 0 {
 		return nil, fmt.Errorf("missing -id")
@@ -230,8 +107,7 @@ func parseArgs(args []string) (*settings, error) {
 	}
 	return &settings{
 		id: *id, listen: *listen, attr: *attr, peers: peers,
-		slices: *slices, protocol: *protoArg,
-		period: *period, jitter: jitter,
+		slices: *slices, protocol: *protoArg, period: *period,
 		view: *view, window: *window, report: *report,
 		seed: *seed, serve: *serve, debugAddr: *debugAddr,
 		logLevel: *logLevel, logFormat: *logFormat,
@@ -285,19 +161,14 @@ func run(args []string) error {
 		Bootstrap:  bootstrap,
 		Transport:  tr,
 		Period:     set.period,
-		JitterFrac: set.jitter,
+		JitterFrac: slicing.DefaultJitterFrac,
 		Telemetry:  reg,
 		Trace:      ring,
-	}
-	// A zero JitterFrac field means DefaultJitterFrac; a configured
-	// live.jitterFrac of 0 means strictly periodic gossip.
-	if set.jitter == 0 {
-		cfg.JitterFrac = slicing.JitterNone
 	}
 	cal := slicing.RankingServingCalibration
 	switch set.protocol {
 	case "ranking":
-		cfg.Protocol = slicing.LiveRanking
+		cfg.Protocol = slicing.Ranking
 		if set.window > 0 {
 			est, err := slicing.NewWindowEstimator(set.window)
 			if err != nil {
@@ -308,7 +179,7 @@ func run(args []string) error {
 			cfg.Estimator = slicing.NewCounterEstimator()
 		}
 	case "ordering":
-		cfg.Protocol = slicing.LiveOrdering
+		cfg.Protocol = slicing.Ordering
 		cal = slicing.OrderingServingCalibration
 	default:
 		return fmt.Errorf("unknown protocol %q", set.protocol)

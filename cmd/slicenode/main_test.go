@@ -57,3 +57,13 @@ func TestRunValidation(t *testing.T) {
 		t.Error("bad peer book accepted")
 	}
 }
+
+func TestParseArgsSeedDerivedFromID(t *testing.T) {
+	set, err := parseArgs([]string{"-id", "42"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.seed != 42 {
+		t.Errorf("seed = %d, want derived 42", set.seed)
+	}
+}

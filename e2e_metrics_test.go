@@ -30,7 +30,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	ring := slicing.NewTraceRing(0)
 	cluster, err := slicing.NewCluster(slicing.ClusterConfig{
 		N: 32, Partition: part, ViewSize: 8,
-		Protocol:  slicing.LiveRanking,
+		Protocol:  slicing.Ranking,
 		AttrDist:  slicing.UniformDist{Lo: 0, Hi: 100},
 		Seed:      3,
 		Clock:     clock,

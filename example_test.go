@@ -189,11 +189,14 @@ func ExampleNewCluster() {
 	clock := slicing.NewVirtualClock()
 	cluster, err := slicing.NewCluster(slicing.ClusterConfig{
 		N: 50, Partition: part, ViewSize: 8,
-		Protocol: slicing.LiveRanking,
+		Protocol: slicing.Ranking,
 		Period:   time.Second,
-		AttrDist: slicing.UniformDist{Lo: 0, Hi: 100},
-		Clock:    clock,
-		Seed:     3,
+		// Every node ticks exactly once per Period; a zero JitterFrac
+		// would mean DefaultJitterFrac.
+		JitterFrac: slicing.JitterNone,
+		AttrDist:   slicing.UniformDist{Lo: 0, Hi: 100},
+		Clock:      clock,
+		Seed:       3,
 	})
 	if err != nil {
 		fmt.Println(err)

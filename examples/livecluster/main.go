@@ -60,7 +60,7 @@ func main() {
 			Attr:       slicing.Attr((i%8)*100 + i), // a skewed, tie-heavy metric
 			Partition:  part,
 			ViewSize:   spec.ViewSize,
-			Protocol:   slicing.LiveRanking,
+			Protocol:   slicing.Ranking,
 			Estimator:  slicing.NewCounterEstimator(),
 			Period:     5 * time.Millisecond,
 			JitterFrac: 0.2,

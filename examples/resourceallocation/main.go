@@ -47,7 +47,7 @@ func main() {
 		N:         nodes,
 		Partition: part,
 		ViewSize:  spec.ViewSize,
-		Protocol:  slicing.LiveRanking,
+		Protocol:  slicing.Ranking,
 		Period:    3 * time.Millisecond, // aggressive for a demo; LAN default is 500ms
 		AttrDist:  bw,
 		Seed:      spec.Seed,

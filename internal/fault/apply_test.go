@@ -77,7 +77,7 @@ func TestApplierDriftOnLiarAndLift(t *testing.T) {
 	const n, amp = 40, 5
 	plan := &Plan{
 		Drift:     &Drift{Kind: DriftStep, Window: Window{From: 3}, Frac: 1, Amp: amp},
-		Byzantine: &Byzantine{Policy: LieAlwaysTop, Window: Window{From: 0, To: 10}, Frac: 0.3, TargetSlice: -1},
+		Byzantine: &Byzantine{Policy: LieAlwaysTop, Window: Window{From: 0, To: 10}, Frac: 0.3},
 	}
 	a := NewApplier(plan, 7, core.MustEqual(10))
 	nodes := population(n)
@@ -122,7 +122,7 @@ func TestApplierDriftOnLiarAndLift(t *testing.T) {
 }
 
 func TestApplierForgetDropsStash(t *testing.T) {
-	plan := &Plan{Byzantine: &Byzantine{Policy: LieRandom, Window: Window{From: 0, To: 5}, Frac: 1, TargetSlice: -1}}
+	plan := &Plan{Byzantine: &Byzantine{Policy: LieRandom, Window: Window{From: 0, To: 5}, Frac: 1}}
 	a := NewApplier(plan, 3, core.MustEqual(4))
 	nodes := population(10)
 	a.Apply(0, realMembers(a, nodes), nodes)
@@ -146,13 +146,15 @@ func TestApplierForgetDropsStash(t *testing.T) {
 func TestApplierCollusiveLieInTargetSlice(t *testing.T) {
 	const n = 100
 	part := core.MustEqual(10)
-	for _, target := range []int{3, -1} {
+	three := 3
+	for _, target := range []*int{&three, nil} {
 		plan := &Plan{Byzantine: &Byzantine{Policy: LieCollusive, Window: Window{From: 0}, Frac: 0.2, TargetSlice: target}}
 		a := NewApplier(plan, 11, part)
 		nodes := population(n)
 		members := realMembers(a, nodes)
 		a.Apply(0, members, nodes)
-		sl := part.Slice(plan.Byzantine.Target(part.Len()))
+		slice := plan.Byzantine.Target(part.Len())
+		sl := part.Slice(slice)
 		lo, hi := members[int(sl.Low*n)].Attr, members[int(sl.High*n)-1].Attr
 		liars := cohort(nodes, a.saltByz, plan.Byzantine.Frac)
 		if len(liars) == 0 {
@@ -160,7 +162,7 @@ func TestApplierCollusiveLieInTargetSlice(t *testing.T) {
 		}
 		for _, id := range liars {
 			if lie := nodes[id]; lie < lo || lie > hi {
-				t.Errorf("target %d: liar %d claims %v, outside the slice's range [%v, %v]", target, id, lie, lo, hi)
+				t.Errorf("slice %d: liar %d claims %v, outside the slice's range [%v, %v]", slice, id, lie, lo, hi)
 			}
 		}
 	}
@@ -171,7 +173,7 @@ func TestApplierCollusiveLieInTargetSlice(t *testing.T) {
 func TestApplierPollution(t *testing.T) {
 	const n = 60
 	part := core.MustEqual(5)
-	plan := &Plan{Byzantine: &Byzantine{Policy: LieAlwaysTop, Window: Window{From: 5, To: 10}, Frac: 0.3, TargetSlice: -1}}
+	plan := &Plan{Byzantine: &Byzantine{Policy: LieAlwaysTop, Window: Window{From: 5, To: 10}, Frac: 0.3}}
 	a := NewApplier(plan, 5, part)
 	nodes := population(n)
 	target := plan.Byzantine.Target(part.Len())

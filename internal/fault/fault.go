@@ -10,8 +10,8 @@
 // RNG is consulted from parallel code, which keeps the simulator's
 // worker-count bit-invariance contract intact.
 //
-// A Plan is the engine-level shape; the scenario layer builds one from
-// the Spec.Faults JSON block after validation.
+// A Plan is both the engine-level shape and its JSON form: a scenario
+// Spec carries one as its faults block.
 package fault
 
 import (
@@ -24,10 +24,11 @@ import (
 )
 
 // Window is a half-open cycle interval [From, To). To <= 0 means the
-// window never closes.
+// window never closes. Each fault family embeds one, so its bounds
+// read "from" and "until" in JSON.
 type Window struct {
-	From int
-	To   int
+	From int `json:"from,omitempty"`
+	To   int `json:"until,omitempty"`
 }
 
 // Contains reports whether cycle c falls inside the window.
@@ -107,20 +108,34 @@ const (
 	DriftOscillate
 )
 
+var driftKindNames = [...]string{DriftWalk: "walk", DriftStep: "step", DriftOscillate: "oscillate"}
+
+// MarshalText renders the kind as walk, step or oscillate.
+func (k DriftKind) MarshalText() ([]byte, error) {
+	return nameOf(driftKindNames[:], int(k), ErrDriftKind)
+}
+
+// UnmarshalText accepts walk, step or oscillate.
+func (k *DriftKind) UnmarshalText(b []byte) error {
+	i, err := parseName(driftKindNames[:], b, ErrDriftKind)
+	*k = DriftKind(i)
+	return err
+}
+
 // Drift mutates the attributes of a Frac-sized node cohort mid-run.
 type Drift struct {
-	Kind   DriftKind
-	Window Window
+	Kind DriftKind `json:"kind"`
+	Window
 	// Frac is the cohort fraction in (0, 1].
-	Frac float64
+	Frac float64 `json:"frac"`
 	// Amp is the attribute amplitude: walk step half-width, step shift,
 	// or oscillation amplitude.
-	Amp float64
+	Amp float64 `json:"amp"`
 	// Period is the oscillation period in cycles (DriftOscillate only).
-	Period int
+	Period int `json:"period,omitempty"`
 	// Every applies walk steps only on cycles ≡ 0 (mod Every); 0 or 1
 	// means every cycle (DriftWalk only).
-	Every int
+	Every int `json:"every,omitempty"`
 }
 
 // Applies reports whether the schedule perturbs attributes at cycle c.
@@ -174,6 +189,38 @@ const (
 	LieCollusive
 )
 
+var liePolicyNames = [...]string{LieAlwaysTop: "always-top", LieRandom: "random", LieCollusive: "collusive"}
+
+// MarshalText renders the policy as always-top, random or collusive.
+func (p LiePolicy) MarshalText() ([]byte, error) {
+	return nameOf(liePolicyNames[:], int(p), ErrByzPolicy)
+}
+
+// UnmarshalText accepts always-top, random or collusive.
+func (p *LiePolicy) UnmarshalText(b []byte) error {
+	i, err := parseName(liePolicyNames[:], b, ErrByzPolicy)
+	*p = LiePolicy(i)
+	return err
+}
+
+// nameOf and parseName map an enum value to and from its JSON name,
+// names[value]; value 0 is unset and has no name.
+func nameOf(names []string, i int, err error) ([]byte, error) {
+	if i < 1 || i >= len(names) {
+		return nil, fmt.Errorf("%w, got %d", err, i)
+	}
+	return []byte(names[i]), nil
+}
+
+func parseName(names []string, b []byte, err error) (int, error) {
+	for i := 1; i < len(names); i++ {
+		if names[i] == string(b) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("%w, got %q", err, b)
+}
+
 // Byzantine makes a Frac-sized cohort misreport its attribute in all
 // outgoing protocol traffic while the window is open. The engines
 // implement this as impersonation — the node's protocol state adopts
@@ -181,18 +228,19 @@ const (
 // which covers both the ranking estimator feed and the ordering swap
 // currency.
 type Byzantine struct {
-	Policy LiePolicy
-	Window Window
+	Policy LiePolicy `json:"policy"`
+	Window
 	// Frac is the liar fraction in (0, 1].
-	Frac float64
-	// TargetSlice is the slice liars squat on; -1 means the top slice.
-	TargetSlice int
+	Frac float64 `json:"frac"`
+	// TargetSlice is the slice collusive liars squat on, in [0, slices);
+	// nil means the top slice.
+	TargetSlice *int `json:"targetSlice,omitempty"`
 }
 
 // Target resolves TargetSlice against a partition with slices slices.
 func (b *Byzantine) Target(slices int) int {
-	if b.TargetSlice >= 0 && b.TargetSlice < slices {
-		return b.TargetSlice
+	if b.TargetSlice != nil {
+		return *b.TargetSlice
 	}
 	return slices - 1
 }
@@ -200,8 +248,9 @@ func (b *Byzantine) Target(slices int) int {
 // Partition splits the population into Groups seeded groups and drops
 // every cross-group message while the window is open, then heals.
 type Partition struct {
-	Window Window
-	Groups int
+	Window
+	// Groups is the number of seeded groups (≥ 2).
+	Groups int `json:"groups"`
 }
 
 // Crosses reports whether a message from a to b crosses group lines at
@@ -213,18 +262,19 @@ func (p *Partition) Crosses(salt int64, a, b uint64) bool {
 // Chaos is one message-level fault window: extra loss, duplication and
 // delay layered on the transport's own seeded draws.
 type Chaos struct {
-	Window Window
+	Window
 	// Loss is the extra per-message drop probability in [0, 1].
-	Loss float64
+	Loss float64 `json:"loss,omitempty"`
 	// Dup is the per-message duplication probability in [0, 1].
-	Dup float64
+	Dup float64 `json:"dup,omitempty"`
 	// Delay is the per-message delay-spike probability in [0, 1] (see
 	// Decide). In the simulator a delayed message slips to end-of-cycle
-	// delivery; live it gains DelayMS extra latency.
-	Delay float64
+	// delivery; live it gains DelayMS extra latency (one gossip period
+	// when DelayMS is 0).
+	Delay float64 `json:"delay,omitempty"`
 	// DelayMS is the live-backend delay spike in milliseconds, at most
 	// what a time.Duration holds.
-	DelayMS int
+	DelayMS int `json:"delayMS,omitempty"`
 }
 
 // Decide is the chaos verdict on one message: whether it is dropped,
@@ -269,12 +319,14 @@ func (n *Net) Decide(from, to core.ID, key uint64) (drop, delay, dup bool) {
 }
 
 // Plan is a run's full fault schedule. A nil Plan (or any nil family
-// pointer) injects nothing.
+// pointer) injects nothing. The same plan drives both engines.
 type Plan struct {
-	Drift     *Drift
-	Byzantine *Byzantine
-	Partition *Partition
-	Chaos     []Chaos
+	Drift     *Drift     `json:"drift,omitempty"`
+	Byzantine *Byzantine `json:"byzantine,omitempty"`
+	Partition *Partition `json:"partition,omitempty"`
+	// Chaos windows inject message loss, duplication and delay spikes;
+	// the first open one applies.
+	Chaos []Chaos `json:"chaos,omitempty"`
 }
 
 // ChaosAt returns the first chaos window open at cycle c, or nil.
@@ -319,6 +371,7 @@ var (
 	ErrDriftPeriod  = errors.New("fault: oscillating drift needs period >= 2 cycles")
 	ErrByzPolicy    = errors.New("fault: byzantine policy must be always-top, random or collusive")
 	ErrByzFrac      = errors.New("fault: byzantine frac must be in (0, 1]")
+	ErrByzTarget    = errors.New("fault: byzantine targetSlice must name a slice, in [0, slices)")
 	ErrGroups       = errors.New("fault: partition needs at least 2 groups")
 	ErrWindow       = errors.New("fault: window must have From >= 0 and To == 0 or To > From")
 	ErrChaosProb    = errors.New("fault: chaos loss/dup/delay must be probabilities in [0, 1]")
@@ -332,8 +385,9 @@ func checkWindow(w Window) error {
 	return nil
 }
 
-// Validate checks the plan's parameters.
-func (p *Plan) Validate() error {
+// Validate checks the plan's parameters for a run cut into slices
+// slices.
+func (p *Plan) Validate(slices int) error {
 	if p == nil {
 		return nil
 	}
@@ -360,6 +414,9 @@ func (p *Plan) Validate() error {
 		}
 		if b.Frac <= 0 || b.Frac > 1 {
 			return ErrByzFrac
+		}
+		if t := b.TargetSlice; t != nil && (*t < 0 || *t >= slices) {
+			return ErrByzTarget
 		}
 		if err := checkWindow(b.Window); err != nil {
 			return err

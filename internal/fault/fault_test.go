@@ -140,20 +140,21 @@ func TestDriftOscillateReturnsToBase(t *testing.T) {
 func TestPlanValidate(t *testing.T) {
 	ok := &Plan{
 		Drift:     &Drift{Kind: DriftWalk, Window: Window{From: 0, To: 10}, Frac: 0.2, Amp: 5},
-		Byzantine: &Byzantine{Policy: LieAlwaysTop, Window: Window{From: 0}, Frac: 0.1, TargetSlice: -1},
+		Byzantine: &Byzantine{Policy: LieAlwaysTop, Window: Window{From: 0}, Frac: 0.1},
 		Partition: &Partition{Window: Window{From: 5, To: 15}, Groups: 2},
 		Chaos:     []Chaos{{Window: Window{From: 0, To: 5}, Loss: 0.5, Dup: 0.1, Delay: 0.2, DelayMS: 40}},
 	}
-	if err := ok.Validate(); err != nil {
+	if err := ok.Validate(10); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
 	var nilPlan *Plan
-	if err := nilPlan.Validate(); err != nil {
+	if err := nilPlan.Validate(10); err != nil {
 		t.Errorf("nil plan rejected: %v", err)
 	}
 	if !nilPlan.Empty() {
 		t.Error("nil plan not Empty")
 	}
+	ten, minusOne := 10, -1
 	for name, p := range map[string]*Plan{
 		"driftKind":   {Drift: &Drift{Kind: 0, Frac: 0.5, Amp: 1}},
 		"driftFrac":   {Drift: &Drift{Kind: DriftWalk, Frac: 0, Amp: 1}},
@@ -161,24 +162,27 @@ func TestPlanValidate(t *testing.T) {
 		"driftPeriod": {Drift: &Drift{Kind: DriftOscillate, Frac: 0.5, Amp: 1, Period: 1}},
 		"byzPolicy":   {Byzantine: &Byzantine{Policy: 0, Frac: 0.1}},
 		"byzFrac":     {Byzantine: &Byzantine{Policy: LieRandom, Frac: 1.5}},
+		"byzTarget":   {Byzantine: &Byzantine{Policy: LieCollusive, Frac: 0.1, TargetSlice: &ten}},
+		"byzNegative": {Byzantine: &Byzantine{Policy: LieCollusive, Frac: 0.1, TargetSlice: &minusOne}},
 		"groups":      {Partition: &Partition{Groups: 1}},
 		"window":      {Partition: &Partition{Groups: 2, Window: Window{From: 10, To: 5}}},
 		"chaosProb":   {Chaos: []Chaos{{Loss: 1.5}}},
 		"chaosEmpty":  {Chaos: []Chaos{{}}},
 		"chaosDelay":  {Chaos: []Chaos{{Delay: 0.1, DelayMS: -1}}},
 	} {
-		if err := p.Validate(); err == nil {
+		if err := p.Validate(10); err == nil {
 			t.Errorf("%s: invalid plan accepted", name)
 		}
 	}
 }
 
 func TestByzantineTarget(t *testing.T) {
-	b := &Byzantine{Policy: LieAlwaysTop, Frac: 0.1, TargetSlice: -1}
+	b := &Byzantine{Policy: LieAlwaysTop, Frac: 0.1}
 	if got := b.Target(10); got != 9 {
 		t.Errorf("default target = %d, want top slice 9", got)
 	}
-	b.TargetSlice = 3
+	three := 3
+	b.TargetSlice = &three
 	if got := b.Target(10); got != 3 {
 		t.Errorf("explicit target = %d, want 3", got)
 	}

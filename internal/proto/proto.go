@@ -12,6 +12,8 @@
 package proto
 
 import (
+	"fmt"
+
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/view"
 )
@@ -113,6 +115,30 @@ func (c CoordTable) Coord(id core.ID) (float64, bool) {
 	}
 	r := c[id]
 	return r, r == r // NaN ⇒ departed or never assigned
+}
+
+// Kind selects the slicing protocol a run or a node executes, on either
+// engine.
+type Kind int
+
+// The two protocol families of the paper.
+const (
+	// Ordering runs JK or mod-JK (§4), depending on the policy.
+	Ordering Kind = iota + 1
+	// Ranking runs the rank-estimation protocol (§5).
+	Ranking
+)
+
+// String implements fmt.Stringer.
+func (k Kind) String() string {
+	switch k {
+	case Ordering:
+		return "ordering"
+	case Ranking:
+		return "ranking"
+	default:
+		return fmt.Sprintf("protocol(%d)", int(k))
+	}
 }
 
 // Node is a slicing protocol state machine bound to one network node.

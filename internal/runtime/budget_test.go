@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 // A live node is a view of c entries, one attribute, one random value
@@ -35,7 +36,7 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	before := liveHeap()
 	c := drivenCluster(t, ClusterConfig{
 		N: n, Partition: testPartition(t, 100), ViewSize: 20,
-		Protocol: Ordering, Period: 10 * time.Millisecond,
+		Protocol: proto.Ordering, Period: 10 * time.Millisecond,
 		MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1, Shards: 1,
 	})
@@ -66,7 +67,7 @@ func TestLiveAllocBytesPerMessageBudget(t *testing.T) {
 	const n, warm, steps, budget = 2_000, 10, 20, 128
 	c := drivenCluster(t, ClusterConfig{
 		N: n, Partition: testPartition(t, 100), ViewSize: 20,
-		Protocol: Ordering, Period: 10 * time.Millisecond,
+		Protocol: proto.Ordering, Period: 10 * time.Millisecond,
 		MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1, Shards: 1,
 	})
@@ -118,7 +119,7 @@ func TestSlotSizeBudget(t *testing.T) {
 func TestAdjacentSeedClustersDoNotShareNodeStreams(t *testing.T) {
 	build := func(seed int64) *Cluster {
 		return drivenCluster(t, ClusterConfig{
-			N: 8, Partition: testPartition(t, 4), ViewSize: 4, Protocol: Ordering,
+			N: 8, Partition: testPartition(t, 4), ViewSize: 4, Protocol: proto.Ordering,
 			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: seed,
 		})
 	}

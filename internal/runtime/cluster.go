@@ -13,6 +13,7 @@ import (
 	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/metrics"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/telemetry"
 	"github.com/gossipkit/slicing/internal/view"
@@ -34,9 +35,6 @@ var (
 	ErrStopped = errors.New("runtime: stopped")
 )
 
-// EstimatorFactory builds one estimator per ranking node.
-type EstimatorFactory func() ranking.Estimator
-
 // ClusterConfig parameterizes a process-local cluster of live nodes.
 // Every message between them is routed by the cluster's sharded
 // scheduler itself — its internal network, with optional latency and
@@ -45,12 +43,12 @@ type ClusterConfig struct {
 	N         int
 	Partition core.Partition
 	ViewSize  int
-	Protocol  Protocol
+	Protocol  proto.Kind
 	// Policy selects JK / mod-JK (Ordering only).
 	Policy ordering.Policy
-	// Estimators builds per-node estimators (Ranking only; default
-	// counters).
-	Estimators EstimatorFactory
+	// Estimators builds each node's estimator (Ranking only); nil means
+	// counters.
+	Estimators func() ranking.Estimator
 	// Period is the gossip period for every node. Required.
 	Period time.Duration
 	// JitterFrac desynchronizes node periods. Zero means
@@ -243,12 +241,12 @@ func (c *Cluster) buildNode(attr core.Attr, r float64, bootstrap []view.Entry) (
 		Bootstrap:  bootstrap,
 		Trace:      c.cfg.Trace,
 	}
-	if c.cfg.Protocol == Ranking {
-		est := c.cfg.Estimators
-		if est == nil {
-			est = func() ranking.Estimator { return ranking.NewCounter() }
+	if c.cfg.Protocol == proto.Ranking {
+		if c.cfg.Estimators != nil {
+			nodeCfg.Estimator = c.cfg.Estimators()
+		} else {
+			nodeCfg.Estimator = ranking.NewCounter()
 		}
-		nodeCfg.Estimator = est()
 	}
 	n, err := NewNode(nodeCfg)
 	if err != nil {
@@ -353,7 +351,7 @@ func (c *Cluster) SetNetFaults(net fault.Net, delay time.Duration) error {
 	if net.Chaos != nil {
 		p.Chaos = []fault.Chaos{*net.Chaos}
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.Validate(c.part.Len()); err != nil {
 		return err
 	}
 	var was *fault.Partition

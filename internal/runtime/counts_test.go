@@ -8,6 +8,7 @@ import (
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/metrics"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 // lossyCluster builds a single-shard driven cluster with seeded message
@@ -20,7 +21,7 @@ func lossyCluster(t *testing.T, seed int64, loss float64) *Cluster {
 		N:         32,
 		Partition: testPartition(t, 4),
 		ViewSize:  6,
-		Protocol:  Ranking,
+		Protocol:  proto.Ranking,
 		AttrDist:  dist.Uniform{Lo: 0, Hi: 100},
 		Seed:      seed,
 		Shards:    1,
@@ -119,7 +120,7 @@ func TestPartitionHealDeterministic(t *testing.T) {
 			N:         32,
 			Partition: part,
 			ViewSize:  6,
-			Protocol:  Ranking,
+			Protocol:  proto.Ranking,
 			AttrDist:  dist.Uniform{Lo: 0, Hi: 100},
 			Seed:      seed,
 			Shards:    1,

@@ -39,17 +39,6 @@ import (
 	"github.com/gossipkit/slicing/internal/view"
 )
 
-// Protocol selects the slicing protocol a node runs.
-type Protocol int
-
-// Available protocols.
-const (
-	// Ordering runs JK / mod-JK (§4).
-	Ordering Protocol = iota + 1
-	// Ranking runs the rank-estimation protocol (§5).
-	Ranking
-)
-
 // Jitter configuration. A zero JitterFrac historically meant "use the
 // default", which made an intentionally jitter-free node impossible to
 // request; the explicit sentinel closes that gap.
@@ -92,7 +81,8 @@ type NodeConfig struct {
 	Partition core.Partition
 	// ViewSize is the gossip view capacity c.
 	ViewSize int
-	Protocol Protocol
+	// Protocol selects ordering (§4) or ranking (§5).
+	Protocol proto.Kind
 	// Policy selects JK / mod-JK (Ordering only; default mod-JK).
 	Policy ordering.Policy
 	// Estimator is the ranking estimator instance (Ranking only).
@@ -253,7 +243,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	var slicer proto.Node
 	switch cfg.Protocol {
-	case Ordering:
+	case proto.Ordering:
 		policy := cfg.Policy
 		if policy == 0 {
 			policy = ordering.SelectMaxGain
@@ -270,7 +260,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 		slicer = n
-	case Ranking:
+	case proto.Ranking:
 		if cfg.Estimator == nil {
 			return nil, ErrNoEstimator
 		}

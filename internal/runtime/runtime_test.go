@@ -98,7 +98,7 @@ func TestNewNodeValidation(t *testing.T) {
 	part := testPartition(t, 4)
 	base := NodeConfig{
 		ID: 1, Attr: 5, Partition: part, ViewSize: 4,
-		Protocol: Ranking, Estimator: ranking.NewCounter(),
+		Protocol: proto.Ranking, Estimator: ranking.NewCounter(),
 		Period: time.Millisecond, Transport: tr,
 	}
 	tests := []struct {
@@ -127,7 +127,7 @@ func TestNodeStartStopLifecycle(t *testing.T) {
 	tr := loopbackTransport(t)
 	n, err := NewNode(NodeConfig{
 		ID: 1, Attr: 5, Partition: testPartition(t, 2), ViewSize: 4,
-		Protocol: Ranking, Estimator: ranking.NewCounter(),
+		Protocol: proto.Ranking, Estimator: ranking.NewCounter(),
 		Period: time.Millisecond, Transport: tr,
 	})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestStopWithoutStart(t *testing.T) {
 	tr := &registerRecorder{}
 	n, err := NewNode(NodeConfig{
 		ID: 1, Attr: 5, Partition: testPartition(t, 2), ViewSize: 4,
-		Protocol: Ordering, Period: time.Millisecond, Transport: tr,
+		Protocol: proto.Ordering, Period: time.Millisecond, Transport: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestStopWithoutStart(t *testing.T) {
 func TestClusterValidation(t *testing.T) {
 	part := testPartition(t, 2)
 	base := ClusterConfig{
-		N: 8, Partition: part, ViewSize: 4, Protocol: Ranking,
+		N: 8, Partition: part, ViewSize: 4, Protocol: proto.Ranking,
 		Period: time.Millisecond, AttrDist: dist.Uniform{Lo: 0, Hi: 1},
 	}
 	tests := []struct {
@@ -205,7 +205,7 @@ func TestClusterValidation(t *testing.T) {
 func TestAdvanceNeedsVirtualClock(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		N: 4, Partition: testPartition(t, 2), ViewSize: 3,
-		Protocol: Ranking, Period: time.Millisecond,
+		Protocol: proto.Ranking, Period: time.Millisecond,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1}, Seed: 1,
 	})
 	if err != nil {
@@ -223,7 +223,7 @@ func TestAdvanceNeedsVirtualClock(t *testing.T) {
 func TestLiveOrderingClusterConverges(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 32, Partition: testPartition(t, 4), ViewSize: 8,
-		Protocol: Ordering, Policy: ordering.SelectMaxGain,
+		Protocol: proto.Ordering, Policy: ordering.SelectMaxGain,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 7,
 	})
 	initial := c.SDM()
@@ -236,7 +236,7 @@ func TestLiveOrderingClusterConverges(t *testing.T) {
 func TestLiveRankingClusterConverges(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 32, Partition: testPartition(t, 4), ViewSize: 8,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 11,
 	})
 	advanceUntil(t, c, 500,
@@ -248,7 +248,7 @@ func TestLiveRankingClusterConverges(t *testing.T) {
 func TestLiveClusterSurvivesCrashes(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 30, Partition: testPartition(t, 3), ViewSize: 8,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 13,
 	})
 	if err := c.Advance(10 * testPeriod); err != nil {
@@ -272,7 +272,7 @@ func TestLiveClusterSurvivesCrashes(t *testing.T) {
 func TestLiveClusterJoins(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 16, Partition: testPartition(t, 2), ViewSize: 6,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 29,
 	})
 	if err := c.Advance(10 * testPeriod); err != nil {
@@ -295,7 +295,7 @@ func TestLiveClusterJoins(t *testing.T) {
 func TestLiveClusterToleratesLoss(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 24, Partition: testPartition(t, 3), ViewSize: 8,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 17,
 		Loss: 0.3,
 	})
@@ -311,7 +311,7 @@ func TestLiveClusterToleratesLoss(t *testing.T) {
 func TestLiveClusterToleratesLatency(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 24, Partition: testPartition(t, 3), ViewSize: 8,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 19,
 		MinLatency: testPeriod / 4, MaxLatency: testPeriod,
 	})
@@ -325,7 +325,7 @@ func TestLiveClusterToleratesLatency(t *testing.T) {
 func TestStatusSnapshot(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		N: 4, Partition: testPartition(t, 2), ViewSize: 3,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		Period:   time.Millisecond,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 10}, Seed: 19,
 	})
@@ -349,7 +349,7 @@ func TestStatusSnapshot(t *testing.T) {
 func TestLiveClusterWindowEstimator(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 16, Partition: testPartition(t, 2), ViewSize: 6,
-		Protocol:   Ranking,
+		Protocol:   proto.Ranking,
 		Estimators: func() ranking.Estimator { return ranking.MustNewWindow(512) },
 		AttrDist:   dist.Uniform{Lo: 0, Hi: 100}, Seed: 23,
 	})
@@ -362,7 +362,7 @@ func TestLiveClusterWindowEstimator(t *testing.T) {
 func TestAwaitSDMDriven(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 16, Partition: testPartition(t, 2), ViewSize: 6,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100}, Seed: 31,
 	})
 	initial := c.SDM()
@@ -377,7 +377,7 @@ func TestJitterFracSentinel(t *testing.T) {
 	tr := loopbackTransport(t)
 	base := NodeConfig{
 		ID: 1, Attr: 5, Partition: testPartition(t, 2), ViewSize: 4,
-		Protocol: Ordering, Period: time.Second, Transport: tr,
+		Protocol: proto.Ordering, Period: time.Second, Transport: tr,
 		Seed: 3,
 	}
 
@@ -438,7 +438,7 @@ func TestJitterFracSentinel(t *testing.T) {
 func TestJoinIntoDrainedCluster(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 4, Partition: testPartition(t, 2), ViewSize: 3,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100}, Seed: 37,
 	})
 	for id := core.ID(1); id <= 4; id++ {
@@ -469,7 +469,7 @@ func TestJoinIntoDrainedCluster(t *testing.T) {
 func TestStoppedClusterRefusesWork(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 4, Partition: testPartition(t, 2), ViewSize: 3,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100}, Seed: 41,
 	})
 	if err := c.Advance(5 * testPeriod); err != nil {
@@ -497,7 +497,7 @@ func TestStoppedClusterRefusesWork(t *testing.T) {
 func TestKillWhileIteratingNodesSnapshot(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 10, Partition: testPartition(t, 2), ViewSize: 4,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100}, Seed: 43,
 	})
 	killed := 0
@@ -524,7 +524,7 @@ func TestJitterFracUpperBound(t *testing.T) {
 	tr := loopbackTransport(t)
 	_, err := NewNode(NodeConfig{
 		ID: 1, Attr: 5, Partition: testPartition(t, 2), ViewSize: 4,
-		Protocol: Ordering, Period: time.Millisecond, Transport: tr,
+		Protocol: proto.Ordering, Period: time.Millisecond, Transport: tr,
 		JitterFrac: 1,
 	})
 	if !errors.Is(err, ErrBadJitter) {
@@ -532,7 +532,7 @@ func TestJitterFracUpperBound(t *testing.T) {
 	}
 	_, err = NewCluster(ClusterConfig{
 		N: 4, Partition: testPartition(t, 2), ViewSize: 3,
-		Protocol: Ranking, Period: time.Millisecond,
+		Protocol: proto.Ranking, Period: time.Millisecond,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1}, JitterFrac: 1.5,
 	})
 	if !errors.Is(err, ErrBadJitter) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 // A live in-process cluster at N=10,000 completes a timed convergence run
@@ -23,7 +24,7 @@ func TestLiveClusterTenThousandNodes(t *testing.T) {
 	}
 	c := drivenCluster(t, ClusterConfig{
 		N: n, Partition: testPartition(t, 100), ViewSize: 20,
-		Protocol: Ranking, Period: 10 * time.Millisecond,
+		Protocol: proto.Ranking, Period: 10 * time.Millisecond,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1,
 	})
 	initial := c.SDM()

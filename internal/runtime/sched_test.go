@@ -277,10 +277,10 @@ func TestSchedNetDelivery(t *testing.T) {
 func TestLiveViewStorageStable(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		proto Protocol
+		proto proto.Kind
 	}{
-		{"ordering-cyclon", Ordering},
-		{"ranking-cyclon", Ranking},
+		{"ordering-cyclon", proto.Ordering},
+		{"ranking-cyclon", proto.Ranking},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := drivenCluster(t, ClusterConfig{
@@ -442,7 +442,7 @@ func TestSchedulerTickCadence(t *testing.T) {
 	const n, periods = 8, 10
 	c, err := NewCluster(ClusterConfig{
 		N: n, Partition: testPartition(t, 2), ViewSize: 4,
-		Protocol: Ordering, Period: testPeriod, JitterFrac: JitterNone,
+		Protocol: proto.Ordering, Period: testPeriod, JitterFrac: JitterNone,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100}, Seed: 3, Clock: clk,
 	})
 	if err != nil {
@@ -489,12 +489,12 @@ func TestDrivenSingleShardDeterministic(t *testing.T) {
 	}{
 		{name: "ranking/loss", cfg: ClusterConfig{
 			N: 40, Partition: testPartition(t, 4), ViewSize: 8,
-			Protocol: Ranking, Period: testPeriod,
+			Protocol: proto.Ranking, Period: testPeriod,
 			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 123, Loss: 0.1,
 		}},
 		{name: "ordering/cyclon/latency+loss", cfg: ClusterConfig{
 			N: 60, Partition: testPartition(t, 4), ViewSize: 8,
-			Protocol: Ordering, Period: 10 * time.Millisecond,
+			Protocol: proto.Ordering, Period: 10 * time.Millisecond,
 			MinLatency: time.Millisecond, MaxLatency: 5 * time.Millisecond,
 			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 123, Loss: 0.02,
 		}, want: &driven1Result{
@@ -552,7 +552,7 @@ func TestDrivenSingleShardDeterministic(t *testing.T) {
 func TestSchedulerRemoveNodeStopsTraffic(t *testing.T) {
 	c := drivenCluster(t, ClusterConfig{
 		N: 8, Partition: testPartition(t, 2), ViewSize: 4,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100}, Seed: 15,
 	})
 	if err := c.Advance(5 * testPeriod); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/metrics"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/transport/tcp"
 	"github.com/gossipkit/slicing/internal/view"
@@ -49,7 +50,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 		}
 		node, err := NewNode(NodeConfig{
 			ID: core.ID(i + 1), Attr: attrs[i], Partition: part,
-			ViewSize: 5, Protocol: Ranking,
+			ViewSize: 5, Protocol: proto.Ranking,
 			Estimator: ranking.NewCounter(),
 			Period:    3 * time.Millisecond, JitterFrac: 0.2,
 			Seed: int64(i + 1), Bootstrap: bootstrap,

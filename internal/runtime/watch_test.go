@@ -6,6 +6,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 // Slice-change notifications fire as nodes move between slices while the
@@ -16,7 +17,7 @@ func TestOnSliceChangeNotifications(t *testing.T) {
 	clk := NewVirtualClock()
 	c, err := NewCluster(ClusterConfig{
 		N: 16, Partition: testPartition(t, 4), ViewSize: 6,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		Period:   testPeriod, Clock: clk,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 5,
 	})
@@ -66,7 +67,7 @@ func TestOnSliceChangeNotRequired(t *testing.T) {
 	// Nodes without a callback run exactly as before.
 	c := drivenCluster(t, ClusterConfig{
 		N: 8, Partition: testPartition(t, 2), ViewSize: 4,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100}, Seed: 6,
 	})
 	if err := c.Advance(25 * testPeriod); err != nil {

@@ -9,25 +9,46 @@ import (
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/core"
+	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/sim"
 )
 
-// fullFaultsSpec exercises every family and every optional field at
-// once, including the TargetSlice pointer.
-func fullFaultsSpec() *FaultsSpec {
+// fullPlan exercises every family and every optional field at once,
+// including the TargetSlice pointer.
+func fullPlan() *fault.Plan {
 	target := 3
-	return &FaultsSpec{
-		Drift:     &DriftSpec{Kind: DriftOscillate, From: 10, Until: 50, Frac: 0.2, Amp: 5, Period: 8},
-		Byzantine: &ByzantineSpec{Policy: LieCollusive, From: 15, Until: 45, Frac: 0.1, TargetSlice: &target},
-		Partition: &PartitionSpec{From: 20, Until: 40, Groups: 3},
-		Chaos:     []ChaosSpec{{From: 5, Until: 55, Loss: 0.3, Dup: 0.1, Delay: 0.2, DelayMS: 7}},
+	return &fault.Plan{
+		Drift:     &fault.Drift{Kind: fault.DriftOscillate, Window: fault.Window{From: 10, To: 50}, Frac: 0.2, Amp: 5, Period: 8},
+		Byzantine: &fault.Byzantine{Policy: fault.LieCollusive, Window: fault.Window{From: 15, To: 45}, Frac: 0.1, TargetSlice: &target},
+		Partition: &fault.Partition{Window: fault.Window{From: 20, To: 40}, Groups: 3},
+		Chaos:     []fault.Chaos{{Window: fault.Window{From: 5, To: 55}, Loss: 0.3, Dup: 0.1, Delay: 0.2, DelayMS: 7}},
 	}
 }
 
+// faultsDoc is a faults block that sets every field: the wire format a
+// spec file is written in. targetSlice 0 must survive (an omitempty int
+// would drop it), and the byzantine window leaves until out.
+const faultsDoc = `{"drift":{"kind":"oscillate","from":10,"until":50,"frac":0.2,"amp":5,"period":8,"every":2},` +
+	`"byzantine":{"policy":"collusive","from":15,"frac":0.1,"targetSlice":0},` +
+	`"partition":{"from":20,"until":40,"groups":3},` +
+	`"chaos":[{"from":5,"until":55,"loss":0.3,"dup":0.1,"delay":0.2,"delayMS":7}]}`
+
 func TestFaultsSpecJSONRoundTrip(t *testing.T) {
+	var doc fault.Plan
+	if err := json.Unmarshal([]byte(faultsDoc), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := json.Marshal(&doc); err != nil || string(got) != faultsDoc {
+		t.Errorf("faults block re-encodes as\n%s (err %v), want\n%s", got, err, faultsDoc)
+	}
+	for _, bad := range []string{`{"drift":{"kind":"brownian","frac":0.5,"amp":1}}`, `{"byzantine":{"policy":"sybil","frac":0.1}}`} {
+		if err := json.Unmarshal([]byte(bad), &doc); err == nil {
+			t.Errorf("%s decoded", bad)
+		}
+	}
 	spec := validSpec()
 	spec.Cycles = 60
-	spec.Faults = fullFaultsSpec()
+	spec.Faults = fullPlan()
 	data, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -57,26 +78,26 @@ func TestFaultsSpecJSONRoundTrip(t *testing.T) {
 }
 
 func TestFaultsSpecValidation(t *testing.T) {
-	cases := map[string]func(*FaultsSpec){
-		"unknown drift kind":  func(f *FaultsSpec) { f.Drift.Kind = "brownian" },
-		"drift frac zero":     func(f *FaultsSpec) { f.Drift.Frac = 0 },
-		"drift frac over 1":   func(f *FaultsSpec) { f.Drift.Frac = 1.5 },
-		"drift amp zero":      func(f *FaultsSpec) { f.Drift.Amp = 0 },
-		"oscillate no period": func(f *FaultsSpec) { f.Drift.Period = 0 },
-		"drift window order":  func(f *FaultsSpec) { f.Drift.From = 50; f.Drift.Until = 10 },
-		"unknown lie policy":  func(f *FaultsSpec) { f.Byzantine.Policy = "sybil" },
-		"byz frac zero":       func(f *FaultsSpec) { f.Byzantine.Frac = 0 },
-		"one group":           func(f *FaultsSpec) { f.Partition.Groups = 1 },
-		"loss over 1":         func(f *FaultsSpec) { f.Chaos[0].Loss = 1.5 },
-		"negative dup":        func(f *FaultsSpec) { f.Chaos[0].Dup = -0.1 },
-		"negative delayMS":    func(f *FaultsSpec) { f.Chaos[0].DelayMS = -3 },
+	cases := map[string]func(*fault.Plan){
+		"unknown drift kind":  func(f *fault.Plan) { f.Drift.Kind = 9 },
+		"drift frac zero":     func(f *fault.Plan) { f.Drift.Frac = 0 },
+		"drift frac over 1":   func(f *fault.Plan) { f.Drift.Frac = 1.5 },
+		"drift amp zero":      func(f *fault.Plan) { f.Drift.Amp = 0 },
+		"oscillate no period": func(f *fault.Plan) { f.Drift.Period = 0 },
+		"drift window order":  func(f *fault.Plan) { f.Drift.From = 50; f.Drift.To = 10 },
+		"unknown lie policy":  func(f *fault.Plan) { f.Byzantine.Policy = 9 },
+		"byz frac zero":       func(f *fault.Plan) { f.Byzantine.Frac = 0 },
+		"one group":           func(f *fault.Plan) { f.Partition.Groups = 1 },
+		"loss over 1":         func(f *fault.Plan) { f.Chaos[0].Loss = 1.5 },
+		"negative dup":        func(f *fault.Plan) { f.Chaos[0].Dup = -0.1 },
+		"negative delayMS":    func(f *fault.Plan) { f.Chaos[0].DelayMS = -3 },
 		// 1e13 ms wraps time.Duration negative on the live backend.
-		"delayMS overflow": func(f *FaultsSpec) { f.Chaos[0].DelayMS = 10_000_000_000_000 },
+		"delayMS overflow": func(f *fault.Plan) { f.Chaos[0].DelayMS = 10_000_000_000_000 },
 	}
 	for name, mutate := range cases {
 		spec := validSpec()
 		spec.Cycles = 60
-		spec.Faults = fullFaultsSpec()
+		spec.Faults = fullPlan()
 		mutate(spec.Faults)
 		if _, err := spec.Config(); !errors.Is(err, ErrSpec) {
 			t.Errorf("%s: Config() = %v, want ErrSpec", name, err)
@@ -89,19 +110,17 @@ func TestFaultsScaledWindows(t *testing.T) {
 		Name: "s", Protocol: ProtoRanking,
 		N: 1000, Slices: 10, ViewSize: 10, Cycles: 1000,
 		Attr:   DistSpec{Kind: "uniform", Lo: 0, Hi: 1},
-		Faults: fullFaultsSpec(),
+		Faults: fullPlan(),
 	}
 	scaled := spec.Scaled(0.1) // Cycles 1000 → 100, effective ratio 0.1
 	if scaled.Cycles != 100 {
 		t.Fatalf("Cycles = %d, want 100", scaled.Cycles)
 	}
-	d := scaled.Faults.Drift
-	if d.From != 1 || d.Until != 5 {
-		t.Errorf("drift window = [%d,%d), want [1,5)", d.From, d.Until)
+	if w := scaled.Faults.Drift.Window; w != (fault.Window{From: 1, To: 5}) {
+		t.Errorf("drift window = %+v, want [1,5)", w)
 	}
-	pt := scaled.Faults.Partition
-	if pt.From != 2 || pt.Until != 4 {
-		t.Errorf("partition window = [%d,%d), want [2,4)", pt.From, pt.Until)
+	if w := scaled.Faults.Partition.Window; w != (fault.Window{From: 2, To: 4}) {
+		t.Errorf("partition window = %+v, want [2,4)", w)
 	}
 	// Scaled windows must stay valid (at least one open cycle, ordered).
 	if _, err := scaled.Config(); err != nil {
@@ -109,8 +128,8 @@ func TestFaultsScaledWindows(t *testing.T) {
 	}
 	// An open-ended window stays open.
 	open := spec
-	open.Faults = &FaultsSpec{Drift: &DriftSpec{Kind: DriftStep, From: 50, Frac: 0.5, Amp: 1}}
-	if got := open.Scaled(0.1).Faults.Drift.Until; got != 0 {
+	open.Faults = &fault.Plan{Drift: &fault.Drift{Kind: fault.DriftStep, Window: fault.Window{From: 50}, Frac: 0.5, Amp: 1}}
+	if got := open.Scaled(0.1).Faults.Drift.To; got != 0 {
 		t.Errorf("open window gained an end: until = %d", got)
 	}
 	// The receiver's faults block is untouched (deep copy).
@@ -174,7 +193,7 @@ func TestChaosRecoveryGates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", be.Name(), err)
 		}
-		heal := spec.Faults.Partition.Until
+		heal := spec.Faults.Partition.To
 		atHeal, ok := res.SDM.At(heal)
 		if !ok {
 			t.Fatalf("%s: no SDM sample at heal cycle %d", be.Name(), heal)
@@ -212,7 +231,7 @@ func TestChaosRecoveryGates(t *testing.T) {
 		win := spec.Faults.Byzantine
 		peak := 0.0
 		for _, p := range res.Pollution.Points {
-			if p.Cycle >= win.From && p.Cycle < win.Until && p.Value > peak {
+			if p.Cycle >= win.From && p.Cycle < win.To && p.Value > peak {
 				peak = p.Value
 			}
 		}
@@ -223,7 +242,7 @@ func TestChaosRecoveryGates(t *testing.T) {
 			t.Errorf("%s: pollution peaked at %.3f with f=%.2f, gate is ≤ %.2f",
 				be.Name(), peak, win.Frac, pollutionBound)
 		}
-		during, _ := res.Pollution.At(win.Until - 1)
+		during, _ := res.Pollution.At(win.To - 1)
 		final, ok := res.Pollution.Last()
 		if !ok {
 			t.Fatalf("%s: no pollution samples", be.Name())
@@ -243,7 +262,7 @@ func TestDriftSameOnBothEngines(t *testing.T) {
 		Name: "drift", Protocol: ProtoRanking,
 		N: 200, Slices: 10, ViewSize: 10, Cycles: 12, Seed: 7,
 		Attr:   DistSpec{Kind: "uniform", Lo: 0, Hi: 1000},
-		Faults: &FaultsSpec{Drift: &DriftSpec{Kind: DriftWalk, From: 2, Until: 10, Frac: 0.25, Amp: 40}},
+		Faults: &fault.Plan{Drift: &fault.Drift{Kind: fault.DriftWalk, Window: fault.Window{From: 2, To: 10}, Frac: 0.25, Amp: 40}},
 	}
 	cfg, err := spec.Config()
 	if err != nil {
@@ -322,7 +341,7 @@ func TestChaosLossRateOnBothEngines(t *testing.T) {
 		Name: "chaos-rate", Protocol: ProtoRanking,
 		N: 200, Slices: 10, ViewSize: 10, Cycles: 40, Seed: 5,
 		Attr:   DistSpec{Kind: "uniform", Lo: 0, Hi: 1000},
-		Faults: &FaultsSpec{Chaos: []ChaosSpec{{From: 0, Loss: loss}}},
+		Faults: &fault.Plan{Chaos: []fault.Chaos{{Loss: loss}}},
 		Live:   &LiveSpec{Shards: 1},
 	}
 	check := func(name string, res *sim.Result, delivered uint64) {
@@ -354,23 +373,24 @@ func TestChaosLossRateOnBothEngines(t *testing.T) {
 	check("live", res, res.Messages.Total())
 }
 
-// FuzzFaultsSpec feeds arbitrary JSON to the faults block: plan must
-// never panic, and a plan it accepts must run on both backends.
+// FuzzFaultsSpec feeds arbitrary JSON to the faults block: decoding and
+// Config must never panic, and a plan Config accepts must run on both
+// backends.
 func FuzzFaultsSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var fs FaultsSpec
-		if err := json.Unmarshal(data, &fs); err != nil {
-			return
-		}
-		if _, err := fs.plan("fuzz"); err != nil {
+		var p fault.Plan
+		if err := json.Unmarshal(data, &p); err != nil {
 			return
 		}
 		spec := Spec{
 			Name: "fuzz", Protocol: ProtoRanking,
 			N: 16, Slices: 4, ViewSize: 5, Cycles: 8, Seed: 1,
 			Attr:   DistSpec{Kind: "uniform", Lo: 0, Hi: 100},
-			Faults: &fs,
+			Faults: &p,
 			Live:   &LiveSpec{Shards: 1},
+		}
+		if _, err := spec.Config(); err != nil {
+			return
 		}
 		for _, be := range []Backend{SimBackend{}, LiveBackend{}} {
 			if _, err := be.Run(spec); err != nil {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/metrics"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/sim"
 )
 
@@ -69,7 +70,7 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 				R:          st.R,
 				SliceIndex: st.SliceIx,
 			})
-			if cfg.Protocol == sim.Ordering {
+			if cfg.Protocol == proto.Ordering {
 				if os, ok := n.OrderingStats(); ok {
 					req += os.ReqReceived
 					failed += os.SwapFailedAtReceiver
@@ -87,7 +88,7 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 		if spec.RecordGDM {
 			res.GDM.Add(cycle, metrics.GDM(states))
 		}
-		if cfg.Protocol == sim.Ordering {
+		if cfg.Protocol == proto.Ordering {
 			// Churn can shrink the sums between snapshots (a departed
 			// node takes its counters with it); clamp the deltas.
 			dr, df := req-min(req, prevReq), failed-min(failed, prevFailed)

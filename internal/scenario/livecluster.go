@@ -6,7 +6,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/fault"
-	"github.com/gossipkit/slicing/internal/ranking"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/runtime"
 	"github.com/gossipkit/slicing/internal/sim"
 	"github.com/gossipkit/slicing/internal/telemetry"
@@ -26,9 +26,9 @@ type LiveCluster struct {
 	Part core.Partition
 	// Period is one gossip period (= one cycle of virtual time).
 	Period time.Duration
-	// Protocol reports the spec's protocol family (sim.Ordering or
-	// sim.Ranking), which calibration-aware consumers select on.
-	Protocol sim.ProtocolKind
+	// Protocol reports the spec's protocol family, which
+	// calibration-aware consumers select on.
+	Protocol proto.Kind
 	// RealTime reports wall-clock pacing; false means driven virtual
 	// time, stepped by Step.
 	RealTime bool
@@ -107,6 +107,9 @@ func MaterializeLiveWith(spec Spec, inst Instrumentation) (*LiveCluster, error) 
 		N:          spec.N,
 		Partition:  part,
 		ViewSize:   spec.ViewSize,
+		Protocol:   cfg.Protocol,
+		Policy:     cfg.Policy,
+		Estimators: cfg.Estimators,
 		Period:     period,
 		JitterFrac: jitter,
 		AttrDist:   cfg.AttrDist,
@@ -117,17 +120,6 @@ func MaterializeLiveWith(spec Spec, inst Instrumentation) (*LiveCluster, error) 
 		Loss:       live.Loss,
 		Telemetry:  inst.Telemetry,
 		Trace:      inst.Trace,
-	}
-	switch cfg.Protocol {
-	case sim.Ordering:
-		ccfg.Protocol = runtime.Ordering
-		ccfg.Policy = cfg.Policy
-	case sim.Ranking:
-		ccfg.Protocol = runtime.Ranking
-	}
-	if cfg.Estimator == sim.WindowEstimator {
-		w := cfg.WindowSize
-		ccfg.Estimators = func() ranking.Estimator { return ranking.MustNewWindow(w) }
 	}
 	if !live.RealTime {
 		ccfg.Clock = runtime.NewVirtualClock()

@@ -3,6 +3,8 @@ package scenario
 import (
 	"errors"
 	"fmt"
+
+	"github.com/gossipkit/slicing/internal/fault"
 )
 
 // Scenario is a named family of specs reproducing one figure (or one
@@ -425,12 +427,12 @@ var registry = []Scenario{
 			{Name: "window", Protocol: ProtoRanking, Estimator: EstWindow, WindowSize: 5000,
 				N: 2000, Slices: 10, ViewSize: 20, Cycles: 240, Seed: 42,
 				Attr:      uniformAttr(),
-				Faults:    &FaultsSpec{Drift: &DriftSpec{Kind: DriftStep, From: 80, Until: 200, Frac: 0.3, Amp: 2000}},
+				Faults:    &fault.Plan{Drift: &fault.Drift{Kind: fault.DriftStep, Window: fault.Window{From: 80, To: 200}, Frac: 0.3, Amp: 2000}},
 				MinCycles: 120},
 			{Name: "counter", Protocol: ProtoRanking,
 				N: 2000, Slices: 10, ViewSize: 20, Cycles: 240, Seed: 42,
 				Attr:      uniformAttr(),
-				Faults:    &FaultsSpec{Drift: &DriftSpec{Kind: DriftStep, From: 80, Until: 200, Frac: 0.3, Amp: 2000}},
+				Faults:    &fault.Plan{Drift: &fault.Drift{Kind: fault.DriftStep, Window: fault.Window{From: 80, To: 200}, Frac: 0.3, Amp: 2000}},
 				MinCycles: 120},
 		},
 	},
@@ -444,12 +446,12 @@ var registry = []Scenario{
 			{Name: "always-top", Protocol: ProtoRanking,
 				N: 2000, Slices: 10, ViewSize: 20, Cycles: 240, Seed: 42,
 				Attr:      uniformAttr(),
-				Faults:    &FaultsSpec{Byzantine: &ByzantineSpec{Policy: LieAlwaysTop, From: 60, Until: 160, Frac: 0.1}},
+				Faults:    &fault.Plan{Byzantine: &fault.Byzantine{Policy: fault.LieAlwaysTop, Window: fault.Window{From: 60, To: 160}, Frac: 0.1}},
 				MinCycles: 120},
 			{Name: "collusive", Protocol: ProtoRanking,
 				N: 2000, Slices: 10, ViewSize: 20, Cycles: 240, Seed: 42,
 				Attr:      uniformAttr(),
-				Faults:    &FaultsSpec{Byzantine: &ByzantineSpec{Policy: LieCollusive, From: 60, Until: 160, Frac: 0.1}},
+				Faults:    &fault.Plan{Byzantine: &fault.Byzantine{Policy: fault.LieCollusive, Window: fault.Window{From: 60, To: 160}, Frac: 0.1}},
 				MinCycles: 120},
 		},
 	},
@@ -463,12 +465,12 @@ var registry = []Scenario{
 			{Name: "ranking", Protocol: ProtoRanking, Estimator: EstWindow, WindowSize: 5000,
 				N: 2000, Slices: 10, ViewSize: 20, Cycles: 240, Seed: 42,
 				Attr:      uniformAttr(),
-				Faults:    &FaultsSpec{Partition: &PartitionSpec{From: 60, Until: 150, Groups: 2}},
+				Faults:    &fault.Plan{Partition: &fault.Partition{Window: fault.Window{From: 60, To: 150}, Groups: 2}},
 				MinCycles: 120},
 			{Name: "ordering", Protocol: ProtoOrdering, Policy: PolicyModJK,
 				N: 2000, Slices: 10, ViewSize: 20, Cycles: 240, Seed: 42,
 				Attr:      uniformAttr(),
-				Faults:    &FaultsSpec{Partition: &PartitionSpec{From: 60, Until: 150, Groups: 2}},
+				Faults:    &fault.Plan{Partition: &fault.Partition{Window: fault.Window{From: 60, To: 150}, Groups: 2}},
 				MinCycles: 120},
 		},
 	},
@@ -482,15 +484,15 @@ var registry = []Scenario{
 			{Name: "ranking", Protocol: ProtoRanking,
 				N: 2000, Slices: 10, ViewSize: 20, Cycles: 240, Seed: 42,
 				Attr: uniformAttr(),
-				Faults: &FaultsSpec{Chaos: []ChaosSpec{
-					{From: 60, Until: 160, Loss: 0.25, Dup: 0.1, Delay: 0.1, DelayMS: 5},
+				Faults: &fault.Plan{Chaos: []fault.Chaos{
+					{Window: fault.Window{From: 60, To: 160}, Loss: 0.25, Dup: 0.1, Delay: 0.1, DelayMS: 5},
 				}},
 				MinCycles: 120},
 			{Name: "ordering", Protocol: ProtoOrdering, Policy: PolicyModJK,
 				N: 2000, Slices: 10, ViewSize: 20, Cycles: 240, Seed: 42,
 				Attr: uniformAttr(),
-				Faults: &FaultsSpec{Chaos: []ChaosSpec{
-					{From: 60, Until: 160, Loss: 0.25, Dup: 0.1, Delay: 0.1, DelayMS: 5},
+				Faults: &fault.Plan{Chaos: []fault.Chaos{
+					{Window: fault.Window{From: 60, To: 160}, Loss: 0.25, Dup: 0.1, Delay: 0.1, DelayMS: 5},
 				}},
 				MinCycles: 120},
 		},
@@ -631,7 +633,7 @@ func (sc Scenario) clone() Scenario {
 		}
 		spec.SliceBounds = append([]float64(nil), spec.SliceBounds...)
 		spec.Attr.Components = append([]WeightedDist(nil), spec.Attr.Components...)
-		spec.Faults = spec.Faults.clone()
+		spec.Faults = clonePlan(spec.Faults)
 		specs[i] = spec
 	}
 	sc.Specs = specs

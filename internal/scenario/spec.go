@@ -26,7 +26,10 @@ import (
 	"github.com/gossipkit/slicing/internal/churn"
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
+	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/sim"
 )
 
@@ -99,7 +102,7 @@ type Spec struct {
 	// Faults defines the fault-injection plan (attribute drift,
 	// byzantine misreporting, scheduled partitions, message chaos); nil
 	// means an honest, fault-free run. Both backends honor it.
-	Faults *FaultsSpec `json:"faults,omitempty"`
+	Faults *fault.Plan `json:"faults,omitempty"`
 	// Live tunes live-backend execution (gossip period, jitter,
 	// transport latency/loss injection); nil uses the live defaults. The
 	// sim backend ignores it, so adding Live to a spec never changes its
@@ -386,6 +389,7 @@ func (s Spec) Config() (sim.Config, error) {
 		Seed:          s.Seed,
 		Workers:       s.SimWorkers,
 	}
+	slices := s.Slices
 	switch {
 	case len(s.SliceBounds) > 0 && s.Slices > 0:
 		return cfg, specErr("%s: slices and sliceBounds are mutually exclusive", s.Name)
@@ -395,6 +399,7 @@ func (s Spec) Config() (sim.Config, error) {
 			return cfg, specErr("%s: %v", s.Name, err)
 		}
 		cfg.Partition = &part
+		slices = part.Len()
 	case s.Slices > 0:
 		cfg.Slices = s.Slices
 	default:
@@ -402,7 +407,7 @@ func (s Spec) Config() (sim.Config, error) {
 	}
 	switch s.Protocol {
 	case ProtoOrdering:
-		cfg.Protocol = sim.Ordering
+		cfg.Protocol = proto.Ordering
 		switch s.Policy {
 		case "", PolicyModJK:
 			cfg.Policy = ordering.SelectMaxGain
@@ -412,7 +417,7 @@ func (s Spec) Config() (sim.Config, error) {
 			return cfg, specErr("%s: unknown policy %q", s.Name, s.Policy)
 		}
 	case ProtoRanking:
-		cfg.Protocol = sim.Ranking
+		cfg.Protocol = proto.Ranking
 		if s.Policy != "" {
 			return cfg, specErr("%s: policy is an ordering-only field", s.Name)
 		}
@@ -429,13 +434,12 @@ func (s Spec) Config() (sim.Config, error) {
 	}
 	switch s.Estimator {
 	case "", EstCounter:
-		cfg.Estimator = sim.CounterEstimator
 	case EstWindow:
-		cfg.Estimator = sim.WindowEstimator
-		if s.WindowSize < 1 || s.WindowSize > maxWindow {
+		w := s.WindowSize
+		if w < 1 || w > maxWindow {
 			return cfg, specErr("%s: window estimator needs 1 ≤ windowSize ≤ %d", s.Name, maxWindow)
 		}
-		cfg.WindowSize = s.WindowSize
+		cfg.Estimators = func() ranking.Estimator { return ranking.MustNewWindow(w) }
 	default:
 		return cfg, specErr("%s: unknown estimator %q", s.Name, s.Estimator)
 	}
@@ -455,13 +459,10 @@ func (s Spec) Config() (sim.Config, error) {
 		}
 		cfg.Schedule, cfg.Pattern = sched, pat
 	}
-	if s.Faults != nil {
-		plan, err := s.Faults.plan(s.Name)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Faults = plan
+	if err := s.Faults.Validate(slices); err != nil {
+		return cfg, specErr("%s (faults): %v", s.Name, err)
 	}
+	cfg.Faults = s.Faults
 	if s.Live != nil {
 		if err := s.Live.validate(s.Name); err != nil {
 			return cfg, err
@@ -532,7 +533,7 @@ func (s Spec) Scaled(scale float64) Spec {
 		s.Churn = &c
 	}
 	if s.Faults != nil {
-		s.Faults = s.Faults.scaled(ratio)
+		s.Faults = scaledPlan(s.Faults, ratio)
 	}
 	return s
 }

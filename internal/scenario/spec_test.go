@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/churn"
+	"github.com/gossipkit/slicing/internal/fault"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/sim"
 )
 
@@ -29,6 +31,11 @@ func TestValidateAcceptsValidSpec(t *testing.T) {
 }
 
 func TestValidateFailures(t *testing.T) {
+	byzTarget := func(slice int) func(*Spec) {
+		return func(s *Spec) {
+			s.Faults = &fault.Plan{Byzantine: &fault.Byzantine{Policy: fault.LieCollusive, Frac: 0.1, TargetSlice: &slice}}
+		}
+	}
 	cases := map[string]func(*Spec){
 		"missing name":        func(s *Spec) { s.Name = "" },
 		"zero n":              func(s *Spec) { s.N = 0 },
@@ -90,6 +97,13 @@ func TestValidateFailures(t *testing.T) {
 				Pattern: PatternSpec{Kind: "adversarial"},
 			}
 		},
+		"target slice = slices": byzTarget(10),
+		"target slice 2^40":     byzTarget(1 << 40),
+		"negative target slice": byzTarget(-1),
+		"target slice past bounds": func(s *Spec) {
+			s.Slices, s.SliceBounds = 0, []float64{0.5}
+			byzTarget(2)(s)
+		},
 	}
 	for name, mutate := range cases {
 		spec := validSpec()
@@ -116,7 +130,7 @@ func TestConfigTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Protocol != sim.Ordering || cfg.Membership != sim.UniformOracle {
+	if cfg.Protocol != proto.Ordering || cfg.Membership != sim.UniformOracle {
 		t.Errorf("protocol/membership = %v/%v", cfg.Protocol, cfg.Membership)
 	}
 	if cfg.N != 500 || cfg.Slices != 20 || cfg.ViewSize != 12 || cfg.Seed != 11 {
@@ -314,15 +328,19 @@ func FuzzSpec(f *testing.F) {
 		func(s *Spec) { s.SampleEvery = huge },
 		func(s *Spec) { s.MinN = huge },
 		func(s *Spec) {
-			s.Faults = &FaultsSpec{Drift: &DriftSpec{Kind: DriftWalk, Until: 5, Frac: 0.5, Amp: 1, Every: huge}}
+			s.Faults = &fault.Plan{Drift: &fault.Drift{Kind: fault.DriftWalk, Window: fault.Window{To: 5}, Frac: 0.5, Amp: 1, Every: huge}}
 		},
 		func(s *Spec) {
-			s.Faults = &FaultsSpec{Drift: &DriftSpec{Kind: DriftOscillate, Until: 5, Frac: 0.5, Amp: 1, Period: huge}}
+			s.Faults = &fault.Plan{Drift: &fault.Drift{Kind: fault.DriftOscillate, Window: fault.Window{To: 5}, Frac: 0.5, Amp: 1, Period: huge}}
 		},
-		func(s *Spec) { s.Faults = &FaultsSpec{Partition: &PartitionSpec{Until: 5, Groups: huge}} },
-		func(s *Spec) { s.Faults = &FaultsSpec{Chaos: []ChaosSpec{{Until: 5, Delay: 0.5, DelayMS: huge}}} },
 		func(s *Spec) {
-			s.Faults = &FaultsSpec{Byzantine: &ByzantineSpec{Policy: LieCollusive, Until: 5, Frac: 0.5, TargetSlice: &target}}
+			s.Faults = &fault.Plan{Partition: &fault.Partition{Window: fault.Window{To: 5}, Groups: huge}}
+		},
+		func(s *Spec) {
+			s.Faults = &fault.Plan{Chaos: []fault.Chaos{{Window: fault.Window{To: 5}, Delay: 0.5, DelayMS: huge}}}
+		},
+		func(s *Spec) {
+			s.Faults = &fault.Plan{Byzantine: &fault.Byzantine{Policy: fault.LieCollusive, Window: fault.Window{To: 5}, Frac: 0.5, TargetSlice: &target}}
 		},
 		func(s *Spec) {
 			s.Churn = &ChurnSpec{Phases: []ChurnPhase{{Join: 0.1, Leave: 0.1, Cycles: huge}, {}},

@@ -7,6 +7,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/runtime"
 )
 
@@ -20,7 +21,7 @@ func testCluster(t *testing.T, n, periods int) *runtime.Cluster {
 	t.Helper()
 	c, err := runtime.NewCluster(runtime.ClusterConfig{
 		N: n, Partition: core.MustEqual(4), ViewSize: 8,
-		Protocol: runtime.Ranking,
+		Protocol: proto.Ranking,
 		Period:   testPeriod,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100},
 		Seed:     11,

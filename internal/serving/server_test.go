@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/sim"
 )
 
@@ -23,7 +24,7 @@ func testEngine(t testing.TB, n, cycles int) *sim.Engine {
 		N:        n,
 		Slices:   4,
 		ViewSize: 20,
-		Protocol: sim.Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 100},
 		Seed:     42,
 	})

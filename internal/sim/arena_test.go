@@ -8,6 +8,7 @@ import (
 	"github.com/gossipkit/slicing/internal/churn"
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 // checkArenaConsistency verifies the engine's core invariants after the
@@ -173,10 +174,10 @@ func TestSwapDeleteNeverStrandsNode(t *testing.T) {
 	}
 	for name, pattern := range patterns {
 		t.Run(name, func(t *testing.T) {
-			for _, proto := range []ProtocolKind{Ordering, Ranking} {
+			for _, kind := range []proto.Kind{proto.Ordering, proto.Ranking} {
 				cfg := Config{
 					N: 300, Slices: 10, ViewSize: 10,
-					Protocol: proto,
+					Protocol: kind,
 					AttrDist: dist.Uniform{Lo: 0, Hi: 1000},
 					Seed:     11,
 					Schedule: churn.Flat{JoinRate: 0.08, LeaveRate: 0.1},
@@ -192,7 +193,7 @@ func TestSwapDeleteNeverStrandsNode(t *testing.T) {
 					checkArenaConsistency(t, e)
 				}
 				if e.N() >= cfg.N {
-					t.Errorf("%v: net-negative churn did not shrink the population: %d", proto, e.N())
+					t.Errorf("%v: net-negative churn did not shrink the population: %d", kind, e.N())
 				}
 			}
 		})
@@ -218,7 +219,7 @@ func sortedMemberSnapshot(e *Engine) []core.Member {
 func TestChurnDeterminismAtScale(t *testing.T) {
 	cfg := Config{
 		N: 10_000, Slices: 100, ViewSize: 20,
-		Protocol: Ordering,
+		Protocol: proto.Ordering,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000},
 		Seed:     3,
 		Schedule: churn.Flat{JoinRate: 0.001, LeaveRate: 0.001},

@@ -7,6 +7,7 @@ import (
 	"github.com/gossipkit/slicing/internal/churn"
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 // benchStep measures the steady-state cost of one simulation cycle: the
@@ -29,7 +30,7 @@ func benchStep(b *testing.B, cfg Config) {
 func BenchmarkStepOrdering(b *testing.B) {
 	benchStep(b, Config{
 		N: 2000, Slices: 10, ViewSize: 20,
-		Protocol: Ordering, Policy: ordering.SelectMaxGain,
+		Protocol: proto.Ordering, Policy: ordering.SelectMaxGain,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1,
 	})
 }
@@ -37,7 +38,7 @@ func BenchmarkStepOrdering(b *testing.B) {
 func BenchmarkStepOrderingConcurrent(b *testing.B) {
 	benchStep(b, Config{
 		N: 2000, Slices: 10, ViewSize: 20,
-		Protocol: Ordering, Policy: ordering.SelectMaxGain,
+		Protocol: proto.Ordering, Policy: ordering.SelectMaxGain,
 		Concurrency: 1,
 		AttrDist:    dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1,
 	})
@@ -46,7 +47,7 @@ func BenchmarkStepOrderingConcurrent(b *testing.B) {
 func BenchmarkStepRanking(b *testing.B) {
 	benchStep(b, Config{
 		N: 2000, Slices: 10, ViewSize: 20,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1,
 	})
 }
@@ -54,7 +55,7 @@ func BenchmarkStepRanking(b *testing.B) {
 func BenchmarkStepRankingChurn(b *testing.B) {
 	benchStep(b, Config{
 		N: 2000, Slices: 10, ViewSize: 20,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1,
 		Schedule: churn.Flat{JoinRate: 0.001, LeaveRate: 0.001},
 		Pattern:  churn.Correlated{Spread: 10},
@@ -87,14 +88,14 @@ func BenchmarkEngineScaling(b *testing.B) {
 				// Parallel rounds are for big arenas; keep the table small.
 				continue
 			}
-			for _, proto := range []ProtocolKind{Ordering, Ranking} {
+			for _, kind := range []proto.Kind{proto.Ordering, proto.Ranking} {
 				for _, churned := range []bool{false, true} {
 					cfg := Config{
 						N: n, Slices: 100, ViewSize: 20,
-						Protocol: proto, Workers: workers,
+						Protocol: kind, Workers: workers,
 						AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 1,
 					}
-					if proto == Ordering {
+					if kind == proto.Ordering {
 						cfg.Policy = ordering.SelectMaxGain
 					}
 					label := "static"
@@ -103,7 +104,7 @@ func BenchmarkEngineScaling(b *testing.B) {
 						cfg.Schedule = churn.Flat{JoinRate: 0.001, LeaveRate: 0.001}
 						cfg.Pattern = churn.Uniform{Dist: cfg.AttrDist}
 					}
-					b.Run(fmt.Sprintf("%s/%s/n=%d/workers=%d", proto, label, n, workers), func(b *testing.B) {
+					b.Run(fmt.Sprintf("%s/%s/n=%d/workers=%d", kind, label, n, workers), func(b *testing.B) {
 						benchStep(b, cfg)
 					})
 				}

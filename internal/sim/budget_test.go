@@ -6,6 +6,7 @@ import (
 
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/view"
 )
@@ -35,11 +36,11 @@ func TestNodeSizeBudget(t *testing.T) {
 func TestEngineBytesPerNodeBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		proto  ProtocolKind
+		proto  proto.Kind
 		budget float64
 	}{
-		{"ordering", Ordering, 1815},
-		{"ranking", Ranking, 1776},
+		{"ordering", proto.Ordering, 1815},
+		{"ranking", proto.Ranking, 1776},
 	} {
 		e, err := New(Config{
 			N: 10_000, Slices: 100, ViewSize: 20, Protocol: c.proto,

@@ -5,13 +5,14 @@ import (
 
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/fault"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 func faultBaseConfig(seed int64) Config {
 	return Config{
-		N: 300, Slices: 10, ViewSize: 12, Protocol: Ranking,
-		Estimator: WindowEstimator, WindowSize: 500,
-		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: seed,
+		N: 300, Slices: 10, ViewSize: 12, Protocol: proto.Ranking,
+		Estimators: windows(500),
+		AttrDist:   dist.Uniform{Lo: 0, Hi: 1000}, Seed: seed,
 	}
 }
 
@@ -51,7 +52,7 @@ func TestByzantinePollutionRisesAndDecays(t *testing.T) {
 	cfg := faultBaseConfig(22)
 	cfg.Faults = &fault.Plan{Byzantine: &fault.Byzantine{
 		Policy: fault.LieAlwaysTop, Window: fault.Window{From: 30, To: 90},
-		Frac: 0.1, TargetSlice: -1,
+		Frac: 0.1,
 	}}
 	e, err := New(cfg)
 	if err != nil {

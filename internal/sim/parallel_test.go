@@ -11,6 +11,7 @@ import (
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 // runFingerprint captures everything a worker count could plausibly
@@ -78,53 +79,53 @@ func invarianceConfigs() map[string]Config {
 	}
 	return map[string]Config{
 		"ordering/modjk/cyclon": {
-			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
+			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ordering,
 			Policy: ordering.SelectMaxGain, AttrDist: attr, Seed: 11, RecordGDM: true,
 		},
 		// Discrete attributes: neighbors share attribute keys, so the packed
 		// rank kernel refuses, the worker's scratch latches, and every later
 		// tick takes the exact count's ID tie-break.
 		"ordering/modjk/cyclon/tied-attrs": {
-			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
+			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ordering,
 			Policy: ordering.SelectMaxGain, AttrDist: zipf{s: 1, n: 8}, Seed: 18, RecordGDM: true,
 		},
 		"ordering/jk/cyclon/halfconc": {
-			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
+			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ordering,
 			Policy: ordering.SelectRandomMisplaced, Concurrency: 0.5,
 			AttrDist: attr, Seed: 12,
 		},
 		"ordering/modjk/fullconc/stale/churn": {
-			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
+			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ordering,
 			Policy: ordering.SelectMaxGain, Concurrency: 1, StalePayloads: true,
 			AttrDist: attr, Seed: 13,
 			Schedule: flat, Pattern: churn.Uniform{Dist: attr},
 		},
 		"ranking/cyclon/churn": {
-			N: 400, Slices: 10, ViewSize: 12, Protocol: Ranking,
+			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ranking,
 			AttrDist: attr, Seed: 14,
 			Schedule: flat, Pattern: churn.Correlated{Spread: 10},
 		},
 		"ranking/cyclon/custom-partition": {
-			N: 400, Partition: &clustered, ViewSize: 12, Protocol: Ranking,
+			N: 400, Partition: &clustered, ViewSize: 12, Protocol: proto.Ranking,
 			AttrDist: attr, Seed: 19,
 		},
 		"ranking/uniform/window/churn": {
-			N: 400, Slices: 10, ViewSize: 12, Protocol: Ranking,
-			Membership: UniformOracle, Estimator: WindowEstimator, WindowSize: 500,
+			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ranking,
+			Membership: UniformOracle, Estimators: windows(500),
 			AttrDist: attr, Seed: 15,
 			Schedule: flat, Pattern: churn.Uniform{Dist: attr},
 		},
 		// The fault plane must not break the contract: all four fault
 		// families at once, on both protocols, under churn.
 		"ranking/window/churn/faults": {
-			N: 400, Slices: 10, ViewSize: 12, Protocol: Ranking,
-			Estimator: WindowEstimator, WindowSize: 500,
-			AttrDist: attr, Seed: 16,
+			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ranking,
+			Estimators: windows(500),
+			AttrDist:   attr, Seed: 16,
 			Schedule: flat, Pattern: churn.Uniform{Dist: attr},
 			Faults: allFaultsPlan(),
 		},
 		"ordering/modjk/churn/faults": {
-			N: 400, Slices: 10, ViewSize: 12, Protocol: Ordering,
+			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ordering,
 			Policy: ordering.SelectMaxGain, Concurrency: 0.5,
 			AttrDist: attr, Seed: 17, RecordGDM: true,
 			Schedule: flat, Pattern: churn.Uniform{Dist: attr},
@@ -143,7 +144,7 @@ func allFaultsPlan() *fault.Plan {
 		},
 		Byzantine: &fault.Byzantine{
 			Policy: fault.LieAlwaysTop, Window: fault.Window{From: 8, To: 25},
-			Frac: 0.1, TargetSlice: -1,
+			Frac: 0.1,
 		},
 		Partition: &fault.Partition{Window: fault.Window{From: 12, To: 20}, Groups: 2},
 		Chaos: []fault.Chaos{
@@ -244,7 +245,7 @@ func TestParallelEngineAtScale(t *testing.T) {
 	}
 	cfg := Config{
 		N: n, Slices: 100, ViewSize: 20,
-		Protocol: Ordering, Policy: ordering.SelectMaxGain,
+		Protocol: proto.Ordering, Policy: ordering.SelectMaxGain,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 3,
 		Schedule: churn.Flat{JoinRate: 0.001, LeaveRate: 0.001},
 		Pattern:  churn.Uniform{Dist: dist.Uniform{Lo: 0, Hi: 1000}},

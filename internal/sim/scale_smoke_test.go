@@ -6,6 +6,7 @@ import (
 	"github.com/gossipkit/slicing/internal/churn"
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
 )
 
 // TestMillionNodeSmoke stands the struct-of-arrays engine up at its
@@ -24,7 +25,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 	}
 	cfg := Config{
 		N: 1_000_000, Slices: 100, ViewSize: 20,
-		Protocol: Ordering, Policy: ordering.SelectMaxGain,
+		Protocol: proto.Ordering, Policy: ordering.SelectMaxGain,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 9,
 		Schedule: churn.Flat{JoinRate: 0.001, LeaveRate: 0.001},
 		Pattern:  churn.Uniform{Dist: dist.Uniform{Lo: 0, Hi: 1000}},

@@ -90,29 +90,6 @@ import (
 	"github.com/gossipkit/slicing/internal/view"
 )
 
-// ProtocolKind selects the slicing protocol under simulation.
-type ProtocolKind int
-
-// Available protocols.
-const (
-	// Ordering runs JK or mod-JK (§4), depending on Config.Policy.
-	Ordering ProtocolKind = iota + 1
-	// Ranking runs the rank-estimation protocol (§5).
-	Ranking
-)
-
-// String implements fmt.Stringer.
-func (k ProtocolKind) String() string {
-	switch k {
-	case Ordering:
-		return "ordering"
-	case Ranking:
-		return "ranking"
-	default:
-		return fmt.Sprintf("protocol(%d)", int(k))
-	}
-}
-
 // MembershipKind selects the peer-sampling substrate.
 type MembershipKind int
 
@@ -137,17 +114,6 @@ func (k MembershipKind) String() string {
 	}
 }
 
-// EstimatorKind selects the ranking estimator.
-type EstimatorKind int
-
-// Available estimators.
-const (
-	// CounterEstimator is the unbounded ℓ/g counter of Fig. 5.
-	CounterEstimator EstimatorKind = iota + 1
-	// WindowEstimator is the sliding-window variant of §5.3.4.
-	WindowEstimator
-)
-
 // Config parameterizes a simulation. The zero value is not runnable; see
 // the field comments for required entries.
 type Config struct {
@@ -161,15 +127,14 @@ type Config struct {
 	// ViewSize is the gossip view capacity c.
 	ViewSize int
 	// Protocol selects ordering (§4) or ranking (§5).
-	Protocol ProtocolKind
-	// Policy selects JK or mod-JK when Protocol == Ordering.
+	Protocol proto.Kind
+	// Policy selects JK or mod-JK when Protocol == proto.Ordering.
 	Policy ordering.Policy
 	// Membership selects the peer-sampling substrate. Default CyclonViews.
 	Membership MembershipKind
-	// Estimator selects the ranking estimator. Default CounterEstimator.
-	Estimator EstimatorKind
-	// WindowSize is the sliding-window size W (WindowEstimator only).
-	WindowSize int
+	// Estimators builds each ranking node's estimator (Ranking only);
+	// nil means the unbounded counters of Fig. 5.
+	Estimators func() ranking.Estimator
 	// Concurrency is the probability that a swap exchange is an
 	// overlapping message (§4.5.2): 0 = the atomic cycle model, 0.5 =
 	// the paper's "half concurrency", 1 = "full concurrency". An
@@ -243,24 +208,15 @@ func (cfg *Config) validate() error {
 		return ErrConfigConc
 	}
 	switch cfg.Protocol {
-	case Ordering, Ranking:
+	case proto.Ordering, proto.Ranking:
 	default:
 		return ErrConfigProtocol
 	}
 	if cfg.Membership == 0 {
 		cfg.Membership = CyclonViews
 	}
-	if cfg.Estimator == 0 {
-		cfg.Estimator = CounterEstimator
-	}
-	if cfg.Protocol == Ordering && cfg.Policy == 0 {
+	if cfg.Protocol == proto.Ordering && cfg.Policy == 0 {
 		cfg.Policy = ordering.SelectMaxGain
-	}
-	if cfg.Estimator == WindowEstimator && cfg.WindowSize < 1 {
-		return ranking.ErrWindow
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -455,6 +411,9 @@ func New(cfg Config) (*Engine, error) {
 	} else {
 		return nil, core.ErrNoSlices
 	}
+	if err := cfg.Faults.Validate(part.Len()); err != nil {
+		return nil, err
+	}
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -479,9 +438,9 @@ func New(cfg Config) (*Engine, error) {
 		faults:    fault.NewApplier(cfg.Faults, cfg.Seed, part),
 	}
 	switch cfg.Protocol {
-	case Ordering:
+	case proto.Ordering:
 		e.ons = make([]ordering.Node, 0, cfg.N)
-	case Ranking:
+	case proto.Ranking:
 		e.rns = make([]ranking.Node, 0, cfg.N)
 	}
 	e.slots[0] = noSlot
@@ -518,7 +477,7 @@ func (e *Engine) slotOf(id core.ID) (int32, bool) {
 
 // memberAt reads slot s's identity and current attribute.
 func (e *Engine) memberAt(s int32) core.Member {
-	if e.cfg.Protocol == Ordering {
+	if e.cfg.Protocol == proto.Ordering {
 		return e.ons[s].Member()
 	}
 	return e.rns[s].Member()
@@ -528,7 +487,7 @@ func (e *Engine) memberAt(s int32) core.Member {
 // — the single hook the fault plane mutates attributes through, which
 // is what keeps the dense attribute mirror honest.
 func (e *Engine) setAttrAt(s int32, a core.Attr) {
-	if e.cfg.Protocol == Ordering {
+	if e.cfg.Protocol == proto.Ordering {
 		e.ons[s].SetAttr(a)
 		e.attrs[s] = a
 	} else {
@@ -538,7 +497,7 @@ func (e *Engine) setAttrAt(s int32, a core.Attr) {
 
 // selfEntryAt builds slot s's current gossip self entry.
 func (e *Engine) selfEntryAt(s int32) view.Entry {
-	if e.cfg.Protocol == Ordering {
+	if e.cfg.Protocol == proto.Ordering {
 		return e.ons[s].SelfEntry()
 	}
 	return e.rns[s].SelfEntry()
@@ -561,7 +520,7 @@ func (e *Engine) addNode(attr core.Attr) error {
 	eb, ib, ob := e.varena.Block(slot)
 	v := view.NewBound(e.cfg.ViewSize, eb, ib, ob)
 	switch e.cfg.Protocol {
-	case Ordering:
+	case proto.Ordering:
 		r0 := 1 - e.rng.Float64() // uniform in (0,1]
 		n, err := ordering.NewNode(ordering.Config{
 			ID: id, Attr: attr, Partition: e.part,
@@ -576,16 +535,11 @@ func (e *Engine) addNode(attr core.Attr) error {
 		e.attrs = append(e.attrs, attr)
 		e.sliceR = append(e.sliceR, math.NaN())
 		e.sliceIdx = append(e.sliceIdx, 0)
-	case Ranking:
+	case proto.Ranking:
 		var est ranking.Estimator
-		switch e.cfg.Estimator {
-		case WindowEstimator:
-			w, err := ranking.NewWindow(e.cfg.WindowSize)
-			if err != nil {
-				return err
-			}
-			est = w
-		default:
+		if e.cfg.Estimators != nil {
+			est = e.cfg.Estimators()
+		} else {
 			est = ranking.NewCounter()
 		}
 		n, err := ranking.NewNode(ranking.Config{
@@ -613,7 +567,7 @@ func (e *Engine) addNode(attr core.Attr) error {
 // slot is written by exactly one worker, so the pass parallelizes
 // trivially.
 func (e *Engine) refreshSelfEntries() {
-	if e.cfg.Protocol == Ordering {
+	if e.cfg.Protocol == proto.Ordering {
 		e.parallelFor(len(e.ids), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e.self[i] = e.ons[i].SelfEntry()

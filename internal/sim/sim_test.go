@@ -7,13 +7,16 @@ import (
 	"github.com/gossipkit/slicing/internal/churn"
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
+	"github.com/gossipkit/slicing/internal/ranking"
 )
 
 func baseOrderingConfig() Config {
 	return Config{
 		N: 200, Slices: 10, ViewSize: 15,
-		Protocol: Ordering, Policy: ordering.SelectMaxGain,
+		Protocol: proto.Ordering, Policy: ordering.SelectMaxGain,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000},
 		Seed:     1,
 	}
@@ -22,7 +25,7 @@ func baseOrderingConfig() Config {
 func baseRankingConfig() Config {
 	return Config{
 		N: 200, Slices: 10, ViewSize: 15,
-		Protocol: Ranking,
+		Protocol: proto.Ranking,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1000},
 		Seed:     1,
 	}
@@ -41,6 +44,10 @@ func TestConfigValidation(t *testing.T) {
 		{"negative concurrency", func(c *Config) { c.Concurrency = -0.5 }, ErrConfigConc},
 		{"excess concurrency", func(c *Config) { c.Concurrency = 1.5 }, ErrConfigConc},
 		{"no slices", func(c *Config) { c.Slices = 0 }, core.ErrNoSlices},
+		{"target slice past the top", func(c *Config) {
+			top := c.Slices
+			c.Faults = &fault.Plan{Byzantine: &fault.Byzantine{Policy: fault.LieCollusive, Frac: 0.1, TargetSlice: &top}}
+		}, fault.ErrByzTarget},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -53,15 +60,19 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// windows is the Config.Estimators factory of size-w sliding windows.
+func windows(w int) func() ranking.Estimator {
+	return func() ranking.Estimator { return ranking.MustNewWindow(w) }
+}
+
 func TestWindowEstimatorNeedsSize(t *testing.T) {
-	cfg := baseRankingConfig()
-	cfg.Estimator = WindowEstimator
-	if _, err := New(cfg); err == nil {
-		t.Error("WindowEstimator without WindowSize should fail")
+	if _, err := ranking.NewWindow(0); err == nil {
+		t.Error("a window estimator without a size should fail")
 	}
-	cfg.WindowSize = 100
+	cfg := baseRankingConfig()
+	cfg.Estimators = windows(100)
 	if _, err := New(cfg); err != nil {
-		t.Errorf("WindowEstimator with size failed: %v", err)
+		t.Errorf("window estimators with a size failed: %v", err)
 	}
 }
 
@@ -270,7 +281,7 @@ func TestRankingBeatsOrderingFloor(t *testing.T) {
 	}
 }
 
-// Ranking over the Cyclon variant must track ranking over the uniform
+// proto.Ranking over the Cyclon variant must track ranking over the uniform
 // oracle closely (Fig. 6(b)).
 func TestRankingCyclonTracksUniformOracle(t *testing.T) {
 	run := func(mk MembershipKind) float64 {
@@ -348,7 +359,7 @@ func TestCorrelatedChurnRankingRecoversOrderingStuck(t *testing.T) {
 		t.Errorf("after correlated churn: ranking SDM %v not below ordering %v",
 			rankEnd.Value, ordEnd.Value)
 	}
-	// Ranking must actually recover: its SDM at the end is below its SDM
+	// proto.Ranking must actually recover: its SDM at the end is below its SDM
 	// right when churn stopped.
 	atStop, ok := rank.SDM.At(100)
 	if !ok {
@@ -374,8 +385,7 @@ func TestSlidingWindowResistsSustainedChurn(t *testing.T) {
 	}
 	windowCfg := baseRankingConfig()
 	windowCfg.Schedule, windowCfg.Pattern = schedule, pattern
-	windowCfg.Estimator = WindowEstimator
-	windowCfg.WindowSize = 2000
+	windowCfg.Estimators = windows(2000)
 	window, err := Run(windowCfg, cycles)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +431,7 @@ func TestChurnDropsMessagesToDeparted(t *testing.T) {
 
 func TestStringerCoverage(t *testing.T) {
 	kinds := []interface{ String() string }{
-		Ordering, Ranking, ProtocolKind(0),
+		proto.Ordering, proto.Ranking, proto.Kind(0),
 		CyclonViews, UniformOracle, MembershipKind(0),
 	}
 	for _, k := range kinds {

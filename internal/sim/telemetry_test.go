@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/dist"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/telemetry"
 )
 
@@ -13,7 +14,7 @@ import (
 func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	cfg := Config{
 		N: 300, Slices: 4, ViewSize: 12,
-		Protocol: Ordering, RecordGDM: true,
+		Protocol: proto.Ordering, RecordGDM: true,
 		AttrDist: dist.Uniform{Lo: 0, Hi: 1}, Seed: 7,
 	}
 	plain, err := Run(cfg, 25)
@@ -68,7 +69,7 @@ func TestMembershipSubPhasesSumExactly(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			e, err := New(Config{
 				N: 2000, Slices: 10, ViewSize: 20,
-				Protocol: Ranking, Membership: m,
+				Protocol: proto.Ranking, Membership: m,
 				AttrDist: dist.Uniform{Lo: 0, Hi: 1}, Seed: 3,
 			})
 			if err != nil {

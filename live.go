@@ -56,15 +56,6 @@ const (
 	JitterNone = runtime.JitterNone
 )
 
-// Live protocol kinds (runtime flavors of the simulation constants).
-// A live node always gossips over the Cyclon variant of §4.3.2.
-const (
-	// LiveOrdering runs JK / mod-JK on a live node.
-	LiveOrdering = runtime.Ordering
-	// LiveRanking runs the ranking protocol on a live node.
-	LiveRanking = runtime.Ranking
-)
-
 // NewNode builds a live node; call Start to begin gossiping.
 func NewNode(cfg NodeConfig) (*Node, error) { return runtime.NewNode(cfg) }
 

@@ -34,7 +34,7 @@ func TestMetricNames(t *testing.T) {
 	// the cluster never starts.
 	cluster, err := NewCluster(ClusterConfig{
 		N: 4, Partition: part, ViewSize: 4,
-		Protocol:  LiveRanking,
+		Protocol:  Ranking,
 		AttrDist:  UniformDist{Lo: 0, Hi: 100},
 		Seed:      1,
 		Clock:     NewVirtualClock(),
@@ -55,7 +55,7 @@ func TestMetricNames(t *testing.T) {
 	defer tr.Close()
 	node, err := NewNode(NodeConfig{
 		ID: 1, Attr: 10, Partition: part, ViewSize: 4,
-		Protocol: LiveRanking, Estimator: NewCounterEstimator(),
+		Protocol: Ranking, Estimator: NewCounterEstimator(),
 		Transport: tr, Seed: 1, Period: DefaultPeriod, Telemetry: reg,
 	})
 	if err != nil {

@@ -41,12 +41,7 @@ func LookupScenario(name string) (Scenario, error) { return scenario.Lookup(name
 // latency/loss injection from the spec's live block). Both return the
 // same result shape, so sim and live disorder trajectories are directly
 // comparable.
-type (
-	// ScenarioBackend executes specs on one engine.
-	ScenarioBackend = scenario.Backend
-	// ScenarioLiveSpec is a spec's live-backend tuning block.
-	ScenarioLiveSpec = scenario.LiveSpec
-)
+type ScenarioBackend = scenario.Backend
 
 // Backend names accepted by ScenarioBackendByName (and the slicebench
 // -backend flag).

@@ -65,7 +65,7 @@ func startServedCluster(t *testing.T, n, slices, viewSize int, seed int64) (*sli
 	}
 	cluster, err := slicing.NewCluster(slicing.ClusterConfig{
 		N: n, Partition: part, ViewSize: viewSize,
-		Protocol:   slicing.LiveRanking,
+		Protocol:   slicing.Ranking,
 		AttrDist:   slicing.UniformDist{Lo: 0, Hi: 100},
 		Seed:       seed,
 		Clock:      slicing.NewVirtualClock(),
@@ -296,7 +296,7 @@ func TestServedNodeServeLifecycle(t *testing.T) {
 	tr := loopbackTransport(t)
 	node, err := slicing.NewNode(slicing.NodeConfig{
 		ID: 1, Attr: 50, Partition: part, ViewSize: 4,
-		Protocol:   slicing.LiveRanking,
+		Protocol:   slicing.Ranking,
 		Estimator:  slicing.NewCounterEstimator(),
 		Transport:  tr,
 		Seed:       3,

@@ -15,6 +15,7 @@ package slicing
 import (
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/sim"
 )
 
@@ -28,12 +29,13 @@ type (
 	Simulation = sim.Engine
 )
 
-// Protocol kinds for SimConfig.Protocol.
+// Protocol kinds for SimConfig.Protocol and the live NodeConfig and
+// ClusterConfig.Protocol.
 const (
-	// Ordering simulates JK / mod-JK (§4 of the paper).
-	Ordering = sim.Ordering
-	// Ranking simulates the rank-estimation protocol (§5).
-	Ranking = sim.Ranking
+	// Ordering runs JK / mod-JK (§4 of the paper).
+	Ordering = proto.Ordering
+	// Ranking runs the rank-estimation protocol (§5).
+	Ranking = proto.Ranking
 )
 
 // Partner-selection policies for SimConfig.Policy.

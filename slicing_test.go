@@ -114,7 +114,7 @@ func TestPublicLiveCluster(t *testing.T) {
 	// advances time instead of sleeping against a wall-clock deadline.
 	cluster, err := slicing.NewCluster(slicing.ClusterConfig{
 		N: 12, Partition: part, ViewSize: 5,
-		Protocol: slicing.LiveRanking,
+		Protocol: slicing.Ranking,
 		Period:   2 * time.Millisecond,
 		AttrDist: slicing.UniformDist{Lo: 0, Hi: 100},
 		Seed:     4,
@@ -194,7 +194,7 @@ func TestPublicJitterSentinel(t *testing.T) {
 	}
 	cluster, err := slicing.NewCluster(slicing.ClusterConfig{
 		N: 4, Partition: part, ViewSize: 3,
-		Protocol:   slicing.LiveRanking,
+		Protocol:   slicing.Ranking,
 		Period:     time.Millisecond,
 		JitterFrac: slicing.JitterNone,
 		AttrDist:   slicing.UniformDist{Lo: 0, Hi: 10},
