@@ -99,6 +99,17 @@ profile:
 RAND_FILES = internal/churn/churn.go internal/dist/continuous.go internal/dist/dist.go \
 	internal/dist/mixture.go internal/runtime/cluster.go internal/runtime/sched.go \
 	internal/scenario/livecluster.go internal/sim/sim.go
+# The 386 leg's tests, joined into one -run regexp. Each name must match
+# a test or fuzz target that `go test -list` finds in LINT386_PKGS, so
+# renaming or deleting one fails lint instead of silently dropping it
+# from the leg.
+LINT386_TESTS = TestPrefetchWindow TestEventHeapOrder TestWorkerCountInvariance TestKernelEquivalence \
+	TestTickSwapFastMatchesTickSwap TestTickTableMatchesTickSwap TestTickTargetsFastMatchesTickTargets \
+	TestAgeAllOldestMatchesTwoStep TestResetMatchesClearAdd FuzzCyclonMerge FuzzCyclonExchange
+LINT386_PKGS = ./internal/core ./internal/sim ./internal/runtime ./internal/ordering ./internal/ranking \
+	./internal/view ./internal/membership
+empty :=
+space := $(empty) $(empty)
 # The dead-code gate: reach_test.go (build tag reach) walks the
 # type-checked reference graph from cmd/, examples/, benchmark/ and the
 # facade's exported names, and fails on a declaration nothing reaches
@@ -115,9 +126,12 @@ lint:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
-	GOARCH=386 $(GO) test -short -count=1 \
-		-run 'TestPrefetchWindow|TestEventHeapOrder|TestWorkerCountInvariance|TestKernelEquivalence|TestTickSwapFastMatchesTickSwap|TestTickTableMatchesTickSwap|TestTickTargetsFastMatchesTickTargets|TestAgeAllOldestMatchesTwoStep|TestResetMatchesClearAdd|FuzzCyclonMerge|FuzzCyclonExchange' \
-		./internal/core ./internal/sim ./internal/runtime ./internal/ordering ./internal/ranking ./internal/view ./internal/membership
+	@listed=$$(GOARCH=386 $(GO) test -list . $(LINT386_PKGS) | grep -E '^(Test|Fuzz)'); \
+	for name in $(LINT386_TESTS); do \
+		echo "$$listed" | grep -q -- "$$name" || { \
+		echo "386 leg: $$name matches no test or fuzz target in its packages" >&2; exit 1; }; \
+	done
+	GOARCH=386 $(GO) test -short -count=1 -run '$(subst $(space),|,$(strip $(LINT386_TESTS)))' $(LINT386_PKGS)
 
 # The profile step is a smoke test of the profiling path itself.
 ci: lint build test test-serial bench-check bench

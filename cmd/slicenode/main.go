@@ -43,6 +43,7 @@ import (
 	"time"
 
 	slicing "github.com/gossipkit/slicing"
+	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/telemetry"
 )
 
@@ -55,7 +56,7 @@ func main() {
 
 // settings is the resolved flag set of one node run.
 type settings struct {
-	id        uint64
+	id        slicing.ID
 	listen    string
 	attr      float64
 	peers     map[slicing.ID]string
@@ -102,11 +103,15 @@ func parseArgs(args []string) (*settings, error) {
 	if *id == 0 {
 		return nil, fmt.Errorf("missing -id")
 	}
+	nodeID, err := core.IDOf(*id)
+	if err != nil {
+		return nil, fmt.Errorf("bad -id: %w", err)
+	}
 	if *seed == 0 {
 		*seed = int64(*id)
 	}
 	return &settings{
-		id: *id, listen: *listen, attr: *attr, peers: peers,
+		id: nodeID, listen: *listen, attr: *attr, peers: peers,
 		slices: *slices, protocol: *protoArg, period: *period,
 		view: *view, window: *window, report: *report,
 		seed: *seed, serve: *serve, debugAddr: *debugAddr,
@@ -153,7 +158,7 @@ func run(args []string) error {
 	reg := slicing.NewTelemetry()
 	ring := slicing.NewTraceRing(0)
 	cfg := slicing.NodeConfig{
-		ID:         slicing.ID(set.id),
+		ID:         set.id,
 		Attr:       slicing.Attr(set.attr),
 		Partition:  part,
 		ViewSize:   set.view,
@@ -214,7 +219,7 @@ func run(args []string) error {
 		return err
 	}
 	logger.Info("node started",
-		"id", set.id, "addr", tr.Addr(), "attr", set.attr,
+		"id", uint64(set.id), "addr", tr.Addr(), "attr", set.attr,
 		"protocol", set.protocol, "slices", set.slices)
 	if srv != nil {
 		logger.Info("serving slice queries", "url", "http://"+srv.Addr(),
@@ -272,11 +277,15 @@ func parsePeers(arg string) (map[slicing.ID]string, error) {
 		if len(kv) != 2 {
 			return nil, fmt.Errorf("bad peer %q, want id=host:port", part)
 		}
-		pid, err := strconv.ParseUint(kv[0], 10, 64)
+		u, err := strconv.ParseUint(kv[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad peer id %q: %w", kv[0], err)
 		}
-		peers[slicing.ID(pid)] = kv[1]
+		pid, err := core.IDOf(u)
+		if err != nil {
+			return nil, fmt.Errorf("bad peer id %q: %w", kv[0], err)
+		}
+		peers[pid] = kv[1]
 	}
 	return peers, nil
 }

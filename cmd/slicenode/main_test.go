@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"testing"
 
 	slicing "github.com/gossipkit/slicing"
+	"github.com/gossipkit/slicing/internal/core"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -21,6 +23,8 @@ func TestParsePeers(t *testing.T) {
 		},
 		{"missing equals", "2:127.0.0.1", nil, true},
 		{"bad id", "abc=127.0.0.1:7002", nil, true},
+		{"largest 32-bit id", "4294967295=127.0.0.1:7002", map[slicing.ID]string{core.MaxID: "127.0.0.1:7002"}, false},
+		{"id past 32 bits", "4294967296=127.0.0.1:7002", nil, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -65,5 +69,26 @@ func TestParseArgsSeedDerivedFromID(t *testing.T) {
 	}
 	if set.seed != 42 {
 		t.Errorf("seed = %d, want derived 42", set.seed)
+	}
+}
+
+// -id is 32-bit: the largest ID parses, one past it is an error rather
+// than a truncation onto another node's ID (2³² would become 0, 2³²+1
+// node 1).
+func TestParseArgsIDRange(t *testing.T) {
+	set, err := parseArgs([]string{"-id", "4294967295"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.id != core.MaxID {
+		t.Errorf("id = %v, want %v", set.id, core.MaxID)
+	}
+	for _, arg := range []string{"4294967296", "4294967297"} {
+		if _, err := parseArgs([]string{"-id", arg}); !errors.Is(err, core.ErrIDRange) {
+			t.Errorf("-id %s: error = %v, want ErrIDRange", arg, err)
+		}
+	}
+	if _, err := parseArgs([]string{"-id", "1", "-peers", "4294967297=127.0.0.1:7002"}); !errors.Is(err, core.ErrIDRange) {
+		t.Errorf("-peers with a 33-bit id: error = %v, want ErrIDRange", err)
 	}
 }

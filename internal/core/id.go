@@ -1,14 +1,37 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"strconv"
 )
 
 // ID uniquely identifies a node. IDs are totally ordered; the order is
 // used to break ties between equal attribute values so that the
-// attribute-based sequence is a total order.
-type ID uint64
+// attribute-based sequence is a total order. IDs are 32-bit, which keeps
+// a view entry at 24 bytes; engines assign them from 1, and 0 names no
+// node. The wire format carries 8-byte IDs, so every boundary that reads
+// one converts it with IDOf.
+type ID uint32
+
+// MaxID is the largest node ID.
+const MaxID ID = math.MaxUint32
+
+// ErrIDRange reports an ID past MaxID: one read from the wire or a
+// command line, or the next ID an engine would assign after MaxID.
+var ErrIDRange = errors.New("node ID out of range")
+
+// IDOf converts a 64-bit wire or command-line value to an ID. A value
+// past MaxID is an error and is never truncated: truncation would alias
+// two nodes.
+func IDOf(u uint64) (ID, error) {
+	if u > uint64(MaxID) {
+		return 0, fmt.Errorf("%w: %d > %d", ErrIDRange, u, uint64(MaxID))
+	}
+	return ID(u), nil
+}
 
 // String implements fmt.Stringer.
 func (id ID) String() string { return "n" + strconv.FormatUint(uint64(id), 10) }

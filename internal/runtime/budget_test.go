@@ -13,8 +13,10 @@ import (
 // A live node is a view of c entries, one attribute, one random value
 // and 8 bytes of generator state, plus the scheduler's and the
 // protocol wrappers' bookkeeping. The budget is the live heap a driven
-// 2,000-node ordering cluster retains per node after gossiping: 2,204 B
-// against ~2,141 measured when set (~2,157 before the write-only
+// 2,000-node ordering cluster retains per node after gossiping: 1,629 B
+// against ~1,621 measured when set (~2,141 before view entries shrank
+// from 32 to 24 bytes and lost their 8-byte packed ID mirror, and the
+// shard slot from 56 to 48 bytes; ~2,157 before the write-only
 // telemetry pointer left the Node and its allocation fell from the
 // 208- to the 192-byte size class; ~2,406 before a node's standalone
 // stop/done channels were made lazily by Start and the scheduler's two
@@ -25,7 +27,7 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what the heap holds")
 	}
-	const n, steps, budget = 2_000, 20, 2_204
+	const n, steps, budget = 2_000, 20, 1_629
 	liveHeap := func() uint64 {
 		goruntime.GC()
 		goruntime.GC()
@@ -96,20 +98,20 @@ func TestLiveAllocBytesPerMessageBudget(t *testing.T) {
 }
 
 // Every pending tick and in-flight message is one timer-wheel event, and
-// every heap sift copies them: an int64 deadline keeps one at 56 B,
-// where a time.Time made it 72.
+// every heap sift copies them: an int64 deadline and 32-bit from/to IDs
+// keep one at 48 B, where 64-bit IDs made it 56 and a time.Time 72.
 func TestEventSizeBudget(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got > 56 {
-		t.Errorf("event is %d bytes, budget 56", got)
+	if got := unsafe.Sizeof(event{}); got > 48 {
+		t.Errorf("event is %d bytes, budget 48", got)
 	}
 }
 
-// A shard slot is a handler and five footprint pointers with a length
-// byte each, read on every event. A shard keeps one per node ID it ever
-// issued, so a departed node still costs its slot.
+// A shard slot is a handler and four footprint pointers with a length
+// byte each, read on every event: 48 B. A shard keeps one per node ID it
+// ever issued, so a departed node still costs its slot.
 func TestSlotSizeBudget(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got > 56 {
-		t.Errorf("slot is %d bytes, budget 56", got)
+	if got := unsafe.Sizeof(slot{}); got > 48 {
+		t.Errorf("slot is %d bytes, budget 48", got)
 	}
 }
 

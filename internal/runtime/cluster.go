@@ -222,8 +222,12 @@ func (c *Cluster) bootstrapDegree(peers int) int {
 
 // buildNode creates the node with the next identifier, appends it to
 // the cluster and places it on its scheduler shard. bootstrap may be
-// nil (NewCluster seeds views afterwards).
+// nil (NewCluster seeds views afterwards). Once core.MaxID is issued it
+// fails with core.ErrIDRange instead of wrapping onto the reserved ID 0.
 func (c *Cluster) buildNode(attr core.Attr, r float64, bootstrap []view.Entry) (*Node, error) {
+	if c.nextID == core.MaxID {
+		return nil, core.ErrIDRange
+	}
 	c.nextID++
 	id := c.nextID
 	nodeCfg := NodeConfig{

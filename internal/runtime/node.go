@@ -175,8 +175,8 @@ type Node struct {
 
 // footprint is where a node's tick and handler first read, recorded
 // once when the node takes its shard slot: the head of the Node, its
-// membership struct, its view's header, and the view's entry and ID
-// blocks, which view.New allocates at capacity and never moves. Span
+// membership struct, its view's header, and the view's entry block,
+// which view.New allocates at capacity and never moves. Span
 // lengths are counted in 64-byte units, one byte each. The pointers keep
 // what they point at alive, as the node does.
 type footprint struct {
@@ -190,7 +190,6 @@ const (
 	fpMem
 	fpView
 	fpEntries
-	fpIDs
 	fpSpans
 )
 
@@ -206,9 +205,8 @@ func (n *Node) footprint() footprint {
 	}
 	v := n.mem.View()
 	set(fpView, unsafe.Pointer(v), unsafe.Sizeof(*v))
-	ents, ids := v.Blocks()
+	ents := v.Block()
 	set(fpEntries, unsafe.Pointer(unsafe.SliceData(ents)), uintptr(len(ents))*unsafe.Sizeof(view.Entry{}))
-	set(fpIDs, unsafe.Pointer(unsafe.SliceData(ids)), uintptr(len(ids))*unsafe.Sizeof(core.ID(0)))
 	return fp
 }
 

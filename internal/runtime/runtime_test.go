@@ -539,3 +539,21 @@ func TestJitterFracUpperBound(t *testing.T) {
 		t.Errorf("NewCluster(JitterFrac=1.5) = %v, want ErrBadJitter", err)
 	}
 }
+
+// The ID space ends at core.MaxID: once it is issued, Join fails with
+// ErrIDRange and leaves the cluster as it was, instead of wrapping the
+// next ID onto the reserved ID 0.
+func TestJoinPastMaxIDFails(t *testing.T) {
+	c := drivenCluster(t, ClusterConfig{
+		N: 8, Partition: testPartition(t, 2), ViewSize: 4,
+		Protocol: proto.Ranking,
+		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 5,
+	})
+	c.nextID = core.MaxID
+	if n, err := c.Join(1); !errors.Is(err, core.ErrIDRange) {
+		t.Fatalf("Join after MaxID = (%v, %v), want ErrIDRange", n, err)
+	}
+	if got := len(c.Nodes()); got != 8 || c.nextID != core.MaxID {
+		t.Errorf("failed Join left %d nodes and nextID %v, want 8 and %v", got, c.nextID, core.MaxID)
+	}
+}

@@ -271,9 +271,9 @@ func TestSchedNetDelivery(t *testing.T) {
 }
 
 // A slot's footprint is recorded once, when its node takes the slot, so
-// the view blocks it names must never move: after 20 gossip steps with
+// the view block it names must never move: after 20 gossip steps with
 // joins and kills between them, every live slot still names its view's
-// current entry and ID arrays, and every killed node's slot is empty.
+// current entry array, and every killed node's slot is empty.
 func TestLiveViewStorageStable(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -308,21 +308,13 @@ func TestLiveViewStorageStable(t *testing.T) {
 				if sl == nil || sl.node() != n {
 					t.Fatalf("node %d is not in its slot", n.ID())
 				}
-				ents, ids := n.mem.View().Blocks()
-				for _, b := range []struct {
-					span  int
-					p     unsafe.Pointer
-					bytes uintptr
-				}{
-					{fpEntries, unsafe.Pointer(unsafe.SliceData(ents)), uintptr(len(ents)) * unsafe.Sizeof(view.Entry{})},
-					{fpIDs, unsafe.Pointer(unsafe.SliceData(ids)), uintptr(len(ids)) * unsafe.Sizeof(core.ID(0))},
-				} {
-					if got := sl.fp.p[b.span]; got != b.p {
-						t.Errorf("node %d: footprint span %d starts at %p, the view's block at %p", n.ID(), b.span, got, b.p)
-					}
-					if got := uintptr(sl.fp.units[b.span]) * 64; got < b.bytes || got >= b.bytes+64 {
-						t.Errorf("node %d: footprint span %d covers %d bytes, the view's block is %d", n.ID(), b.span, got, b.bytes)
-					}
+				ents := n.mem.View().Block()
+				p, bytes := unsafe.Pointer(unsafe.SliceData(ents)), uintptr(len(ents))*unsafe.Sizeof(view.Entry{})
+				if got := sl.fp.p[fpEntries]; got != p {
+					t.Errorf("node %d: footprint entry span starts at %p, the view's block at %p", n.ID(), got, p)
+				}
+				if got := uintptr(sl.fp.units[fpEntries]) * 64; got < bytes || got >= bytes+64 {
+					t.Errorf("node %d: footprint entry span covers %d bytes, the view's block is %d", n.ID(), got, bytes)
 				}
 			}
 			for _, id := range killed {

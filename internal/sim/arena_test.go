@@ -42,7 +42,7 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 		// The view header must be bound onto this slot's arena block:
 		// same backing pointer, capacity clamped to the stride (the
 		// configured view size).
-		eb, ib, _ := e.varena.Block(i)
+		eb, _, _ := e.varena.Block(i)
 		raw := e.views[i].Raw()
 		if cap(raw) == 0 || unsafe.SliceData(raw[:cap(raw)]) != unsafe.SliceData(eb[:cap(eb)]) {
 			t.Fatalf("cycle %d: slot %d's view is not bound to its arena block", e.cycle, i)
@@ -50,19 +50,6 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 		if cap(raw) > e.cfg.ViewSize {
 			t.Fatalf("cycle %d: slot %d's view capacity %d exceeds the arena stride %d",
 				e.cycle, i, cap(raw), e.cfg.ViewSize)
-		}
-		// The packed ID mirror must live in the same slot's padded ID
-		// block, with every word past the live length held at the zero
-		// sentinel (what findID's 4-wide scan relies on).
-		for w, id := range ib[:cap(ib)] {
-			switch {
-			case w < len(raw) && id != raw[w].ID:
-				t.Fatalf("cycle %d: slot %d mirror word %d is %v, entry says %v",
-					e.cycle, i, w, id, raw[w].ID)
-			case w >= len(raw) && id != 0:
-				t.Fatalf("cycle %d: slot %d mirror tail word %d not zeroed: %v",
-					e.cycle, i, w, id)
-			}
 		}
 		if err := e.views[i].Validate(); err != nil {
 			t.Fatalf("cycle %d: slot %d: %v", e.cycle, i, err)
@@ -119,22 +106,21 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 
 // checkMirrors pins the ordering engine's dense mirrors to the node
 // state they stand for: rs and attrs to each node's random value and
-// attribute, the slice-index cache to the partition lookup of the
-// coordinate it was computed from (and, once a cycle has been measured,
-// to the node's current believed slice), and the swap-counter totals to
-// the Stats sums over the live nodes.
+// attribute, the last measurement's staged slice (once a cycle has been
+// measured) to the node's current believed slice, and the swap-counter
+// totals to the Stats sums over the live nodes.
 func checkMirrors(t *testing.T, e *Engine) {
 	t.Helper()
 	n := len(e.ids)
 	if e.ons == nil {
-		if len(e.rs) != 0 || len(e.attrs) != 0 || len(e.sliceR) != 0 || len(e.sliceIdx) != 0 {
+		if len(e.rs) != 0 || len(e.attrs) != 0 {
 			t.Fatalf("cycle %d: ranking engine holds ordering mirrors", e.cycle)
 		}
 		return
 	}
-	if len(e.rs) != n || len(e.attrs) != n || len(e.sliceR) != n || len(e.sliceIdx) != n {
-		t.Fatalf("cycle %d: mirrors out of lockstep: n=%d rs=%d attrs=%d sliceR=%d sliceIdx=%d",
-			e.cycle, n, len(e.rs), len(e.attrs), len(e.sliceR), len(e.sliceIdx))
+	if len(e.rs) != n || len(e.attrs) != n || len(e.slotBelieved) != n {
+		t.Fatalf("cycle %d: mirrors out of lockstep: n=%d rs=%d attrs=%d slotBelieved=%d",
+			e.cycle, n, len(e.rs), len(e.attrs), len(e.slotBelieved))
 	}
 	var recv, fail uint64
 	for s := range e.ons {
@@ -145,13 +131,9 @@ func checkMirrors(t *testing.T, e *Engine) {
 		if e.attrs[s] != on.Member().Attr {
 			t.Fatalf("cycle %d: slot %d attrs mirror %v, node holds %v", e.cycle, s, e.attrs[s], on.Member().Attr)
 		}
-		if r := e.sliceR[s]; r == r && e.sliceIdx[s] != int32(e.part.Index(r)) {
-			t.Fatalf("cycle %d: slot %d caches slice %d for %v, partition says %d",
-				e.cycle, s, e.sliceIdx[s], r, e.part.Index(r))
-		}
-		if e.cycle > 0 && int(e.sliceIdx[s]) != on.SliceIndex() {
+		if e.cycle > 0 && int(e.slotBelieved[s]) != on.SliceIndex() {
 			t.Fatalf("cycle %d: slot %d measured slice %d, node believes %d",
-				e.cycle, s, e.sliceIdx[s], on.SliceIndex())
+				e.cycle, s, e.slotBelieved[s], on.SliceIndex())
 		}
 		st := on.Stats()
 		recv += st.ReqReceived

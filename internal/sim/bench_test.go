@@ -75,7 +75,7 @@ func BenchmarkStepRankingChurn(b *testing.B) {
 // exercises the same workloads through slicebench (-simworkers).
 //
 // The n=1000000 rows are the million-node acceptance tier of the
-// struct-of-arrays engine: ~1.9 GB of engine state per run, so they are
+// struct-of-arrays engine: ~1.3 GB of engine state per run, so they are
 // skipped under -short (and each row costs seconds per iteration — use
 // -benchtime 2x or so).
 func BenchmarkEngineScaling(b *testing.B) {

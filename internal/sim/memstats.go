@@ -19,8 +19,8 @@ import (
 type MemReport struct {
 	// Nodes is the live population the report was taken at.
 	Nodes int `json:"nodes"`
-	// ArenaBytes is the flat view storage: every node's view entries
-	// and the packed ID mirror, in two contiguous arrays.
+	// ArenaBytes is the flat view storage: every node's view entries in
+	// one contiguous array.
 	ArenaBytes int64 `json:"arenaBytes"`
 	// StateBytes covers the per-slot parallel slices: identifiers,
 	// value-stored protocol nodes, view headers and cached self entries,
@@ -57,9 +57,7 @@ func (e *Engine) MemReport() MemReport {
 		sliceBytes(e.members, core.Member{}) +
 		sliceBytes(e.membersBuf, core.Member{}) +
 		sliceBytes(e.rs, 0.0) +
-		sliceBytes(e.attrs, core.Attr(0)) +
-		sliceBytes(e.sliceR, 0.0) +
-		sliceBytes(e.sliceIdx, int32(0))
+		sliceBytes(e.attrs, core.Attr(0))
 
 	m.StagingBytes = sliceBytes(e.snapBuf, 0.0) +
 		sliceBytes(e.believedBuf, 0) +

@@ -12,10 +12,11 @@ import (
 // TestMillionNodeSmoke stands the struct-of-arrays engine up at its
 // acceptance scale — N=1,000,000 live nodes with churn — and runs a few
 // cycles: enough to prove construction, the parallel rounds, swap-delete
-// churn and the measurement pass all hold together on a ~1.9 GB arena,
-// without paying for a full convergence run in the test suite. Skipped
-// under -short and under the race detector (the shadow memory alone
-// would multiply the footprint several-fold).
+// churn and the measurement pass all hold together on ~1.3 GB of engine
+// state (~1.6 GB peak RSS on amd64), without paying for a full
+// convergence run in the test suite. Skipped under -short and under the
+// race detector (the shadow memory alone would multiply the footprint
+// several-fold).
 func TestMillionNodeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-node smoke is not a -short test")
@@ -46,7 +47,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 		t.Errorf("population drifted implausibly under 0.1%% churn: %d nodes", mem.Nodes)
 	}
 	// The budget the README advertises: the engine must stay around
-	// ~1.8 kB per node, and well under 2.5 kB — a per-node map, pointer
+	// ~1.3 kB per node, and well under 2.5 kB — a per-node map, pointer
 	// field or stray per-node buffer would blow straight through this.
 	if bpn := mem.BytesPerNode; bpn <= 0 || bpn > 2500 {
 		t.Errorf("engine bytes/node = %.0f, want (0, 2500]", bpn)

@@ -26,10 +26,10 @@
 // view headers (views) and cached self entries (self) — plus one
 // ID→slot table ([]int32, indexed directly by the monotonically
 // assigned core.ID). View storage itself lives outside the headers, in
-// one flat backing array indexed by slot*ViewSize with a packed ID
-// mirror (view.Arena): the compute and commit halves of a gossip round,
-// the per-cycle SDM/GDM measurement and churn's swap-delete all stream
-// contiguous memory instead of chasing per-node heap objects. Every
+// one flat backing array indexed by slot*ViewSize (view.Arena): the
+// compute and commit halves of a gossip round, the per-cycle SDM/GDM
+// measurement and churn's swap-delete all stream contiguous memory
+// instead of chasing per-node heap objects. Every
 // hot-path lookup — message delivery, state reads, snapshots, sampling,
 // measurement — is a bounds check and a slice index: no hashing, no
 // pointer chasing, no interface dispatch (the engine calls the concrete
@@ -75,7 +75,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/gossipkit/slicing/internal/churn"
@@ -226,10 +225,16 @@ const noSlot = int32(-1)
 
 // Engine is a running simulation. Not safe for concurrent use.
 type Engine struct {
-	cfg  Config
-	part core.Partition
-	rng  *rand.Rand
-
+	// The per-node slice headers come first. The exchange and protocol
+	// rounds read them once per node, inside loops that store through
+	// other slices, so the compiler reloads each header from the Engine
+	// on every iteration: these few lines of the struct are read a
+	// million times per round. At the head they sit at fixed offsets
+	// that no edit to Config or to a colder field below can move. When
+	// they lay behind cfg, an 8-byte Config change shifted ids, rs,
+	// snapBuf and swapR onto other cache lines and cost 4–9 % of
+	// sim-ordering-1m's throughput.
+	//
 	// The node arena, struct-of-arrays: one entry per live node in each
 	// of the parallel slices below, addressed by slot. Slots are stable
 	// within a cycle; churn swap-deletes leavers and appends joiners, so
@@ -240,31 +245,66 @@ type Engine struct {
 	// them streams memory instead of chasing a million heap pointers.
 	// views holds the per-slot view headers; their entry storage is not
 	// theirs but the slot's block of varena, so all view payloads of the
-	// population form two contiguous arrays (entries, packed ID
-	// mirror). self caches each node's SelfEntry (refreshed by
-	// refreshSelfEntries; see there for the staleness contract).
-	ids    []core.ID
-	ons    []ordering.Node
-	rns    []ranking.Node
-	views  []*view.View
-	self   []view.Entry
-	varena *view.Arena
-	// Dense per-slot mirrors of the ordering nodes' hot scalars
-	// (ordering runs only; nil under ranking). An ordering.Node is 120
-	// bytes, so any per-slot scan through the node array pulls two
-	// cache lines per node; the exchange compute, coordinate snapshot,
-	// commit re-validation and GDM assignment read these 8-byte mirrors
-	// instead. rs tracks each node's live random value (updated at the
-	// single swap-delivery choke point), attrs its attribute (updated by
-	// the fault plane's setAttrAt).
-	rs    []float64
-	attrs []core.Attr
-
+	// population form one contiguous entry array.
+	ids []core.ID
 	// slots maps core.ID → arena slot. IDs are assigned sequentially
 	// from 1, so the table is indexed directly by ID — an ID lookup is a
 	// bounds check and a slice load, never a hash. Departed IDs hold
 	// noSlot. The table grows by one int32 per node ever created.
 	slots []int32
+	ons   []ordering.Node
+	// Dense per-slot mirrors of the ordering nodes' hot scalars
+	// (ordering runs only; nil under ranking). An ordering.Node spans
+	// two cache lines, so any per-slot scan through the node array pulls
+	// both; the exchange compute, coordinate snapshot, commit
+	// re-validation and GDM assignment read these 8-byte mirrors
+	// instead. rs tracks each node's live random value (updated at the
+	// single swap-delivery choke point), attrs its attribute (updated by
+	// the fault plane's setAttrAt).
+	rs    []float64
+	attrs []core.Attr
+	views []*view.View
+	// Per-cycle buffers the rounds index per node. Buffers written
+	// inside parallel rounds are strictly partitioned: every slot is
+	// written by exactly one worker.
+	snapBuf []float64 // per-slot phase-start coordinates
+	// Protocol-round staging, unboxed per protocol: each ordering slot's
+	// ticked swap target (0 = no request this cycle) with its frozen
+	// payload and overlap flag; each ranking slot's two UPD targets
+	// (stride 2, 0 = none) with their resolved destination slots.
+	swapTo     []core.ID
+	swapR      []float64
+	swapAttr   []core.Attr
+	overlapBuf []bool
+	// coordTab is the ID-indexed coordinate snapshot handed to every
+	// protocol tick (see proto.CoordTable): live IDs refreshed from
+	// snapBuf each protocol round, departed IDs pinned at NaN by
+	// removeNode, the growth tail NaN-initialized. One random load per
+	// neighbor resolve instead of the slot-table double hop.
+	coordTab proto.CoordTable
+	// Membership-round buffers: the per-slot partner choice, the frozen
+	// per-initiator payload windows (strided ViewSize+1 per slot — a
+	// window carries the initiator's request on the way in and, once the
+	// target has absorbed it, is reused for that initiator's reply on
+	// the way back), and the counting-sorted per-target initiator lists
+	// (initHead, initPos, initList) that give the commit its
+	// deterministic order.
+	memTarget []int32
+	reqStore  []view.Entry
+	reqLen    []int32
+	initList  []int32
+	rns       []ranking.Node
+	updTo     []core.ID
+	rankDst   []int32
+
+	cfg  Config
+	part core.Partition
+	rng  *rand.Rand
+
+	// self caches each node's SelfEntry (refreshed by
+	// refreshSelfEntries; see there for the staleness contract).
+	self   []view.Entry
+	varena *view.Arena
 	// members is the live membership in the attribute-based total order,
 	// maintained incrementally: one merge pass per churn event (see
 	// mergeMembers), zero sorts at steady state. It feeds the churn
@@ -316,53 +356,19 @@ type Engine struct {
 	// tel is nil unless Config.Telemetry was set; see telemetry.go.
 	tel *engineTel
 
-	// Reusable per-cycle buffers. Outside the parallel rounds the engine
-	// is single-threaded, and none of these escape a Step call, so reuse
-	// keeps the hot path (snapshot, freeze, measure) allocation-free at
-	// steady state. Buffers written inside parallel rounds are strictly
-	// partitioned: every slot is written by exactly one worker.
-	snapBuf     []float64 // per-slot phase-start coordinates
-	believedBuf []int     // per-cycle believed slice indices, attr order
-	// Slice-index cache for the measurement (ordering runs):
-	// sliceR[s] is the coordinate sliceIdx[s] was computed from (NaN =
-	// never computed), so a converged node's partition lookup is one
-	// float compare per cycle instead of a partition lookup. slotBelieved
-	// stages the per-slot believed slice of the current measurement in
-	// slot order before the members-order gather.
-	sliceR       []float64
-	sliceIdx     []int32
+	// The remaining reusable per-cycle buffers. Outside the parallel
+	// rounds the engine is single-threaded, and none of these escape a
+	// Step call, so reuse keeps the hot path (snapshot, freeze, measure)
+	// allocation-free at steady state.
+	believedBuf []int // per-cycle believed slice indices, attr order
+	// slotBelieved stages the per-slot believed slice of the current
+	// measurement in slot order before the members-order gather.
 	slotBelieved []int32
-	// coordTab is the ID-indexed coordinate snapshot handed to every
-	// protocol tick (see proto.CoordTable): live IDs refreshed from
-	// snapBuf each protocol round, departed IDs pinned at NaN by
-	// removeNode, the growth tail NaN-initialized. One random load per
-	// neighbor resolve instead of the slot-table double hop.
-	coordTab    proto.CoordTable
-	joinersBuf  []core.Member // joiners of the current churn event
-	membersBuf  []core.Member // double buffer for the membership merge
-	deferredBuf []deferredEnv
-	// Membership-round buffers: the per-slot partner choice, the frozen
-	// per-initiator payload windows (strided ViewSize+1 per slot — a
-	// window carries the initiator's request on the way in and, once the
-	// target has absorbed it, is reused for that initiator's reply on
-	// the way back), and the counting-sorted per-target initiator lists
-	// that give the commit its deterministic order.
-	memTarget []int32
-	reqStore  []view.Entry
-	reqLen    []int32
-	initHead  []int32
-	initPos   []int32
-	initList  []int32
-	// Protocol-round staging, unboxed per protocol: each ordering slot's
-	// ticked swap target (0 = no request this cycle) with its frozen
-	// payload and overlap flag; each ranking slot's two UPD targets
-	// (stride 2, 0 = none) with their resolved destination slots.
-	swapTo     []core.ID
-	swapR      []float64
-	swapAttr   []core.Attr
-	overlapBuf []bool
-	updTo      []core.ID
-	rankDst    []int32
+	joinersBuf   []core.Member // joiners of the current churn event
+	membersBuf   []core.Member // double buffer for the membership merge
+	deferredBuf  []deferredEnv
+	initHead     []int32
+	initPos      []int32
 	// Measurement buffers: fixed-chunk partial sums plus the GDM rank
 	// scratch (bucketHead backs the bucket sort of measureGDM).
 	chunkSums  []float64
@@ -505,8 +511,13 @@ func (e *Engine) selfEntryAt(s int32) view.Entry {
 
 // addNode creates a node with the next identifier and appends it to the
 // arena. Views start empty and the attribute-ordered membership is not
-// updated; the caller bootstraps views and merges the membership.
+// updated; the caller bootstraps views and merges the membership. Once
+// core.MaxID is issued it fails with core.ErrIDRange instead of wrapping
+// onto the reserved ID 0.
 func (e *Engine) addNode(attr core.Attr) error {
+	if e.nextID == core.MaxID {
+		return core.ErrIDRange
+	}
 	e.nextID++
 	id := e.nextID
 	slot := len(e.ids)
@@ -533,8 +544,6 @@ func (e *Engine) addNode(attr core.Attr) error {
 		e.ons = append(e.ons, *n)
 		e.rs = append(e.rs, r0)
 		e.attrs = append(e.attrs, attr)
-		e.sliceR = append(e.sliceR, math.NaN())
-		e.sliceIdx = append(e.sliceIdx, 0)
 	case proto.Ranking:
 		var est ranking.Estimator
 		if e.cfg.Estimators != nil {
@@ -611,8 +620,9 @@ func (e *Engine) applyChurn() (refreshed bool) {
 	for i := 0; i < ev.Join; i++ {
 		attr := e.cfg.Pattern.JoinAttr(e.rng, members)
 		if err := e.addNode(attr); err != nil {
-			// addNode only fails on invalid static configuration, which
-			// New has already validated.
+			// addNode fails only on invalid static configuration, which
+			// New has already validated, or once the run has issued
+			// core.MaxID: a join past it would alias a live node.
 			panic(err)
 		}
 		joiners = append(joiners, core.Member{ID: e.nextID, Attr: attr})

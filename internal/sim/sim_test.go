@@ -440,3 +440,32 @@ func TestStringerCoverage(t *testing.T) {
 		}
 	}
 }
+
+// The ID space ends at core.MaxID: once it is issued, a churn join fails
+// with ErrIDRange — addNode returns it before touching the arena, and
+// Step panics with it — instead of wrapping the next ID onto the
+// reserved ID 0 and aliasing a node.
+func TestJoinPastMaxIDFails(t *testing.T) {
+	cfg := baseRankingConfig()
+	cfg.N = 20
+	cfg.Schedule = churn.Flat{JoinRate: 0.1}
+	cfg.Pattern = churn.Uniform{Dist: cfg.AttrDist}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.nextID = core.MaxID
+	if err := e.addNode(1); !errors.Is(err, core.ErrIDRange) {
+		t.Fatalf("addNode after MaxID = %v, want ErrIDRange", err)
+	}
+	if len(e.ids) != cfg.N || len(e.slots) != cfg.N+1 || e.nextID != core.MaxID {
+		t.Fatalf("failed addNode changed the arena: %d ids, %d slot-table rows, nextID %v",
+			len(e.ids), len(e.slots), e.nextID)
+	}
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, core.ErrIDRange) {
+			t.Errorf("Step joining past MaxID panicked with %v, want ErrIDRange", err)
+		}
+	}()
+	e.Step()
+}

@@ -109,8 +109,6 @@ func (e *Engine) removeNode(id core.ID) {
 			e.ons[s] = e.ons[last]
 			e.rs[s] = e.rs[last]
 			e.attrs[s] = e.attrs[last]
-			e.sliceR[s] = e.sliceR[last]
-			e.sliceIdx[s] = e.sliceIdx[last]
 		} else {
 			e.rns[s] = e.rns[last]
 		}
@@ -123,8 +121,6 @@ func (e *Engine) removeNode(id core.ID) {
 		e.ons = e.ons[:last]
 		e.rs = e.rs[:last]
 		e.attrs = e.attrs[:last]
-		e.sliceR = e.sliceR[:last]
-		e.sliceIdx = e.sliceIdx[:last]
 	} else {
 		e.rns[last] = ranking.Node{}
 		e.rns = e.rns[:last]
@@ -288,7 +284,7 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 		ws := &e.ws[w]
 		// g walks the worker's span of initList globally, one step per
 		// (target, initiator) pair. Each pair's request window is a random
-		// ~670-byte read, so the next pair's window is prefetched before
+		// ~500-byte read, so the next pair's window is prefetched before
 		// the current pair merges: the prefetch does not wait for its
 		// lines, and they arrive while the merge runs.
 		g, ghi := head[lo], head[hi]
@@ -736,18 +732,12 @@ func (e *Engine) record() {
 	e.slotBelieved = sb
 	if e.ons != nil {
 		// Two passes: believed slices materialize in slot order first —
-		// sequential reads, and a node whose coordinate is unchanged
-		// since the last measurement reuses its cached partition index
-		// (at steady state that is nearly everyone) — then the
+		// sequential reads of the dense coordinate mirror — then the
 		// members-order gather reads 4-byte staged values instead of
-		// striding 170-byte Node structs.
+		// striding Node structs.
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
-				if r := e.rs[s]; r != e.sliceR[s] {
-					e.sliceR[s] = r
-					e.sliceIdx[s] = int32(e.part.Index(r))
-				}
-				sb[s] = e.sliceIdx[s]
+				sb[s] = int32(e.part.Index(e.rs[s]))
 			}
 		})
 	} else {

@@ -9,7 +9,8 @@
 //
 // A view entry encodes as a fixed 28-byte record: id uint64, age uint32,
 // attr float64, r float64, all big-endian. Entry lists are prefixed with
-// a uint16 count.
+// a uint16 count. Node IDs are 32-bit in memory (core.ID); an entry whose
+// id exceeds core.MaxID fails decoding with core.ErrIDRange.
 package codec
 
 import (
@@ -151,8 +152,12 @@ func unmarshalEntries(payload []byte) ([]view.Entry, error) {
 	entries := make([]view.Entry, count)
 	for i := 0; i < count; i++ {
 		off := i * entrySize
+		id, err := core.IDOf(binary.BigEndian.Uint64(payload[off:]))
+		if err != nil {
+			return nil, fmt.Errorf("codec: entry %d: %w", i, err)
+		}
 		entries[i] = view.Entry{
-			ID:   core.ID(binary.BigEndian.Uint64(payload[off:])),
+			ID:   id,
 			Age:  binary.BigEndian.Uint32(payload[off+8:]),
 			Attr: core.Attr(math.Float64frombits(binary.BigEndian.Uint64(payload[off+12:]))),
 			R:    math.Float64frombits(binary.BigEndian.Uint64(payload[off+20:])),

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -16,7 +18,7 @@ import (
 func TestRoundTripAllTypes(t *testing.T) {
 	entries := []view.Entry{
 		{ID: 1, Age: 0, Attr: 42.5, R: 0.25},
-		{ID: math.MaxUint64, Age: math.MaxUint32, Attr: -1e300, R: 1},
+		{ID: core.MaxID, Age: math.MaxUint32, Attr: -1e300, R: 1},
 	}
 	msgs := []proto.Message{
 		proto.ViewRequest{Entries: entries},
@@ -68,6 +70,29 @@ func TestUnknownType(t *testing.T) {
 	}
 }
 
+// The wire carries 8-byte IDs and memory 32-bit ones: an entry whose ID
+// does not fit fails decoding with core.ErrIDRange, wherever it sits in
+// the list, instead of truncating onto another node's ID (2³² would read
+// as 0, 2³²+1 as node 1).
+func TestEntryIDRange(t *testing.T) {
+	data, err := Marshal(proto.ViewReply{Entries: []view.Entry{{ID: 1}, {ID: core.MaxID}, {ID: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(data); err != nil {
+		t.Fatalf("ID %d rejected: %v", core.MaxID, err)
+	}
+	for _, id := range []uint64{1 << 32, 1<<32 + 1, math.MaxUint64} {
+		for slot := 0; slot < 3; slot++ {
+			bad := append([]byte(nil), data...)
+			binary.BigEndian.PutUint64(bad[4+slot*entrySize:], id)
+			if msg, err := Unmarshal(bad); !errors.Is(err, core.ErrIDRange) {
+				t.Errorf("ID %d in entry %d: Unmarshal = (%v, %v), want ErrIDRange", id, slot, msg, err)
+			}
+		}
+	}
+}
+
 func TestTruncatedFrames(t *testing.T) {
 	msgs := []proto.Message{
 		proto.ViewRequest{Entries: []view.Entry{{ID: 1}}},
@@ -98,7 +123,7 @@ func TestRoundTripProperty(t *testing.T) {
 		entries := make([]view.Entry, int(n)%64)
 		for i := range entries {
 			entries[i] = view.Entry{
-				ID:   core.ID(rng.Uint64()),
+				ID:   core.ID(rng.Uint32()),
 				Age:  rng.Uint32(),
 				Attr: core.Attr(rng.NormFloat64() * 1e6),
 				R:    rng.Float64(),
@@ -164,9 +189,11 @@ func TestFrameSizes(t *testing.T) {
 
 // FuzzCodecUnmarshal feeds hostile frames to the decoder. It must never
 // panic, never allocate more entries than the frame's bytes can hold,
-// and every frame it accepts must re-marshal to a frame that decodes to
-// the bit-identical message (floats compared by their bits, so NaN
-// payloads compare too).
+// and every frame it accepts must re-marshal to the bytes it was decoded
+// from (trailing bytes aside) and to a frame that decodes to the
+// bit-identical message (floats compared by their bits, so NaN payloads
+// compare too). The byte check is what catches a decoder that narrows a
+// field, such as an 8-byte wire ID into a 32-bit core.ID.
 func FuzzCodecUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unmarshal(data)
@@ -186,6 +213,9 @@ func FuzzCodecUnmarshal(f *testing.F) {
 		again, err := Marshal(msg)
 		if err != nil {
 			t.Fatalf("accepted %T does not re-marshal: %v", msg, err)
+		}
+		if len(again) > len(data) || !bytes.Equal(again, data[:len(again)]) {
+			t.Fatalf("accepted %T re-marshals to other bytes:\n got %x\nfrom %x", msg, again, data)
 		}
 		back, err := Unmarshal(again)
 		if err != nil {

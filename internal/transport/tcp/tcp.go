@@ -168,6 +168,21 @@ func encodeFrame(from, to core.ID, msg proto.Message) ([]byte, error) {
 	return frame, nil
 }
 
+// decodeFrame is encodeFrame's inverse over a frame's payload (the bytes
+// after the length prefix). A from or to past core.MaxID is an error,
+// like an undecodable message: truncating it would deliver the frame to,
+// or attribute it to, another node.
+func decodeFrame(payload []byte) (from, to core.ID, msg proto.Message, err error) {
+	if from, err = core.IDOf(binary.BigEndian.Uint64(payload)); err != nil {
+		return 0, 0, nil, fmt.Errorf("tcp: frame sender: %w", err)
+	}
+	if to, err = core.IDOf(binary.BigEndian.Uint64(payload[8:])); err != nil {
+		return 0, 0, nil, fmt.Errorf("tcp: frame receiver: %w", err)
+	}
+	msg, err = codec.Unmarshal(payload[16:])
+	return from, to, msg, err
+}
+
 // write sends a frame over the cached connection for addr, dialing if
 // needed. A failed write invalidates the cache; the frame is dropped
 // (gossip retries by design at the next period).
@@ -265,9 +280,7 @@ func (t *Transport) readLoop(c net.Conn) {
 		if _, err := io.ReadFull(c, payload); err != nil {
 			return
 		}
-		from := core.ID(binary.BigEndian.Uint64(payload))
-		to := core.ID(binary.BigEndian.Uint64(payload[8:]))
-		msg, err := codec.Unmarshal(payload[16:])
+		from, to, msg, err := decodeFrame(payload)
 		if err != nil {
 			continue // skip undecodable frames, keep the stream
 		}

@@ -1,7 +1,9 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -395,5 +397,63 @@ func TestTCPRedialAfterConnectionDrop(t *testing.T) {
 		}
 		a.Send(1, 2, proto.SwapReply{R: 0.3})
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// A frame header carries 8-byte IDs; one past core.MaxID is rejected,
+// never truncated onto another node. decodeFrame fails on it, and on the
+// wire the frame is skipped: a frame addressed to 2³²+2 (node 2 after
+// truncation) or sent from 2³²+1 reaches nobody, while the valid frame
+// behind it on the same stream is delivered.
+func TestTCPFrameIDRange(t *testing.T) {
+	frame, err := encodeFrame(core.MaxID, 2, proto.SwapReply{R: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from, to, _, err := decodeFrame(frame[4:]); err != nil || from != core.MaxID || to != 2 {
+		t.Fatalf("decodeFrame = (%v, %v, %v), want (%v, n2, nil)", from, to, err, core.MaxID)
+	}
+	for _, field := range []int{4, 12} { // from, to
+		bad := append([]byte(nil), frame...)
+		binary.BigEndian.PutUint64(bad[field:], 1<<32+2)
+		if _, _, _, err := decodeFrame(bad[4:]); !errors.Is(err, core.ErrIDRange) {
+			t.Errorf("header word at %d = 2^32+2: decodeFrame error = %v, want ErrIDRange", field, err)
+		}
+	}
+
+	b, err := New(Options{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var got collector
+	if err := b.Register(2, got.handler()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	send := func(from, to uint64, r float64) {
+		f, err := encodeFrame(1, 2, proto.SwapReply{R: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint64(f[4:], from)
+		binary.BigEndian.PutUint64(f[12:], to)
+		if _, err := c.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1, 1<<32+2, 0.1)
+	send(1<<32+1, 2, 0.2)
+	send(1, 2, 0.3)
+	got.waitFor(t, 1, 2*time.Second)
+	time.Sleep(20 * time.Millisecond)
+	got.mu.Lock()
+	defer got.mu.Unlock()
+	if len(got.msgs) != 1 || got.msgs[0] != (proto.SwapReply{R: 0.3}) || got.from[0] != 1 {
+		t.Errorf("node 2 received %v from %v, want only the valid frame (R=0.3 from n1)", got.msgs, got.from)
 	}
 }

@@ -48,7 +48,7 @@ func benchIncoming(rng *rand.Rand, v *View, c, overlap int) []Entry {
 }
 
 // BenchmarkMergeDedup measures MergeCompact's classify half: the Bloom
-// signature plus packed-mirror duplicate scan over one gossip payload.
+// signature plus the entry-array duplicate scan over one gossip payload.
 // converged payloads are duplicate-heavy (the signature pays for itself
 // by gating findID), unconverged ones are all-fresh (the signature
 // short-circuits nearly every probe). The view is restored from a

@@ -10,11 +10,7 @@ import (
 
 // Clear removes every entry, keeping the allocated storage: the first
 // half of the Clear+Add oracle Reset is checked against.
-func (v *View) Clear() {
-	clear(v.ids)
-	v.entries = v.entries[:0]
-	v.ids = v.ids[:0]
-}
+func (v *View) Clear() { v.entries = v.entries[:0] }
 
 // randomEntries draws n entries with distinct IDs from [1, maxID], ages
 // from a small pool (so ties are common) and about one placeholder in
@@ -32,11 +28,8 @@ func randomEntries(rng *rand.Rand, n, maxID int) []Entry {
 }
 
 // sameView reports whether two views hold the same entries in the same
-// order and the same ID mirror, padding words included.
-func sameView(a, b *View) bool {
-	return slices.Equal(a.entries, b.entries) &&
-		slices.Equal(a.ids[:cap(a.ids)], b.ids[:cap(b.ids)])
-}
+// order.
+func sameView(a, b *View) bool { return slices.Equal(a.entries, b.entries) }
 
 // TestAgeAllOldestMatchesTwoStep pins the fused aging pass: AgeAllOldest
 // returns the entry AgeAll followed by Oldest returns, and leaves the
@@ -65,9 +58,8 @@ func TestAgeAllOldestMatchesTwoStep(t *testing.T) {
 
 // TestResetMatchesClearAdd pins the bulk bootstrap: for a distinct
 // sample that does not contain the owner, Reset leaves the view Clear
-// followed by an Add loop leaves — entries, order and the zero-padded
-// ID mirror — on a New view and on an arena-bound NewBound view whose
-// block held a longer view before.
+// followed by an Add loop leaves — entries and order — on a New view and
+// on an arena-bound NewBound view whose block held a longer view before.
 func TestResetMatchesClearAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 2000; trial++ {

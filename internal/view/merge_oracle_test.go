@@ -17,14 +17,13 @@ func mergeOracle(v *View, incoming []Entry, self core.ID) {
 		if e.ID == self {
 			continue
 		}
-		if i := indexOf(v.ids, e.ID); i >= 0 {
+		if i := findID(v.entries, e.ID); i >= 0 {
 			if v.entries[i].Placeholder() && !e.Placeholder() {
 				v.entries[i] = e
 			}
 			continue
 		}
 		v.entries = append(v.entries, e)
-		v.ids = append(v.ids, e.ID)
 	}
 	for len(v.entries) > v.capacity {
 		v.evictOldest()
@@ -38,20 +37,18 @@ func mergeFreshOracle(v *View, incoming []Entry, self core.ID) {
 		if e.ID == self {
 			continue
 		}
-		if i := indexOf(v.ids, e.ID); i >= 0 {
+		if i := findID(v.entries, e.ID); i >= 0 {
 			if e.Age < v.entries[i].Age {
 				v.entries[i] = e
 			}
 			continue
 		}
 		v.entries = append(v.entries, e)
-		v.ids = append(v.ids, e.ID)
 	}
 	if len(v.entries) > v.capacity {
 		sort.SliceStable(v.entries, func(i, j int) bool { return v.entries[i].Age < v.entries[j].Age })
 		v.entries = v.entries[:v.capacity]
 	}
-	v.reindex()
 }
 
 // UniqueIDs is exact: IDs that share a bitset bit are told apart, a
@@ -126,7 +123,7 @@ func TestScratchMergesMatchOracles(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := 1 + rng.Intn(12)
 		got, want := MustNew(c), MustNew(c)
-		entCap, idCap := cap(got.entries), cap(got.ids)
+		entCap := cap(got.entries)
 		for round := 0; round < 6; round++ {
 			// IDs drawn from a pool barely larger than the view: most
 			// batches repeat IDs, overlap the view and name self.
@@ -150,7 +147,7 @@ func TestScratchMergesMatchOracles(t *testing.T) {
 				}
 			}
 			if got.Validate() != nil || got.Has(self) ||
-				cap(got.entries) != entCap || cap(got.ids) != idCap {
+				cap(got.entries) != entCap {
 				return false
 			}
 			got.AgeAll()

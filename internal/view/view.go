@@ -30,6 +30,8 @@ const maxCapacity = 1<<15 - 1
 const AgeUnknown uint32 = ^uint32(0)
 
 // Entry is one row of a node's view: the array of Table 1 in the paper.
+// It is 24 bytes with the ID in its first word, so the duplicate scan of
+// a gossip merge (findID) reads IDs straight out of the entry array.
 type Entry struct {
 	// ID identifies the neighbor.
 	ID core.ID
@@ -58,15 +60,6 @@ func (e Entry) Member() core.Member { return core.Member{ID: e.ID, Attr: e.Attr}
 type View struct {
 	capacity int
 	entries  []Entry
-	// ids mirrors entries[i].ID in a packed slice: the duplicate scan of
-	// findID — run once per incoming entry on every gossip merge — then
-	// touches 8 bytes per probe instead of a 32-byte Entry, and never
-	// falls out of lockstep because every insert, delete and reorder
-	// below updates both slices. The words between len(entries) and the
-	// slice capacity are held at zero (IDs start at 1), letting findID
-	// compare four words per step with no tail loop; every shrinking
-	// mutation re-zeroes the freed tail.
-	ids []core.ID
 }
 
 // New returns an empty view with the given capacity c (the paper's view
@@ -78,7 +71,6 @@ func New(capacity int) (*View, error) {
 	return &View{
 		capacity: capacity,
 		entries:  make([]Entry, 0, capacity),
-		ids:      make([]core.ID, 0, pad4(capacity)),
 	}, nil
 }
 
@@ -93,21 +85,16 @@ func MustNew(capacity int) *View {
 
 // NewBound returns an empty view of the given capacity over
 // caller-provided backing storage: an arena block (see Arena.Block),
-// passed as zero-length slices whose capacities are at least the view
-// capacity — pad4(capacity) for the ID mirror, whose unused words the
-// view zeroes here to establish the sentinel-padding invariant (the
-// block may have been vacated by a departed node). The view never
-// allocates entry storage of its own. The third block is ignored: it is
-// Arena.Block's retired permutation column, kept in the signature until
-// a benchmark-maintenance PR drops it from benchmark/kernels.go too.
-func NewBound(capacity int, entries []Entry, ids []core.ID, _ []int16) *View {
-	if capacity < 1 || capacity > maxCapacity ||
-		cap(entries) < capacity || cap(ids) < pad4(capacity) {
+// passed as a zero-length slice whose capacity is at least the view
+// capacity. The view never allocates entry storage of its own. The
+// second and third blocks are ignored: they are Arena.Block's retired
+// ID-mirror and permutation columns, kept in the signature until a
+// benchmark-maintenance change drops them from benchmark/kernels.go too.
+func NewBound(capacity int, entries []Entry, _ []core.ID, _ []int16) *View {
+	if capacity < 1 || capacity > maxCapacity || cap(entries) < capacity {
 		panic(ErrCapacity)
 	}
-	ids = ids[:0]
-	clear(ids[:cap(ids)])
-	return &View{capacity: capacity, entries: entries[:0], ids: ids}
+	return &View{capacity: capacity, entries: entries[:0]}
 }
 
 // Len returns the number of entries currently held.
@@ -138,13 +125,11 @@ func (v *View) AppendEntries(buf []Entry) []Entry {
 // iterating must use AppendEntries instead.
 func (v *View) Raw() []Entry { return v.entries }
 
-// Blocks exposes the view's entry array and its packed ID mirror at full
-// capacity, for callers that prefetch them by address. New allocates
-// both at capacity and no mutation grows them past it, so a New view's
-// blocks stay put for its whole life (a bound view's move with Rebind).
-func (v *View) Blocks() ([]Entry, []core.ID) {
-	return v.entries[:cap(v.entries)], v.ids[:cap(v.ids)]
-}
+// Block exposes the view's entry array at full capacity, for callers
+// that prefetch it by address. New allocates it at capacity and no
+// mutation grows it past that, so a New view's block stays put for its
+// whole life (a bound view's moves with Rebind).
+func (v *View) Block() []Entry { return v.entries[:cap(v.entries)] }
 
 // Get returns the entry for id, if present.
 func (v *View) Get(id core.ID) (Entry, bool) {
@@ -157,26 +142,16 @@ func (v *View) Get(id core.ID) (Entry, bool) {
 // Has reports whether id is in the view.
 func (v *View) Has(id core.ID) bool { return v.index(id) >= 0 }
 
-func (v *View) index(id core.ID) int { return findID(v.ids, len(v.entries), id) }
+func (v *View) index(id core.ID) int { return findID(v.entries, id) }
 
-// findID scans the first n words of a sentinel-padded packed ID mirror
-// for id. The mirror holds zeroes from n up to at least pad4(n) (IDs
-// start at 1, so zero never aliases a member), which lets the scan run
-// full four-word groups with one combined compare per group and no tail
-// loop — each probe is a pure 8-byte load, and the OR-of-equalities
-// compiles branch-free.
-func findID(ids []core.ID, n int, id core.ID) int {
-	p := ids[:pad4(n)]
-	for i := 0; i < len(p); i += 4 {
-		if p[i] == id || p[i+1] == id || p[i+2] == id || p[i+3] == id {
-			for j := i; ; j++ {
-				if p[j] == id {
-					if j < n {
-						return j
-					}
-					return -1 // matched the zero pad (id==0 probe)
-				}
-			}
+// findID returns the index of id in entries, or -1: the duplicate scan
+// run once per incoming entry on every gossip merge. Each probe is the
+// first word of a 24-byte entry, so a view of c ≈ 20 rows is scanned
+// in about eight cache lines.
+func findID(entries []Entry, id core.ID) int {
+	for i := range entries {
+		if entries[i].ID == id {
+			return i
 		}
 	}
 	return -1
@@ -193,7 +168,6 @@ func (v *View) Add(e Entry) {
 		v.evictOldest()
 	}
 	v.entries = append(v.entries, e)
-	v.ids = append(v.ids, e.ID)
 }
 
 // Remove deletes the entry for id, reporting whether it was present.
@@ -202,10 +176,7 @@ func (v *View) Remove(id core.ID) bool {
 	if i < 0 {
 		return false
 	}
-	last := len(v.ids) - 1
 	v.entries = append(v.entries[:i], v.entries[i+1:]...)
-	v.ids = append(v.ids[:i], v.ids[i+1:]...)
-	v.ids[:last+1][last] = 0
 	return true
 }
 
@@ -275,10 +246,7 @@ func (v *View) evictOldest() {
 			best = i
 		}
 	}
-	last := len(v.ids) - 1
 	v.entries = append(v.entries[:best], v.entries[best+1:]...)
-	v.ids = append(v.ids[:best], v.ids[best+1:]...)
-	v.ids[:last+1][last] = 0
 }
 
 // Reset replaces the view's contents wholesale with the given entries —
@@ -290,28 +258,14 @@ func (v *View) Reset(entries []Entry) {
 	if len(entries) > v.capacity {
 		panic(ErrCapacity)
 	}
-	old := len(v.ids)
 	v.entries = append(v.entries[:0], entries...)
-	v.ids = v.ids[:0]
-	for i := range v.entries {
-		v.ids = append(v.ids, v.entries[i].ID)
-	}
-	if len(v.ids) < old {
-		clear(v.ids[len(v.ids):old])
-	}
 }
 
 // MergeScratch is reusable working storage for the scratch-based and
 // fused merge variants: one per worker in the simulator, so merging
-// into arena-backed views allocates nothing at steady state. The work
-// set carries its own packed ID mirror, so the per-incoming-entry
-// duplicate scan walks 8-byte identifiers instead of 32-byte entries —
-// the merge scan is the single hottest instruction stream of a
-// simulation cycle, and a quarter of the memory traffic is a quarter of
-// the time.
+// into arena-backed views allocates nothing at steady state.
 type MergeScratch struct {
 	work []Entry
-	wids []core.ID
 	ages []uint32
 	// Fused-merge classification buffers (MergeCompact/MergeReply).
 	fresh  []Entry
@@ -373,27 +327,23 @@ func containsID(entries []Entry, id core.ID) bool {
 // envelope path falls back to it for a batch that fails UniqueIDs.
 func (v *View) MergeUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 	work := append(scr.work[:0], v.entries...)
-	wids := append(scr.wids[:0], v.ids...)
 	for _, e := range incoming {
 		if e.ID == self {
 			continue
 		}
-		if i := indexOf(wids, e.ID); i >= 0 {
+		if i := findID(work, e.ID); i >= 0 {
 			if work[i].Placeholder() && !e.Placeholder() {
 				work[i] = e
 			}
 			continue
 		}
 		work = append(work, e)
-		wids = append(wids, e.ID)
 	}
-	scr.wids = wids
 	if k := len(work) - v.capacity; k > 0 {
 		thresh, quota := unionTrimThreshold(work, nil, k, &scr.ages, &scr.trimHist)
 		work = removeByThreshold(work, thresh, quota)
 	}
 	v.entries = append(v.entries[:0], work...)
-	v.reindex()
 	scr.work = work
 }
 
@@ -404,21 +354,18 @@ func (v *View) MergeUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 // membership.newscast_exchange_ns row reach it; it goes with that row.
 func (v *View) MergeFreshUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 	work := append(scr.work[:0], v.entries...)
-	wids := append(scr.wids[:0], v.ids...)
 	for _, e := range incoming {
 		if e.ID == self {
 			continue
 		}
-		if i := indexOf(wids, e.ID); i >= 0 {
+		if i := findID(work, e.ID); i >= 0 {
 			if e.Age < work[i].Age {
 				work[i] = e
 			}
 			continue
 		}
 		work = append(work, e)
-		wids = append(wids, e.ID)
 	}
-	scr.wids = wids
 	if len(work) > v.capacity {
 		sort.SliceStable(work, func(i, j int) bool {
 			return work[i].Age < work[j].Age
@@ -426,13 +373,12 @@ func (v *View) MergeFreshUsing(incoming []Entry, self core.ID, scr *MergeScratch
 		work = work[:v.capacity]
 	}
 	v.entries = append(v.entries[:0], work...)
-	v.reindex()
 	scr.work = work
 }
 
 // MergeCompact is MergeUsing fused into a single pass over the view's
-// own storage: incoming entries are classified against the packed ID
-// mirror first (keep-known-duplicate, placeholder upgrade), the trim
+// own storage: incoming entries are classified against the resident
+// entries first (keep-known-duplicate, placeholder upgrade), the trim
 // threshold comes from one age histogram over the union, and the
 // survivors are compacted in place — the arena block is touched once
 // per commit instead of the copy-out / trim / copy-back of the scratch
@@ -463,12 +409,12 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 	n0 := len(v.entries)
 	fresh := scr.fresh[:0]
 	upgIx, upgEnt := scr.upgIx[:0], scr.upgEnt[:0]
-	// Pass 1: classify every incoming entry against the packed mirror.
+	// Pass 1: classify every incoming entry against the resident entries.
 	// Nothing is mutated yet — the reply must read the pre-merge view,
 	// and incoming may alias replyDst. Incoming is ID-unique by the
 	// caller's contract (a gossip payload is one view's entries plus at
 	// most the sender's own), so no within-batch duplicate scan runs.
-	// A 64-bit Bloom signature over the resident IDs gates the mirror
+	// A 64-bit Bloom signature over the resident IDs gates the duplicate
 	// scan: at gossip scale views barely overlap, so nearly every
 	// incoming entry is fresh and skips findID on a one-bit test.
 	// The same two loops double as the trim's histogram pass — every
@@ -479,9 +425,10 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 	clear(hist[:])
 	histMax, histOver := uint32(0), 0
 	var sig uint64
-	for i, id := range v.ids[:n0] {
-		sig |= 1 << (uint64(id) & 63)
-		if age := v.entries[i].Age; age > trimMaxAge {
+	resident := v.entries
+	for i := range resident {
+		sig |= 1 << (uint64(resident[i].ID) & 63)
+		if age := resident[i].Age; age > trimMaxAge {
 			histOver++
 		} else {
 			hist[age]++
@@ -495,8 +442,8 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 			continue
 		}
 		if sig&(1<<(uint64(e.ID)&63)) != 0 {
-			if i := findID(v.ids, n0, e.ID); i >= 0 {
-				if v.entries[i].Placeholder() && !e.Placeholder() {
+			if i := findID(resident, e.ID); i >= 0 {
+				if resident[i].Placeholder() && !e.Placeholder() {
 					upgIx = append(upgIx, int32(i))
 					upgEnt = append(upgEnt, e)
 				}
@@ -526,12 +473,8 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 	}
 	k := n0 + len(fresh) - v.capacity
 	if k <= 0 {
-		// No trim: append the survivors. The mirror tail holds zeroes, so
-		// plain appends preserve the sentinel padding.
-		for _, e := range fresh {
-			v.entries = append(v.entries, e)
-			v.ids = append(v.ids, e.ID)
-		}
+		// No trim: append the survivors.
+		v.entries = append(v.entries, fresh...)
 		return replyLen
 	}
 	// Trim: find the k-th-largest-age threshold over the union (the
@@ -551,7 +494,6 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 		thresh, quota = unionTrimThreshold(v.entries, fresh, k, &scr.ages, hist)
 	}
 	ent := v.entries[:cap(v.entries)]
-	ids := v.ids[:cap(v.ids)]
 	w := 0
 	// Branch-free compaction: the age tests are data-random, so a
 	// predicated write-always/advance-conditionally loop beats
@@ -580,7 +522,6 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 		quota -= use
 		if w < len(ent) {
 			ent[w] = e
-			ids[w] = e.ID
 		}
 		w += 1 - (older | use)
 	}
@@ -599,22 +540,10 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 		quota -= use
 		if w < len(ent) {
 			ent[w] = e
-			ids[w] = e.ID
 		}
 		w += 1 - (older | use)
 	}
 	v.entries = ent[:w]
-	v.ids = ids[:w]
-	if w < len(ids) {
-		// Re-zero the mirror's sentinel tail: the shrink may expose old
-		// words, and the predicated loop stores a trailing dropped
-		// entry's ID at ids[w] before the cursor stops advancing.
-		hi := w + 1
-		if n0 > hi {
-			hi = n0
-		}
-		clear(ids[w:hi])
-	}
 	return replyLen
 }
 
@@ -706,17 +635,6 @@ func thresholdFromHist(hist *[trimMaxAge + 1]int32, mx uint32, over, k int, a, b
 	return 0, 0 // unreachable: k ≤ len(a)+len(b)
 }
 
-// indexOf scans a packed ID mirror for id — the scratch-path twin of
-// View.index (the scratch mirror is unpadded, so the scan is linear).
-func indexOf(ids []core.ID, id core.ID) int {
-	for i, w := range ids {
-		if w == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // trimMaxAge is the trim histogram's last bucket; older ages (and the
 // AgeUnknown placeholder marker) are only counted as over-limit.
 const trimMaxAge = 63
@@ -755,48 +673,25 @@ func sortAgesDesc(ages []uint32) {
 	}
 }
 
-// reindex rebuilds the packed id mirror after a bulk reorder or
-// compaction of the entry slice, re-zeroing any freed tail.
-func (v *View) reindex() {
-	old := len(v.ids)
-	v.ids = v.ids[:0]
-	for i := range v.entries {
-		v.ids = append(v.ids, v.entries[i].ID)
-	}
-	if len(v.ids) < old {
-		clear(v.ids[len(v.ids):old])
-	}
-}
-
 // Rebind moves the view's contents onto new backing storage — an arena
-// block (see Arena.Block) passed as zero-length slices with capacity of
+// block (see Arena.Block) passed as a zero-length slice with capacity of
 // at least the current length. Overlapping old and new storage is fine
 // (churn's swap-delete moves a view between slots of the same arena);
-// the copies are memmove-safe. The new ID block's tail is re-zeroed —
-// the target slot may have belonged to a departed node with a longer
-// view. The third block is ignored, as in NewBound.
-func (v *View) Rebind(entries []Entry, ids []core.ID, _ []int16) {
+// the copy is memmove-safe. The second and third blocks are ignored, as
+// in NewBound.
+func (v *View) Rebind(entries []Entry, _ []core.ID, _ []int16) {
 	v.entries = append(entries, v.entries...)
-	nids := append(ids, v.ids...)
-	clear(nids[len(nids):cap(nids)])
-	v.ids = nids
 }
 
 // Clone returns a deep copy of the view.
 func (v *View) Clone() *View {
-	c := &View{
-		capacity: v.capacity,
-		entries:  make([]Entry, len(v.entries)),
-		ids:      make([]core.ID, 0, pad4(v.capacity)),
-	}
+	c := &View{capacity: v.capacity, entries: make([]Entry, len(v.entries))}
 	copy(c.entries, v.entries)
-	c.reindex()
 	return c
 }
 
-// Validate checks the view invariants: unique IDs, size within
-// capacity, and the packed mirror in lockstep with its tail zeroed. It
-// is exercised by property tests.
+// Validate checks the view invariants: unique IDs and size within
+// capacity. It is exercised by property tests.
 func (v *View) Validate() error {
 	if len(v.entries) > v.capacity {
 		return fmt.Errorf("view: %d entries exceed capacity %d", len(v.entries), v.capacity)
@@ -807,20 +702,6 @@ func (v *View) Validate() error {
 			return fmt.Errorf("view: duplicate entry for %v", e.ID)
 		}
 		seen[e.ID] = true
-	}
-	if len(v.ids) != len(v.entries) {
-		return fmt.Errorf("view: id mirror has %d entries, view %d", len(v.ids), len(v.entries))
-	}
-	for i, e := range v.entries {
-		if v.ids[i] != e.ID {
-			return fmt.Errorf("view: id mirror diverges at %d: %v vs %v", i, v.ids[i], e.ID)
-		}
-	}
-	tail := v.ids[len(v.ids):cap(v.ids)]
-	for i, w := range tail {
-		if w != 0 {
-			return fmt.Errorf("view: id mirror tail not zeroed at +%d: %v", i, w)
-		}
 	}
 	return nil
 }

@@ -5,12 +5,26 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/core"
 )
 
 func entry(id core.ID, age uint32) Entry {
 	return Entry{ID: id, Age: age, Attr: core.Attr(id), R: float64(id) / 100}
+}
+
+// A view row is Table 1's four fields, (ID uint32, Age uint32, Attr, R):
+// 24 bytes with the ID in the first word, where findID reads it. It is
+// paid c times per node in the sim's arena and again in its exchange
+// staging, and c times per live node, so the size is pinned exactly.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Errorf("Entry is %d bytes, want 24", got)
+	}
+	if got := unsafe.Offsetof(Entry{}.ID); got != 0 {
+		t.Errorf("Entry.ID sits at offset %d, want 0", got)
+	}
 }
 
 func TestNewCapacity(t *testing.T) {
@@ -323,9 +337,7 @@ func TestTrimOldestMatchesRepeatedEviction(t *testing.T) {
 		thresh, quota := unionTrimThreshold(entries[:split], entries[split:], k, &ages, &hist)
 		fast := &View{capacity: n}
 		fast.entries = removeByThreshold(append([]Entry(nil), entries...), thresh, quota)
-		fast.reindex()
 		slow := &View{capacity: n, entries: append([]Entry(nil), entries...)}
-		slow.reindex()
 		for i := 0; i < k; i++ {
 			slow.evictOldest()
 		}

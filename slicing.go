@@ -21,7 +21,10 @@ import (
 
 // Domain types.
 type (
-	// ID uniquely identifies a node.
+	// ID uniquely identifies a node. It is 32-bit: valid IDs are 1 to
+	// 4,294,967,295 (0 names no node). The TCP wire format carries IDs
+	// in 8 bytes, and a frame, view entry or slicenode flag whose ID is
+	// larger is rejected, never truncated.
 	ID = core.ID
 	// Attr is a node's attribute value (the capability the network is
 	// sliced by).
