@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serial bench bench-check fuzz profile lint ci
+.PHONY: all build test test-serial bench bench-check bench-pairs fuzz profile lint ci
 
 all: build
 
@@ -30,6 +30,38 @@ test-serial:
 # (see benchmark/README.md).
 bench:
 	bash benchmark/run.sh
+
+# Seed-matched pairs of one workload, the way a performance change is
+# judged: the committed revision BASE is exported with git archive into
+# a temporary directory (the working tree is not touched), then for each
+# seed in SEEDS the base and the working tree each run the workload
+# once, interleaved, alternating which side goes first, into
+# benchmark/out/pairs-<workload>-base.json and -work.json (both
+# replaced), and `compare` judges the two sets. Each side builds its own
+# benchmark binary from its own source. Not part of `make ci`, e.g.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=sim-ordering-1m SEEDS="1 2 3 4 5"
+BASE ?= HEAD
+WORKLOAD ?= sim-ordering-1m
+SEEDS ?= 1 2 3 4 5
+bench-pairs:
+	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
+	git archive $(BASE) | tar -x -C "$$base" && \
+	mkdir -p benchmark/out && \
+	a="$(CURDIR)/benchmark/out/pairs-$(WORKLOAD)-base.json" && \
+	b="$(CURDIR)/benchmark/out/pairs-$(WORKLOAD)-work.json" && \
+	rm -f "$$a" "$$b" && first=base && \
+	for seed in $(SEEDS); do \
+		if [ $$first = base ]; then order="base work"; first=work; else order="work base"; first=base; fi; \
+		for side in $$order; do \
+			echo "== seed $$seed: $$side"; \
+			if [ $$side = base ]; then \
+				bash "$$base/benchmark/run.sh" -workload $(WORKLOAD) -seed $$seed -out "$$a" || exit 1; \
+			else \
+				bash benchmark/run.sh -workload $(WORKLOAD) -seed $$seed -out "$$b" || exit 1; \
+			fi; \
+		done; \
+	done && \
+	bash benchmark/run.sh compare "$$a" "$$b"
 
 # The benchmark's self-test (its workloads run small and its checks and
 # compare verdicts are exercised), then one iteration of every

@@ -26,7 +26,8 @@ import (
 )
 
 // Policy selects the swap partner among the view's misplaced neighbors.
-type Policy int
+// It is 32-bit so that a Node packs it beside its 32-bit ID.
+type Policy int32
 
 // Available partner-selection policies.
 const (
@@ -89,10 +90,10 @@ type Stats struct {
 // It implements proto.Node.
 type Node struct {
 	id     core.ID
+	policy Policy // fills the word after the 32-bit id
 	attr   core.Attr
 	r      float64
 	part   core.Partition
-	policy Policy
 	v      *view.View
 	stats  Stats
 	// trace receives swap decision events when set (telemetry.TraceRing

@@ -13,10 +13,12 @@ import (
 // A live node is a view of c entries, one attribute, one random value
 // and 8 bytes of generator state, plus the scheduler's and the
 // protocol wrappers' bookkeeping. The budget is the live heap a driven
-// 2,000-node ordering cluster retains per node after gossiping: 1,629 B
-// against ~1,621 measured when set (~2,141 before view entries shrank
-// from 32 to 24 bytes and lost their 8-byte packed ID mirror, and the
-// shard slot from 56 to 48 bytes; ~2,157 before the write-only
+// 2,000-node ordering cluster retains per node after gossiping: 1,610 B
+// against ~1,594 measured when set (~1,618 before the ordering Node
+// packed its policy beside its 32-bit ID, 112 → 96 B, and the view
+// header dropped its capacity word, 32 → 24 B; ~2,141 before view
+// entries shrank from 32 to 24 bytes and lost their 8-byte packed ID
+// mirror, and the shard slot from 56 to 48 bytes; ~2,157 before the write-only
 // telemetry pointer left the Node and its allocation fell from the
 // 208- to the 192-byte size class; ~2,406 before a node's standalone
 // stop/done channels were made lazily by Start and the scheduler's two
@@ -27,7 +29,7 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what the heap holds")
 	}
-	const n, steps, budget = 2_000, 20, 1_629
+	const n, steps, budget = 2_000, 20, 1_610
 	liveHeap := func() uint64 {
 		goruntime.GC()
 		goruntime.GC()

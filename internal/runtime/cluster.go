@@ -75,8 +75,8 @@ type ClusterConfig struct {
 	Loss float64
 	// Telemetry, when non-nil, receives the cluster's metrics: per-shard
 	// queue depths, delivered/dropped tallies, latency histograms, and
-	// churn counters. Cluster.Metrics returns it; its Handler serves
-	// /metrics. Nil keeps the schedule/send hot paths instrumentation-free.
+	// churn counters; its Handler serves /metrics. Nil keeps the
+	// schedule/send hot paths instrumentation-free.
 	Telemetry *telemetry.Registry
 	// Trace, when non-nil, records protocol decision events (view
 	// exchanges, swap attempts, boundary crossings, rank updates) from

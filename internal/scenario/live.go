@@ -50,7 +50,6 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 		UnsuccessfulPct: metrics.Series{Name: "unsuccessful%"},
 		Size:            metrics.Series{Name: "n"},
 		Pollution:       metrics.Series{Name: "pollution"},
-		Cycles:          spec.Cycles,
 	}
 	// One node walk per recorded cycle: per-node states for SDM/GDM/size
 	// and — on ordering runs — the cumulative swap counters behind the

@@ -6,7 +6,6 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/fault"
-	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/runtime"
 	"github.com/gossipkit/slicing/internal/sim"
 	"github.com/gossipkit/slicing/internal/telemetry"
@@ -26,9 +25,6 @@ type LiveCluster struct {
 	Part core.Partition
 	// Period is one gossip period (= one cycle of virtual time).
 	Period time.Duration
-	// Protocol reports the spec's protocol family, which
-	// calibration-aware consumers select on.
-	Protocol proto.Kind
 	// RealTime reports wall-clock pacing; false means driven virtual
 	// time, stepped by Step.
 	RealTime bool
@@ -135,7 +131,6 @@ func MaterializeLiveWith(spec Spec, inst Instrumentation) (*LiveCluster, error) 
 		Cluster:  c,
 		Part:     part,
 		Period:   period,
-		Protocol: cfg.Protocol,
 		RealTime: live.RealTime,
 		cfg:      cfg,
 		// The driver's own rng decides churn membership picks;

@@ -24,9 +24,9 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 	t.Helper()
 	n := len(e.ids)
 	nodes := len(e.ons) + len(e.rns)
-	if len(e.views) != n || len(e.self) != n || nodes != n {
-		t.Fatalf("cycle %d: parallel slices out of lockstep: ids=%d views=%d self=%d nodes=%d",
-			e.cycle, n, len(e.views), len(e.self), nodes)
+	if len(e.views) != n || nodes != n {
+		t.Fatalf("cycle %d: parallel slices out of lockstep: ids=%d views=%d nodes=%d",
+			e.cycle, n, len(e.views), nodes)
 	}
 	for i := range e.ids {
 		s, ok := e.slotOf(e.ids[i])

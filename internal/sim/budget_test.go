@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -21,9 +23,9 @@ func TestNodeSizeBudget(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"ordering.Node", unsafe.Sizeof(ordering.Node{}), 104},
+		{"ordering.Node", unsafe.Sizeof(ordering.Node{}), 96},
 		{"ranking.Node", unsafe.Sizeof(ranking.Node{}), 64},
-		{"view.View", unsafe.Sizeof(view.View{}), 40},
+		{"view.View", unsafe.Sizeof(view.View{}), 24},
 	} {
 		if c.got > c.want {
 			t.Errorf("%s is %d bytes, budget %d", c.name, c.got, c.want)
@@ -33,15 +35,15 @@ func TestNodeSizeBudget(t *testing.T) {
 
 // The audited engine bytes per node at N=10k, c=20, Cyclon, once two
 // cycles have touched every staging buffer. The audit is deterministic
-// (slice capacities, not GC state): 1264.7 and 1204.0 when pinned.
+// (slice capacities, not GC state): 1176.7 and 1164.0 when pinned.
 func TestEngineBytesPerNodeBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		proto  proto.Kind
 		budget float64
 	}{
-		{"ordering", proto.Ordering, 1273},
-		{"ranking", proto.Ranking, 1212},
+		{"ordering", proto.Ordering, 1184},
+		{"ranking", proto.Ranking, 1172},
 	} {
 		e, err := New(Config{
 			N: 10_000, Slices: 100, ViewSize: 20, Protocol: c.proto,
@@ -65,8 +67,8 @@ func TestEngineBytesPerNodeBudget(t *testing.T) {
 // ahead of them, or a Config edit, must not shift them onto other cache
 // lines.
 func TestEngineHotFieldsLead(t *testing.T) {
-	hot := []string{"ids", "slots", "ons", "rs", "attrs", "views", "snapBuf",
-		"swapTo", "swapR", "swapAttr", "overlapBuf", "coordTab",
+	hot := []string{"ids", "slots", "ons", "rs", "attrs", "views",
+		"swapTo", "overlapBuf", "coordTab",
 		"memTarget", "reqStore", "reqLen", "initList", "rns", "updTo", "rankDst"}
 	ty, header := reflect.TypeOf(Engine{}), unsafe.Sizeof([]int(nil))
 	for i, name := range hot {
@@ -74,4 +76,51 @@ func TestEngineHotFieldsLead(t *testing.T) {
 			t.Errorf("Engine field %d is %s at offset %d, want %s at %d", i, f.Name, f.Offset, name, uintptr(i)*header)
 		}
 	}
+}
+
+// The MemReport ledger accounts for every byte the engine keeps per
+// node: the live heap an engine holds after two collections, divided by
+// its population, reads within 2 % of MemReport.BytesPerNode. A
+// resident per-node buffer the report does not list breaks this.
+func TestMemReportMatchesHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations distort heap readings")
+	}
+	const n = 50_000
+	for _, c := range []struct {
+		name  string
+		proto proto.Kind
+	}{
+		{"ordering", proto.Ordering},
+		{"ranking", proto.Ranking},
+	} {
+		before := liveHeap()
+		e, err := New(Config{
+			N: n, Slices: 100, ViewSize: 20, Protocol: c.proto,
+			Policy: ordering.SelectMaxGain, AttrDist: dist.Uniform{Lo: 0, Hi: 1000},
+			Seed: 1, Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(2)
+		heap := float64(int64(liveHeap())-int64(before)) / n
+		m := e.MemReport()
+		runtime.KeepAlive(e)
+		t.Logf("%s: heap %.1f B/node, MemReport %.1f B/node", c.name, heap, m.BytesPerNode)
+		if math.Abs(heap-m.BytesPerNode) > 0.02*m.BytesPerNode {
+			t.Errorf("%s: heap holds %.1f B/node, MemReport accounts for %.1f (off by more than 2 %%)",
+				c.name, heap, m.BytesPerNode)
+		}
+	}
+}
+
+// liveHeap is HeapAlloc after two collections: the second one frees
+// what the first one's finalizers released.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

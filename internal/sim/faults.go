@@ -35,14 +35,13 @@ func (n *simNodes) SetAttr(id core.ID, a core.Attr) { (*Engine)(n).setAttrAt(n.s
 
 // applyFaults runs the cycle's serial fault step, after churn and
 // before the membership phase: caches the cycle's message faults and
-// applies the attribute faults. It reports whether any node attribute
-// changed (so Step can invalidate the self-entry cache).
-func (e *Engine) applyFaults() (changed bool) {
+// applies the attribute faults.
+func (e *Engine) applyFaults() {
 	if e.cfg.Faults.Empty() {
-		return false
+		return
 	}
 	e.net = e.faults.NetAt(e.cycle)
-	return e.faults.Apply(e.cycle, e.members, (*simNodes)(e))
+	e.faults.Apply(e.cycle, e.members, (*simNodes)(e))
 }
 
 // chaos is the cycle's chaos verdict on the message from→to that is its

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"reflect"
 	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/ordering"
+	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/view"
 )
@@ -12,10 +14,12 @@ import (
 // MemReport is the engine-side accounting of a run's memory budget: the
 // deterministic structures the struct-of-arrays engine allocates per
 // node, measured from slice capacities (what the engine reserves, not
-// what a GC happens to have in flight). It deliberately excludes
-// process-level noise — goroutine stacks, allocator slack, estimator
-// internals — which runtime.ReadMemStats covers; slicebench's -memstats
-// flag prints both side by side.
+// what a GC happens to have in flight). Every per-node byte the engine
+// keeps between steps is in it (TestMemReportMatchesHeap); it leaves
+// out process-level noise — goroutine stacks, allocator slack, an
+// estimator's own buffers beyond its struct — which
+// runtime.ReadMemStats covers; slicebench's -memstats flag prints both
+// side by side.
 type MemReport struct {
 	// Nodes is the live population the report was taken at.
 	Nodes int `json:"nodes"`
@@ -23,12 +27,16 @@ type MemReport struct {
 	// one contiguous array.
 	ArenaBytes int64 `json:"arenaBytes"`
 	// StateBytes covers the per-slot parallel slices: identifiers,
-	// value-stored protocol nodes, view headers and cached self entries,
-	// plus the ID→slot table and the attribute-ordered membership.
+	// value-stored protocol nodes and the heap objects a ranking node
+	// points at (its estimator and its boxed UPD message), view headers
+	// and the ordering mirrors, plus the ID→slot table and the
+	// attribute-ordered membership.
 	StateBytes int64 `json:"stateBytes"`
 	// StagingBytes covers the reusable per-cycle buffers: the frozen
 	// request/reply payload windows, the per-slot tick outputs, the
-	// counting-sort lists and the measurement buffers.
+	// coordinate snapshot, the counting-sort lists and the measurement
+	// buffers. A sampling batch's self entries and sampler table are not
+	// among them: the batch drops them when it ends.
 	StagingBytes int64 `json:"stagingBytes"`
 	// BytesPerNode is the total of the three buckets over Nodes.
 	BytesPerNode float64 `json:"bytesPerNode"`
@@ -39,6 +47,15 @@ func (m MemReport) Total() int64 { return m.ArenaBytes + m.StateBytes + m.Stagin
 
 func sliceBytes[T any](buf []T, elem T) int64 {
 	return int64(cap(buf)) * int64(unsafe.Sizeof(elem))
+}
+
+// pointeeBytes is the size of the struct an interface value points at
+// (0 when it holds no pointer): what one estimator costs on the heap.
+func pointeeBytes(x any) int64 {
+	if t := reflect.TypeOf(x); t != nil && t.Kind() == reflect.Pointer {
+		return int64(t.Elem().Size())
+	}
+	return 0
 }
 
 // MemReport audits the engine's current memory budget.
@@ -52,15 +69,18 @@ func (e *Engine) MemReport() MemReport {
 		sliceBytes(e.rns, ranking.Node{}) +
 		sliceBytes(e.views, (*view.View)(nil)) +
 		int64(len(e.views))*int64(unsafe.Sizeof(view.View{})) +
-		sliceBytes(e.self, view.Entry{}) +
 		sliceBytes(e.slots, int32(0)) +
 		sliceBytes(e.members, core.Member{}) +
 		sliceBytes(e.membersBuf, core.Member{}) +
 		sliceBytes(e.rs, 0.0) +
 		sliceBytes(e.attrs, core.Attr(0))
+	if e.rns != nil {
+		// A ranking node points at two heap objects of its own: its
+		// estimator and its boxed UPD message.
+		m.StateBytes += int64(len(e.rns)) * (pointeeBytes(e.newEstimator()) + int64(unsafe.Sizeof(proto.RankUpdate{})))
+	}
 
-	m.StagingBytes = sliceBytes(e.snapBuf, 0.0) +
-		sliceBytes(e.believedBuf, 0) +
+	m.StagingBytes = sliceBytes(e.believedBuf, 0) +
 		sliceBytes(e.slotBelieved, int32(0)) +
 		sliceBytes(e.coordTab, 0.0) +
 		sliceBytes(e.joinersBuf, core.Member{}) +
@@ -72,8 +92,6 @@ func (e *Engine) MemReport() MemReport {
 		sliceBytes(e.initPos, int32(0)) +
 		sliceBytes(e.initList, int32(0)) +
 		sliceBytes(e.swapTo, core.ID(0)) +
-		sliceBytes(e.swapR, 0.0) +
-		sliceBytes(e.swapAttr, core.Attr(0)) +
 		sliceBytes(e.overlapBuf, false) +
 		sliceBytes(e.updTo, core.ID(0)) +
 		sliceBytes(e.rankDst, int32(0)) +

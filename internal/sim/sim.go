@@ -22,15 +22,14 @@
 //
 // Node state is laid out struct-of-arrays: the engine holds parallel
 // slices addressed by a dense arena index ("slot") — identifiers (ids),
-// value-stored protocol instances (ons/rns, one per protocol kind),
-// view headers (views) and cached self entries (self) — plus one
-// ID→slot table ([]int32, indexed directly by the monotonically
-// assigned core.ID). View storage itself lives outside the headers, in
-// one flat backing array indexed by slot*ViewSize (view.Arena): the
-// compute and commit halves of a gossip round, the per-cycle SDM/GDM
-// measurement and churn's swap-delete all stream contiguous memory
-// instead of chasing per-node heap objects. Every
-// hot-path lookup — message delivery, state reads, snapshots, sampling,
+// value-stored protocol instances (ons/rns, one per protocol kind) and
+// view headers (views) — plus one ID→slot table ([]int32, indexed
+// directly by the monotonically assigned core.ID). View storage itself
+// lives outside the headers, in one flat backing array indexed by
+// slot*ViewSize (view.Arena): the compute and commit halves of a gossip
+// round, the per-cycle SDM/GDM measurement and churn's swap-delete all
+// stream contiguous memory instead of chasing per-node heap objects.
+// Every hot-path lookup — message delivery, state reads, snapshots, sampling,
 // measurement — is a bounds check and a slice index: no hashing, no
 // pointer chasing, no interface dispatch (the engine calls the concrete
 // ordering/ranking APIs and inlines the Cyclon exchange semantics over
@@ -231,9 +230,9 @@ type Engine struct {
 	// on every iteration: these few lines of the struct are read a
 	// million times per round. At the head they sit at fixed offsets
 	// that no edit to Config or to a colder field below can move. When
-	// they lay behind cfg, an 8-byte Config change shifted ids, rs,
-	// snapBuf and swapR onto other cache lines and cost 4–9 % of
-	// sim-ordering-1m's throughput.
+	// they lay behind cfg, an 8-byte Config change shifted ids and rs
+	// onto other cache lines and cost 4–9 % of sim-ordering-1m's
+	// throughput.
 	//
 	// The node arena, struct-of-arrays: one entry per live node in each
 	// of the parallel slices below, addressed by slot. Slots are stable
@@ -257,38 +256,40 @@ type Engine struct {
 	// (ordering runs only; nil under ranking). An ordering.Node spans
 	// two cache lines, so any per-slot scan through the node array pulls
 	// both; the exchange compute, coordinate snapshot, commit
-	// re-validation and GDM assignment read these 8-byte mirrors
-	// instead. rs tracks each node's live random value (updated at the
-	// single swap-delivery choke point), attrs its attribute (updated by
-	// the fault plane's setAttrAt).
+	// re-validation, self entries and GDM assignment read these 8-byte
+	// mirrors instead. rs tracks each node's live random value (updated
+	// at the single swap-delivery choke point), attrs its attribute
+	// (updated by the fault plane's setAttrAt).
 	rs    []float64
 	attrs []core.Attr
 	views []*view.View
 	// Per-cycle buffers the rounds index per node. Buffers written
 	// inside parallel rounds are strictly partitioned: every slot is
 	// written by exactly one worker.
-	snapBuf []float64 // per-slot phase-start coordinates
+	//
 	// Protocol-round staging, unboxed per protocol: each ordering slot's
-	// ticked swap target (0 = no request this cycle) with its frozen
-	// payload and overlap flag; each ranking slot's two UPD targets
-	// (stride 2, 0 = none) with their resolved destination slots.
+	// ticked swap target (0 = no request this cycle) and overlap flag;
+	// each ranking slot's two UPD targets (stride 2, 0 = none) with
+	// their resolved destination slots. A swap's frozen payload is not
+	// staged: it is the sender's coordTab coordinate and attribute,
+	// neither of which changes between tick and commit.
 	swapTo     []core.ID
-	swapR      []float64
-	swapAttr   []core.Attr
 	overlapBuf []bool
 	// coordTab is the ID-indexed coordinate snapshot handed to every
-	// protocol tick (see proto.CoordTable): live IDs refreshed from
-	// snapBuf each protocol round, departed IDs pinned at NaN by
-	// removeNode, the growth tail NaN-initialized. One random load per
-	// neighbor resolve instead of the slot-table double hop.
+	// protocol tick (see proto.CoordTable): live IDs refreshed from the
+	// nodes' coordinates at the start of each protocol round, departed
+	// IDs pinned at NaN by removeNode, the growth tail NaN-initialized.
+	// One random load per neighbor resolve instead of the slot-table
+	// double hop.
 	coordTab proto.CoordTable
 	// Membership-round buffers: the per-slot partner choice, the frozen
-	// per-initiator payload windows (strided ViewSize+1 per slot — a
-	// window carries the initiator's request on the way in and, once the
-	// target has absorbed it, is reused for that initiator's reply on
-	// the way back), and the counting-sorted per-target initiator lists
-	// (initHead, initPos, initList) that give the commit its
-	// deterministic order.
+	// per-initiator payload windows (strided ViewSize per slot — a
+	// window carries the initiator's request, its view minus the partner
+	// plus its own entry, on the way in and, once the target has
+	// absorbed it, is reused for the target's reply of at most ViewSize
+	// entries on the way back), and the counting-sorted per-target
+	// initiator lists (initHead, initPos, initList) that give the commit
+	// its deterministic order.
 	memTarget []int32
 	reqStore  []view.Entry
 	reqLen    []int32
@@ -301,9 +302,6 @@ type Engine struct {
 	part core.Partition
 	rng  *rand.Rand
 
-	// self caches each node's SelfEntry (refreshed by
-	// refreshSelfEntries; see there for the staleness contract).
-	self   []view.Entry
 	varena *view.Arena
 	// members is the live membership in the attribute-based total order,
 	// maintained incrementally: one merge pass per churn event (see
@@ -379,7 +377,8 @@ type Engine struct {
 	bucketBuf  []int32
 	bucketHead []int32
 	// sampler backs the engine-stream uniform draws (bootstrap views);
-	// each worker carries its own for the oracle round.
+	// each worker carries its own for the oracle round. Its per-node
+	// table lives only for one sampling batch (see bootstrapViews).
 	sampler sampler
 }
 
@@ -430,7 +429,6 @@ func New(cfg Config) (*Engine, error) {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		ids:     make([]core.ID, 0, cfg.N),
 		views:   make([]*view.View, 0, cfg.N),
-		self:    make([]view.Entry, 0, cfg.N),
 		varena:  view.NewArena(cfg.ViewSize, cfg.N),
 		slots:   make([]int32, 1, cfg.N+1), // slot 0 is the unused ID 0
 		workers: workers,
@@ -501,10 +499,13 @@ func (e *Engine) setAttrAt(s int32, a core.Attr) {
 	}
 }
 
-// selfEntryAt builds slot s's current gossip self entry.
+// selfEntryAt builds slot s's current gossip self entry; an ordering
+// node's comes from the dense mirrors, identical to its SelfEntry
+// without pulling the Node's own cache lines (exchangeRound inlines the
+// same split).
 func (e *Engine) selfEntryAt(s int32) view.Entry {
-	if e.cfg.Protocol == proto.Ordering {
-		return e.ons[s].SelfEntry()
+	if e.ons != nil {
+		return view.Entry{ID: e.ids[s], Attr: e.attrs[s], R: e.rs[s]}
 	}
 	return e.rns[s].SelfEntry()
 }
@@ -545,15 +546,9 @@ func (e *Engine) addNode(attr core.Attr) error {
 		e.rs = append(e.rs, r0)
 		e.attrs = append(e.attrs, attr)
 	case proto.Ranking:
-		var est ranking.Estimator
-		if e.cfg.Estimators != nil {
-			est = e.cfg.Estimators()
-		} else {
-			est = ranking.NewCounter()
-		}
 		n, err := ranking.NewNode(ranking.Config{
 			ID: id, Attr: attr, Partition: e.part,
-			Estimator: est, View: v,
+			Estimator: e.newEstimator(), View: v,
 		})
 		if err != nil {
 			return err
@@ -563,32 +558,31 @@ func (e *Engine) addNode(attr core.Attr) error {
 	e.slots = append(e.slots, int32(slot))
 	e.ids = append(e.ids, id)
 	e.views = append(e.views, v)
-	e.self = append(e.self, e.selfEntryAt(int32(slot)))
 	return nil
 }
 
-// refreshSelfEntries re-caches every live node's SelfEntry. Called once
-// per cycle for uniform-oracle runs (before the membership phase, so
-// oracle draws see coordinates at most one phase old — exactly what a
-// fresh gossip entry would carry) and once per joining churn event
-// (before bootstrap views are sampled). Cyclon exchanges read the live
-// node state directly and never consume the cache. Each
-// slot is written by exactly one worker, so the pass parallelizes
-// trivially.
-func (e *Engine) refreshSelfEntries() {
-	if e.cfg.Protocol == proto.Ordering {
-		e.parallelFor(len(e.ids), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.self[i] = e.ons[i].SelfEntry()
-			}
-		})
-	} else {
-		e.parallelFor(len(e.ids), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.self[i] = e.rns[i].SelfEntry()
-			}
-		})
+// newEstimator builds one ranking node's estimator: Config.Estimators,
+// or the unbounded counters of Fig. 5 by default.
+func (e *Engine) newEstimator() ranking.Estimator {
+	if e.cfg.Estimators != nil {
+		return e.cfg.Estimators()
 	}
+	return ranking.NewCounter()
+}
+
+// selfEntries builds every live node's current self entry in slot
+// order: the population one sampling batch draws from (a bootstrap, or
+// an oracle round). The batch owns the slice and drops it, so no
+// second copy of the node state stays resident between batches. Each
+// slot is written by exactly one worker.
+func (e *Engine) selfEntries() []view.Entry {
+	selfs := make([]view.Entry, len(e.ids))
+	e.parallelFor(len(selfs), func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			selfs[s] = e.selfEntryAt(int32(s))
+		}
+	})
+	return selfs
 }
 
 // applyChurn executes the cycle's churn event (§3.3): leavers vanish
@@ -599,16 +593,14 @@ func (e *Engine) refreshSelfEntries() {
 // membership, so no event ever re-sorts the population. Churn runs
 // single-threaded on the engine stream: events are a few nodes per
 // cycle, and keeping their draws serial is what lets the per-node
-// streams stay counter-based. It reports whether it refreshed the
-// self-entry cache, so Step can avoid a duplicate refresh pass for
-// oracle runs.
-func (e *Engine) applyChurn() (refreshed bool) {
+// streams stay counter-based.
+func (e *Engine) applyChurn() {
 	if e.cfg.Schedule == nil || e.cfg.Pattern == nil {
-		return false
+		return
 	}
 	ev := e.cfg.Schedule.At(e.cycle, len(e.ids))
 	if ev.Leave == 0 && ev.Join == 0 {
-		return false
+		return
 	}
 	members := e.members // pre-event membership, attribute order
 	if ev.Leave > 0 {
@@ -630,36 +622,25 @@ func (e *Engine) applyChurn() (refreshed bool) {
 	e.joinersBuf = joiners
 	e.mergeMembers(joiners)
 	if ev.Join > 0 {
-		// Bootstrap views sample the cached self entries; re-cache so
-		// joiners see current coordinates, not cycle-of-creation ones.
-		e.refreshSelfEntries()
 		e.bootstrapViews(len(e.ids) - ev.Join)
-		return true
 	}
-	return false
 }
 
 // bootstrapViews fills the view of every node in slots [from, len) with
-// ViewSize random other nodes. The sampler's output is distinct and
-// excludes the owner, so the bulk Reset is identical to the Add loop
-// (TestResetMatchesClearAdd) minus its per-entry duplicate scans — at
-// construction that is O(c²) saved per node, a visible slice of a
-// million-node run's wall time (a scenario's cycles/sec includes engine
-// construction).
+// ViewSize random other nodes, drawn on the engine stream from the
+// nodes' current self entries: one sampling batch, whose self entries
+// and sampler table are built for it and dropped after it. The
+// sampler's output is distinct and excludes the owner, so the bulk
+// Reset is identical to the Add loop (TestResetMatchesClearAdd) minus
+// its per-entry duplicate scans — at construction that is O(c²) saved
+// per node, a visible slice of a million-node run's wall time (a
+// scenario's cycles/sec includes engine construction).
 func (e *Engine) bootstrapViews(from int) {
+	selfs := e.selfEntries()
 	for i := from; i < len(e.ids); i++ {
-		e.views[i].Reset(e.sampleEntries(e.rng, e.cfg.ViewSize, e.ids[i]))
+		e.views[i].Reset(e.sampler.sample(e.ids, selfs, e.rng, e.cfg.ViewSize, e.ids[i]))
 	}
-}
-
-// sampleEntries returns cached self entries for up to k distinct random
-// live nodes, excluding one id, through the engine's serial sampler. It
-// backs view bootstrapping (engine stream); the per-cycle oracle
-// re-draws run on per-worker samplers instead (oracleRound). The
-// returned slice is a reusable buffer, valid until the next call;
-// callers copy the entries into a view immediately.
-func (e *Engine) sampleEntries(rng core.RNG, k int, exclude core.ID) []view.Entry {
-	return e.sampler.sample(e.ids, e.self, rng, k, exclude)
+	e.sampler.seenGen = nil
 }
 
 // sampler is the rejection-sampling scratch behind uniform draws of
@@ -668,7 +649,8 @@ func (e *Engine) sampleEntries(rng core.RNG, k int, exclude core.ID) []view.Entr
 // would make uniform-sampler runs quadratic in the population — and the
 // generation-stamped seenGen slice keeps each rejection test a single
 // slice load instead of a map probe: seenGen[i] == gen means slot i was
-// already drawn this call.
+// already drawn this call. seenGen is per node, so a batch of draws
+// sets it to nil when it ends rather than keep it resident.
 type sampler struct {
 	seenGen []uint32
 	gen     uint32
@@ -680,9 +662,10 @@ type sampler struct {
 	idx []int
 }
 
-// sample fills the sampler's reusable buffer with the cached self
-// entries of up to k distinct uniformly drawn live slots, excluding one
-// id. ids and selfs are the engine's slot-parallel slices.
+// sample fills the sampler's reusable buffer with the self entries of
+// up to k distinct uniformly drawn live slots, excluding one id. ids and
+// selfs are slot-parallel. The buffer is valid until the next call;
+// callers copy the entries into a view immediately.
 func (sp *sampler) sample(ids []core.ID, selfs []view.Entry, rng core.RNG, k int, exclude core.ID) []view.Entry {
 	n := len(ids)
 	out := sp.buf[:0]

@@ -21,19 +21,10 @@ import (
 // bit-identical at any worker count.
 func (e *Engine) Step() {
 	pc := e.startPhases()
-	refreshed := e.applyChurn()
-	if e.applyFaults() {
-		// Drift or a lie transition changed node attributes after churn's
-		// refresh: the self-entry cache is stale again.
-		refreshed = false
-	}
+	e.applyChurn()
+	e.applyFaults()
 	pc.lap(phaseIxChurn)
 	if e.cfg.Membership == UniformOracle {
-		if !refreshed {
-			// Oracle draws serve from the self-entry cache; skip the
-			// refresh when a joining churn event already ran one.
-			e.refreshSelfEntries()
-		}
 		e.oracleRound()
 	} else {
 		e.exchangeRound(&pc)
@@ -98,7 +89,6 @@ func (e *Engine) removeNode(id core.ID) {
 	}
 	if s != last {
 		e.ids[s] = e.ids[last]
-		e.self[s] = e.self[last]
 		// The View header moves with its node (value copy keeps the
 		// node's internal pointer valid); only its backing storage is
 		// re-homed, Rebind copying the survivor's entries from block
@@ -128,7 +118,6 @@ func (e *Engine) removeNode(id core.ID) {
 	e.views[last] = nil
 	e.views = e.views[:last]
 	e.ids = e.ids[:last]
-	e.self = e.self[:last]
 	e.slots[id] = noSlot
 	if int(id) < len(e.coordTab) {
 		e.coordTab[id] = math.NaN()
@@ -145,10 +134,14 @@ func (e *Engine) removeNode(id core.ID) {
 //
 // Compute (parallel over slots): every node ages its view and selects
 // its oldest entry as partner — each node touches only its own state —
-// then its request payload (post-age view plus a fresh self entry) is
-// frozen into a flat engine buffer. Requests to departed partners time
-// out here (the initiator drops the stale entry and skips its exchange,
-// exactly as in the serial engine).
+// then its request payload is frozen into a flat engine buffer: the
+// post-age view minus the partner's own entry, plus a fresh self entry
+// (§4.3.2; what live membership.Cyclon sends). The target's merge skips
+// an entry describing itself, so leaving that entry out changes no
+// merge, and the window holds at most ViewSize entries either way.
+// Requests to departed partners time out here (the initiator drops the
+// stale entry and skips its exchange, exactly as in the serial engine);
+// an initiator with no exchange this round stages nothing.
 //
 // Commit half A (parallel over view OWNERS): each target absorbs one
 // frozen request per initiator that selected it, in ascending
@@ -182,7 +175,7 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 	if n == 0 {
 		return
 	}
-	stride := e.cfg.ViewSize + 1 // view entries + a self entry
+	stride := e.cfg.ViewSize // a request (view − partner + self) or a reply (a view)
 	e.memTarget = grow(e.memTarget, n)
 	e.reqLen = grow(e.reqLen, n)
 	e.reqStore = grow(e.reqStore, n*stride)
@@ -225,6 +218,9 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 				}
 			}
 			e.memTarget[s] = tgt
+			if tgt < 0 {
+				continue
+			}
 			var self view.Entry
 			if isOrdering {
 				// Build the self entry from the dense mirrors — identical to
@@ -233,8 +229,14 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			} else {
 				self = e.rns[s].SelfEntry()
 			}
+			// The partner is in the view: it was just picked from it.
+			raw, p := v.Raw(), 0
+			for raw[p].ID != pen.ID {
+				p++
+			}
 			off := s * stride
-			req := append(v.AppendEntries(e.reqStore[off:off:off+stride]), self)
+			req := append(append(e.reqStore[off:off:off+stride], raw[:p]...), raw[p+1:]...)
+			req = append(req, self)
 			e.reqLen[s] = int32(len(req))
 		}
 	})
@@ -328,23 +330,27 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 
 // oracleRound is the membership phase for the uniform oracle (§5.3.2):
 // every view is re-drawn uniformly at random from the live population.
-// Draws run on per-node streams against the frozen self-entry cache, so
-// the round parallelizes over slots with no exchange step at all — a
-// fresh uniform sample, no messages — each worker using its own
-// rejection-sampling scratch.
+// The round is one sampling batch: it freezes every node's self entry
+// at its start — coordinates at most one phase old, exactly what a
+// fresh gossip entry would carry — and draws on per-node streams
+// against that, so it parallelizes over slots with no exchange step at
+// all — a fresh uniform sample, no messages — each worker using its own
+// rejection-sampling scratch, dropped when the round ends.
 func (e *Engine) oracleRound() {
 	k := e.cfg.ViewSize
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
+	selfs := e.selfEntries()
 	e.parallelFor(len(e.ids), func(w, lo, hi int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
 			id := e.ids[s]
 			ws.stream = nodeStream(seed, uint64(id), cycle, phaseMembership)
-			fresh := ws.sampler.sample(e.ids, e.self, &ws.stream, k, id)
+			fresh := ws.sampler.sample(e.ids, selfs, &ws.stream, k, id)
 			// The sample is distinct and already excludes id; the bulk
 			// Reset is the Clear+Add loop minus its duplicate scans.
 			e.views[s].Reset(fresh)
 		}
+		ws.sampler.seenGen = nil
 	})
 }
 
@@ -367,11 +373,11 @@ type deferredEnv struct {
 // allocates nothing and dispatches nothing.
 //
 // Compute (parallel over slots): every node's coordinate is frozen into
-// a start-of-phase snapshot, then every initiator ticks on its own
-// per-cycle stream against that snapshot — partner choice, outgoing
-// payloads and (for mod-JK) the local-sequence ranking all read frozen
-// state, so the expensive part of the phase uses all cores. Tick
-// outputs land in flat per-slot stores: the swap target/payload for
+// a start-of-phase snapshot (coordTab), then every initiator ticks on
+// its own per-cycle stream against that snapshot — partner choice,
+// outgoing payloads and (for mod-JK) the local-sequence ranking all
+// read frozen state, so the expensive part of the phase uses all cores.
+// Tick outputs land in flat per-slot stores: the swap target for
 // ordering, the two UPD targets for ranking.
 //
 // Commit (deterministic): deliveries apply in slot order.
@@ -395,30 +401,20 @@ func (e *Engine) protocolRound() {
 	if n == 0 {
 		return
 	}
-	e.snapBuf = grow(e.snapBuf, n)
 	if e.ons != nil {
-		// The dense mirror IS the live coordinate array; the snapshot is
-		// one memmove instead of a strided walk over Node structs.
-		copy(e.snapBuf[:n], e.rs)
 		e.tickOrdering(n)
 		e.commitOrdering(n)
 	} else {
-		e.parallelFor(n, func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				e.snapBuf[s] = e.rns[s].Estimate()
-			}
-		})
 		e.tickRanking(n)
 		e.commitRanking(n)
 	}
 }
 
 // tickOrdering runs the ordering compute phase: every node's partner
-// choice and frozen swap payload, plus its overlap draw, in parallel.
+// choice, plus its overlap draw, in parallel. No commit has run yet, so
+// a node's live coordinate rs[s] is its snapshot coordinate.
 func (e *Engine) tickOrdering(n int) {
 	e.swapTo = grow(e.swapTo, n)
-	e.swapR = grow(e.swapR, n)
-	e.swapAttr = grow(e.swapAttr, n)
 	e.overlapBuf = grow(e.overlapBuf, n)
 	conc := e.cfg.Concurrency
 	drawOverlap := conc > 0
@@ -430,22 +426,22 @@ func (e *Engine) tickOrdering(n int) {
 			ws.stream = nodeStream(seed, uint64(e.ids[s]), cycle, phaseProtocol)
 			st := &ws.stream
 			e.overlapBuf[s] = drawOverlap && st.Float64() < conc
-			to, req, ok := e.ons[s].TickTable(e.snapBuf[s], coords, st, &ws.oscr)
+			to, _, ok := e.ons[s].TickTable(e.rs[s], coords, st, &ws.oscr)
 			if !ok {
-				e.swapTo[s] = 0
-				continue
+				to = 0
 			}
-			e.swapTo[s], e.swapR[s], e.swapAttr[s] = to, req.R, req.Attr
+			e.swapTo[s] = to
 		}
 	})
 }
 
-// refreshCoordTab rebuilds the ID-indexed coordinate table from the
-// cycle's snapshot: the growth tail (IDs minted since the table last
-// grew) initializes to NaN, every live ID takes its slot's snapshot
-// value, and departed IDs keep the NaN removeNode pinned. Writes are
-// per-slot disjoint (IDs are unique), so the fill parallelizes without
-// affecting worker-count invariance.
+// refreshCoordTab rebuilds the ID-indexed coordinate table, the
+// protocol round's start-of-phase snapshot: the growth tail (IDs minted
+// since the table last grew) initializes to NaN, every live ID takes
+// its node's coordinate (the rs mirror under ordering, the estimate
+// under ranking), and departed IDs keep the NaN removeNode pinned.
+// Writes are per-slot disjoint (IDs are unique), so the fill
+// parallelizes without affecting worker-count invariance.
 func (e *Engine) refreshCoordTab(n int) proto.CoordTable {
 	if len(e.coordTab) < len(e.slots) {
 		old := len(e.coordTab)
@@ -462,11 +458,19 @@ func (e *Engine) refreshCoordTab(n int) proto.CoordTable {
 			e.coordTab[i] = nan
 		}
 	}
-	e.parallelFor(n, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			e.coordTab[e.ids[s]] = e.snapBuf[s]
-		}
-	})
+	if e.ons != nil {
+		e.parallelFor(n, func(_, lo, hi int) {
+			for s := lo; s < hi; s++ {
+				e.coordTab[e.ids[s]] = e.rs[s]
+			}
+		})
+	} else {
+		e.parallelFor(n, func(_, lo, hi int) {
+			for s := lo; s < hi; s++ {
+				e.coordTab[e.ids[s]] = e.rns[s].Estimate()
+			}
+		})
+	}
 	return e.coordTab
 }
 
@@ -484,7 +488,7 @@ func (e *Engine) commitOrdering(n int) {
 		// only a drop applies to it.
 		drop, delay, dup := e.chaos(e.ids[s], to, 1)
 		if e.overlapBuf[s] && !drop {
-			overlapping = append(overlapping, deferredEnv{from: int32(s), to: to, r: e.swapR[s], attr: e.swapAttr[s]})
+			overlapping = append(overlapping, e.frozenSwap(int32(s), to))
 			continue
 		}
 		if e.net.Blocks(e.ids[s], to) {
@@ -502,13 +506,12 @@ func (e *Engine) commitOrdering(n int) {
 			// end of cycle with the stale-delivery semantics overlap
 			// already has.
 			e.faults.Counts.ChaosDelays++
-			overlapping = append(overlapping, deferredEnv{from: int32(s), to: to, r: e.swapR[s], attr: e.swapAttr[s]})
+			overlapping = append(overlapping, e.frozenSwap(int32(s), to))
 			continue
 		}
 		// Atomic exchange: send the live value, and only if the swap
 		// still helps.
-		r := e.rs[s]
-		attr := e.swapAttr[s]
+		r, attr := e.rs[s], e.attrs[s]
 		if ts, live := e.slotOf(to); live && !e.swapStillHelps(ts, r, attr) {
 			e.ons[s].AbandonSwap()
 			continue
@@ -521,6 +524,14 @@ func (e *Engine) commitOrdering(n int) {
 		}
 	}
 	e.flushDeferred(overlapping)
+}
+
+// frozenSwap is slot s's swap request to `to` as it was ticked, for
+// late delivery: the sender's snapshot coordinate, which no commit
+// writes, and its attribute, which only the fault step (before
+// membership) changes.
+func (e *Engine) frozenSwap(s int32, to core.ID) deferredEnv {
+	return deferredEnv{from: s, to: to, r: e.coordTab[e.ids[s]], attr: e.attrs[s]}
 }
 
 // flushDeferred delivers the cycle's overlapping and chaos-delayed
@@ -985,7 +996,6 @@ type Result struct {
 	// — every perf artifact carries its own "where the cycle time goes".
 	Phases PhaseNanos
 	FinalN int
-	Cycles int
 }
 
 // Run builds an engine from cfg, advances it the given number of cycles
@@ -1012,7 +1022,6 @@ func (e *Engine) Result() *Result {
 		Mem:             e.MemReport(),
 		Phases:          e.Phases(),
 		FinalN:          e.N(),
-		Cycles:          e.Cycle(),
 	}
 }
 

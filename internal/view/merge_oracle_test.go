@@ -13,6 +13,7 @@ import (
 // way: grow the view past capacity, then evict the oldest entry until it
 // fits. MergeUsing must leave exactly these entries in this order.
 func mergeOracle(v *View, incoming []Entry, self core.ID) {
+	c := v.Cap()
 	for _, e := range incoming {
 		if e.ID == self {
 			continue
@@ -25,14 +26,16 @@ func mergeOracle(v *View, incoming []Entry, self core.ID) {
 		}
 		v.entries = append(v.entries, e)
 	}
-	for len(v.entries) > v.capacity {
+	for len(v.entries) > c {
 		v.evictOldest()
 	}
+	v.entries = append(make([]Entry, 0, c), v.entries...)
 }
 
 // mergeFreshOracle is the Newscast merge written the obvious way:
 // freshest duplicate wins, then keep the freshest capacity entries.
 func mergeFreshOracle(v *View, incoming []Entry, self core.ID) {
+	c := v.Cap()
 	for _, e := range incoming {
 		if e.ID == self {
 			continue
@@ -45,10 +48,11 @@ func mergeFreshOracle(v *View, incoming []Entry, self core.ID) {
 		}
 		v.entries = append(v.entries, e)
 	}
-	if len(v.entries) > v.capacity {
+	if len(v.entries) > c {
 		sort.SliceStable(v.entries, func(i, j int) bool { return v.entries[i].Age < v.entries[j].Age })
-		v.entries = v.entries[:v.capacity]
+		v.entries = v.entries[:c]
 	}
+	v.entries = append(make([]Entry, 0, c), v.entries...)
 }
 
 // UniqueIDs is exact: IDs that share a bitset bit are told apart, a

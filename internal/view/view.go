@@ -56,10 +56,11 @@ func (e Entry) Member() core.Member { return core.Member{ID: e.ID, Attr: e.Attr}
 
 // View is a bounded set of entries with unique IDs. It is not safe for
 // concurrent use; callers synchronize externally (the runtime wraps each
-// node in a mutex, the simulator is single-threaded).
+// node in a mutex, the simulator is single-threaded). The capacity is
+// the entry slice's own: every constructor sizes it exactly and no
+// mutation grows it, so the header is one slice header.
 type View struct {
-	capacity int
-	entries  []Entry
+	entries []Entry
 }
 
 // New returns an empty view with the given capacity c (the paper's view
@@ -68,10 +69,7 @@ func New(capacity int) (*View, error) {
 	if capacity < 1 || capacity > maxCapacity {
 		return nil, ErrCapacity
 	}
-	return &View{
-		capacity: capacity,
-		entries:  make([]Entry, 0, capacity),
-	}, nil
+	return &View{entries: make([]Entry, 0, capacity)}, nil
 }
 
 // MustNew is New for static configuration; it panics on error.
@@ -94,14 +92,14 @@ func NewBound(capacity int, entries []Entry, _ []core.ID, _ []int16) *View {
 	if capacity < 1 || capacity > maxCapacity || cap(entries) < capacity {
 		panic(ErrCapacity)
 	}
-	return &View{capacity: capacity, entries: entries[:0]}
+	return &View{entries: entries[:0:capacity]}
 }
 
 // Len returns the number of entries currently held.
 func (v *View) Len() int { return len(v.entries) }
 
 // Cap returns the view capacity.
-func (v *View) Cap() int { return v.capacity }
+func (v *View) Cap() int { return cap(v.entries) }
 
 // Entries returns a copy of the entries.
 func (v *View) Entries() []Entry {
@@ -164,7 +162,7 @@ func (v *View) Add(e Entry) {
 		v.entries[i] = e
 		return
 	}
-	if len(v.entries) >= v.capacity {
+	if len(v.entries) >= cap(v.entries) {
 		v.evictOldest()
 	}
 	v.entries = append(v.entries, e)
@@ -255,7 +253,7 @@ func (v *View) evictOldest() {
 // already is all three); the result is then identical to Clear followed
 // by Add of each entry, minus Add's per-entry duplicate scan.
 func (v *View) Reset(entries []Entry) {
-	if len(entries) > v.capacity {
+	if len(entries) > cap(v.entries) {
 		panic(ErrCapacity)
 	}
 	v.entries = append(v.entries[:0], entries...)
@@ -339,7 +337,7 @@ func (v *View) MergeUsing(incoming []Entry, self core.ID, scr *MergeScratch) {
 		}
 		work = append(work, e)
 	}
-	if k := len(work) - v.capacity; k > 0 {
+	if k := len(work) - cap(v.entries); k > 0 {
 		thresh, quota := unionTrimThreshold(work, nil, k, &scr.ages, &scr.trimHist)
 		work = removeByThreshold(work, thresh, quota)
 	}
@@ -366,11 +364,11 @@ func (v *View) MergeFreshUsing(incoming []Entry, self core.ID, scr *MergeScratch
 		}
 		work = append(work, e)
 	}
-	if len(work) > v.capacity {
+	if len(work) > cap(v.entries) {
 		sort.SliceStable(work, func(i, j int) bool {
 			return work[i].Age < work[j].Age
 		})
-		work = work[:v.capacity]
+		work = work[:cap(v.entries)]
 	}
 	v.entries = append(v.entries[:0], work...)
 	scr.work = work
@@ -471,7 +469,7 @@ func (v *View) mergeCompact(incoming []Entry, self core.ID, scr *MergeScratch, r
 	for k, ix := range upgIx {
 		v.entries[ix] = upgEnt[k]
 	}
-	k := n0 + len(fresh) - v.capacity
+	k := n0 + len(fresh) - cap(v.entries)
 	if k <= 0 {
 		// No trim: append the survivors.
 		v.entries = append(v.entries, fresh...)
@@ -675,27 +673,23 @@ func sortAgesDesc(ages []uint32) {
 
 // Rebind moves the view's contents onto new backing storage — an arena
 // block (see Arena.Block) passed as a zero-length slice with capacity of
-// at least the current length. Overlapping old and new storage is fine
-// (churn's swap-delete moves a view between slots of the same arena);
-// the copy is memmove-safe. The second and third blocks are ignored, as
-// in NewBound.
+// at least the view's. Overlapping old and new storage is fine (churn's
+// swap-delete moves a view between slots of the same arena); the copy
+// is memmove-safe. The second and third blocks are ignored, as in
+// NewBound.
 func (v *View) Rebind(entries []Entry, _ []core.ID, _ []int16) {
-	v.entries = append(entries, v.entries...)
+	v.entries = append(entries[:0:cap(v.entries)], v.entries...)
 }
 
 // Clone returns a deep copy of the view.
 func (v *View) Clone() *View {
-	c := &View{capacity: v.capacity, entries: make([]Entry, len(v.entries))}
-	copy(c.entries, v.entries)
-	return c
+	return &View{entries: append(make([]Entry, 0, cap(v.entries)), v.entries...)}
 }
 
-// Validate checks the view invariants: unique IDs and size within
-// capacity. It is exercised by property tests.
+// Validate checks the view invariant: unique IDs (the size bound is the
+// entry slice's capacity, which holds by construction). It is exercised
+// by property tests.
 func (v *View) Validate() error {
-	if len(v.entries) > v.capacity {
-		return fmt.Errorf("view: %d entries exceed capacity %d", len(v.entries), v.capacity)
-	}
 	seen := make(map[core.ID]bool, len(v.entries))
 	for _, e := range v.entries {
 		if seen[e.ID] {

@@ -335,9 +335,9 @@ func TestTrimOldestMatchesRepeatedEviction(t *testing.T) {
 		var hist [trimMaxAge + 1]int32
 		split := 1 + rng.Intn(n)
 		thresh, quota := unionTrimThreshold(entries[:split], entries[split:], k, &ages, &hist)
-		fast := &View{capacity: n}
+		fast := &View{}
 		fast.entries = removeByThreshold(append([]Entry(nil), entries...), thresh, quota)
-		slow := &View{capacity: n, entries: append([]Entry(nil), entries...)}
+		slow := &View{entries: append([]Entry(nil), entries...)}
 		for i := 0; i < k; i++ {
 			slow.evictOldest()
 		}
