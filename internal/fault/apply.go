@@ -64,16 +64,15 @@ func (a *Applier) NetAt(cycle int) Net {
 	return Net{Part: a.plan.PartitionAt(cycle), PartSalt: a.saltPart, Chaos: a.plan.ChaosAt(cycle), ChaosSalt: a.saltChaos}
 }
 
-// Apply runs cycle's attribute faults and reports whether any
-// advertised attribute changed. members is the live membership with
+// Apply runs cycle's attribute faults. members is the live membership with
 // REAL attributes in attribute order; drift moves it in place and
 // re-sorts it, so it stays ground truth. A lying node's drift moves its
 // stashed real attribute and surfaces when the lie is lifted. Lies are
 // then installed (also on liars that join mid-window), refreshed, or
 // lifted when the window closes.
-func (a *Applier) Apply(cycle int, members []core.Member, nodes Nodes) (changed bool) {
+func (a *Applier) Apply(cycle int, members []core.Member, nodes Nodes) {
 	if a.plan == nil {
-		return false
+		return
 	}
 	if d := a.plan.Drift; d.Applies(cycle) {
 		moved := false
@@ -97,16 +96,15 @@ func (a *Applier) Apply(cycle int, members []core.Member, nodes Nodes) (changed 
 		}
 		if moved {
 			core.SortMembers(members)
-			changed = true
 		}
 	}
 	b := a.plan.Byzantine
 	if b == nil {
-		return changed
+		return
 	}
 	active := b.Window.Contains(cycle)
 	if !active && len(a.lying) == 0 {
-		return changed
+		return
 	}
 	for _, m := range members {
 		_, cur := a.lying[m.ID]
@@ -120,15 +118,12 @@ func (a *Applier) Apply(cycle int, members []core.Member, nodes Nodes) (changed 
 			}
 			if nodes.Attr(m.ID) != lie {
 				nodes.SetAttr(m.ID, lie)
-				changed = true
 			}
 		case cur:
 			nodes.SetAttr(m.ID, m.Attr)
 			delete(a.lying, m.ID)
-			changed = true
 		}
 	}
-	return changed
 }
 
 // lie computes the attribute a liar claims, as a pure function of

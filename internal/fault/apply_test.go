@@ -51,9 +51,7 @@ func TestApplierEmptyPlanIsNoOp(t *testing.T) {
 		nodes := population(50)
 		members := realMembers(a, nodes)
 		for c := 0; c < 20; c++ {
-			if a.Apply(c, members, nodes) {
-				t.Fatalf("%s plan: Apply reported a change at cycle %d", name, c)
-			}
+			a.Apply(c, members, nodes)
 		}
 		for id, attr := range population(50) {
 			if nodes[id] != attr {
@@ -93,9 +91,7 @@ func TestApplierDriftOnLiarAndLift(t *testing.T) {
 		t.Fatalf("LiesInstalled = %d, want %d", got, len(liars))
 	}
 	members := realMembers(a, nodes)
-	if !a.Apply(3, members, nodes) {
-		t.Fatal("drift step reported no change")
-	}
+	a.Apply(3, members, nodes)
 	if got := a.Counts.DriftPerturbations; got != n {
 		t.Fatalf("DriftPerturbations = %d, want %d", got, n)
 	}

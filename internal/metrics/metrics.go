@@ -130,7 +130,7 @@ func growInts(buf []int, n int) []int {
 // computes fixed-size chunks concurrently and adds the chunk sums in
 // chunk order, which keeps the floating-point reduction independent of
 // how many workers ran it.
-func SDMSortedRange(believed []int, part core.Partition, lo, hi int) float64 {
+func SDMSortedRange(believed []int32, part core.Partition, lo, hi int) float64 {
 	n := len(believed)
 	if n == 0 {
 		return 0
@@ -138,7 +138,7 @@ func SDMSortedRange(believed []int, part core.Partition, lo, hi int) float64 {
 	sum := 0.0
 	for pos := lo; pos < hi; pos++ {
 		trueRank := float64(pos+1) / float64(n)
-		sum += part.SliceDistance(part.Index(trueRank), believed[pos])
+		sum += part.SliceDistance(part.Index(trueRank), int(believed[pos]))
 	}
 	return sum
 }

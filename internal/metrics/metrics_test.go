@@ -185,9 +185,9 @@ func TestSDMSortedMatchesSDM(t *testing.T) {
 		sort.SliceStable(sorted, func(x, y int) bool {
 			return core.Less(sorted[x].Member, sorted[y].Member)
 		})
-		believed := make([]int, n)
+		believed := make([]int32, n)
 		for i, st := range sorted {
-			believed[i] = st.SliceIndex
+			believed[i] = int32(st.SliceIndex)
 		}
 		if got := SDMSortedRange(believed, part, 0, n); got != want {
 			t.Fatalf("trial %d: SDMSortedRange = %v, SDM = %v", trial, got, want)
@@ -279,9 +279,9 @@ func TestSDMSortedRangeTilesSDMSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	believed := make([]int, 1000)
+	believed := make([]int32, 1000)
 	for i := range believed {
-		believed[i] = (i * 13) % 7
+		believed[i] = int32((i * 13) % 7)
 	}
 	want := SDMSortedRange(believed, part, 0, len(believed))
 	for _, chunk := range []int{1, 3, 64, 999, 1000, 5000} {

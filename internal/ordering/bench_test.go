@@ -57,12 +57,12 @@ func BenchmarkRankMembers(b *testing.B) {
 			if converged {
 				label = "converged"
 			}
-			n, template := rankBench(c, converged)
+			_, template := rankBench(c, converged)
 			members := make([]localMember, len(template))
 			b.Run(fmt.Sprintf("kernel=fused/c=%d/%s", c, label), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(members, template)
-					n.rankMembers(members)
+					rankMembers(members)
 				}
 			})
 		}

@@ -86,8 +86,10 @@ type Stats struct {
 	Swapped uint64
 }
 
-// Node is a JK / mod-JK protocol instance bound to one network node.
-// It implements proto.Node.
+// Node is a JK / mod-JK protocol instance bound to one network node:
+// the live runtime's wrapper around the swap kernels (Self), which it
+// hands its own fields per call. It implements proto.Node. The cycle
+// engine stores no Nodes; it keeps each fact in a per-slot column.
 type Node struct {
 	id     core.ID
 	policy Policy // fills the word after the 32-bit id
@@ -98,15 +100,14 @@ type Node struct {
 	stats  Stats
 	// trace receives swap decision events when set (telemetry.TraceRing
 	// is nil-safe, so the hot path pays one nil check per event when
-	// tracing is off — the 100k-node simulator never sets it).
+	// tracing is off).
 	trace *telemetry.TraceRing
 }
 
 // scratchPool lends the envelope path (Tick, LDM) its tick buffers. A
-// Node embeds none of its own: the cycle engine stores a million of them
-// by value and passes per-worker Scratch to TickTable, and a live node
-// ticks for microseconds per period, so neither should retain buffers
-// between calls.
+// Node embeds none of its own: a live node ticks for microseconds per
+// period, so it should retain no buffers between calls (the cycle
+// engine passes per-worker Scratch to Self.TickTable).
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // Scratch holds the reusable tick buffers — the filtered view snapshot
@@ -142,6 +143,22 @@ type Config struct {
 	InitialR float64
 }
 
+// Self is one node as the swap kernels see it: its identity, attribute
+// and random value, its view, and where its counters and trace events
+// go. Neither engine stores one. The live Node builds it from its own
+// fields per call; the cycle engine builds it from its per-slot columns,
+// which hold each of these facts once. R is read and written only by the
+// apply kernels (a tick takes the node's coordinate as an argument), and
+// a nil Trace records nothing.
+type Self struct {
+	ID    core.ID
+	Attr  core.Attr
+	R     *float64
+	View  *view.View
+	Stats *Stats
+	Trace *telemetry.TraceRing
+}
+
 // NewNode builds a protocol instance.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.View == nil {
@@ -163,6 +180,11 @@ func NewNode(cfg Config) (*Node, error) {
 		policy: cfg.Policy,
 		v:      cfg.View,
 	}, nil
+}
+
+// self is the node as the kernels see it.
+func (n *Node) self() Self {
+	return Self{ID: n.id, Attr: n.attr, R: &n.r, View: n.v, Stats: &n.stats, Trace: n.trace}
 }
 
 // ID implements proto.Node.
@@ -200,7 +222,8 @@ func (n *Node) SetTrace(tr *telemetry.TraceRing) { n.trace = tr }
 // returned envelope carries the swap request, if any partner qualifies.
 func (n *Node) Tick(rng core.RNG) []proto.Envelope {
 	scr := scratchPool.Get().(*Scratch)
-	target, req, ok := n.TickTable(n.r, nil, rng, scr)
+	self := n.self()
+	target, req, ok := self.TickTable(n.policy, n.r, nil, rng, scr)
 	scratchPool.Put(scr)
 	if !ok {
 		return nil
@@ -215,25 +238,31 @@ func (n *Node) Tick(rng core.RNG) []proto.Envelope {
 // mod-JK goes to the partial rank kernel (TickSwapFast); JK draws from
 // the view over the same table. It returns the chosen partner and the
 // swap request by value, drawing tick scratch from scr.
-func (n *Node) TickTable(selfR float64, coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
-	if n.policy == SelectMaxGain {
+func (n *Self) TickTable(policy Policy, selfR float64, coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
+	if policy == SelectMaxGain {
 		return n.TickSwapFast(selfR, coords, scr)
 	}
 	target, ok := n.drawPartner(selfR, coords.Coord, rng, scr)
 	return n.request(target, ok, selfR)
 }
 
+// TickSwap is the node's reference swap tick; see Self.TickSwap.
+func (n *Node) TickSwap(state proto.StateReader, rng core.RNG, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
+	self := n.self()
+	return self.TickSwap(n.policy, state, rng, scr)
+}
+
 // TickSwap is the reference swap tick: TickTable with coordinates
 // resolved through a StateReader and mod-JK ranked by the exact O(c²)
 // count. The kernel tests and benchmarks check the fast kernels
 // against it.
-func (n *Node) TickSwap(state proto.StateReader, rng core.RNG, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
-	selfR, ok := state.R(n.id)
+func (n *Self) TickSwap(policy Policy, state proto.StateReader, rng core.RNG, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
+	selfR, ok := state.R(n.ID)
 	if !ok {
-		selfR = n.r
+		selfR = *n.R
 	}
 	var target core.ID
-	if n.policy == SelectMaxGain {
+	if policy == SelectMaxGain {
 		target, ok = n.selectMaxGain(selfR, state, scr)
 	} else {
 		target, ok = n.drawPartner(selfR, state.R, rng, scr)
@@ -243,15 +272,15 @@ func (n *Node) TickSwap(state proto.StateReader, rng core.RNG, scr *Scratch) (co
 
 // request is the shared tail of every swap tick: it books a request to
 // target and builds its payload, or reports that no partner qualified.
-func (n *Node) request(target core.ID, ok bool, selfR float64) (core.ID, proto.SwapRequest, bool) {
+func (n *Self) request(target core.ID, ok bool, selfR float64) (core.ID, proto.SwapRequest, bool) {
 	if !ok {
 		return 0, proto.SwapRequest{}, false
 	}
-	n.stats.ReqSent++
-	n.trace.Record(telemetry.TraceEvent{
-		Kind: telemetry.TraceSwapRequest, Node: uint64(n.id), Peer: uint64(target), Rank: selfR,
+	n.Stats.ReqSent++
+	n.Trace.Record(telemetry.TraceEvent{
+		Kind: telemetry.TraceSwapRequest, Node: uint64(n.ID), Peer: uint64(target), Rank: selfR,
 	})
-	return target, proto.SwapRequest{R: selfR, Attr: n.attr}, true
+	return target, proto.SwapRequest{R: selfR, Attr: n.Attr}, true
 }
 
 // neighborCoordinate resolves a neighbor's random value through the
@@ -268,11 +297,11 @@ func neighborCoordinate(state proto.StateReader, e view.Entry) float64 {
 // the view's non-placeholder entries misplaced against selfR, each
 // neighbor's coordinate resolved through coord with the view's
 // recorded value as fallback.
-func (n *Node) drawPartner(selfR float64, coord func(core.ID) (float64, bool), rng core.RNG, scr *Scratch) (core.ID, bool) {
+func (n *Self) drawPartner(selfR float64, coord func(core.ID) (float64, bool), rng core.RNG, scr *Scratch) (core.ID, bool) {
 	// Placeholder entries carry no usable coordinates; they are gossip
 	// contacts for the membership layer only.
 	entries := scr.entries[:0]
-	for _, e := range n.v.Raw() {
+	for _, e := range n.View.Raw() {
 		if e.Placeholder() {
 			continue
 		}
@@ -280,7 +309,7 @@ func (n *Node) drawPartner(selfR float64, coord func(core.ID) (float64, bool), r
 		if cr, ok := coord(e.ID); ok {
 			r = cr
 		}
-		if !Misplaced(n.attr, e.Attr, selfR, r) {
+		if !Misplaced(n.Attr, e.Attr, selfR, r) {
 			continue
 		}
 		entries = append(entries, e)
@@ -299,11 +328,11 @@ func (n *Node) drawPartner(selfR float64, coord func(core.ID) (float64, bool), r
 // the tick costs a single O(c) scan and sends nothing, instead of the
 // O(c²) rank count. The outcome is identical, since G is only ever
 // evaluated for misplaced neighbors.
-func (n *Node) selectMaxGain(selfR float64, state proto.StateReader, scr *Scratch) (core.ID, bool) {
+func (n *Self) selectMaxGain(selfR float64, state proto.StateReader, scr *Scratch) (core.ID, bool) {
 	members := n.localMembers(selfR, state, scr)
 	anyMisplaced := false
 	for i := 1; i < len(members); i++ {
-		if Misplaced(n.attr, members[i].attr, selfR, members[i].r) {
+		if Misplaced(n.Attr, members[i].attr, selfR, members[i].r) {
 			anyMisplaced = true
 			break
 		}
@@ -311,18 +340,18 @@ func (n *Node) selectMaxGain(selfR float64, state proto.StateReader, scr *Scratc
 	if !anyMisplaced {
 		return 0, false
 	}
-	return n.argmaxGain(n.rankMembers(members), selfR)
+	return n.argmaxGain(rankMembers(members), selfR)
 }
 
 // argmaxGain returns the misplaced member with the largest gain G_{i,j},
 // first occurrence winning ties (strict >) — the shared tail of TickSwap
 // and TickSwapFast, so the two cannot diverge on the selection rule.
-func (n *Node) argmaxGain(local localSeq, selfR float64) (core.ID, bool) {
+func (n *Self) argmaxGain(local localSeq, selfR float64) (core.ID, bool) {
 	bestGain := 0.0
 	var best core.ID
 	found := false
 	for _, m := range local.others {
-		if !Misplaced(n.attr, m.attr, selfR, m.r) {
+		if !Misplaced(n.Attr, m.attr, selfR, m.r) {
 			continue
 		}
 		g := local.gain(local.self, m)
@@ -333,6 +362,12 @@ func (n *Node) argmaxGain(local localSeq, selfR float64) (core.ID, bool) {
 	return best, found
 }
 
+// TickSwapFast is the node's mod-JK tick; see Self.TickSwapFast.
+func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
+	self := n.self()
+	return self.TickSwapFast(selfR, coords, scr)
+}
+
 // TickSwapFast is TickTable's mod-JK kernel: the caller resolves the
 // node's own coordinate (selfR) and hands its neighbors' as a concrete
 // CoordTable, and only the ranks the decision reads are computed
@@ -340,13 +375,13 @@ func (n *Node) argmaxGain(local localSeq, selfR float64) (core.ID, bool) {
 // answers as the table does is exact: the member set, per-member
 // coordinates, rank orders, gain argmax, and stats/trace side effects
 // are all identical (pinned by TestTickSwapFastMatchesTickSwap).
-func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
+func (n *Self) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch) (core.ID, proto.SwapRequest, bool) {
 	// Gather N_i ∪ {i} in storage order with the misplaced prescan fused
 	// in: a converged neighborhood — the steady state — exits after this
 	// single O(c) pass without ranking anything.
-	members := append(scr.members[:0], localMember{id: n.id, attr: n.attr, r: selfR})
+	members := append(scr.members[:0], localMember{id: n.ID, attr: n.Attr, r: selfR})
 	misp := scr.misp[:0]
-	for _, e := range n.v.Raw() {
+	for _, e := range n.View.Raw() {
 		if e.Placeholder() {
 			continue
 		}
@@ -354,7 +389,7 @@ func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch
 		if cr, ok := coords.Coord(e.ID); ok {
 			r = cr
 		}
-		if Misplaced(n.attr, e.Attr, selfR, r) {
+		if Misplaced(n.Attr, e.Attr, selfR, r) {
 			misp = append(misp, int32(len(members)))
 		}
 		members = append(members, localMember{id: e.ID, attr: e.Attr, r: r})
@@ -363,7 +398,7 @@ func (n *Node) TickSwapFast(selfR float64, coords proto.CoordTable, scr *Scratch
 	if len(misp) == 0 {
 		return 0, proto.SwapRequest{}, false
 	}
-	target, ok := n.argmaxGain(n.rankLocal(members, scr, misp), selfR)
+	target, ok := n.argmaxGain(rankLocal(members, scr, misp), selfR)
 	return n.request(target, ok, selfR)
 }
 
@@ -487,7 +522,7 @@ func rankMembersPackedPartial(members []localMember, scr *Scratch, misp []int32)
 // — and rankMembers otherwise (cold start), or when the packed keys
 // cannot decide: rankMembers breaks ties by ID, so it is also the
 // tie/gate fallback. Both assign the same consulted ranks.
-func (n *Node) rankLocal(members []localMember, scr *Scratch, misp []int32) localSeq {
+func rankLocal(members []localMember, scr *Scratch, misp []int32) localSeq {
 	if 2*(len(misp)+1) <= len(members) && !scr.noPack {
 		switch rankMembersPackedPartial(members, scr, misp) {
 		case packedOK:
@@ -496,7 +531,7 @@ func (n *Node) rankLocal(members []localMember, scr *Scratch, misp []int32) loca
 			scr.noPack = true
 		}
 	}
-	return n.rankMembers(members)
+	return rankMembers(members)
 }
 
 // localMember is one element of the node's local sequences. The int32
@@ -521,9 +556,9 @@ type localSeq struct {
 // localMembers collects N_i ∪ {i} — self first — with each member's
 // coordinate resolved through the state reader, into the reusable
 // scratch. Ranks start at zero; rankMembers fills them.
-func (n *Node) localMembers(selfR float64, state proto.StateReader, scr *Scratch) []localMember {
-	members := append(scr.members[:0], localMember{id: n.id, attr: n.attr, r: selfR})
-	for _, e := range n.v.Raw() {
+func (n *Self) localMembers(selfR float64, state proto.StateReader, scr *Scratch) []localMember {
+	members := append(scr.members[:0], localMember{id: n.ID, attr: n.Attr, r: selfR})
+	for _, e := range n.View.Raw() {
 		if e.Placeholder() {
 			continue
 		}
@@ -542,7 +577,7 @@ func (n *Node) localMembers(selfR float64, state proto.StateReader, scr *Scratch
 // interface-driven sorts. Both orders are strict (ties break on the
 // unique id), so the counted ranks equal the positions a stable sort
 // would assign.
-func (n *Node) rankMembers(members []localMember) localSeq {
+func rankMembers(members []localMember) localSeq {
 	for x := 1; x < len(members); x++ {
 		mx := &members[x]
 		ax, rx, ix := mx.attr, mx.r, mx.id
@@ -593,10 +628,12 @@ func (s localSeq) gain(i, j localMember) float64 {
 func (n *Node) Handle(from core.ID, msg proto.Message, _ core.RNG) []proto.Envelope {
 	switch m := msg.(type) {
 	case proto.SwapRequest:
-		rep, _ := n.ApplySwapRequest(from, m)
+		self := n.self()
+		rep, _ := self.ApplySwapRequest(from, m)
 		return []proto.Envelope{{To: from, Msg: rep}}
 	case proto.SwapReply:
-		n.ApplySwapReply(from, m)
+		self := n.self()
+		self.ApplySwapReply(from, m)
 		return nil
 	default:
 		// Not an ordering message (e.g. a stray RankUpdate); ignore.
@@ -604,29 +641,35 @@ func (n *Node) Handle(from core.ID, msg proto.Message, _ core.RNG) []proto.Envel
 	}
 }
 
+// ApplySwapRequest is the node's receiver side of an exchange; see
+// Self.ApplySwapRequest.
+func (n *Node) ApplySwapRequest(from core.ID, req proto.SwapRequest) (proto.SwapReply, bool) {
+	self := n.self()
+	return self.ApplySwapRequest(from, req)
+}
+
 // ApplySwapRequest applies the receiver side of the exchange: reply
 // with the current random value, then adopt the initiator's value if the
 // swap predicate holds (Fig. 2 lines 15-19). The reply is returned by
 // value; Handle boxes it into an envelope for the wire-level runtime,
 // while the cycle engine delivers it to the initiator directly. The
-// second result reports whether the value was adopted, letting the
-// engine maintain its coordinate mirror without re-reading Estimate.
-func (n *Node) ApplySwapRequest(from core.ID, req proto.SwapRequest) (proto.SwapReply, bool) {
-	n.stats.ReqReceived++
-	reply := proto.SwapReply{R: n.r}
-	if Misplaced(n.attr, req.Attr, n.r, req.R) {
-		n.r = req.R
-		n.stats.Swapped++
-		n.trace.Record(telemetry.TraceEvent{
-			Kind: telemetry.TraceSwapApplied, Node: uint64(n.id), Peer: uint64(from), Rank: n.r,
+// second result reports whether the value was adopted.
+func (n *Self) ApplySwapRequest(from core.ID, req proto.SwapRequest) (proto.SwapReply, bool) {
+	n.Stats.ReqReceived++
+	reply := proto.SwapReply{R: *n.R}
+	if Misplaced(n.Attr, req.Attr, *n.R, req.R) {
+		*n.R = req.R
+		n.Stats.Swapped++
+		n.Trace.Record(telemetry.TraceEvent{
+			Kind: telemetry.TraceSwapApplied, Node: uint64(n.ID), Peer: uint64(from), Rank: req.R,
 		})
 		return reply, true
 	}
 	// The initiator believed the swap would help but the local state
 	// moved on: an unsuccessful swap (§4.5.2).
-	n.stats.SwapFailedAtReceiver++
-	n.trace.Record(telemetry.TraceEvent{
-		Kind: telemetry.TraceSwapFailed, Node: uint64(n.id), Peer: uint64(from), Rank: req.R,
+	n.Stats.SwapFailedAtReceiver++
+	n.Trace.Record(telemetry.TraceEvent{
+		Kind: telemetry.TraceSwapFailed, Node: uint64(n.ID), Peer: uint64(from), Rank: req.R,
 	})
 	return reply, false
 }
@@ -635,28 +678,28 @@ func (n *Node) ApplySwapRequest(from core.ID, req proto.SwapRequest) (proto.Swap
 // of the partner's value, then adopt it if the predicate holds (Fig. 2
 // lines 10-14). The partner's attribute comes from the view — the ACK
 // does not carry it (the paper notes the initiator already has it).
-func (n *Node) ApplySwapReply(from core.ID, rep proto.SwapReply) {
-	e, ok := n.v.Get(from)
+func (n *Self) ApplySwapReply(from core.ID, rep proto.SwapReply) {
+	e, ok := n.View.Get(from)
 	if !ok {
 		// The partner has since been rotated out of the view; without
 		// its attribute value the predicate cannot be evaluated.
-		n.stats.SwapFailedAtInitiator++
-		n.trace.Record(telemetry.TraceEvent{
-			Kind: telemetry.TraceSwapFailed, Node: uint64(n.id), Peer: uint64(from), Rank: rep.R,
+		n.Stats.SwapFailedAtInitiator++
+		n.Trace.Record(telemetry.TraceEvent{
+			Kind: telemetry.TraceSwapFailed, Node: uint64(n.ID), Peer: uint64(from), Rank: rep.R,
 		})
 		return
 	}
-	n.v.UpdateR(from, rep.R)
-	if Misplaced(n.attr, e.Attr, n.r, rep.R) {
-		n.r = rep.R
-		n.stats.Swapped++
-		n.trace.Record(telemetry.TraceEvent{
-			Kind: telemetry.TraceSwapApplied, Node: uint64(n.id), Peer: uint64(from), Rank: n.r,
+	n.View.UpdateR(from, rep.R)
+	if Misplaced(n.Attr, e.Attr, *n.R, rep.R) {
+		*n.R = rep.R
+		n.Stats.Swapped++
+		n.Trace.Record(telemetry.TraceEvent{
+			Kind: telemetry.TraceSwapApplied, Node: uint64(n.ID), Peer: uint64(from), Rank: rep.R,
 		})
 	} else {
-		n.stats.SwapFailedAtInitiator++
-		n.trace.Record(telemetry.TraceEvent{
-			Kind: telemetry.TraceSwapFailed, Node: uint64(n.id), Peer: uint64(from), Rank: rep.R,
+		n.Stats.SwapFailedAtInitiator++
+		n.Trace.Record(telemetry.TraceEvent{
+			Kind: telemetry.TraceSwapFailed, Node: uint64(n.ID), Peer: uint64(from), Rank: rep.R,
 		})
 	}
 }
@@ -665,9 +708,9 @@ func (n *Node) ApplySwapReply(from core.ID, rep proto.SwapReply) {
 // sending because its predicate expired between selection and send (the
 // cycle engine's atomic-commit re-validation). The request was counted
 // by ReqSent when ticked; SwapAbandonedAtSender keeps the books exact.
-func (n *Node) AbandonSwap() {
-	n.stats.SwapAbandonedAtSender++
-	n.trace.Record(telemetry.TraceEvent{Kind: telemetry.TraceSwapAbandoned, Node: uint64(n.id)})
+func (n *Self) AbandonSwap() {
+	n.Stats.SwapAbandonedAtSender++
+	n.Trace.Record(telemetry.TraceEvent{Kind: telemetry.TraceSwapAbandoned, Node: uint64(n.ID)})
 }
 
 // SetAttr force-sets the node's attribute. The fault plane uses it for

@@ -300,7 +300,8 @@ func (n *Node) LDM(state proto.StateReader) float64 {
 	if !ok {
 		selfR = n.r
 	}
-	local := n.rankMembers(n.localMembers(selfR, state, new(Scratch)))
+	self := n.self()
+	local := rankMembers(self.localMembers(selfR, state, new(Scratch)))
 	sum := 0.0
 	for _, m := range local.others {
 		d := float64(m.la - m.lr)
@@ -337,7 +338,8 @@ func TestGainEqualsLDMReduction(t *testing.T) {
 		c := newCluster(t, SelectMaxGain, attrs, rs)
 		node := c.nodes[1]
 		state := c.live()
-		local := node.rankMembers(node.localMembers(node.Estimate(), state, new(Scratch)))
+		self := node.self()
+		local := rankMembers(self.localMembers(node.Estimate(), state, new(Scratch)))
 		// Pick any misplaced neighbor and verify the gain.
 		for _, m := range local.others {
 			if !Misplaced(node.attr, m.attr, node.Estimate(), m.r) {

@@ -41,7 +41,8 @@ func TestGainPositiveIffMisplaced(t *testing.T) {
 		// Build a node with a full view and compute local sequences.
 		c := quickCluster(attrs, rs)
 		node := c.nodes[1]
-		local := node.rankMembers(node.localMembers(node.Estimate(), c.live(), new(Scratch)))
+		self := node.self()
+		local := rankMembers(self.localMembers(node.Estimate(), c.live(), new(Scratch)))
 		for _, m := range local.others {
 			g := local.gain(local.self, m)
 			misplaced := Misplaced(node.attr, m.attr, node.Estimate(), m.r)

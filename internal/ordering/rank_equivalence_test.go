@@ -169,7 +169,8 @@ func TestRankMembersPartialEquivalence(t *testing.T) {
 		n, reader, _ := randomRankState(rng, trial%3 == 1)
 		selfR, _ := reader.R(n.ID())
 		scr := &Scratch{}
-		members := n.localMembers(selfR, reader, scr)
+		self := n.self()
+		members := self.localMembers(selfR, reader, scr)
 		if len(members) < 2 {
 			continue
 		}
@@ -184,7 +185,7 @@ func TestRankMembersPartialEquivalence(t *testing.T) {
 		}
 		ref := make([]localMember, len(members))
 		copy(ref, members)
-		n.rankMembers(ref)
+		rankMembers(ref)
 
 		partial := make([]localMember, len(members))
 		copy(partial, members)
@@ -245,7 +246,8 @@ func TestTickTableMatchesTickSwap(t *testing.T) {
 			refTo, refReq, refOK := n.TickSwap(c.state, refRng, &Scratch{})
 			refStats := n.stats
 			n.stats = Stats{}
-			to, req, ok := n.TickTable(c.selfR, c.coords, rng2, &Scratch{})
+			self := n.self()
+			to, req, ok := self.TickTable(n.policy, c.selfR, c.coords, rng2, &Scratch{})
 			if refOK != ok || refTo != to || refReq != req {
 				t.Fatalf("trial %d (%v, table=%v): decision diverges:\n reference: to=%v req=%+v ok=%v\n table:     to=%v req=%+v ok=%v",
 					trial, n.policy, c.coords != nil, refTo, refReq, refOK, to, req, ok)

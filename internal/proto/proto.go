@@ -161,7 +161,7 @@ type Node interface {
 	// coordinates from its own view, the only knowledge a distributed
 	// node has. The live runtime passes the node's own serial generator;
 	// the cycle engine skips Tick for the unboxed table ticks
-	// (ordering.Node.TickTable, ranking.Node.TickTargetsFast) over its
+	// (ordering.Self.TickTable, ranking.Self.TickTargetsFast) over its
 	// phase-start snapshot. The returned slice (and Handle's) is the
 	// caller's: implementations do not reuse it.
 	Tick(rng core.RNG) []Envelope

@@ -22,8 +22,10 @@ import (
 	"github.com/gossipkit/slicing/internal/view"
 )
 
-// Node is a ranking protocol instance bound to one network node. It
-// implements proto.Node.
+// Node is a ranking protocol instance bound to one network node: the
+// live runtime's wrapper around the ranking kernels (Self), which it
+// hands its own fields per call. It implements proto.Node. The cycle
+// engine stores no Nodes; it keeps each fact in a per-slot column.
 type Node struct {
 	id   core.ID
 	attr core.Attr
@@ -36,9 +38,9 @@ type Node struct {
 	updMsg proto.Message
 }
 
-// scratchPool lends Tick its buffer. A Node embeds none: the cycle
-// engine stores them by value and passes per-worker Scratch to
-// TickTargetsFast, and a live node should retain nothing between periods.
+// scratchPool lends Tick its buffer. A Node embeds none: a live node
+// should retain nothing between periods (the cycle engine passes
+// per-worker Scratch to Self.TickTargetsFast).
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // Scratch holds the reusable tick buffer — the filtered view snapshot.
@@ -61,6 +63,18 @@ type Config struct {
 	View      *view.View
 }
 
+// Self is one node as the ranking kernels see it: its identity and
+// attribute, its estimator and its view. Neither engine stores one. The
+// live Node builds it from its own fields per call; the cycle engine
+// builds it from its per-slot columns, which hold each of these facts
+// once.
+type Self struct {
+	ID   core.ID
+	Attr core.Attr
+	Est  Estimator
+	View *view.View
+}
+
 // NewNode builds a ranking node.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.View == nil {
@@ -78,6 +92,9 @@ func NewNode(cfg Config) (*Node, error) {
 		updMsg: proto.RankUpdate{Attr: cfg.Attr},
 	}, nil
 }
+
+// self is the node as the kernels see it.
+func (n *Node) self() Self { return Self{ID: n.id, Attr: n.attr, Est: n.est, View: n.v} }
 
 // ID implements proto.Node.
 func (n *Node) ID() core.ID { return n.id }
@@ -118,8 +135,8 @@ func (n *Node) Samples() int { return n.est.Samples() }
 // attribute-based total order. The paper's pseudocode tests a_j ≤ a_i;
 // we use the total order (ties broken by identifier, §3.1) so that
 // duplicate attribute values still yield consistent rank estimates.
-func (n *Node) lower(m core.Member) bool {
-	return core.Less(m, n.Member())
+func (n *Self) lower(m core.Member) bool {
+	return core.Less(m, core.Member{ID: n.ID, Attr: n.Attr})
 }
 
 // Tick implements proto.Node: one active-thread period (Fig. 5 lines
@@ -130,7 +147,8 @@ func (n *Node) lower(m core.Member) bool {
 // boundary-closest neighbor j1 and a random neighbor j2.
 func (n *Node) Tick(rng core.RNG) []proto.Envelope {
 	scr := scratchPool.Get().(*Scratch)
-	j1, j2, ok := n.TickTargetsFast(nil, rng, scr)
+	self := n.self()
+	j1, j2, ok := self.TickTargetsFast(n.part, nil, rng, scr)
 	scratchPool.Put(scr)
 	if !ok {
 		return nil
@@ -138,25 +156,31 @@ func (n *Node) Tick(rng core.RNG) []proto.Envelope {
 	return []proto.Envelope{{To: j1, Msg: n.updMsg}, {To: j2, Msg: n.updMsg}}
 }
 
+// TickTargets is the node's reference tick; see Self.TickTargets.
+func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) (core.ID, core.ID, bool) {
+	self := n.self()
+	return self.TickTargets(n.part, state, rng, scr)
+}
+
 // TickTargets is the reference ranking tick: TickTargetsFast with
 // neighbor estimates resolved through a StateReader. It feeds the view
 // scan into the estimator and returns the two UPD targets (j1 may equal
 // j2) by value, drawing tick scratch from scr. Both updates carry the
-// node's current attribute — read it with Member().Attr at delivery.
-func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) (core.ID, core.ID, bool) {
+// node's current attribute.
+func (n *Self) TickTargets(part core.Partition, state proto.StateReader, rng core.RNG, scr *Scratch) (core.ID, core.ID, bool) {
 	// Placeholder entries are contact addresses, not attribute samples;
 	// they are neither observed nor targeted. The filter reads the view's
 	// backing slice directly (no snapshot copy): nothing below mutates
 	// the view.
 	entries := scr.entries[:0]
-	for _, e := range n.v.Raw() {
+	for _, e := range n.View.Raw() {
 		if !e.Placeholder() {
 			entries = append(entries, e)
 		}
 	}
 	scr.entries = entries
 	for _, e := range entries {
-		n.est.Observe(n.lower(e.Member()))
+		n.Est.Observe(n.lower(e.Member()))
 	}
 	if len(entries) == 0 {
 		return 0, 0, false
@@ -165,15 +189,21 @@ func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) 
 	// slice boundary (Fig. 5 lines 8-10). Estimates resolve through the
 	// state reader, falling back to the view's recorded estimates.
 	j1 := entries[0]
-	best := n.boundaryDistance(state, entries[0])
+	best := boundaryDistance(part, state, entries[0])
 	for _, e := range entries[1:] {
-		if d := n.boundaryDistance(state, e); d < best {
+		if d := boundaryDistance(part, state, e); d < best {
 			best, j1 = d, e
 		}
 	}
 	// j2: a uniformly random neighbor (Fig. 5 line 12).
 	j2 := entries[rng.Intn(len(entries))]
 	return j1.ID, j2.ID, true
+}
+
+// TickTargetsFast is the node's tick; see Self.TickTargetsFast.
+func (n *Node) TickTargetsFast(coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, core.ID, bool) {
+	self := n.self()
+	return self.TickTargetsFast(n.part, coords, rng, scr)
 }
 
 // TickTargetsFast is the ranking tick both engines run: neighbor
@@ -185,24 +215,24 @@ func (n *Node) TickTargets(state proto.StateReader, rng core.RNG, scr *Scratch) 
 // reader that answers as the table does is exact: the RNG draws happen
 // in the same order, and the estimator feeding is identical (pinned by
 // TestTickTargetsFastMatchesTickTargets).
-func (n *Node) TickTargetsFast(coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, core.ID, bool) {
+func (n *Self) TickTargetsFast(part core.Partition, coords proto.CoordTable, rng core.RNG, scr *Scratch) (core.ID, core.ID, bool) {
 	entries := scr.entries[:0]
-	for _, e := range n.v.Raw() {
+	for _, e := range n.View.Raw() {
 		if !e.Placeholder() {
 			entries = append(entries, e)
 		}
 	}
 	scr.entries = entries
 	for _, e := range entries {
-		n.est.Observe(n.lower(e.Member()))
+		n.Est.Observe(n.lower(e.Member()))
 	}
 	if len(entries) == 0 {
 		return 0, 0, false
 	}
 	j1 := entries[0]
-	best := n.boundaryDistanceTab(coords, entries[0])
+	best := boundaryDistanceTab(part, coords, entries[0])
 	for _, e := range entries[1:] {
-		if d := n.boundaryDistanceTab(coords, e); d < best {
+		if d := boundaryDistanceTab(part, coords, e); d < best {
 			best, j1 = d, e
 		}
 	}
@@ -210,20 +240,20 @@ func (n *Node) TickTargetsFast(coords proto.CoordTable, rng core.RNG, scr *Scrat
 	return j1.ID, j2.ID, true
 }
 
-func (n *Node) boundaryDistanceTab(coords proto.CoordTable, e view.Entry) float64 {
+func boundaryDistanceTab(part core.Partition, coords proto.CoordTable, e view.Entry) float64 {
 	r := e.R
 	if live, ok := coords.Coord(e.ID); ok {
 		r = live
 	}
-	return n.part.BoundaryDistance(r)
+	return part.BoundaryDistance(r)
 }
 
-func (n *Node) boundaryDistance(state proto.StateReader, e view.Entry) float64 {
+func boundaryDistance(part core.Partition, state proto.StateReader, e view.Entry) float64 {
 	r := e.R
 	if live, ok := state.R(e.ID); ok {
 		r = live
 	}
-	return n.part.BoundaryDistance(r)
+	return part.BoundaryDistance(r)
 }
 
 // Handle implements proto.Node: the passive thread of Fig. 5 (lines
@@ -238,8 +268,15 @@ func (n *Node) Handle(from core.ID, msg proto.Message, _ core.RNG) []proto.Envel
 	return nil
 }
 
-// ApplyRankUpdate is the passive thread without the message unboxing:
-// absorb one UPD observation carrying the sender's attribute.
+// ApplyRankUpdate is the node's passive thread without the message
+// unboxing; see Self.ApplyRankUpdate.
 func (n *Node) ApplyRankUpdate(from core.ID, attr core.Attr) {
-	n.est.Observe(n.lower(core.Member{ID: from, Attr: attr}))
+	self := n.self()
+	self.ApplyRankUpdate(from, attr)
+}
+
+// ApplyRankUpdate absorbs one UPD observation carrying the sender's
+// attribute.
+func (n *Self) ApplyRankUpdate(from core.ID, attr core.Attr) {
+	n.Est.Observe(n.lower(core.Member{ID: from, Attr: attr}))
 }

@@ -118,7 +118,7 @@ func hasBoundaryTie(n *Node, reader proto.MapReader) bool {
 		if e.Placeholder() {
 			continue
 		}
-		switch d := n.boundaryDistance(reader, e); {
+		switch d := boundaryDistance(n.part, reader, e); {
 		case d < best:
 			best, count = d, 1
 		case d == best:

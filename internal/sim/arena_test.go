@@ -17,27 +17,19 @@ import (
 // every view header is bound onto exactly its slot's arena block, and
 // the incrementally maintained membership is exactly the live
 // population in attribute order with no departed ID resolving to a
-// live node. It also checks the dense mirrors the engine reads instead
-// of the protocol nodes against the node state they stand for
-// (checkMirrors).
+// live node. It also checks the protocol columns (checkColumns).
 func checkArenaConsistency(t *testing.T, e *Engine) {
 	t.Helper()
 	n := len(e.ids)
-	nodes := len(e.ons) + len(e.rns)
-	if len(e.views) != n || nodes != n {
-		t.Fatalf("cycle %d: parallel slices out of lockstep: ids=%d views=%d nodes=%d",
-			e.cycle, n, len(e.views), nodes)
+	if len(e.views) != n || len(e.attrs) != n {
+		t.Fatalf("cycle %d: parallel slices out of lockstep: ids=%d views=%d attrs=%d",
+			e.cycle, n, len(e.views), len(e.attrs))
 	}
 	for i := range e.ids {
 		s, ok := e.slotOf(e.ids[i])
 		if !ok || s != int32(i) {
 			t.Fatalf("cycle %d: node %v at slot %d, slot table says (%d,%v)",
 				e.cycle, e.ids[i], i, s, ok)
-		}
-		nodeID := e.memberAt(int32(i)).ID
-		if nodeID != e.ids[i] {
-			t.Fatalf("cycle %d: slot %d's protocol node is %v, ids slice says %v",
-				e.cycle, i, nodeID, e.ids[i])
 		}
 		// The view header must be bound onto this slot's arena block:
 		// same backing pointer, capacity clamped to the stride (the
@@ -101,41 +93,32 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 				e.cycle, m, got)
 		}
 	}
-	checkMirrors(t, e)
+	checkColumns(t, e)
 }
 
-// checkMirrors pins the ordering engine's dense mirrors to the node
-// state they stand for: rs and attrs to each node's random value and
-// attribute, the last measurement's staged slice (once a cycle has been
-// measured) to the node's current believed slice, and the swap-counter
-// totals to the Stats sums over the live nodes.
-func checkMirrors(t *testing.T, e *Engine) {
+// checkColumns pins the protocol columns: exactly the run's protocol
+// holds one entry per live node (stats and rs under ordering, ests
+// under ranking), the last measurement's staged slice (once a cycle has
+// been measured) is each node's current believed slice, and the
+// swap-counter totals are the Stats sums over the live nodes.
+func checkColumns(t *testing.T, e *Engine) {
 	t.Helper()
 	n := len(e.ids)
-	if e.ons == nil {
-		if len(e.rs) != 0 || len(e.attrs) != 0 {
-			t.Fatalf("cycle %d: ranking engine holds ordering mirrors", e.cycle)
-		}
-		return
+	want := map[bool][3]int{true: {n, n, 0}, false: {0, 0, n}}[e.isOrdering()]
+	if got := [3]int{len(e.stats), len(e.rs), len(e.ests)}; got != want {
+		t.Fatalf("cycle %d: protocol columns (stats, rs, ests) hold %v entries, want %v", e.cycle, got, want)
 	}
-	if len(e.rs) != n || len(e.attrs) != n || len(e.slotBelieved) != n {
-		t.Fatalf("cycle %d: mirrors out of lockstep: n=%d rs=%d attrs=%d slotBelieved=%d",
-			e.cycle, n, len(e.rs), len(e.attrs), len(e.slotBelieved))
+	if len(e.slotBelieved) != n {
+		t.Fatalf("cycle %d: slotBelieved holds %d entries, arena %d", e.cycle, len(e.slotBelieved), n)
+	}
+	for s := 0; s < n; s++ {
+		if want := e.part.Index(e.coordAt(int32(s))); e.cycle > 0 && int(e.slotBelieved[s]) != want {
+			t.Fatalf("cycle %d: slot %d measured slice %d, node believes %d",
+				e.cycle, s, e.slotBelieved[s], want)
+		}
 	}
 	var recv, fail uint64
-	for s := range e.ons {
-		on := &e.ons[s]
-		if e.rs[s] != on.Estimate() {
-			t.Fatalf("cycle %d: slot %d rs mirror %v, node holds %v", e.cycle, s, e.rs[s], on.Estimate())
-		}
-		if e.attrs[s] != on.Member().Attr {
-			t.Fatalf("cycle %d: slot %d attrs mirror %v, node holds %v", e.cycle, s, e.attrs[s], on.Member().Attr)
-		}
-		if e.cycle > 0 && int(e.slotBelieved[s]) != on.SliceIndex() {
-			t.Fatalf("cycle %d: slot %d measured slice %d, node believes %d",
-				e.cycle, s, e.slotBelieved[s], on.SliceIndex())
-		}
-		st := on.Stats()
+	for _, st := range e.stats {
 		recv += st.ReqReceived
 		fail += st.SwapFailedAtReceiver
 	}

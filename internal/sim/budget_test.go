@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/gossipkit/slicing/internal/churn"
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/proto"
@@ -14,16 +15,18 @@ import (
 	"github.com/gossipkit/slicing/internal/view"
 )
 
-// The engine stores protocol nodes by value and one view header per
-// slot, so a field added to any of the three is paid a million times
-// over. These are budgets, not measurements: raise one only with a
-// benchmark run that shows what the bytes bought.
+// The engine stores one swap-counter block and one view header per slot,
+// so a field added to either is paid a million times over; the live
+// runtime keeps one ordering.Node or ranking.Node per node. These are
+// budgets, not measurements: raise one only with a benchmark run that
+// shows what the bytes bought.
 func TestNodeSizeBudget(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"ordering.Node", unsafe.Sizeof(ordering.Node{}), 96},
+		{"ordering.Stats", unsafe.Sizeof(ordering.Stats{}), 48},
 		{"ranking.Node", unsafe.Sizeof(ranking.Node{}), 64},
 		{"view.View", unsafe.Sizeof(view.View{}), 24},
 	} {
@@ -35,15 +38,15 @@ func TestNodeSizeBudget(t *testing.T) {
 
 // The audited engine bytes per node at N=10k, c=20, Cyclon, once two
 // cycles have touched every staging buffer. The audit is deterministic
-// (slice capacities, not GC state): 1176.7 and 1164.0 when pinned.
+// (slice capacities, not GC state): 1109.0 and 1100.0 when pinned.
 func TestEngineBytesPerNodeBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		proto  proto.Kind
 		budget float64
 	}{
-		{"ordering", proto.Ordering, 1184},
-		{"ranking", proto.Ranking, 1172},
+		{"ordering", proto.Ordering, 1117},
+		{"ranking", proto.Ranking, 1108},
 	} {
 		e, err := New(Config{
 			N: 10_000, Slices: 100, ViewSize: 20, Protocol: c.proto,
@@ -67,9 +70,9 @@ func TestEngineBytesPerNodeBudget(t *testing.T) {
 // ahead of them, or a Config edit, must not shift them onto other cache
 // lines.
 func TestEngineHotFieldsLead(t *testing.T) {
-	hot := []string{"ids", "slots", "ons", "rs", "attrs", "views",
+	hot := []string{"ids", "slots", "stats", "rs", "attrs", "views",
 		"swapTo", "overlapBuf", "coordTab",
-		"memTarget", "reqStore", "reqLen", "initList", "rns", "updTo", "rankDst"}
+		"memTarget", "reqStore", "reqLen", "initList", "ests", "updTo", "rankDst"}
 	ty, header := reflect.TypeOf(Engine{}), unsafe.Sizeof([]int(nil))
 	for i, name := range hot {
 		if f := ty.Field(i); f.Name != name || f.Offset != uintptr(i)*header {
@@ -81,30 +84,40 @@ func TestEngineHotFieldsLead(t *testing.T) {
 // The MemReport ledger accounts for every byte the engine keeps per
 // node: the live heap an engine holds after two collections, divided by
 // its population, reads within 2 % of MemReport.BytesPerNode. A
-// resident per-node buffer the report does not list breaks this.
+// resident per-node buffer the report does not list breaks this. The
+// churned run also covers what only churn allocates: the grown
+// membership and the join path's appends.
 func TestMemReportMatchesHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations distort heap readings")
 	}
 	const n = 50_000
 	for _, c := range []struct {
-		name  string
-		proto proto.Kind
+		name   string
+		proto  proto.Kind
+		churn  bool
+		cycles int
 	}{
-		{"ordering", proto.Ordering},
-		{"ranking", proto.Ranking},
+		{"ordering", proto.Ordering, false, 2},
+		{"ranking", proto.Ranking, false, 2},
+		{"ranking-churn", proto.Ranking, true, 5},
 	} {
-		before := liveHeap()
-		e, err := New(Config{
+		cfg := Config{
 			N: n, Slices: 100, ViewSize: 20, Protocol: c.proto,
 			Policy: ordering.SelectMaxGain, AttrDist: dist.Uniform{Lo: 0, Hi: 1000},
 			Seed: 1, Workers: 1,
-		})
+		}
+		if c.churn {
+			cfg.Schedule = churn.Flat{JoinRate: 0.001, LeaveRate: 0.001}
+			cfg.Pattern = churn.Uniform{Dist: dist.Uniform{Lo: 0, Hi: 1000}}
+		}
+		before := liveHeap()
+		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Run(2)
-		heap := float64(int64(liveHeap())-int64(before)) / n
+		e.Run(c.cycles)
+		heap := float64(int64(liveHeap())-int64(before)) / float64(e.N())
 		m := e.MemReport()
 		runtime.KeepAlive(e)
 		t.Logf("%s: heap %.1f B/node, MemReport %.1f B/node", c.name, heap, m.BytesPerNode)

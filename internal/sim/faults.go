@@ -54,9 +54,9 @@ func (e *Engine) chaos(from, to core.ID, idx uint64) (drop, delay, dup bool) {
 
 // recordPollution appends the cycle's slice-pollution sample. believed
 // is in e.members order.
-func (e *Engine) recordPollution(believed []int) {
+func (e *Engine) recordPollution(believed []int32) {
 	p, ok := e.faults.Pollution(len(e.members), func(i int) (core.ID, int) {
-		return e.members[i].ID, believed[i]
+		return e.members[i].ID, int(believed[i])
 	})
 	if !ok {
 		return

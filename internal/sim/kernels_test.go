@@ -9,15 +9,16 @@ import "testing"
 // TickTargetsFast against TickTargets (ranking), AgeAllOldest against
 // AgeAll+Oldest and Reset against Clear+Add (view), and MergeCompact
 // and MergeReply against MergeUsing (FuzzCyclonMerge and
-// FuzzCyclonExchange, membership). What the engine adds on top are the dense mirrors
-// the kernels and the measurement read instead of the protocol nodes —
-// rs, attrs, the slice-index cache, the swap-counter totals and the
-// departed IDs' NaN pins in the coordinate table. This test checks
-// every one of them against the node state it stands for after every
-// cycle, over the worker-invariance matrix (both protocols, every
+// FuzzCyclonExchange, membership). What the engine adds on top is its
+// column layout — the kernels run on a node's facts gathered from the
+// per-slot columns — and the state it derives from them: the staged
+// slice of the last measurement, the swap-counter totals and the
+// departed IDs' NaN pins in the coordinate table. This test checks the
+// columns' lockstep and every derived value against the columns after
+// every cycle, over the worker-invariance matrix (both protocols, every
 // membership substrate, churn and the full fault plane) at one and at
-// three workers, so a mirror that drifted only under parallel
-// execution is caught too.
+// three workers, so a value that drifted only under parallel execution
+// is caught too.
 func TestKernelEquivalence(t *testing.T) {
 	const cycles = 40
 	for name, cfg := range invarianceConfigs() {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/ordering"
-	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/view"
 )
@@ -26,11 +25,10 @@ type MemReport struct {
 	// ArenaBytes is the flat view storage: every node's view entries in
 	// one contiguous array.
 	ArenaBytes int64 `json:"arenaBytes"`
-	// StateBytes covers the per-slot parallel slices: identifiers,
-	// value-stored protocol nodes and the heap objects a ranking node
-	// points at (its estimator and its boxed UPD message), view headers
-	// and the ordering mirrors, plus the ID→slot table and the
-	// attribute-ordered membership.
+	// StateBytes covers the per-slot columns: identifiers, attributes,
+	// view headers, the ordering random values and swap counters or the
+	// ranking estimators together with the struct each one points at,
+	// plus the ID→slot table and the attribute-ordered membership.
 	StateBytes int64 `json:"stateBytes"`
 	// StagingBytes covers the reusable per-cycle buffers: the frozen
 	// request/reply payload windows, the per-slot tick outputs, the
@@ -65,22 +63,19 @@ func (e *Engine) MemReport() MemReport {
 	m.ArenaBytes = e.varena.Bytes()
 
 	m.StateBytes = sliceBytes(e.ids, core.ID(0)) +
-		sliceBytes(e.ons, ordering.Node{}) +
-		sliceBytes(e.rns, ranking.Node{}) +
-		sliceBytes(e.views, (*view.View)(nil)) +
-		int64(len(e.views))*int64(unsafe.Sizeof(view.View{})) +
-		sliceBytes(e.slots, int32(0)) +
-		sliceBytes(e.members, core.Member{}) +
-		sliceBytes(e.membersBuf, core.Member{}) +
+		sliceBytes(e.attrs, core.Attr(0)) +
+		sliceBytes(e.views, view.View{}) +
+		sliceBytes(e.stats, ordering.Stats{}) +
 		sliceBytes(e.rs, 0.0) +
-		sliceBytes(e.attrs, core.Attr(0))
-	if e.rns != nil {
-		// A ranking node points at two heap objects of its own: its
-		// estimator and its boxed UPD message.
-		m.StateBytes += int64(len(e.rns)) * (pointeeBytes(e.newEstimator()) + int64(unsafe.Sizeof(proto.RankUpdate{})))
+		sliceBytes(e.ests, ranking.Estimator(nil)) +
+		sliceBytes(e.slots, int32(0)) +
+		sliceBytes(e.members, core.Member{})
+	if e.ests != nil {
+		// Each estimator is a heap object of its own.
+		m.StateBytes += int64(len(e.ests)) * pointeeBytes(e.newEstimator())
 	}
 
-	m.StagingBytes = sliceBytes(e.believedBuf, 0) +
+	m.StagingBytes = sliceBytes(e.believedBuf, int32(0)) +
 		sliceBytes(e.slotBelieved, int32(0)) +
 		sliceBytes(e.coordTab, 0.0) +
 		sliceBytes(e.joinersBuf, core.Member{}) +
@@ -89,7 +84,6 @@ func (e *Engine) MemReport() MemReport {
 		sliceBytes(e.reqStore, view.Entry{}) +
 		sliceBytes(e.reqLen, int32(0)) +
 		sliceBytes(e.initHead, int32(0)) +
-		sliceBytes(e.initPos, int32(0)) +
 		sliceBytes(e.initList, int32(0)) +
 		sliceBytes(e.swapTo, core.ID(0)) +
 		sliceBytes(e.overlapBuf, false) +

@@ -110,3 +110,10 @@ func grow[T any](buf []T, n int) []T {
 	}
 	return buf[:n]
 }
+
+// prefixSum turns per-bucket counts into running totals in place.
+func prefixSum(head []int32) {
+	for i := 1; i < len(head); i++ {
+		head[i] += head[i-1]
+	}
+}

@@ -12,7 +12,7 @@ import (
 // TestMillionNodeSmoke stands the struct-of-arrays engine up at its
 // acceptance scale — N=1,000,000 live nodes with churn — and runs a few
 // cycles: enough to prove construction, the parallel rounds, swap-delete
-// churn and the measurement pass all hold together on ~1.2 GB of engine
+// churn and the measurement pass all hold together on ~1.1 GB of engine
 // state (~1.6 GB peak RSS on amd64), without paying for a full
 // convergence run in the test suite. Skipped under -short and under the
 // race detector (the shadow memory alone would multiply the footprint
@@ -47,11 +47,11 @@ func TestMillionNodeSmoke(t *testing.T) {
 	if mem.Nodes < 990_000 || mem.Nodes > 1_010_000 {
 		t.Errorf("population drifted implausibly under 0.1%% churn: %d nodes", mem.Nodes)
 	}
-	// The budget the README advertises: 1,192.7 B per node when set, and
+	// The budget the README advertises: 1,110.1 B per node when set, and
 	// this ceiling is 5 % above it — a per-node map, pointer field or
 	// stray per-node buffer would blow straight through it.
-	if bpn := mem.BytesPerNode; bpn <= 0 || bpn > 1250 {
-		t.Errorf("engine bytes/node = %.0f, want (0, 1250]", bpn)
+	if bpn := mem.BytesPerNode; bpn <= 0 || bpn > 1165 {
+		t.Errorf("engine bytes/node = %.0f, want (0, 1165]", bpn)
 	}
 	checkArenaConsistency(t, e)
 }

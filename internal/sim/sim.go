@@ -22,18 +22,22 @@
 //
 // Node state is laid out struct-of-arrays: the engine holds parallel
 // slices addressed by a dense arena index ("slot") — identifiers (ids),
-// value-stored protocol instances (ons/rns, one per protocol kind) and
-// view headers (views) — plus one ID→slot table ([]int32, indexed
-// directly by the monotonically assigned core.ID). View storage itself
+// attributes (attrs), the protocol's own state (random values and swap
+// counters under ordering, estimators under ranking) and view headers
+// stored by value (views) — plus one ID→slot table ([]int32, indexed
+// directly by the monotonically assigned core.ID). There are no
+// protocol node objects: each per-node fact lives in exactly one column,
+// and the engine hands the ordering/ranking kernels a node's facts plus
+// the engine-wide partition and policy per call. View storage itself
 // lives outside the headers, in one flat backing array indexed by
 // slot*ViewSize (view.Arena): the compute and commit halves of a gossip
 // round, the per-cycle SDM/GDM measurement and churn's swap-delete all
 // stream contiguous memory instead of chasing per-node heap objects.
 // Every hot-path lookup — message delivery, state reads, snapshots, sampling,
 // measurement — is a bounds check and a slice index: no hashing, no
-// pointer chasing, no interface dispatch (the engine calls the concrete
-// ordering/ranking APIs and inlines the Cyclon exchange semantics over
-// the arena directly). Churn is O(1) amortized per node: leavers are
+// pointer chasing, no interface dispatch beyond a ranking node's
+// estimator (the engine calls the concrete ordering/ranking kernels and
+// inlines the Cyclon exchange semantics over the arena directly). Churn is O(1) amortized per node: leavers are
 // swap-deleted (the vacating view is rebound onto the freed arena
 // block), and the attribute-ordered membership is maintained
 // incrementally by a single merge pass per churn event. The engine
@@ -75,6 +79,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/gossipkit/slicing/internal/churn"
 	"github.com/gossipkit/slicing/internal/core"
@@ -181,12 +186,14 @@ type Config struct {
 
 // Config validation errors.
 var (
-	ErrConfigN        = errors.New("sim: N must be positive")
-	ErrConfigView     = errors.New("sim: ViewSize must be positive")
-	ErrConfigDist     = errors.New("sim: AttrDist is required")
-	ErrConfigProtocol = errors.New("sim: unknown protocol")
-	ErrConfigConc     = errors.New("sim: Concurrency must lie in [0,1]")
-	ErrConfigWorkers  = errors.New("sim: Workers must be ≥ 0")
+	ErrConfigN         = errors.New("sim: N must be positive")
+	ErrConfigView      = errors.New("sim: ViewSize must be positive")
+	ErrConfigDist      = errors.New("sim: AttrDist is required")
+	ErrConfigProtocol  = errors.New("sim: unknown protocol")
+	ErrConfigConc      = errors.New("sim: Concurrency must lie in [0,1]")
+	ErrConfigWorkers   = errors.New("sim: Workers must be ≥ 0")
+	ErrConfigPolicy    = errors.New("sim: unknown ordering policy")
+	ErrConfigEstimator = errors.New("sim: Estimators returned a nil estimator")
 )
 
 func (cfg *Config) validate() error {
@@ -213,8 +220,14 @@ func (cfg *Config) validate() error {
 	if cfg.Membership == 0 {
 		cfg.Membership = CyclonViews
 	}
-	if cfg.Protocol == proto.Ordering && cfg.Policy == 0 {
-		cfg.Policy = ordering.SelectMaxGain
+	if cfg.Protocol == proto.Ordering {
+		switch cfg.Policy {
+		case 0:
+			cfg.Policy = ordering.SelectMaxGain
+		case ordering.SelectMaxGain, ordering.SelectRandomMisplaced:
+		default:
+			return ErrConfigPolicy
+		}
 	}
 	return nil
 }
@@ -239,11 +252,13 @@ type Engine struct {
 	// within a cycle; churn swap-deletes leavers and appends joiners, so
 	// slot order changes only at churn boundaries.
 	//
-	// ids holds the node identifiers. Exactly one of ons/rns is in use
-	// per run — protocol instances are stored BY VALUE, so a scan over
-	// them streams memory instead of chasing a million heap pointers.
-	// views holds the per-slot view headers; their entry storage is not
-	// theirs but the slot's block of varena, so all view payloads of the
+	// ids holds the node identifiers, attrs their attributes (both
+	// protocols; the fault plane changes one only through setAttrAt).
+	// Under ordering, stats holds each node's swap counters and rs its
+	// live random value; under ranking, ests holds each node's
+	// estimator; the other protocol's columns stay nil. views holds the
+	// per-slot view headers by value; their entry storage is not theirs
+	// but the slot's block of varena, so all view payloads of the
 	// population form one contiguous entry array.
 	ids []core.ID
 	// slots maps core.ID → arena slot. IDs are assigned sequentially
@@ -251,18 +266,10 @@ type Engine struct {
 	// bounds check and a slice load, never a hash. Departed IDs hold
 	// noSlot. The table grows by one int32 per node ever created.
 	slots []int32
-	ons   []ordering.Node
-	// Dense per-slot mirrors of the ordering nodes' hot scalars
-	// (ordering runs only; nil under ranking). An ordering.Node spans
-	// two cache lines, so any per-slot scan through the node array pulls
-	// both; the exchange compute, coordinate snapshot, commit
-	// re-validation, self entries and GDM assignment read these 8-byte
-	// mirrors instead. rs tracks each node's live random value (updated
-	// at the single swap-delivery choke point), attrs its attribute
-	// (updated by the fault plane's setAttrAt).
+	stats []ordering.Stats
 	rs    []float64
 	attrs []core.Attr
-	views []*view.View
+	views []view.View
 	// Per-cycle buffers the rounds index per node. Buffers written
 	// inside parallel rounds are strictly partitioned: every slot is
 	// written by exactly one worker.
@@ -288,13 +295,13 @@ type Engine struct {
 	// plus its own entry, on the way in and, once the target has
 	// absorbed it, is reused for the target's reply of at most ViewSize
 	// entries on the way back), and the counting-sorted per-target
-	// initiator lists (initHead, initPos, initList) that give the commit
-	// its deterministic order.
+	// initiator lists (initHead, initList) that give the commit its
+	// deterministic order.
 	memTarget []int32
 	reqStore  []view.Entry
 	reqLen    []int32
 	initList  []int32
-	rns       []ranking.Node
+	ests      []ranking.Estimator
 	updTo     []core.ID
 	rankDst   []int32
 
@@ -322,11 +329,11 @@ type Engine struct {
 
 	prevReqReceived uint64
 	prevFailed      uint64
-	// Engine-side mirrors of the ordering Stats sums the per-cycle
+	// Running totals of the ordering Stats sums the per-cycle
 	// unsuccessful-swap series needs: bumped at the swap-delivery choke
 	// point (deliverSwap), so the measurement reads two counters instead
-	// of scanning a million Node structs every cycle. Identical to the
-	// live nodes' Stats sums by construction — deliverSwap is the only
+	// of scanning a million Stats every cycle. Identical to the live
+	// nodes' Stats sums by construction — deliverSwap is the only
 	// ApplySwapRequest caller in the engine, and removeNode subtracts a
 	// departing node's counts (checkArenaConsistency pins this).
 	recvTotal     uint64
@@ -358,15 +365,16 @@ type Engine struct {
 	// rounds the engine is single-threaded, and none of these escape a
 	// Step call, so reuse keeps the hot path (snapshot, freeze, measure)
 	// allocation-free at steady state.
-	believedBuf []int // per-cycle believed slice indices, attr order
+	believedBuf []int32 // per-cycle believed slice indices, attr order
 	// slotBelieved stages the per-slot believed slice of the current
 	// measurement in slot order before the members-order gather.
 	slotBelieved []int32
 	joinersBuf   []core.Member // joiners of the current churn event
-	membersBuf   []core.Member // double buffer for the membership merge
 	deferredBuf  []deferredEnv
-	initHead     []int32
-	initPos      []int32
+	// initHead is the counting sorts' bucket table, two longer than the
+	// bucket count: a sort counts into head[b+2], prefix-sums, and fills
+	// through head[b+1], which leaves head[b] at bucket b's start.
+	initHead []int32
 	// Measurement buffers: fixed-chunk partial sums plus the GDM rank
 	// scratch (bucketHead backs the bucket sort of measureGDM).
 	chunkSums  []float64
@@ -377,8 +385,7 @@ type Engine struct {
 	bucketBuf  []int32
 	bucketHead []int32
 	// sampler backs the engine-stream uniform draws (bootstrap views);
-	// each worker carries its own for the oracle round. Its per-node
-	// table lives only for one sampling batch (see bootstrapViews).
+	// each worker carries its own for the oracle round.
 	sampler sampler
 }
 
@@ -428,7 +435,8 @@ func New(cfg Config) (*Engine, error) {
 		part:    part,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		ids:     make([]core.ID, 0, cfg.N),
-		views:   make([]*view.View, 0, cfg.N),
+		attrs:   make([]core.Attr, 0, cfg.N),
+		views:   make([]view.View, 0, cfg.N),
 		varena:  view.NewArena(cfg.ViewSize, cfg.N),
 		slots:   make([]int32, 1, cfg.N+1), // slot 0 is the unused ID 0
 		workers: workers,
@@ -443,9 +451,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	switch cfg.Protocol {
 	case proto.Ordering:
-		e.ons = make([]ordering.Node, 0, cfg.N)
+		e.stats = make([]ordering.Stats, 0, cfg.N)
+		e.rs = make([]float64, 0, cfg.N)
 	case proto.Ranking:
-		e.rns = make([]ranking.Node, 0, cfg.N)
+		e.ests = make([]ranking.Estimator, 0, cfg.N)
 	}
 	e.slots[0] = noSlot
 	if cfg.Telemetry != nil {
@@ -479,35 +488,42 @@ func (e *Engine) slotOf(id core.ID) (int32, bool) {
 	return s, s >= 0
 }
 
+// isOrdering reports whether the run is an ordering run (the stats and
+// rs columns are in use) rather than a ranking run (ests).
+func (e *Engine) isOrdering() bool { return e.cfg.Protocol == proto.Ordering }
+
 // memberAt reads slot s's identity and current attribute.
 func (e *Engine) memberAt(s int32) core.Member {
-	if e.cfg.Protocol == proto.Ordering {
-		return e.ons[s].Member()
-	}
-	return e.rns[s].Member()
+	return core.Member{ID: e.ids[s], Attr: e.attrs[s]}
 }
 
-// setAttrAt routes a forced attribute change to slot s's protocol node
-// — the single hook the fault plane mutates attributes through, which
-// is what keeps the dense attribute mirror honest.
-func (e *Engine) setAttrAt(s int32, a core.Attr) {
-	if e.cfg.Protocol == proto.Ordering {
-		e.ons[s].SetAttr(a)
-		e.attrs[s] = a
-	} else {
-		e.rns[s].SetAttr(a)
+// setAttrAt force-sets slot s's attribute: the single hook the fault
+// plane mutates attributes through. Every later swap decision, UPD and
+// self entry reads the new value.
+func (e *Engine) setAttrAt(s int32, a core.Attr) { e.attrs[s] = a }
+
+// coordAt is slot s's current coordinate: its random value (ordering)
+// or its rank estimate (ranking).
+func (e *Engine) coordAt(s int32) float64 {
+	if e.isOrdering() {
+		return e.rs[s]
 	}
+	return e.ests[s].Estimate()
 }
 
-// selfEntryAt builds slot s's current gossip self entry; an ordering
-// node's comes from the dense mirrors, identical to its SelfEntry
-// without pulling the Node's own cache lines (exchangeRound inlines the
-// same split).
+// selfEntryAt builds slot s's current gossip self entry.
 func (e *Engine) selfEntryAt(s int32) view.Entry {
-	if e.ons != nil {
-		return view.Entry{ID: e.ids[s], Attr: e.attrs[s], R: e.rs[s]}
-	}
-	return e.rns[s].SelfEntry()
+	return view.Entry{ID: e.ids[s], Attr: e.attrs[s], R: e.coordAt(s)}
+}
+
+// orderingSelf is slot s's ordering node as the swap kernels see it.
+func (e *Engine) orderingSelf(s int32) ordering.Self {
+	return ordering.Self{ID: e.ids[s], Attr: e.attrs[s], R: &e.rs[s], View: &e.views[s], Stats: &e.stats[s]}
+}
+
+// rankingSelf is slot s's ranking node as the kernels see it.
+func (e *Engine) rankingSelf(s int32) ranking.Self {
+	return ranking.Self{ID: e.ids[s], Attr: e.attrs[s], Est: e.ests[s], View: &e.views[s]}
 }
 
 // addNode creates a node with the next identifier and appends it to the
@@ -525,39 +541,25 @@ func (e *Engine) addNode(attr core.Attr) error {
 	if e.varena.EnsureSlots(slot + 1) {
 		// The backing arrays moved; every bound view still points into
 		// the old ones. Rebind each onto its (already copied) block.
-		for s, v := range e.views {
-			v.Rebind(e.varena.Block(s))
+		for s := range e.views {
+			e.views[s].Rebind(e.varena.Block(s))
 		}
 	}
 	eb, ib, ob := e.varena.Block(slot)
-	v := view.NewBound(e.cfg.ViewSize, eb, ib, ob)
-	switch e.cfg.Protocol {
-	case proto.Ordering:
-		r0 := 1 - e.rng.Float64() // uniform in (0,1]
-		n, err := ordering.NewNode(ordering.Config{
-			ID: id, Attr: attr, Partition: e.part,
-			Policy: e.cfg.Policy, View: v,
-			InitialR: r0,
-		})
-		if err != nil {
-			return err
+	if e.isOrdering() {
+		e.stats = append(e.stats, ordering.Stats{})
+		e.rs = append(e.rs, 1-e.rng.Float64()) // uniform in (0,1]
+	} else {
+		est := e.newEstimator()
+		if est == nil {
+			return ErrConfigEstimator
 		}
-		e.ons = append(e.ons, *n)
-		e.rs = append(e.rs, r0)
-		e.attrs = append(e.attrs, attr)
-	case proto.Ranking:
-		n, err := ranking.NewNode(ranking.Config{
-			ID: id, Attr: attr, Partition: e.part,
-			Estimator: e.newEstimator(), View: v,
-		})
-		if err != nil {
-			return err
-		}
-		e.rns = append(e.rns, *n)
+		e.ests = append(e.ests, est)
 	}
 	e.slots = append(e.slots, int32(slot))
 	e.ids = append(e.ids, id)
-	e.views = append(e.views, v)
+	e.attrs = append(e.attrs, attr)
+	e.views = append(e.views, *view.NewBound(e.cfg.ViewSize, eb, ib, ob))
 	return nil
 }
 
@@ -571,10 +573,10 @@ func (e *Engine) newEstimator() ranking.Estimator {
 }
 
 // selfEntries builds every live node's current self entry in slot
-// order: the population one sampling batch draws from (a bootstrap, or
-// an oracle round). The batch owns the slice and drops it, so no
-// second copy of the node state stays resident between batches. Each
-// slot is written by exactly one worker.
+// order, for a sampling batch in which every node draws (construction,
+// an oracle round). The batch owns the slice and drops it, so no second
+// copy of the node state stays resident between batches. Each slot is
+// written by exactly one worker.
 func (e *Engine) selfEntries() []view.Entry {
 	selfs := make([]view.Entry, len(e.ids))
 	e.parallelFor(len(selfs), func(_, lo, hi int) {
@@ -627,107 +629,85 @@ func (e *Engine) applyChurn() {
 }
 
 // bootstrapViews fills the view of every node in slots [from, len) with
-// ViewSize random other nodes, drawn on the engine stream from the
-// nodes' current self entries: one sampling batch, whose self entries
-// and sampler table are built for it and dropped after it. The
+// ViewSize random other nodes, drawn on the engine stream: one sampling
+// batch. Construction (from == 0) draws for every node, so it builds all
+// self entries once and drops them after the batch: one entry read per
+// draw instead of three column reads. A join batch draws for a handful
+// of nodes, so it reads the drawn slots' columns directly and a join
+// event costs O(joiners · c), not a pass over the population. The
 // sampler's output is distinct and excludes the owner, so the bulk
 // Reset is identical to the Add loop (TestResetMatchesClearAdd) minus
 // its per-entry duplicate scans — at construction that is O(c²) saved
 // per node, a visible slice of a million-node run's wall time (a
 // scenario's cycles/sec includes engine construction).
 func (e *Engine) bootstrapViews(from int) {
-	selfs := e.selfEntries()
-	for i := from; i < len(e.ids); i++ {
-		e.views[i].Reset(e.sampler.sample(e.ids, selfs, e.rng, e.cfg.ViewSize, e.ids[i]))
+	var selfs []view.Entry
+	if from == 0 {
+		selfs = e.selfEntries()
 	}
-	e.sampler.seenGen = nil
+	sp := &e.sampler
+	for i := from; i < len(e.ids); i++ {
+		buf := sp.buf[:0]
+		for _, s := range sp.sample(e.rng, len(e.ids), e.cfg.ViewSize, int32(i)) {
+			if selfs != nil {
+				buf = append(buf, selfs[s])
+			} else {
+				buf = append(buf, e.selfEntryAt(s))
+			}
+		}
+		sp.buf = buf
+		e.views[i].Reset(buf)
+	}
 }
 
 // sampler is the rejection-sampling scratch behind uniform draws of
 // live nodes. Rejection sampling keeps a draw O(k) for k ≪ n — the
 // oracle draws once per node per cycle, so a full permutation here
-// would make uniform-sampler runs quadratic in the population — and the
-// generation-stamped seenGen slice keeps each rejection test a single
-// slice load instead of a map probe: seenGen[i] == gen means slot i was
-// already drawn this call. seenGen is per node, so a batch of draws
-// sets it to nil when it ends rather than keep it resident.
+// would make uniform-sampler runs quadratic in the population — and a
+// call never sees more than k+1 distinct slots (k accepted plus the
+// owner), so the rejection test scans the slots drawn so far instead of
+// keeping a per-node table.
 type sampler struct {
-	seenGen []uint32
-	gen     uint32
-	buf     []view.Entry
-	// idx backs the draw-ahead in sample: the k slot indices a call will
-	// consume are drawn up front and their self entries prefetched, so
-	// the k random-access misses overlap instead of serializing behind
-	// the accept loop's seen-check branch.
-	idx []int
+	// drawn holds the distinct slots the current call has drawn, in
+	// draw order, the owner included if it came up.
+	drawn []int32
+	// slots holds the accepted slots: drawn minus the owner.
+	slots []int32
+	// buf is the caller's entry buffer for the accepted slots.
+	buf []view.Entry
 }
 
-// sample fills the sampler's reusable buffer with the self entries of
-// up to k distinct uniformly drawn live slots, excluding one id. ids and
-// selfs are slot-parallel. The buffer is valid until the next call;
-// callers copy the entries into a view immediately.
-func (sp *sampler) sample(ids []core.ID, selfs []view.Entry, rng core.RNG, k int, exclude core.ID) []view.Entry {
-	n := len(ids)
-	out := sp.buf[:0]
+// sample returns up to k distinct uniformly drawn slots of [0, n),
+// excluding the owner's slot: every other slot in slot order when
+// k ≥ n, otherwise the first k distinct non-owner draws. The result is
+// valid until the next call.
+func (sp *sampler) sample(rng core.RNG, n, k int, owner int32) []int32 {
+	out := sp.slots[:0]
 	if n == 0 || k <= 0 {
 		return out
 	}
 	if k >= n {
-		for i := range ids {
-			if ids[i] != exclude {
-				out = append(out, selfs[i])
+		for i := int32(0); i < int32(n); i++ {
+			if i != owner {
+				out = append(out, i)
 			}
 		}
-		sp.buf = out
+		sp.slots = out
 		return out
 	}
-	if cap(sp.seenGen) < n {
-		sp.seenGen = make([]uint32, n)
-	}
-	sp.seenGen = sp.seenGen[:n]
-	sp.gen++
-	if sp.gen == 0 { // wrapped: stale stamps could collide, reset them
-		clear(sp.seenGen)
-		sp.gen = 1
-	}
-	gen := sp.gen
-	// Draw the first k indices ahead of the accept loop and prefetch
-	// their self entries. The accept loop's reads are random-access and
-	// sit behind its seen-check branch; prefetched here, their misses
-	// are all in flight at once and nothing waits for them (plain
-	// warming loads would: each must complete before it retires). The
-	// RNG consumption order is unchanged — the accept loop replays the
-	// same draws from idx before falling back to live draws for the
-	// (rare) rejection overflow.
-	if cap(sp.idx) < k {
-		sp.idx = make([]int, k)
-	}
-	idx := sp.idx[:k]
-	for j := range idx {
-		i := rng.Intn(n)
-		idx[j] = i
-		prefetchWindow(selfs[i : i+1])
-	}
-	drawn := 0
-	j := 0
-	for len(out) < k && drawn < n {
-		var i int
-		if j < len(idx) {
-			i = idx[j]
-			j++
-		} else {
-			i = rng.Intn(n)
-		}
-		if sp.seenGen[i] == gen {
+	drawn := sp.drawn[:0]
+	// k < n and the owner is one slot, so k distinct non-owner slots
+	// exist and the loop ends.
+	for len(out) < k {
+		i := int32(rng.Intn(n))
+		if slices.Contains(drawn, i) {
 			continue
 		}
-		sp.seenGen[i] = gen
-		drawn++
-		if ids[i] == exclude {
-			continue
+		drawn = append(drawn, i)
+		if i != owner {
+			out = append(out, i)
 		}
-		out = append(out, selfs[i])
 	}
-	sp.buf = out
+	sp.drawn, sp.slots = drawn, out
 	return out
 }

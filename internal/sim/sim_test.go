@@ -44,6 +44,11 @@ func TestConfigValidation(t *testing.T) {
 		{"negative concurrency", func(c *Config) { c.Concurrency = -0.5 }, ErrConfigConc},
 		{"excess concurrency", func(c *Config) { c.Concurrency = 1.5 }, ErrConfigConc},
 		{"no slices", func(c *Config) { c.Slices = 0 }, core.ErrNoSlices},
+		{"unknown policy", func(c *Config) { c.Policy = 7 }, ErrConfigPolicy},
+		{"nil estimator", func(c *Config) {
+			c.Protocol = proto.Ranking
+			c.Estimators = func() ranking.Estimator { return nil }
+		}, ErrConfigEstimator},
 		{"target slice past the top", func(c *Config) {
 			top := c.Slices
 			c.Faults = &fault.Plan{Byzantine: &fault.Byzantine{Policy: fault.LieCollusive, Frac: 0.1, TargetSlice: &top}}

@@ -9,7 +9,6 @@ import (
 	"github.com/gossipkit/slicing/internal/metrics"
 	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/proto"
-	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/view"
 )
 
@@ -45,26 +44,32 @@ func (e *Engine) Run(cycles int) {
 }
 
 // mergeMembers rebuilds the attribute-ordered membership after a churn
-// event in one pass: departed members are dropped (their slot is gone)
-// and the event's joiners — sorted among themselves, at most a handful —
-// are merged in. O(n + j·log j) per event, against the O(n·log n) sort
-// per joiner the map-based engine paid.
+// event in place: one forward pass compacts out the departed members
+// (their slot is gone), then the event's joiners — sorted among
+// themselves, at most a handful — are merged in from the back, so no
+// element is overwritten before it has moved. O(n + j·log j) per event,
+// against the O(n·log n) sort per joiner the map-based engine paid, and
+// no second membership buffer.
 func (e *Engine) mergeMembers(joiners []core.Member) {
 	core.SortMembers(joiners)
-	out := e.membersBuf[:0]
-	j := 0
+	kept := e.members[:0]
 	for _, m := range e.members {
-		if e.slots[m.ID] == noSlot {
-			continue // departed this event
+		if e.slots[m.ID] != noSlot {
+			kept = append(kept, m)
 		}
-		for j < len(joiners) && core.Less(joiners[j], m) {
-			out = append(out, joiners[j])
-			j++
-		}
-		out = append(out, m)
 	}
-	out = append(out, joiners[j:]...)
-	e.members, e.membersBuf = out, e.members
+	i, j := len(kept)-1, len(joiners)-1
+	out := append(kept, joiners...) // only the length matters here
+	for w := len(out) - 1; j >= 0; w-- {
+		if i >= 0 && core.Less(joiners[j], out[i]) {
+			out[w] = out[i]
+			i--
+		} else {
+			out[w] = joiners[j]
+			j--
+		}
+	}
+	e.members = out
 }
 
 // removeNode swap-deletes a node from the arena: the last node's state
@@ -78,45 +83,44 @@ func (e *Engine) removeNode(id core.ID) {
 		return
 	}
 	last := int32(len(e.ids) - 1)
-	if e.ons != nil {
+	ord := e.isOrdering()
+	if ord {
 		// The departing node carries its swap counters away: the
 		// unsuccessful-swap series sums over LIVE nodes, so the
 		// engine-side running totals forget this node's history and stay
 		// equal to the Stats sums over the live population.
-		st := e.ons[s].Stats()
+		st := &e.stats[s]
 		e.recvTotal -= st.ReqReceived
 		e.failRecvTotal -= st.SwapFailedAtReceiver
 	}
 	if s != last {
 		e.ids[s] = e.ids[last]
-		// The View header moves with its node (value copy keeps the
-		// node's internal pointer valid); only its backing storage is
-		// re-homed, Rebind copying the survivor's entries from block
+		e.attrs[s] = e.attrs[last]
+		// The View header moves with its node; only its backing storage
+		// is re-homed, Rebind copying the survivor's entries from block
 		// `last` into the vacated block `s`.
 		e.views[s] = e.views[last]
 		e.views[s].Rebind(e.varena.Block(int(s)))
-		if e.ons != nil {
-			e.ons[s] = e.ons[last]
+		if ord {
+			e.stats[s] = e.stats[last]
 			e.rs[s] = e.rs[last]
-			e.attrs[s] = e.attrs[last]
 		} else {
-			e.rns[s] = e.rns[last]
+			e.ests[s] = e.ests[last]
 		}
 		e.slots[e.ids[s]] = s
 	}
-	// Release the tail slot's state to the GC and truncate every
+	// Release the tail slot's estimator to the GC and truncate every
 	// parallel slice in lockstep.
-	if e.ons != nil {
-		e.ons[last] = ordering.Node{}
-		e.ons = e.ons[:last]
+	if ord {
+		e.stats = e.stats[:last]
 		e.rs = e.rs[:last]
-		e.attrs = e.attrs[:last]
 	} else {
-		e.rns[last] = ranking.Node{}
-		e.rns = e.rns[:last]
+		e.ests[last] = nil
+		e.ests = e.ests[:last]
 	}
-	e.views[last] = nil
+	e.views[last] = view.View{}
 	e.views = e.views[:last]
+	e.attrs = e.attrs[:last]
 	e.ids = e.ids[:last]
 	e.slots[id] = noSlot
 	if int(id) < len(e.coordTab) {
@@ -182,12 +186,11 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 	for i := range e.ws {
 		e.ws[i].dropped, e.ws[i].partDrops, e.ws[i].chaosDrops = 0, 0, 0
 	}
-	isOrdering := e.ons != nil
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
 			id := e.ids[s]
-			v := e.views[s]
+			v := &e.views[s]
 			// Cyclon always picks the oldest entry right after aging: one
 			// fused read-modify pass instead of two view walks.
 			pen, pok := v.AgeAllOldest()
@@ -221,14 +224,7 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			if tgt < 0 {
 				continue
 			}
-			var self view.Entry
-			if isOrdering {
-				// Build the self entry from the dense mirrors — identical to
-				// SelfEntry without pulling the Node's own cache lines.
-				self = view.Entry{ID: id, Attr: e.attrs[s], R: e.rs[s]}
-			} else {
-				self = e.rns[s].SelfEntry()
-			}
+			self := e.selfEntryAt(int32(s))
 			// The partner is in the view: it was just picked from it.
 			raw, p := v.Raw(), 0
 			for raw[p].ID != pen.ID {
@@ -247,29 +243,25 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 	}
 
 	// Deterministic per-target initiator lists: a counting sort of the
-	// partner choices by target slot. initList[head[t]:head[t+1]] holds
-	// the initiator slots of target t in ascending order.
-	e.initHead = grow(e.initHead, n+1)
-	e.initPos = grow(e.initPos, n)
+	// partner choices by target slot (see initHead).
+	// initList[head[t]:head[t+1]] holds the initiator slots of target t
+	// in ascending order.
+	e.initHead = grow(e.initHead, n+2)
 	e.initList = grow(e.initList, n)
 	head := e.initHead
-	clear(head[:n+1])
+	clear(head[:n+2])
 	delivered := uint64(0)
 	for s := 0; s < n; s++ {
 		if t := e.memTarget[s]; t >= 0 {
-			head[t+1]++
+			head[t+2]++
 			delivered++
 		}
 	}
-	for t := 0; t < n; t++ {
-		head[t+1] += head[t]
-	}
-	pos := e.initPos
-	copy(pos, head[:n])
+	prefixSum(head[:n+2])
 	for s := 0; s < n; s++ {
 		if t := e.memTarget[s]; t >= 0 {
-			e.initList[pos[t]] = int32(s)
-			pos[t]++
+			e.initList[head[t+1]] = int32(s)
+			head[t+1]++
 		}
 	}
 	// One request and one reply land per completed exchange.
@@ -299,7 +291,7 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			if len(list) == 0 {
 				continue
 			}
-			v := e.views[t]
+			v := &e.views[t]
 			tid := e.ids[t]
 			for _, s32 := range list {
 				if g++; g < ghi {
@@ -335,22 +327,26 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 // fresh gossip entry would carry — and draws on per-node streams
 // against that, so it parallelizes over slots with no exchange step at
 // all — a fresh uniform sample, no messages — each worker using its own
-// rejection-sampling scratch, dropped when the round ends.
+// rejection-sampling scratch; the self entries are dropped when the
+// round ends.
 func (e *Engine) oracleRound() {
 	k := e.cfg.ViewSize
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
 	selfs := e.selfEntries()
 	e.parallelFor(len(e.ids), func(w, lo, hi int) {
-		ws := &e.ws[w]
+		sp := &e.ws[w].sampler
+		stream := &e.ws[w].stream
 		for s := lo; s < hi; s++ {
-			id := e.ids[s]
-			ws.stream = nodeStream(seed, uint64(id), cycle, phaseMembership)
-			fresh := ws.sampler.sample(e.ids, selfs, &ws.stream, k, id)
-			// The sample is distinct and already excludes id; the bulk
+			*stream = nodeStream(seed, uint64(e.ids[s]), cycle, phaseMembership)
+			fresh := sp.buf[:0]
+			for _, d := range sp.sample(stream, len(selfs), k, int32(s)) {
+				fresh = append(fresh, selfs[d])
+			}
+			sp.buf = fresh
+			// The sample is distinct and already excludes s; the bulk
 			// Reset is the Clear+Add loop minus its duplicate scans.
 			e.views[s].Reset(fresh)
 		}
-		ws.sampler.seenGen = nil
 	})
 }
 
@@ -368,9 +364,10 @@ type deferredEnv struct {
 }
 
 // protocolRound runs the slicing step of every node as a compute/commit
-// pair, specialized per protocol — the engine stores protocol nodes by
-// value and calls their unboxed tick/apply entry points, so the round
-// allocates nothing and dispatches nothing.
+// pair, specialized per protocol — the engine hands each node's column
+// facts to the protocol's unboxed tick/apply kernels, so the round
+// allocates nothing and dispatches nothing beyond a ranking node's
+// estimator.
 //
 // Compute (parallel over slots): every node's coordinate is frozen into
 // a start-of-phase snapshot (coordTab), then every initiator ticks on
@@ -401,7 +398,7 @@ func (e *Engine) protocolRound() {
 	if n == 0 {
 		return
 	}
-	if e.ons != nil {
+	if e.isOrdering() {
 		e.tickOrdering(n)
 		e.commitOrdering(n)
 	} else {
@@ -416,7 +413,7 @@ func (e *Engine) protocolRound() {
 func (e *Engine) tickOrdering(n int) {
 	e.swapTo = grow(e.swapTo, n)
 	e.overlapBuf = grow(e.overlapBuf, n)
-	conc := e.cfg.Concurrency
+	conc, policy := e.cfg.Concurrency, e.cfg.Policy
 	drawOverlap := conc > 0
 	coords := e.refreshCoordTab(n)
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
@@ -426,7 +423,8 @@ func (e *Engine) tickOrdering(n int) {
 			ws.stream = nodeStream(seed, uint64(e.ids[s]), cycle, phaseProtocol)
 			st := &ws.stream
 			e.overlapBuf[s] = drawOverlap && st.Float64() < conc
-			to, _, ok := e.ons[s].TickTable(e.rs[s], coords, st, &ws.oscr)
+			self := e.orderingSelf(int32(s))
+			to, _, ok := self.TickTable(policy, e.rs[s], coords, st, &ws.oscr)
 			if !ok {
 				to = 0
 			}
@@ -438,8 +436,8 @@ func (e *Engine) tickOrdering(n int) {
 // refreshCoordTab rebuilds the ID-indexed coordinate table, the
 // protocol round's start-of-phase snapshot: the growth tail (IDs minted
 // since the table last grew) initializes to NaN, every live ID takes
-// its node's coordinate (the rs mirror under ordering, the estimate
-// under ranking), and departed IDs keep the NaN removeNode pinned.
+// its node's coordinate (rs under ordering, the estimate under
+// ranking), and departed IDs keep the NaN removeNode pinned.
 // Writes are per-slot disjoint (IDs are unique), so the fill
 // parallelizes without affecting worker-count invariance.
 func (e *Engine) refreshCoordTab(n int) proto.CoordTable {
@@ -458,7 +456,7 @@ func (e *Engine) refreshCoordTab(n int) proto.CoordTable {
 			e.coordTab[i] = nan
 		}
 	}
-	if e.ons != nil {
+	if e.isOrdering() {
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
 				e.coordTab[e.ids[s]] = e.rs[s]
@@ -467,7 +465,7 @@ func (e *Engine) refreshCoordTab(n int) proto.CoordTable {
 	} else {
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
-				e.coordTab[e.ids[s]] = e.rns[s].Estimate()
+				e.coordTab[e.ids[s]] = e.ests[s].Estimate()
 			}
 		})
 	}
@@ -513,7 +511,8 @@ func (e *Engine) commitOrdering(n int) {
 		// still helps.
 		r, attr := e.rs[s], e.attrs[s]
 		if ts, live := e.slotOf(to); live && !e.swapStillHelps(ts, r, attr) {
-			e.ons[s].AbandonSwap()
+			self := e.orderingSelf(int32(s))
+			self.AbandonSwap()
 			continue
 		}
 		e.deliverSwap(int32(s), to, r, attr)
@@ -542,7 +541,7 @@ func (e *Engine) flushDeferred(overlapping []deferredEnv) {
 	e.rng.Shuffle(len(overlapping), func(i, j int) {
 		overlapping[i], overlapping[j] = overlapping[j], overlapping[i]
 	})
-	isOrdering := e.ons != nil
+	isOrdering := e.isOrdering()
 	for _, d := range overlapping {
 		if e.net.Blocks(e.ids[d.from], d.to) {
 			e.faults.Counts.PartitionDrops++
@@ -566,8 +565,8 @@ func (e *Engine) flushDeferred(overlapping []deferredEnv) {
 }
 
 // swapStillHelps re-evaluates the receiver-side swap predicate of a
-// refreshed request against the target's live state (read from the
-// dense mirrors): the commit-time validation of an atomic exchange.
+// refreshed request against the target's live state: the commit-time
+// validation of an atomic exchange.
 func (e *Engine) swapStillHelps(ts int32, r float64, attr core.Attr) bool {
 	return ordering.Misplaced(e.attrs[ts], attr, e.rs[ts], r)
 }
@@ -583,20 +582,17 @@ func (e *Engine) deliverSwap(from int32, to core.ID, r float64, attr core.Attr) 
 		return
 	}
 	e.Delivered.SwapRequests++
-	rep, adopted := e.ons[ts].ApplySwapRequest(e.ids[from], proto.SwapRequest{R: r, Attr: attr})
-	// Maintain the engine-side mirrors at the one choke point swaps
-	// mutate coordinates through: the receiver adopted r (or refused),
-	// and the initiator's reply application is read back below. The
-	// counters mirror the Stats sums the unsuccessful-swap series needs.
+	recv := e.orderingSelf(ts)
+	rep, adopted := recv.ApplySwapRequest(e.ids[from], proto.SwapRequest{R: r, Attr: attr})
+	// The running totals follow the Stats sums the unsuccessful-swap
+	// series needs, at the one choke point swaps are received through.
 	e.recvTotal++
-	if adopted {
-		e.rs[ts] = r
-	} else {
+	if !adopted {
 		e.failRecvTotal++
 	}
 	e.Delivered.SwapReplies++
-	e.ons[from].ApplySwapReply(to, rep)
-	e.rs[from] = e.ons[from].Estimate()
+	init := e.orderingSelf(from)
+	init.ApplySwapReply(to, rep)
 }
 
 // deliverRank routes one UPD message (Fig. 5) carrying the sender's
@@ -608,7 +604,8 @@ func (e *Engine) deliverRank(from int32, to core.ID, attr core.Attr) {
 		return
 	}
 	e.Delivered.RankUpdates++
-	e.rns[ts].ApplyRankUpdate(e.ids[from], attr)
+	self := e.rankingSelf(ts)
+	self.ApplyRankUpdate(e.ids[from], attr)
 }
 
 // tickRanking runs the ranking compute phase: the view scan feeding
@@ -622,7 +619,8 @@ func (e *Engine) tickRanking(n int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
 			ws.stream = nodeStream(seed, uint64(e.ids[s]), cycle, phaseProtocol)
-			j1, j2, ok := e.rns[s].TickTargetsFast(coords, &ws.stream, &ws.rscr)
+			self := e.rankingSelf(int32(s))
+			j1, j2, ok := self.TickTargetsFast(e.part, coords, &ws.stream, &ws.rscr)
 			if !ok {
 				e.updTo[2*s], e.updTo[2*s+1] = 0, 0
 				continue
@@ -672,7 +670,7 @@ func (e *Engine) commitRanking(n int) {
 			}
 			if delay {
 				e.faults.Counts.ChaosDelays++
-				delayed = append(delayed, deferredEnv{from: int32(s), to: to, attr: e.rns[s].Member().Attr})
+				delayed = append(delayed, deferredEnv{from: int32(s), to: to, attr: e.attrs[s]})
 				continue
 			}
 			copies := int32(1)
@@ -690,39 +688,39 @@ func (e *Engine) commitRanking(n int) {
 		}
 	}
 	e.Delivered.RankUpdates += delivered
-	// Counting sort of the resolved updates by target slot; the encoded
-	// index 2·sender+k ascends within each target's list, preserving the
-	// slot-order delivery sequence.
-	e.initHead = grow(e.initHead, n+1)
-	e.initPos = grow(e.initPos, n)
+	// Counting sort of the resolved updates by target slot (see
+	// initHead); the encoded index 2·sender+k ascends within each
+	// target's list, preserving the slot-order delivery sequence.
+	e.initHead = grow(e.initHead, n+2)
 	e.initList = grow(e.initList, int(delivered))
 	head := e.initHead
-	clear(head[:n+1])
+	clear(head[:n+2])
 	for _, d := range dst {
 		if d >= 0 {
-			head[d>>1+1] += 1 + d&1
+			head[d>>1+2] += 1 + d&1
 		}
 	}
-	for t := 0; t < n; t++ {
-		head[t+1] += head[t]
-	}
-	pos := e.initPos
-	copy(pos, head[:n])
+	prefixSum(head[:n+2])
 	for i, d := range dst {
 		if d < 0 {
 			continue
 		}
-		t := d >> 1
+		t := d>>1 + 1
 		for c := int32(0); c <= d&1; c++ {
-			e.initList[pos[t]] = int32(i)
-			pos[t]++
+			e.initList[head[t]] = int32(i)
+			head[t]++
 		}
 	}
 	e.parallelFor(n, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
-			for _, enc := range e.initList[head[t]:head[t+1]] {
+			list := e.initList[head[t]:head[t+1]]
+			if len(list) == 0 {
+				continue
+			}
+			self := e.rankingSelf(int32(t))
+			for _, enc := range list {
 				s := enc >> 1
-				e.rns[t].ApplyRankUpdate(e.ids[s], e.rns[s].Member().Attr)
+				self.ApplyRankUpdate(e.ids[s], e.attrs[s])
 			}
 		}
 	})
@@ -741,11 +739,10 @@ func (e *Engine) record() {
 	believed := e.believedBuf
 	sb := grow(e.slotBelieved, n)
 	e.slotBelieved = sb
-	if e.ons != nil {
-		// Two passes: believed slices materialize in slot order first —
-		// sequential reads of the dense coordinate mirror — then the
-		// members-order gather reads 4-byte staged values instead of
-		// striding Node structs.
+	// Two passes: believed slices materialize in slot order first —
+	// sequential reads of the coordinate column — then the members-order
+	// gather reads 4-byte staged values.
+	if e.isOrdering() {
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
 				sb[s] = int32(e.part.Index(e.rs[s]))
@@ -754,13 +751,13 @@ func (e *Engine) record() {
 	} else {
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
-				sb[s] = int32(e.rns[s].SliceIndex())
+				sb[s] = int32(e.part.Index(e.ests[s].Estimate()))
 			}
 		})
 	}
 	e.parallelFor(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			believed[i] = int(sb[e.slots[e.members[i].ID]])
+			believed[i] = sb[e.slots[e.members[i].ID]]
 		}
 	})
 	sdm := e.chunkedSum(n, func(lo, hi int) float64 {
@@ -782,7 +779,7 @@ func (e *Engine) record() {
 			e.tel.gdm.Set(gdm)
 		}
 	}
-	if e.ons != nil {
+	if e.isOrdering() {
 		// The engine-side delivery counters hold exactly the Stats sums
 		// over live nodes: deliverSwap is the only increment site, and
 		// removeNode subtracts a departing node's counts.
@@ -826,7 +823,7 @@ func (e *Engine) measureGDM() float64 {
 	e.rBuf = grow(e.rBuf, n)
 	e.idxBuf = grow(e.idxBuf, n)
 	e.bucketBuf = grow(e.bucketBuf, n)
-	e.bucketHead = grow(e.bucketHead, n+1)
+	e.bucketHead = grow(e.bucketHead, n+2)
 	alpha, rho, r, idx := e.alphaBuf, e.rhoBuf, e.rBuf, e.idxBuf
 	bucket, head := e.bucketBuf, e.bucketHead
 	e.parallelFor(n, func(_, lo, hi int) {
@@ -845,34 +842,30 @@ func (e *Engine) measureGDM() float64 {
 		}
 		bucket[s] = int32(b)
 	}
-	if e.ons != nil {
+	if e.isOrdering() {
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
-				assign(s, e.ons[s].Estimate())
+				assign(s, e.rs[s])
 			}
 		})
 	} else {
 		e.parallelFor(n, func(_, lo, hi int) {
 			for s := lo; s < hi; s++ {
-				assign(s, e.rns[s].Estimate())
+				assign(s, e.ests[s].Estimate())
 			}
 		})
 	}
-	// Counting scatter, stable in ascending slot order.
-	clear(head[:n+1])
+	// Counting scatter, stable in ascending slot order, through shifted
+	// prefix sums as in initHead: head[b] ends at bucket b's start.
+	clear(head[:n+2])
 	for s := 0; s < n; s++ {
-		head[bucket[s]+1]++
+		head[bucket[s]+2]++
 	}
-	for b := 0; b < n; b++ {
-		head[b+1] += head[b]
-	}
-	pos := grow(e.initPos, n)
-	e.initPos = pos
-	copy(pos, head[:n])
+	prefixSum(head[:n+2])
 	for s := 0; s < n; s++ {
-		b := bucket[s]
-		idx[pos[b]] = int32(s)
-		pos[b]++
+		b := bucket[s] + 1
+		idx[head[b]] = int32(s)
+		head[b]++
 	}
 	// Per-bucket refinement: independent segments, any worker split.
 	e.parallelFor(n, func(_, lo, hi int) {
@@ -917,25 +910,10 @@ func sortByRID(seg []int32, r []float64, ids []core.ID) {
 // States snapshots every live node for measurement, in arena order. The
 // caller owns the returned slice.
 func (e *Engine) States() []metrics.NodeState {
-	states := make([]metrics.NodeState, 0, len(e.ids))
-	if e.ons != nil {
-		for i := range e.ons {
-			n := &e.ons[i]
-			states = append(states, metrics.NodeState{
-				Member:     n.Member(),
-				R:          n.Estimate(),
-				SliceIndex: n.SliceIndex(),
-			})
-		}
-	} else {
-		for i := range e.rns {
-			n := &e.rns[i]
-			states = append(states, metrics.NodeState{
-				Member:     n.Member(),
-				R:          n.Estimate(),
-				SliceIndex: n.SliceIndex(),
-			})
-		}
+	states := make([]metrics.NodeState, len(e.ids))
+	for s := range states {
+		r := e.coordAt(int32(s))
+		states[s] = metrics.NodeState{Member: e.memberAt(int32(s)), R: r, SliceIndex: e.part.Index(r)}
 	}
 	return states
 }
@@ -966,8 +944,8 @@ func (e *Engine) Size() metrics.Series { return e.size }
 // OrderingStats sums the event counters over all live ordering nodes.
 func (e *Engine) OrderingStats() ordering.Stats {
 	var total ordering.Stats
-	for i := range e.ons {
-		st := e.ons[i].Stats()
+	for i := range e.stats {
+		st := &e.stats[i]
 		total.ReqSent += st.ReqSent
 		total.ReqReceived += st.ReqReceived
 		total.SwapFailedAtReceiver += st.SwapFailedAtReceiver

@@ -9,7 +9,12 @@ package slicing_test
 // method of an interface written in the program or of implicitMethods. An
 // unreached declaration outside benchmark/ fails unless listed in
 // testdata/unreachable.allow, whose entries are roots and must be findings.
-// Type-checking the standard library takes seconds, so tier-1 skips this.
+// It also fails on a struct field outside benchmark/ that non-test code
+// writes but never reads: a selector on the left of =, op= or ++ and a
+// key of a composite literal are writes, every other use a read, and an
+// embedded field (its promoted fields and methods read it) or one with a
+// json tag (encoding/json reads it) counts as read. Type-checking the standard library
+// takes seconds, so tier-1 skips this.
 
 import (
 	"go/ast"
@@ -41,6 +46,7 @@ type reachChecker struct {
 	pkgs  map[string]*types.Package
 	decls map[types.Object]ast.Node
 	roots []types.Object
+	files []*ast.File // of every package, benchmark/ included
 }
 
 func (c *reachChecker) Import(path string) (*types.Package, error) {
@@ -66,6 +72,7 @@ func (c *reachChecker) Import(path string) (*types.Package, error) {
 		return nil, err
 	}
 	c.pkgs[path] = p
+	c.files = append(c.files, files...)
 	declare := func(id *ast.Ident, node ast.Node, root bool) {
 		if obj := c.info.Defs[id]; obj != nil && obj.Name() != "_" {
 			c.decls[obj] = node
@@ -197,4 +204,67 @@ func TestReachability(t *testing.T) {
 			t.Errorf("%s: %s is unreached and not in testdata/unreachable.allow", c.fset.Position(obj.Pos()), name)
 		}
 	}
+
+	for _, f := range c.writeOnlyFields() {
+		t.Errorf("%s: field %s is written but never read", c.fset.Position(f.Pos()), f.Name())
+	}
+}
+
+// writeOnlyFields returns the struct fields declared outside benchmark/
+// that some assignment, increment or composite literal writes and no
+// other use reads.
+func (c *reachChecker) writeOnlyFields() []*types.Var {
+	writes := map[*ast.Ident]bool{} // the selector names written
+	tagged := map[types.Object]bool{}
+	lhs := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range c.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, e := range n.Lhs {
+						lhs(e)
+					}
+				}
+			case *ast.IncDecStmt:
+				lhs(n.X)
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							writes[id] = true // a map literal's key resolves to no field
+						}
+					}
+				}
+			case *ast.Field:
+				if n.Tag != nil && strings.Contains(n.Tag.Value, `json:"`) {
+					for _, id := range n.Names {
+						tagged[c.info.Defs[id]] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for id, obj := range c.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			if writes[id] {
+				written[v.Origin()] = true
+			} else {
+				read[v.Origin()] = true
+			}
+		}
+	}
+	var out []*types.Var
+	for v := range written {
+		if p := v.Pkg().Path(); !read[v] && !tagged[v] && !v.Embedded() && c.pkgs[p] != nil && p != modPath+"/benchmark" {
+			out = append(out, v)
+		}
+	}
+	return out
 }
