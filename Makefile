@@ -119,10 +119,11 @@ profile:
 # benchmark/ is its own module, invisible to the root `go vet ./...`,
 # and it is where a re-shaped pinned entry point (Arena.Block, NewBound,
 # MergeReply, TickSwapFast) breaks first. internal/core carries the one
-# amd64 assembly file (prefetch_amd64.s, used by the sim's exchange round
-# and the live scheduler) with a no-op fallback elsewhere: the arm64 vet
-# proves the fallback compiles, and the 386 run drives the no-op path
-# through the primitive's own test, the sim determinism suites and the
+# amd64 assembly file (prefetch_amd64.s, used by the sim's exchange and
+# protocol rounds and the live scheduler) with a no-op fallback
+# elsewhere: the arm64 vet proves the fallback compiles, and the 386 run
+# drives the no-op path through the primitive's own test, the sim
+# determinism suites (the lookahead edge cases among them) and the
 # live timer wheel's order test on an amd64 host, together with the
 # tests that pin each fast kernel to its reference.
 # The math/rand ratchet: outside benchmark/, only the non-test files in
@@ -135,7 +136,7 @@ RAND_FILES = internal/churn/churn.go internal/dist/continuous.go internal/dist/d
 # a test or fuzz target that `go test -list` finds in LINT386_PKGS, so
 # renaming or deleting one fails lint instead of silently dropping it
 # from the leg.
-LINT386_TESTS = TestPrefetchWindow TestEventHeapOrder TestWorkerCountInvariance TestKernelEquivalence \
+LINT386_TESTS = TestPrefetchWindow TestEventHeapOrder TestWorkerCountInvariance TestLookaheadEdges TestKernelEquivalence \
 	TestTickSwapFastMatchesTickSwap TestTickTableMatchesTickSwap TestTickTargetsFastMatchesTickTargets \
 	TestAgeAllOldestMatchesTwoStep TestResetMatchesClearAdd FuzzCyclonMerge FuzzCyclonExchange
 LINT386_PKGS = ./internal/core ./internal/sim ./internal/runtime ./internal/ordering ./internal/ranking \

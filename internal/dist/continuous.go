@@ -64,6 +64,14 @@ func (pa Pareto) CDF(x float64) float64 {
 	return 1 - math.Pow(pa.Xm/x, pa.Alpha)
 }
 
+func (pa Pareto) logTails(x float64) (lower, upper float64) {
+	if x < pa.Xm {
+		return math.Inf(-1), 0
+	}
+	t := pa.Alpha * math.Log(pa.Xm/x)
+	return math.Log(-math.Expm1(t)), t
+}
+
 // Quantile implements Distribution.
 func (pa Pareto) Quantile(p float64) float64 {
 	if badP(p) {
@@ -92,6 +100,13 @@ func (e Exponential) CDF(x float64) float64 {
 		return 0
 	}
 	return 1 - math.Exp(-x/e.Mean)
+}
+
+func (e Exponential) logTails(x float64) (lower, upper float64) {
+	if x < 0 {
+		return math.Inf(-1), 0
+	}
+	return math.Log(-math.Expm1(-x / e.Mean)), -x / e.Mean
 }
 
 // Quantile implements Distribution.
@@ -126,6 +141,17 @@ func (n Normal) CDF(x float64) float64 {
 		return 1
 	}
 	return stats.NormalCDF((x - n.Mean) / n.Stddev)
+}
+
+func (n Normal) logTails(x float64) (lower, upper float64) {
+	if n.Stddev == 0 {
+		if x < n.Mean {
+			return math.Inf(-1), 0
+		}
+		return 0, math.Inf(-1)
+	}
+	z := (x - n.Mean) / n.Stddev
+	return logNormalCDF(z), logNormalCDF(-z)
 }
 
 // Quantile implements Distribution.

@@ -182,6 +182,43 @@ func TestPointMassQuantile(t *testing.T) {
 	}
 }
 
+// Between two far-apart modes the mixture CDF is flat to far below one
+// float ulp: each mode's tail there is under 1e-16, and some under the
+// smallest float. Quantile still finds where the two tails balance —
+// the exact median of a symmetric pair — not where the lower mode's CDF
+// first rounds to 1.
+func TestMixtureQuantilePlateau(t *testing.T) {
+	pair := func(lo, hi float64) Mixture {
+		return Mixture{Components: []Weighted{
+			{Weight: 0.5, Dist: Normal{Mean: lo, Stddev: 1}},
+			{Weight: 0.5, Dist: Normal{Mean: hi, Stddev: 1}},
+		}}
+	}
+	for _, c := range []struct {
+		name string
+		m    Mixture
+		p    float64
+		want float64
+	}{
+		{"median", pair(10, 90), 0.5, 50},
+		{"median-far", pair(0, 1000), 0.5, 500},
+		// Off the plateau the lower mode's CDF is 1 to float precision,
+		// so the upper mode alone sets the quantile.
+		{"upper-mode", pair(10, 90), 0.501, Normal{Mean: 90, Stddev: 1}.Quantile(0.002)},
+		// e^−x = Φ(x − 100) and x^−20 = Φ(x − 100), solved offline.
+		{"exponential", Mixture{Components: []Weighted{
+			{Weight: 1, Dist: Exponential{Mean: 1}}, {Weight: 1, Dist: Normal{Mean: 100, Stddev: 1}},
+		}}, 0.5, 87.0704878709099},
+		{"pareto", Mixture{Components: []Weighted{
+			{Weight: 1, Dist: Pareto{Xm: 1, Alpha: 20}}, {Weight: 1, Dist: Normal{Mean: 100, Stddev: 1}},
+		}}, 0.5, 86.90053223044971},
+	} {
+		if got := c.m.Quantile(c.p); math.Abs(got-c.want) > 1e-9*math.Abs(c.want) {
+			t.Errorf("%s: %v.Quantile(%v) = %v, want %v", c.name, c.m, c.p, got, c.want)
+		}
+	}
+}
+
 func TestDegenerateSources(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, d := range []Distribution{

@@ -64,10 +64,10 @@ func (m Mixture) CDF(x float64) float64 {
 	return sum / t
 }
 
-// Quantile implements Distribution by bisecting the mixture CDF. The
-// bracket is exact: for each component F_i(Q_i(p)) ≥ p and F_i is
-// nondecreasing, so the mixture quantile lies between the smallest and
-// largest component quantiles at p.
+// Quantile implements Distribution by bisecting the mixture CDF (see
+// below). The bracket is exact: for each component F_i(Q_i(p)) ≥ p and
+// F_i is nondecreasing, so the mixture quantile lies between the
+// smallest and largest component quantiles at p.
 func (m Mixture) Quantile(p float64) float64 {
 	if badP(p) {
 		return math.NaN()
@@ -93,7 +93,34 @@ func (m Mixture) Quantile(p float64) float64 {
 		}
 		return hi
 	}
-	return bisectQuantile(m.CDF, p, lo, hi)
+	return bisectQuantile(func(x float64) bool { return m.below(x, p) }, lo, hi)
+}
+
+// below reports whether the mixture CDF at x is below p, as the sign of
+// Σwᵢ(Fᵢ(x) − p) taken without cancellation. A component below its
+// median contributes wᵢFᵢ(x) − wᵢp, one past it wᵢ(1 − p) − wᵢSᵢ(x)
+// with Sᵢ = 1 − Fᵢ its upper tail, so no term is a CDF rounded to 1.
+// The p terms sum to d; where they cancel exactly — between
+// well-separated modes, where the CDF is flat to far below one float
+// ulp — the two tail sums decide alone, compared in log form.
+func (m Mixture) below(x, p float64) bool {
+	d := 0.0
+	lower, upper := math.Inf(-1), math.Inf(-1) // log Σ wᵢFᵢ, log Σ wᵢSᵢ
+	for _, c := range m.Components {
+		lf, ls := logTails(c.Dist, x)
+		lw := math.Log(c.Weight)
+		if lf < -math.Ln2 {
+			d -= c.Weight * p
+			lower = logAddExp(lower, lw+lf)
+		} else {
+			d += c.Weight * (1 - p)
+			upper = logAddExp(upper, lw+ls)
+		}
+	}
+	if d != 0 {
+		return d+math.Exp(lower)-math.Exp(upper) < 0
+	}
+	return lower < upper
 }
 
 // String implements fmt.Stringer.

@@ -677,9 +677,10 @@ func (n *Self) ApplySwapRequest(from core.ID, req proto.SwapRequest) (proto.Swap
 // ApplySwapReply applies the initiator side: refresh the view's record
 // of the partner's value, then adopt it if the predicate holds (Fig. 2
 // lines 10-14). The partner's attribute comes from the view — the ACK
-// does not carry it (the paper notes the initiator already has it).
+// does not carry it (the paper notes the initiator already has it) —
+// and the refresh returns it, so the view is scanned once.
 func (n *Self) ApplySwapReply(from core.ID, rep proto.SwapReply) {
-	e, ok := n.View.Get(from)
+	e, ok := n.View.UpdateR(from, rep.R)
 	if !ok {
 		// The partner has since been rotated out of the view; without
 		// its attribute value the predicate cannot be evaluated.
@@ -689,7 +690,6 @@ func (n *Self) ApplySwapReply(from core.ID, rep proto.SwapReply) {
 		})
 		return
 	}
-	n.View.UpdateR(from, rep.R)
 	if Misplaced(n.Attr, e.Attr, *n.R, rep.R) {
 		*n.R = rep.R
 		n.Stats.Swapped++

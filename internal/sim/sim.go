@@ -340,11 +340,12 @@ type Engine struct {
 	failRecvTotal uint64
 	// Cumulative wall-clock nanoseconds per cycle phase; see
 	// telemetry.go. Always on (four clock reads per cycle, two more in a
-	// gossiping membership round), exported through Result so every perf
-	// artifact carries its own breakdown. memberNS splits the membership
-	// total into its sub-phases.
-	phaseNS  [phaseCount]int64
-	memberNS [memberPartCount]int64
+	// gossiping membership round, one more in the protocol round),
+	// exported through Result so every perf artifact carries its own
+	// breakdown. subNS splits the membership and protocol totals into
+	// their sub-phases.
+	phaseNS [phaseCount]int64
+	subNS   [subPartCount]int64
 
 	// Fault-plane state; see faults.go. faults applies the attribute
 	// faults and tallies every injection, net caches the cycle's message

@@ -29,7 +29,7 @@ func (e *Engine) Step() {
 		e.exchangeRound(&pc)
 	}
 	pc.lap(phaseIxMembership)
-	e.protocolRound()
+	e.protocolRound(&pc)
 	pc.lap(phaseIxProtocol)
 	e.cycle++
 	e.record()
@@ -393,23 +393,29 @@ type deferredEnv struct {
 // commit fans out over the workers (see commitRanking), since which
 // estimator absorbs which update is fixed by the compute phase and the
 // chaos verdicts alone.
-func (e *Engine) protocolRound() {
+//
+// pc's protocol sub-phases split between the two: tick, then commit.
+func (e *Engine) protocolRound(pc *phaseClock) {
 	n := len(e.ids)
 	if n == 0 {
 		return
 	}
 	if e.isOrdering() {
 		e.tickOrdering(n)
+		pc.split()
 		e.commitOrdering(n)
 	} else {
 		e.tickRanking(n)
+		pc.split()
 		e.commitRanking(n)
 	}
 }
 
 // tickOrdering runs the ordering compute phase: every node's partner
 // choice, plus its overlap draw, in parallel. No commit has run yet, so
-// a node's live coordinate rs[s] is its snapshot coordinate.
+// a node's live coordinate rs[s] is its snapshot coordinate. A tick
+// reads coordTab once per neighbor, a random read at 1M nodes, so slot
+// s+tickAhead's neighbors are prefetched before slot s ticks.
 func (e *Engine) tickOrdering(n int) {
 	e.swapTo = grow(e.swapTo, n)
 	e.overlapBuf = grow(e.overlapBuf, n)
@@ -420,6 +426,13 @@ func (e *Engine) tickOrdering(n int) {
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
+			if a := s + tickAhead; a < hi {
+				for _, en := range e.views[a].Raw() {
+					if int(en.ID) < len(coords) {
+						prefetchAt(&coords[en.ID])
+					}
+				}
+			}
 			ws.stream = nodeStream(seed, uint64(e.ids[s]), cycle, phaseProtocol)
 			st := &ws.stream
 			e.overlapBuf[s] = drawOverlap && st.Float64() < conc
@@ -475,13 +488,28 @@ func (e *Engine) refreshCoordTab(n int) proto.CoordTable {
 // commitOrdering applies the ordering deliveries serially in slot
 // order: swap replies mutate the initiator's random value, which later
 // slots' commit-time predicate checks must observe.
+//
+// A delivery reaches its random target through two dependent random
+// reads at 1M nodes: the slot-table entry, then the slot's columns. Two
+// cursors walk the ticked targets ahead and prefetch them: far, the
+// slot-table entry; near, the columns of the slot that entry (cached by
+// then) names. Churn never runs mid-cycle, so nothing they read moves.
 func (e *Engine) commitOrdering(n int) {
 	overlapping := e.deferredBuf[:0]
+	var far, near int
+	for i := 0; i < commitFar; i++ {
+		e.prefetchSlotOf(nextSwap(e.swapTo, &far))
+		if i < commitNear {
+			e.prefetchTarget(nextSwap(e.swapTo, &near))
+		}
+	}
 	for s := 0; s < n; s++ {
 		to := e.swapTo[s]
 		if to == 0 {
 			continue
 		}
+		e.prefetchSlotOf(nextSwap(e.swapTo, &far))
+		e.prefetchTarget(nextSwap(e.swapTo, &near))
 		// An overlapping request is late already: of chaos's verdict
 		// only a drop applies to it.
 		drop, delay, dup := e.chaos(e.ids[s], to, 1)
@@ -523,6 +551,45 @@ func (e *Engine) commitOrdering(n int) {
 		}
 	}
 	e.flushDeferred(overlapping)
+}
+
+// Prefetch lookaheads: the tick's distance in slots, the commit
+// cursors' distances in swap requests.
+const (
+	tickAhead  = 2
+	commitFar  = 16
+	commitNear = 8
+)
+
+// nextSwap returns the first ticked swap target at or after slot *c and
+// moves *c past it, or returns 0 once the targets are exhausted.
+func nextSwap(swapTo []core.ID, c *int) core.ID {
+	for *c < len(swapTo) {
+		to := swapTo[*c]
+		*c++
+		if to != 0 {
+			return to
+		}
+	}
+	return 0
+}
+
+// prefetchSlotOf prefetches id's slot-table entry, if it has one.
+func (e *Engine) prefetchSlotOf(id core.ID) {
+	if int(id) < len(e.slots) {
+		prefetchAt(&e.slots[id])
+	}
+}
+
+// prefetchTarget prefetches the columns a swap delivery to a live id
+// reads and writes.
+func (e *Engine) prefetchTarget(id core.ID) {
+	if ts, live := e.slotOf(id); live {
+		prefetchAt(&e.rs[ts])
+		prefetchAt(&e.attrs[ts])
+		prefetchAt(&e.ids[ts])
+		prefetchAt(&e.stats[ts])
+	}
 }
 
 // frozenSwap is slot s's swap request to `to` as it was ticked, for
@@ -1007,6 +1074,9 @@ func (e *Engine) Result() *Result {
 // and returns without waiting for any of them (see core.Prefetch). A
 // nil or empty window is a no-op.
 func prefetchWindow(win []view.Entry) { core.Prefetch(windowBytes(win)) }
+
+// prefetchAt prefetches the bytes of *p (see core.Prefetch).
+func prefetchAt[T any](p *T) { core.Prefetch(unsafe.Pointer(p), unsafe.Sizeof(*p)) }
 
 // windowBytes is win as the byte range core.Prefetch takes.
 func windowBytes(win []view.Entry) (unsafe.Pointer, uintptr) {

@@ -49,12 +49,15 @@ const (
 	phaseCount
 )
 
-// Membership sub-phase indices into Engine.memberNS, in round order.
+// Sub-phase indices into Engine.subNS, in cycle order: the membership
+// round's three, then the protocol round's two.
 const (
 	memberIxStage = iota
 	memberIxReply
 	memberIxAbsorb
-	memberPartCount
+	protoIxTick
+	protoIxCommit
+	subPartCount
 )
 
 // engineTel is the engine's instrument set; nil (the default) keeps the
@@ -108,8 +111,8 @@ func newEngineTel(reg *telemetry.Registry) *engineTel {
 type phaseClock struct {
 	e    *Engine
 	mark time.Time
-	// part is the membership sub-phase in progress and partMark the
-	// clock read it began at; split and the membership lap close it.
+	// part is the sub-phase in progress and partMark the clock read it
+	// began at; split and the membership and protocol laps close it.
 	part     int
 	partMark time.Time
 }
@@ -121,28 +124,33 @@ func (e *Engine) startPhases() phaseClock {
 // lap adds the time since the previous mark to the indexed phase total
 // (and histogram, if instrumented) and re-marks. Timing reads the wall
 // clock only — never the engine's RNG streams — so instrumented and
-// uninstrumented runs are bit-identical. The membership lap also closes
-// the sub-phase in progress off the same clock read, so the sub-phases
-// sum to the membership total exactly.
+// uninstrumented runs are bit-identical. The membership and protocol
+// laps also close the sub-phase in progress off the same clock read, so
+// each phase's sub-phases sum to its total exactly; every lap then opens
+// the first sub-phase of the phase that follows it.
 func (pc *phaseClock) lap(ix int) {
 	now := time.Now()
 	d := now.Sub(pc.mark)
 	pc.e.phaseNS[ix] += d.Nanoseconds()
-	if ix == phaseIxMembership {
-		pc.e.memberNS[pc.part] += now.Sub(pc.partMark).Nanoseconds()
+	if ix == phaseIxMembership || ix == phaseIxProtocol {
+		pc.e.subNS[pc.part] += now.Sub(pc.partMark).Nanoseconds()
 	}
 	if pc.e.tel != nil {
 		pc.e.tel.phases[ix].Observe(d.Seconds())
 	}
 	pc.mark, pc.part, pc.partMark = now, memberIxStage, now
+	if ix == phaseIxMembership {
+		pc.part = protoIxTick
+	}
 }
 
-// split closes the membership sub-phase in progress and opens the next
-// one. A round that never splits (the uniform oracle) books all of its
-// membership time to the stage sub-phase.
+// split closes the sub-phase in progress and opens the next one. A
+// round that never splits books all of its time to its first
+// sub-phase: the uniform oracle's to stage, an empty population's
+// protocol round to tick.
 func (pc *phaseClock) split() {
 	now := time.Now()
-	pc.e.memberNS[pc.part] += now.Sub(pc.partMark).Nanoseconds()
+	pc.e.subNS[pc.part] += now.Sub(pc.partMark).Nanoseconds()
 	pc.part++
 	pc.partMark = now
 }
@@ -160,7 +168,10 @@ func (pc *phaseClock) split() {
 // target), reply (commit half A: every target replies to and absorbs
 // its requests) and absorb (commit half B: every initiator absorbs its
 // reply). The uniform oracle books all of its membership time to
-// stage. Total sums the four top-level phases only.
+// stage. Protocol splits the same way into tick (the coordinate
+// snapshot and every node's partner choice) and commit (delivering the
+// ticked messages), summing to ProtocolNS exactly. Total sums the four
+// top-level phases only.
 type PhaseNanos struct {
 	ChurnNS            int64 `json:"churn_ns"`
 	MembershipNS       int64 `json:"membership_ns"`
@@ -168,6 +179,8 @@ type PhaseNanos struct {
 	MembershipReplyNS  int64 `json:"membership_reply_ns"`
 	MembershipAbsorbNS int64 `json:"membership_absorb_ns"`
 	ProtocolNS         int64 `json:"protocol_ns"`
+	ProtocolTickNS     int64 `json:"protocol_tick_ns"`
+	ProtocolCommitNS   int64 `json:"protocol_commit_ns"`
 	MeasureNS          int64 `json:"measure_ns"`
 }
 
@@ -181,10 +194,12 @@ func (e *Engine) Phases() PhaseNanos {
 	return PhaseNanos{
 		ChurnNS:            e.phaseNS[phaseIxChurn],
 		MembershipNS:       e.phaseNS[phaseIxMembership],
-		MembershipStageNS:  e.memberNS[memberIxStage],
-		MembershipReplyNS:  e.memberNS[memberIxReply],
-		MembershipAbsorbNS: e.memberNS[memberIxAbsorb],
+		MembershipStageNS:  e.subNS[memberIxStage],
+		MembershipReplyNS:  e.subNS[memberIxReply],
+		MembershipAbsorbNS: e.subNS[memberIxAbsorb],
 		ProtocolNS:         e.phaseNS[phaseIxProtocol],
+		ProtocolTickNS:     e.subNS[protoIxTick],
+		ProtocolCommitNS:   e.subNS[protoIxCommit],
 		MeasureNS:          e.phaseNS[phaseIxMeasure],
 	}
 }

@@ -60,41 +60,53 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// TestMembershipSubPhasesSumExactly pins the membership split: on a
+// TestMembershipSubPhasesSumExactly pins the sub-phase splits: on a
 // Cyclon engine the stage, reply and absorb sub-phases are each
 // non-zero and add up to MembershipNS to the nanosecond, and on the
-// uniform oracle all of the membership time is stage.
+// uniform oracle all of the membership time is stage. On either, and
+// under either protocol, tick and commit are each non-zero and add up
+// to ProtocolNS to the nanosecond.
 func TestMembershipSubPhasesSumExactly(t *testing.T) {
 	for _, m := range []MembershipKind{CyclonViews, UniformOracle} {
 		t.Run(m.String(), func(t *testing.T) {
-			e, err := New(Config{
-				N: 2000, Slices: 10, ViewSize: 20,
-				Protocol: proto.Ranking, Membership: m,
-				AttrDist: dist.Uniform{Lo: 0, Hi: 1}, Seed: 3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Run(4)
-			p := e.Phases()
-			sum := p.MembershipStageNS + p.MembershipReplyNS + p.MembershipAbsorbNS
-			if sum != p.MembershipNS {
-				t.Errorf("stage %d + reply %d + absorb %d = %d, want MembershipNS %d",
-					p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS, sum, p.MembershipNS)
-			}
-			if p.Total() != p.ChurnNS+p.MembershipNS+p.ProtocolNS+p.MeasureNS {
-				t.Errorf("Total %d is not the sum of the four top-level phases", p.Total())
-			}
-			if m == UniformOracle {
-				if p.MembershipReplyNS != 0 || p.MembershipAbsorbNS != 0 || p.MembershipStageNS <= 0 {
-					t.Errorf("oracle sub-phases stage %d reply %d absorb %d, want all time in stage",
-						p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS)
+			for _, pk := range []proto.Kind{proto.Ranking, proto.Ordering} {
+				e, err := New(Config{
+					N: 2000, Slices: 10, ViewSize: 20,
+					Protocol: pk, Membership: m,
+					AttrDist: dist.Uniform{Lo: 0, Hi: 1}, Seed: 3,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return
-			}
-			if p.MembershipStageNS <= 0 || p.MembershipReplyNS <= 0 || p.MembershipAbsorbNS <= 0 {
-				t.Errorf("sub-phases stage %d reply %d absorb %d, want each > 0",
-					p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS)
+				e.Run(4)
+				p := e.Phases()
+				if sum := p.ProtocolTickNS + p.ProtocolCommitNS; sum != p.ProtocolNS {
+					t.Errorf("%v: tick %d + commit %d = %d, want ProtocolNS %d",
+						pk, p.ProtocolTickNS, p.ProtocolCommitNS, sum, p.ProtocolNS)
+				}
+				if p.ProtocolTickNS <= 0 || p.ProtocolCommitNS <= 0 {
+					t.Errorf("%v: protocol sub-phases tick %d commit %d, want each > 0",
+						pk, p.ProtocolTickNS, p.ProtocolCommitNS)
+				}
+				sum := p.MembershipStageNS + p.MembershipReplyNS + p.MembershipAbsorbNS
+				if sum != p.MembershipNS {
+					t.Errorf("%v: stage %d + reply %d + absorb %d = %d, want MembershipNS %d",
+						pk, p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS, sum, p.MembershipNS)
+				}
+				if p.Total() != p.ChurnNS+p.MembershipNS+p.ProtocolNS+p.MeasureNS {
+					t.Errorf("%v: Total %d is not the sum of the four top-level phases", pk, p.Total())
+				}
+				if m == UniformOracle {
+					if p.MembershipReplyNS != 0 || p.MembershipAbsorbNS != 0 || p.MembershipStageNS <= 0 {
+						t.Errorf("%v: oracle sub-phases stage %d reply %d absorb %d, want all time in stage",
+							pk, p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS)
+					}
+					continue
+				}
+				if p.MembershipStageNS <= 0 || p.MembershipReplyNS <= 0 || p.MembershipAbsorbNS <= 0 {
+					t.Errorf("%v: sub-phases stage %d reply %d absorb %d, want each > 0",
+						pk, p.MembershipStageNS, p.MembershipReplyNS, p.MembershipAbsorbNS)
+				}
 			}
 		})
 	}

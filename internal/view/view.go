@@ -179,14 +179,15 @@ func (v *View) Remove(id core.ID) bool {
 }
 
 // UpdateR overwrites the rank coordinate recorded for id (Fig. 2 line 11:
-// on receiving an ACK the initiator refreshes r_j in its view).
-func (v *View) UpdateR(id core.ID, r float64) bool {
+// on receiving an ACK the initiator refreshes r_j in its view) and
+// returns the refreshed entry, in the one scan a Get would take.
+func (v *View) UpdateR(id core.ID, r float64) (Entry, bool) {
 	i := v.index(id)
 	if i < 0 {
-		return false
+		return Entry{}, false
 	}
 	v.entries[i].R = r
-	return true
+	return v.entries[i], true
 }
 
 // AgeAll increments the age of every entry (Fig. 3 line 1).

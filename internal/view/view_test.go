@@ -169,15 +169,16 @@ func TestRandomUniform(t *testing.T) {
 func TestUpdateR(t *testing.T) {
 	v := MustNew(2)
 	v.Add(entry(1, 0))
-	if !v.UpdateR(1, 0.75) {
+	got, ok := v.UpdateR(1, 0.75)
+	if !ok {
 		t.Fatal("UpdateR(1) failed")
 	}
-	if v.UpdateR(9, 0.5) {
+	if _, ok := v.UpdateR(9, 0.5); ok {
 		t.Error("UpdateR on absent id should fail")
 	}
 	e, _ := v.Get(1)
-	if e.R != 0.75 {
-		t.Errorf("R = %v, want 0.75", e.R)
+	if e.R != 0.75 || got != e {
+		t.Errorf("stored %+v, returned %+v, want both with R = 0.75", e, got)
 	}
 }
 
