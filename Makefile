@@ -136,7 +136,7 @@ RAND_FILES = internal/churn/churn.go internal/dist/continuous.go internal/dist/d
 # a test or fuzz target that `go test -list` finds in LINT386_PKGS, so
 # renaming or deleting one fails lint instead of silently dropping it
 # from the leg.
-LINT386_TESTS = TestPrefetchWindow TestEventHeapOrder TestWorkerCountInvariance TestLookaheadEdges TestKernelEquivalence \
+LINT386_TESTS = TestPrefetchWindow TestEventHeapOrder TestWorkerCountInvariance TestKernelEquivalence \
 	TestTickSwapFastMatchesTickSwap TestTickTableMatchesTickSwap TestTickTargetsFastMatchesTickTargets \
 	TestAgeAllOldestMatchesTwoStep TestResetMatchesClearAdd FuzzCyclonMerge FuzzCyclonExchange
 LINT386_PKGS = ./internal/core ./internal/sim ./internal/runtime ./internal/ordering ./internal/ranking \

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/churn"
@@ -67,7 +69,10 @@ func (z zipf) Sample(rng *rand.Rand) float64 {
 
 // invarianceConfigs is the compatibility matrix of the worker-count
 // contract: both protocols, every membership substrate, concurrency on
-// and off, static and churned.
+// and off, static and churned, and the protocol round's prefetch
+// lookaheads at their edges — populations below the tick's distance
+// and the commit cursors' distances (worker spans of one or two slots),
+// and a commit with no swap request.
 func invarianceConfigs() map[string]Config {
 	attr := dist.Uniform{Lo: 0, Hi: 1000}
 	flat := churn.Flat{JoinRate: 0.02, LeaveRate: 0.02}
@@ -77,7 +82,24 @@ func invarianceConfigs() map[string]Config {
 	if err != nil {
 		panic(err)
 	}
+	small := func(n, view int, seed int64) Config {
+		return Config{
+			N: n, Slices: 4, ViewSize: view, Protocol: proto.Ordering,
+			Policy: ordering.SelectMaxGain, AttrDist: attr, Seed: seed,
+		}
+	}
+	// Equal attributes: no node is ever misplaced, so no slot sends a
+	// swap request and the commit cursors find nothing.
+	noSwaps := small(40, 8, 8)
+	noSwaps.AttrDist = dist.Uniform{Lo: 5, Hi: 5}
 	return map[string]Config{
+		"ordering/n=1":      small(1, 4, 1),
+		"ordering/n=2":      small(2, 4, 2),
+		"ordering/n=5":      small(5, 4, 3),
+		"ordering/n=12":     small(12, 6, 4),
+		"ordering/n=40":     small(40, 8, 5),
+		"ordering/no-swaps": noSwaps,
+		"ranking/n=5":       {N: 5, Slices: 2, ViewSize: 4, Protocol: proto.Ranking, AttrDist: attr, Seed: 10},
 		"ordering/modjk/cyclon": {
 			N: 400, Slices: 10, ViewSize: 12, Protocol: proto.Ordering,
 			Policy: ordering.SelectMaxGain, AttrDist: attr, Seed: 11, RecordGDM: true,
@@ -204,6 +226,51 @@ func TestWorkerCountInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCommitSwapCountEdges pins the commit lookahead's two edges: the
+// no-swaps config ticks no swap request, and random values in reverse
+// attribute order, which no config reaches, make every pair of nodes
+// misplaced, so every slot sends one in the first cycle and the run
+// still matches at one and three workers.
+func TestCommitSwapCountEdges(t *testing.T) {
+	e, err := New(invarianceConfigs()["ordering/no-swaps"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Step()
+	if s := slices.IndexFunc(e.swapTo, func(to core.ID) bool { return to != 0 }); s >= 0 {
+		t.Fatalf("no-swaps: slot %d sent a swap request", s)
+	}
+	var want runFingerprint
+	for _, workers := range []int{1, 3} {
+		e, err := New(Config{
+			N: 60, Slices: 4, ViewSize: 10, Protocol: proto.Ordering, Policy: ordering.SelectMaxGain,
+			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 9, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byAttr := make([]int, len(e.ids))
+		for s := range byAttr {
+			byAttr[s] = s
+		}
+		slices.SortFunc(byAttr, func(a, b int) int { return cmp.Compare(e.attrs[a], e.attrs[b]) })
+		rs := slices.Sorted(slices.Values(e.rs))
+		for i, s := range byAttr {
+			e.rs[s] = rs[len(rs)-1-i]
+		}
+		e.Step()
+		if s := slices.Index(e.swapTo, 0); s >= 0 {
+			t.Fatalf("workers=%d: slot %d sent no swap request", workers, s)
+		}
+		e.Run(11)
+		if got := fingerprint(e); workers == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("workers=%d: run diverges from workers=1", workers)
+		}
 	}
 }
 

@@ -414,19 +414,22 @@ func (e *Engine) protocolRound(pc *phaseClock) {
 // tickOrdering runs the ordering compute phase: every node's partner
 // choice, plus its overlap draw, in parallel. No commit has run yet, so
 // a node's live coordinate rs[s] is its snapshot coordinate. A tick
-// reads coordTab once per neighbor, a random read at 1M nodes, so slot
-// s+tickAhead's neighbors are prefetched before slot s ticks.
+// reads coordTab once per neighbor, a random read once the table
+// outgrows a core's cache, so on such a table slot s+tickAhead's
+// neighbors are prefetched before slot s ticks; on a smaller one the
+// extra view walk only costs (+10 % tick at 10k and 100k nodes).
 func (e *Engine) tickOrdering(n int) {
 	e.swapTo = grow(e.swapTo, n)
 	e.overlapBuf = grow(e.overlapBuf, n)
 	conc, policy := e.cfg.Concurrency, e.cfg.Policy
 	drawOverlap := conc > 0
 	coords := e.refreshCoordTab(n)
+	ahead := len(coords) >= tickPrefetchIDs
 	seed, cycle := e.cfg.Seed, uint64(e.cycle)
 	e.parallelFor(n, func(w, lo, hi int) {
 		ws := &e.ws[w]
 		for s := lo; s < hi; s++ {
-			if a := s + tickAhead; a < hi {
+			if a := s + tickAhead; ahead && a < hi {
 				for _, en := range e.views[a].Raw() {
 					if int(en.ID) < len(coords) {
 						prefetchAt(&coords[en.ID])
@@ -494,6 +497,8 @@ func (e *Engine) refreshCoordTab(n int) proto.CoordTable {
 // cursors walk the ticked targets ahead and prefetch them: far, the
 // slot-table entry; near, the columns of the slot that entry (cached by
 // then) names. Churn never runs mid-cycle, so nothing they read moves.
+// Unlike the tick's, this prefetch pays at every size measured (commit
+// −14 % at 10k nodes, −32 % at 100k, −49 % at 1M).
 func (e *Engine) commitOrdering(n int) {
 	overlapping := e.deferredBuf[:0]
 	var far, near int
@@ -554,11 +559,14 @@ func (e *Engine) commitOrdering(n int) {
 }
 
 // Prefetch lookaheads: the tick's distance in slots, the commit
-// cursors' distances in swap requests.
+// cursors' distances in swap requests. The tick prefetches only from
+// a coordinate table of tickPrefetchIDs entries (2 MiB, a core's L2)
+// up.
 const (
-	tickAhead  = 2
-	commitFar  = 16
-	commitNear = 8
+	tickAhead       = 2
+	tickPrefetchIDs = 1 << 18
+	commitFar       = 16
+	commitNear      = 8
 )
 
 // nextSwap returns the first ticked swap target at or after slot *c and
