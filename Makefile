@@ -33,8 +33,10 @@ bench:
 
 # Seed-matched pairs of one workload, the way a performance change is
 # judged: the committed revision BASE is exported with git archive into
-# a temporary directory (the working tree is not touched), then for each
-# seed in SEEDS the base and the working tree each run the workload
+# a temporary directory, and the working tree (tracked files plus
+# untracked ones git does not ignore) is copied once into another, so a
+# file saved while the batch runs cannot split it across two builds.
+# Then for each seed in SEEDS the two copies each run the workload
 # once, interleaved, alternating which side goes first, into
 # benchmark/out/pairs-<workload>-base.json and -work.json (both
 # replaced), and `compare` judges the two sets. Each side builds its own
@@ -44,8 +46,9 @@ BASE ?= HEAD
 WORKLOAD ?= sim-ordering-1m
 SEEDS ?= 1 2 3 4 5
 bench-pairs:
-	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
+	@base=$$(mktemp -d) && work=$$(mktemp -d) && trap 'rm -rf "$$base" "$$work"' EXIT && \
 	git archive $(BASE) | tar -x -C "$$base" && \
+	git ls-files -z -co --exclude-standard | tar --null -T - --ignore-failed-read -cf - | tar -x -C "$$work" && \
 	mkdir -p benchmark/out && \
 	a="$(CURDIR)/benchmark/out/pairs-$(WORKLOAD)-base.json" && \
 	b="$(CURDIR)/benchmark/out/pairs-$(WORKLOAD)-work.json" && \
@@ -57,11 +60,11 @@ bench-pairs:
 			if [ $$side = base ]; then \
 				bash "$$base/benchmark/run.sh" -workload $(WORKLOAD) -seed $$seed -out "$$a" || exit 1; \
 			else \
-				bash benchmark/run.sh -workload $(WORKLOAD) -seed $$seed -out "$$b" || exit 1; \
+				bash "$$work/benchmark/run.sh" -workload $(WORKLOAD) -seed $$seed -out "$$b" || exit 1; \
 			fi; \
 		done; \
 	done && \
-	bash benchmark/run.sh compare "$$a" "$$b"
+	bash "$$work/benchmark/run.sh" compare "$$a" "$$b"
 
 # The benchmark's self-test (its workloads run small and its checks and
 # compare verdicts are exercised), then one iteration of every

@@ -116,9 +116,7 @@ func (c *Cyclon) Tick(_ core.RNG) []proto.Envelope {
 	if !ok {
 		return nil
 	}
-	// The view minus the target plus the self entry is at most c entries.
-	payload := removeID(c.v.AppendEntries(getPayload(c.v.Cap())), oldest.ID)
-	payload = append(payload, c.selfEntry())
+	payload := AppendRequest(getPayload(c.v.Cap()), c.v, oldest.ID, c.selfEntry())
 	return []proto.Envelope{{To: oldest.ID, Msg: proto.ViewRequest{Entries: payload}}}
 }
 
@@ -152,6 +150,21 @@ func (c *Cyclon) HandleRequest(from core.ID, req proto.ViewRequest, _ core.RNG) 
 func (c *Cyclon) HandleReply(_ core.ID, rep proto.ViewReply) {
 	c.merge(rep.Entries)
 	putPayload(rep.Entries)
+}
+
+// AppendRequest appends a Cyclon exchange request to dst (§4.3.2): v's
+// entries minus the partner's, in view order, then the self entry. The
+// partner was just picked from v, so the request holds at most v.Cap()
+// entries. Live Tick and the simulator's membership round both build
+// their requests here.
+func AppendRequest(dst []view.Entry, v *view.View, partner core.ID, self view.Entry) []view.Entry {
+	raw := v.Raw()
+	for i := range raw {
+		if raw[i].ID == partner {
+			return append(append(append(dst, raw[:i]...), raw[i+1:]...), self)
+		}
+	}
+	return append(append(dst, raw...), self)
 }
 
 // removeID deletes the entry for id from a payload, keeping the others

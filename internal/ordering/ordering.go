@@ -86,6 +86,28 @@ type Stats struct {
 	Swapped uint64
 }
 
+// Add adds o's counters to s.
+func (s *Stats) Add(o Stats) {
+	s.ReqSent += o.ReqSent
+	s.ReqReceived += o.ReqReceived
+	s.SwapFailedAtReceiver += o.SwapFailedAtReceiver
+	s.SwapFailedAtInitiator += o.SwapFailedAtInitiator
+	s.SwapAbandonedAtSender += o.SwapAbandonedAtSender
+	s.Swapped += o.Swapped
+}
+
+// UnsuccessfulPctSince is the percentage of the swap requests received
+// since prev whose predicate had expired on arrival (Fig. 4(c)), 0 when
+// none arrived. s and prev are run totals of one population, departed
+// nodes included, so neither counter can fall between them.
+func (s Stats) UnsuccessfulPctSince(prev Stats) float64 {
+	recv := s.ReqReceived - prev.ReqReceived
+	if recv == 0 {
+		return 0
+	}
+	return 100 * float64(s.SwapFailedAtReceiver-prev.SwapFailedAtReceiver) / float64(recv)
+}
+
 // Node is a JK / mod-JK protocol instance bound to one network node:
 // the live runtime's wrapper around the swap kernels (Self), which it
 // hands its own fields per call. It implements proto.Node. The cycle

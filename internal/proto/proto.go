@@ -62,6 +62,23 @@ type RankUpdate struct {
 	Attr core.Attr
 }
 
+// MessageCounts tallies delivered protocol messages by type, plus
+// messages dropped on the way: both engines report traffic in this one
+// shape.
+type MessageCounts struct {
+	ViewRequests uint64
+	ViewReplies  uint64
+	SwapRequests uint64
+	SwapReplies  uint64
+	RankUpdates  uint64
+	Dropped      uint64
+}
+
+// Total returns all delivered messages.
+func (m MessageCounts) Total() uint64 {
+	return m.ViewRequests + m.ViewReplies + m.SwapRequests + m.SwapReplies + m.RankUpdates
+}
+
 func (ViewRequest) message() {}
 func (ViewReply) message()   {}
 func (SwapRequest) message() {}

@@ -104,6 +104,9 @@ type Cluster struct {
 	rng     *rand.Rand
 	started bool
 	stopped bool
+	// departed is the ordering event counters of every killed node, as
+	// each stood at its kill; see OrderingStats.
+	departed ordering.Stats
 
 	// nodeCount mirrors len(nodes) atomically so the telemetry gauge can
 	// sample it from a scrape goroutine without racing Join/Kill.
@@ -324,7 +327,19 @@ func (c *Cluster) Nodes() []*Node {
 
 // MessageCounts reports the traffic delivered and dropped by the
 // cluster's internal network.
-func (c *Cluster) MessageCounts() MessageCounts { return c.sched.counts() }
+func (c *Cluster) MessageCounts() proto.MessageCounts { return c.sched.counts() }
+
+// OrderingStats returns the run totals of the ordering event counters:
+// the live nodes' counters plus each killed node's as it stood at its
+// kill, so no total ever falls. Zero on a ranking cluster.
+func (c *Cluster) OrderingStats() ordering.Stats {
+	total := c.departed
+	for _, n := range c.nodes {
+		st, _ := n.OrderingStats()
+		total.Add(st)
+	}
+	return total
+}
 
 // FaultCounts reports the injections the internal network's fault layer
 // (see SetNetFaults) performed so far. The attribute-fault
@@ -399,13 +414,17 @@ func (c *Cluster) Join(attr core.Attr) (*Node, error) {
 
 // Kill crashes one node (churn's departure half): it stops gossiping
 // and leaves without any goodbye — crash and departure are
-// indistinguishable (§3.3). Queued deliveries to it are dropped.
+// indistinguishable (§3.3). Queued deliveries to it are dropped. Its
+// ordering counters, read once the scheduler no longer holds it, stay
+// in the cluster's run totals (OrderingStats).
 func (c *Cluster) Kill(id core.ID) bool {
 	i, ok := c.index[id]
 	if !ok {
 		return false
 	}
 	c.sched.removeNode(id)
+	st, _ := c.nodes[i].OrderingStats()
+	c.departed.Add(st)
 	last := len(c.nodes) - 1
 	if i != last {
 		c.nodes[i] = c.nodes[last]

@@ -8,6 +8,7 @@ import (
 	"github.com/gossipkit/slicing/internal/dist"
 	"github.com/gossipkit/slicing/internal/fault"
 	"github.com/gossipkit/slicing/internal/metrics"
+	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/proto"
 )
 
@@ -40,7 +41,7 @@ func TestMessageCountsDeterministicUnderLoss(t *testing.T) {
 		loss   = 0.2
 		cycles = 30
 	)
-	run := func() MessageCounts {
+	run := func() proto.MessageCounts {
 		c := lossyCluster(t, seed, loss)
 		if err := c.Advance(cycles * testPeriod); err != nil {
 			t.Fatal(err)
@@ -111,7 +112,7 @@ func TestPartitionHealDeterministic(t *testing.T) {
 	)
 	part := testPartition(t, 4)
 	type outcome struct {
-		counts MessageCounts
+		counts proto.MessageCounts
 		faults fault.Counts
 		sdm    []float64
 	}
@@ -173,5 +174,58 @@ func TestPartitionHealDeterministic(t *testing.T) {
 		if a.sdm[i] != b.sdm[i] || math.IsNaN(a.sdm[i]) {
 			t.Errorf("SDM series diverged at cycle %d: %v vs %v", i, a.sdm[i], b.sdm[i])
 		}
+	}
+}
+
+// TestOrderingStatsKeepKilledNodes pins the cluster's ordering run
+// totals under churn: a kill never lowers any counter, and the totals
+// are always the live nodes' counters plus each killed node's counters
+// as they stood at its kill.
+func TestOrderingStatsKeepKilledNodes(t *testing.T) {
+	c := drivenCluster(t, ClusterConfig{
+		N: 40, Partition: testPartition(t, 4), ViewSize: 8,
+		Protocol: proto.Ordering, Policy: ordering.SelectRandomMisplaced,
+		AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 5,
+		MaxLatency: testPeriod,
+	})
+	var killed ordering.Stats
+	check := func(when string, prev ordering.Stats) ordering.Stats {
+		t.Helper()
+		want := killed
+		for _, n := range c.Nodes() {
+			st, _ := n.OrderingStats()
+			want.Add(st)
+		}
+		got := c.OrderingStats()
+		if got != want {
+			t.Fatalf("%s: cluster totals %+v, live sum plus killed nodes %+v", when, got, want)
+		}
+		if got.ReqSent < prev.ReqSent || got.ReqReceived < prev.ReqReceived ||
+			got.SwapFailedAtReceiver < prev.SwapFailedAtReceiver || got.SwapFailedAtInitiator < prev.SwapFailedAtInitiator ||
+			got.SwapAbandonedAtSender < prev.SwapAbandonedAtSender || got.Swapped < prev.Swapped {
+			t.Fatalf("%s: cluster totals fell from %+v to %+v", when, prev, got)
+		}
+		return got
+	}
+	prev := check("start", ordering.Stats{})
+	for id := core.ID(1); id <= 20; id += 2 {
+		if err := c.Advance(testPeriod); err != nil {
+			t.Fatal(err)
+		}
+		prev = check("after a period", prev)
+		var st ordering.Stats
+		for _, n := range c.Nodes() {
+			if n.ID() == id {
+				st, _ = n.OrderingStats()
+			}
+		}
+		if !c.Kill(id) {
+			t.Fatalf("Kill(%v) found no node", id)
+		}
+		killed.Add(st)
+		prev = check("after a kill", prev)
+	}
+	if killed.ReqReceived == 0 {
+		t.Fatal("the killed nodes had received no swap request")
 	}
 }

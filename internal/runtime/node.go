@@ -568,9 +568,11 @@ func (n *Node) SetAttr(a core.Attr) {
 	}
 }
 
-// OrderingStats returns the node's ordering event counters; ok is false
-// for non-ordering nodes. Measurement collectors use it to compute the
-// per-period unsuccessful-swap percentage (Fig. 4(c)) for live runs.
+// OrderingStats returns the node's own ordering event counters, for an
+// operator reading one node; ok is false for non-ordering nodes. The
+// per-cycle unsuccessful-swap percentage (Fig. 4(c)) of a live run comes
+// from Cluster.OrderingStats instead: run totals, departed nodes
+// included.
 func (n *Node) OrderingStats() (ordering.Stats, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -47,24 +47,6 @@ import (
 // push on the destination shard, so no per-node inbox goroutines exist
 // and virtual-time runs model latency on the virtual timeline.
 
-// MessageCounts tallies messages delivered by the scheduler's internal
-// network, by type, plus messages dropped by loss injection, full
-// queues, or departed destinations. The field set mirrors the
-// simulator's counters so live and simulated runs report the same shape.
-type MessageCounts struct {
-	ViewRequests uint64
-	ViewReplies  uint64
-	SwapRequests uint64
-	SwapReplies  uint64
-	RankUpdates  uint64
-	Dropped      uint64
-}
-
-// Total returns all delivered messages.
-func (m MessageCounts) Total() uint64 {
-	return m.ViewRequests + m.ViewReplies + m.SwapRequests + m.SwapReplies + m.RankUpdates
-}
-
 // event is one entry of a shard's timer wheel: a node tick (node != nil)
 // or a message delivery.
 type event struct {
@@ -587,9 +569,11 @@ func (s *scheduler) step(d time.Duration) {
 	s.vclock.advanceTo(target)
 }
 
-// counts sums the per-shard tallies.
-func (s *scheduler) counts() MessageCounts {
-	var m MessageCounts
+// counts sums the per-shard tallies: messages delivered by the internal
+// network, plus those dropped by loss injection, full queues or departed
+// destinations.
+func (s *scheduler) counts() proto.MessageCounts {
+	var m proto.MessageCounts
 	for _, sh := range s.shards {
 		m.ViewRequests += sh.counts.viewReq.Load()
 		m.ViewReplies += sh.counts.viewRep.Load()

@@ -464,7 +464,7 @@ func TestSchedulerTickCadence(t *testing.T) {
 // over every node.
 type driven1Result struct {
 	sdmBits uint64
-	counts  MessageCounts
+	counts  proto.MessageCounts
 	stats   ordering.Stats
 }
 
@@ -491,7 +491,7 @@ func TestDrivenSingleShardDeterministic(t *testing.T) {
 			AttrDist: dist.Uniform{Lo: 0, Hi: 1000}, Seed: 123, Loss: 0.02,
 		}, want: &driven1Result{
 			sdmBits: math.Float64bits(2),
-			counts: MessageCounts{
+			counts: proto.MessageCounts{
 				ViewRequests: 2326, ViewReplies: 2264,
 				SwapRequests: 458, SwapReplies: 447, Dropped: 102,
 			},

@@ -3,6 +3,7 @@ package scenario
 import (
 	"github.com/gossipkit/slicing/internal/core"
 	"github.com/gossipkit/slicing/internal/metrics"
+	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/proto"
 	"github.com/gossipkit/slicing/internal/sim"
 )
@@ -51,16 +52,15 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 		Size:            metrics.Series{Name: "n"},
 		Pollution:       metrics.Series{Name: "pollution"},
 	}
-	// One node walk per recorded cycle: per-node states for SDM/GDM/size
-	// and — on ordering runs — the cumulative swap counters behind the
-	// per-period unsuccessful-swap percentage of Fig. 4(c), deltaed
-	// exactly like the simulator's. The series must exist on both
-	// engines for results to compare record for record.
-	var prevReq, prevFailed uint64
+	// One node walk per recorded cycle: per-node states for SDM/GDM/size.
+	// On ordering runs the period's unsuccessful-swap percentage of
+	// Fig. 4(c) is the difference of two cluster run totals, killed nodes
+	// included, exactly like the simulator's. The series must exist on
+	// both engines for results to compare record for record.
+	var prev ordering.Stats
 	record := func(cycle int) {
 		nodes := c.Nodes()
 		states := make([]metrics.NodeState, 0, len(nodes))
-		var req, failed uint64
 		for _, n := range nodes {
 			st := n.Status()
 			// A lying node is graded by the attribute it is hiding.
@@ -69,12 +69,6 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 				R:          st.R,
 				SliceIndex: st.SliceIx,
 			})
-			if cfg.Protocol == proto.Ordering {
-				if os, ok := n.OrderingStats(); ok {
-					req += os.ReqReceived
-					failed += os.SwapFailedAtReceiver
-				}
-			}
 		}
 		// Pollution grades the BELIEVED slices.
 		if p, ok := lc.faults.Pollution(len(states), func(i int) (core.ID, int) {
@@ -88,15 +82,9 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 			res.GDM.Add(cycle, metrics.GDM(states))
 		}
 		if cfg.Protocol == proto.Ordering {
-			// Churn can shrink the sums between snapshots (a departed
-			// node takes its counters with it); clamp the deltas.
-			dr, df := req-min(req, prevReq), failed-min(failed, prevFailed)
-			pct := 0.0
-			if dr > 0 {
-				pct = 100 * float64(df) / float64(dr)
-			}
-			res.UnsuccessfulPct.Add(cycle, pct)
-			prevReq, prevFailed = req, failed
+			st := c.OrderingStats()
+			res.UnsuccessfulPct.Add(cycle, st.UnsuccessfulPctSince(prev))
+			prev = st
 		}
 	}
 	record(0)
@@ -115,15 +103,7 @@ func (b LiveBackend) Run(spec Spec) (*sim.Result, error) {
 		record(cycle + 1)
 	}
 
-	counts := c.MessageCounts()
-	res.Messages = sim.MessageCounts{
-		ViewRequests: counts.ViewRequests,
-		ViewReplies:  counts.ViewReplies,
-		SwapRequests: counts.SwapRequests,
-		SwapReplies:  counts.SwapReplies,
-		RankUpdates:  counts.RankUpdates,
-		Dropped:      counts.Dropped,
-	}
+	res.Messages = c.MessageCounts()
 	res.FinalN = len(c.Nodes())
 	// The network tallies partition and chaos injections, the applier
 	// drift and lies.

@@ -97,16 +97,15 @@ func checkArenaConsistency(t *testing.T, e *Engine) {
 }
 
 // checkColumns pins the protocol columns: exactly the run's protocol
-// holds one entry per live node (stats and rs under ordering, ests
-// under ranking), the last measurement's staged slice (once a cycle has
-// been measured) is each node's current believed slice, and the
-// swap-counter totals are the Stats sums over the live nodes.
+// holds one entry per live node (rs under ordering, ests under
+// ranking), and the last measurement's staged slice (once a cycle has
+// been measured) is each node's current believed slice.
 func checkColumns(t *testing.T, e *Engine) {
 	t.Helper()
 	n := len(e.ids)
-	want := map[bool][3]int{true: {n, n, 0}, false: {0, 0, n}}[e.isOrdering()]
-	if got := [3]int{len(e.stats), len(e.rs), len(e.ests)}; got != want {
-		t.Fatalf("cycle %d: protocol columns (stats, rs, ests) hold %v entries, want %v", e.cycle, got, want)
+	want := map[bool][2]int{true: {n, 0}, false: {0, n}}[e.isOrdering()]
+	if got := [2]int{len(e.rs), len(e.ests)}; got != want {
+		t.Fatalf("cycle %d: protocol columns (rs, ests) hold %v entries, want %v", e.cycle, got, want)
 	}
 	if len(e.slotBelieved) != n {
 		t.Fatalf("cycle %d: slotBelieved holds %d entries, arena %d", e.cycle, len(e.slotBelieved), n)
@@ -116,15 +115,6 @@ func checkColumns(t *testing.T, e *Engine) {
 			t.Fatalf("cycle %d: slot %d measured slice %d, node believes %d",
 				e.cycle, s, e.slotBelieved[s], want)
 		}
-	}
-	var recv, fail uint64
-	for _, st := range e.stats {
-		recv += st.ReqReceived
-		fail += st.SwapFailedAtReceiver
-	}
-	if e.recvTotal != recv || e.failRecvTotal != fail {
-		t.Fatalf("cycle %d: swap totals (received %d, failed %d), live Stats sums (%d, %d)",
-			e.cycle, e.recvTotal, e.failRecvTotal, recv, fail)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/core"
-	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/ranking"
 	"github.com/gossipkit/slicing/internal/view"
 )
@@ -26,9 +25,9 @@ type MemReport struct {
 	// one contiguous array.
 	ArenaBytes int64 `json:"arenaBytes"`
 	// StateBytes covers the per-slot columns: identifiers, attributes,
-	// view headers, the ordering random values and swap counters or the
-	// ranking estimators together with the struct each one points at,
-	// plus the ID→slot table and the attribute-ordered membership.
+	// view headers, the ordering random values or the ranking estimators
+	// together with the struct each one points at, plus the ID→slot
+	// table and the attribute-ordered membership.
 	StateBytes int64 `json:"stateBytes"`
 	// StagingBytes covers the reusable per-cycle buffers: the frozen
 	// request/reply payload windows, the per-slot tick outputs, the
@@ -65,7 +64,6 @@ func (e *Engine) MemReport() MemReport {
 	m.StateBytes = sliceBytes(e.ids, core.ID(0)) +
 		sliceBytes(e.attrs, core.Attr(0)) +
 		sliceBytes(e.views, view.View{}) +
-		sliceBytes(e.stats, ordering.Stats{}) +
 		sliceBytes(e.rs, 0.0) +
 		sliceBytes(e.ests, ranking.Estimator(nil)) +
 		sliceBytes(e.slots, int32(0)) +

@@ -39,6 +39,9 @@ type simWorker struct {
 	// here instead of in a loop-local keeps the interface conversion from
 	// heap-allocating a fresh 8-byte box per node per cycle.
 	stream core.Stream
+	// ostats is the ordering event tally of the ticks this worker ran;
+	// see Engine.OrderingStats.
+	ostats ordering.Stats
 
 	dropped    uint64
 	partDrops  uint64

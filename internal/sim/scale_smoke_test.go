@@ -47,11 +47,11 @@ func TestMillionNodeSmoke(t *testing.T) {
 	if mem.Nodes < 990_000 || mem.Nodes > 1_010_000 {
 		t.Errorf("population drifted implausibly under 0.1%% churn: %d nodes", mem.Nodes)
 	}
-	// The budget the README advertises: 1,110.1 B per node when set, and
+	// The budget the README advertises: 1,062.1 B per node when set, and
 	// this ceiling is 5 % above it — a per-node map, pointer field or
 	// stray per-node buffer would blow straight through it.
-	if bpn := mem.BytesPerNode; bpn <= 0 || bpn > 1165 {
-		t.Errorf("engine bytes/node = %.0f, want (0, 1165]", bpn)
+	if bpn := mem.BytesPerNode; bpn <= 0 || bpn > 1115 {
+		t.Errorf("engine bytes/node = %.0f, want (0, 1115]", bpn)
 	}
 	checkArenaConsistency(t, e)
 }

@@ -22,15 +22,17 @@
 //
 // Node state is laid out struct-of-arrays: the engine holds parallel
 // slices addressed by a dense arena index ("slot") — identifiers (ids),
-// attributes (attrs), the protocol's own state (random values and swap
-// counters under ordering, estimators under ranking) and view headers
-// stored by value (views) — plus one ID→slot table ([]int32, indexed
-// directly by the monotonically assigned core.ID). There are no
-// protocol node objects: each per-node fact lives in exactly one column,
-// and the engine hands the ordering/ranking kernels a node's facts plus
-// the engine-wide partition and policy per call. View storage itself
-// lives outside the headers, in one flat backing array indexed by
-// slot*ViewSize (view.Arena): the compute and commit halves of a gossip
+// attributes (attrs), the protocol's own state (random values under
+// ordering, estimators under ranking) and view headers stored by value
+// (views) — plus one ID→slot table ([]int32, indexed directly by the
+// monotonically assigned core.ID). There are no protocol node objects:
+// each per-node fact lives in exactly one column, and the engine hands
+// the ordering/ranking kernels a node's facts plus the engine-wide
+// partition and policy per call. Swap counters are no per-node fact:
+// their only consumer is a sum, so they are kept as run totals, departed
+// nodes included (OrderingStats). View storage itself lives outside the
+// headers, in one flat backing array indexed by slot*ViewSize
+// (view.Arena): the compute and commit halves of a gossip
 // round, the per-cycle SDM/GDM measurement and churn's swap-delete all
 // stream contiguous memory instead of chasing per-node heap objects.
 // Every hot-path lookup — message delivery, state reads, snapshots, sampling,
@@ -254,19 +256,19 @@ type Engine struct {
 	//
 	// ids holds the node identifiers, attrs their attributes (both
 	// protocols; the fault plane changes one only through setAttrAt).
-	// Under ordering, stats holds each node's swap counters and rs its
-	// live random value; under ranking, ests holds each node's
-	// estimator; the other protocol's columns stay nil. views holds the
-	// per-slot view headers by value; their entry storage is not theirs
-	// but the slot's block of varena, so all view payloads of the
-	// population form one contiguous entry array.
+	// Under ordering, rs holds each node's live random value; under
+	// ranking, ests holds each node's estimator; the other protocol's
+	// column stays nil. No node keeps swap counters: their only reader
+	// is a sum, so the kernels count into run totals (see ostats). views
+	// holds the per-slot view headers by value; their entry storage is
+	// not theirs but the slot's block of varena, so all view payloads of
+	// the population form one contiguous entry array.
 	ids []core.ID
 	// slots maps core.ID → arena slot. IDs are assigned sequentially
 	// from 1, so the table is indexed directly by ID — an ID lookup is a
 	// bounds check and a slice load, never a hash. Departed IDs hold
 	// noSlot. The table grows by one int32 per node ever created.
 	slots []int32
-	stats []ordering.Stats
 	rs    []float64
 	attrs []core.Attr
 	views []view.View
@@ -327,17 +329,12 @@ type Engine struct {
 	// Message counters (cumulative).
 	Delivered MessageCounts
 
-	prevReqReceived uint64
-	prevFailed      uint64
-	// Running totals of the ordering Stats sums the per-cycle
-	// unsuccessful-swap series needs: bumped at the swap-delivery choke
-	// point (deliverSwap), so the measurement reads two counters instead
-	// of scanning a million Stats every cycle. Identical to the live
-	// nodes' Stats sums by construction — deliverSwap is the only
-	// ApplySwapRequest caller in the engine, and removeNode subtracts a
-	// departing node's counts (checkArenaConsistency pins this).
-	recvTotal     uint64
-	failRecvTotal uint64
+	// ostats is the run's ordering event counters, departed nodes
+	// included: every serial kernel call counts into it, a parallel tick
+	// into its worker's simWorker.ostats (see OrderingStats). prevOrd is
+	// the run total the last recorded cycle ended at.
+	ostats  ordering.Stats
+	prevOrd ordering.Stats
 	// Cumulative wall-clock nanoseconds per cycle phase; see
 	// telemetry.go. Always on (four clock reads per cycle, two more in a
 	// gossiping membership round, one more in the protocol round),
@@ -391,20 +388,9 @@ type Engine struct {
 }
 
 // MessageCounts tallies delivered protocol messages by type, plus
-// messages dropped because their destination had left.
-type MessageCounts struct {
-	ViewRequests uint64
-	ViewReplies  uint64
-	SwapRequests uint64
-	SwapReplies  uint64
-	RankUpdates  uint64
-	Dropped      uint64
-}
-
-// Total returns all delivered messages.
-func (m MessageCounts) Total() uint64 {
-	return m.ViewRequests + m.ViewReplies + m.SwapRequests + m.SwapReplies + m.RankUpdates
-}
+// messages dropped on the way (a departed destination, a partition or
+// chaos).
+type MessageCounts = proto.MessageCounts
 
 // New builds a simulation engine and records the initial (cycle-0)
 // measurements.
@@ -452,7 +438,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	switch cfg.Protocol {
 	case proto.Ordering:
-		e.stats = make([]ordering.Stats, 0, cfg.N)
 		e.rs = make([]float64, 0, cfg.N)
 	case proto.Ranking:
 		e.ests = make([]ranking.Estimator, 0, cfg.N)
@@ -489,8 +474,8 @@ func (e *Engine) slotOf(id core.ID) (int32, bool) {
 	return s, s >= 0
 }
 
-// isOrdering reports whether the run is an ordering run (the stats and
-// rs columns are in use) rather than a ranking run (ests).
+// isOrdering reports whether the run is an ordering run (the rs column
+// is in use) rather than a ranking run (ests).
 func (e *Engine) isOrdering() bool { return e.cfg.Protocol == proto.Ordering }
 
 // memberAt reads slot s's identity and current attribute.
@@ -517,9 +502,10 @@ func (e *Engine) selfEntryAt(s int32) view.Entry {
 	return view.Entry{ID: e.ids[s], Attr: e.attrs[s], R: e.coordAt(s)}
 }
 
-// orderingSelf is slot s's ordering node as the swap kernels see it.
-func (e *Engine) orderingSelf(s int32) ordering.Self {
-	return ordering.Self{ID: e.ids[s], Attr: e.attrs[s], R: &e.rs[s], View: &e.views[s], Stats: &e.stats[s]}
+// orderingSelf is slot s's ordering node as the swap kernels see it,
+// counting its events into st.
+func (e *Engine) orderingSelf(s int32, st *ordering.Stats) ordering.Self {
+	return ordering.Self{ID: e.ids[s], Attr: e.attrs[s], R: &e.rs[s], View: &e.views[s], Stats: st}
 }
 
 // rankingSelf is slot s's ranking node as the kernels see it.
@@ -548,7 +534,6 @@ func (e *Engine) addNode(attr core.Attr) error {
 	}
 	eb, ib, ob := e.varena.Block(slot)
 	if e.isOrdering() {
-		e.stats = append(e.stats, ordering.Stats{})
 		e.rs = append(e.rs, 1-e.rng.Float64()) // uniform in (0,1]
 	} else {
 		est := e.newEstimator()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/gossipkit/slicing/internal/churn"
@@ -262,6 +263,49 @@ func TestHalfConcurrencyFailsLessThanFull(t *testing.T) {
 	full := failures(1)
 	if half >= full {
 		t.Errorf("half-concurrency failures %d ≥ full-concurrency %d", half, full)
+	}
+}
+
+// Each recorded point of the unsuccessful-swap series is the cycle's own
+// ratio, departed nodes included: times the swap requests delivered in
+// that cycle it gives a whole number of failures, and those failures
+// add up to the run total. Churn runs first in a cycle, so a series
+// that forgot the history of departing nodes fails both checks.
+func TestUnsuccessfulPctIsPerCycleUnderChurn(t *testing.T) {
+	cfg := baseOrderingConfig()
+	cfg.N = 500
+	cfg.Policy = ordering.SelectRandomMisplaced
+	cfg.Concurrency = 0.5
+	cfg.Schedule = churn.Flat{JoinRate: 0.02, LeaveRate: 0.02}
+	cfg.Pattern = churn.Uniform{Dist: cfg.AttrDist}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed float64
+	for c := 1; c <= 40; c++ {
+		before := e.Delivered.SwapRequests
+		e.Step()
+		p, ok := e.UnsuccessfulPct().At(c)
+		if !ok {
+			t.Fatalf("cycle %d: no unsuccessful-swap point", c)
+		}
+		k := p * float64(e.Delivered.SwapRequests-before) / 100
+		if math.Abs(k-math.Round(k)) > 1e-9 {
+			t.Fatalf("cycle %d: %.6f %% of %d delivered requests is %.9f failures, not a whole number",
+				c, p, e.Delivered.SwapRequests-before, k)
+		}
+		failed += math.Round(k)
+	}
+	st := e.OrderingStats()
+	if st.SwapFailedAtReceiver == 0 {
+		t.Fatal("half concurrency produced no unsuccessful swaps")
+	}
+	if uint64(failed) != st.SwapFailedAtReceiver {
+		t.Errorf("per-cycle failures add up to %.0f, run total %d", failed, st.SwapFailedAtReceiver)
+	}
+	if st.ReqReceived != e.Delivered.SwapRequests {
+		t.Errorf("run total received %d swap requests, %d delivered", st.ReqReceived, e.Delivered.SwapRequests)
 	}
 }
 

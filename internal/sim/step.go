@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"github.com/gossipkit/slicing/internal/core"
+	"github.com/gossipkit/slicing/internal/membership"
 	"github.com/gossipkit/slicing/internal/metrics"
 	"github.com/gossipkit/slicing/internal/ordering"
 	"github.com/gossipkit/slicing/internal/proto"
@@ -84,15 +85,6 @@ func (e *Engine) removeNode(id core.ID) {
 	}
 	last := int32(len(e.ids) - 1)
 	ord := e.isOrdering()
-	if ord {
-		// The departing node carries its swap counters away: the
-		// unsuccessful-swap series sums over LIVE nodes, so the
-		// engine-side running totals forget this node's history and stay
-		// equal to the Stats sums over the live population.
-		st := &e.stats[s]
-		e.recvTotal -= st.ReqReceived
-		e.failRecvTotal -= st.SwapFailedAtReceiver
-	}
 	if s != last {
 		e.ids[s] = e.ids[last]
 		e.attrs[s] = e.attrs[last]
@@ -102,7 +94,6 @@ func (e *Engine) removeNode(id core.ID) {
 		e.views[s] = e.views[last]
 		e.views[s].Rebind(e.varena.Block(int(s)))
 		if ord {
-			e.stats[s] = e.stats[last]
 			e.rs[s] = e.rs[last]
 		} else {
 			e.ests[s] = e.ests[last]
@@ -112,7 +103,6 @@ func (e *Engine) removeNode(id core.ID) {
 	// Release the tail slot's estimator to the GC and truncate every
 	// parallel slice in lockstep.
 	if ord {
-		e.stats = e.stats[:last]
 		e.rs = e.rs[:last]
 	} else {
 		e.ests[last] = nil
@@ -224,15 +214,8 @@ func (e *Engine) exchangeRound(pc *phaseClock) {
 			if tgt < 0 {
 				continue
 			}
-			self := e.selfEntryAt(int32(s))
-			// The partner is in the view: it was just picked from it.
-			raw, p := v.Raw(), 0
-			for raw[p].ID != pen.ID {
-				p++
-			}
 			off := s * stride
-			req := append(append(e.reqStore[off:off:off+stride], raw[:p]...), raw[p+1:]...)
-			req = append(req, self)
+			req := membership.AppendRequest(e.reqStore[off:off:off+stride], v, pen.ID, e.selfEntryAt(int32(s)))
 			e.reqLen[s] = int32(len(req))
 		}
 	})
@@ -439,7 +422,7 @@ func (e *Engine) tickOrdering(n int) {
 			ws.stream = nodeStream(seed, uint64(e.ids[s]), cycle, phaseProtocol)
 			st := &ws.stream
 			e.overlapBuf[s] = drawOverlap && st.Float64() < conc
-			self := e.orderingSelf(int32(s))
+			self := e.orderingSelf(int32(s), &ws.ostats)
 			to, _, ok := self.TickTable(policy, e.rs[s], coords, st, &ws.oscr)
 			if !ok {
 				to = 0
@@ -544,7 +527,7 @@ func (e *Engine) commitOrdering(n int) {
 		// still helps.
 		r, attr := e.rs[s], e.attrs[s]
 		if ts, live := e.slotOf(to); live && !e.swapStillHelps(ts, r, attr) {
-			self := e.orderingSelf(int32(s))
+			self := e.orderingSelf(int32(s), &e.ostats)
 			self.AbandonSwap()
 			continue
 		}
@@ -596,7 +579,6 @@ func (e *Engine) prefetchTarget(id core.ID) {
 		prefetchAt(&e.rs[ts])
 		prefetchAt(&e.attrs[ts])
 		prefetchAt(&e.ids[ts])
-		prefetchAt(&e.stats[ts])
 	}
 }
 
@@ -657,16 +639,10 @@ func (e *Engine) deliverSwap(from int32, to core.ID, r float64, attr core.Attr) 
 		return
 	}
 	e.Delivered.SwapRequests++
-	recv := e.orderingSelf(ts)
-	rep, adopted := recv.ApplySwapRequest(e.ids[from], proto.SwapRequest{R: r, Attr: attr})
-	// The running totals follow the Stats sums the unsuccessful-swap
-	// series needs, at the one choke point swaps are received through.
-	e.recvTotal++
-	if !adopted {
-		e.failRecvTotal++
-	}
+	recv := e.orderingSelf(ts, &e.ostats)
+	rep, _ := recv.ApplySwapRequest(e.ids[from], proto.SwapRequest{R: r, Attr: attr})
 	e.Delivered.SwapReplies++
-	init := e.orderingSelf(from)
+	init := e.orderingSelf(from, &e.ostats)
 	init.ApplySwapReply(to, rep)
 }
 
@@ -855,17 +831,9 @@ func (e *Engine) record() {
 		}
 	}
 	if e.isOrdering() {
-		// The engine-side delivery counters hold exactly the Stats sums
-		// over live nodes: deliverSwap is the only increment site, and
-		// removeNode subtracts a departing node's counts.
-		received, failed := e.recvTotal, e.failRecvTotal
-		dr, df := received-min(received, e.prevReqReceived), failed-min(failed, e.prevFailed)
-		pct := 0.0
-		if dr > 0 {
-			pct = 100 * float64(df) / float64(dr)
-		}
-		e.unsucc.Add(e.cycle, pct)
-		e.prevReqReceived, e.prevFailed = received, failed
+		st := e.OrderingStats()
+		e.unsucc.Add(e.cycle, st.UnsuccessfulPctSince(e.prevOrd))
+		e.prevOrd = st
 	}
 }
 
@@ -1009,24 +977,23 @@ func (e *Engine) SDM() metrics.Series { return e.sdm }
 // GDM returns the global disorder series (empty unless RecordGDM).
 func (e *Engine) GDM() metrics.Series { return e.gdm }
 
-// UnsuccessfulPct returns the per-cycle percentage of swap requests
-// whose predicate had expired on arrival (Fig. 4(c)).
+// UnsuccessfulPct returns, per cycle, the percentage of the swap
+// requests received in that cycle whose predicate had expired on
+// arrival (Fig. 4(c)), departed nodes included: the difference of two
+// OrderingStats run totals.
 func (e *Engine) UnsuccessfulPct() metrics.Series { return e.unsucc }
 
 // Size returns the live-population series.
 func (e *Engine) Size() metrics.Series { return e.size }
 
-// OrderingStats sums the event counters over all live ordering nodes.
+// OrderingStats returns the run totals of the ordering event counters,
+// departed nodes included: the serial accumulator plus each worker's
+// tick tally, added in worker order (integer sums, so the totals do not
+// depend on the worker count).
 func (e *Engine) OrderingStats() ordering.Stats {
-	var total ordering.Stats
-	for i := range e.stats {
-		st := &e.stats[i]
-		total.ReqSent += st.ReqSent
-		total.ReqReceived += st.ReqReceived
-		total.SwapFailedAtReceiver += st.SwapFailedAtReceiver
-		total.SwapFailedAtInitiator += st.SwapFailedAtInitiator
-		total.SwapAbandonedAtSender += st.SwapAbandonedAtSender
-		total.Swapped += st.Swapped
+	total := e.ostats
+	for i := range e.ws {
+		total.Add(e.ws[i].ostats)
 	}
 	return total
 }
